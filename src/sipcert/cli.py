@@ -1,8 +1,9 @@
 """Command-line frontend: analyze an instance at a point, or solve then
 analyze, emitting human-readable text and a machine-readable JSON report.
 
-Exit codes: 0 ok, 2 validation error, 3 infeasible point, 4 solver hit its
-iteration limit, 5 internal LP failure. Verdicts never change the exit code.
+Exit codes: 0 ok, 2 validation error (including a non-finite point), 3
+infeasible point, 4 solver hit its iteration limit, 5 internal LP failure.
+Verdicts never change the exit code.
 """
 
 from __future__ import annotations
@@ -189,10 +190,14 @@ def build_report(
     feas = feasibility_check(inst, x, scan=scan)
     analyze = analyze and feas.feasible
     if analyze:
-        cq = cq_summary(inst, x, args.eps_schedule, margin_tol=args.margin_tol, seed=args.seed)
+        cq = cq_summary(
+            inst, x, args.eps_schedule, margin_tol=args.margin_tol, seed=args.seed, scan=scan
+        )
         asr = active_set(inst, x, eps=args.eps_schedule[0], scan=scan)
         bound, bound_ok, norm_trigger = gradient_bound_check(asr)
-        moduli = estimate_moduli(inst, x, samples_per_eta=args.moduli_samples, seed=args.seed)
+        moduli = estimate_moduli(
+            inst, x, samples_per_eta=args.moduli_samples, seed=args.seed, scan=scan
+        )
         dirs = probe_directions(inst.dim, args.probe_dirs, args.seed)
         cones = []
         for variant in args.variants:
@@ -249,8 +254,8 @@ def build_report(
                 {"label": e.id.label, "value": float(e.value), "grad": _vec(e.grad)}
                 for e in asr.active
             ],
-            "eps_active_count": len(asr.eps_active),
-            "normalized_eps_active_count": len(asr.normalized_eps_active),
+            "eps_active_count": len(asr.eps_active_rows),
+            "normalized_eps_active_count": len(asr.normalized_rows),
             "grad_norm_bound": float(bound),
             "grad_norm_bound_finite": bool(bound_ok),
             "normalization_trigger": bool(norm_trigger),
@@ -341,6 +346,8 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
         raise InstanceError(f"bad point {text!r}: {err}") from None
     if len(vals) != dim:
         raise InstanceError(f"point has {len(vals)} components, instance needs {dim}")
+    if not all(math.isfinite(v) for v in vals):
+        raise InstanceError(f"point {text!r} has a non-finite component")
     return np.array(vals)
 
 

@@ -11,6 +11,7 @@ test can re-check.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import linsolve
 from .linsolve import ConeRefutation, FeasibilityCertificate
-from .model import ConstraintScan, SipInstance, scan_constraints
+from .model import ConstraintScan, SipInstance, scan_constraints, unit_vectors
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class ClosednessVerdict:
 @dataclass
 class GeneratedCone:
     dim: int
-    labels: list[str]
+    labels: Sequence[str]
     generators: np.ndarray  # (dim, m), columns are generators
     lineality: np.ndarray  # (dim, k), columns span the subspace part
     limit_rays: list[Ray] = field(default_factory=list)
@@ -59,14 +60,18 @@ class GeneratedCone:
         if len(self.labels) != self.generators.shape[1]:
             raise ValueError("one label per generator column")
 
-    def columns(self, use_limit_rays: bool):
+    def columns(self, use_limit_rays: bool) -> np.ndarray:
+        """Generator columns, followed by the limit-ray directions if asked."""
         G = self.generators
-        labels = list(self.labels)
         if use_limit_rays and self.limit_rays:
             R = np.column_stack([r.direction for r in self.limit_rays])
             G = np.hstack([G, R]) if G.size else R
-            labels += [r.label for r in self.limit_rays]
-        return G, labels
+        return G
+
+    def label(self, j: int) -> str:
+        """Label of column j of `columns(True)`."""
+        m = self.generators.shape[1]
+        return self.labels[j] if j < m else self.limit_rays[j - m].label
 
 
 def membership(
@@ -76,11 +81,7 @@ def membership(
     v = np.asarray(v, dtype=float)
     if v.shape != (cone.dim,):
         raise ValueError(f"probe vector must have dimension {cone.dim}")
-    G, labels = cone.columns(use_limit_rays)
-    out = linsolve.cone_feasibility(G, cone.lineality, v, tol)
-    if isinstance(out, FeasibilityCertificate):
-        out.labels = labels  # type: ignore[attr-defined]
-    return out
+    return linsolve.cone_feasibility(cone.columns(use_limit_rays), cone.lineality, v, tol)
 
 
 def caratheodory_reduce(
@@ -92,14 +93,12 @@ def caratheodory_reduce(
     v = np.asarray(v, dtype=float)
     if use_limit_rays is None:
         use_limit_rays = len(cert.lam) == cone.generators.shape[1] + len(cone.limit_rays)
-    G, labels = cone.columns(use_limit_rays)
+    G = cone.columns(use_limit_rays)
     lam, y = reduce_support(G, cone.lineality, cert.lam.copy(), cert.y.copy())
     H = cone.lineality
     recon = (G @ lam if G.size else 0.0) + (H @ y if H.size else 0.0)
     residual = float(np.max(np.abs(recon - v))) if cone.dim else 0.0
-    out = FeasibilityCertificate(lam=lam, y=y, residual=residual)
-    out.labels = labels  # type: ignore[attr-defined]
-    return out
+    return FeasibilityCertificate(lam=lam, y=y, residual=residual)
 
 
 def reduce_support(G, H, lam, y):
@@ -158,47 +157,38 @@ def accumulation_rays(
     estimates agree to ``residual_tol`` survive. Returns (rays, ok); an
     inconclusive extrapolation gives ([], False).
 
-    The attained flag compares against ``attained_dirs`` (the directions the
-    materialized generator set actually realizes) when given; tail samples
-    approach the limit by construction, so they are a poor attainment
-    reference and are used only as a fallback.
+    A ray is attained when its unit direction lies within chord distance
+    ``attain_tol`` of the unit direction of a row of ``attained_dirs`` (the
+    directions the materialized generator set actually realizes). Tail
+    samples approach the limit by construction, so they are a poor
+    attainment reference and are used only when ``attained_dirs`` is None.
     """
     rays: list[Ray] = []
     pairs = sorted(((float(s), np.asarray(w, dtype=float)) for s, w in samples),
                    key=lambda p: -p[0])
-    units = []
-    for s, w in pairs:
-        u = _unit(w)
-        if u is not None:
-            units.append((s, u))
-    if attained_dirs is not None:
-        ref_dirs = [u for u in (_unit(np.asarray(d, dtype=float)) for d in attained_dirs)
-                    if u is not None]
-    else:
-        ref_dirs = [u for _, u in units]
+    params = np.array([s for s, _ in pairs])
+    units = unit_vectors([w for _, w in pairs]) if pairs else np.zeros((0, 1))
+    keep = ~np.isnan(units[:, 0])
+    params, units = params[keep], units[keep]
+    ref = units if attained_dirs is None else unit_vectors(attained_dirs)
+    ref = ref[~np.isnan(ref[:, 0])]
 
-    def is_attained(direction):
-        return any(_angle(direction, u) <= attain_tol for u in ref_dirs)
+    def is_attained(direction) -> bool:
+        return bool(np.any(np.linalg.norm(ref - direction, axis=1) <= attain_tol))
 
     if hints:
-        for h in hints:
-            hv = _unit(np.asarray(h, dtype=float))
-            if hv is None:
-                continue
-            rays.append(Ray(hv, "declared", is_attained(hv), label="declared-ray"))
+        for hv in unit_vectors(hints):
+            if not np.isnan(hv[0]):
+                rays.append(Ray(hv, "declared", is_attained(hv), label="declared-ray"))
         return rays, True
-    tail = units[-k_tail:]
-    if len(tail) < 2:
+    s, u = params[-k_tail:], units[-k_tail:]
+    if len(s) < 2:
         return [], False
-    estimates = []
-    for (s1, u1), (s2, u2) in zip(tail, tail[1:]):
-        if s1 <= s2:
-            continue
-        est = (s1 * u2 - s2 * u1) / (s1 - s2)
-        est = _unit(est)
-        if est is not None:
-            estimates.append(est)
-    if not estimates:
+    step = s[:-1] > s[1:]
+    s1, s2 = s[:-1][step, None], s[1:][step, None]
+    estimates = unit_vectors((s1 * u[1:][step] - s2 * u[:-1][step]) / (s1 - s2))
+    estimates = estimates[~np.isnan(estimates[:, 0])]
+    if not len(estimates):
         return [], False
     clusters: list[list[np.ndarray]] = []
     for est in estimates:
@@ -209,8 +199,8 @@ def accumulation_rays(
         else:
             clusters.append([est])
     for ci, cl in enumerate(clusters):
-        rep = _unit(np.mean(cl[-3:], axis=0))
-        if rep is None:
+        rep = unit_vectors(np.mean(cl[-3:], axis=0))
+        if np.isnan(rep[0]):
             continue
         if len(cl) >= 2:
             # the tail estimates of a convergent cluster must agree
@@ -218,21 +208,13 @@ def accumulation_rays(
         else:
             # an uncorroborated single estimate only counts if the raw tail
             # already sits on it
-            resid = _angle(cl[0], units[-1][1])
+            resid = _angle(cl[0], units[-1])
         if resid > residual_tol:
             continue
         rays.append(Ray(rep, "extrapolated", is_attained(rep), label=f"limit-ray-{ci}"))
     if not rays:
         return [], False
     return rays, True
-
-
-def _unit(v: np.ndarray) -> np.ndarray | None:
-    peak = float(np.max(np.abs(v))) if v.size else 0.0
-    if peak == 0.0 or not math.isfinite(peak):
-        return None
-    w = v / peak
-    return w / np.linalg.norm(w)
 
 
 def _angle(u: np.ndarray, v: np.ndarray) -> float:
@@ -244,33 +226,18 @@ def augmented_generators(inst: SipInstance, x, scan: ConstraintScan | None = Non
     """Value-augmented coefficient vectors (grad, <grad, x> - g(x)) over the
     base materialization, plus tail samples of the same lift for ray work.
 
-    Returns (labels, columns (d+1, m), tail_samples) where tail_samples maps
-    family name to a list of (parameter, augmented vector, value) tuples.
+    Returns (columns (d+1, m), tail_samples) where tail_samples maps each
+    family with tail rows to its (parameter, augmented vector) pairs.
     """
     x = np.asarray(x, dtype=float)
     scan = scan or scan_constraints(inst, x)
-    labels: list[str] = []
-    cols: list[np.ndarray] = []
-    for i, name in enumerate(scan.fixed_names):
-        g = scan.fixed_grads[i]
-        labels.append(name)
-        cols.append(np.concatenate([g, [g @ x - scan.fixed_values[i]]]))
-    for fam in scan.families:
-        t, vals, grads = fam.levels[0], fam.values[0], fam.grads[0]
-        lift = np.hstack([grads, (grads @ x - vals)[:, None]])
-        for j in range(len(t)):
-            labels.append(f"{fam.name}({t[j]:.12g})")
-            cols.append(lift[j])
+    lift = np.hstack([scan.grad, (scan.grad @ x - scan.value)[:, None]])
     tail_samples: dict[str, list[tuple[float, np.ndarray]]] = {}
     for fam in scan.families:
-        entries = []
-        for tl in fam.tails:
-            lift = np.hstack([tl.grads, (tl.grads @ x - tl.values)[:, None]])
-            entries.extend((float(s), lift[j]) for j, s in enumerate(tl.params))
-        if entries:
-            tail_samples[fam.name] = sorted(entries, key=lambda p: -p[0])
-    matrix = np.column_stack(cols) if cols else np.zeros((inst.dim + 1, 0))
-    return labels, matrix, tail_samples
+        rows = scan.tail & (scan.block == fam.block)
+        if rows.any():
+            tail_samples[fam.name] = list(zip(scan.param[rows], lift[rows]))
+    return np.ascontiguousarray(lift[scan.grid(level=0)].T), tail_samples
 
 
 NORM_RATIO_CAP = 1e3
@@ -278,7 +245,6 @@ NORM_FLOOR = 1e-6
 
 
 def closedness_diagnostic(
-    labels,
     generators,
     rays: list[Ray],
     *,

@@ -16,15 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import expr as ex
 from . import linsolve
 from .cones import Closedness, ClosednessVerdict, accumulation_rays, augmented_generators
-from .model import (
-    ConstraintScan,
-    FamilyScan,
-    SipInstance,
-    scan_constraints,
-)
+from .model import ConstraintScan, FamilyScan, SipInstance, scan_constraints
 
 EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
 MARGIN_TOL = 1e-6
@@ -106,21 +100,6 @@ def _equality_data(inst: SipInstance, x):
     return J, m, rank, rank == m
 
 
-def _level_generators(scan: ConstraintScan, level: int, threshold) -> np.ndarray:
-    """Columns of active gradients: value >= -threshold(value, grad)."""
-    cols = []
-    for i in range(len(scan.fixed_names)):
-        if threshold(scan.fixed_values[i], scan.fixed_grads[i]):
-            cols.append(scan.fixed_grads[i])
-    for fam in scan.families:
-        lev = min(level, len(fam.levels) - 1)
-        vals, grads = fam.values[lev], fam.grads[lev]
-        keep = [j for j in range(len(vals)) if threshold(vals[j], grads[j])]
-        cols.extend(grads[j] for j in keep)
-    n = scan.x.shape[0]
-    return np.column_stack(cols) if cols else np.zeros((n, 0))
-
-
 def check_emfcq(
     inst: SipInstance,
     x,
@@ -137,7 +116,7 @@ def check_emfcq(
     if not surjective:
         return EmfcqResult(Verdict.FAILS, -math.inf, None, rank, m,
                            "equality Jacobian is not surjective")
-    G = _level_generators(scan, scan.n_levels - 1, lambda v, g: v >= -act_tol)
+    _, G = scan.generators(scan.grid() & (scan.value >= -act_tol))
     res = linsolve.max_margin_direction(G, J.T if m else None)
     if res.margin > margin_tol:
         return EmfcqResult(Verdict.HOLDS, res.margin, res.direction, rank, m)
@@ -145,12 +124,12 @@ def check_emfcq(
                        "no direction makes all active gradients strictly negative")
 
 
-def _value_resolution(fam: FamilyScan) -> float:
-    """How much higher the family value could sit between grid points near
-    the materialized maximizer: a quadratic local bound from the second
-    difference at the argmax. Boundary maximizers resolve exactly at closed
-    endpoints and are covered by the tail ladders at open ones."""
-    vals = fam.values[-1]
+def _value_resolution(vals: np.ndarray) -> float:
+    """How much higher a family value could sit between grid points near
+    the materialized maximizer, given its values on the finest grid: a
+    quadratic local bound from the second difference at the argmax. Boundary
+    maximizers resolve exactly at closed endpoints and are covered by the
+    tail ladders at open ones."""
     if len(vals) < 3:
         return 0.0
     i = int(np.argmax(vals))
@@ -159,20 +138,20 @@ def _value_resolution(fam: FamilyScan) -> float:
     return abs(float(vals[i - 1] - 2.0 * vals[i] + vals[i + 1])) / 4.0
 
 
-def _family_censored(fam: FamilyScan, eps: float, act_tol: float) -> bool:
+def _family_censored(scan: ConstraintScan, fam: FamilyScan, eps: float, act_tol: float) -> bool:
     """The eps-activity structure of the family is not resolved by the
     materialization at this eps: either the set is eps-active only beyond the
     truncation (tail ladders), or the grid's value resolution around an
     interior maximizer is too coarse relative to eps. Margins computed at a
     censored eps must not count as a stable hold."""
-    vals = fam.values[-1]
+    vals = scan.value[scan.grid(block=fam.block)]
     m_star = float(np.max(vals)) if len(vals) else -math.inf
     has_member = m_star >= -(eps + act_tol)
     if not has_member:
         for tl in fam.tails:
             if tl.ok and tl.value_limit is not None and tl.value_limit >= -(eps + 1e-12):
                 return True
-    delta = _value_resolution(fam)
+    delta = _value_resolution(vals)
     near_slice = m_star + delta >= -(eps + 1e-12)
     if not has_member and near_slice:
         return True
@@ -224,13 +203,13 @@ def check_pmfcq(
     traces: list[EpsTrace] = []
     best_eps, best_margin, best_witness = None, None, None
     for eps in eps_schedule:
-        if any(_family_censored(fam, eps, act_tol) for fam in scan.families):
+        if any(_family_censored(scan, fam, eps, act_tol) for fam in scan.families):
             traces.append(EpsTrace(eps, [], "censored"))
             continue
         margins = []
         witness = None
         for level in range(n_levels):
-            G = _level_generators(scan, level, lambda v, g: v >= -(eps + act_tol))
+            _, G = scan.generators(scan.grid(level) & (scan.value >= -(eps + act_tol)))
             res = linsolve.max_margin_direction(G, H)
             margins.append(res.margin)
             witness = res.direction
@@ -264,7 +243,7 @@ def check_nfmcq(
 
     x = np.asarray(x, dtype=float)
     scan = scan or scan_constraints(inst, x)
-    labels, cols, tail_samples = augmented_generators(inst, x, scan)
+    cols, tail_samples = augmented_generators(inst, x, scan)
     rays = []
     extrap_ok = True
     for fam in scan.families:
@@ -278,7 +257,7 @@ def check_nfmcq(
         extrap_ok = extrap_ok and ok
     complete = all(f.complete for f in scan.families)
     verdict = closedness_diagnostic(
-        labels, cols, rays, complete=complete, extrapolation_ok=extrap_ok, tol=tol
+        cols, rays, complete=complete, extrapolation_ok=extrap_ok, tol=tol
     )
     mapping = {
         Closedness.CLOSED: Verdict.HOLDS,
@@ -299,10 +278,13 @@ def _sup_inequalities(inst: SipInstance, x) -> float:
     between-grid-points slack bounded by local curvature at each family's
     maximizer. Keeps a grid from hiding a positive peak between its points."""
     scan = scan_constraints(inst, np.asarray(x, dtype=float))
-    best, _ = scan.max_value(tail=True)
+    best, _ = scan.argmax(tail=True)
     if not math.isfinite(best):
         return 0.0
-    slack = max((4.0 * _value_resolution(fam) for fam in scan.families), default=0.0)
+    slack = max(
+        (4.0 * _value_resolution(scan.value[scan.grid(block=fam.block)]) for fam in scan.families),
+        default=0.0,
+    )
     return best + slack
 
 
@@ -310,13 +292,10 @@ def _coarse_sup_and_gradient(inst: SipInstance, x):
     """Constraint supremum and a worst-index gradient on a thinned grid."""
     x = np.asarray(x, dtype=float)
     scan = scan_constraints(inst, x, truncation=512, resolution=65, refinements=2, tail=False)
-    best, who = scan.max_value(tail=False)
-    if who is None:
+    best, row = scan.argmax(tail=False)
+    if row is None:
         return 0.0, np.zeros(inst.dim)
-    if who.family is None:
-        return best, scan.fixed_grads[who.block]
-    fam = next(f for f, _ in inst.families if f.name == who.family)
-    return best, ex.eval_grad(fam.body, x, {fam.index_name: who.value})[1]
+    return best, scan.grad[row]
 
 
 def _affine_projector(inst: SipInstance):

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -189,10 +190,8 @@ def _index_label(family: str, t: float) -> str:
 
 @dataclass
 class FamilyTail:
-    params: np.ndarray
-    t: np.ndarray
-    values: np.ndarray
-    grads: np.ndarray
+    """Limits read off one tail ladder; the ladder's rows are in the scan table."""
+
     value_limit: float | None
     grad_limit: np.ndarray | None
     ray: np.ndarray | None
@@ -205,71 +204,101 @@ class FamilyTail:
 class FamilyScan:
     name: str
     block: int
-    index_name: str
     descriptor: IndexSetDescriptor
-    levels: list[np.ndarray]       # cumulative sorted index values per level
-    values: list[np.ndarray]
-    grads: list[np.ndarray]
-    tails: list[FamilyTail]
+    tails: list[FamilyTail]  # tails[k] summarizes the rows with ladder == k
     complete: bool
     declared_ray: np.ndarray | None = None
 
-    def finest(self):
-        return self.levels[-1], self.values[-1], self.grads[-1]
 
-    def ids(self, level: int = -1) -> list[IndexId]:
-        return [
-            IndexId(self.block, float(t), _index_label(self.name, float(t)), self.name)
-            for t in self.levels[level]
-        ]
+class RowLabels(Sequence):
+    """Labels of chosen scan rows, formatted only when read."""
+
+    def __init__(self, scan: "ConstraintScan", rows: np.ndarray):
+        self._scan = scan
+        self._rows = rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        return self._scan.label(self._rows[i])
 
 
 @dataclass
 class ConstraintScan:
+    """Every materialized constraint at x as one flat table with one row per
+    index: the fixed constraints in declaration order, then for each family
+    its grid rows by ascending index value followed by its tail-ladder rows.
+    Every selection is a boolean mask over the rows, and row order is the
+    column order of every cone built from the scan."""
+
     x: np.ndarray
     fixed_names: list[str]
-    fixed_values: np.ndarray
-    fixed_grads: np.ndarray
     families: list[FamilyScan]
     n_levels: int
+    block: np.ndarray  # fixed position, or len(fixed) + family position
+    t: np.ndarray  # index value, 0 on fixed rows
+    level: np.ndarray  # first refinement level whose grid holds the index
+    ladder: np.ndarray  # tail ladder of the family, -1 off the ladders
+    param: np.ndarray  # ladder parameter s -> 0 on tail rows
+    value: np.ndarray
+    grad: np.ndarray  # (rows, dim)
 
-    def fixed_ids(self) -> list[IndexId]:
-        return [IndexId(i, 0.0, name, None) for i, name in enumerate(self.fixed_names)]
+    @property
+    def tail(self) -> np.ndarray:
+        return self.ladder >= 0
 
-    def max_value(self, tail: bool = True) -> tuple[float, IndexId | None]:
-        best, who = -math.inf, None
-        for i, name in enumerate(self.fixed_names):
-            if self.fixed_values[i] > best:
-                best, who = float(self.fixed_values[i]), IndexId(i, 0.0, name, None)
-        for fam in self.families:
-            t, v, _ = fam.finest()
-            if len(v):
-                j = int(np.argmax(v))
-                if v[j] > best:
-                    best = float(v[j])
-                    who = IndexId(fam.block, float(t[j]), _index_label(fam.name, float(t[j])), fam.name)
-            if tail:
-                for tl in fam.tails:
-                    if len(tl.values):
-                        j = int(np.argmax(tl.values))
-                        if tl.values[j] > best:
-                            best = float(tl.values[j])
-                            who = IndexId(
-                                fam.block,
-                                float(tl.t[j]),
-                                _index_label(fam.name, float(tl.t[j])),
-                                fam.name,
-                            )
-        return best, who
+    def grid(self, level: int | None = None, block: int | None = None) -> np.ndarray:
+        """Mask of the fixed and family grid rows, up to a refinement level
+        (the finest by default), optionally of one block only."""
+        mask = self.ladder < 0
+        if level is not None:
+            mask &= self.level <= level
+        if block is not None:
+            mask &= self.block == block
+        return mask
+
+    def label(self, row: int) -> str:
+        b = int(self.block[row])
+        if b < len(self.fixed_names):
+            return self.fixed_names[b]
+        return _index_label(self.families[b - len(self.fixed_names)].name, float(self.t[row]))
+
+    def index_id(self, row: int) -> IndexId:
+        b = int(self.block[row])
+        nf = len(self.fixed_names)
+        family = self.families[b - nf].name if b >= nf else None
+        return IndexId(b, float(self.t[row]), self.label(row), family)
+
+    def generators(self, mask: np.ndarray) -> tuple[RowLabels, np.ndarray]:
+        """Labels and gradient columns (dim, m) of the rows in mask."""
+        rows = np.flatnonzero(mask)
+        return RowLabels(self, rows), np.ascontiguousarray(self.grad[rows].T)
+
+    def argmax(self, tail: bool = True) -> tuple[float, int | None]:
+        """Largest constraint value and the first row attaining it. A NaN
+        value counts as +inf: a constraint that cannot be evaluated is
+        violated. The row is None when no value exceeds -inf."""
+        values = np.where(np.isnan(self.value), math.inf, self.value)
+        if not tail:
+            values[self.tail] = -math.inf
+        if not len(values):
+            return -math.inf, None
+        row = int(np.argmax(values))
+        if values[row] == -math.inf:
+            return -math.inf, None
+        return float(values[row]), row
 
 
-def _safe_unit(v: np.ndarray) -> np.ndarray | None:
-    """Unit vector along v, robust to entries near the underflow floor."""
-    peak = float(np.max(np.abs(v)))
-    if peak == 0.0 or not math.isfinite(peak):
-        return None
-    scaled = v / peak
-    return scaled / np.linalg.norm(scaled)
+def unit_vectors(v) -> np.ndarray:
+    """Unit vectors along the last axis of v, robust to entries near the
+    underflow floor. Zero or non-finite vectors come back as NaN."""
+    v = np.asarray(v, dtype=float)
+    peak = np.max(np.abs(v), axis=-1, keepdims=True, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = v / peak
+        u = scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
+    return np.where((peak == 0.0) | ~np.isfinite(peak), np.nan, u)
 
 
 def _ladder_exponents(k0: int) -> list[int]:
@@ -282,25 +311,23 @@ def _ladder_exponents(k0: int) -> list[int]:
     return sorted(set(ks))
 
 
-def _family_batch(fam: ConstraintFamily, x, ts: np.ndarray, need_grads: bool):
-    """Values (and gradients) of one family over an index array, broadcasting
+def _family_batch(fam: ConstraintFamily, x, ts: np.ndarray):
+    """Values and gradients of one family over an index array, broadcasting
     expressions that do not mention the index variable."""
     m = len(ts)
     n = len(x)
     if m == 0:
         return np.zeros(0), np.zeros((0, n))
-    env = {fam.index_name: ts}
-    if need_grads:
-        vals, grads = ex.eval_grad(fam.body, x, env)
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), (m,)).copy()
-        grads = np.broadcast_to(np.asarray(grads, dtype=float), (m, n)).copy()
-        return vals, grads
-    vals = np.broadcast_to(np.asarray(ex.eval_value(fam.body, x, env), dtype=float), (m,)).copy()
-    return vals, None
+    vals, grads = ex.eval_grad(fam.body, x, {fam.index_name: ts})
+    vals = np.broadcast_to(np.asarray(vals, dtype=float), (m,)).copy()
+    grads = np.broadcast_to(np.asarray(grads, dtype=float), (m, n)).copy()
+    return vals, grads
 
 
-def _tail_ladder(fam: ConstraintFamily, desc: IndexSetDescriptor, x, need_grads: bool):
-    """Evaluate toward the unattained ends of the index set."""
+def _tail_ladders(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
+    """Evaluate toward the unattained ends of the index set. One
+    (params, index values, values, gradients, summary) per ladder, ordered
+    so the parameter decreases to 0."""
     ladders: list[tuple[np.ndarray, np.ndarray]] = []  # (params s -> 0, index values)
     if isinstance(desc, CountableIndexSet):
         e0 = int(math.floor(math.log10(max(desc.truncation, 1)))) + 1
@@ -314,13 +341,13 @@ def _tail_ladder(fam: ConstraintFamily, desc: IndexSetDescriptor, x, need_grads:
             ladders.append((ss, desc.lower + width * ss))
         if not desc.include_upper:
             ladders.append((ss, desc.upper - width * ss))
-    tails = []
+    out = []
     n = len(x)
     for params, ts in ladders:
         order = np.argsort(-params)  # approach the limit last
         params, ts = params[order], ts[order]
         try:
-            vals, grads = _family_batch(fam, x, ts, True)
+            vals, grads = _family_batch(fam, x, ts)
         except ex.ExprError:
             # evaluate entrywise, dropping points the expression rejects
             keep, vlist, glist = [], [], []
@@ -333,36 +360,26 @@ def _tail_ladder(fam: ConstraintFamily, desc: IndexSetDescriptor, x, need_grads:
                 vlist.append(float(v))
                 glist.append(g)
             if len(keep) < 2:
-                tails.append(
-                    FamilyTail(params[:0], ts[:0], np.zeros(0), np.zeros((0, n)),
-                               None, None, None, math.inf, math.inf, False)
-                )
-                continue
+                keep, vlist, glist = [], [], []
             params, ts = params[keep], ts[keep]
-            vals, grads = np.array(vlist), np.vstack(glist)
+            vals = np.array(vlist, dtype=float)
+            grads = np.array(glist, dtype=float).reshape(len(keep), n)
         finite = np.isfinite(vals) & np.all(np.isfinite(grads), axis=1)
         params, ts, vals, grads = params[finite], ts[finite], vals[finite], grads[finite]
         if len(vals) < 2:
-            tails.append(
-                FamilyTail(params, ts, vals, grads, None, None, None, math.inf, math.inf, False)
-            )
+            no_limit = FamilyTail(None, None, None, math.inf, math.inf, False)
+            out.append((params, ts, vals, grads, no_limit))
             continue
-        value_limit = float(vals[-1])
         value_residual = abs(float(vals[-1] - vals[-2]))
-        grad_limit = grads[-1]
-        last_dir = _safe_unit(grads[-1])
-        prev_dir = _safe_unit(grads[-2])
-        if last_dir is not None and prev_dir is not None:
-            ray = last_dir
-            ray_residual = float(np.linalg.norm(last_dir - prev_dir))
-        else:
+        prev_dir, last_dir = unit_vectors(grads[-2:])
+        if np.isnan(prev_dir[0]) or np.isnan(last_dir[0]):
             ray, ray_residual = None, math.inf
+        else:
+            ray, ray_residual = last_dir, float(np.linalg.norm(last_dir - prev_dir))
         ok = value_residual <= 1e-6 and np.max(np.abs(grads[-1] - grads[-2])) <= 1e-6
-        tails.append(
-            FamilyTail(params, ts, vals, grads, value_limit, grad_limit, ray,
-                       value_residual, ray_residual if ray is not None else math.inf, ok)
-        )
-    return tails
+        summary = FamilyTail(float(vals[-1]), grads[-1], ray, value_residual, ray_residual, ok)
+        out.append((params, ts, vals, grads, summary))
+    return out
 
 
 def _base_grid(desc: IndexSetDescriptor) -> np.ndarray:
@@ -391,7 +408,7 @@ def _refine_once(desc: IntervalGridIndexSet, ts: np.ndarray, vals: np.ndarray) -
         is_max[1:] &= vals[1:] >= vals[:-1]
         is_max[:-1] &= vals[:-1] >= vals[1:]
     order = np.argsort(-vals, kind="stable")
-    sites = [int(i) for i in order if is_max[i]][:_REFINE_SITES]
+    sites = order[is_max[order]][:_REFINE_SITES]
     new_pts = []
     for i in sites:
         if i > 0:
@@ -430,38 +447,44 @@ def scan_constraints(
 ) -> ConstraintScan:
     """Evaluate every constraint at x: fixed constraints, family grids with
     refinement levels (interval grids refine around local maximizers of the
-    constraint value), and tail ladders for truncated descriptors."""
+    constraint value), and tail ladders for truncated descriptors. Each index
+    is evaluated once."""
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.dim,):
         raise InstanceError(f"point must have dimension {inst.dim}")
-    fixed_names = [name for name, _ in inst.fixed]
-    if inst.fixed:
-        fixed_values = np.array([float(ex.eval_value(b, x)) for _, b in inst.fixed])
-        fixed_grads = np.vstack([ex.eval_grad(b, x)[1] for _, b in inst.fixed])
-    else:
-        fixed_values = np.zeros(0)
-        fixed_grads = np.zeros((0, inst.dim))
+    if not np.all(np.isfinite(x)):
+        raise InstanceError("point must be finite")
+    # one segment of table columns per fixed constraint, family grid or ladder:
+    # (block, t, level, ladder, param, value, grad)
+    segments = [(0, np.zeros(0), 0, -1, 0.0, np.zeros(0), np.zeros((0, inst.dim)))]
+    for i, (_, body) in enumerate(inst.fixed):
+        v, g = ex.eval_grad(body, x)
+        segments.append((i, np.zeros(1), 0, -1, 0.0, np.array([float(v)]), g[None, :]))
 
     families = []
     n_levels = 1
     for pos, (fam, desc0) in enumerate(inst.families):
         desc = _apply_overrides(desc0, truncation, resolution, refinements)
+        block = len(inst.fixed) + pos
         ts = _base_grid(desc)
         if len(ts) == 0:
             raise InstanceError(f"family '{fam.name}' materializes to an empty index set")
-        levels, values, grads = [], [], []
-        vals, grs = _family_batch(fam, x, ts, True)
-        levels.append(ts)
-        values.append(vals)
-        grads.append(grs)
+        vals, grads = _family_batch(fam, x, ts)
+        level = np.zeros(len(ts), dtype=int)
         if isinstance(desc, IntervalGridIndexSet):
-            for _ in range(desc.refinements):
-                ts = _refine_once(desc, levels[-1], values[-1])
-                vals, grs = _family_batch(fam, x, ts, True)
-                levels.append(ts)
-                values.append(vals)
-                grads.append(grs)
-        tails = _tail_ladder(fam, desc, x, True) if tail else []
+            for k in range(1, desc.refinements + 1):
+                new = np.setdiff1d(_refine_once(desc, ts, vals), ts)
+                new_vals, new_grads = _family_batch(fam, x, new)
+                order = np.argsort(np.concatenate([ts, new]), kind="stable")
+                ts = np.concatenate([ts, new])[order]
+                vals = np.concatenate([vals, new_vals])[order]
+                grads = np.vstack([grads, new_grads])[order]
+                level = np.concatenate([level, np.full(len(new), k)])[order]
+            n_levels = max(n_levels, desc.refinements + 1)
+        segments.append((block, ts, level, -1, 0.0, vals, grads))
+        ladders = _tail_ladders(fam, desc, x) if tail else []
+        for k, (params, lts, lvals, lgrads, _) in enumerate(ladders):
+            segments.append((block, lts, 0, k, params, lvals, lgrads))
         declared = None
         if isinstance(desc, CountableIndexSet) and desc.limit_ray is not None:
             v = np.asarray(desc.limit_ray, dtype=float)
@@ -469,25 +492,29 @@ def scan_constraints(
         families.append(
             FamilyScan(
                 name=fam.name,
-                block=len(fixed_names) + pos,
-                index_name=fam.index_name,
+                block=block,
                 descriptor=desc,
-                levels=levels,
-                values=values,
-                grads=grads,
-                tails=tails,
+                tails=[summary for *_, summary in ladders],
                 complete=isinstance(desc, FiniteIndexSet),
                 declared_ray=declared,
             )
         )
-        n_levels = max(n_levels, len(levels))
+    block, t, level, ladder, param, value = (
+        np.concatenate([np.broadcast_to(seg[j], seg[1].shape) for seg in segments])
+        for j in range(6)
+    )
     return ConstraintScan(
         x=x,
-        fixed_names=fixed_names,
-        fixed_values=fixed_values,
-        fixed_grads=fixed_grads,
+        fixed_names=[name for name, _ in inst.fixed],
         families=families,
         n_levels=n_levels,
+        block=block,
+        t=t,
+        level=level,
+        ladder=ladder,
+        param=param,
+        value=value,
+        grad=np.vstack([seg[6] for seg in segments]),
     )
 
 
@@ -509,18 +536,19 @@ def feasibility_check(
     """Largest inequality value and equality residual at x.
 
     Tail ladders are included by default so suprema that are approached as the
-    index runs off a truncated set still count against feasibility.
+    index runs off a truncated set still count against feasibility. A
+    constraint value that is NaN counts as an infinite violation.
     """
     scan = scan or scan_constraints(inst, x, tail=tail)
-    best, who = scan.max_value(tail=tail)
-    if best == -math.inf:
-        best, who = 0.0, None
+    best, row = scan.argmax(tail=tail)
+    if row is None:
+        best = 0.0
     eq = float(np.max(np.abs(inst.eq_values(x)))) if len(inst.equalities) else 0.0
     return FeasibilityResult(
         max_violation=best,
         eq_residual=eq,
         feasible=(best <= tol and eq <= tol),
-        worst=who,
+        worst=None if row is None else scan.index_id(row),
     )
 
 
@@ -533,36 +561,33 @@ class IndexEntry:
 
 @dataclass
 class ActiveSetReport:
+    """Active grid rows of a scan; entries are built only when read."""
+
     point: np.ndarray
     eps: float
     act_tol: float
-    active: list[IndexEntry]
-    eps_active: list[IndexEntry]
-    normalized_eps_active: list[IndexEntry]
+    scan: ConstraintScan
+    active_rows: np.ndarray
+    eps_active_rows: np.ndarray
+    normalized_rows: np.ndarray
     grad_norm_bound: float
     grad_norm_min: float
 
+    def _entries(self, rows) -> list[IndexEntry]:
+        s = self.scan
+        return [IndexEntry(s.index_id(i), float(s.value[i]), s.grad[i]) for i in rows]
 
-def _collect_entries(scan: ConstraintScan, predicate) -> list[IndexEntry]:
-    out = []
-    for i, name in enumerate(scan.fixed_names):
-        v = float(scan.fixed_values[i])
-        g = scan.fixed_grads[i]
-        if predicate(v, g):
-            out.append(IndexEntry(IndexId(i, 0.0, name, None), v, g))
-    for fam in scan.families:
-        t, vals, grads = fam.finest()
-        for j in range(len(t)):
-            if predicate(float(vals[j]), grads[j]):
-                out.append(
-                    IndexEntry(
-                        IndexId(fam.block, float(t[j]), _index_label(fam.name, float(t[j])), fam.name),
-                        float(vals[j]),
-                        grads[j],
-                    )
-                )
-    out.sort(key=lambda e: e.id)
-    return out
+    @property
+    def active(self) -> list[IndexEntry]:
+        return self._entries(self.active_rows)
+
+    @property
+    def eps_active(self) -> list[IndexEntry]:
+        return self._entries(self.eps_active_rows)
+
+    @property
+    def normalized_eps_active(self) -> list[IndexEntry]:
+        return self._entries(self.normalized_rows)
 
 
 def active_set(
@@ -575,32 +600,22 @@ def active_set(
 ) -> ActiveSetReport:
     """Exact active set (values within act_tol of zero), the eps-active set
     (values >= -eps), and the gradient-normalized eps-active set
-    (values >= -eps * |grad|)."""
+    (values >= -eps * |grad|), over the finest grid."""
     if eps < 0:
         raise InstanceError("eps must be nonnegative")
     scan = scan or scan_constraints(inst, x)
-    active = _collect_entries(scan, lambda v, g: v >= -act_tol)
-    eps_active = _collect_entries(scan, lambda v, g: v >= -(eps + act_tol))
-    normalized = _collect_entries(
-        scan, lambda v, g: v >= -(eps * float(np.linalg.norm(g)) + act_tol)
-    )
-    norms = [float(np.linalg.norm(scan.fixed_grads[i])) for i in range(len(scan.fixed_names))]
-    for fam in scan.families:
-        _, _, grads = fam.finest()
-        if len(grads):
-            fam_norms = np.linalg.norm(grads, axis=1)
-            norms.extend([float(np.max(fam_norms)), float(np.min(fam_norms))])
-    bound = max(norms) if norms else 0.0
-    lowest = min(norms) if norms else 0.0
+    grid = scan.grid()
+    norms = np.linalg.norm(scan.grad, axis=1)
     return ActiveSetReport(
         point=scan.x,
         eps=eps,
         act_tol=act_tol,
-        active=active,
-        eps_active=eps_active,
-        normalized_eps_active=normalized,
-        grad_norm_bound=bound,
-        grad_norm_min=lowest,
+        scan=scan,
+        active_rows=np.flatnonzero(grid & (scan.value >= -act_tol)),
+        eps_active_rows=np.flatnonzero(grid & (scan.value >= -(eps + act_tol))),
+        normalized_rows=np.flatnonzero(grid & (scan.value >= -(eps * norms + act_tol))),
+        grad_norm_bound=float(np.max(norms[grid])) if grid.any() else 0.0,
+        grad_norm_min=float(np.min(norms[grid])) if grid.any() else 0.0,
     )
 
 
@@ -627,23 +642,7 @@ class UniformityModuli:
     index_samples: int
 
 
-def _index_sample_pool(scan: ConstraintScan, per_family: int = 48):
-    pool = []
-    for i in range(len(scan.fixed_names)):
-        pool.append(("fixed", i, None))
-    for fam in scan.families:
-        t, _, _ = fam.finest()
-        if len(t) <= per_family:
-            chosen = t
-        else:
-            take = np.unique(np.linspace(0, len(t) - 1, per_family).astype(int))
-            chosen = t[take]
-        for tv in chosen:
-            pool.append(("family", fam, float(tv)))
-        for tl in fam.tails:
-            for tv in tl.t[-3:]:
-                pool.append(("family", fam, float(tv)))
-    return pool
+_MODULI_PER_FAMILY = 48
 
 
 def estimate_moduli(
@@ -652,41 +651,55 @@ def estimate_moduli(
     etas: Sequence[float] = (0.2, 0.1, 0.05, 0.02, 0.01),
     samples_per_eta: int = 200,
     seed: int = 0,
+    *,
+    scan: ConstraintScan | None = None,
 ) -> UniformityModuli:
     """Monte-Carlo lower estimates of the uniform linearization moduli.
 
     s(eta) takes quotients against the base point only; r(eta) additionally
     uses independent point pairs in the eta-ball and always dominates s.
     Estimates are running suprema, so both are nondecreasing in eta and in
-    the sample count."""
+    the sample count. The sampled indices are every fixed constraint, up to
+    48 evenly spaced points of each finest family grid, and the last three
+    points of each tail ladder."""
     x = np.asarray(x, dtype=float)
     n = inst.dim
     rng = np.random.default_rng(seed)
-    scan = scan_constraints(inst, x)
-    pool = _index_sample_pool(scan)
+    scan = scan or scan_constraints(inst, x)
+    nf = len(scan.fixed_names)
+    pool = [np.arange(nf)]
+    for fam in scan.families:
+        grid = np.flatnonzero(scan.grid(block=fam.block))
+        if len(grid) > _MODULI_PER_FAMILY:
+            take = np.linspace(0, len(grid) - 1, _MODULI_PER_FAMILY).astype(int)
+            grid = grid[np.unique(take)]
+        pool.append(grid)
+        pool.extend(
+            np.flatnonzero((scan.block == fam.block) & (scan.ladder == k))[-3:]
+            for k in range(len(fam.tails))
+        )
+    rows = np.concatenate(pool)
     etas_sorted = np.array(sorted(etas))
     s_est = np.zeros(len(etas_sorted))
     r_est = np.zeros(len(etas_sorted))
 
-    # precompute base values/gradients per pool entry
     base = []
-    for entry in pool:
-        kind, a, b = entry
-        if kind == "fixed":
-            base.append((inst.fixed[a][1], None, float(scan.fixed_values[a]), scan.fixed_grads[a]))
+    for i in rows:
+        b = int(scan.block[i])
+        if b < nf:
+            body, env = inst.fixed[b][1], None
         else:
-            fam_obj = next(f for f, _ in inst.families if f.name == a.name)
-            v, g = ex.eval_grad(fam_obj.body, x, {fam_obj.index_name: b})
-            base.append((fam_obj.body, (fam_obj.index_name, b), float(v), np.asarray(g)))
+            fam_obj = inst.families[b - nf][0]
+            body, env = fam_obj.body, {fam_obj.index_name: float(scan.t[i])}
+        base.append((body, env, float(scan.value[i]), scan.grad[i]))
 
     s_run, r_run = 0.0, 0.0
     for k, eta in enumerate(etas_sorted):
-        for body, binding, v0, g0 in base:
+        for body, env, v0, g0 in base:
             u = rng.normal(size=(samples_per_eta, n))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             radii = eta * rng.uniform(0.05, 1.0, size=(samples_per_eta, 1)) ** (1.0 / n)
             pts = x + radii * u
-            env = {binding[0]: binding[1]} if binding else None
             try:
                 vals = np.asarray(ex.eval_value(body, pts, env), dtype=float)
             except ex.ExprError:
@@ -714,7 +727,7 @@ def estimate_moduli(
         s_est=s_est,
         r_est=r_est,
         samples_per_eta=samples_per_eta,
-        index_samples=len(pool),
+        index_samples=len(rows),
     )
 
 

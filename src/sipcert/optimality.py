@@ -118,40 +118,21 @@ def _family_rays(scan: ConstraintScan, attained_dirs) -> list[Ray]:
     attached so eps-qualification can be decided per cone."""
     out: list[Ray] = []
     for fam in scan.families:
-        samples = []
-        vlimit = None
-        for tl in fam.tails:
-            if not tl.ok:
-                continue
-            samples.extend(zip(tl.params, tl.grads))
-            vlimit = tl.value_limit if vlimit is None else max(vlimit, tl.value_limit)
+        good = [k for k, tl in enumerate(fam.tails) if tl.ok]
+        rows = (scan.block == fam.block) & np.isin(scan.ladder, good)
+        vlimit = max((fam.tails[k].value_limit for k in good), default=None)
         hints = [fam.declared_ray] if fam.declared_ray is not None else None
         if hints and vlimit is None:
             vlimit = 0.0
-        if not samples and not hints:
+        if not rows.any() and not hints:
             continue
+        samples = zip(scan.param[rows], scan.grad[rows])
         rays, ok = accumulation_rays(samples, hints, attained_dirs=attained_dirs)
         if not ok:
             continue
         for ray in rays:
             out.append(replace(ray, label=f"{fam.name}:{ray.label}", value_limit=vlimit))
     return out
-
-
-def _active_columns(scan: ConstraintScan, predicate):
-    labels, cols = [], []
-    for i, name in enumerate(scan.fixed_names):
-        if predicate(scan.fixed_values[i], scan.fixed_grads[i]):
-            labels.append(name)
-            cols.append(scan.fixed_grads[i])
-    for fam in scan.families:
-        t, vals, grads = fam.finest()
-        for j in range(len(t)):
-            if predicate(float(vals[j]), grads[j]):
-                labels.append(f"{fam.name}({t[j]:.12g})")
-                cols.append(grads[j])
-    n = scan.x.shape[0]
-    return labels, (np.column_stack(cols) if cols else np.zeros((n, 0)))
 
 
 def _qualified_rays(rays: list[Ray], threshold: float) -> list[Ray]:
@@ -187,15 +168,15 @@ def normal_cone(
     warnings: list[str] = []
     valid = True
 
-    _, all_cols = _active_columns(scan, lambda v, g: True)
-    rays = _family_rays(scan, attained_dirs=all_cols.T if all_cols.size else None)
+    grid = scan.grid()
+    rays = _family_rays(scan, attained_dirs=scan.grad[grid] if grid.any() else None)
 
     regular = None
     if moduli is not None and len(moduli.r_est):
         regular = bool(moduli.r_est[0] <= max(1e-2, 0.05 * moduli.r_est[-1]))
 
     if variant == "unperturbed":
-        labels, cols = _active_columns(scan, lambda v, g: v >= -act_tol)
+        labels, cols = scan.generators(grid & (scan.value >= -act_tol))
         cone = GeneratedCone(inst.dim, labels, cols, lineality, limit_rays=[])
         compact_t = all(
             isinstance(d, FiniteIndexSet)
@@ -215,15 +196,14 @@ def normal_cone(
             )
         return NormalConeRep(x, variant, [], cone, valid, warnings, regular)
 
+    norms = np.linalg.norm(scan.grad, axis=1)
     per_eps: list[tuple[float, GeneratedCone]] = []
     for eps in sorted(schedule, reverse=True):
         if variant == "perturbed":
-            labels, cols = _active_columns(scan, lambda v, g: v >= -(eps + act_tol))
+            labels, cols = scan.generators(grid & (scan.value >= -(eps + act_tol)))
             eps_rays = _qualified_rays(rays, eps + 1e-12)
         else:
-            labels, cols = _active_columns(
-                scan, lambda v, g: v >= -(eps * float(np.linalg.norm(g)) + act_tol)
-            )
+            labels, cols = scan.generators(grid & (scan.value >= -(eps * norms + act_tol)))
             eps_rays = [
                 r
                 for r in rays
@@ -236,7 +216,7 @@ def normal_cone(
             "perturbed representation not guaranteed: the perturbed margin criterion "
             "does not hold at this point"
         )
-    if variant == "normalized" and any(np.linalg.norm(g) < 1e-12 for g in all_cols.T):
+    if variant == "normalized" and np.any(norms[grid] < 1e-12):
         warnings.append("some gradients vanish; normalized activity is ill-scaled for them")
     # stabilized representative: the smallest-eps generator set plus rays
     cone = per_eps[-1][1]
@@ -279,13 +259,10 @@ def empirical_normal_cone_probe(
     n = inst.dim
 
     # frozen index grids from the base-point scan, tails included
-    family_ts = []
-    for fam in scan.families:
-        t_all = fam.levels[-1]
-        for tl in fam.tails:
-            t_all = np.concatenate([t_all, tl.t])
-        fam_obj = next(f for f, _ in inst.families if f.name == fam.name)
-        family_ts.append((fam_obj, np.unique(t_all)))
+    family_ts = [
+        (fam_obj, np.unique(scan.t[scan.block == fam.block]))
+        for (fam_obj, _), fam in zip(inst.families, scan.families)
+    ]
 
     project = None
     if len(inst.equalities):
@@ -361,10 +338,11 @@ def _cost_hull(inst: SipInstance, x, tol: float):
     return cols, active
 
 
-def _certificate_from_hull(out: HullFeasibility, labels: list[str], G, H, F) -> KktCertificate:
+def _certificate_from_hull(out: HullFeasibility, cone: GeneratedCone, G, F) -> KktCertificate:
+    H = cone.lineality
     lam, y = reduce_support(G, H, out.lam, out.y)
     support_idx = np.flatnonzero(lam > 1e-12)
-    support = [labels[i] for i in support_idx]
+    support = [cone.label(i) for i in support_idx]
     recon = F @ out.weights + (G @ lam if G.size else 0.0) + (H @ y if H.size else 0.0)
     return KktCertificate(
         support=support,
@@ -378,13 +356,13 @@ def _certificate_from_hull(out: HullFeasibility, labels: list[str], G, H, F) -> 
 
 def _stationarity(inst, x, cone: GeneratedCone, tol, condition) -> StationarityReport:
     F, _ = _cost_hull(inst, x, tol)
-    G, labels = cone.columns(use_limit_rays=True)
+    G = cone.columns(use_limit_rays=True)
     try:
         out = linsolve.hull_plus_cone_feasibility(F, G, cone.lineality, tol)
     except LpFailure as err:
         return StationarityReport(condition, "inconclusive", notes=[str(err)])
     if isinstance(out, HullFeasibility):
-        cert = _certificate_from_hull(out, labels, G, cone.lineality, F)
+        cert = _certificate_from_hull(out, cone, G, F)
         return StationarityReport(condition, "certificate", certificate=cert)
     a = out.separator
     checks = [
@@ -418,7 +396,7 @@ def verify_kkt(
     x = np.asarray(x, dtype=float)
     scan = scan or scan_constraints(inst, x)
     _require_feasible(inst, x, scan)
-    labels, cols = _active_columns(scan, lambda v, g: v >= -act_tol)
+    labels, cols = scan.generators(scan.grid() & (scan.value >= -act_tol))
     J = inst.eq_jacobian(x)
     lineality = J.T if J.size else np.zeros((inst.dim, 0))
     cone = GeneratedCone(inst.dim, labels, cols, lineality, limit_rays=[])
@@ -547,7 +525,7 @@ def membership_residual_trace(
     out = []
     for N in truncations:
         scan = scan_constraints(inst, x, truncation=int(N))
-        labels, cols = _active_columns(scan, lambda val, g: val >= -(eps + ACT_TOL))
+        labels, cols = scan.generators(scan.grid() & (scan.value >= -(eps + ACT_TOL)))
         J = inst.eq_jacobian(x)
         lineality = J.T if J.size else np.zeros((inst.dim, 0))
         rays = _family_rays(scan, attained_dirs=cols.T if cols.size else None)

@@ -83,10 +83,10 @@ def most_violated_index(
     """Argmax of the constraint values over the materialization and tail
     ladders, ties broken by block order then lowest index value."""
     scan = scan or scan_constraints(inst, np.asarray(x, dtype=float))
-    value, who = scan.max_value(tail=True)
-    if who is None:
+    value, row = scan.argmax(tail=True)
+    if row is None:
         return None, 0.0
-    return who, float(value)
+    return scan.index_id(row), value
 
 
 def _constraint_for(inst: SipInstance, idx: IndexId) -> WorkingConstraint:
@@ -278,21 +278,16 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
     lo, hi = _box(inst)
     center = 0.5 * (lo + hi)
 
+    # seeds: every fixed constraint and the largest grid values of each family
     scan0 = scan_constraints(inst, center)
-    seeds: list[tuple[float, IndexId]] = []
-    for i, name in enumerate(scan0.fixed_names):
-        seeds.append((float(scan0.fixed_values[i]), IndexId(i, 0.0, name, None)))
-    for fam in scan0.families:
-        t, vals, _ = fam.finest()
-        if len(t) == 0:
-            continue
-        order = np.argsort(-vals, kind="stable")[: max(2, config.initial_working // 2)]
-        for j in order:
-            label = f"{fam.name}({float(t[j]):.12g})"
-            seeds.append((float(vals[j]), IndexId(fam.block, float(t[j]), label, fam.name)))
-    seeds.sort(key=lambda p: -p[0])
+    grid = np.flatnonzero(scan0.grid())
+    by_block = grid[np.lexsort((-scan0.value[grid], scan0.block[grid]))]
+    blocks = scan0.block[by_block]
+    rank = np.arange(len(blocks)) - np.searchsorted(blocks, blocks)
+    seeds = by_block[rank < max(2, config.initial_working // 2)]
+    seeds = seeds[np.argsort(-scan0.value[seeds], kind="stable")[: config.initial_working]]
     working_ids: list[IndexId] = []
-    for _, idx in seeds[: config.initial_working]:
+    for idx in map(scan0.index_id, seeds):
         if idx not in working_ids:
             working_ids.append(idx)
     working = [_constraint_for(inst, idx) for idx in working_ids]

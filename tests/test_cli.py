@@ -55,6 +55,21 @@ class TestAnalyze:
         assert "line 3" in err
 
 
+    def test_truncation_reaches_cq_traces(self, capsys):
+        code, out, _ = run_cli(
+            ["analyze", str(INSTANCES / "countable_cubic.sip"), "--point=-1,0",
+             "--truncation=50", "--deterministic", "--report=json"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        status = {t["eps"]: t["status"] for t in doc["cq"]["pmfcq"]["traces"]}
+        # at 50 indices the eps-active family part of these eps lies beyond
+        # the truncation, which the 10^4-index scan still resolves
+        assert status[1e-3] == "censored"
+        assert status[1e-4] == "censored"
+
+
 class TestJsonReport:
     def test_schema_validates(self, tmp_path, capsys):
         import jsonschema

@@ -73,12 +73,12 @@ class TestMembership:
             v = rng.normal(size=d)
             out = membership(cone, v)
             if isinstance(out, FeasibilityCertificate):
-                G, _ = cone.columns(False)
+                G = cone.columns(False)
                 assert np.max(np.abs(G @ out.lam - v)) <= 1e-8
                 assert np.all(out.lam >= -1e-12)
             else:
                 assert out.separator @ v > 1e-9
-                G, _ = cone.columns(False)
+                G = cone.columns(False)
                 assert np.all(G.T @ out.separator <= 1e-9)
 
 
@@ -162,6 +162,16 @@ class TestAccumulationRays:
         np.testing.assert_allclose(rays[0].direction, [1.0, 0.0], atol=1e-9)
         assert rays[0].attained
 
+    @pytest.mark.parametrize(
+        "v", [[0.2941325, 0.02842224, 0.54671299], [0.21327155, 0.45899312, 0.08724998]]
+    )
+    def test_direction_attained_against_itself(self, v):
+        # u.u can round below 1, and acos(1 - 1 ulp) = 1.5e-8 exceeds attain_tol
+        v = np.array(v)
+        rays, ok = accumulation_rays([], hints=[v], attained_dirs=[v])
+        assert ok and len(rays) == 1
+        assert rays[0].attained
+
     def test_declared_hint_passes_through(self):
         samples = [(1.0 / n, np.array([1.0 / n, -1.0])) for n in range(2, 10)]
         rays, ok = accumulation_rays(samples, hints=[np.array([0.0, -2.0])])
@@ -184,7 +194,7 @@ class TestAccumulationRays:
 class TestAugmentedGenerators:
     def test_interval_ramp_lift(self):
         inst = interval_ramp(resolution=9, refinements=0)
-        labels, cols, tails = augmented_generators(inst, [-1.0, 0.0])
+        cols, tails = augmented_generators(inst, [-1.0, 0.0])
         assert cols.shape[0] == 3
         np.testing.assert_allclose(cols[:, 0], [1.0, 0.0, -1.0], atol=1e-12)
         # family columns are (t, 0, 0)
@@ -195,7 +205,7 @@ class TestAugmentedGenerators:
 
     def test_countable_cubic_lift(self):
         inst = countable_cubic(truncation=10)
-        labels, cols, _ = augmented_generators(inst, [-1.0, 0.0])
+        cols, _ = augmented_generators(inst, [-1.0, 0.0])
         np.testing.assert_allclose(cols[:, 0], [1.0, 0.0, -1.0], atol=1e-12)
         for j, n in enumerate(range(2, 11), start=1):
             np.testing.assert_allclose(
@@ -209,7 +219,7 @@ class TestAugmentedGenerators:
         inst = load_instance(
             Path(__file__).resolve().parent.parent / "instances" / "parabola_band.sip"
         )
-        labels, cols, _ = augmented_generators(inst, [0.0, 0.0])
+        cols, _ = augmented_generators(inst, [0.0, 0.0])
         for j in range(cols.shape[1]):
             np.testing.assert_allclose(cols[:, j], [0.0, -1.0, 0.0], atol=1e-12)
 
@@ -219,7 +229,7 @@ class TestClosedness:
         from sipcert.model import scan_constraints
 
         scan = scan_constraints(inst, np.asarray(x, dtype=float))
-        labels, cols, tails = augmented_generators(inst, x, scan)
+        cols, tails = augmented_generators(inst, x, scan)
         all_rays = []
         ok_all = True
         for fam_name, samples in tails.items():
@@ -227,22 +237,18 @@ class TestClosedness:
             all_rays.extend(rays)
             ok_all = ok_all and ok
         complete = all(f.complete for f in scan.families)
-        return labels, cols, all_rays, complete, ok_all
+        return cols, all_rays, complete, ok_all
 
     def test_interval_ramp_closed(self):
         inst = interval_ramp()
-        labels, cols, rays, complete, ok = self._aug_cone(inst, [-1.0, 0.0])
-        verdict = closedness_diagnostic(
-            labels, cols, rays, complete=complete, extrapolation_ok=ok
-        )
+        cols, rays, complete, ok = self._aug_cone(inst, [-1.0, 0.0])
+        verdict = closedness_diagnostic(cols, rays, complete=complete, extrapolation_ok=ok)
         assert verdict.status == Closedness.CLOSED
 
     def test_countable_cubic_not_closed(self):
         inst = countable_cubic()
-        labels, cols, rays, complete, ok = self._aug_cone(inst, [-1.0, 0.0])
-        verdict = closedness_diagnostic(
-            labels, cols, rays, complete=complete, extrapolation_ok=ok
-        )
+        cols, rays, complete, ok = self._aug_cone(inst, [-1.0, 0.0])
+        verdict = closedness_diagnostic(cols, rays, complete=complete, extrapolation_ok=ok)
         assert verdict.status == Closedness.NOT_CLOSED
         a = verdict.witness_separator
         ray = verdict.witness_ray.direction
@@ -257,10 +263,8 @@ class TestClosedness:
         inst = load_instance(
             Path(__file__).resolve().parent.parent / "instances" / "parabola_band.sip"
         )
-        labels, cols, rays, complete, ok = self._aug_cone(inst, [0.0, 0.0])
-        verdict = closedness_diagnostic(
-            labels, cols, rays, complete=complete, extrapolation_ok=ok
-        )
+        cols, rays, complete, ok = self._aug_cone(inst, [0.0, 0.0])
+        verdict = closedness_diagnostic(cols, rays, complete=complete, extrapolation_ok=ok)
         assert verdict.status == Closedness.CLOSED
 
     def test_finite_sets_always_closed(self):
@@ -269,7 +273,6 @@ class TestClosedness:
             d = int(rng.integers(2, 5))
             m = int(rng.integers(1, 7))
             verdict = closedness_diagnostic(
-                [str(i) for i in range(m)],
                 rng.normal(size=(d, m)),
                 [],
                 complete=True,
@@ -280,15 +283,14 @@ class TestClosedness:
         # adding an extrapolated ray can refine Unknown but never flips a
         # definite verdict on the worked instances
         inst = countable_cubic()
-        labels, cols, rays, complete, ok = self._aug_cone(inst, [-1.0, 0.0])
-        without = closedness_diagnostic(labels, cols, [], complete=False, extrapolation_ok=False)
-        with_rays = closedness_diagnostic(labels, cols, rays, complete=False, extrapolation_ok=ok)
+        cols, rays, complete, ok = self._aug_cone(inst, [-1.0, 0.0])
+        without = closedness_diagnostic(cols, [], complete=False, extrapolation_ok=False)
+        with_rays = closedness_diagnostic(cols, rays, complete=False, extrapolation_ok=ok)
         assert without.status == Closedness.UNKNOWN
         assert with_rays.status == Closedness.NOT_CLOSED
 
     def test_inconclusive_extrapolation_gives_unknown(self):
         verdict = closedness_diagnostic(
-            ["a", "b"],
             np.array([[1.0, 0.9], [0.1, 0.2]]),
             [],
             complete=False,

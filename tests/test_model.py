@@ -242,8 +242,8 @@ class TestScan:
     def test_refinement_halves_smallest_grid_point(self):
         inst = interval_ramp(refinements=3)
         scan = scan_constraints(inst, np.array([-1.0, 0.0]))
-        fam = scan.families[0]
-        mins = [lvl[0] for lvl in fam.levels]
+        block = scan.families[0].block
+        mins = [scan.t[scan.grid(level, block)][0] for level in range(scan.n_levels)]
         for a, b in zip(mins, mins[1:]):
             assert b == pytest.approx(a / 2.0)
 

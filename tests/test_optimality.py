@@ -12,8 +12,10 @@ from sipcert.model import (
     SipInstance,
     SmoothCost,
     ConvexMaxCost,
+    active_set,
     estimate_moduli,
     load_instance,
+    loads_instance,
 )
 from sipcert.optimality import (
     empirical_normal_cone_probe,
@@ -163,6 +165,20 @@ class TestVerifyKkt:
         assert w is not None
         assert np.sum(w) == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-9)
+
+
+    def test_support_label_matches_active_set_label(self):
+        inst = loads_instance(
+            "[problem]\nvars = x1 x2\nminimize = x1 + x2^2\n"
+            "[index t]\nkind = finite\nvalues = 1000000000000\n"
+            "[constraints]\ng(t) = t/1000000000000 - x1\n"
+        )
+        x = np.array([1.0, 0.0])
+        active = [e.id.label for e in active_set(inst, x).active]
+        rep = verify_kkt(inst, x)
+        assert active == ["g(1000000000000)"]
+        assert rep.outcome == "certificate"
+        assert rep.certificate.support == active
 
 
 class TestPerturbedStationarity:
