@@ -1,16 +1,23 @@
-"""Golden reports: `analyze --deterministic --report json` on the bundled
-instances must stay byte-identical to the files under tests/golden/.
+"""Golden reports: `analyze` and `solve` with `--deterministic --report json`
+on the bundled instances must stay byte-identical to the files under
+tests/golden/, and must exit with the recorded code.
 
 Regenerate a golden only when a report is meant to change, and say why in
-CHANGES.md: from the repo root,
-`sipcert analyze instances/<name>.sip --point=<p> --deterministic --report json`.
+CHANGES.md. From the repo root:
+
+- `sipcert analyze instances/<name>.sip --point=<p> --deterministic --report json`
+  writes `tests/golden/<name>.json`;
+- `sipcert solve instances/<name>.sip --deterministic --report json
+  --max-iters 6 --multistart 4 --seed 0` writes
+  `tests/golden/solve_<name>.json`. interval_ramp exits 4 (the solver hits
+  its iteration limit) and still prints its report.
 """
 
 from pathlib import Path
 
 import pytest
 
-from sipcert.cli import EXIT_OK, main
+from sipcert.cli import EXIT_OK, EXIT_SOLVER_LIMIT, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -28,6 +35,15 @@ CASES = {
     ],
 }
 
+SOLVE_ARGS = ["--max-iters", "6", "--multistart", "4", "--seed", "0"]
+
+SOLVE_EXIT = {
+    "convex_toy": EXIT_OK,
+    "countable_cubic": EXIT_OK,
+    "interval_ramp": EXIT_SOLVER_LIMIT,
+    "parabola_band": EXIT_OK,
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, monkeypatch, capsys):
@@ -36,3 +52,14 @@ def test_report_matches_golden(name, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_EXIT))
+def test_solve_report_matches_golden(name, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    code = main(
+        ["solve", f"instances/{name}.sip", *SOLVE_ARGS, "--deterministic", "--report", "json"]
+    )
+    out = capsys.readouterr().out
+    assert code == SOLVE_EXIT[name]
+    assert out == (GOLDEN / f"solve_{name}.json").read_text(encoding="utf-8")
