@@ -23,6 +23,7 @@ from . import expr as ex
 from .cq import EPS_SCHEDULE, MARGIN_TOL, Verdict, cq_summary
 from .linsolve import LpFailure
 from .model import (
+    ConstraintScan,
     InstanceError,
     SipInstance,
     active_set,
@@ -185,8 +186,12 @@ def build_report(
     args,
     solver_result=None,
     analyze: bool = True,
+    scan: ConstraintScan | None = None,
 ) -> dict:
-    scan = scan_constraints(inst, x, truncation=args.truncation)
+    """The report document. ``scan`` is the scan of ``x`` with the CLI
+    overrides; it is built here when not given."""
+    if scan is None:
+        scan = scan_constraints(inst, x, truncation=args.truncation)
     feas = feasibility_check(inst, x, scan=scan)
     analyze = analyze and feas.feasible
     if analyze:
@@ -424,10 +429,13 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     solver_result = None
+    scan = None
     try:
         if args.command == "analyze":
             x = _parse_point(args.point, inst.dim)
-            feas = feasibility_check(inst, x)
+            # the gate and the report read one scan, so they cannot disagree
+            scan = scan_constraints(inst, x, truncation=args.truncation)
+            feas = feasibility_check(inst, x, scan=scan)
             if not feas.feasible:
                 print(
                     f"error: point is infeasible (max violation "
@@ -453,7 +461,7 @@ def main(argv=None) -> int:
                 return EXIT_SOLVER_LIMIT
         doc = build_report(
             inst, x, instance_path=str(path), instance_text=instance_text,
-            args=args, solver_result=solver_result,
+            args=args, solver_result=solver_result, scan=scan,
         )
     except InstanceError as err:
         print(f"error: {err}", file=sys.stderr)

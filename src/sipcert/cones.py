@@ -204,7 +204,8 @@ def accumulation_rays(
             continue
         if len(cl) >= 2:
             # the tail estimates of a convergent cluster must agree
-            resid = max(_angle(a, b) for a, b in zip(cl[-3:], cl[-2:]))
+            tail = cl[-3:]
+            resid = max(_angle(a, b) for a, b in zip(tail, tail[1:]))
         else:
             # an uncorroborated single estimate only counts if the raw tail
             # already sits on it

@@ -5,12 +5,26 @@ index variable bound at evaluation time. Supported operators: ``+ - * / ^``
 (``^`` right-associative, binding tighter than unary minus) and the calls
 ``sin cos exp log sqrt``. Gradients with respect to the decision variables
 are propagated forward with dual numbers; the index variable is held
-constant. Evaluation broadcasts over numpy arrays bound to the index
-variable, which is how whole index grids are scanned in one pass.
+constant.
+
+Evaluation runs compiled kernels. The first ``eval_value`` of an AST at
+dimension n lowers the tree once into a straight-line Python function, and
+the first ``eval_grad`` compiles a separate value-and-gradient kernel; later
+calls at that dimension only run them. A kernel performs the IEEE
+operations of the forward-mode dual recursion in its order, with the value
+and each partial as separate operands, and raises the same domain errors at
+the same points. It runs on Python floats for one point with scalar
+bindings, and broadcasts over numpy arrays bound to the index variable or
+over a batch of points, which is how whole index grids are scanned in one
+pass. Kernels are kept on the root node of the AST and freed with it;
+nothing is cached at module level.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
@@ -242,28 +256,26 @@ def to_source(ast: ExprAst) -> str:
     return _render(ast, 0)
 
 
+def _subtrees(ast: ExprAst) -> Iterator[ExprAst]:
+    """Every node of the tree in pre-order: a node, then its children left to right."""
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Neg):
+            stack.append(node.child)
+        elif isinstance(node, Call):
+            stack.append(node.arg)
+        elif isinstance(node, BinOp):
+            stack += (node.right, node.left)
+
+
 def free_index_names(ast: ExprAst) -> set[str]:
-    if isinstance(ast, IndexVar):
-        return {ast.name}
-    if isinstance(ast, Neg):
-        return free_index_names(ast.child)
-    if isinstance(ast, Call):
-        return free_index_names(ast.arg)
-    if isinstance(ast, BinOp):
-        return free_index_names(ast.left) | free_index_names(ast.right)
-    return set()
+    return {node.name for node in _subtrees(ast) if isinstance(node, IndexVar)}
 
 
 def max_var_position(ast: ExprAst) -> int:
-    if isinstance(ast, Var):
-        return ast.position
-    if isinstance(ast, Neg):
-        return max_var_position(ast.child)
-    if isinstance(ast, Call):
-        return max_var_position(ast.arg)
-    if isinstance(ast, BinOp):
-        return max(max_var_position(ast.left), max_var_position(ast.right))
-    return 0
+    return max((node.position for node in _subtrees(ast) if isinstance(node, Var)), default=0)
 
 
 def _int_exponent(node: ExprAst):
@@ -278,6 +290,286 @@ def _int_exponent(node: ExprAst):
 
 Bindings = Mapping[str, object]
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_COMPARE = {"<=": operator.le, "<": operator.lt, "==": operator.eq}
+
+
+def _any(mask) -> bool:
+    return mask.any() if mask.__class__ is np.ndarray else mask
+
+
+def _bind(env: Bindings, name: str):
+    """Value bound to an index variable: a Python float for a scalar, else an array."""
+    try:
+        v = env[name]
+    except KeyError:
+        raise ExprError(f"unbound index variable '{name}'") from None
+    if isinstance(v, (float, int)):
+        return float(v)
+    arr = np.asarray(v, dtype=float)
+    return arr if arr.ndim else float(arr)
+
+
+def _div(a, b):
+    try:
+        return a / b
+    except ZeroDivisionError:  # a Python float underflowed to 0; numpy gives +-inf
+        return np.float64(a) / b
+
+
+def _ones_like(v):
+    return np.ones_like(np.asarray(v, dtype=float)) if np.ndim(v) else 1.0
+
+
+def _domain_error(root: ExprAst, pos: int, message: str) -> DomainError:
+    """The error for the node at pre-order position ``pos`` of ``root``."""
+    return DomainError(message, next(itertools.islice(_subtrees(root), pos, None)))
+
+
+_RUNTIME = {
+    "np": np,
+    "ExprError": ExprError,
+    "_any": _any,
+    "_bind": _bind,
+    "_div": _div,
+    "_ones_like": _ones_like,
+    "_domain_error": _domain_error,
+}
+
+
+class _Lowering:
+    """Lowers one AST to the body of ``kernel(xs, env, root)``: straight-line
+    forward-mode code in which the value and each of the n partials is its
+    own operand.
+
+    Each statement is one IEEE operation of the dual-number recursion, in
+    its order (tangent first in products, the integer-power loop unrolled
+    with its ``1 * b`` and ``0 * b + b'`` first step, zero partials kept
+    dense), so results match that recursion bit for bit, signed zeros
+    included. An operand is a local name or a float known when compiling;
+    operations on known floats are folded with the same arithmetic, and a
+    repeated operation reuses its first result. The source holds only
+    generated names, float reprs, integers and names and messages from
+    fixed tables: index names reach the kernel through ``_names``, never as
+    text.
+    """
+
+    def __init__(self, ast: ExprAst, n: int, grad: bool):
+        self.ast = ast
+        self.n = n
+        self.grad = grad
+        self.lines: list[str] = []
+        self.results: dict[str, str] = {}  # right-hand side -> local holding it
+        self.runtime: dict[str, object] = dict(_RUNTIME, _names=[])
+        self.consts: dict[str, str] = {}  # repr of a non-finite constant -> its global
+        self.index: dict[str, str] = {}  # index name -> local holding its value
+        self.columns: set[int] = set()
+        self.pos: dict[int, int] = {}
+        for i, node in enumerate(_subtrees(ast)):
+            self.pos.setdefault(id(node), i)
+
+    def source(self) -> str:
+        value, partials = self.lower(self.ast)
+        out = self.text(value)
+        if self.grad:
+            out += ", (" + "".join(f"{self.text(p)}, " for p in partials) + ")"
+        head = [f"    x{p} = xs[{p - 1}]" for p in sorted(self.columns)]
+        body = [f"    {line}" for line in self.lines]
+        return "\n".join(["def kernel(xs, env, root):", *head, *body, f"    return {out}"])
+
+    def text(self, a) -> str:
+        if isinstance(a, str):
+            return a
+        if math.isfinite(a):
+            return f"({a!r})"
+        if repr(a) not in self.consts:
+            self.consts[repr(a)] = f"_k{len(self.consts)}"
+            self.runtime[self.consts[repr(a)]] = a
+        return self.consts[repr(a)]
+
+    def emit(self, rhs: str) -> str:
+        name = self.results.get(rhs)
+        if name is None:
+            name = self.results[rhs] = f"v{len(self.results)}"
+            self.lines.append(f"{name} = {rhs}")
+        return name
+
+    def arith(self, op: str, a, b):
+        if isinstance(a, float) and isinstance(b, float):
+            try:
+                return float(_ARITH[op](a, b))
+            except ZeroDivisionError:
+                pass  # only on code after an unconditional raise
+        elif op == "*" and (a == 1.0 or b == 1.0):
+            return b if isinstance(a, float) else a  # 1 * b == b exactly
+        return self.emit(f"{self.text(a)} {op} {self.text(b)}")
+
+    def call(self, fn: str, *args):
+        if all(isinstance(a, float) for a in args):
+            return float(self.runtime[fn](*args) if fn[0] == "_" else getattr(np, fn)(*args))
+        prefix = "" if fn[0] == "_" else "np."
+        return self.emit(f"{prefix}{fn}({', '.join(self.text(a) for a in args)})")
+
+    def neg(self, a):
+        return -a if isinstance(a, float) else self.emit(f"-{a}")
+
+    def check(self, node: ExprAst, a, cmp: str, message: str) -> None:
+        """Raise the domain error where any entry of ``a cmp 0`` holds."""
+        fail = f"raise _domain_error(root, {self.pos[id(node)]}, {message!r})"
+        if not isinstance(a, float):
+            self.lines.append(f"if _any({a} {cmp} 0.0): {fail}")
+        elif _COMPARE[cmp](a, 0.0):
+            self.lines.append(fail)
+
+    def lower(self, node: ExprAst):
+        """(value, partials) of ``node``; partials is None without gradients."""
+        zeros = [0.0] * self.n if self.grad else None
+        if isinstance(node, Const):
+            return float(node.value), zeros
+        if isinstance(node, Var) and type(node.position) is int and node.position >= 1:
+            p = node.position
+            if p > self.n:
+                message = f"x{p} out of range for dimension {self.n}"
+                self.lines.append(f"raise ExprError({message!r})")
+            else:
+                self.columns.add(p)
+            unit = [1.0 if j == p - 1 else 0.0 for j in range(self.n)]
+            return f"x{p}", unit if self.grad else None
+        if isinstance(node, IndexVar):
+            if node.name not in self.index:
+                names = self.runtime["_names"]
+                local = self.index[node.name] = f"i{len(names)}"
+                self.lines.append(f"{local} = _bind(env, _names[{len(names)}])")
+                names.append(node.name)
+            return self.index[node.name], zeros
+        if isinstance(node, Neg):
+            v, t = self.lower(node.child)
+            return self.neg(v), [self.neg(tj) for tj in t] if self.grad else None
+        if isinstance(node, Call):
+            return self.lower_call(node, *self.lower(node.arg))
+        if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/", "^"):
+            va, ta = self.lower(node.left)
+            if node.op == "^":
+                k = _int_exponent(node.right)
+                if k is not None:
+                    return self.lower_int_pow(node, va, ta, k)
+            vb, tb = self.lower(node.right)
+            return self.lower_binop(node, va, ta, vb, tb)
+        raise ExprError(f"not an expression node: {node!r}")
+
+    def lower_call(self, node: Call, v, t):
+        fn = node.fn
+        if fn not in _FUNCTIONS:
+            raise ExprError(f"unknown function {fn!r}")
+        if fn == "log":
+            self.check(node, v, "<=", "log of a nonpositive value")
+        elif fn == "sqrt":
+            self.check(node, v, "<", "sqrt of a negative value")
+            if self.grad:
+                self.check(node, v, "==", "sqrt gradient at zero")
+        val = self.call(fn, v)
+        if not self.grad:
+            return val, None
+        if fn == "sin":
+            d = self.call("cos", v)
+        elif fn == "cos":
+            d = self.neg(self.call("sin", v))
+        elif fn == "exp":
+            d = val
+        elif fn == "log":
+            d = self.arith("/", 1.0, v)
+        else:
+            d = self.arith("/", 0.5, val)
+        return val, [self.arith("*", tj, d) for tj in t]
+
+    def lower_binop(self, node: BinOp, va, ta, vb, tb):
+        op, arith = node.op, self.arith
+        if op == "^":
+            self.check(node, va, "<=", "non-integer power of a nonpositive base")
+            log_a = self.call("log", va)
+            val = self.call("exp", arith("*", vb, log_a))
+            if not self.grad:
+                return val, None
+            s_b = arith("*", val, log_a)
+            s_a = arith("/", arith("*", val, vb), va)
+            return val, [
+                arith("+", arith("*", b, s_b), arith("*", a, s_a)) for a, b in zip(ta, tb)
+            ]
+        if op in ("+", "-"):
+            val = arith(op, va, vb)
+            if not self.grad:
+                return val, None
+            return val, [arith(op, a, b) for a, b in zip(ta, tb)]
+        if op == "*":
+            val = arith("*", va, vb)
+            if not self.grad:
+                return val, None
+            return val, [arith("+", arith("*", a, vb), arith("*", b, va)) for a, b in zip(ta, tb)]
+        self.check(node, vb, "==", "division by zero")
+        val = arith("/", va, vb)
+        if not self.grad:
+            return val, None
+        r = arith("/", 1.0, vb)
+        return val, [arith("*", arith("-", a, arith("*", b, val)), r) for a, b in zip(ta, tb)]
+
+    def lower_int_pow(self, node: BinOp, v, t, k: int):
+        """``v ^ k`` by binary powering, as the dual recursion unrolls it."""
+        arith = self.arith
+        if k < 0:
+            self.check(node, v, "==", "zero base with a negative exponent")
+        if k == 0:
+            return self.call("_ones_like", v), [0.0] * self.n if self.grad else None
+        rv = rt = None  # the loop's ones and zeros, before the first factor
+        bv, bt = v, t
+        e = abs(k)
+        while e:
+            if e & 1:
+                if rv is None:
+                    if self.grad:
+                        zero = arith("*", 0.0, bv)
+                        rt = [arith("+", zero, b) for b in bt]
+                    rv = bv
+                else:
+                    if self.grad:
+                        rt = [
+                            arith("+", arith("*", r, bv), arith("*", b, rv))
+                            for r, b in zip(rt, bt)
+                        ]
+                    rv = arith("*", rv, bv)
+            e >>= 1
+            if e:
+                if self.grad:
+                    bt = [arith("*", 2.0, arith("*", b, bv)) for b in bt]
+                bv = arith("*", bv, bv)
+        if k > 0:
+            return rv, rt
+        val = self.call("_div", 1.0, rv)
+        if not self.grad:
+            return val, None
+        w = self.call("_div", -1.0, arith("*", rv, rv))
+        return val, [arith("*", r, w) for r in rt]
+
+
+def _compile(ast: ExprAst, n: int, grad: bool):
+    lowering = _Lowering(ast, n, grad)
+    source = lowering.source()
+    namespace = dict(lowering.runtime, __builtins__={})
+    exec(compile(source, "<sipcert kernel>", "exec"), namespace)
+    return namespace.pop("kernel")
+
+
+def _kernel(ast: ExprAst, n: int, grad: bool):
+    """The kernel of ``ast`` for dimension ``n``, compiled on first use.
+
+    Kernels live in the node's own ``__dict__`` (the dataclasses are frozen),
+    so they are freed with the AST; they hold no reference back to it.
+    """
+    kernels = ast.__dict__.setdefault("_kernels", {})
+    kernel = kernels.get((n, grad))
+    if kernel is None:
+        kernel = kernels[n, grad] = _compile(ast, n, grad)
+    return kernel
+
 
 def _check_x(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -290,85 +582,15 @@ def eval_value(ast: ExprAst, x, index: Bindings | None = None):
     """Evaluate the expression at decision vector ``x`` (shape (n,) or (m, n)).
 
     Index bindings may be scalars or numpy arrays; array bindings broadcast,
-    giving one value per index entry.
+    giving one value per index entry. The value kernel of ``ast`` for
+    dimension n is compiled by the first call and kept on the AST for as
+    long as the AST lives. It runs on Python floats for a single ``x`` with
+    scalar bindings, and on arrays otherwise.
     """
     xa = _check_x(x)
-    env = dict(index or {})
-
-    def rec(node: ExprAst):
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
-            if node.position > xa.shape[-1]:
-                raise ExprError(f"x{node.position} out of range for dimension {xa.shape[-1]}")
-            return xa[..., node.position - 1]
-        if isinstance(node, IndexVar):
-            if node.name not in env:
-                raise ExprError(f"unbound index variable '{node.name}'")
-            return np.asarray(env[node.name], dtype=float)
-        if isinstance(node, Neg):
-            return -rec(node.child)
-        if isinstance(node, Call):
-            return _apply_call(node, rec(node.arg))
-        a = rec(node.left)
-        if node.op == "^":
-            k = _int_exponent(node.right)
-            if k is not None:
-                return _int_pow_val(node, a, k)
-            b = rec(node.right)
-            if np.any(np.asarray(a) <= 0.0):
-                raise DomainError("non-integer power of a nonpositive base", node)
-            return np.exp(b * np.log(a))
-        b = rec(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if np.any(np.asarray(b) == 0.0):
-            raise DomainError("division by zero", node)
-        return a / b
-
-    return rec(ast)
-
-
-def _apply_call(node: Call, a):
-    if node.fn == "sin":
-        return np.sin(a)
-    if node.fn == "cos":
-        return np.cos(a)
-    if node.fn == "exp":
-        return np.exp(a)
-    if node.fn == "log":
-        if np.any(np.asarray(a) <= 0.0):
-            raise DomainError("log of a nonpositive value", node)
-        return np.log(a)
-    if np.any(np.asarray(a) < 0.0):
-        raise DomainError("sqrt of a negative value", node)
-    return np.sqrt(a)
-
-
-def _int_pow_val(node: BinOp, a, k: int):
-    if k < 0 and np.any(np.asarray(a) == 0.0):
-        raise DomainError("zero base with a negative exponent", node)
-    # repeated multiplication keeps x^3 exact for negative bases
-    r = np.ones_like(np.asarray(a, dtype=float)) if np.ndim(a) else 1.0
-    base = a
-    e = abs(k)
-    while e > 0:
-        if e & 1:
-            r = r * base
-        base = base * base
-        e >>= 1
-    return 1.0 / r if k < 0 else r
-
-
-def _scale(tan, v):
-    """Multiply a tangent block (..., n) by a value (...,) with broadcasting."""
-    if np.ndim(v) == 0:
-        return tan * v
-    return tan * np.asarray(v)[..., None]
+    kernel = _kernel(ast, xa.shape[-1], False)
+    xs = xa.tolist() if xa.ndim == 1 else list(np.moveaxis(xa, -1, 0))
+    return kernel(xs, index or {}, ast)
 
 
 def eval_grad(ast: ExprAst, x, index: Bindings | None = None):
@@ -376,99 +598,21 @@ def eval_grad(ast: ExprAst, x, index: Bindings | None = None):
 
     Returns ``(value, grad)``. With scalar bindings ``grad`` has shape (n,);
     with an array bound to the index variable the shapes are (m,) and (m, n).
+    The value-and-gradient kernel for dimension n is compiled by the first
+    call, apart from the value kernel, and lives on the AST like it.
     """
     xa = _check_x(x)
     if xa.ndim != 1:
         raise ExprError("eval_grad expects a single decision vector")
     n = xa.shape[0]
-    env = dict(index or {})
-    zeros = np.zeros(n)
-
-    def rec(node: ExprAst):
-        if isinstance(node, Const):
-            return node.value, zeros
-        if isinstance(node, Var):
-            if node.position > n:
-                raise ExprError(f"x{node.position} out of range for dimension {n}")
-            e = np.zeros(n)
-            e[node.position - 1] = 1.0
-            return xa[node.position - 1], e
-        if isinstance(node, IndexVar):
-            if node.name not in env:
-                raise ExprError(f"unbound index variable '{node.name}'")
-            v = np.asarray(env[node.name], dtype=float)
-            # index variables are constants for the decision gradient
-            return v, np.zeros(v.shape + (n,)) if v.ndim else zeros
-        if isinstance(node, Neg):
-            v, t = rec(node.child)
-            return -v, -t
-        if isinstance(node, Call):
-            v, t = rec(node.arg)
-            return _call_dual(node, v, t)
-        va, ta = rec(node.left)
-        if node.op == "^":
-            k = _int_exponent(node.right)
-            if k is not None:
-                return _int_pow_dual(node, va, ta, k)
-            vb, tb = rec(node.right)
-            if np.any(np.asarray(va) <= 0.0):
-                raise DomainError("non-integer power of a nonpositive base", node)
-            val = np.exp(vb * np.log(va))
-            tan = _scale(tb, val * np.log(va)) + _scale(ta, val * vb / va)
-            return val, tan
-        vb, tb = rec(node.right)
-        if node.op == "+":
-            return va + vb, ta + tb
-        if node.op == "-":
-            return va - vb, ta - tb
-        if node.op == "*":
-            return va * vb, _scale(ta, vb) + _scale(tb, va)
-        if np.any(np.asarray(vb) == 0.0):
-            raise DomainError("division by zero", node)
-        val = va / vb
-        tan = _scale(ta - _scale(tb, val), 1.0 / vb)
-        return val, tan
-
-    val, tan = rec(ast)
-    return np.asarray(val, dtype=float), np.asarray(tan, dtype=float)
-
-
-def _call_dual(node: Call, v, t):
-    if node.fn == "sin":
-        return np.sin(v), _scale(t, np.cos(v))
-    if node.fn == "cos":
-        return np.cos(v), _scale(t, -np.sin(v))
-    if node.fn == "exp":
-        ev = np.exp(v)
-        return ev, _scale(t, ev)
-    if node.fn == "log":
-        if np.any(np.asarray(v) <= 0.0):
-            raise DomainError("log of a nonpositive value", node)
-        return np.log(v), _scale(t, 1.0 / v)
-    if np.any(np.asarray(v) < 0.0):
-        raise DomainError("sqrt of a negative value", node)
-    if np.any(np.asarray(v) == 0.0):
-        raise DomainError("sqrt gradient at zero", node)
-    sv = np.sqrt(v)
-    return sv, _scale(t, 0.5 / sv)
-
-
-def _int_pow_dual(node: BinOp, v, t, k: int):
-    if k < 0 and np.any(np.asarray(v) == 0.0):
-        raise DomainError("zero base with a negative exponent", node)
-    one_v = np.ones_like(np.asarray(v, dtype=float)) if np.ndim(v) else 1.0
-    rv, rt = one_v, np.zeros_like(t)
-    bv, bt = v, t
-    e = abs(k)
-    while e > 0:
-        if e & 1:
-            rv, rt = rv * bv, _scale(rt, bv) + _scale(bt, rv)
-        e >>= 1
-        if e:
-            bv, bt = bv * bv, 2.0 * _scale(bt, bv)
-    if k < 0:
-        return 1.0 / rv, _scale(rt, -1.0 / (rv * rv))
-    return rv, rt
+    val, partials = _kernel(ast, n, True)(xa.tolist(), index or {}, ast)
+    val = np.asarray(val, dtype=float)
+    if val.ndim == 0:
+        return val, np.array(partials, dtype=float)
+    grad = np.empty(val.shape + (n,))
+    for j, p in enumerate(partials):
+        grad[..., j] = p
+    return val, grad
 
 
 def _affine_info(node: ExprAst) -> tuple[bool, bool]:

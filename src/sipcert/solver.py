@@ -106,6 +106,11 @@ def _box(inst: SipInstance):
     return lo, hi
 
 
+def _eq_residual(inst: SipInstance, x) -> float:
+    """Largest absolute equality residual at x; 0 without equalities."""
+    return max((abs(float(ex.eval_value(c, x))) for c in inst.equalities.components), default=0.0)
+
+
 def _penalty_value(inst, working, x, rho):
     val = inst.cost_value(x)
     for wc in working:
@@ -158,9 +163,7 @@ def _penalty_descent(inst, working, x0, config: SolverConfig):
             if not improved:
                 break
         viol = max((wc.value_grad(x)[0] for wc in working), default=0.0)
-        eq = max(
-            (abs(float(ex.eval_value(c, x))) for c in inst.equalities.components), default=0.0
-        )
+        eq = _eq_residual(inst, x)
         if max(viol, eq) <= config.violation_tol and rho > 1e4:
             break
         rho *= config.penalty_growth
@@ -259,9 +262,7 @@ def _solve_subproblem(inst, working, config, rng, warm):
                 if pv <= max(xv, config.violation_tol):
                     x = polished
         viol = max((wc.value_grad(x)[0] for wc in working), default=0.0)
-        eq = max(
-            (abs(float(ex.eval_value(c, x))) for c in inst.equalities.components), default=0.0
-        )
+        eq = _eq_residual(inst, x)
         candidates.append((max(viol, eq), inst.cost_value(x), tuple(x), x))
     feasible = [c for c in candidates if c[0] <= config.violation_tol]
     pool = feasible or candidates
@@ -301,9 +302,7 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
         warm = x
         scan = scan_constraints(inst, x)
         idx, viol = most_violated_index(inst, x, scan=scan)
-        eq = max(
-            (abs(float(ex.eval_value(c, x))) for c in inst.equalities.components), default=0.0
-        )
+        eq = _eq_residual(inst, x)
         total_viol = max(viol, eq)
         accepted = total_viol < best_viol - 1e-15 or best_x is None
         if accepted:

@@ -1,9 +1,11 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sipcert import model
 from sipcert.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER_LIMIT, EXIT_VALIDATION, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +70,49 @@ class TestAnalyze:
         # the truncation, which the 10^4-index scan still resolves
         assert status[1e-3] == "censored"
         assert status[1e-4] == "censored"
+
+    @pytest.fixture
+    def scan_calls(self, monkeypatch):
+        """Truncation of every scan_constraints call, wherever it is bound."""
+        calls = []
+        original = model.scan_constraints
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("truncation"))
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] != "sipcert":
+                continue
+            if getattr(mod, "scan_constraints", None) is original:
+                monkeypatch.setattr(mod, "scan_constraints", counting)
+        return calls
+
+    def test_one_scan_per_analyze(self, scan_calls, capsys):
+        code, _, _ = run_cli(
+            ["analyze", str(INSTANCES / "countable_cubic.sip"), "--point=-1,0"], capsys
+        )
+        assert code == EXIT_OK
+        assert scan_calls == [None]
+
+    def test_truncation_reaches_feasibility_gate(self, scan_calls, tmp_path, capsys):
+        # g(77) = 0.5 > 0: infeasible on the file's 10^4 indices, but 77 lies
+        # beyond a truncation of 50 and off the tail ladder (100, 1000, ...)
+        path = tmp_path / "bump.sip"
+        path.write_text(
+            "[problem]\nvars = x1 x2\nminimize = x1^2 + x2^2\n\n"
+            "[index n]\nkind = countable\nstart = 1\ntruncation = 10000\n\n"
+            "[constraints]\ng(n) = x1 - (n - 77)^2 + 0.5\n"
+        )
+        code, _, err = run_cli(["analyze", str(path), "--point=0,0"], capsys)
+        assert code == EXIT_INFEASIBLE
+        assert "g(77)" in err
+        code, out, _ = run_cli(
+            ["analyze", str(path), "--point=0,0", "--truncation=50", "--report=json"], capsys
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["feasibility"]["feasible"] is True
+        assert scan_calls == [None, 50]
 
 
 class TestJsonReport:

@@ -190,6 +190,16 @@ class TestAccumulationRays:
         rays, ok = accumulation_rays([(0.5, np.array([1.0, 0.0]))])
         assert rays == [] and not ok
 
+    def test_two_estimates_must_agree(self):
+        # the two Richardson estimates sit about 5e-4 rad apart, far above
+        # residual_tol, so the cluster is not corroborated
+        turn = [math.cos(2.5e-4), math.sin(2.5e-4)]
+        samples = [(1.0, [1.0, 0.0]), (0.5, [1.0, 0.0]), (0.25, turn)]
+        assert accumulation_rays(samples) == ([], False)
+        rays, ok = accumulation_rays([(1.0, [1.0, 0.0]), (0.5, [1.0, 0.0]), (0.25, [1.0, 0.0])])
+        assert ok and len(rays) == 1
+        np.testing.assert_allclose(rays[0].direction, [1.0, 0.0])
+
 
 class TestAugmentedGenerators:
     def test_interval_ramp_lift(self):

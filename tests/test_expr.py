@@ -1,13 +1,19 @@
 import math
+import operator
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from sipcert import expr
 from sipcert.expr import (
     BinOp,
     Call,
     Const,
     DomainError,
+    ExprError,
     IndexVar,
     Neg,
     ParseError,
@@ -227,3 +233,295 @@ class TestAffine:
         a, c = affine_coefficients(parse("t*x1 - x2 - t"), 2, {"t": 0.5})
         np.testing.assert_allclose(a, [0.5, -1.0])
         assert c == pytest.approx(-0.5)
+
+
+def _reference(ast, x, index=None, grad=False):
+    """(value, tangent) by the tree-walking dual-number recursion that the
+    compiled kernels replay: numpy values, tangents of shape (..., n)."""
+    xa = np.asarray(x, dtype=float)
+    n = xa.shape[-1]
+    env = dict(index or {})
+    zeros = np.zeros(n)
+
+    def scale(t, v):
+        return t * v if np.ndim(v) == 0 else t * np.asarray(v)[..., None]
+
+    def rec(node):
+        if isinstance(node, Const):
+            return node.value, zeros
+        if isinstance(node, Var):
+            if node.position > n:
+                raise ExprError(f"x{node.position} out of range for dimension {n}")
+            return xa[..., node.position - 1], np.eye(n)[node.position - 1]
+        if isinstance(node, IndexVar):
+            if node.name not in env:
+                raise ExprError(f"unbound index variable '{node.name}'")
+            v = np.asarray(env[node.name], dtype=float)
+            return v, np.zeros(v.shape + (n,))
+        if isinstance(node, Neg):
+            v, t = rec(node.child)
+            return -v, -t
+        if isinstance(node, Call):
+            v, t = rec(node.arg)
+            if node.fn == "log" and np.any(v <= 0.0):
+                raise DomainError("log of a nonpositive value", node)
+            if node.fn == "sqrt" and np.any(v < 0.0):
+                raise DomainError("sqrt of a negative value", node)
+            if node.fn == "sqrt" and grad and np.any(v == 0.0):
+                raise DomainError("sqrt gradient at zero", node)
+            val = getattr(np, node.fn)(v)
+            if node.fn == "sin":
+                d = np.cos(v)
+            elif node.fn == "cos":
+                d = -np.sin(v)
+            elif node.fn == "exp":
+                d = val
+            elif node.fn == "log":
+                d = 1.0 / v
+            else:
+                d = 0.5 / val
+            return val, scale(t, d)
+        va, ta = rec(node.left)
+        k = expr._int_exponent(node.right) if node.op == "^" else None
+        if k is not None:
+            if k < 0 and np.any(va == 0.0):
+                raise DomainError("zero base with a negative exponent", node)
+            rv, rt = np.ones_like(va) if np.ndim(va) else 1.0, np.zeros_like(ta)
+            bv, bt, e = va, ta, abs(k)
+            while e > 0:
+                if e & 1:
+                    rv, rt = rv * bv, scale(rt, bv) + scale(bt, rv)
+                e >>= 1
+                if e:
+                    bv, bt = bv * bv, 2.0 * scale(bt, bv)
+            if k >= 0:
+                return rv, rt
+            # a constant base can underflow to a Python 0.0: divide as numpy does
+            return np.divide(1.0, rv), scale(rt, np.divide(-1.0, rv * rv))
+        vb, tb = rec(node.right)
+        if node.op == "^":
+            if np.any(va <= 0.0):
+                raise DomainError("non-integer power of a nonpositive base", node)
+            val = np.exp(vb * np.log(va))
+            return val, scale(tb, val * np.log(va)) + scale(ta, val * vb / va)
+        if node.op == "+":
+            return va + vb, ta + tb
+        if node.op == "-":
+            return va - vb, ta - tb
+        if node.op == "*":
+            return va * vb, scale(ta, vb) + scale(tb, va)
+        if np.any(vb == 0.0):
+            raise DomainError("division by zero", node)
+        val = va / vb
+        return val, scale(ta - scale(tb, val), 1.0 / vb)
+
+    return rec(ast)
+
+
+def _bits(a):
+    """Shape and exact bytes; every NaN alike (its sign bit follows operand
+    order inside the FPU, which Python floats and numpy loops need not share)."""
+    a = np.asarray(a, dtype=float)
+    return a.shape, np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def _outcome(fn):
+    try:
+        out = fn()
+    except ExprError as err:
+        return type(err), str(err), getattr(err, "subexpr", None)
+    if isinstance(out, tuple):
+        return _bits(out[0]), _bits(out[1])
+    return _bits(out)
+
+
+def _exponent(k):
+    return Const(float(k)) if k >= 0 else Neg(Const(float(-k)))
+
+
+LEAVES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]).map(Const),
+    st.integers(1, 3).map(Var),
+    st.just(IndexVar("t")),
+)
+ASTS = st.recursive(
+    LEAVES,
+    lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "log", "sqrt"]), kids),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), kids, kids),
+        st.builds(lambda b, k: BinOp("^", b, _exponent(k)), kids, st.integers(-3, 4)),
+    ),
+    max_leaves=8,
+)
+SPECIAL = [0.0, -0.0, 1e-170, -1e-170, 1e300, math.inf, -math.inf, math.nan]
+NUMBERS = st.one_of(st.floats(-3, 3), st.sampled_from(SPECIAL))
+
+
+class TestKernel:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf, nan and overflow are inputs here
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ast=ASTS, xs=st.lists(NUMBERS, min_size=6, max_size=6), n=st.integers(2, 3),
+           t=NUMBERS, ts=st.lists(NUMBERS, min_size=1, max_size=4))
+    def test_replays_the_dual_recursion_bit_for_bit(self, ast, xs, n, t, ts):
+        # values, gradients, signed zeros, error types, messages and subexprs;
+        # x3 is out of range at n = 2. The batch has the (k, 1, n) layout that
+        # broadcasts points against an index grid.
+        x, batch = np.array(xs[:n]), np.array(xs).reshape(2, 1, 3)[..., :n]
+        for index in ({"t": t}, {"t": np.array(ts)}, {}):
+            assert _outcome(lambda: eval_value(ast, x, index)) == _outcome(
+                lambda: _reference(ast, x, index)[0]
+            )
+            assert _outcome(lambda: eval_value(ast, batch, index)) == _outcome(
+                lambda: _reference(ast, batch, index)[0]
+            )
+            assert _outcome(lambda: eval_grad(ast, x, index)) == _outcome(
+                lambda: _reference(ast, x, index, grad=True)
+            )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf, nan and overflow are inputs here
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ast=ASTS, x=st.lists(st.floats(-3, 3), min_size=3, max_size=3),
+           ts=st.lists(st.floats(-3, 3), min_size=1, max_size=5))
+    def test_scalar_binding_equals_its_row_of_the_array_call(self, ast, x, ts):
+        # the solver binds one index value at a time, the scan a whole grid
+        try:
+            vals, grads = eval_grad(ast, x, {"t": np.array(ts)})
+        except DomainError:
+            assume(False)
+        vals = np.broadcast_to(vals, (len(ts),))
+        grads = np.broadcast_to(grads, (len(ts), 3))
+        row_vals = np.broadcast_to(eval_value(ast, x, {"t": np.array(ts)}), (len(ts),))
+        for k, tk in enumerate(ts):
+            v, g = eval_grad(ast, x, {"t": tk})
+            assert _bits(v) == _bits(vals[k]) and _bits(g) == _bits(grads[k])
+            assert _bits(eval_value(ast, x, {"t": tk})) == _bits(row_vals[k])
+
+    @pytest.mark.parametrize(
+        "source, x, message, subexpr",
+        [
+            ("1 + x1/(x2-1)", [1.0, 1.0], "division by zero", "x1/(x2-1)"),
+            ("2*log(x1-1)", [1.0], "log of a nonpositive value", "log(x1-1)"),
+            ("sqrt(x1) - 1", [-1.0], "sqrt of a negative value", "sqrt(x1)"),
+            ("x1^-2", [0.0], "zero base with a negative exponent", "x1^(-2)"),
+            ("x2 + x1^0.5", [-1.0, 0.0], "non-integer power of a nonpositive base", "x1^0.5"),
+            # left to right: the first failing operand is reported
+            ("log(x1) + 1/x2", [-1.0, 0.0], "log of a nonpositive value", "log(x1)"),
+            ("1/x2 + log(x1)", [-1.0, 0.0], "division by zero", "1/x2"),
+        ],
+    )
+    def test_domain_errors(self, source, x, message, subexpr):
+        ast = parse(source)
+        for fn in (eval_value, eval_grad):
+            with pytest.raises(DomainError) as err:
+                fn(ast, x)
+            assert str(err.value) == f"{message} in '{subexpr}'"
+            assert err.value.subexpr == parse(subexpr)
+
+    def test_sqrt_gradient_at_zero(self):
+        ast = parse("sqrt(x1)")
+        assert eval_value(ast, [0.0]) == 0.0
+        with pytest.raises(DomainError, match=r"^sqrt gradient at zero in 'sqrt\(x1\)'$"):
+            eval_grad(ast, [0.0])
+
+    def test_domain_error_on_any_index_entry(self):
+        with pytest.raises(DomainError, match="division by zero"):
+            eval_value(parse("x1/t"), [1.0], {"t": np.array([1.0, 0.0, 2.0])})
+
+    @pytest.mark.parametrize(
+        "node", [Var("1 + 1"), Var(0), BinOp("", Var(1), Var(1)), Call("tan", Var(1))]
+    )
+    def test_malformed_hand_built_node(self, node):
+        with pytest.raises(ExprError):
+            eval_value(node, [1.0])
+
+    def test_index_name_is_data_not_source(self):
+        name = "t) or (1"
+        assert eval_value(BinOp("*", IndexVar(name), Var(1)), [2.0], {name: 3.0}) == 6.0
+
+    def test_kernels_compile_lazily_and_die_with_the_ast(self):
+        ast = parse("t*x1 - x2^3")
+        eval_value(ast, [1.0, 2.0], {"t": 0.5})
+        assert set(vars(ast)["_kernels"]) == {(2, False)}
+        eval_grad(ast, [1.0, 2.0], {"t": 0.5})
+        kernels = [expr._kernel(ast, 2, False), expr._kernel(ast, 2, True)]
+        refs = [weakref.ref(obj) for obj in (ast, *kernels)]
+        del ast, kernels
+        assert [r() for r in refs] == [None, None, None]
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sp, node):
+    if isinstance(node, Const):
+        return sp.Float(node.value)
+    if isinstance(node, Var):
+        return sp.Symbol(f"x{node.position}")
+    if isinstance(node, IndexVar):
+        return sp.Symbol(node.name)
+    if isinstance(node, Neg):
+        return -_to_sympy(sp, node.child)
+    if isinstance(node, Call):
+        return getattr(sp, node.fn)(_to_sympy(sp, node.arg))
+    k = expr._int_exponent(node.right) if node.op == "^" else None
+    right = sp.Integer(k) if k is not None else _to_sympy(sp, node.right)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": operator.pow}
+    return ops[node.op](_to_sympy(sp, node.left), right)
+
+
+def _well_conditioned(ast, x, index):
+    """Every subexpression stays below 1e4 in size, and no log, sqrt,
+    divisor or power base comes within 1e-2 of zero, so double rounding
+    stays far below the tolerance of the comparison."""
+    for node in expr._subtrees(ast):
+        if abs(float(_reference(node, x, index)[0])) > 1e4:
+            return False
+        near = node.arg if isinstance(node, Call) and node.fn in ("log", "sqrt") else None
+        if isinstance(node, BinOp) and node.op in "/^":
+            near = node.right if node.op == "/" else node.left
+        if near is not None and abs(float(_reference(near, x, index)[0])) < 1e-2:
+            return False
+    return True
+
+
+GRID = [-1.5, -1.0, -0.5, 0.25, 0.5, 1.0, 1.5, 2.0]
+SMOOTH_ASTS = st.recursive(
+    st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]).map(Const), st.integers(1, 2).map(Var),
+              st.just(IndexVar("t"))),
+    lambda kids: st.one_of(
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "log", "sqrt"]), kids),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), kids, kids),
+        st.builds(lambda b, k: BinOp("^", b, _exponent(k)), kids, st.integers(-3, 4)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ast=SMOOTH_ASTS, points=st.lists(st.tuples(*[st.sampled_from(GRID)] * 3), min_size=4,
+                                        max_size=4))
+def test_kernels_match_sympy(sympy, ast, points):
+    sp = sympy
+    f = _to_sympy(sp, ast)
+    syms = [sp.Symbol(name) for name in ("x1", "x2", "t")]
+    exact = [f, sp.diff(f, syms[0]), sp.diff(f, syms[1])]
+    checked = 0
+    for x1, x2, t in points:
+        index = {"t": t}
+        try:
+            val, grad = eval_grad(ast, [x1, x2], index)
+        except DomainError:
+            continue
+        if not (np.all(np.isfinite(grad)) and _well_conditioned(ast, [x1, x2], index)):
+            continue
+        at = dict(zip(syms, (x1, x2, t)))
+        for e, got in zip(exact, [float(val), *grad]):
+            want = complex(e.evalf(30, subs=at))
+            assert want.imag == 0.0
+            assert abs(got - want.real) <= 1e-7 * max(1.0, abs(want.real)), (to_source(ast), at)
+        checked += 1
+    assume(checked)
