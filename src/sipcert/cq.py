@@ -117,7 +117,7 @@ def check_emfcq(
         return EmfcqResult(Verdict.FAILS, -math.inf, None, rank, m,
                            "equality Jacobian is not surjective")
     _, G = scan.generators(scan.grid() & (scan.value >= -act_tol))
-    res = linsolve.max_margin_direction(G, J.T if m else None)
+    res = linsolve.max_margin_direction(G, J.T)
     if res.margin > margin_tol:
         return EmfcqResult(Verdict.HOLDS, res.margin, res.direction, rank, m)
     return EmfcqResult(Verdict.FAILS, res.margin, res.direction, rank, m,
@@ -198,7 +198,7 @@ def check_pmfcq(
     if not surjective:
         return PmfcqResult(Verdict.FAILS, [], None, None, None, rank, m,
                            "equality Jacobian is not surjective")
-    H = J.T if m else None
+    H = J.T
     n_levels = scan.n_levels
     traces: list[EpsTrace] = []
     best_eps, best_margin, best_witness = None, None, None
@@ -338,7 +338,7 @@ def check_ssc(
     notes = []
     if x_hat is not None:
         x_hat = np.asarray(x_hat, dtype=float)
-        eq = float(np.max(np.abs(inst.eq_values(x_hat)))) if len(inst.equalities) else 0.0
+        eq = inst.eq_residual(x_hat)
         sup = _sup_inequalities(inst, x_hat)
         if eq <= 1e-9 and sup < -1e-9:
             return SscResult(Verdict.HOLDS, x_hat, sup)
@@ -346,11 +346,7 @@ def check_ssc(
 
     project = _affine_projector(inst)
     rng = np.random.default_rng(seed)
-    if inst.box is not None:
-        lo = np.array([b[0] for b in inst.box])
-        hi = np.array([b[1] for b in inst.box])
-    else:
-        lo, hi = -np.ones(inst.dim), np.ones(inst.dim)
+    lo, hi = inst.box_bounds()
     start_pts = [project(np.zeros(inst.dim))]
     for _ in range(starts - 1):
         start_pts.append(project(rng.uniform(lo, hi)))

@@ -1,16 +1,21 @@
 """Dense linear algebra and LP kernel.
 
-Everything the qualification checkers and cone queries need reduces to two
-patterns over a generator matrix G (columns are generators) and a lineality
-matrix H (columns span the subspace part):
+Every cone query is one elastic 1-norm LP, read three ways. Over a hull
+matrix F, a generator matrix G and a lineality matrix H (columns are
+vectors), ``_elastic_fit`` minimizes the 1-norm misfit of
+F w + G lam + H y to a right-hand side, with convex weights w, lam >= 0 and
+free y:
 
-* ``cone_feasibility``: is v in cone(G) + span(H)? Solved as an elastic
-  1-norm fit; the optimal duals of the same LP are a separating functional
-  when the answer is no.
-* ``max_margin_direction``: the best uniform negative margin of a direction
-  against all generators, inside the kernel of the equality Jacobian. Solved
-  through its dual so the row count stays at ambient-dimension scale even
-  with 10^4 generators.
+* ``cone_feasibility``: no hull part, right-hand side v. Zero misfit is a
+  certificate that v is in cone(G) + span(H); otherwise the optimal duals
+  are a separating functional.
+* ``hull_plus_cone_feasibility``: right-hand side 0. Zero misfit puts 0 in
+  co(F) + cone(G) + span(H); otherwise the duals separate 0 from that set.
+* ``max_margin_direction``: the hull fit with F = G and no cone part. By LP
+  duality its value is the best uniform margin of a direction against all
+  generators inside the kernel of H^T, and its duals are that direction, so
+  the row count stays at ambient-dimension scale even with 10^4 generators
+  (Goberna & Lopez, Linear Semi-Infinite Optimization, 1998).
 
 The simplex is a dense two-phase tableau; pivoting uses the steepest
 reduced cost with a permanent switch to Bland's lowest-index rule after a
@@ -137,7 +142,7 @@ def rank_nullspace(M: np.ndarray, tol: float = 1e-9):
 _RC_TOL = 1e-10
 
 
-def _simplex_standard(c, A, b, *, max_iter=None):
+def _simplex_standard(c, A, b):
     """min c.x s.t. A x = b, x >= 0 via a dense two-phase tableau.
 
     Returns (status, x, objective, dual). The dual vector y satisfies
@@ -154,8 +159,9 @@ def _simplex_standard(c, A, b, *, max_iter=None):
         return LpStatus.UNBOUNDED, None, None, None
 
     flip = b < 0
-    A = A.copy()
-    A[flip] *= -1.0
+    if flip.any():  # A itself is only read
+        A = A.copy()
+        A[flip] *= -1.0
     b[flip] *= -1.0
 
     # tableau [A | I | b]; the identity block tracks B^{-1}
@@ -164,8 +170,7 @@ def _simplex_standard(c, A, b, *, max_iter=None):
     basis = list(range(n, n + m))
     scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))))
     rc_tol = _RC_TOL * scale
-    if max_iter is None:
-        max_iter = 50 * (m + n) + 2000
+    max_iter = 50 * (m + n) + 2000
 
     def reduced_costs(cost, allowed):
         y = cost[basis] @ T[:, n : n + m]
@@ -173,11 +178,15 @@ def _simplex_standard(c, A, b, *, max_iter=None):
         r[~allowed] = np.inf
         return r, y
 
+    # one update buffer for every pivot, so a wide LP does not allocate and
+    # free a tableau-sized temporary per pivot
+    work = np.empty_like(T)
+
     def pivot(row, col):
         T[row] /= T[row, col]
         colvals = T[:, col].copy()
         colvals[row] = 0.0
-        T[:] -= np.outer(colvals, T[row])
+        T[:] -= np.multiply.outer(colvals, T[row], out=work)
         basis[row] = col
 
     # Entering rule: steepest reduced cost, falling back to Bland's
@@ -186,11 +195,11 @@ def _simplex_standard(c, A, b, *, max_iter=None):
     # from crawling through every generator column.
     stall_limit = 30 * (m + 1)
 
-    def run_phase(cost, allowed, iters):
+    def run_phase(cost, allowed):
         it = 0
         stall = 0
         bland = False
-        while it < iters:
+        while it < max_iter:
             it += 1
             r, y = reduced_costs(cost, allowed)
             candidates = np.flatnonzero(r < -rc_tol)
@@ -221,7 +230,7 @@ def _simplex_standard(c, A, b, *, max_iter=None):
     cost1 = np.zeros(total)
     cost1[n:] = 1.0
     allowed1 = np.ones(total, dtype=bool)
-    status, _ = run_phase(cost1, allowed1, max_iter)
+    status, _ = run_phase(cost1, allowed1)
     if status != LpStatus.OPTIMAL:
         # phase 1 is bounded below by zero, so anything else is a numerical breakdown
         return LpStatus.ITERATION_LIMIT, None, None, None
@@ -242,7 +251,7 @@ def _simplex_standard(c, A, b, *, max_iter=None):
     cost2 = np.concatenate([c, np.zeros(m)])
     allowed2 = np.ones(total, dtype=bool)
     allowed2[n:] = False  # artificials never re-enter
-    status, y = run_phase(cost2, allowed2, max_iter)
+    status, y = run_phase(cost2, allowed2)
     if status == LpStatus.ITERATION_LIMIT:
         return LpStatus.ITERATION_LIMIT, None, None, None
     if status == LpStatus.UNBOUNDED:
@@ -256,7 +265,7 @@ def _simplex_standard(c, A, b, *, max_iter=None):
     return LpStatus.OPTIMAL, x, float(c @ x), y
 
 
-def simplex_solve(p: LpProblem, max_iter: int | None = None) -> LpSolution:
+def simplex_solve(p: LpProblem) -> LpSolution:
     """Two-phase dense simplex for the bounded-variable problem.
 
     Finite lower bounds are shifted out; finite upper bounds become slack
@@ -314,7 +323,7 @@ def simplex_solve(p: LpProblem, max_iter: int | None = None) -> LpSolution:
         A3[m + srow, k + srow] = 1.0
     c3 = np.concatenate([c2, np.zeros(slack_count)])
 
-    status, z, obj, y = _simplex_standard(c3, A3, b3, max_iter=max_iter)
+    status, z, obj, y = _simplex_standard(c3, A3, b3)
     if status != LpStatus.OPTIMAL:
         dual = y[:m] if (status == LpStatus.INFEASIBLE and y is not None) else None
         return LpSolution(status=status, dual=dual)
@@ -334,31 +343,51 @@ def _as_columns(M, d):
     return M
 
 
+def _elastic_fit(F, G, H, v, what: str):
+    """The one elastic 1-norm LP behind every cone query:
+
+        min 1.(mu+ + mu-)  s.t.  F w + G lam + H (y+ - y-) + mu+ - mu- = v,
+                                 1.w = 1 (only when F has columns),
+                                 w, lam, y+, y-, mu+, mu- >= 0.
+
+    F, G, H hold columns of length d = len(v). Returns (w, lam, y, objective,
+    duals); duals[:d] is the functional on the fit rows and, with a hull
+    part, duals[d] the multiplier of the convexity row.
+    """
+    d = v.shape[0]
+    mf, mg, mh = F.shape[1], G.shape[1], H.shape[1]
+    rows = d + 1 if mf else d  # the convexity row comes last
+    A = np.empty((rows, mf + mg + 2 * mh + 2 * d))
+    np.concatenate([F, G, H, -H, np.eye(d), -np.eye(d)], axis=1, out=A[:d])
+    A[d:, :mf] = 1.0
+    A[d:, mf:] = 0.0
+    b = np.ones(rows)
+    b[:d] = v
+    c = np.concatenate([np.zeros(mf + mg + 2 * mh), np.ones(2 * d)])
+    status, z, obj, duals = _simplex_standard(c, A, b)
+    if status != LpStatus.OPTIMAL:
+        raise LpFailure(f"{what} LP ended with status {status.value}")
+    lam = z[mf : mf + mg]
+    y = z[mf + mg : mf + mg + mh] - z[mf + mg + mh : mf + mg + 2 * mh]
+    return z[:mf], lam, y, obj, duals
+
+
 def cone_feasibility(G, H, v, tol: float = 1e-9):
     """Decide v in cone(G) + span(H) up to tolerance.
 
     Feasible: FeasibilityCertificate with lam >= 0, free y, and
     |G lam + H y - v|_inf <= tol. Infeasible: ConeRefutation whose
-    separator a satisfies <a, v> > 0 >= <a, g_i>, <a, h_j> = 0, |a|_inf = 1.
+    separator a satisfies <a, v> > 0 >= <a, g_i>, <a, h_j> = 0, |a|_inf = 1;
+    it is the normalized dual of the elastic fit with no hull part.
     """
     v = np.asarray(v, dtype=float)
     d = v.shape[0]
     G = _as_columns(G, d)
     H = _as_columns(H, d)
-    mg, mh = G.shape[1], H.shape[1]
-
-    # min sum(mu+ + mu-) s.t. G lam + H(y+ - y-) + mu+ - mu- = v
-    A = np.hstack([G, H, -H, np.eye(d), -np.eye(d)])
-    c = np.concatenate([np.zeros(mg + 2 * mh), np.ones(2 * d)])
-    status, z, obj, y = _simplex_standard(c, A, v)
-    if status != LpStatus.OPTIMAL:
-        raise LpFailure(f"cone feasibility LP ended with status {status.value}")
+    _, lam, yy, obj, a = _elastic_fit(np.zeros((d, 0)), G, H, v, "cone feasibility")
     if obj <= max(tol, 1e-15):
-        lam = z[:mg]
-        yy = z[mg : mg + mh] - z[mg + mh : mg + 2 * mh]
         residual = float(np.max(np.abs(G @ lam + H @ yy - v))) if d else 0.0
         return FeasibilityCertificate(lam=lam, y=yy, residual=residual)
-    a = y
     peak = np.max(np.abs(a))
     if peak <= 0:
         raise LpFailure("degenerate separator from cone feasibility LP")
@@ -397,26 +426,9 @@ def hull_plus_cone_feasibility(F, G, H, tol: float = 1e-9):
         raise ValueError("hull part needs at least one column")
     G = _as_columns(G, d)
     H = _as_columns(H, d)
-    mf, mg, mh = F.shape[1], G.shape[1], H.shape[1]
-    A = np.zeros((d + 1, mf + mg + 2 * mh + 2 * d))
-    A[:d, :mf] = F
-    A[:d, mf : mf + mg] = G
-    A[:d, mf + mg : mf + mg + mh] = H
-    A[:d, mf + mg + mh : mf + mg + 2 * mh] = -H
-    A[:d, mf + mg + 2 * mh : mf + mg + 2 * mh + d] = np.eye(d)
-    A[:d, mf + mg + 2 * mh + d :] = -np.eye(d)
-    A[d, :mf] = 1.0
-    b = np.zeros(d + 1)
-    b[d] = 1.0
-    c = np.concatenate([np.zeros(mf + mg + 2 * mh), np.ones(2 * d)])
-    status, z, obj, y = _simplex_standard(c, A, b)
-    if status != LpStatus.OPTIMAL:
-        raise LpFailure(f"hull feasibility LP ended with status {status.value}")
+    w, lam, yy, obj, y = _elastic_fit(F, G, H, np.zeros(d), "hull feasibility")
     if obj <= max(tol, 1e-15):
-        w = z[:mf]
-        lam = z[mf : mf + mg]
-        yy = z[mf + mg : mf + mg + mh] - z[mf + mg + mh : mf + mg + 2 * mh]
-        recon = F @ w + (G @ lam if mg else 0.0) + (H @ yy if mh else 0.0)
+        recon = F @ w + G @ lam + H @ yy
         return HullFeasibility(weights=w, lam=lam, y=yy, residual=float(np.max(np.abs(recon))))
     a = y[:d]
     gap = float(y[d])
@@ -426,37 +438,21 @@ def hull_plus_cone_feasibility(F, G, H, tol: float = 1e-9):
     return HullRefutation(separator=a / peak, gap=gap / peak)
 
 
-def max_margin_direction(G, H, *, max_iter: int | None = None) -> MarginResult:
+def max_margin_direction(G, H) -> MarginResult:
     """Best uniform margin: max s with <g_i, x> <= -s for all generators,
-    H^T rows annihilated, and |x|_inf <= 1.
+    H^T x = 0, and |x|_inf <= 1.
 
-    Solved through the dual (rows = ambient dimension + 1); the primal
-    witness is recovered from the dual multipliers. With no generators the
-    margin is +inf and the witness is 0.
+    This LP is the dual of the hull fit of 0 by co(G) + span(H), i.e.
+    ``hull_plus_cone_feasibility(G, [], H)``: its optimal value is the margin
+    and its duals on the d fit rows are the witness x. So the row count stays
+    at ambient-dimension scale even with 10^4 generators. With no generators
+    the margin is +inf and the witness is 0.
     """
     G = np.asarray(G, dtype=float)
     if G.size == 0:
         d = G.shape[0] if G.ndim == 2 else 0
         return MarginResult(direction=np.zeros(d), margin=math.inf)
     G = np.atleast_2d(G)
-    d, mg = G.shape
-    H = _as_columns(H, d)
-    mh = H.shape[1]
-
-    # dual: min 1.(u+ + u-) s.t. G lam + H y + u+ - u- = 0, sum lam = 1
-    A = np.zeros((d + 1, mg + 2 * mh + 2 * d))
-    A[:d, :mg] = G
-    A[:d, mg : mg + mh] = H
-    A[:d, mg + mh : mg + 2 * mh] = -H
-    A[:d, mg + 2 * mh : mg + 2 * mh + d] = np.eye(d)
-    A[:d, mg + 2 * mh + d :] = -np.eye(d)
-    A[d, :mg] = 1.0
-    b = np.zeros(d + 1)
-    b[d] = 1.0
-    c = np.concatenate([np.zeros(mg + 2 * mh), np.ones(2 * d)])
-    status, z, obj, y = _simplex_standard(c, A, b, max_iter=max_iter)
-    if status != LpStatus.OPTIMAL:
-        raise LpFailure(f"margin LP ended with status {status.value}")
-    x = y[:d]
-    margin = float(obj)
-    return MarginResult(direction=x, margin=margin)
+    d = G.shape[0]
+    *_, obj, y = _elastic_fit(G, np.zeros((d, 0)), _as_columns(H, d), np.zeros(d), "margin")
+    return MarginResult(direction=y[:d], margin=float(obj))

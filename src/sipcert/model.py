@@ -155,6 +155,22 @@ class SipInstance:
             return np.zeros((0, self.dim))
         return np.vstack([ex.eval_grad(c, x)[1] for c in self.equalities.components])
 
+    def eq_residual(self, x) -> float:
+        """Largest absolute equality residual at x, 0 without equalities. A
+        NaN residual counts as +inf, as a NaN constraint value does in
+        ConstraintScan.argmax."""
+        if not self.equalities.components:
+            return 0.0
+        r = np.abs(self.eq_values(x))
+        return float(np.max(np.where(np.isnan(r), math.inf, r)))
+
+    def box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners of the declared box, [-1, 1]^dim without one."""
+        if self.box is None:
+            return -np.ones(self.dim), np.ones(self.dim)
+        lo, hi = np.array(self.box, dtype=float).T
+        return lo, hi
+
     def cost_value(self, x) -> float:
         if isinstance(self.cost, SmoothCost):
             return float(ex.eval_value(self.cost.body, x))
@@ -195,8 +211,6 @@ class FamilyTail:
     value_limit: float | None
     grad_limit: np.ndarray | None
     ray: np.ndarray | None
-    value_residual: float
-    ray_residual: float
     ok: bool
 
 
@@ -204,7 +218,6 @@ class FamilyTail:
 class FamilyScan:
     name: str
     block: int
-    descriptor: IndexSetDescriptor
     tails: list[FamilyTail]  # tails[k] summarizes the rows with ladder == k
     complete: bool
     declared_ray: np.ndarray | None = None
@@ -367,17 +380,14 @@ def _tail_ladders(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
         finite = np.isfinite(vals) & np.all(np.isfinite(grads), axis=1)
         params, ts, vals, grads = params[finite], ts[finite], vals[finite], grads[finite]
         if len(vals) < 2:
-            no_limit = FamilyTail(None, None, None, math.inf, math.inf, False)
+            no_limit = FamilyTail(None, None, None, False)
             out.append((params, ts, vals, grads, no_limit))
             continue
-        value_residual = abs(float(vals[-1] - vals[-2]))
         prev_dir, last_dir = unit_vectors(grads[-2:])
-        if np.isnan(prev_dir[0]) or np.isnan(last_dir[0]):
-            ray, ray_residual = None, math.inf
-        else:
-            ray, ray_residual = last_dir, float(np.linalg.norm(last_dir - prev_dir))
-        ok = value_residual <= 1e-6 and np.max(np.abs(grads[-1] - grads[-2])) <= 1e-6
-        summary = FamilyTail(float(vals[-1]), grads[-1], ray, value_residual, ray_residual, ok)
+        ray = None if np.isnan(prev_dir[0]) or np.isnan(last_dir[0]) else last_dir
+        ok = (abs(float(vals[-1] - vals[-2])) <= 1e-6
+              and np.max(np.abs(grads[-1] - grads[-2])) <= 1e-6)
+        summary = FamilyTail(float(vals[-1]), grads[-1], ray, ok)
         out.append((params, ts, vals, grads, summary))
     return out
 
@@ -493,7 +503,6 @@ def scan_constraints(
             FamilyScan(
                 name=fam.name,
                 block=block,
-                descriptor=desc,
                 tails=[summary for *_, summary in ladders],
                 complete=isinstance(desc, FiniteIndexSet),
                 declared_ray=declared,
@@ -543,7 +552,7 @@ def feasibility_check(
     best, row = scan.argmax(tail=tail)
     if row is None:
         best = 0.0
-    eq = float(np.max(np.abs(inst.eq_values(x)))) if len(inst.equalities) else 0.0
+    eq = inst.eq_residual(x)
     return FeasibilityResult(
         max_violation=best,
         eq_residual=eq,

@@ -163,8 +163,7 @@ def normal_cone(
     scan = scan or scan_constraints(inst, x)
     _require_feasible(inst, x, scan)
     cq = cq or cq_summary(inst, x, schedule, scan=scan)
-    J = inst.eq_jacobian(x)
-    lineality = J.T if J.size else np.zeros((inst.dim, 0))
+    lineality = inst.eq_jacobian(x).T
     warnings: list[str] = []
     valid = True
 
@@ -397,8 +396,7 @@ def verify_kkt(
     scan = scan or scan_constraints(inst, x)
     _require_feasible(inst, x, scan)
     labels, cols = scan.generators(scan.grid() & (scan.value >= -act_tol))
-    J = inst.eq_jacobian(x)
-    lineality = J.T if J.size else np.zeros((inst.dim, 0))
+    lineality = inst.eq_jacobian(x).T
     cone = GeneratedCone(inst.dim, labels, cols, lineality, limit_rays=[])
     return _stationarity(inst, x, cone, tol, "unperturbed-kkt")
 
@@ -526,8 +524,7 @@ def membership_residual_trace(
     for N in truncations:
         scan = scan_constraints(inst, x, truncation=int(N))
         labels, cols = scan.generators(scan.grid() & (scan.value >= -(eps + ACT_TOL)))
-        J = inst.eq_jacobian(x)
-        lineality = J.T if J.size else np.zeros((inst.dim, 0))
+        lineality = inst.eq_jacobian(x).T
         rays = _family_rays(scan, attained_dirs=cols.T if cols.size else None)
         cone = GeneratedCone(inst.dim, labels, cols, lineality,
                              _qualified_rays(rays, eps) if use_limit_rays else [])

@@ -97,20 +97,6 @@ def _constraint_for(inst: SipInstance, idx: IndexId) -> WorkingConstraint:
     return WorkingConstraint(idx.label, fam.body, fam.index_name, idx.value)
 
 
-def _box(inst: SipInstance):
-    if inst.box is not None:
-        lo = np.array([b[0] for b in inst.box])
-        hi = np.array([b[1] for b in inst.box])
-    else:
-        lo, hi = -np.ones(inst.dim), np.ones(inst.dim)
-    return lo, hi
-
-
-def _eq_residual(inst: SipInstance, x) -> float:
-    """Largest absolute equality residual at x; 0 without equalities."""
-    return max((abs(float(ex.eval_value(c, x))) for c in inst.equalities.components), default=0.0)
-
-
 def _penalty_value(inst, working, x, rho):
     val = inst.cost_value(x)
     for wc in working:
@@ -163,7 +149,7 @@ def _penalty_descent(inst, working, x0, config: SolverConfig):
             if not improved:
                 break
         viol = max((wc.value_grad(x)[0] for wc in working), default=0.0)
-        eq = _eq_residual(inst, x)
+        eq = inst.eq_residual(x)
         if max(viol, eq) <= config.violation_tol and rho > 1e4:
             break
         rho *= config.penalty_growth
@@ -202,6 +188,8 @@ def _polish(inst, working, x, config: SolverConfig):
     J = inst.eq_jacobian(x)
     rhs = -inst.cost_grad(x)
     M = np.hstack([G, J.T]) if m else G
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
+        return None
     if M.size:
         mult, *_ = np.linalg.lstsq(M, rhs, rcond=None)
         lam0, y0 = np.maximum(mult[:k], 0.0), mult[k:]
@@ -244,7 +232,7 @@ def _polish(inst, working, x, config: SolverConfig):
 
 
 def _solve_subproblem(inst, working, config, rng, warm):
-    lo, hi = _box(inst)
+    lo, hi = inst.box_bounds()
     starts = []
     if warm is not None:
         starts.append(warm.copy())
@@ -262,7 +250,7 @@ def _solve_subproblem(inst, working, config, rng, warm):
                 if pv <= max(xv, config.violation_tol):
                     x = polished
         viol = max((wc.value_grad(x)[0] for wc in working), default=0.0)
-        eq = _eq_residual(inst, x)
+        eq = inst.eq_residual(x)
         candidates.append((max(viol, eq), inst.cost_value(x), tuple(x), x))
     feasible = [c for c in candidates if c[0] <= config.violation_tol]
     pool = feasible or candidates
@@ -276,7 +264,7 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
     materialization is satisfied."""
     config = config or SolverConfig()
     rng = np.random.default_rng(config.seed)
-    lo, hi = _box(inst)
+    lo, hi = inst.box_bounds()
     center = 0.5 * (lo + hi)
 
     # seeds: every fixed constraint and the largest grid values of each family
@@ -302,7 +290,7 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
         warm = x
         scan = scan_constraints(inst, x)
         idx, viol = most_violated_index(inst, x, scan=scan)
-        eq = _eq_residual(inst, x)
+        eq = inst.eq_residual(x)
         total_viol = max(viol, eq)
         accepted = total_viol < best_viol - 1e-15 or best_x is None
         if accepted:

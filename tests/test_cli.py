@@ -8,6 +8,8 @@ import pytest
 from sipcert import model
 from sipcert.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER_LIMIT, EXIT_VALIDATION, main
 
+from test_solver import NAN_EQUALITY
+
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
 SCHEMA = ROOT / "docs" / "report_schema.json"
@@ -228,3 +230,14 @@ class TestSolveCommand:
         assert code in (EXIT_OK, EXIT_SOLVER_LIMIT)
         if code == EXIT_SOLVER_LIMIT:
             assert "iteration limit" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_polish_system_hits_limit(self, tmp_path, capsys):
+        # the polish's least-squares input is NaN here; LAPACK must not see it
+        path = tmp_path / "nan_equality.sip"
+        path.write_text(NAN_EQUALITY)
+        code, out, err = run_cli(["solve", str(path), "--max-iters=3", "--multistart=2"], capsys)
+        assert code == EXIT_SOLVER_LIMIT
+        assert "solver: iteration_limit after 3 iterations" in out
+        assert "equality residual inf" in out
+        assert "iteration limit" in err

@@ -7,9 +7,12 @@ import pytest
 from sipcert.linsolve import (
     ConeRefutation,
     FeasibilityCertificate,
+    HullFeasibility,
+    HullRefutation,
     LpProblem,
     LpStatus,
     cone_feasibility,
+    hull_plus_cone_feasibility,
     max_margin_direction,
     rank_nullspace,
     simplex_solve,
@@ -249,3 +252,172 @@ class TestMaxMargin:
         # x must satisfy x1 - x2 = 0, so best is x = (-1,-1), margin 1
         assert res.margin == pytest.approx(1.0, abs=1e-9)
         assert res.direction[0] == pytest.approx(res.direction[1], abs=1e-9)
+
+
+def check_hull_answer(out, F, G, H, tol=1e-9):
+    """Certificate or separator invariants of hull_plus_cone_feasibility."""
+    if isinstance(out, HullFeasibility):
+        assert np.all(out.weights >= -1e-12) and np.all(out.lam >= -1e-12)
+        assert np.sum(out.weights) == pytest.approx(1.0, abs=1e-9)
+        assert out.residual <= tol
+        assert np.max(np.abs(F @ out.weights + G @ out.lam + H @ out.y)) <= 1e-8
+    else:
+        assert isinstance(out, HullRefutation)
+        a = out.separator
+        assert np.max(np.abs(a)) == pytest.approx(1.0, abs=1e-12)
+        assert out.gap > tol
+        assert np.all(F.T @ a <= -out.gap + 1e-9)
+        assert np.all(G.T @ a <= 1e-9)
+        assert np.all(np.abs(H.T @ a) <= 1e-9)
+
+
+class TestHullPlusCone:
+    def test_zero_between_hull_points(self):
+        F = np.array([[1.0, -1.0], [0.0, 0.0]])
+        out = hull_plus_cone_feasibility(F, None, None)
+        assert isinstance(out, HullFeasibility)
+        np.testing.assert_allclose(out.weights, [0.5, 0.5], atol=1e-9)
+
+    def test_cone_part_closes_the_gap(self):
+        F = np.array([[1.0], [2.0]])
+        G = np.array([[-1.0], [-2.0]])
+        out = hull_plus_cone_feasibility(F, G, None)
+        assert isinstance(out, HullFeasibility)
+        assert out.lam[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_lineality_absorbs(self):
+        F = np.array([[1.0], [1.0]])
+        H = np.array([[2.0], [2.0]])
+        out = hull_plus_cone_feasibility(F, None, H)
+        assert isinstance(out, HullFeasibility)
+        assert out.y[0] == pytest.approx(-0.5, abs=1e-9)
+
+    def test_separated_hull_reports_its_gap(self):
+        # co{(1, 0), (2, 0)} + cone{(0, 1)} misses 0 by 1 along x1
+        F = np.array([[1.0, 2.0], [0.0, 0.0]])
+        G = np.array([[0.0], [1.0]])
+        out = hull_plus_cone_feasibility(F, G, None)
+        assert isinstance(out, HullRefutation)
+        np.testing.assert_allclose(out.separator, [-1.0, 0.0], atol=1e-9)
+        assert out.gap == pytest.approx(1.0, abs=1e-9)
+
+    def test_needs_a_hull_column(self):
+        with pytest.raises(ValueError):
+            hull_plus_cone_feasibility(np.zeros((2, 0)), np.eye(2), None)
+
+    def test_invariants_random(self):
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(60):
+            d = int(rng.integers(1, 5))
+            F = rng.normal(size=(d, int(rng.integers(1, 5))))
+            G = rng.normal(size=(d, int(rng.integers(0, 4))))
+            H = rng.normal(size=(d, int(rng.integers(0, 2))))
+            out = hull_plus_cone_feasibility(F, G, H)
+            check_hull_answer(out, F, G, H)
+            kinds.add(type(out))
+        assert kinds == {HullFeasibility, HullRefutation}
+
+
+@pytest.fixture(scope="module")
+def linprog():
+    return pytest.importorskip("scipy.optimize").linprog
+
+
+def highs_fit(linprog, F, G, H, v):
+    """Optimal min |F w + G lam + H y - v|_1 over convex w (when F has
+    columns), lam >= 0 and free y, by HiGHS in epigraph form: variables
+    (w, lam, y, t) with -t <= F w + G lam + H y - v <= t."""
+    d = len(v)
+    M = np.hstack([F, G, H])
+    k = M.shape[1]
+    eye = np.eye(d)
+    A_ub = np.block([[M, -eye], [-M, -eye]])
+    b_ub = np.concatenate([v, -v])
+    A_eq = b_eq = None
+    if F.shape[1]:
+        A_eq = np.concatenate([np.ones(F.shape[1]), np.zeros(k - F.shape[1] + d)])[None, :]
+        b_eq = [1.0]
+    bounds = [(0, None)] * (F.shape[1] + G.shape[1]) + [(None, None)] * H.shape[1] + [(0, None)] * d
+    c = np.concatenate([np.zeros(k), np.ones(d)])
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def highs_margin_primal(linprog, G, H):
+    """max s subject to G^T x + s <= 0, H^T x = 0, |x|_inf <= 1, by HiGHS."""
+    d, mg = G.shape
+    A_ub = np.hstack([G.T, np.ones((mg, 1))])
+    A_eq = np.hstack([H.T, np.zeros((H.shape[1], 1))]) if H.shape[1] else None
+    b_eq = np.zeros(H.shape[1]) if H.shape[1] else None
+    c = np.zeros(d + 1)
+    c[d] = -1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(mg), A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(-1, 1)] * d + [(None, None)], method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def random_cone_data(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 5))
+    F = rng.normal(size=(d, int(rng.integers(1, 5))))
+    G = rng.normal(size=(d, int(rng.integers(0, 6))))
+    H = rng.normal(size=(d, int(rng.integers(0, min(d, 3)))))
+    if seed % 2:
+        v = G @ rng.uniform(0, 2, G.shape[1]) + H @ rng.normal(size=H.shape[1])
+    else:
+        v = rng.normal(size=d)
+    return F, G, H, v
+
+
+ORACLE_SEEDS = range(80)
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-8 + 1e-7 * abs(b)
+
+
+class TestAgainstHighs:
+    """Differential oracle: every entry point against the same LP solved by
+    scipy's HiGHS in a different (epigraph) formulation."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_cone_feasibility(self, linprog, seed):
+        F, G, H, v = random_cone_data(seed)
+        best = highs_fit(linprog, np.zeros((len(v), 0)), G, H, v)
+        out = cone_feasibility(G, H, v)
+        if best <= 1e-9:
+            assert isinstance(out, FeasibilityCertificate)
+            assert out.residual <= 1e-8
+        else:
+            assert isinstance(out, ConeRefutation)
+            # the optimal dual is scaled to the box edge, so value = objective
+            assert close(out.value, best)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_hull_plus_cone(self, linprog, seed):
+        F, G, H, _ = random_cone_data(seed)
+        best = highs_fit(linprog, F, G, H, np.zeros(len(F)))
+        out = hull_plus_cone_feasibility(F, G, H)
+        check_hull_answer(out, F, G, H)
+        if best <= 1e-9:
+            assert isinstance(out, HullFeasibility)
+        else:
+            assert isinstance(out, HullRefutation)
+            assert close(out.gap, best)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_max_margin_duality(self, linprog, seed):
+        G, _, H, _ = random_cone_data(seed)  # the hull part has at least one column
+        fit = highs_fit(linprog, G, np.zeros((len(G), 0)), H, np.zeros(len(G)))
+        primal = highs_margin_primal(linprog, G, H)
+        assert close(primal, fit)
+        res = max_margin_direction(G, H)
+        assert close(res.margin, primal)
+        assert (res.margin > 1e-9) == (primal > 1e-9)
+        x = res.direction
+        assert np.max(np.abs(x)) <= 1.0 + 1e-12
+        assert np.all(G.T @ x <= -res.margin + 1e-9)
+        assert np.all(np.abs(H.T @ x) <= 1e-9)

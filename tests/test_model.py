@@ -143,6 +143,33 @@ class TestFeasibility:
         res = feasibility_check(inst, [0.0, 0.0])
         assert not res.feasible and res.eq_residual == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_equality_residual_is_infinite(self):
+        # exp(800) overflows and inf * 0 is NaN
+        inst = SipInstance(
+            dim=2,
+            cost=SmoothCost(ex.parse("x2")),
+            equalities=EqualityBlock((ex.parse("exp(x1)*0 + x2"),), names=("h",)),
+        )
+        assert math.isnan(inst.eq_values([800.0, 0.5])[0])
+        assert inst.eq_residual([800.0, 0.5]) == math.inf
+        res = feasibility_check(inst, [800.0, 0.5])
+        assert not res.feasible and res.eq_residual == math.inf
+        assert inst.eq_residual([1.0, -0.5]) == 0.5
+
+
+class TestBox:
+    def test_declared_box(self):
+        inst = loads_instance("[problem]\nvars = x1 x2\nminimize = x1\nbox = 800 900; -2 2\n")
+        lo, hi = inst.box_bounds()
+        np.testing.assert_array_equal(lo, [800.0, -2.0])
+        np.testing.assert_array_equal(hi, [900.0, 2.0])
+
+    def test_default_box(self):
+        lo, hi = loads_instance("[problem]\nvars = x1 x2\nminimize = x1\n").box_bounds()
+        np.testing.assert_array_equal(lo, [-1.0, -1.0])
+        np.testing.assert_array_equal(hi, [1.0, 1.0])
+
 
 class TestActiveSets:
     def test_countable_eps_active_matches_scan(self):

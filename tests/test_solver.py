@@ -12,6 +12,7 @@ from sipcert.model import (
     SmoothCost,
     feasibility_check,
     load_instance,
+    loads_instance,
 )
 from sipcert.optimality import verify_kkt
 from sipcert.solver import SolverConfig, most_violated_index, solve
@@ -19,6 +20,20 @@ from sipcert.solver import SolverConfig, most_violated_index, solve
 from test_model import countable_cubic, interval_ramp
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+# exp(x1) overflows on the whole box, so the equality residual is NaN
+# wherever the solver looks
+NAN_EQUALITY = """[problem]
+vars = x1 x2
+minimize = x2
+box = 800 900; -2 2
+
+[constraints]
+g = -x2 - 1
+
+[equalities]
+h = exp(x1)*0 + x2
+"""
 
 
 class TestMostViolated:
@@ -108,6 +123,14 @@ class TestSolve:
         # with a crippled budget on this instance the limit must be reported
         if trace.status == "converged":
             assert feasibility_check(inst, x).feasible
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_equality_residual_never_converges(self):
+        inst = loads_instance(NAN_EQUALITY)
+        x, trace = solve(inst, SolverConfig(multistart=2, max_outer=3, polish=False))
+        assert trace.status == "iteration_limit"
+        assert all(r.max_violation == math.inf for r in trace.records)
+        assert not feasibility_check(inst, x).feasible
 
     def test_convex_grid_search_oracle(self):
         inst = load_instance(INSTANCES / "convex_toy.sip")
