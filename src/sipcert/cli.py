@@ -34,7 +34,6 @@ from .model import (
     scan_constraints,
 )
 from .optimality import (
-    empirical_normal_cone_probe,
     convex_global_check,
     normal_cone,
     verify_kkt,
@@ -49,7 +48,9 @@ EXIT_SOLVER_LIMIT = 4
 EXIT_LP_FAILURE = 5
 
 
-def _vec(values) -> list[float]:
+def _vec(values) -> list[float] | None:
+    if values is None:
+        return None
     return [float(v) for v in np.asarray(values, dtype=float).ravel()]
 
 
@@ -58,7 +59,8 @@ def _verdict(v: Verdict) -> str:
 
 
 def _finite(x: float | None):
-    if x is None:
+    """A float for the JSON report: +-inf as "inf"/"-inf", NaN as null."""
+    if x is None or math.isnan(x):
         return None
     x = float(x)
     if math.isinf(x):
@@ -91,14 +93,14 @@ def _cq_section(rep) -> dict:
         "emfcq": {
             "verdict": _verdict(rep.emfcq.verdict),
             "margin": _finite(rep.emfcq.margin),
-            "witness": _vec(rep.emfcq.witness) if rep.emfcq.witness is not None else None,
+            "witness": _vec(rep.emfcq.witness),
             "reason": rep.emfcq.reason,
         },
         "pmfcq": {
             "verdict": _verdict(rep.pmfcq.verdict),
             "stabilized_eps": rep.pmfcq.stabilized_eps,
             "margin": _finite(rep.pmfcq.margin),
-            "witness": _vec(rep.pmfcq.witness) if rep.pmfcq.witness is not None else None,
+            "witness": _vec(rep.pmfcq.witness),
             "traces": [
                 {"eps": t.eps, "margins": [_finite(m) for m in t.margins], "status": t.status}
                 for t in rep.pmfcq.traces
@@ -109,15 +111,11 @@ def _cq_section(rep) -> dict:
             "verdict": _verdict(rep.nfmcq.verdict),
             "reason": rep.nfmcq.reason,
             "inequality_part_only": rep.nfmcq.inequality_part_only,
-            "witness_separator": (
-                _vec(rep.nfmcq.closedness.witness_separator)
-                if rep.nfmcq.closedness.witness_separator is not None
-                else None
-            ),
+            "witness_separator": _vec(rep.nfmcq.closedness.witness_separator),
         },
         "ssc": {
             "verdict": _verdict(rep.ssc.verdict),
-            "slater_point": _vec(rep.ssc.slater_point) if rep.ssc.slater_point is not None else None,
+            "slater_point": _vec(rep.ssc.slater_point),
             "sup_value": _finite(rep.ssc.sup_value),
             "reason": rep.ssc.reason,
         },
@@ -134,18 +132,14 @@ def _stationarity_section(report) -> dict:
             "lam": _vec(report.certificate.lam),
             "y": _vec(report.certificate.y),
             "residual": float(report.certificate.residual),
-            "cost_weights": (
-                _vec(report.certificate.cost_weights)
-                if report.certificate.cost_weights is not None
-                else None
-            ),
+            "cost_weights": _vec(report.certificate.cost_weights),
             "uses_limit_rays": report.certificate.uses_limit_rays,
         }
     return {
         "condition": report.condition,
         "outcome": report.outcome,
         "certificate": cert,
-        "separator": _vec(report.separator) if report.separator is not None else None,
+        "separator": _vec(report.separator),
         "eps_trace": [[eps, bool(flag)] for eps, flag in report.eps_trace],
         "global_optimal": report.global_optimal,
         "notes": list(report.notes),
@@ -153,10 +147,8 @@ def _stationarity_section(report) -> dict:
 
 
 def _normal_cone_section(inst, x, rep, dirs, scan) -> dict:
-    probes = []
-    for v in dirs:
-        ans = rep.member(v, tol=1e-6)
-        probes.append({"direction": _vec(v), "member": bool(ans.is_member)})
+    probes = [{"direction": _vec(v), "member": bool(rep.member(v, tol=1e-6).is_member)}
+              for v in dirs]
     return {
         "variant": rep.variant,
         "valid": rep.valid,
@@ -246,8 +238,8 @@ def build_report(
             "deterministic": bool(args.deterministic),
         },
         "feasibility": {
-            "max_violation": float(feas.max_violation),
-            "equality_residual": float(feas.eq_residual),
+            "max_violation": _finite(feas.max_violation),
+            "equality_residual": _finite(feas.eq_residual),
             "feasible": bool(feas.feasible),
             "worst_index": feas.worst.label if feas.worst else None,
         },
@@ -284,8 +276,8 @@ def build_report(
                 {
                     "working": list(r.working),
                     "x": _vec(r.x),
-                    "max_violation": float(r.max_violation),
-                    "cost": float(r.cost),
+                    "max_violation": _finite(r.max_violation),
+                    "cost": _finite(r.cost),
                     "accepted": bool(r.accepted),
                 }
                 for r in trace.records
@@ -303,8 +295,8 @@ def render_text(doc: dict) -> str:
     feas = doc["feasibility"]
     lines.append(
         f"feasible: {feas['feasible']} "
-        f"(max violation {feas['max_violation']:.3e}, equality residual "
-        f"{feas['equality_residual']:.3e})"
+        f"(max violation {float(feas['max_violation']):.3e}, equality residual "
+        f"{float(feas['equality_residual']):.3e})"
     )
     if "cq" in doc:
         cq = doc["cq"]
@@ -401,7 +393,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _emit(doc: dict, args) -> None:
     text = render_text(doc)
-    js = json.dumps(doc, indent=2, sort_keys=True)
+    js = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if args.report in ("text", "both"):
         sys.stdout.write(text)
     if args.report in ("json", "both"):

@@ -7,17 +7,18 @@ index variable bound at evaluation time. Supported operators: ``+ - * / ^``
 are propagated forward with dual numbers; the index variable is held
 constant.
 
-Evaluation runs compiled kernels. The first ``eval_value`` of an AST at
-dimension n lowers the tree once into a straight-line Python function, and
-the first ``eval_grad`` compiles a separate value-and-gradient kernel; later
-calls at that dimension only run them. A kernel performs the IEEE
-operations of the forward-mode dual recursion in its order, with the value
-and each partial as separate operands, and raises the same domain errors at
-the same points. It runs on Python floats for one point with scalar
-bindings, and broadcasts over numpy arrays bound to the index variable or
-over a batch of points, which is how whole index grids are scanned in one
-pass. Kernels are kept on the root node of the AST and freed with it;
-nothing is cached at module level.
+Evaluation runs compiled kernels. ``kernel(ast, n, grad)`` lowers the tree
+once, on first use, into a straight-line Python function for dimension n:
+the value kernel, or with ``grad`` a separate value-and-gradient kernel.
+``eval_value`` and ``eval_grad`` look the kernel up and run it; a caller
+that evaluates one expression many times, like the solver, looks it up once
+and calls it directly. A kernel performs the IEEE operations of the
+forward-mode dual recursion in its order, with the value and each partial as
+separate operands, and raises the same domain errors at the same points. It
+runs on Python floats for one point with scalar bindings, and broadcasts
+over numpy arrays bound to the index variable or over a batch of points,
+which is how whole index grids are scanned in one pass. Kernels are kept on
+the root node of the AST and freed with it; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -558,24 +559,21 @@ def _compile(ast: ExprAst, n: int, grad: bool):
     return namespace.pop("kernel")
 
 
-def _kernel(ast: ExprAst, n: int, grad: bool):
-    """The kernel of ``ast`` for dimension ``n``, compiled on first use.
-
+def kernel(ast: ExprAst, n: int, grad: bool):
+    """The compiled kernel of ``ast`` for dimension ``n``: the value kernel,
+    or with ``grad`` the value-and-gradient kernel. ``kernel(xs, env, ast)``
+    takes the n coordinates ``xs`` (``x.tolist()`` for one point) and the
+    index bindings, and returns the value, or ``(value, partials)``.
     Kernels live in the node's own ``__dict__`` (the dataclasses are frozen),
     so they are freed with the AST; they hold no reference back to it.
     """
-    kernels = ast.__dict__.setdefault("_kernels", {})
-    kernel = kernels.get((n, grad))
-    if kernel is None:
-        kernel = kernels[n, grad] = _compile(ast, n, grad)
-    return kernel
-
-
-def _check_x(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] > MAX_DIM:
+    if not 1 <= n <= MAX_DIM:
         raise ExprError(f"decision vector must have between 1 and {MAX_DIM} components")
-    return arr
+    kernels = ast.__dict__.setdefault("_kernels", {})
+    found = kernels.get((n, grad))
+    if found is None:
+        found = kernels[n, grad] = _compile(ast, n, grad)
+    return found
 
 
 def eval_value(ast: ExprAst, x, index: Bindings | None = None):
@@ -587,10 +585,10 @@ def eval_value(ast: ExprAst, x, index: Bindings | None = None):
     long as the AST lives. It runs on Python floats for a single ``x`` with
     scalar bindings, and on arrays otherwise.
     """
-    xa = _check_x(x)
-    kernel = _kernel(ast, xa.shape[-1], False)
+    xa = np.asarray(x, dtype=float)
+    run = kernel(ast, xa.shape[-1] if xa.ndim else 0, False)
     xs = xa.tolist() if xa.ndim == 1 else list(np.moveaxis(xa, -1, 0))
-    return kernel(xs, index or {}, ast)
+    return run(xs, index or {}, ast)
 
 
 def eval_grad(ast: ExprAst, x, index: Bindings | None = None):
@@ -601,11 +599,11 @@ def eval_grad(ast: ExprAst, x, index: Bindings | None = None):
     The value-and-gradient kernel for dimension n is compiled by the first
     call, apart from the value kernel, and lives on the AST like it.
     """
-    xa = _check_x(x)
+    xa = np.asarray(x, dtype=float)
     if xa.ndim != 1:
         raise ExprError("eval_grad expects a single decision vector")
     n = xa.shape[0]
-    val, partials = _kernel(ast, n, True)(xa.tolist(), index or {}, ast)
+    val, partials = kernel(ast, n, True)(xa.tolist(), index or {}, ast)
     val = np.asarray(val, dtype=float)
     if val.ndim == 0:
         return val, np.array(partials, dtype=float)

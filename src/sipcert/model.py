@@ -151,10 +151,10 @@ class SipInstance:
         return np.array([float(ex.eval_value(c, x)) for c in self.equalities.components])
 
     def eq_jacobian(self, x) -> np.ndarray:
-        if not self.equalities.components:
-            return np.zeros((0, self.dim))
-        return np.vstack([ex.eval_grad(c, x)[1] for c in self.equalities.components])
+        rows = [ex.eval_grad(c, x)[1] for c in self.equalities.components]
+        return np.array(rows, dtype=float).reshape(len(rows), self.dim)
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def eq_residual(self, x) -> float:
         """Largest absolute equality residual at x, 0 without equalities. A
         NaN residual counts as +inf, as a NaN constraint value does in
@@ -175,15 +175,6 @@ class SipInstance:
         if isinstance(self.cost, SmoothCost):
             return float(ex.eval_value(self.cost.body, x))
         return max(float(ex.eval_value(p, x)) for p in self.cost.pieces)
-
-    def cost_grad(self, x) -> np.ndarray:
-        """Gradient of a smooth cost; for a max-type cost, the gradient of the
-        first piece attaining the maximum (a valid subgradient)."""
-        if isinstance(self.cost, SmoothCost):
-            return ex.eval_grad(self.cost.body, x)[1]
-        vals = [float(ex.eval_value(p, x)) for p in self.cost.pieces]
-        best = int(np.argmax(vals))
-        return ex.eval_grad(self.cost.pieces[best], x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +437,7 @@ def _apply_overrides(desc, truncation, resolution, refinements):
     return desc
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def scan_constraints(
     inst: SipInstance,
     x,
@@ -458,7 +450,8 @@ def scan_constraints(
     """Evaluate every constraint at x: fixed constraints, family grids with
     refinement levels (interval grids refine around local maximizers of the
     constraint value), and tail ladders for truncated descriptors. Each index
-    is evaluated once."""
+    is evaluated once. Overflow and NaN raise no RuntimeWarning: a
+    non-finite value counts as a violation."""
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.dim,):
         raise InstanceError(f"point must have dimension {inst.dim}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -66,15 +67,40 @@ class SolverTrace:
 
 @dataclass(frozen=True)
 class WorkingConstraint:
-    label: str
-    body: ex.ExprAst
-    index_name: str | None = None
-    index_value: float | None = None
+    """A constraint with its kernels and index binding bound once; both take x.tolist()."""
 
-    def value_grad(self, x):
-        env = {self.index_name: self.index_value} if self.index_name else None
-        v, g = ex.eval_grad(self.body, x, env)
-        return float(v), np.asarray(g, dtype=float)
+    label: str
+    value: Callable[[list], float]
+    grad: Callable[[list], tuple[float, np.ndarray]]
+
+
+def _bind(label: str, body: ex.ExprAst, n: int, env: dict) -> WorkingConstraint:
+    value_kernel, grad_kernel = ex.kernel(body, n, False), ex.kernel(body, n, True)
+
+    def grad(xs):
+        v, partials = grad_kernel(xs, env, body)
+        return float(v), np.array(partials, dtype=float)
+
+    return WorkingConstraint(label, lambda xs: float(value_kernel(xs, env, body)), grad)
+
+
+class _Bound:
+    """An instance with its cost pieces (one for a smooth cost) and equality
+    components bound, once per solve()."""
+
+    def __init__(self, inst: SipInstance):
+        self.inst = inst
+        pieces = (inst.cost.body,) if isinstance(inst.cost, SmoothCost) else inst.cost.pieces
+        self.pieces = [_bind("cost", p, inst.dim, {}) for p in pieces]
+        self.eqs = [_bind("h", c, inst.dim, {}) for c in inst.equalities.components]
+
+    def cost(self, xs, grad: bool):
+        """(cost, gradient or None); a max-type cost takes the gradient of the
+        first piece attaining the maximum (a valid subgradient)."""
+        if grad and isinstance(self.inst.cost, SmoothCost):
+            return self.pieces[0].grad(xs)
+        vals = [p.value(xs) for p in self.pieces]
+        return max(vals), self.pieces[int(np.argmax(vals))].grad(xs)[1] if grad else None
 
 
 def most_violated_index(
@@ -91,47 +117,42 @@ def most_violated_index(
 
 def _constraint_for(inst: SipInstance, idx: IndexId) -> WorkingConstraint:
     if idx.family is None:
-        name, body = inst.fixed[idx.block]
-        return WorkingConstraint(idx.label, body)
+        return _bind(idx.label, inst.fixed[idx.block][1], inst.dim, {})
     fam = next(f for f, _ in inst.families if f.name == idx.family)
-    return WorkingConstraint(idx.label, fam.body, fam.index_name, idx.value)
+    return _bind(idx.label, fam.body, inst.dim, {fam.index_name: idx.value})
 
 
-def _penalty_value(inst, working, x, rho):
-    val = inst.cost_value(x)
+def _penalty(prob: _Bound, working, x, rho, grad: bool):
+    """Cost plus rho * v^2 for each violated working constraint and each
+    equality residual at x; with ``grad``, (value, gradient)."""
+    xs = x.tolist()
+    val, g = prob.cost(xs, grad)
     for wc in working:
-        env = {wc.index_name: wc.index_value} if wc.index_name else None
-        v = float(ex.eval_value(wc.body, x, env))
+        v, gv = wc.grad(xs) if grad else (wc.value(xs), None)
         if v > 0:
             val += rho * v * v
-    for comp in inst.equalities.components:
-        v = float(ex.eval_value(comp, x))
-        val += rho * v * v
-    return val
+            if grad:
+                g += 2.0 * rho * v * gv
+    for h in prob.eqs:
+        v, gv = h.grad(xs) if grad else (h.value(xs), None)
+        val += rho * v ** 2 if grad else rho * v * v  # each pass keeps its own rounding
+        if grad:
+            g += 2.0 * rho * v * gv
+    return (val, g) if grad else val
 
 
-def _penalty_value_grad(inst, working, x, rho):
-    val = inst.cost_value(x)
-    grad = inst.cost_grad(x).copy()
-    for wc in working:
-        v, g = wc.value_grad(x)
-        if v > 0:
-            val += rho * v * v
-            grad += 2.0 * rho * v * g
-    for comp in inst.equalities.components:
-        v, g = ex.eval_grad(comp, x)
-        val += rho * float(v) ** 2
-        grad += 2.0 * rho * float(v) * g
-    return val, grad
+def _max_violation(working, x) -> float:
+    xs = x.tolist()
+    return max((wc.value(xs) for wc in working), default=0.0)
 
 
-def _penalty_descent(inst, working, x0, config: SolverConfig):
+def _penalty_descent(prob: _Bound, working, x0, config: SolverConfig):
     x = x0.copy()
     rho = config.penalty0
     step = config.step0
     for _ in range(config.penalty_stages):
         for _ in range(config.max_inner):
-            val, grad = _penalty_value_grad(inst, working, x, rho)
+            val, grad = _penalty(prob, working, x, rho, True)
             gnorm = float(np.linalg.norm(grad))
             if gnorm <= 1e-10 * max(1.0, abs(val)):
                 break
@@ -140,7 +161,7 @@ def _penalty_descent(inst, working, x0, config: SolverConfig):
             improved = False
             for _ in range(40):
                 cand = x + t * d
-                if _penalty_value(inst, working, cand, rho) <= val - config.armijo * t * gnorm:
+                if _penalty(prob, working, cand, rho, False) <= val - config.armijo * t * gnorm:
                     x = cand
                     step = min(t * 1.5, config.step0)
                     improved = True
@@ -148,46 +169,46 @@ def _penalty_descent(inst, working, x0, config: SolverConfig):
                 t *= 0.5
             if not improved:
                 break
-        viol = max((wc.value_grad(x)[0] for wc in working), default=0.0)
-        eq = inst.eq_residual(x)
-        if max(viol, eq) <= config.violation_tol and rho > 1e4:
+        eq = prob.inst.eq_residual(x)
+        if max(_max_violation(working, x), eq) <= config.violation_tol and rho > 1e4:
             break
         rho *= config.penalty_growth
     return x
 
 
-def _polish(inst, working, x, config: SolverConfig):
+def _polish(prob: _Bound, working, x, config: SolverConfig):
     """Square Newton solve of the working-set stationarity system (gradients
     of the Lagrangian, near-active working constraints, equalities). The
     Hessian block comes from central differences of the analytic gradients."""
-    if not isinstance(inst.cost, SmoothCost):
+    if not isinstance(prob.inst.cost, SmoothCost):
         return None
-    n = inst.dim
-    near = [wc for wc in working if abs(wc.value_grad(x)[0]) <= 1e-4 * max(1.0, float(np.linalg.norm(x)))]
-    near = near[: max(0, n - len(inst.equalities))]
-    m = len(inst.equalities)
+    n, m, xs = len(x), len(prob.eqs), x.tolist()
+    near = [wc for wc in working if abs(wc.value(xs)) <= 1e-4 * max(1.0, float(np.linalg.norm(x)))]
+    near = near[: max(0, n - m)]
     k = len(near)
 
-    def lagr_grad(xx, lam, y):
-        g = inst.cost_grad(xx)
+    def jacobian_t(xs):
+        return np.vstack([h.grad(xs)[1] for h in prob.eqs]).T
+
+    def lagr_grad(xs, lam, y):
+        g = prob.cost(xs, True)[1]
         for lam_i, wc in zip(lam, near):
-            g = g + lam_i * wc.value_grad(xx)[1]
+            g = g + lam_i * wc.grad(xs)[1]
         if m:
-            g = g + inst.eq_jacobian(xx).T @ y
+            g = g + jacobian_t(xs) @ y
         return g
 
     def residual(z):
-        xx, lam, y = z[:n], z[n : n + k], z[n + k :]
-        parts = [lagr_grad(xx, lam, y)]
-        parts.append(np.array([wc.value_grad(xx)[0] for wc in near]))
+        xs, lam, y = z[:n].tolist(), z[n : n + k], z[n + k :]
+        parts = [lagr_grad(xs, lam, y)]
+        parts.append(np.array([wc.value(xs) for wc in near]))
         if m:
-            parts.append(inst.eq_values(xx))
+            parts.append(np.array([h.value(xs) for h in prob.eqs]))
         return np.concatenate([p for p in parts if len(p)])
 
-    G = np.column_stack([wc.value_grad(x)[1] for wc in near]) if k else np.zeros((n, 0))
-    J = inst.eq_jacobian(x)
-    rhs = -inst.cost_grad(x)
-    M = np.hstack([G, J.T]) if m else G
+    G = np.column_stack([wc.grad(xs)[1] for wc in near]) if k else np.zeros((n, 0))
+    rhs = -prob.cost(xs, True)[1]
+    M = np.hstack([G, jacobian_t(xs)]) if m else G
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         return None
     if M.size:
@@ -231,38 +252,34 @@ def _polish(inst, working, x, config: SolverConfig):
     return z[:n]
 
 
-def _solve_subproblem(inst, working, config, rng, warm):
-    lo, hi = inst.box_bounds()
-    starts = []
-    if warm is not None:
-        starts.append(warm.copy())
-    count = config.multistart if warm is None else 1
-    for _ in range(count):
-        starts.append(rng.uniform(lo, hi))
+def _solve_subproblem(prob: _Bound, working, config, rng, warm):
+    lo, hi = prob.inst.box_bounds()
+    starts = [] if warm is None else [warm.copy()]
+    starts += [rng.uniform(lo, hi) for _ in range(config.multistart if warm is None else 1)]
     candidates = []
     for s in starts:
-        x = _penalty_descent(inst, working, s, config)
+        x = _penalty_descent(prob, working, s, config)
         if config.polish:
-            polished = _polish(inst, working, x, config)
+            polished = _polish(prob, working, x, config)
             if polished is not None:
-                pv = max((wc.value_grad(polished)[0] for wc in working), default=0.0)
-                xv = max((wc.value_grad(x)[0] for wc in working), default=0.0)
-                if pv <= max(xv, config.violation_tol):
+                pv = _max_violation(working, polished)
+                if pv <= max(_max_violation(working, x), config.violation_tol):
                     x = polished
-        viol = max((wc.value_grad(x)[0] for wc in working), default=0.0)
-        eq = inst.eq_residual(x)
-        candidates.append((max(viol, eq), inst.cost_value(x), tuple(x), x))
+        viol = max(_max_violation(working, x), prob.inst.eq_residual(x))
+        candidates.append((viol, prob.inst.cost_value(x), tuple(x), x))
     feasible = [c for c in candidates if c[0] <= config.violation_tol]
     pool = feasible or candidates
     pool.sort(key=lambda c: (c[1], c[2]) if feasible else (c[0], c[1], c[2]))
     return pool[0][3]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve(inst: SipInstance, config: SolverConfig | None = None):
     """Exchange loop. Returns (candidate, trace); the trace status is
     'iteration_limit' when the outer budget runs out before the full
-    materialization is satisfied."""
+    materialization is satisfied. Non-finite values count as violations, silently."""
     config = config or SolverConfig()
+    prob = _Bound(inst)
     rng = np.random.default_rng(config.seed)
     lo, hi = inst.box_bounds()
     center = 0.5 * (lo + hi)
@@ -286,7 +303,7 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
     best_viol = math.inf
     warm = None
     for outer in range(config.max_outer):
-        x = _solve_subproblem(inst, working, config, rng, warm)
+        x = _solve_subproblem(prob, working, config, rng, warm)
         warm = x
         scan = scan_constraints(inst, x)
         idx, viol = most_violated_index(inst, x, scan=scan)

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sipcert
 from sipcert import model
 from sipcert.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER_LIMIT, EXIT_VALIDATION, main
 
@@ -97,6 +100,7 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert scan_calls == [None]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_truncation_reaches_feasibility_gate(self, scan_calls, tmp_path, capsys):
         # g(77) = 0.5 > 0: infeasible on the file's 10^4 indices, but 77 lies
         # beyond a truncation of 50 and off the tail ladder (100, 1000, ...)
@@ -231,7 +235,7 @@ class TestSolveCommand:
         if code == EXIT_SOLVER_LIMIT:
             assert "iteration limit" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_polish_system_hits_limit(self, tmp_path, capsys):
         # the polish's least-squares input is NaN here; LAPACK must not see it
         path = tmp_path / "nan_equality.sip"
@@ -241,3 +245,26 @@ class TestSolveCommand:
         assert "solver: iteration_limit after 3 iterations" in out
         assert "equality residual inf" in out
         assert "iteration limit" in err
+
+    def test_non_finite_report_is_strict_json(self, tmp_path):
+        # the infinite residuals reach the report as "inf" strings, never as
+        # bare Infinity tokens, and kernel overflow prints no RuntimeWarning
+        import jsonschema
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        path = tmp_path / "nan_equality.sip"
+        path.write_text(NAN_EQUALITY)
+        src = Path(sipcert.__file__).resolve().parent.parent
+        run = subprocess.run(
+            [sys.executable, "-m", "sipcert.cli", "solve", str(path), "--max-iters=3",
+             "--multistart=2", "--report=json", "--deterministic"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert run.returncode == EXIT_SOLVER_LIMIT
+        assert run.stderr == "error: solver hit its iteration limit\n"
+        doc = json.loads(run.stdout, parse_constant=reject)
+        jsonschema.validate(doc, json.loads(SCHEMA.read_text()))
+        assert doc["feasibility"]["equality_residual"] == "inf"
+        assert [r["max_violation"] for r in doc["solver"]["records"]] == ["inf"] * 3

@@ -444,7 +444,7 @@ class TestKernel:
         eval_value(ast, [1.0, 2.0], {"t": 0.5})
         assert set(vars(ast)["_kernels"]) == {(2, False)}
         eval_grad(ast, [1.0, 2.0], {"t": 0.5})
-        kernels = [expr._kernel(ast, 2, False), expr._kernel(ast, 2, True)]
+        kernels = [expr.kernel(ast, 2, False), expr.kernel(ast, 2, True)]
         refs = [weakref.ref(obj) for obj in (ast, *kernels)]
         del ast, kernels
         assert [r() for r in refs] == [None, None, None]

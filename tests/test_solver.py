@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from sipcert import expr as ex
+from sipcert import solver
 from sipcert.model import (
     ConstraintFamily,
     IntervalGridIndexSet,
     SipInstance,
     SmoothCost,
     feasibility_check,
+    scan_constraints,
     load_instance,
     loads_instance,
 )
@@ -33,6 +35,39 @@ g = -x2 - 1
 
 [equalities]
 h = exp(x1)*0 + x2
+"""
+
+# a max-type cost, an equality, a fixed constraint and an interval family, so
+# every term of the penalty is exercised
+MAX_COST = """[problem]
+vars = x1 x2 x3
+minimize_max = x1^2 + x2; x3 - x1; sin(x2)*x3
+box = -2 2; -2 2; -2 2
+
+[index t]
+kind = interval
+a = 0
+b = 1
+resolution = 17
+
+[constraints]
+f = x1 + x2 + x3 - 1
+g(t) = t*x1 - x2^3 + x3*t^2
+
+[equalities]
+h = x1*x2 - 2*x3 + 0.1
+"""
+
+# exp(x1) overflows on the whole box, so g is NaN (0 * inf) wherever the
+# solver looks, while f stays finite
+NAN_CONSTRAINT = """[problem]
+vars = x1 x2
+minimize = x2
+box = 800 900; -2 2
+
+[constraints]
+g = exp(x1)*0 + x2
+f = -x2 - 1
 """
 
 
@@ -124,7 +159,7 @@ class TestSolve:
         if trace.status == "converged":
             assert feasibility_check(inst, x).feasible
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_equality_residual_never_converges(self):
         inst = loads_instance(NAN_EQUALITY)
         x, trace = solve(inst, SolverConfig(multistart=2, max_outer=3, polish=False))
@@ -156,3 +191,87 @@ class TestSolve:
             assert trace.status == "iteration_limit"
             assert res.max_violation <= 1e-3
         np.testing.assert_allclose(x[0], -1.0, atol=1e-3)
+
+
+def _reference_penalty(inst, terms, x, rho):
+    """The penalty as the solver computed it through eval_value / eval_grad:
+    (value, value of the gradient pass, gradient). ``terms`` holds the
+    (body, index bindings) of the working constraints."""
+    val = inst.cost_value(x)
+    for body, env in terms:
+        v = float(ex.eval_value(body, x, env))
+        if v > 0:
+            val += rho * v * v
+    for comp in inst.equalities.components:
+        v = float(ex.eval_value(comp, x))
+        val += rho * v * v
+    gval = inst.cost_value(x)
+    if isinstance(inst.cost, SmoothCost):
+        grad = ex.eval_grad(inst.cost.body, x)[1].copy()
+    else:
+        vals = [float(ex.eval_value(p, x)) for p in inst.cost.pieces]
+        grad = ex.eval_grad(inst.cost.pieces[int(np.argmax(vals))], x)[1].copy()
+    for body, env in terms:
+        v, g = ex.eval_grad(body, x, env)
+        v, g = float(v), np.asarray(g, dtype=float)
+        if v > 0:
+            gval += rho * v * v
+            grad += 2.0 * rho * v * g
+    for comp in inst.equalities.components:
+        v, g = ex.eval_grad(comp, x)
+        gval += rho * float(v) ** 2
+        grad += 2.0 * rho * float(v) * g
+    return val, gval, grad
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+PENALTY_CASES = {
+    **{name: lambda name=name: load_instance(INSTANCES / f"{name}.sip")
+       for name in ("convex_toy", "countable_cubic", "interval_ramp", "parabola_band")},
+    "max_cost": lambda: loads_instance(MAX_COST),
+    "nan_constraint": lambda: loads_instance(NAN_CONSTRAINT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PENALTY_CASES))
+def test_bound_penalty_is_bit_identical_to_eval_path(name):
+    inst = PENALTY_CASES[name]()
+    lo, hi = inst.box_bounds()
+    scan = scan_constraints(inst, 0.5 * (lo + hi))
+    rows = np.unique(np.linspace(0, len(scan.value) - 1, 7).astype(int))
+    ids = [scan.index_id(int(r)) for r in rows]
+    working = [solver._constraint_for(inst, idx) for idx in ids]
+    terms = []
+    for idx in ids:
+        if idx.family is None:
+            terms.append((inst.fixed[idx.block][1], None))
+        else:
+            fam = next(f for f, _ in inst.families if f.name == idx.family)
+            terms.append((fam.body, {fam.index_name: idx.value}))
+    prob = solver._Bound(inst)
+    rng = np.random.default_rng(7)
+    violated = 0
+    for x in rng.uniform(lo, hi, size=(20, inst.dim)):
+        for rho in (10.0, 2.5e4):
+            with np.errstate(over="ignore", invalid="ignore"):  # as inside solve()
+                val, gval, grad = _reference_penalty(inst, terms, x, rho)
+                got_val = solver._penalty(prob, working, x, rho, False)
+                got_gval, got_grad = solver._penalty(prob, working, x, rho, True)
+            assert _bits(got_val) == _bits(val)
+            assert _bits(got_gval) == _bits(gval)
+            assert _bits(got_grad) == _bits(grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = [float(ex.eval_value(b, x, env)) for b, env in terms]
+        violated += any(v > 0 for v in values)
+    assert violated > 0
+    if name == "nan_constraint":
+        # g is NaN and never penalized (NaN > 0 is False); f = -x2 - 1 is
+        # violated only for x2 < -1
+        assert math.isnan(values[0])
+        x = np.array([850.0, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert solver._penalty(prob, working, x, 10.0, False) == 0.5
+            assert solver._penalty(prob, working, x, 10.0, True)[0] == 0.5
