@@ -147,8 +147,10 @@ def _stationarity_section(report) -> dict:
 
 
 def _normal_cone_section(inst, x, rep, dirs, scan) -> dict:
-    probes = [{"direction": _vec(v), "member": bool(rep.member(v, tol=1e-6).is_member)}
-              for v in dirs]
+    probes = []
+    for v in dirs:
+        ans = rep.member(v, tol=1e-6)
+        probes.append({"direction": _vec(v), "member": bool(ans.is_member)})
     return {
         "variant": rep.variant,
         "valid": rep.valid,

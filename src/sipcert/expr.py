@@ -643,6 +643,5 @@ def affine_coefficients(ast: ExprAst, n: int, index: Bindings | None = None):
     """For an expression affine in x, return (a, c) with value == <a, x> + c."""
     if not is_affine_in_x(ast):
         raise ExprError("expression is not affine in the decision variables")
-    c = float(eval_value(ast, np.zeros(n), index))
-    _, a = eval_grad(ast, np.zeros(n), index)
-    return a, c
+    c, a = eval_grad(ast, np.zeros(n), index)
+    return a, float(c)

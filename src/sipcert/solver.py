@@ -135,7 +135,7 @@ def _penalty(prob: _Bound, working, x, rho, grad: bool):
                 g += 2.0 * rho * v * gv
     for h in prob.eqs:
         v, gv = h.grad(xs) if grad else (h.value(xs), None)
-        val += rho * v ** 2 if grad else rho * v * v  # each pass keeps its own rounding
+        val += rho * v ** 2 if grad else rho * v * v  # kept: the passes round differently
         if grad:
             g += 2.0 * rho * v * gv
     return (val, g) if grad else val
@@ -305,8 +305,7 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
     for outer in range(config.max_outer):
         x = _solve_subproblem(prob, working, config, rng, warm)
         warm = x
-        scan = scan_constraints(inst, x)
-        idx, viol = most_violated_index(inst, x, scan=scan)
+        idx, viol = most_violated_index(inst, x)
         eq = inst.eq_residual(x)
         total_viol = max(viol, eq)
         accepted = total_viol < best_viol - 1e-15 or best_x is None
