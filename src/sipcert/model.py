@@ -154,14 +154,14 @@ class SipInstance:
         rows = [ex.eval_grad(c, x)[1] for c in self.equalities.components]
         return np.array(rows, dtype=float).reshape(len(rows), self.dim)
 
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def eq_residual(self, x) -> float:
         """Largest absolute equality residual at x, 0 without equalities. A
         NaN residual counts as +inf, as a NaN constraint value does in
         ConstraintScan.argmax."""
         if not self.equalities.components:
             return 0.0
-        r = np.abs(self.eq_values(x))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r = np.abs(self.eq_values(x))
         return float(np.max(np.where(np.isnan(r), math.inf, r)))
 
     def box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -437,7 +437,6 @@ def _apply_overrides(desc, truncation, resolution, refinements):
     return desc
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def scan_constraints(
     inst: SipInstance,
     x,
@@ -457,50 +456,51 @@ def scan_constraints(
         raise InstanceError(f"point must have dimension {inst.dim}")
     if not np.all(np.isfinite(x)):
         raise InstanceError("point must be finite")
-    # one segment of table columns per fixed constraint, family grid or ladder:
-    # (block, t, level, ladder, param, value, grad)
-    segments = [(0, np.zeros(0), 0, -1, 0.0, np.zeros(0), np.zeros((0, inst.dim)))]
-    for i, (_, body) in enumerate(inst.fixed):
-        v, g = ex.eval_grad(body, x)
-        segments.append((i, np.zeros(1), 0, -1, 0.0, np.array([float(v)]), g[None, :]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # one segment of table columns per fixed constraint, family grid or ladder:
+        # (block, t, level, ladder, param, value, grad)
+        segments = [(0, np.zeros(0), 0, -1, 0.0, np.zeros(0), np.zeros((0, inst.dim)))]
+        for i, (_, body) in enumerate(inst.fixed):
+            v, g = ex.eval_grad(body, x)
+            segments.append((i, np.zeros(1), 0, -1, 0.0, np.array([float(v)]), g[None, :]))
 
-    families = []
-    n_levels = 1
-    for pos, (fam, desc0) in enumerate(inst.families):
-        desc = _apply_overrides(desc0, truncation, resolution, refinements)
-        block = len(inst.fixed) + pos
-        ts = _base_grid(desc)
-        if len(ts) == 0:
-            raise InstanceError(f"family '{fam.name}' materializes to an empty index set")
-        vals, grads = _family_batch(fam, x, ts)
-        level = np.zeros(len(ts), dtype=int)
-        if isinstance(desc, IntervalGridIndexSet):
-            for k in range(1, desc.refinements + 1):
-                new = np.setdiff1d(_refine_once(desc, ts, vals), ts)
-                new_vals, new_grads = _family_batch(fam, x, new)
-                order = np.argsort(np.concatenate([ts, new]), kind="stable")
-                ts = np.concatenate([ts, new])[order]
-                vals = np.concatenate([vals, new_vals])[order]
-                grads = np.vstack([grads, new_grads])[order]
-                level = np.concatenate([level, np.full(len(new), k)])[order]
-            n_levels = max(n_levels, desc.refinements + 1)
-        segments.append((block, ts, level, -1, 0.0, vals, grads))
-        ladders = _tail_ladders(fam, desc, x) if tail else []
-        for k, (params, lts, lvals, lgrads, _) in enumerate(ladders):
-            segments.append((block, lts, 0, k, params, lvals, lgrads))
-        declared = None
-        if isinstance(desc, CountableIndexSet) and desc.limit_ray is not None:
-            v = np.asarray(desc.limit_ray, dtype=float)
-            declared = v / np.linalg.norm(v)
-        families.append(
-            FamilyScan(
-                name=fam.name,
-                block=block,
-                tails=[summary for *_, summary in ladders],
-                complete=isinstance(desc, FiniteIndexSet),
-                declared_ray=declared,
+        families = []
+        n_levels = 1
+        for pos, (fam, desc0) in enumerate(inst.families):
+            desc = _apply_overrides(desc0, truncation, resolution, refinements)
+            block = len(inst.fixed) + pos
+            ts = _base_grid(desc)
+            if len(ts) == 0:
+                raise InstanceError(f"family '{fam.name}' materializes to an empty index set")
+            vals, grads = _family_batch(fam, x, ts)
+            level = np.zeros(len(ts), dtype=int)
+            if isinstance(desc, IntervalGridIndexSet):
+                for k in range(1, desc.refinements + 1):
+                    new = np.setdiff1d(_refine_once(desc, ts, vals), ts)
+                    new_vals, new_grads = _family_batch(fam, x, new)
+                    order = np.argsort(np.concatenate([ts, new]), kind="stable")
+                    ts = np.concatenate([ts, new])[order]
+                    vals = np.concatenate([vals, new_vals])[order]
+                    grads = np.vstack([grads, new_grads])[order]
+                    level = np.concatenate([level, np.full(len(new), k)])[order]
+                n_levels = max(n_levels, desc.refinements + 1)
+            segments.append((block, ts, level, -1, 0.0, vals, grads))
+            ladders = _tail_ladders(fam, desc, x) if tail else []
+            for k, (params, lts, lvals, lgrads, _) in enumerate(ladders):
+                segments.append((block, lts, 0, k, params, lvals, lgrads))
+            declared = None
+            if isinstance(desc, CountableIndexSet) and desc.limit_ray is not None:
+                v = np.asarray(desc.limit_ray, dtype=float)
+                declared = v / np.linalg.norm(v)
+            families.append(
+                FamilyScan(
+                    name=fam.name,
+                    block=block,
+                    tails=[summary for *_, summary in ladders],
+                    complete=isinstance(desc, FiniteIndexSet),
+                    declared_ray=declared,
+                )
             )
-        )
     block, t, level, ladder, param, value = (
         np.concatenate([np.broadcast_to(seg[j], seg[1].shape) for seg in segments])
         for j in range(6)

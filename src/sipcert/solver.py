@@ -273,62 +273,62 @@ def _solve_subproblem(prob: _Bound, working, config, rng, warm):
     return pool[0][3]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve(inst: SipInstance, config: SolverConfig | None = None):
     """Exchange loop. Returns (candidate, trace); the trace status is
     'iteration_limit' when the outer budget runs out before the full
     materialization is satisfied. Non-finite values count as violations, silently."""
-    config = config or SolverConfig()
-    prob = _Bound(inst)
-    rng = np.random.default_rng(config.seed)
-    lo, hi = inst.box_bounds()
-    center = 0.5 * (lo + hi)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        config = config or SolverConfig()
+        prob = _Bound(inst)
+        rng = np.random.default_rng(config.seed)
+        lo, hi = inst.box_bounds()
+        center = 0.5 * (lo + hi)
 
-    # seeds: every fixed constraint and the largest grid values of each family
-    scan0 = scan_constraints(inst, center)
-    grid = np.flatnonzero(scan0.grid())
-    by_block = grid[np.lexsort((-scan0.value[grid], scan0.block[grid]))]
-    blocks = scan0.block[by_block]
-    rank = np.arange(len(blocks)) - np.searchsorted(blocks, blocks)
-    seeds = by_block[rank < max(2, config.initial_working // 2)]
-    seeds = seeds[np.argsort(-scan0.value[seeds], kind="stable")[: config.initial_working]]
-    working_ids: list[IndexId] = []
-    for idx in map(scan0.index_id, seeds):
-        if idx not in working_ids:
-            working_ids.append(idx)
-    working = [_constraint_for(inst, idx) for idx in working_ids]
+        # seeds: every fixed constraint and the largest grid values of each family
+        scan0 = scan_constraints(inst, center)
+        grid = np.flatnonzero(scan0.grid())
+        by_block = grid[np.lexsort((-scan0.value[grid], scan0.block[grid]))]
+        blocks = scan0.block[by_block]
+        rank = np.arange(len(blocks)) - np.searchsorted(blocks, blocks)
+        seeds = by_block[rank < max(2, config.initial_working // 2)]
+        seeds = seeds[np.argsort(-scan0.value[seeds], kind="stable")[: config.initial_working]]
+        working_ids: list[IndexId] = []
+        for idx in map(scan0.index_id, seeds):
+            if idx not in working_ids:
+                working_ids.append(idx)
+        working = [_constraint_for(inst, idx) for idx in working_ids]
 
-    trace = SolverTrace()
-    best_x = None
-    best_viol = math.inf
-    warm = None
-    for outer in range(config.max_outer):
-        x = _solve_subproblem(prob, working, config, rng, warm)
-        warm = x
-        idx, viol = most_violated_index(inst, x)
-        eq = inst.eq_residual(x)
-        total_viol = max(viol, eq)
-        accepted = total_viol < best_viol - 1e-15 or best_x is None
-        if accepted:
-            best_x, best_viol = x.copy(), total_viol
-        trace.records.append(
-            OuterRecord(
-                working=[w.label for w in working],
-                x=x.copy(),
-                max_violation=total_viol,
-                cost=inst.cost_value(x),
-                accepted=accepted,
+        trace = SolverTrace()
+        best_x = None
+        best_viol = math.inf
+        warm = None
+        for outer in range(config.max_outer):
+            x = _solve_subproblem(prob, working, config, rng, warm)
+            warm = x
+            idx, viol = most_violated_index(inst, x)
+            eq = inst.eq_residual(x)
+            total_viol = max(viol, eq)
+            accepted = total_viol < best_viol - 1e-15 or best_x is None
+            if accepted:
+                best_x, best_viol = x.copy(), total_viol
+            trace.records.append(
+                OuterRecord(
+                    working=[w.label for w in working],
+                    x=x.copy(),
+                    max_violation=total_viol,
+                    cost=inst.cost_value(x),
+                    accepted=accepted,
+                )
             )
-        )
-        if total_viol <= config.violation_tol:
-            trace.status = "converged"
-            return x, trace
-        if idx is not None and idx not in working_ids:
-            working_ids.append(idx)
-            working.append(_constraint_for(inst, idx))
-        else:
-            # the worst index is already in the working set; tighten the
-            # subproblem by restarting the penalty from the best candidate
-            warm = best_x
-    trace.status = "iteration_limit"
-    return (best_x if best_x is not None else warm), trace
+            if total_viol <= config.violation_tol:
+                trace.status = "converged"
+                return x, trace
+            if idx is not None and idx not in working_ids:
+                working_ids.append(idx)
+                working.append(_constraint_for(inst, idx))
+            else:
+                # the worst index is already in the working set; tighten the
+                # subproblem by restarting the penalty from the best candidate
+                warm = best_x
+        trace.status = "iteration_limit"
+        return (best_x if best_x is not None else warm), trace
