@@ -153,7 +153,7 @@ def _penalty_descent(prob: _Bound, working, x0, config: SolverConfig):
     for _ in range(config.penalty_stages):
         for _ in range(config.max_inner):
             val, grad = _penalty(prob, working, x, rho, True)
-            gnorm = float(np.linalg.norm(grad))
+            gnorm = math.sqrt(grad.dot(grad))  # np.linalg.norm of a 1-D array, without its overhead
             if gnorm <= 1e-10 * max(1.0, abs(val)):
                 break
             d = -grad / gnorm
