@@ -194,9 +194,10 @@ class TestSolve:
 
 
 def _reference_penalty(inst, terms, x, rho):
-    """The penalty as the solver computed it through eval_value / eval_grad:
-    (value, value of the gradient pass, gradient). ``terms`` holds the
-    (body, index bindings) of the working constraints."""
+    """Reference penalty from the public eval_value / eval_grad, term for term
+    in the order the solver must keep: (value, value of the gradient pass,
+    gradient). ``terms`` holds the (body, index bindings) of the working
+    constraints."""
     val = inst.cost_value(x)
     for body, env in terms:
         v = float(ex.eval_value(body, x, env))
