@@ -351,10 +351,30 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
 
 
 def _parse_schedule(text: str):
-    vals = tuple(float(p) for p in text.split(",") if p.strip())
-    if not vals or any(v <= 0 for v in vals):
-        raise InstanceError("eps schedule must be positive numbers")
+    try:
+        vals = tuple(float(p) for p in text.split(",") if p.strip())
+    except ValueError as err:
+        raise InstanceError(f"bad eps schedule {text!r}: {err}") from None
+    if not vals or not all(0 < v < math.inf for v in vals):
+        raise InstanceError("eps schedule must be finite positive numbers")
     return tuple(sorted(vals, reverse=True))
+
+
+# smallest value each integer option accepts; options a command lacks are skipped
+_OPTION_MINIMUM = {
+    "truncation": 0, "probe_dirs": 0, "moduli_samples": 1, "seed": 0,
+    "max_iters": 1, "multistart": 1,
+}
+
+
+def _check_options(args) -> None:
+    """Reject numeric options that no run can honour, before any work."""
+    if not 0 <= args.margin_tol < math.inf:
+        raise InstanceError("--margin-tol must be a finite nonnegative number")
+    for name, low in _OPTION_MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise InstanceError(f"--{name.replace('_', '-')} must be at least {low}")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -408,9 +428,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        path = Path(args.instance)
-        instance_text = path.read_text(encoding="utf-8")
-        inst = load_instance(path)
+        _check_options(args)
         args.eps_schedule = (
             _parse_schedule(args.eps_schedule) if args.eps_schedule else EPS_SCHEDULE
         )
@@ -418,6 +436,9 @@ def main(argv=None) -> int:
         for v in args.variants:
             if v not in ("perturbed", "unperturbed", "normalized"):
                 raise InstanceError(f"unknown variant {v!r}")
+        path = Path(args.instance)
+        instance_text = path.read_text(encoding="utf-8")
+        inst = load_instance(path)
     except (OSError, InstanceError, ex.ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -18,11 +18,10 @@ import numpy as np
 
 from . import linsolve
 from .cones import Closedness, ClosednessVerdict, accumulation_rays, augmented_generators
-from .model import ConstraintScan, FamilyScan, SipInstance, scan_constraints
+from .model import ACT_TOL, ConstraintScan, FamilyScan, SipInstance, scan_constraints
 
 EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
 MARGIN_TOL = 1e-6
-ACT_TOL = 1e-9
 
 _DECAY_RATIO = 0.9
 _STABLE_RATIO = 0.75
@@ -105,7 +104,6 @@ def check_emfcq(
     x,
     *,
     margin_tol: float = MARGIN_TOL,
-    act_tol: float = ACT_TOL,
     scan: ConstraintScan | None = None,
 ) -> EmfcqResult:
     """Surjectivity of the equality Jacobian plus a direction in its kernel
@@ -116,7 +114,7 @@ def check_emfcq(
     if not surjective:
         return EmfcqResult(Verdict.FAILS, -math.inf, None, rank, m,
                            "equality Jacobian is not surjective")
-    _, G = scan.generators(scan.grid() & (scan.value >= -act_tol))
+    _, G = scan.generators(scan.active())
     res = linsolve.max_margin_direction(G, J.T)
     if res.margin > margin_tol:
         return EmfcqResult(Verdict.HOLDS, res.margin, res.direction, rank, m)
@@ -138,7 +136,7 @@ def _value_resolution(vals: np.ndarray) -> float:
     return abs(float(vals[i - 1] - 2.0 * vals[i] + vals[i + 1])) / 4.0
 
 
-def _family_censored(scan: ConstraintScan, fam: FamilyScan, eps: float, act_tol: float) -> bool:
+def _family_censored(scan: ConstraintScan, fam: FamilyScan, eps: float) -> bool:
     """The eps-activity structure of the family is not resolved by the
     materialization at this eps: either the set is eps-active only beyond the
     truncation (tail ladders), or the grid's value resolution around an
@@ -146,7 +144,7 @@ def _family_censored(scan: ConstraintScan, fam: FamilyScan, eps: float, act_tol:
     censored eps must not count as a stable hold."""
     vals = scan.value[scan.grid(block=fam.block)]
     m_star = float(np.max(vals)) if len(vals) else -math.inf
-    has_member = m_star >= -(eps + act_tol)
+    has_member = m_star >= -(eps + ACT_TOL)
     if not has_member:
         for tl in fam.tails:
             if tl.ok and tl.value_limit is not None and tl.value_limit >= -(eps + 1e-12):
@@ -181,7 +179,6 @@ def check_pmfcq(
     eps_schedule=EPS_SCHEDULE,
     *,
     margin_tol: float = MARGIN_TOL,
-    act_tol: float = ACT_TOL,
     scan: ConstraintScan | None = None,
 ) -> PmfcqResult:
     """Margin of the best direction against the eps-active gradients, traced
@@ -203,13 +200,13 @@ def check_pmfcq(
     traces: list[EpsTrace] = []
     best_eps, best_margin, best_witness = None, None, None
     for eps in eps_schedule:
-        if any(_family_censored(scan, fam, eps, act_tol) for fam in scan.families):
+        if any(_family_censored(scan, fam, eps) for fam in scan.families):
             traces.append(EpsTrace(eps, [], "censored"))
             continue
         margins = []
         witness = None
         for level in range(n_levels):
-            _, G = scan.generators(scan.grid(level) & (scan.value >= -(eps + act_tol)))
+            _, G = scan.generators(scan.active(eps, level=level))
             res = linsolve.max_margin_direction(G, H)
             margins.append(res.margin)
             witness = res.direction

@@ -29,6 +29,7 @@ DEFAULT_TRUNCATION = 10_000
 DEFAULT_RESOLUTION = 257
 DEFAULT_REFINEMENTS = 4
 FEAS_TOL = 1e-9
+ACT_TOL = 1e-9  # slack under which a constraint value still counts as active
 
 
 class InstanceError(ValueError):
@@ -261,6 +262,14 @@ class ConstraintScan:
         if block is not None:
             mask &= self.block == block
         return mask
+
+    def active(
+        self, eps: float = 0.0, *, level: int | None = None, normalized: bool = False
+    ) -> np.ndarray:
+        """The one activity rule: grid rows up to `level` whose value is >= -(eps
+        + ACT_TOL), or >= -(eps * |grad| + ACT_TOL) when normalized."""
+        scale = np.linalg.norm(self.grad, axis=1) if normalized else 1.0
+        return self.grid(level) & (self.value >= -(eps * scale + ACT_TOL))
 
     def label(self, row: int) -> str:
         b = int(self.block[row])
@@ -567,7 +576,6 @@ class ActiveSetReport:
 
     point: np.ndarray
     eps: float
-    act_tol: float
     scan: ConstraintScan
     active_rows: np.ndarray
     eps_active_rows: np.ndarray
@@ -597,10 +605,9 @@ def active_set(
     x,
     eps: float = 0.0,
     *,
-    act_tol: float = FEAS_TOL,
     scan: ConstraintScan | None = None,
 ) -> ActiveSetReport:
-    """Exact active set (values within act_tol of zero), the eps-active set
+    """Exact active set (values within ACT_TOL of zero), the eps-active set
     (values >= -eps), and the gradient-normalized eps-active set
     (values >= -eps * |grad|), over the finest grid."""
     if eps < 0:
@@ -611,11 +618,10 @@ def active_set(
     return ActiveSetReport(
         point=scan.x,
         eps=eps,
-        act_tol=act_tol,
         scan=scan,
-        active_rows=np.flatnonzero(grid & (scan.value >= -act_tol)),
-        eps_active_rows=np.flatnonzero(grid & (scan.value >= -(eps + act_tol))),
-        normalized_rows=np.flatnonzero(grid & (scan.value >= -(eps * norms + act_tol))),
+        active_rows=np.flatnonzero(scan.active()),
+        eps_active_rows=np.flatnonzero(scan.active(eps)),
+        normalized_rows=np.flatnonzero(scan.active(eps, normalized=True)),
         grad_norm_bound=float(np.max(norms[grid])) if grid.any() else 0.0,
         grad_norm_min=float(np.min(norms[grid])) if grid.any() else 0.0,
     )
@@ -746,6 +752,19 @@ def _parse_bool(text: str, line: int) -> bool:
     raise InstanceError(f"expected a boolean, got {text!r}", line)
 
 
+def _parse_numbers(text: str, line: int, count: int | None = None) -> tuple[float, ...]:
+    """Whitespace-separated finite numbers, exactly `count` of them if given."""
+    try:
+        vals = tuple(float(v) for v in text.split())
+    except ValueError as err:
+        raise InstanceError(f"bad number: {err}", line) from None
+    if count is not None and len(vals) != count:
+        raise InstanceError(f"expected {count} number(s), got {len(vals)}", line)
+    if not all(math.isfinite(v) for v in vals):
+        raise InstanceError(f"non-finite number in {text.strip()!r}", line)
+    return vals
+
+
 def _parse_expr(text: str, line: int) -> ex.ExprAst:
     try:
         return ex.parse(text)
@@ -833,10 +852,7 @@ def loads_instance(text: str, origin: str = "<string>") -> SipInstance:
         src, ln = problem["box"]
         ranges = []
         for part in src.split(";"):
-            nums = part.split()
-            if len(nums) != 2:
-                raise InstanceError("each box range needs two numbers", ln)
-            lo, hi = float(nums[0]), float(nums[1])
+            lo, hi = _parse_numbers(part, ln, 2)
             if not lo < hi:
                 raise InstanceError("box range needs lower < upper", ln)
             ranges.append((lo, hi))
@@ -849,31 +865,41 @@ def loads_instance(text: str, origin: str = "<string>") -> SipInstance:
         def get(key, default=None):
             return sec.get(key, (default, line))[0]
 
+        def number(key, default):
+            return _parse_numbers(*sec.get(key, (default, line)), 1)[0]
+
         kind = get("kind")
         if kind is None:
             raise InstanceError(f"[index {name}] must declare 'kind'", line)
         try:
             if kind == "finite":
-                vals = get("values")
-                if vals is None:
+                if "values" not in sec:
                     raise InstanceError(f"[index {name}] needs 'values'", line)
-                return FiniteIndexSet(tuple(float(v) for v in vals.split()))
+                return FiniteIndexSet(_parse_numbers(*sec["values"]))
             if kind == "countable":
-                ray = get("limit_ray")
+                ray = None
+                if "limit_ray" in sec:
+                    ray = _parse_numbers(*sec["limit_ray"], dim)
+                    if not any(ray):
+                        raise InstanceError("limit_ray must be nonzero", sec["limit_ray"][1])
                 return CountableIndexSet(
                     start=int(get("start", "0")),
                     truncation=int(get("truncation", str(DEFAULT_TRUNCATION))),
-                    limit_ray=tuple(float(v) for v in ray.split()) if ray else None,
+                    limit_ray=ray,
                 )
             if kind == "interval":
                 return IntervalGridIndexSet(
-                    lower=float(get("a", "0")),
-                    upper=float(get("b", "1")),
+                    lower=number("a", "0"),
+                    upper=number("b", "1"),
                     include_lower=_parse_bool(get("include_a", "true"), line),
                     include_upper=_parse_bool(get("include_b", "true"), line),
                     resolution=int(get("resolution", str(DEFAULT_RESOLUTION))),
                     refinements=int(get("refinements", str(DEFAULT_REFINEMENTS))),
                 )
+        except InstanceError as err:
+            if err.line is None:
+                raise InstanceError(f"[index {name}]: {err}", line) from err
+            raise
         except (ValueError, TypeError) as err:
             raise InstanceError(f"[index {name}]: {err}", line) from err
         raise InstanceError(f"[index {name}] has unknown kind {kind!r}", line)

@@ -2,10 +2,12 @@
 
 The intersection over eps > 0 behind the perturbed representations is
 realized finitely: one cone per scheduled eps, each augmented with the limit
-rays whose generating trajectories stay eps-active in the limit, and
-membership in the intersection proxy means membership at every scheduled
-eps. This is a semidecision and is reported as such whenever the
-qualification hypotheses behind a representation do not hold.
+rays whose generating trajectories stay eps-active in the limit. As eps
+shrinks, both the eps-active generators and the qualified rays shrink, so
+the scheduled cones are nested and their intersection is the smallest-eps
+cone; membership is decided there alone. This is a semidecision and is
+reported as such whenever the qualification hypotheses behind a
+representation do not hold.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .cones import (
     membership,
     reduce_support,
 )
-from .cq import ACT_TOL, EPS_SCHEDULE, CqReport, Verdict, cq_summary
+from .cq import EPS_SCHEDULE, CqReport, Verdict, cq_summary
 from .linsolve import (
     ConeRefutation,
     FeasibilityCertificate,
@@ -52,7 +54,6 @@ class MembershipAnswer:
     is_member: bool
     certificate: FeasibilityCertificate | None = None
     refutation: ConeRefutation | None = None
-    eps: float | None = None  # the eps where membership failed, if any
 
 
 @dataclass
@@ -60,27 +61,19 @@ class NormalConeRep:
     point: np.ndarray
     variant: str  # perturbed | unperturbed | normalized
     per_eps: list[tuple[float, GeneratedCone]]
-    cone: GeneratedCone  # unperturbed cone, or the stabilized representative
+    cone: GeneratedCone  # unperturbed cone, or the smallest-eps cone
     valid: bool
     warnings: list[str] = field(default_factory=list)
     regular: bool | None = None
 
     def member(self, v, tol: float = 1e-6, use_limit_rays: bool = True) -> MembershipAnswer:
-        """Perturbed/normalized variants: membership must hold at every
-        scheduled eps (the intersection proxy). Unperturbed: one cone."""
-        v = np.asarray(v, dtype=float)
-        if self.variant == "unperturbed":
-            out = membership(self.cone, v, tol, use_limit_rays)
-            if isinstance(out, FeasibilityCertificate):
-                return MembershipAnswer(True, certificate=out)
-            return MembershipAnswer(False, refutation=out)
-        answer = None
-        for eps, cone in self.per_eps:
-            out = membership(cone, v, tol, use_limit_rays)
-            if isinstance(out, ConeRefutation):
-                return MembershipAnswer(False, refutation=out, eps=eps)
-            answer = out
-        return MembershipAnswer(True, certificate=answer)
+        """Membership in `cone`. For the perturbed and normalized variants
+        the scheduled cones are nested, so the smallest-eps cone is their
+        intersection and no other eps can change the answer."""
+        out = membership(self.cone, np.asarray(v, dtype=float), tol, use_limit_rays)
+        if isinstance(out, FeasibilityCertificate):
+            return MembershipAnswer(True, certificate=out)
+        return MembershipAnswer(False, refutation=out)
 
 
 @dataclass
@@ -135,8 +128,9 @@ def _family_rays(scan: ConstraintScan, attained_dirs) -> list[Ray]:
     return out
 
 
-def _qualified_rays(rays: list[Ray], threshold: float) -> list[Ray]:
-    return [r for r in rays if r.value_limit is not None and r.value_limit >= -threshold]
+def _qualified_rays(rays: list[Ray], eps: float) -> list[Ray]:
+    """The rays whose trajectory value limit stays eps-active."""
+    return [r for r in rays if r.value_limit is not None and r.value_limit >= -(eps + 1e-12)]
 
 
 def normal_cone(
@@ -148,7 +142,6 @@ def normal_cone(
     scan: ConstraintScan | None = None,
     cq: CqReport | None = None,
     moduli: UniformityModuli | None = None,
-    act_tol: float = ACT_TOL,
 ) -> NormalConeRep:
     """Finite representation of the normal cone to the feasible set at x.
 
@@ -167,26 +160,20 @@ def normal_cone(
     warnings: list[str] = []
     valid = True
 
-    grid = scan.grid()
-    rays = _family_rays(scan, attained_dirs=scan.grad[grid] if grid.any() else None)
-
     regular = None
     if moduli is not None and len(moduli.r_est):
         regular = bool(moduli.r_est[0] <= max(1e-2, 0.05 * moduli.r_est[-1]))
 
     if variant == "unperturbed":
-        labels, cols = scan.generators(grid & (scan.value >= -act_tol))
+        labels, cols = scan.generators(scan.active())
         cone = GeneratedCone(inst.dim, labels, cols, lineality, limit_rays=[])
         compact_t = all(
             isinstance(d, FiniteIndexSet)
             or (isinstance(d, IntervalGridIndexSet) and d.include_lower and d.include_upper)
             for _, d in inst.families
         )
-        if cq.nfmcq.verdict == Verdict.HOLDS and cq.pmfcq.verdict == Verdict.HOLDS:
-            pass
-        elif compact_t and cq.pmfcq.verdict == Verdict.HOLDS:
-            pass
-        else:
+        closed = cq.nfmcq.verdict == Verdict.HOLDS or compact_t
+        if not (closed and cq.pmfcq.verdict == Verdict.HOLDS):
             valid = False
             warnings.append(
                 "unperturbed representation not guaranteed: needs a closed augmented "
@@ -195,31 +182,23 @@ def normal_cone(
             )
         return NormalConeRep(x, variant, [], cone, valid, warnings, regular)
 
-    norms = np.linalg.norm(scan.grad, axis=1)
+    grid = scan.grid()
+    rays = _family_rays(scan, attained_dirs=scan.grad[grid] if grid.any() else None)
     per_eps: list[tuple[float, GeneratedCone]] = []
     for eps in sorted(schedule, reverse=True):
-        if variant == "perturbed":
-            labels, cols = scan.generators(grid & (scan.value >= -(eps + act_tol)))
-            eps_rays = _qualified_rays(rays, eps + 1e-12)
-        else:
-            labels, cols = scan.generators(grid & (scan.value >= -(eps * norms + act_tol)))
-            eps_rays = [
-                r
-                for r in rays
-                if r.value_limit is not None and r.value_limit >= -(eps + 1e-12)
-            ]
-        per_eps.append((eps, GeneratedCone(inst.dim, labels, cols, lineality, eps_rays)))
+        labels, cols = scan.generators(scan.active(eps, normalized=variant == "normalized"))
+        cone = GeneratedCone(inst.dim, labels, cols, lineality, _qualified_rays(rays, eps))
+        per_eps.append((eps, cone))
     if cq.pmfcq.verdict != Verdict.HOLDS:
         valid = False
         warnings.append(
             "perturbed representation not guaranteed: the perturbed margin criterion "
             "does not hold at this point"
         )
-    if variant == "normalized" and np.any(norms[grid] < 1e-12):
+    if variant == "normalized" and np.any(np.linalg.norm(scan.grad[grid], axis=1) < 1e-12):
         warnings.append("some gradients vanish; normalized activity is ill-scaled for them")
-    # stabilized representative: the smallest-eps generator set plus rays
-    cone = per_eps[-1][1]
-    return NormalConeRep(x, variant, per_eps, cone, valid, warnings, regular)
+    # the scheduled cones are nested, so the smallest-eps one is their intersection
+    return NormalConeRep(x, variant, per_eps, per_eps[-1][1], valid, warnings, regular)
 
 
 @dataclass
@@ -349,7 +328,7 @@ def _certificate_from_hull(out: HullFeasibility, cone: GeneratedCone, G, F) -> K
         y=y,
         residual=float(np.max(np.abs(recon))),
         cost_weights=out.weights if len(out.weights) > 1 else None,
-        uses_limit_rays=any("ray" in s for s in support),
+        uses_limit_rays=bool(np.any(support_idx >= cone.generators.shape[1])),
     )
 
 
@@ -383,7 +362,6 @@ def verify_kkt(
     tol: float = 1e-9,
     *,
     scan: ConstraintScan | None = None,
-    act_tol: float = ACT_TOL,
 ) -> StationarityReport:
     """Multiplier certificate for stationarity over the exactly-active
     gradients, or a separating functional refuting it.
@@ -395,7 +373,7 @@ def verify_kkt(
     x = np.asarray(x, dtype=float)
     scan = scan or scan_constraints(inst, x)
     _require_feasible(inst, x, scan)
-    labels, cols = scan.generators(scan.grid() & (scan.value >= -act_tol))
+    labels, cols = scan.generators(scan.active())
     lineality = inst.eq_jacobian(x).T
     cone = GeneratedCone(inst.dim, labels, cols, lineality, limit_rays=[])
     return _stationarity(inst, x, cone, tol, "unperturbed-kkt")
@@ -413,8 +391,6 @@ def verify_perturbed_stationarity(
     """Stationarity against the eps-active cones for every scheduled eps,
     limit rays included (the finite proxy for the intersection over eps)."""
     x = np.asarray(x, dtype=float)
-    scan = scan or scan_constraints(inst, x)
-    _require_feasible(inst, x, scan)
     rep = normal_cone(inst, x, schedule, "perturbed", scan=scan, cq=cq)
     trace: list[tuple[float, bool]] = []
     last = None
@@ -523,7 +499,7 @@ def membership_residual_trace(
     out = []
     for N in truncations:
         scan = scan_constraints(inst, x, truncation=int(N))
-        labels, cols = scan.generators(scan.grid() & (scan.value >= -(eps + ACT_TOL)))
+        labels, cols = scan.generators(scan.active(eps))
         lineality = inst.eq_jacobian(x).T
         rays = _family_rays(scan, attained_dirs=cols.T if cols.size else None)
         cone = GeneratedCone(inst.dim, labels, cols, lineality,

@@ -121,6 +121,31 @@ class TestAnalyze:
         assert scan_calls == [None, 50]
 
 
+BAD_OPTIONS = [
+    ("analyze", "--eps-schedule=nan"),
+    ("analyze", "--eps-schedule=inf,0.1"),
+    ("analyze", "--margin-tol=nan"),
+    ("analyze", "--margin-tol=-1e-6"),
+    ("analyze", "--moduli-samples=0"),
+    ("analyze", "--probe-dirs=-3"),
+    ("analyze", "--truncation=-5"),
+    ("analyze", "--seed=-1"),
+    ("solve", "--max-iters=0"),
+    ("solve", "--multistart=0"),
+]
+
+
+@pytest.mark.parametrize("command,option", BAD_OPTIONS)
+def test_bad_numeric_option_is_validation_error(command, option, capsys):
+    argv = [command, str(INSTANCES / "convex_toy.sip"), option]
+    if command == "analyze":
+        argv.append("--point=-0.5,-0.5")
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestJsonReport:
     def test_schema_validates(self, tmp_path, capsys):
         import jsonschema

@@ -94,3 +94,40 @@ def test_nan_constraint_point_exits_infeasible(tmp_path, capsys):
         code = main(["analyze", str(path), "--point=1,0"])
     assert code == EXIT_INFEASIBLE
     assert "at g" in capsys.readouterr().err
+
+
+def _instance(problem_extra: str = "", index: str = "", constraint: str = "g = -x1 - 1") -> str:
+    return (
+        "[problem]\nvars = x1 x2\nminimize = x1 + x2\n" + problem_extra
+        + index + "[constraints]\n" + constraint + "\n"
+    )
+
+
+FAMILY = "g(t) = -x1 - 1 + 0*t"
+BAD_NUMBERS = {
+    "infinite box": (_instance("box = -inf inf ; -1 1\n"), 4),
+    "nan in finite values": (_instance(index="[index t]\nkind = finite\nvalues = 0 nan 1\n",
+                                       constraint=FAMILY), 6),
+    "inf in finite values": (_instance(index="[index t]\nkind = finite\nvalues = 0 inf\n",
+                                       constraint=FAMILY), 6),
+    "infinite interval end": (_instance(index="[index t]\nkind = interval\na = -inf\n",
+                                        constraint=FAMILY), 6),
+    "limit ray of the wrong length": (
+        _instance(index="[index t]\nkind = countable\nstart = 1\nlimit_ray = 0 -1 5\n",
+                  constraint=FAMILY), 7),
+    "zero limit ray": (
+        _instance(index="[index t]\nkind = countable\nstart = 1\nlimit_ray = 0 0\n",
+                  constraint=FAMILY), 7),
+}
+
+
+@pytest.mark.parametrize("text,line", BAD_NUMBERS.values(), ids=list(BAD_NUMBERS))
+def test_bad_number_in_instance_rejected_with_its_line(text, line, tmp_path, capsys):
+    with pytest.raises(InstanceError) as err:
+        loads_instance(text)
+    assert err.value.line == line
+    path = tmp_path / "bad.sip"
+    path.write_text(text)
+    for argv in (["analyze", str(path), "--point=-1,-1"], ["solve", str(path)]):
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.endswith(f"(line {line})\n")

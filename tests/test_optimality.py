@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from sipcert import expr as ex
+from sipcert.cli import probe_directions
+from sipcert.cones import membership
 from sipcert.cq import Verdict, cq_summary
+from sipcert.linsolve import FeasibilityCertificate
 from sipcert.model import (
     ConstraintFamily,
     CountableIndexSet,
@@ -36,6 +39,24 @@ COMPASS = [
     np.array([math.cos(2 * math.pi * k / 16), math.sin(2 * math.pi * k / 16)])
     for k in range(16)
 ]
+
+# the bundled instances at the points of their golden reports
+GOLDEN_POINTS = {
+    "countable_cubic": (-1.0, 0.0),
+    "interval_ramp": (-1.0, 0.0),
+    "parabola_band": (0.0, 1.0),
+    "convex_toy": (-0.5, -0.5),
+}
+
+nested_cases = pytest.mark.parametrize(
+    "name,variant",
+    [(name, variant) for name in GOLDEN_POINTS for variant in ("perturbed", "normalized")],
+)
+
+
+def golden_cone(name, variant):
+    inst = load_instance(INSTANCES / f"{name}.sip")
+    return inst, normal_cone(inst, np.array(GOLDEN_POINTS[name]), variant=variant)
 
 
 def convex_toy():
@@ -78,14 +99,25 @@ class TestNormalCone:
         # (0,-1) is a true normal but the emitted cone refuses it
         assert not rep.member(np.array([0.0, -1.0]), tol=1e-6).is_member
 
-    def test_generator_sets_nested_in_eps(self):
-        inst = countable_cubic()
-        rep = normal_cone(inst, XBAR, variant="perturbed")
-        sizes = [cone.generators.shape[1] for _, cone in rep.per_eps]
-        assert sizes == sorted(sizes, reverse=True)
-        labels_small = set(rep.per_eps[-1][1].labels)
-        labels_large = set(rep.per_eps[0][1].labels)
-        assert labels_small <= labels_large
+    @nested_cases
+    def test_generator_sets_nested_in_eps(self, name, variant):
+        _, rep = golden_cone(name, variant)
+        assert rep.cone is rep.per_eps[-1][1]
+        for (eps, big), (small_eps, small) in zip(rep.per_eps, rep.per_eps[1:]):
+            assert small_eps < eps
+            assert set(small.labels) <= set(big.labels)
+            assert {r.label for r in small.limit_rays} <= {r.label for r in big.limit_rays}
+
+    @nested_cases
+    def test_member_matches_every_eps_loop(self, name, variant):
+        # the reference asks every scheduled cone; the smallest must agree
+        inst, rep = golden_cone(name, variant)
+        for v in probe_directions(inst.dim, 16, 0):
+            every_eps = all(
+                isinstance(membership(cone, v, 1e-6), FeasibilityCertificate)
+                for _, cone in rep.per_eps
+            )
+            assert rep.member(v, tol=1e-6).is_member == every_eps
 
     def test_regular_flag_from_moduli(self):
         inst = countable_cubic(truncation=200)
@@ -144,6 +176,23 @@ class TestVerifyKkt:
         assert cert.support == ["g1"]
         assert cert.lam[0] == pytest.approx(1.0, abs=1e-9)
         assert cert.residual <= 1e-9
+
+    def test_ray_free_certificate_with_ray_in_labels(self):
+        # constraint names that contain "ray" do not make a certificate use a limit ray
+        inst = loads_instance(
+            "[problem]\nvars = x1 x2\nminimize = x1 + x2\nconvex = true\n"
+            "[constraints]\ngray1 = -x1 - 1\ngray2 = -x2 - 1\n"
+        )
+        x = np.array([-1.0, -1.0])
+        reports = [
+            verify_kkt(inst, x),
+            verify_perturbed_stationarity(inst, x),
+            convex_global_check(inst, x),
+        ]
+        for report in reports:
+            assert report.outcome == "certificate"
+            assert sorted(report.certificate.support) == ["gray1", "gray2"]
+            assert not report.certificate.uses_limit_rays
 
     def test_unconstrained_minimum(self):
         inst = SipInstance(dim=1, cost=SmoothCost(ex.parse("x1^2")))
