@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import expr as ex
-from .cq import EPS_SCHEDULE, MARGIN_TOL, Verdict, cq_summary
+from .cq import EPS_SCHEDULE, MARGIN_TOL, cq_summary
 from .linsolve import LpFailure
 from .model import (
     ConstraintScan,
@@ -52,10 +52,6 @@ def _vec(values) -> list[float] | None:
     if values is None:
         return None
     return [float(v) for v in np.asarray(values, dtype=float).ravel()]
-
-
-def _verdict(v: Verdict) -> str:
-    return v.value
 
 
 def _finite(x: float | None):
@@ -91,13 +87,13 @@ def probe_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
 def _cq_section(rep) -> dict:
     return {
         "emfcq": {
-            "verdict": _verdict(rep.emfcq.verdict),
+            "verdict": rep.emfcq.verdict.value,
             "margin": _finite(rep.emfcq.margin),
             "witness": _vec(rep.emfcq.witness),
             "reason": rep.emfcq.reason,
         },
         "pmfcq": {
-            "verdict": _verdict(rep.pmfcq.verdict),
+            "verdict": rep.pmfcq.verdict.value,
             "stabilized_eps": rep.pmfcq.stabilized_eps,
             "margin": _finite(rep.pmfcq.margin),
             "witness": _vec(rep.pmfcq.witness),
@@ -108,13 +104,13 @@ def _cq_section(rep) -> dict:
             "reason": rep.pmfcq.reason,
         },
         "nfmcq": {
-            "verdict": _verdict(rep.nfmcq.verdict),
+            "verdict": rep.nfmcq.verdict.value,
             "reason": rep.nfmcq.reason,
             "inequality_part_only": rep.nfmcq.inequality_part_only,
             "witness_separator": _vec(rep.nfmcq.closedness.witness_separator),
         },
         "ssc": {
-            "verdict": _verdict(rep.ssc.verdict),
+            "verdict": rep.ssc.verdict.value,
             "slater_point": _vec(rep.ssc.slater_point),
             "sup_value": _finite(rep.ssc.sup_value),
             "reason": rep.ssc.reason,
@@ -146,7 +142,7 @@ def _stationarity_section(report) -> dict:
     }
 
 
-def _normal_cone_section(inst, x, rep, dirs, scan) -> dict:
+def _normal_cone_section(rep, dirs) -> dict:
     probes = []
     for v in dirs:
         ans = rep.member(v, tol=1e-6)
@@ -203,7 +199,7 @@ def build_report(
             rep = normal_cone(
                 inst, x, args.eps_schedule, variant, scan=scan, cq=cq, moduli=moduli
             )
-            cones.append(_normal_cone_section(inst, x, rep, dirs, scan))
+            cones.append(_normal_cone_section(rep, dirs))
         stationarity = [
             _stationarity_section(verify_kkt(inst, x, scan=scan)),
             _stationarity_section(

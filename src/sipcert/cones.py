@@ -52,7 +52,6 @@ class GeneratedCone:
     generators: np.ndarray  # (dim, m), columns are generators
     lineality: np.ndarray  # (dim, k), columns span the subspace part
     limit_rays: list[Ray] = field(default_factory=list)
-    closedness: ClosednessVerdict | None = None
 
     def __post_init__(self):
         self.generators = np.asarray(self.generators, dtype=float).reshape(self.dim, -1)
@@ -138,27 +137,24 @@ def reduce_support(G, H, lam, y):
     return lam, y
 
 
-def accumulation_rays(
-    samples,
-    hints=None,
-    *,
-    theta_tol: float = 1e-3,
-    k_tail: int = 16,
-    residual_tol: float = 1e-6,
-    attained_dirs=None,
-    attain_tol: float = 1e-9,
-):
+THETA_TOL = 1e-3
+K_TAIL = 16
+RESIDUAL_TOL = 1e-6
+ATTAIN_TOL = 1e-9
+
+
+def accumulation_rays(samples, hints=None, *, attained_dirs=None):
     """Limit directions of an indexed gradient sequence.
 
     ``samples`` is a sequence of (parameter, vector) pairs with parameter
     decreasing to 0 along the tail. Declared hints pass through. Otherwise
-    the normalized tail is Richardson-extrapolated pairwise and the estimates
-    clustered at angular tolerance ``theta_tol``; only clusters whose tail
-    estimates agree to ``residual_tol`` survive. Returns (rays, ok); an
-    inconclusive extrapolation gives ([], False).
+    the last K_TAIL normalized samples are Richardson-extrapolated pairwise
+    and the estimates clustered at angular tolerance THETA_TOL; only clusters
+    whose tail estimates agree to RESIDUAL_TOL survive. Returns (rays, ok);
+    an inconclusive extrapolation gives ([], False).
 
     A ray is attained when its unit direction lies within chord distance
-    ``attain_tol`` of the unit direction of a row of ``attained_dirs`` (the
+    ATTAIN_TOL of the unit direction of a row of ``attained_dirs`` (the
     directions the materialized generator set actually realizes). Tail
     samples approach the limit by construction, so they are a poor
     attainment reference and are used only when ``attained_dirs`` is None.
@@ -174,14 +170,14 @@ def accumulation_rays(
     ref = ref[~np.isnan(ref[:, 0])]
 
     def is_attained(direction) -> bool:
-        return bool(np.any(np.linalg.norm(ref - direction, axis=1) <= attain_tol))
+        return bool(np.any(np.linalg.norm(ref - direction, axis=1) <= ATTAIN_TOL))
 
     if hints:
         for hv in unit_vectors(hints):
             if not np.isnan(hv[0]):
                 rays.append(Ray(hv, "declared", is_attained(hv), label="declared-ray"))
         return rays, True
-    s, u = params[-k_tail:], units[-k_tail:]
+    s, u = params[-K_TAIL:], units[-K_TAIL:]
     if len(s) < 2:
         return [], False
     step = s[:-1] > s[1:]
@@ -193,7 +189,7 @@ def accumulation_rays(
     clusters: list[list[np.ndarray]] = []
     for est in estimates:
         for cl in clusters:
-            if _angle(est, cl[0]) <= theta_tol:
+            if _angle(est, cl[0]) <= THETA_TOL:
                 cl.append(est)
                 break
         else:
@@ -210,7 +206,7 @@ def accumulation_rays(
             # an uncorroborated single estimate only counts if the raw tail
             # already sits on it
             resid = _angle(cl[0], units[-1])
-        if resid > residual_tol:
+        if resid > RESIDUAL_TOL:
             continue
         rays.append(Ray(rep, "extrapolated", is_attained(rep), label=f"limit-ray-{ci}"))
     if not rays:
@@ -243,6 +239,7 @@ def augmented_generators(inst: SipInstance, x, scan: ConstraintScan | None = Non
 
 NORM_RATIO_CAP = 1e3
 NORM_FLOOR = 1e-6
+CLOSEDNESS_TOL = 1e-9
 
 
 def closedness_diagnostic(
@@ -251,7 +248,6 @@ def closedness_diagnostic(
     *,
     complete: bool,
     extrapolation_ok: bool = True,
-    tol: float = 1e-9,
 ) -> ClosednessVerdict:
     """Three-way closedness verdict for cone(generators).
 
@@ -268,10 +264,10 @@ def closedness_diagnostic(
         return ClosednessVerdict(Closedness.CLOSED, "complete finite generator set; polyhedral cone")
     for ray in rays:
         # an attained ray passes this membership test trivially, so no gate
-        out = linsolve.cone_feasibility(G, None, ray.direction, tol)
+        out = linsolve.cone_feasibility(G, None, ray.direction, CLOSEDNESS_TOL)
         if isinstance(out, ConeRefutation):
             a = out.separator
-            if a @ ray.direction > tol and np.all(G.T @ a <= tol):
+            if a @ ray.direction > CLOSEDNESS_TOL and np.all(G.T @ a <= CLOSEDNESS_TOL):
                 return ClosednessVerdict(
                     Closedness.NOT_CLOSED,
                     "unattained limit direction is separated from the generated cone",
@@ -296,7 +292,7 @@ def closedness_diagnostic(
         U = np.hstack([U, np.column_stack([r.direction for r in rays])])
     res = linsolve.max_margin_direction(U, None)
     hull_gap = min(res.margin, 1.0) if math.isfinite(res.margin) else 1.0
-    if hull_gap > max(tol, 1e-7):
+    if hull_gap > 1e-7:
         return ClosednessVerdict(
             Closedness.CLOSED,
             f"normalized generators are compact with origin-hull gap {hull_gap:.3e}",

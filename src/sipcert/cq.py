@@ -17,7 +17,13 @@ from enum import Enum
 import numpy as np
 
 from . import linsolve
-from .cones import Closedness, ClosednessVerdict, accumulation_rays, augmented_generators
+from .cones import (
+    Closedness,
+    ClosednessVerdict,
+    accumulation_rays,
+    augmented_generators,
+    closedness_diagnostic,
+)
 from .model import ACT_TOL, ConstraintScan, FamilyScan, SipInstance, scan_constraints
 
 EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
@@ -26,6 +32,9 @@ MARGIN_TOL = 1e-6
 _DECAY_RATIO = 0.9
 _STABLE_RATIO = 0.75
 _DECAY_STEPS = 3
+
+_SSC_STARTS = 6
+_SSC_ITERS = 80
 
 
 class Verdict(Enum):
@@ -229,15 +238,12 @@ def check_nfmcq(
     x,
     *,
     scan: ConstraintScan | None = None,
-    tol: float = ACT_TOL,
 ) -> NfmcqResult:
     """Closedness of the cone of value-augmented constraint coefficients.
 
     With a nonempty equality block the check covers the inequality system
     only and is labelled as such.
     """
-    from .cones import closedness_diagnostic
-
     x = np.asarray(x, dtype=float)
     scan = scan or scan_constraints(inst, x)
     cols, tail_samples = augmented_generators(inst, x, scan)
@@ -253,9 +259,7 @@ def check_nfmcq(
         rays.extend(fam_rays)
         extrap_ok = extrap_ok and ok
     complete = all(f.complete for f in scan.families)
-    verdict = closedness_diagnostic(
-        cols, rays, complete=complete, extrapolation_ok=extrap_ok, tol=tol
-    )
+    verdict = closedness_diagnostic(cols, rays, complete=complete, extrapolation_ok=extrap_ok)
     mapping = {
         Closedness.CLOSED: Verdict.HOLDS,
         Closedness.NOT_CLOSED: Verdict.FAILS,
@@ -317,8 +321,6 @@ def check_ssc(
     *,
     seed: int = 0,
     pmfcq: PmfcqResult | None = None,
-    starts: int = 6,
-    iters: int = 80,
 ) -> SscResult:
     """Strong Slater condition for declared-convex instances.
 
@@ -345,13 +347,13 @@ def check_ssc(
     rng = np.random.default_rng(seed)
     lo, hi = inst.box_bounds()
     start_pts = [project(np.zeros(inst.dim))]
-    for _ in range(starts - 1):
+    for _ in range(_SSC_STARTS - 1):
         start_pts.append(project(rng.uniform(lo, hi)))
     best_x, best_sup = None, math.inf
     for pt in start_pts:
         xk = pt.copy()
         step0 = float(np.max(hi - lo)) / 2.0
-        for k in range(iters):
+        for k in range(_SSC_ITERS):
             sup, g = _coarse_sup_and_gradient(inst, xk)
             if sup < best_sup:
                 best_sup, best_x = sup, xk.copy()

@@ -25,7 +25,7 @@ degenerate stall, so wide degenerate cone LPs stay fast without cycling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np

@@ -48,6 +48,8 @@ class FiniteIndexSet:
     def __post_init__(self):
         if not self.values:
             raise InstanceError("finite index set needs at least one value")
+        if not all(math.isfinite(v) for v in self.values):
+            raise InstanceError("finite index set values must be finite")
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,8 @@ class IntervalGridIndexSet:
     refinements: int = DEFAULT_REFINEMENTS
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise InstanceError("interval index set ends must be finite")
         if not self.lower < self.upper:
             raise InstanceError("interval index set needs lower < upper")
         if self.resolution < 2:
@@ -75,6 +79,11 @@ class CountableIndexSet:
     def __post_init__(self):
         if self.start < 0 or self.truncation < self.start:
             raise InstanceError("countable index set needs 0 <= start <= truncation")
+        if self.limit_ray is not None:
+            if not all(math.isfinite(v) for v in self.limit_ray):
+                raise InstanceError("limit_ray must be finite")
+            if not any(self.limit_ray):
+                raise InstanceError("limit_ray must be nonzero")
 
 
 IndexSetDescriptor = Union[FiniteIndexSet, IntervalGridIndexSet, CountableIndexSet]
@@ -131,8 +140,15 @@ class SipInstance:
             bodies.extend((f"cost piece {i}", p, set()) for i, p in enumerate(self.cost.pieces))
         for name, body in self.fixed:
             bodies.append((name, body, set()))
-        for fam, _ in self.families:
+        for fam, desc in self.families:
             bodies.append((fam.name, fam.body, {fam.index_name}))
+            ray = getattr(desc, "limit_ray", None)
+            if ray is not None and len(ray) != self.dim:
+                raise InstanceError(f"'{fam.name}' limit_ray needs {self.dim} components")
+        names = [name for name, _ in self.fixed] + [fam.name for fam, _ in self.families]
+        for name in names:
+            if names.count(name) > 1:
+                raise InstanceError(f"constraint name '{name}' is used more than once")
         for i, comp in enumerate(self.equalities.components):
             name = self.equalities.names[i] if i < len(self.equalities.names) else f"h{i + 1}"
             bodies.append((name, comp, set()))
@@ -144,8 +160,12 @@ class SipInstance:
                 raise InstanceError(f"'{name}' uses undeclared index variable(s) {sorted(extra)}")
         if len(self.equalities) >= self.dim:
             raise InstanceError("need fewer equalities than decision variables")
-        if self.box is not None and len(self.box) != self.dim:
-            raise InstanceError("box must give one range per variable")
+        if self.box is not None:
+            if len(self.box) != self.dim:
+                raise InstanceError("box must give one range per variable")
+            for lo, hi in self.box:
+                if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                    raise InstanceError("box range needs finite lower < upper")
 
     # equality block helpers
     def eq_values(self, x) -> np.ndarray:
@@ -542,7 +562,7 @@ class FeasibilityResult:
 
 
 def feasibility_check(
-    inst: SipInstance, x, tol: float = FEAS_TOL, *, tail: bool = True, scan: ConstraintScan | None = None
+    inst: SipInstance, x, *, tail: bool = True, scan: ConstraintScan | None = None
 ) -> FeasibilityResult:
     """Largest inequality value and equality residual at x.
 
@@ -558,7 +578,7 @@ def feasibility_check(
     return FeasibilityResult(
         max_violation=best,
         eq_residual=eq,
-        feasible=(best <= tol and eq <= tol),
+        feasible=(best <= FEAS_TOL and eq <= FEAS_TOL),
         worst=None if row is None else scan.index_id(row),
     )
 
@@ -647,7 +667,6 @@ class UniformityModuli:
     s_est: np.ndarray
     r_est: np.ndarray
     samples_per_eta: int
-    index_samples: int
 
 
 _MODULI_PER_FAMILY = 48
@@ -735,7 +754,6 @@ def estimate_moduli(
         s_est=s_est,
         r_est=r_est,
         samples_per_eta=samples_per_eta,
-        index_samples=len(rows),
     )
 
 
@@ -772,7 +790,7 @@ def _parse_expr(text: str, line: int) -> ex.ExprAst:
         raise InstanceError(f"bad expression: {err}", line) from err
 
 
-def loads_instance(text: str, origin: str = "<string>") -> SipInstance:
+def loads_instance(text: str) -> SipInstance:
     """Parse the sectioned instance format. See the README for the grammar."""
     section = None
     index_sections: dict[str, dict] = {}
@@ -951,4 +969,4 @@ def load_instance(path) -> SipInstance:
         text = p.read_text(encoding="utf-8")
     except OSError as err:
         raise InstanceError(f"cannot read {p}: {err}") from err
-    return loads_instance(text, origin=str(p))
+    return loads_instance(text)

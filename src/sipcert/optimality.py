@@ -5,7 +5,10 @@ realized finitely: one cone per scheduled eps, each augmented with the limit
 rays whose generating trajectories stay eps-active in the limit. As eps
 shrinks, both the eps-active generators and the qualified rays shrink, so
 the scheduled cones are nested and their intersection is the smallest-eps
-cone; membership is decided there alone. This is a semidecision and is
+cone; membership is decided there alone. The perturbed stationarity trace
+is decided there first as well: a certificate on the smallest-eps cone
+marks every scheduled eps, and only without one are the cones tried from
+the largest eps down to the first that fails. This is a semidecision and is
 reported as such whenever the qualification hypotheses behind a
 representation do not hold.
 """
@@ -20,25 +23,11 @@ import numpy as np
 
 from . import expr as ex
 from . import linsolve
-from .cones import (
-    GeneratedCone,
-    Ray,
-    accumulation_rays,
-    caratheodory_reduce,
-    membership,
-    reduce_support,
-)
+from .cones import GeneratedCone, Ray, accumulation_rays, membership, reduce_support
 from .cq import EPS_SCHEDULE, CqReport, Verdict, cq_summary
-from .linsolve import (
-    ConeRefutation,
-    FeasibilityCertificate,
-    HullFeasibility,
-    HullRefutation,
-    LpFailure,
-)
+from .linsolve import ConeRefutation, FeasibilityCertificate, HullFeasibility, LpFailure
 from .model import (
     ConstraintScan,
-    CountableIndexSet,
     FiniteIndexSet,
     IntervalGridIndexSet,
     SipInstance,
@@ -47,6 +36,9 @@ from .model import (
     feasibility_check,
     scan_constraints,
 )
+
+
+STATIONARITY_TOL = 1e-9
 
 
 @dataclass
@@ -66,11 +58,11 @@ class NormalConeRep:
     warnings: list[str] = field(default_factory=list)
     regular: bool | None = None
 
-    def member(self, v, tol: float = 1e-6, use_limit_rays: bool = True) -> MembershipAnswer:
+    def member(self, v, tol: float = 1e-6) -> MembershipAnswer:
         """Membership in `cone`. For the perturbed and normalized variants
         the scheduled cones are nested, so the smallest-eps cone is their
         intersection and no other eps can change the answer."""
-        out = membership(self.cone, np.asarray(v, dtype=float), tol, use_limit_rays)
+        out = membership(self.cone, np.asarray(v, dtype=float), tol)
         if isinstance(out, FeasibilityCertificate):
             return MembershipAnswer(True, certificate=out)
         return MembershipAnswer(False, refutation=out)
@@ -201,10 +193,13 @@ def normal_cone(
     return NormalConeRep(x, variant, per_eps, per_eps[-1][1], valid, warnings, regular)
 
 
+_PROBE_LEVELS = 3  # sampling balls, each half the radius of the last
+_PROBE_MIN_FEASIBLE = 50
+
+
 @dataclass
 class ProbeResult:
     quotient: float
-    feasible_samples: int
     status: str  # ok | inconclusive
 
 
@@ -216,8 +211,6 @@ def empirical_normal_cone_probe(
     radius: float = 1e-3,
     *,
     seed: int = 0,
-    shrink_levels: int = 3,
-    min_feasible: int = 50,
     scan: ConstraintScan | None = None,
 ) -> ProbeResult:
     """Largest quotient <v, x' - x> / |x' - x| over feasible points sampled
@@ -281,8 +274,8 @@ def empirical_normal_cone_probe(
 
     quot = -math.inf
     feasible_count = 0
-    per_level = max(1, samples // max(shrink_levels, 1))
-    for level in range(max(shrink_levels, 1)):
+    per_level = max(1, samples // _PROBE_LEVELS)
+    for level in range(_PROBE_LEVELS):
         r = radius / (2.0**level)
         u = rng.normal(size=(per_level, n))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -298,22 +291,21 @@ def empirical_normal_cone_probe(
             keep = norms > 1e-15
             if np.any(keep):
                 quot = max(quot, float(np.max(d[keep] @ v / norms[keep])))
-    if feasible_count < min_feasible:
-        return ProbeResult(math.inf, feasible_count, "inconclusive")
-    return ProbeResult(quot, feasible_count, "ok")
+    if feasible_count < _PROBE_MIN_FEASIBLE:
+        return ProbeResult(math.inf, "inconclusive")
+    return ProbeResult(quot, "ok")
 
 
-def _cost_hull(inst: SipInstance, x, tol: float):
+def _cost_hull(inst: SipInstance, x):
     """Columns of the cost subdifferential hull: the gradient for a smooth
     cost, the active-piece gradients for a max-type cost."""
     x = np.asarray(x, dtype=float)
     if isinstance(inst.cost, SmoothCost):
-        return np.asarray(ex.eval_grad(inst.cost.body, x)[1]).reshape(-1, 1), None
+        return np.asarray(ex.eval_grad(inst.cost.body, x)[1]).reshape(-1, 1)
     vals = np.array([float(ex.eval_value(p, x)) for p in inst.cost.pieces])
     top = float(np.max(vals))
-    active = [i for i, vv in enumerate(vals) if vv >= top - max(tol, 1e-9)]
-    cols = np.column_stack([ex.eval_grad(inst.cost.pieces[i], x)[1] for i in active])
-    return cols, active
+    active = [i for i, vv in enumerate(vals) if vv >= top - STATIONARITY_TOL]
+    return np.column_stack([ex.eval_grad(inst.cost.pieces[i], x)[1] for i in active])
 
 
 def _certificate_from_hull(out: HullFeasibility, cone: GeneratedCone, G, F) -> KktCertificate:
@@ -332,11 +324,11 @@ def _certificate_from_hull(out: HullFeasibility, cone: GeneratedCone, G, F) -> K
     )
 
 
-def _stationarity(inst, x, cone: GeneratedCone, tol, condition) -> StationarityReport:
-    F, _ = _cost_hull(inst, x, tol)
+def _stationarity(inst, x, cone: GeneratedCone, condition) -> StationarityReport:
+    F = _cost_hull(inst, x)
     G = cone.columns(use_limit_rays=True)
     try:
-        out = linsolve.hull_plus_cone_feasibility(F, G, cone.lineality, tol)
+        out = linsolve.hull_plus_cone_feasibility(F, G, cone.lineality, STATIONARITY_TOL)
     except LpFailure as err:
         return StationarityReport(condition, "inconclusive", notes=[str(err)])
     if isinstance(out, HullFeasibility):
@@ -359,7 +351,6 @@ def _stationarity(inst, x, cone: GeneratedCone, tol, condition) -> StationarityR
 def verify_kkt(
     inst: SipInstance,
     x,
-    tol: float = 1e-9,
     *,
     scan: ConstraintScan | None = None,
 ) -> StationarityReport:
@@ -376,41 +367,49 @@ def verify_kkt(
     labels, cols = scan.generators(scan.active())
     lineality = inst.eq_jacobian(x).T
     cone = GeneratedCone(inst.dim, labels, cols, lineality, limit_rays=[])
-    return _stationarity(inst, x, cone, tol, "unperturbed-kkt")
+    return _stationarity(inst, x, cone, "unperturbed-kkt")
 
 
 def verify_perturbed_stationarity(
     inst: SipInstance,
     x,
     schedule: Sequence[float] = EPS_SCHEDULE,
-    tol: float = 1e-9,
     *,
     scan: ConstraintScan | None = None,
     cq: CqReport | None = None,
 ) -> StationarityReport:
     """Stationarity against the eps-active cones for every scheduled eps,
-    limit rays included (the finite proxy for the intersection over eps)."""
+    limit rays included (the finite proxy for the intersection over eps).
+
+    The cones are nested, so a certificate on the smallest-eps cone, extended
+    by zeros, certifies every larger one: one LP then decides the whole
+    trace. Otherwise the cones are tried from the largest eps down to the
+    first one without a certificate, whose report is returned; a cone as
+    wide as the smallest one reuses its report."""
     x = np.asarray(x, dtype=float)
     rep = normal_cone(inst, x, schedule, "perturbed", scan=scan, cq=cq)
-    trace: list[tuple[float, bool]] = []
-    last = None
-    for eps, cone in rep.per_eps:
-        report = _stationarity(inst, x, cone, tol, "perturbed-stationarity")
-        trace.append((eps, report.outcome == "certificate"))
-        if report.outcome != "certificate":
-            report.eps_trace = trace
-            report.notes = rep.warnings + report.notes
-            return report
-        last = report
-    last.eps_trace = trace
-    last.notes = rep.warnings + last.notes
-    return last
+    condition = "perturbed-stationarity"
+    smallest = _stationarity(inst, x, rep.cone, condition)
+    if smallest.outcome == "certificate":
+        report, trace = smallest, [(eps, True) for eps, _ in rep.per_eps]
+    else:
+        # nested, so a cone with as many columns as the smallest one is that cone
+        width = rep.cone.generators.shape[1], len(rep.cone.limit_rays)
+        trace = []
+        for eps, cone in rep.per_eps:
+            same = (cone.generators.shape[1], len(cone.limit_rays)) == width
+            report = smallest if same else _stationarity(inst, x, cone, condition)
+            trace.append((eps, report.outcome == "certificate"))
+            if report.outcome != "certificate":
+                break
+    report.eps_trace = trace
+    report.notes = rep.warnings + report.notes
+    return report
 
 
 def convex_global_check(
     inst: SipInstance,
     x,
-    tol: float = 1e-9,
     *,
     scan: ConstraintScan | None = None,
     cq: CqReport | None = None,
@@ -436,7 +435,7 @@ def convex_global_check(
         return StationarityReport(
             "convex-global", "inconclusive",
             notes=["augmented coefficient cone not verified closed"])
-    report = verify_kkt(inst, x, tol, scan=scan)
+    report = verify_kkt(inst, x, scan=scan)
     report.condition = "convex-global"
     if report.outcome == "certificate":
         report.global_optimal = True
@@ -489,11 +488,10 @@ def membership_residual_trace(
     v,
     truncations: Sequence[int] = (100, 1000, 10_000),
     eps: float = 0.1,
-    *,
-    use_limit_rays: bool = False,
 ) -> list[tuple[int, float]]:
-    """Distance of v from the eps-active cone as the countable truncation
-    grows; shows the convergence behind tolerance-membership semantics."""
+    """Distance of v from the eps-active cone, limit rays left out, as the
+    countable truncation grows; shows the convergence behind
+    tolerance-membership semantics."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     out = []
@@ -501,10 +499,8 @@ def membership_residual_trace(
         scan = scan_constraints(inst, x, truncation=int(N))
         labels, cols = scan.generators(scan.active(eps))
         lineality = inst.eq_jacobian(x).T
-        rays = _family_rays(scan, attained_dirs=cols.T if cols.size else None)
-        cone = GeneratedCone(inst.dim, labels, cols, lineality,
-                             _qualified_rays(rays, eps) if use_limit_rays else [])
-        res = membership(cone, v, tol=1e-9, use_limit_rays=use_limit_rays)
+        cone = GeneratedCone(inst.dim, labels, cols, lineality)
+        res = membership(cone, v, tol=1e-9)
         if isinstance(res, FeasibilityCertificate):
             out.append((int(N), res.residual))
         else:

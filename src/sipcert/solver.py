@@ -17,37 +17,29 @@ from typing import Callable
 import numpy as np
 
 from . import expr as ex
-from .model import (
-    ConstraintScan,
-    IndexId,
-    SipInstance,
-    SmoothCost,
-    scan_constraints,
-)
+from .model import IndexId, SipInstance, SmoothCost, scan_constraints
+
+INITIAL_WORKING = 8
+VIOLATION_TOL = 1e-8
+PENALTY0 = 10.0
+PENALTY_GROWTH = 2.0
+ARMIJO = 1e-4
+STEP0 = 1.0
+POLISH_ITERS = 40
 
 
 @dataclass
 class SolverConfig:
-    initial_working: int = 8
     max_outer: int = 60
-    violation_tol: float = 1e-8
     multistart: int = 8
-    penalty0: float = 10.0
-    penalty_growth: float = 2.0
     penalty_stages: int = 18
     max_inner: int = 80
-    armijo: float = 1e-4
-    step0: float = 1.0
     seed: int = 0
     polish: bool = True
-    polish_iters: int = 40
 
     def __post_init__(self):
-        if min(self.initial_working, self.max_outer, self.multistart, self.penalty_stages,
-               self.max_inner, self.polish_iters) <= 0:
+        if min(self.max_outer, self.multistart, self.penalty_stages, self.max_inner) <= 0:
             raise ValueError("solver config counts must be positive")
-        if min(self.violation_tol, self.penalty0, self.armijo, self.step0) <= 0:
-            raise ValueError("solver config tolerances must be positive")
 
 
 @dataclass
@@ -103,12 +95,10 @@ class _Bound:
         return max(vals), self.pieces[int(np.argmax(vals))].grad(xs)[1] if grad else None
 
 
-def most_violated_index(
-    inst: SipInstance, x, *, scan: ConstraintScan | None = None
-) -> tuple[IndexId | None, float]:
+def most_violated_index(inst: SipInstance, x) -> tuple[IndexId | None, float]:
     """Argmax of the constraint values over the materialization and tail
     ladders, ties broken by block order then lowest index value."""
-    scan = scan or scan_constraints(inst, np.asarray(x, dtype=float))
+    scan = scan_constraints(inst, np.asarray(x, dtype=float))
     value, row = scan.argmax(tail=True)
     if row is None:
         return None, 0.0
@@ -148,8 +138,8 @@ def _max_violation(working, x) -> float:
 
 def _penalty_descent(prob: _Bound, working, x0, config: SolverConfig):
     x = x0.copy()
-    rho = config.penalty0
-    step = config.step0
+    rho = PENALTY0
+    step = STEP0
     for _ in range(config.penalty_stages):
         for _ in range(config.max_inner):
             val, grad = _penalty(prob, working, x, rho, True)
@@ -161,22 +151,22 @@ def _penalty_descent(prob: _Bound, working, x0, config: SolverConfig):
             improved = False
             for _ in range(40):
                 cand = x + t * d
-                if _penalty(prob, working, cand, rho, False) <= val - config.armijo * t * gnorm:
+                if _penalty(prob, working, cand, rho, False) <= val - ARMIJO * t * gnorm:
                     x = cand
-                    step = min(t * 1.5, config.step0)
+                    step = min(t * 1.5, STEP0)
                     improved = True
                     break
                 t *= 0.5
             if not improved:
                 break
         eq = prob.inst.eq_residual(x)
-        if max(_max_violation(working, x), eq) <= config.violation_tol and rho > 1e4:
+        if max(_max_violation(working, x), eq) <= VIOLATION_TOL and rho > 1e4:
             break
-        rho *= config.penalty_growth
+        rho *= PENALTY_GROWTH
     return x
 
 
-def _polish(prob: _Bound, working, x, config: SolverConfig):
+def _polish(prob: _Bound, working, x):
     """Square Newton solve of the working-set stationarity system (gradients
     of the Lagrangian, near-active working constraints, equalities). The
     Hessian block comes from central differences of the analytic gradients."""
@@ -220,7 +210,7 @@ def _polish(prob: _Bound, working, x, config: SolverConfig):
     fz = residual(z)
     scale = max(1.0, float(np.max(np.abs(fz))))
     h = 1e-7
-    for _ in range(config.polish_iters):
+    for _ in range(POLISH_ITERS):
         norm0 = float(np.max(np.abs(fz)))
         if norm0 <= 1e-12 * scale:
             break
@@ -260,14 +250,14 @@ def _solve_subproblem(prob: _Bound, working, config, rng, warm):
     for s in starts:
         x = _penalty_descent(prob, working, s, config)
         if config.polish:
-            polished = _polish(prob, working, x, config)
+            polished = _polish(prob, working, x)
             if polished is not None:
                 pv = _max_violation(working, polished)
-                if pv <= max(_max_violation(working, x), config.violation_tol):
+                if pv <= max(_max_violation(working, x), VIOLATION_TOL):
                     x = polished
         viol = max(_max_violation(working, x), prob.inst.eq_residual(x))
         candidates.append((viol, prob.inst.cost_value(x), tuple(x), x))
-    feasible = [c for c in candidates if c[0] <= config.violation_tol]
+    feasible = [c for c in candidates if c[0] <= VIOLATION_TOL]
     pool = feasible or candidates
     pool.sort(key=lambda c: (c[1], c[2]) if feasible else (c[0], c[1], c[2]))
     return pool[0][3]
@@ -290,8 +280,8 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
         by_block = grid[np.lexsort((-scan0.value[grid], scan0.block[grid]))]
         blocks = scan0.block[by_block]
         rank = np.arange(len(blocks)) - np.searchsorted(blocks, blocks)
-        seeds = by_block[rank < max(2, config.initial_working // 2)]
-        seeds = seeds[np.argsort(-scan0.value[seeds], kind="stable")[: config.initial_working]]
+        seeds = by_block[rank < INITIAL_WORKING // 2]
+        seeds = seeds[np.argsort(-scan0.value[seeds], kind="stable")[:INITIAL_WORKING]]
         working_ids: list[IndexId] = []
         for idx in map(scan0.index_id, seeds):
             if idx not in working_ids:
@@ -320,7 +310,7 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
                     accepted=accepted,
                 )
             )
-            if total_viol <= config.violation_tol:
+            if total_viol <= VIOLATION_TOL:
                 trace.status = "converged"
                 return x, trace
             if idx is not None and idx not in working_ids:

@@ -10,9 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sipcert import expr as ex
 from sipcert.cli import EXIT_INFEASIBLE, EXIT_VALIDATION, main
 from sipcert.model import (
+    ConstraintFamily,
+    CountableIndexSet,
+    FiniteIndexSet,
     InstanceError,
+    IntervalGridIndexSet,
+    SipInstance,
+    SmoothCost,
     feasibility_check,
     load_instance,
     loads_instance,
@@ -131,3 +138,46 @@ def test_bad_number_in_instance_rejected_with_its_line(text, line, tmp_path, cap
     for argv in (["analyze", str(path), "--point=-1,-1"], ["solve", str(path)]):
         assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err.endswith(f"(line {line})\n")
+
+
+NAN = float("nan")
+INF = float("inf")
+BAD_DESCRIPTORS = {
+    "zero limit ray": lambda: CountableIndexSet(start=1, limit_ray=(0.0, 0.0)),
+    "nan in limit ray": lambda: CountableIndexSet(start=1, limit_ray=(NAN, 1.0)),
+    "inf in limit ray": lambda: CountableIndexSet(start=1, limit_ray=(0.0, -INF)),
+    "nan in finite values": lambda: FiniteIndexSet((NAN,)),
+    "inf in finite values": lambda: FiniteIndexSet((0.0, INF)),
+    "infinite interval end": lambda: IntervalGridIndexSet(-INF, 0.0),
+    "nan interval end": lambda: IntervalGridIndexSet(0.0, NAN),
+}
+
+
+@pytest.mark.parametrize("make", BAD_DESCRIPTORS.values(), ids=list(BAD_DESCRIPTORS))
+def test_bad_number_in_descriptor_rejected(make):
+    with pytest.raises(InstanceError):
+        make()
+
+
+def _api_instance(**kw):
+    fam = ConstraintFamily("g", "t", ex.parse("-x1 - 1 + 0*t"))
+    kw.setdefault("families", ((fam, CountableIndexSet(start=1)),))
+    return SipInstance(dim=2, cost=SmoothCost(ex.parse("x1 + x2")), **kw)
+
+
+BAD_INSTANCES = {
+    "infinite box": {"box": ((-INF, INF), (-1.0, 1.0))},
+    "nan box": {"box": ((-1.0, 1.0), (NAN, 1.0))},
+    "empty box range": {"box": ((1.0, 1.0), (-1.0, 1.0))},
+    "limit ray of the wrong length": {"families": (
+        (ConstraintFamily("g", "t", ex.parse("-x1 - 1 + 0*t")),
+         CountableIndexSet(start=1, limit_ray=(0.0, -1.0, 5.0))),
+    )},
+}
+
+
+@pytest.mark.parametrize("kw", BAD_INSTANCES.values(), ids=list(BAD_INSTANCES))
+def test_bad_number_in_instance_object_rejected(kw):
+    _api_instance()  # the same instance without the bad field is fine
+    with pytest.raises(InstanceError):
+        _api_instance(**kw)

@@ -7,7 +7,6 @@ import pytest
 from sipcert import expr as ex
 from sipcert.cli import probe_directions
 from sipcert.cones import membership
-from sipcert.cq import Verdict, cq_summary
 from sipcert.linsolve import FeasibilityCertificate
 from sipcert.model import (
     ConstraintFamily,
@@ -20,7 +19,9 @@ from sipcert.model import (
     load_instance,
     loads_instance,
 )
+from sipcert import linsolve
 from sipcert.optimality import (
+    _stationarity,
     empirical_normal_cone_probe,
     convex_global_check,
     linear_specialization,
@@ -247,6 +248,55 @@ class TestPerturbedStationarity:
     def test_infeasible_point_raises(self):
         with pytest.raises(ValueError):
             verify_perturbed_stationarity(countable_cubic(), np.zeros(2))
+
+    # the golden points, plus a convex_toy point refuted at eps = 0.01 only
+    TRACE_POINTS = [*GOLDEN_POINTS.items(), ("convex_toy", (-0.525, -0.525))]
+
+    @pytest.mark.parametrize("name,point", TRACE_POINTS)
+    def test_matches_every_eps_loop(self, name, point):
+        inst, x = load_instance(INSTANCES / f"{name}.sip"), np.array(point)
+        got, want = verify_perturbed_stationarity(inst, x), every_eps_stationarity(inst, x)
+        assert got.eps_trace == want.eps_trace
+        assert (got.condition, got.outcome, got.notes) == (want.condition, want.outcome,
+                                                          want.notes)
+        assert (got.certificate is None) == (want.certificate is None)
+        if got.certificate is not None:
+            for key in ("support", "residual", "uses_limit_rays"):
+                assert getattr(got.certificate, key) == getattr(want.certificate, key)
+            for key in ("lam", "y", "cost_weights"):
+                np.testing.assert_array_equal(getattr(got.certificate, key),
+                                              getattr(want.certificate, key))
+        np.testing.assert_array_equal(got.separator, want.separator)
+
+    @pytest.mark.parametrize("name,point,flags,lps", [
+        ("countable_cubic", (-1.0, 0.0), [True] * 8, 1),  # certified on the smallest cone
+        ("parabola_band", (0.0, 1.0), [False], 1),  # every scheduled cone is the smallest
+        ("convex_toy", (-0.525, -0.525), [True, False], 2),  # eps = 0.01 reuses it
+    ])
+    def test_trace_and_hull_lp_count(self, name, point, flags, lps, monkeypatch):
+        calls = []
+        original = linsolve.hull_plus_cone_feasibility
+        monkeypatch.setattr(linsolve, "hull_plus_cone_feasibility",
+                            lambda *a: calls.append(a) or original(*a))
+        inst = load_instance(INSTANCES / f"{name}.sip")
+        report = verify_perturbed_stationarity(inst, np.array(point))
+        assert [flag for _, flag in report.eps_trace] == flags
+        assert len(calls) == lps
+
+
+def every_eps_stationarity(inst, x):
+    """The reference rule: one LP per scheduled eps, largest first, ending at
+    the first cone without a certificate."""
+    rep = normal_cone(inst, x, variant="perturbed")
+    trace = []
+    for eps, cone in rep.per_eps:
+        report = _stationarity(inst, x, cone, "perturbed-stationarity")
+        trace.append((eps, report.outcome == "certificate"))
+        if report.outcome != "certificate":
+            break
+    report.eps_trace = trace
+    report.notes = rep.warnings + report.notes
+    return report
 
 
 class TestConvexGlobal:

@@ -6,8 +6,11 @@ import pytest
 
 from sipcert import expr as ex
 from sipcert import solver
+from sipcert.cli import EXIT_VALIDATION, main
 from sipcert.model import (
     ConstraintFamily,
+    FiniteIndexSet,
+    InstanceError,
     IntervalGridIndexSet,
     SipInstance,
     SmoothCost,
@@ -191,6 +194,56 @@ class TestSolve:
             assert trace.status == "iteration_limit"
             assert res.max_violation <= 1e-3
         np.testing.assert_allclose(x[0], -1.0, atol=1e-3)
+
+
+def two_families(second: str) -> str:
+    """g(n) = -x1 - n over n in {1, 2} and <second>(t) = -x2 - t over t in {5}."""
+    return f"""[problem]
+vars = x1 x2
+minimize = x1 + x2
+box = -2 2 ; -2 2
+
+[index n]
+kind = finite
+values = 1 2
+
+[index t]
+kind = finite
+values = 5
+
+[constraints]
+g(n) = -x1 - n
+{second}(t) = -x2 - t
+"""
+
+
+class TestConstraintNames:
+    # with one name for both families the solver bound g(5) to -x1 - 5 and
+    # ended at its iteration limit far outside the box
+    def test_repeated_family_name_rejected(self):
+        fams = (
+            (ConstraintFamily("g", "n", ex.parse("-x1 - n")), FiniteIndexSet((1.0, 2.0))),
+            (ConstraintFamily("g", "t", ex.parse("-x2 - t")), FiniteIndexSet((5.0,))),
+        )
+        with pytest.raises(InstanceError, match="constraint name 'g'"):
+            SipInstance(dim=2, cost=SmoothCost(ex.parse("x1 + x2")), families=fams)
+        with pytest.raises(InstanceError, match="constraint name 'g'"):
+            loads_instance(two_families("g"))
+
+    def test_fixed_and_family_name_clash_rejected(self):
+        with pytest.raises(InstanceError, match="constraint name 'g'"):
+            loads_instance(two_families("g").replace("g(n) = -x1 - n", "g = -x1 - 1"))
+
+    def test_solve_cli_exits_validation(self, tmp_path, capsys):
+        path = tmp_path / "dup.sip"
+        path.write_text(two_families("g"))
+        assert main(["solve", str(path), "--seed=0"]) == EXIT_VALIDATION
+        assert "constraint name 'g'" in capsys.readouterr().err
+
+    def test_distinct_names_solve(self):
+        x, trace = solve(loads_instance(two_families("h")), SolverConfig(seed=0))
+        assert trace.status == "converged"
+        np.testing.assert_allclose(x, [-1.0, -5.0], atol=1e-6)
 
 
 def _reference_penalty(inst, terms, x, rho):
