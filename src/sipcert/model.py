@@ -14,6 +14,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Union
 
@@ -273,6 +274,11 @@ class ConstraintScan:
     def tail(self) -> np.ndarray:
         return self.ladder >= 0
 
+    @cached_property
+    def grad_norms(self) -> np.ndarray:
+        """Row 2-norms of `grad`."""
+        return np.linalg.norm(self.grad, axis=1)
+
     def grid(self, level: int | None = None, block: int | None = None) -> np.ndarray:
         """Mask of the fixed and family grid rows, up to a refinement level
         (the finest by default), optionally of one block only."""
@@ -288,7 +294,7 @@ class ConstraintScan:
     ) -> np.ndarray:
         """The one activity rule: grid rows up to `level` whose value is >= -(eps
         + ACT_TOL), or >= -(eps * |grad| + ACT_TOL) when normalized."""
-        scale = np.linalg.norm(self.grad, axis=1) if normalized else 1.0
+        scale = self.grad_norms if normalized else 1.0
         return self.grid(level) & (self.value >= -(eps * scale + ACT_TOL))
 
     def label(self, row: int) -> str:
@@ -634,7 +640,7 @@ def active_set(
         raise InstanceError("eps must be nonnegative")
     scan = scan or scan_constraints(inst, x)
     grid = scan.grid()
-    norms = np.linalg.norm(scan.grad, axis=1)
+    norms = scan.grad_norms
     return ActiveSetReport(
         point=scan.x,
         eps=eps,
@@ -686,9 +692,13 @@ def estimate_moduli(
     s(eta) takes quotients against the base point only; r(eta) additionally
     uses independent point pairs in the eta-ball and always dominates s.
     Estimates are running suprema, so both are nondecreasing in eta and in
-    the sample count. The sampled indices are every fixed constraint, up to
-    48 evenly spaced points of each finest family grid, and the last three
-    points of each tail ladder."""
+    the sample count. The sampled rows are every fixed constraint, up to 48
+    evenly spaced points of each finest family grid, and the last three
+    points of each tail ladder. The RNG draws go eta-major (ascending), then
+    row by row in that order: `samples_per_eta` unit directions, then as
+    many radii. Each body is evaluated once per eta on the samples of all
+    its rows; when that call raises, its rows are evaluated one by one and a
+    row that raises is skipped."""
     x = np.asarray(x, dtype=float)
     n = inst.dim
     rng = np.random.default_rng(seed)
@@ -710,43 +720,50 @@ def estimate_moduli(
     s_est = np.zeros(len(etas_sorted))
     r_est = np.zeros(len(etas_sorted))
 
-    base = []
-    for i in rows:
-        b = int(scan.block[i])
-        if b < nf:
-            body, env = inst.fixed[b][1], None
-        else:
-            fam_obj = inst.families[b - nf][0]
-            body, env = fam_obj.body, {fam_obj.index_name: float(scan.t[i])}
-        base.append((body, env, float(scan.value[i]), scan.grad[i]))
+    # one body per block: its rows' positions in `rows`, index name and values
+    bodies = []
+    blocks = scan.block[rows]
+    for b in np.unique(blocks):
+        sel = np.flatnonzero(blocks == b)
+        fam_obj = inst.families[b - nf][0] if b >= nf else None
+        body = fam_obj.body if fam_obj else inst.fixed[b][1]
+        bodies.append((sel, body, fam_obj and fam_obj.index_name, scan.t[rows[sel]]))
+    v0 = scan.value[rows][:, None]
+    g0 = scan.grad[rows][:, :, None]
+    half = samples_per_eta // 2
+    u = np.empty((len(rows), samples_per_eta, n))
+    radii = np.empty((len(rows), samples_per_eta, 1))
 
     s_run, r_run = 0.0, 0.0
     for k, eta in enumerate(etas_sorted):
-        for body, env, v0, g0 in base:
-            u = rng.normal(size=(samples_per_eta, n))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            radii = eta * rng.uniform(0.05, 1.0, size=(samples_per_eta, 1)) ** (1.0 / n)
-            pts = x + radii * u
+        for j in range(len(rows)):
+            u[j] = rng.normal(size=(samples_per_eta, n))
+            radii[j] = rng.uniform(0.05, 1.0, size=(samples_per_eta, 1))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        pts = x + eta * radii ** (1.0 / n) * u
+        vals = np.full((len(rows), samples_per_eta), np.nan)  # a skipped row stays NaN
+        for sel, body, name, ts in bodies:
             try:
-                vals = np.asarray(ex.eval_value(body, pts, env), dtype=float)
+                vals[sel] = ex.eval_value(body, pts[sel], name and {name: ts[:, None]})
             except ex.ExprError:
-                continue
-            diffs = pts - x
-            norms = np.linalg.norm(diffs, axis=1)
-            lin = diffs @ g0
-            quot_s = np.abs(vals - v0 - lin) / norms
-            s_run = max(s_run, float(np.max(quot_s)))
+                for j, t in zip(sel, ts.tolist()):  # row by row, skipping a row that raises
+                    try:
+                        vals[j] = ex.eval_value(body, pts[j], name and {name: t})
+                    except ex.ExprError:
+                        pass
+        diffs = pts - x
+        quot_s = np.abs(vals - v0 - (diffs @ g0)[..., 0]) / np.linalg.norm(diffs, axis=-1)
+        # fmax passes over a row whose maximum is NaN: that row adds nothing
+        s_run = float(np.fmax.reduce(np.max(quot_s, axis=1), initial=s_run))
+        if half:
             # pairs for the two-point modulus, plus the base-point pairs
-            half = samples_per_eta // 2
-            pa, pb = pts[:half], pts[half : 2 * half]
-            va, vb = vals[:half], vals[half : 2 * half]
-            d2 = pa - pb
-            n2 = np.linalg.norm(d2, axis=1)
+            d2 = pts[:, :half] - pts[:, half : 2 * half]
+            n2 = np.linalg.norm(d2, axis=-1)
             keep = n2 > 1e-12
-            if np.any(keep):
-                quot_r = np.abs(va[keep] - vb[keep] - d2[keep] @ g0) / n2[keep]
-                r_run = max(r_run, float(np.max(quot_r)))
-            r_run = max(r_run, s_run)
+            num = np.abs(vals[:, :half] - vals[:, half : 2 * half] - (d2 @ g0)[..., 0])
+            quot_r = np.where(keep, num / np.where(keep, n2, 1.0), -math.inf)
+            r_run = float(np.fmax.reduce(np.max(quot_r, axis=1), initial=r_run))
+        r_run = max(r_run, s_run)
         s_est[k] = s_run
         r_est[k] = r_run
     return UniformityModuli(

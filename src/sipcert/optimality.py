@@ -187,7 +187,7 @@ def normal_cone(
             "perturbed representation not guaranteed: the perturbed margin criterion "
             "does not hold at this point"
         )
-    if variant == "normalized" and np.any(np.linalg.norm(scan.grad[grid], axis=1) < 1e-12):
+    if variant == "normalized" and np.any(scan.grad_norms[grid] < 1e-12):
         warnings.append("some gradients vanish; normalized activity is ill-scaled for them")
     # the scheduled cones are nested, so the smallest-eps one is their intersection
     return NormalConeRep(x, variant, per_eps, per_eps[-1][1], valid, warnings, regular)

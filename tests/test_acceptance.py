@@ -4,7 +4,6 @@ property checks, one printed pass/fail line per criterion.
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -14,10 +13,9 @@ import numpy as np
 import pytest
 
 from sipcert import expr as ex
-from sipcert.cones import GeneratedCone, caratheodory_reduce, membership
+from sipcert.cones import GeneratedCone, caratheodory_reduce
 from sipcert.cq import Verdict, check_emfcq, check_nfmcq, check_pmfcq, check_ssc, cq_summary
 from sipcert.linsolve import (
-    ConeRefutation,
     FeasibilityCertificate,
     LpProblem,
     LpStatus,

@@ -16,7 +16,6 @@ from sipcert.cq import (
 from sipcert.model import (
     ConstraintFamily,
     EqualityBlock,
-    FiniteIndexSet,
     IntervalGridIndexSet,
     SipInstance,
     SmoothCost,

@@ -6,11 +6,9 @@ import pytest
 
 from sipcert import expr as ex
 from sipcert.model import (
-    ActiveSetReport,
     ConstraintFamily,
     CountableIndexSet,
     EqualityBlock,
-    FiniteIndexSet,
     InstanceError,
     IntervalGridIndexSet,
     SipInstance,
@@ -25,6 +23,12 @@ from sipcert.model import (
 )
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+GOLDEN_POINTS = {
+    "countable_cubic": (-1.0, 0.0),
+    "interval_ramp": (-1.0, 0.0),
+    "parabola_band": (0.0, 1.0),
+    "convex_toy": (-0.5, -0.5),
+}
 
 
 def countable_cubic(truncation=10_000):
@@ -336,3 +340,156 @@ class TestModuli:
         assert oracle <= analytic + 1e-9
         assert mod.r_est[0] <= analytic + 1e-9
         assert mod.r_est[0] >= 0.3 * analytic
+
+    def test_body_without_decision_variables(self):
+        inst = SipInstance(
+            dim=2,
+            cost=SmoothCost(ex.parse("x1")),
+            fixed=(("c", ex.parse("-1")),),
+            families=(
+                (
+                    ConstraintFamily("g", "t", ex.parse("t - 2")),
+                    IntervalGridIndexSet(0.0, 1.0, resolution=9, refinements=1),
+                ),
+            ),
+        )
+        mod = estimate_moduli(inst, [0.0, 0.0], samples_per_eta=10)
+        assert np.all(mod.s_est == 0.0) and np.all(mod.r_est == 0.0)
+
+
+def _interval_family(dim, body):
+    return SipInstance(
+        dim=dim,
+        cost=SmoothCost(ex.parse("x1")),
+        fixed=(("c", ex.parse("sqrt(2 + x1^2) - exp(x2)")),),
+        families=(
+            (
+                ConstraintFamily("g", "t", ex.parse(body)),
+                IntervalGridIndexSet(0.0, 1.0, resolution=33, refinements=1),
+            ),
+        ),
+    )
+
+
+def _extrapolated_cubic():
+    return SipInstance(
+        dim=2,
+        cost=SmoothCost(ex.parse("x1")),
+        families=(
+            (
+                ConstraintFamily("g", "n", ex.parse("x1^3/(3*n) - x2")),
+                CountableIndexSet(start=2, truncation=300),
+            ),
+        ),
+    )
+
+
+MODULI_CASES = {
+    **{name: (lambda name=name: load_instance(INSTANCES / f"{name}.sip"), point)
+       for name, point in GOLDEN_POINTS.items()},
+    "declared_ray": (lambda: countable_cubic(truncation=300), (-1.0, 0.0)),
+    "extrapolated_ray": (_extrapolated_cubic, (-1.0, 0.0)),
+    "trig_3d": (
+        lambda: _interval_family(3, "sin(t*x1) * exp(x2) - cos(x3 + t) + sqrt(1 + t + x1^2)"),
+        (0.1, -0.2, 0.3),
+    ),
+    "log_domain": (lambda: _interval_family(2, "log(1.1 - t + x1) - x2"), (0.0, 0.0)),
+}
+
+
+class TestModuliBatch:
+    """The batched estimate_moduli against the per-row reference loop."""
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    @pytest.mark.parametrize("samples", [1, 2, 3, 7, 120])
+    @pytest.mark.parametrize("case", sorted(MODULI_CASES))
+    def test_bit_equal_to_row_loop(self, case, samples, seed):
+        build, point = MODULI_CASES[case]
+        inst, x = build(), np.array(point)
+        got = estimate_moduli(inst, x, samples_per_eta=samples, seed=seed)
+        s_want, r_want = row_by_row_moduli(inst, x, samples_per_eta=samples, seed=seed)
+        assert np.array_equal(got.s_est, s_want)
+        assert np.array_equal(got.r_est, r_want)
+
+    @pytest.mark.parametrize("case", ["declared_ray", "extrapolated_ray"])
+    def test_tail_ladder_rows_are_sampled(self, case):
+        build, point = MODULI_CASES[case]
+        assert scan_constraints(build(), np.array(point)).tail.any()
+
+    def test_failed_batch_falls_back_to_rows(self, monkeypatch):
+        build, point = MODULI_CASES["log_domain"]
+        inst, x = build(), np.array(point)
+        s_want, r_want = row_by_row_moduli(inst, x, samples_per_eta=50, seed=0)
+        failed = []
+        original = ex.eval_value
+
+        def spy(ast, pts, index=None):
+            try:
+                return original(ast, pts, index)
+            except ex.ExprError:
+                failed.append(np.ndim(pts))
+                raise
+
+        monkeypatch.setattr(ex, "eval_value", spy)
+        got = estimate_moduli(inst, x, samples_per_eta=50, seed=0)
+        assert 3 in failed and 2 in failed  # a batch and some of its rows raised
+        assert np.array_equal(got.s_est, s_want)
+        assert np.array_equal(got.r_est, r_want)
+
+
+def row_by_row_moduli(inst, x, etas=(0.2, 0.1, 0.05, 0.02, 0.01), samples_per_eta=200,
+                      seed=0):
+    """The reference loop: one eval_value call per (eta, sampled row), drawing
+    each row's directions and radii just before its call."""
+    x = np.asarray(x, dtype=float)
+    n = inst.dim
+    rng = np.random.default_rng(seed)
+    scan = scan_constraints(inst, x)
+    nf = len(scan.fixed_names)
+    pool = [np.arange(nf)]
+    for fam in scan.families:
+        grid = np.flatnonzero(scan.grid(block=fam.block))
+        if len(grid) > 48:
+            grid = grid[np.unique(np.linspace(0, len(grid) - 1, 48).astype(int))]
+        pool.append(grid)
+        pool.extend(
+            np.flatnonzero((scan.block == fam.block) & (scan.ladder == k))[-3:]
+            for k in range(len(fam.tails))
+        )
+    base = []
+    for i in np.concatenate(pool):
+        b = int(scan.block[i])
+        if b < nf:
+            body, env = inst.fixed[b][1], None
+        else:
+            fam = inst.families[b - nf][0]
+            body, env = fam.body, {fam.index_name: float(scan.t[i])}
+        base.append((body, env, float(scan.value[i]), scan.grad[i]))
+    etas_sorted = sorted(etas)
+    s_est, r_est = np.zeros(len(etas_sorted)), np.zeros(len(etas_sorted))
+    s_run, r_run = 0.0, 0.0
+    for k, eta in enumerate(etas_sorted):
+        for body, env, v0, g0 in base:
+            u = rng.normal(size=(samples_per_eta, n))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            radii = eta * rng.uniform(0.05, 1.0, size=(samples_per_eta, 1)) ** (1.0 / n)
+            pts = x + radii * u
+            try:
+                vals = np.asarray(ex.eval_value(body, pts, env), dtype=float)
+            except ex.ExprError:
+                continue
+            diffs = pts - x
+            norms = np.linalg.norm(diffs, axis=1)
+            s_run = max(s_run, float(np.max(np.abs(vals - v0 - diffs @ g0) / norms)))
+            half = samples_per_eta // 2
+            pa, pb = pts[:half], pts[half : 2 * half]
+            va, vb = vals[:half], vals[half : 2 * half]
+            d2 = pa - pb
+            n2 = np.linalg.norm(d2, axis=1)
+            keep = n2 > 1e-12
+            if np.any(keep):
+                quot_r = np.abs(va[keep] - vb[keep] - d2[keep] @ g0) / n2[keep]
+                r_run = max(r_run, float(np.max(quot_r)))
+            r_run = max(r_run, s_run)
+        s_est[k], r_est[k] = s_run, r_run
+    return s_est, r_est
