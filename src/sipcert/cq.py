@@ -24,7 +24,8 @@ from .cones import (
     augmented_generators,
     closedness_diagnostic,
 )
-from .model import ACT_TOL, ConstraintScan, FamilyScan, SipInstance, scan_constraints
+from .expr import ExprError
+from .model import ACT_TOL, ConstraintScan, FamilyScan, SipInstance, scan_constraints, worst_row
 
 EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
 MARGIN_TOL = 1e-6
@@ -274,11 +275,15 @@ def check_nfmcq(
     )
 
 
-def _sup_inequalities(inst: SipInstance, x) -> float:
+def _sup_inequalities(inst: SipInstance, x) -> float | None:
     """Upper estimate of sup_t g_t(x): the materialized maximum plus the
     between-grid-points slack bounded by local curvature at each family's
-    maximizer. Keeps a grid from hiding a positive peak between its points."""
-    scan = scan_constraints(inst, np.asarray(x, dtype=float))
+    maximizer. Keeps a grid from hiding a positive peak between its points.
+    None when a constraint cannot be evaluated at x."""
+    try:
+        scan = scan_constraints(inst, np.asarray(x, dtype=float))
+    except ExprError:
+        return None
     best, _ = scan.argmax(tail=True)
     if not math.isfinite(best):
         return 0.0
@@ -290,13 +295,11 @@ def _sup_inequalities(inst: SipInstance, x) -> float:
 
 
 def _coarse_sup_and_gradient(inst: SipInstance, x):
-    """Constraint supremum and a worst-index gradient on a thinned grid."""
-    x = np.asarray(x, dtype=float)
-    scan = scan_constraints(inst, x, truncation=512, resolution=65, refinements=2, tail=False)
-    best, row = scan.argmax(tail=False)
-    if row is None:
-        return 0.0, np.zeros(inst.dim)
-    return best, scan.grad[row]
+    """Constraint supremum and a worst-index gradient on a thinned grid
+    (truncation 512, resolution 65, 2 refinements, no tail ladders): grid
+    values, then one gradient, at the first worst row (model.worst_row)."""
+    best, g = worst_row(inst, x, truncation=512, resolution=65, refinements=2)
+    return (0.0, np.zeros(inst.dim)) if g is None else (best, g)
 
 
 def _affine_projector(inst: SipInstance):
@@ -326,9 +329,11 @@ def check_ssc(
 
     A supplied candidate is verified directly. Otherwise a multistart
     projected subgradient search tries to drive the constraint supremum
-    strictly negative; search failure alone never yields Fails. Fails comes
-    only from the equivalence with the perturbed margin criterion on convex
-    instances.
+    strictly negative along the gradient of a worst row of a thinned grid;
+    a start ends where a constraint cannot be evaluated, and the best point
+    must pass the full scan. Search failure alone never yields Fails. Fails
+    comes only from the equivalence with the perturbed margin criterion on
+    convex instances.
     """
     if not inst.convex:
         return SscResult(Verdict.UNKNOWN, None, None, "instance not declared convex")
@@ -339,7 +344,7 @@ def check_ssc(
         x_hat = np.asarray(x_hat, dtype=float)
         eq = inst.eq_residual(x_hat)
         sup = _sup_inequalities(inst, x_hat)
-        if eq <= 1e-9 and sup < -1e-9:
+        if eq <= 1e-9 and sup is not None and sup < -1e-9:
             return SscResult(Verdict.HOLDS, x_hat, sup)
         notes.append("supplied point is not strongly feasible")
 
@@ -354,20 +359,24 @@ def check_ssc(
         xk = pt.copy()
         step0 = float(np.max(hi - lo)) / 2.0
         for k in range(_SSC_ITERS):
-            sup, g = _coarse_sup_and_gradient(inst, xk)
+            try:
+                sup, g = _coarse_sup_and_gradient(inst, xk)
+            except ExprError:
+                break
             if sup < best_sup:
                 best_sup, best_x = sup, xk.copy()
             if sup < -1e-6:
                 break
             norm = np.linalg.norm(g)
-            if norm < 1e-14:
+            if not 1e-14 <= norm < math.inf:  # a NaN or inf gradient gives no step either
                 break
             xk = project(xk - (step0 / math.sqrt(k + 1.0)) * g / norm)
     if best_x is not None and best_sup < -1e-8:
         sup_full = _sup_inequalities(inst, best_x)
-        if sup_full < -1e-9:
+        if sup_full is not None and sup_full < -1e-9:
             return SscResult(Verdict.HOLDS, best_x, sup_full)
-        notes.append("coarse search point failed full verification")
+        notes.append("coarse search point " + ("could not be evaluated" if sup_full is None
+                                               else "failed full verification"))
     if pmfcq is not None and pmfcq.verdict == Verdict.FAILS:
         return SscResult(Verdict.FAILS, None, None,
                          "perturbed margin criterion fails on a convex instance")

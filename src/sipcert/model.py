@@ -350,17 +350,17 @@ def _ladder_exponents(k0: int) -> list[int]:
     return sorted(set(ks))
 
 
-def _family_batch(fam: ConstraintFamily, x, ts: np.ndarray):
-    """Values and gradients of one family over an index array, broadcasting
-    expressions that do not mention the index variable."""
-    m = len(ts)
-    n = len(x)
-    if m == 0:
-        return np.zeros(0), np.zeros((0, n))
-    vals, grads = ex.eval_grad(fam.body, x, {fam.index_name: ts})
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), (m,)).copy()
-    grads = np.broadcast_to(np.asarray(grads, dtype=float), (m, n)).copy()
-    return vals, grads
+def _family_batch(fam: ConstraintFamily, x, ts: np.ndarray, grad: bool = True):
+    """Values and gradients (None without `grad`) of one family over an index
+    array, broadcasting expressions that do not mention the index variable."""
+    m, n = len(ts), len(x)
+    env = {fam.index_name: ts}
+    if grad:
+        vals, grads = ex.eval_grad(fam.body, x, env)
+        grads = np.broadcast_to(np.asarray(grads, dtype=float), (m, n)).copy()
+    else:
+        vals, grads = ex.eval_value(fam.body, x, env), None
+    return np.broadcast_to(np.asarray(vals, dtype=float), (m,)).copy(), grads
 
 
 def _tail_ladders(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
@@ -435,10 +435,9 @@ _REFINE_SITES = 12
 
 
 def _refine_once(desc: IntervalGridIndexSet, ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Insert bisection points around local maximizers of the value profile."""
+    """Bisection points around local maximizers of the value profile on the
+    sorted grid ts: the new points only, sorted, inside the index set."""
     m = len(ts)
-    if m == 0:
-        return ts
     is_max = np.ones(m, dtype=bool)
     if m > 1:
         is_max[1:] &= vals[1:] >= vals[:-1]
@@ -455,10 +454,12 @@ def _refine_once(desc: IntervalGridIndexSet, ts: np.ndarray, vals: np.ndarray) -
             new_pts.append(0.5 * (ts[i] + ts[i + 1]))
         elif not desc.include_upper:
             new_pts.append(0.5 * (ts[-1] + desc.upper))
-    merged = np.union1d(ts, np.array(new_pts))
-    lo_ok = merged > desc.lower if not desc.include_lower else merged >= desc.lower
-    up_ok = merged < desc.upper if not desc.include_upper else merged <= desc.upper
-    return merged[lo_ok & up_ok]
+    new = np.unique(np.array(new_pts, dtype=float))
+    lo_ok = new > desc.lower if not desc.include_lower else new >= desc.lower
+    up_ok = new < desc.upper if not desc.include_upper else new <= desc.upper
+    new = new[lo_ok & up_ok]
+    pos = np.minimum(np.searchsorted(ts, new), m - 1)
+    return new[ts[pos] != new]
 
 
 def _apply_overrides(desc, truncation, resolution, refinements):
@@ -470,6 +471,35 @@ def _apply_overrides(desc, truncation, resolution, refinements):
         if refinements is not None:
             desc = replace(desc, refinements=refinements)
     return desc
+
+
+def _family_grid(fam: ConstraintFamily, desc: IndexSetDescriptor, x, grad: bool):
+    """(ts, level, values, gradients or None) of one family's grid at x, by
+    ascending ts: the base grid, on an interval refined around maximizers."""
+    ts = _base_grid(desc)
+    if len(ts) == 0:
+        raise InstanceError(f"family '{fam.name}' materializes to an empty index set")
+    vals, grads = _family_batch(fam, x, ts, grad)
+    level = np.zeros(len(ts), dtype=int)
+    if isinstance(desc, IntervalGridIndexSet):
+        for k in range(1, desc.refinements + 1):
+            new = _refine_once(desc, ts, vals)
+            new_vals, new_grads = _family_batch(fam, x, new, grad)
+            order = np.argsort(np.concatenate([ts, new]), kind="stable")
+            ts = np.concatenate([ts, new])[order]
+            vals = np.concatenate([vals, new_vals])[order]
+            grads = np.vstack([grads, new_grads])[order] if grad else None
+            level = np.concatenate([level, np.full(len(new), k)])[order]
+    return ts, level, vals, grads
+
+
+def _checked_point(inst: SipInstance, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (inst.dim,):
+        raise InstanceError(f"point must have dimension {inst.dim}")
+    if not np.all(np.isfinite(x)):
+        raise InstanceError("point must be finite")
+    return x
 
 
 def scan_constraints(
@@ -486,11 +516,7 @@ def scan_constraints(
     constraint value), and tail ladders for truncated descriptors. Each index
     is evaluated once. Overflow and NaN raise no RuntimeWarning: a
     non-finite value counts as a violation."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.dim,):
-        raise InstanceError(f"point must have dimension {inst.dim}")
-    if not np.all(np.isfinite(x)):
-        raise InstanceError("point must be finite")
+    x = _checked_point(inst, x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # one segment of table columns per fixed constraint, family grid or ladder:
         # (block, t, level, ladder, param, value, grad)
@@ -504,20 +530,8 @@ def scan_constraints(
         for pos, (fam, desc0) in enumerate(inst.families):
             desc = _apply_overrides(desc0, truncation, resolution, refinements)
             block = len(inst.fixed) + pos
-            ts = _base_grid(desc)
-            if len(ts) == 0:
-                raise InstanceError(f"family '{fam.name}' materializes to an empty index set")
-            vals, grads = _family_batch(fam, x, ts)
-            level = np.zeros(len(ts), dtype=int)
+            ts, level, vals, grads = _family_grid(fam, desc, x, grad=True)
             if isinstance(desc, IntervalGridIndexSet):
-                for k in range(1, desc.refinements + 1):
-                    new = np.setdiff1d(_refine_once(desc, ts, vals), ts)
-                    new_vals, new_grads = _family_batch(fam, x, new)
-                    order = np.argsort(np.concatenate([ts, new]), kind="stable")
-                    ts = np.concatenate([ts, new])[order]
-                    vals = np.concatenate([vals, new_vals])[order]
-                    grads = np.vstack([grads, new_grads])[order]
-                    level = np.concatenate([level, np.full(len(new), k)])[order]
                 n_levels = max(n_levels, desc.refinements + 1)
             segments.append((block, ts, level, -1, 0.0, vals, grads))
             ladders = _tail_ladders(fam, desc, x) if tail else []
@@ -553,6 +567,32 @@ def scan_constraints(
         value=value,
         grad=np.vstack([seg[6] for seg in segments]),
     )
+
+
+def worst_row(inst: SipInstance, x, *, truncation: int, resolution: int, refinements: int):
+    """Value and gradient of the row `scan_constraints(inst, x, ..., tail=False)
+    .argmax(tail=False)` picks, without the table: grid values only, then one
+    gradient, its index bound as a one-element array so that it equals the
+    batched row bit for bit. NaN counts as +inf; (-inf, None) without a row."""
+    x = _checked_point(inst, x)
+    best, worst = -math.inf, None  # worst: (body, index bindings) of the row
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _, body in inst.fixed:
+            v = float(ex.eval_value(body, x))
+            v = math.inf if math.isnan(v) else v
+            if v > best:
+                best, worst = v, (body, None)
+        for fam, desc0 in inst.families:
+            desc = _apply_overrides(desc0, truncation, resolution, refinements)
+            ts, _, vals, _ = _family_grid(fam, desc, x, grad=False)
+            vals = np.where(np.isnan(vals), math.inf, vals)
+            j = int(np.argmax(vals))
+            if vals[j] > best:
+                best, worst = float(vals[j]), (fam.body, {fam.index_name: ts[j : j + 1]})
+        if worst is None:
+            return -math.inf, None
+        _, g = ex.eval_grad(worst[0], x, worst[1])
+    return best, g.reshape(inst.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,31 @@ def test_bad_numeric_option_is_validation_error(command, option, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_slater_search_domain_error_is_not_a_crash(tmp_path, capsys):
+    # every Slater search start is the origin or a point in the box, where
+    # sqrt(x1^2 + t) has no gradient at t = 0; analyze must still report
+    import jsonschema
+
+    path = tmp_path / "sqrt.sip"
+    path.write_text(
+        "[problem]\nvars = x1 x2\nminimize = x1\nconvex = true\nbox = -2 2 ; -2 2\n\n"
+        "[index t]\nkind = interval\na = 0\nb = 1\nresolution = 9\nrefinements = 1\n\n"
+        "[constraints]\ng(t) = sqrt(x1^2 + t) - 2\n"
+    )
+    code, out, err = run_cli(
+        ["analyze", str(path), "--point=0.5,-0.5", "--report=json", "--deterministic"], capsys
+    )
+    assert code == EXIT_OK and err == ""
+    doc = json.loads(out)
+    jsonschema.validate(doc, json.loads(SCHEMA.read_text()))
+    ssc = doc["cq"]["ssc"]
+    if ssc["verdict"] == "holds":
+        point = np.array(ssc["slater_point"], dtype=float)
+        assert model.scan_constraints(model.load_instance(path), point).argmax()[0] < 0.0
+    else:
+        assert "could not be evaluated" in ssc["reason"]
+
+
 class TestJsonReport:
     def test_schema_validates(self, tmp_path, capsys):
         import jsonschema

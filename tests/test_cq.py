@@ -1,12 +1,15 @@
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sipcert import expr as ex
+from sipcert import model
 from sipcert.cq import (
     Verdict,
+    _coarse_sup_and_gradient,
     check_emfcq,
     check_nfmcq,
     check_pmfcq,
@@ -15,14 +18,17 @@ from sipcert.cq import (
 )
 from sipcert.model import (
     ConstraintFamily,
+    CountableIndexSet,
     EqualityBlock,
+    FiniteIndexSet,
     IntervalGridIndexSet,
     SipInstance,
     SmoothCost,
     load_instance,
+    scan_constraints,
 )
 
-from test_model import countable_cubic, interval_ramp
+from test_model import GOLDEN_POINTS, countable_cubic, interval_ramp
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 XBAR = np.array([-1.0, 0.0])
@@ -191,6 +197,198 @@ class TestSsc:
         )
         res = check_ssc(inst)
         assert res.verdict == Verdict.UNKNOWN
+
+
+    def test_search_iterate_domain_error_ends_the_start(self):
+        # sqrt's gradient is undefined at x1 = 0, t = 0, where every start
+        # begins; the grid values there are all negative, so the search stops
+        # at once and its point must then pass the full scan, which raises
+        inst = SipInstance(
+            dim=2,
+            cost=SmoothCost(ex.parse("x1")),
+            convex=True,
+            box=((-2.0, 2.0), (-2.0, 2.0)),
+            families=(
+                (
+                    ConstraintFamily("g", "t", ex.parse("sqrt(x1^2 + t) - 2")),
+                    IntervalGridIndexSet(0.0, 1.0, resolution=9, refinements=1),
+                ),
+            ),
+        )
+        with pytest.raises(ex.ExprError):
+            scan_constraints(inst, np.zeros(2))
+        res = check_ssc(inst)
+        assert res.verdict == Verdict.UNKNOWN
+        assert "could not be evaluated" in res.reason
+
+    def test_search_iterate_domain_error_skips_the_start(self):
+        # every random start has x1 < -1.5, where the log is undefined; the
+        # start at the origin alone is evaluated, and holds
+        inst = SipInstance(
+            dim=2,
+            cost=SmoothCost(ex.parse("x1")),
+            convex=True,
+            box=((-3.0, -1.6), (-2.0, 2.0)),
+            families=(
+                (
+                    ConstraintFamily("g", "t", ex.parse("log(x1 + 1.5) - 2 + t*x2")),
+                    IntervalGridIndexSet(0.0, 1.0, resolution=9, refinements=1),
+                ),
+            ),
+        )
+        res = check_ssc(inst)
+        assert res.verdict == Verdict.HOLDS
+        assert res.slater_point.tolist() == [0.0, 0.0]
+
+    def test_non_finite_gradient_ends_the_start(self):
+        # exp(800*x1) overflows for x1 > 0.89: the value is inf - inf = NaN
+        # (counted as +inf) and so is the gradient, which gives no step
+        inst = SipInstance(
+            dim=2,
+            cost=SmoothCost(ex.parse("x1")),
+            convex=True,
+            box=((0.9, 2.0), (-2.0, 2.0)),
+            fixed=(("a", ex.parse("exp(800*x1) - exp(800*x1) + x2")),),
+        )
+        assert _coarse_sup_and_gradient(inst, np.array([1.0, 0.0]))[0] == math.inf
+        res = check_ssc(inst)
+        assert res.verdict == Verdict.HOLDS
+        assert scan_constraints(inst, res.slater_point).argmax()[0] < 0.0
+
+    def test_search_scans_only_to_verify(self, monkeypatch):
+        # no point is strongly feasible, so all 6 x 80 iterates run
+        inst = SipInstance(
+            dim=2,
+            cost=SmoothCost(ex.parse("x1")),
+            convex=True,
+            families=(
+                (
+                    ConstraintFamily("g", "t", ex.parse("(x1 - t)^2 + x2^2 - 0.01")),
+                    IntervalGridIndexSet(0.0, 1.0, resolution=65, refinements=3),
+                ),
+            ),
+        )
+        calls = {"scan_constraints": 0, "worst_row": 0}
+        for name in calls:
+            original = getattr(model, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for modname, mod in list(sys.modules.items()):
+                if modname.split(".")[0] == "sipcert" and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counting)
+        res = check_ssc(inst)
+        assert res.verdict == Verdict.UNKNOWN
+        assert calls["worst_row"] == 480
+        assert calls["scan_constraints"] <= 1
+
+
+def scan_coarse_sup_and_gradient(inst, x):
+    """The reference coarse step: a full scan of the thinned grid, values and
+    gradients of every row, then the gradient of the first worst row."""
+    x = np.asarray(x, dtype=float)
+    scan = scan_constraints(inst, x, truncation=512, resolution=65, refinements=2, tail=False)
+    best, row = scan.argmax(tail=False)
+    if row is None:
+        return 0.0, np.zeros(inst.dim)
+    return best, scan.grad[row]
+
+
+def _family_instance(body, index, desc, fixed=()):
+    return SipInstance(
+        dim=2,
+        cost=SmoothCost(ex.parse("x1")),
+        convex=True,
+        box=((-2.0, 2.0), (-2.0, 2.0)),
+        fixed=tuple((name, ex.parse(src)) for name, src in fixed),
+        families=((ConstraintFamily("g", index, ex.parse(body)), desc),),
+    )
+
+
+COARSE_CASES = {
+    **{name: (lambda name=name: load_instance(INSTANCES / f"{name}.sip"), [point])
+       for name, point in GOLDEN_POINTS.items()},
+    "convex_interval": (lambda: _family_instance(
+        "(0.55 - 0.13*t)^2*(x1^2 + x2^2) + 0.36*x1 + 0.87*x2 - 0.59 - 0.75*(t - 0.43)^2",
+        "t", IntervalGridIndexSet(0.0, 1.0, resolution=65, refinements=3)), [(0.0, 0.0)]),
+    "finite": (lambda: _family_instance(
+        "cos(t)*x1 + sin(t)*x2 - 1", "t", FiniteIndexSet((2.5, 0.0, 1.2, -0.7, 4.0))),
+        [(0.0, 0.0)]),
+    "fixed_affine_equality": (lambda: SipInstance(
+        dim=3,
+        cost=SmoothCost(ex.parse("x1")),
+        convex=True,
+        fixed=(("a", ex.parse("x1^2 + x2^2 - 1")), ("b", ex.parse("exp(x1 + x3) - 2"))),
+        equalities=EqualityBlock((ex.parse("x1 + x2 + x3 - 0.5"),), affine=True),
+    ), [(0.0, 0.0, 0.5)]),
+    "countable_start_beyond_512": (lambda: _family_instance(
+        "x1^3/(3*n) - x2 + sin(n)*x1/n", "n", CountableIndexSet(start=600, truncation=10_000)),
+        [(-1.0, 0.0)]),
+    "countable_truncated_to_512": (lambda: _family_instance(
+        "x1/(1 + n) + cos(n)*x2/100 - 0.5",
+        "n", CountableIndexSet(start=3, truncation=2000, limit_ray=(1.0, 0.0))), [(0.0, 0.0)]),
+    "body_without_index": (lambda: _family_instance(
+        "x1 + 2*x2 - 1", "t", IntervalGridIndexSet(0.0, 1.0, resolution=5)), [(0.0, 0.0)]),
+    # at x1 = 0 and x2 <= 0 the fixed row and the family rows all read 0:
+    # the fixed row comes first, and within the family t = 0 does
+    "fixed_ties_family": (lambda: _family_instance(
+        "t*x2", "t", IntervalGridIndexSet(0.0, 1.0, resolution=33, refinements=2),
+        fixed=(("a", "x1"),)), [(0.0, 0.0), (0.0, -1.0), (0.0, -1e-300), (-0.0, -0.0)]),
+    # equal values with different gradients: the first fixed row wins
+    "fixed_ties_fixed": (lambda: SipInstance(
+        dim=2,
+        cost=SmoothCost(ex.parse("x1")),
+        fixed=(("a", ex.parse("x1")), ("b", ex.parse("x2")), ("c", ex.parse("x1 - 1"))),
+    ), [(0.0, 0.0), (0.5, 0.5), (-1.0, -1.0)]),
+    "open_endpoints": (lambda: _family_instance(
+        "sin(3*t*x1) - x2*t^2 + sqrt(1 + x1^2 + t) - 1.5",
+        "t", IntervalGridIndexSet(0.0, 1.0, include_lower=False, include_upper=False,
+                                  resolution=257, refinements=4)), [(0.0, 0.0)]),
+    # NaN (inf - inf) for x1 > 0.89, counted as +inf; its gradient is NaN too
+    "nan_body": (lambda: _family_instance(
+        "exp(800*x1) - exp(800*x1) + t*x2 - 1",
+        "t", IntervalGridIndexSet(0.0, 1.0, resolution=17, refinements=2),
+        fixed=(("a", "x1 - 3"),)), [(1.0, 0.0), (0.0, 0.0)]),
+    "no_constraints": (lambda: SipInstance(dim=2, cost=SmoothCost(ex.parse("x1"))),
+                       [(0.0, 0.0)]),
+}
+
+
+class TestCoarseStep:
+    """The value-only coarse step against the scan-based reference."""
+
+    @pytest.mark.parametrize("case", sorted(COARSE_CASES))
+    def test_bit_equal_to_scan(self, case):
+        build, points = COARSE_CASES[case]
+        inst = build()
+        lo, hi = inst.box_bounds()
+        rng = np.random.default_rng(sorted(COARSE_CASES).index(case))
+        points = [np.array(p, dtype=float) for p in points]
+        points += [rng.uniform(1.5 * lo, 1.5 * hi) for _ in range(20)]
+        for x in points:
+            got_v, got_g = _coarse_sup_and_gradient(inst, x)
+            want_v, want_g = scan_coarse_sup_and_gradient(inst, x)
+            assert np.array_equal(got_v, want_v)
+            assert np.array_equal(got_g, want_g, equal_nan=True)
+            assert np.signbit(got_g).tolist() == np.signbit(want_g).tolist()
+
+    def test_cases_reach_nan_and_ties(self):
+        build, points = COARSE_CASES["nan_body"]
+        v, g = _coarse_sup_and_gradient(build(), np.array(points[0]))
+        assert v == math.inf and np.all(np.isnan(g))
+        build, points = COARSE_CASES["fixed_ties_family"]
+        v, g = _coarse_sup_and_gradient(build(), np.array(points[1]))
+        assert v == 0.0 and g.tolist() == [1.0, 0.0]
+        build, points = COARSE_CASES["fixed_ties_fixed"]
+        v, g = _coarse_sup_and_gradient(build(), np.array(points[1]))
+        assert v == 0.5 and g.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.array([0.0, math.nan])])
+    def test_point_checks(self, x):
+        with pytest.raises(model.InstanceError):
+            _coarse_sup_and_gradient(COARSE_CASES["finite"][0](), x)
 
 
 class TestSummary:

@@ -3,9 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sipcert import expr as ex
 from sipcert.model import (
+    _REFINE_SITES,
     ConstraintFamily,
     CountableIndexSet,
     EqualityBlock,
@@ -13,6 +16,7 @@ from sipcert.model import (
     IntervalGridIndexSet,
     SipInstance,
     SmoothCost,
+    _refine_once,
     active_set,
     estimate_moduli,
     feasibility_check,
@@ -277,6 +281,82 @@ class TestScan:
         mins = [scan.t[scan.grid(level, block)][0] for level in range(scan.n_levels)]
         for a, b in zip(mins, mins[1:]):
             assert b == pytest.approx(a / 2.0)
+
+
+def union_refine_once(desc, ts, vals):
+    """The reference refinement: the grid merged with the bisection points
+    around local maximizers, cut to the index set. Callers kept only the new
+    points, with np.setdiff1d against ts."""
+    m = len(ts)
+    is_max = np.ones(m, dtype=bool)
+    if m > 1:
+        is_max[1:] &= vals[1:] >= vals[:-1]
+        is_max[:-1] &= vals[:-1] >= vals[1:]
+    order = np.argsort(-vals, kind="stable")
+    sites = order[is_max[order]][:_REFINE_SITES]
+    new_pts = []
+    for i in sites:
+        if i > 0:
+            new_pts.append(0.5 * (ts[i - 1] + ts[i]))
+        elif not desc.include_lower:
+            new_pts.append(0.5 * (desc.lower + ts[0]))
+        if i < m - 1:
+            new_pts.append(0.5 * (ts[i] + ts[i + 1]))
+        elif not desc.include_upper:
+            new_pts.append(0.5 * (ts[-1] + desc.upper))
+    merged = np.union1d(ts, np.array(new_pts))
+    lo_ok = merged > desc.lower if not desc.include_lower else merged >= desc.lower
+    up_ok = merged < desc.upper if not desc.include_upper else merged <= desc.upper
+    return merged[lo_ok & up_ok]
+
+
+def _float_steps(v: float, k: int) -> float:
+    """v moved k floats up."""
+    for _ in range(k):
+        v = float(np.nextafter(v, math.inf))
+    return v
+
+
+@st.composite
+def refine_cases(draw):
+    """An interval, a sorted grid inside it and values on the grid. Some
+    intervals are a few floats wide, and grids hold runs of adjacent floats,
+    so that midpoints round onto grid points and endpoints."""
+    lower = draw(st.floats(-100.0, 100.0))
+    if draw(st.booleans()):
+        upper = _float_steps(lower, draw(st.integers(1, 12)))
+    else:
+        upper = lower + draw(st.floats(1e-6, 100.0))
+    assume(lower < upper)
+    desc = IntervalGridIndexSet(lower, upper, include_lower=draw(st.booleans()),
+                                include_upper=draw(st.booleans()))
+    pts = draw(st.lists(st.one_of(st.floats(lower, upper), st.sampled_from([lower, upper])),
+                        min_size=1, max_size=24))
+    pts += [_float_steps(p, draw(st.integers(1, 3))) for p in pts[: draw(st.integers(0, 6))]]
+    ts = np.unique(np.array(pts))
+    ts = ts[(ts > lower if not desc.include_lower else ts >= lower)
+            & (ts < upper if not desc.include_upper else ts <= upper)]
+    assume(len(ts) > 0)
+    value = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(allow_nan=True))
+    vals = np.array(draw(st.lists(value, min_size=len(ts), max_size=len(ts))), dtype=float)
+    return desc, ts, vals
+
+
+class TestRefinement:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(refine_cases())
+    def test_new_points_equal_union_minus_grid(self, case):
+        desc, ts, vals = case
+        got = _refine_once(desc, ts, vals)
+        want = np.setdiff1d(union_refine_once(desc, ts, vals), ts)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_midpoint_of_adjacent_floats_is_not_new(self):
+        t0 = 0.5
+        t1 = float(np.nextafter(t0, 1.0))
+        desc = IntervalGridIndexSet(0.0, 1.0)
+        got = _refine_once(desc, np.array([0.25, t0, t1, 0.75]), np.array([0.0, 1.0, 1.0, 0.0]))
+        assert got.tolist() == [0.375, 0.625]
 
 
 class TestModuli:
