@@ -179,7 +179,10 @@ def build_report(
     scan: ConstraintScan | None = None,
 ) -> dict:
     """The report document. ``scan`` is the scan of ``x`` with the CLI
-    overrides; it is built here when not given."""
+    overrides; it is built here when not given. Each normal-cone variant is
+    built once, and the stationarity section reads those cones: KKT the
+    unperturbed one, perturbed stationarity the perturbed one, and the
+    convex global check the KKT report."""
     if scan is None:
         scan = scan_constraints(inst, x, truncation=args.truncation)
     feas = feasibility_check(inst, x, scan=scan)
@@ -194,22 +197,18 @@ def build_report(
             inst, x, samples_per_eta=args.moduli_samples, seed=args.seed, scan=scan
         )
         dirs = probe_directions(inst.dim, args.probe_dirs, args.seed)
-        cones = []
-        for variant in args.variants:
-            rep = normal_cone(
+        reps = {
+            variant: normal_cone(
                 inst, x, args.eps_schedule, variant, scan=scan, cq=cq, moduli=moduli
             )
-            cones.append(_normal_cone_section(rep, dirs))
-        stationarity = [
-            _stationarity_section(verify_kkt(inst, x, scan=scan)),
-            _stationarity_section(
-                verify_perturbed_stationarity(inst, x, args.eps_schedule, scan=scan, cq=cq)
-            ),
-        ]
+            for variant in dict.fromkeys(("perturbed", "unperturbed", *args.variants))
+        }
+        cones = [_normal_cone_section(reps[variant], dirs) for variant in args.variants]
+        kkt = verify_kkt(inst, x, rep=reps["unperturbed"])
+        reports = [kkt, verify_perturbed_stationarity(inst, x, rep=reps["perturbed"])]
         if inst.convex:
-            stationarity.append(
-                _stationarity_section(convex_global_check(inst, x, scan=scan, cq=cq))
-            )
+            reports.append(convex_global_check(inst, x, scan=scan, cq=cq, kkt=kkt))
+        stationarity = [_stationarity_section(r) for r in reports]
     doc = {
         "tool": {"name": "sipcert", "version": __version__},
         "generated_at": (

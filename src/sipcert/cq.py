@@ -330,10 +330,11 @@ def check_ssc(
     A supplied candidate is verified directly. Otherwise a multistart
     projected subgradient search tries to drive the constraint supremum
     strictly negative along the gradient of a worst row of a thinned grid;
-    a start ends where a constraint cannot be evaluated, and the best point
-    must pass the full scan. Search failure alone never yields Fails. Fails
-    comes only from the equivalence with the perturbed margin criterion on
-    convex instances.
+    a start ends where a constraint cannot be evaluated. Each start's best
+    point, in ascending order of coarse supremum, is then checked against the
+    full scan, and the first that passes is the Slater point. Search failure
+    alone never yields Fails. Fails comes only from the equivalence with the
+    perturbed margin criterion on convex instances.
     """
     if not inst.convex:
         return SscResult(Verdict.UNKNOWN, None, None, "instance not declared convex")
@@ -354,29 +355,33 @@ def check_ssc(
     start_pts = [project(np.zeros(inst.dim))]
     for _ in range(_SSC_STARTS - 1):
         start_pts.append(project(rng.uniform(lo, hi)))
-    best_x, best_sup = None, math.inf
+    bests = []  # (coarse sup, point): each start's best point
     for pt in start_pts:
         xk = pt.copy()
         step0 = float(np.max(hi - lo)) / 2.0
+        best = (math.inf, None)
         for k in range(_SSC_ITERS):
             try:
                 sup, g = _coarse_sup_and_gradient(inst, xk)
             except ExprError:
                 break
-            if sup < best_sup:
-                best_sup, best_x = sup, xk.copy()
+            if sup < best[0]:
+                best = (sup, xk.copy())
             if sup < -1e-6:
                 break
             norm = np.linalg.norm(g)
             if not 1e-14 <= norm < math.inf:  # a NaN or inf gradient gives no step either
                 break
             xk = project(xk - (step0 / math.sqrt(k + 1.0)) * g / norm)
-    if best_x is not None and best_sup < -1e-8:
-        sup_full = _sup_inequalities(inst, best_x)
+        if best[0] < -1e-8:
+            bests.append(best)
+    unverified = {"could not be evaluated": 0, "failed full verification": 0}
+    for _, point in sorted(bests, key=lambda b: b[0]):  # stable: earlier starts first on ties
+        sup_full = _sup_inequalities(inst, point)
         if sup_full is not None and sup_full < -1e-9:
-            return SscResult(Verdict.HOLDS, best_x, sup_full)
-        notes.append("coarse search point " + ("could not be evaluated" if sup_full is None
-                                               else "failed full verification"))
+            return SscResult(Verdict.HOLDS, point, sup_full)
+        unverified["could not be evaluated" if sup_full is None else "failed full verification"] += 1
+    notes.extend(f"{k} coarse search point(s) {why}" for why, k in unverified.items() if k)
     if pmfcq is not None and pmfcq.verdict == Verdict.FAILS:
         return SscResult(Verdict.FAILS, None, None,
                          "perturbed margin criterion fails on a convex instance")

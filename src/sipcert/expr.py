@@ -611,37 +611,3 @@ def eval_grad(ast: ExprAst, x, index: Bindings | None = None):
     for j, p in enumerate(partials):
         grad[..., j] = p
     return val, grad
-
-
-def _affine_info(node: ExprAst) -> tuple[bool, bool]:
-    """(affine in x, free of x)."""
-    if isinstance(node, (Const, IndexVar)):
-        return True, True
-    if isinstance(node, Var):
-        return True, False
-    if isinstance(node, Neg):
-        return _affine_info(node.child)
-    if isinstance(node, Call):
-        _, xfree = _affine_info(node.arg)
-        return xfree, xfree
-    la, lf = _affine_info(node.left)
-    ra, rf = _affine_info(node.right)
-    if node.op in "+-":
-        return la and ra, lf and rf
-    if node.op == "*":
-        return (lf and ra) or (rf and la), lf and rf
-    if node.op == "/":
-        return la and rf, lf and rf
-    return lf and rf, lf and rf
-
-
-def is_affine_in_x(ast: ExprAst) -> bool:
-    return _affine_info(ast)[0]
-
-
-def affine_coefficients(ast: ExprAst, n: int, index: Bindings | None = None):
-    """For an expression affine in x, return (a, c) with value == <a, x> + c."""
-    if not is_affine_in_x(ast):
-        raise ExprError("expression is not affine in the decision variables")
-    c, a = eval_grad(ast, np.zeros(n), index)
-    return a, float(c)

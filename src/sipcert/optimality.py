@@ -11,6 +11,11 @@ marks every scheduled eps, and only without one are the cones tried from
 the largest eps down to the first that fails. This is a semidecision and is
 reported as such whenever the qualification hypotheses behind a
 representation do not hold.
+
+Stationarity is normal-cone membership of the negated cost subdifferential,
+so the stationarity checks read the cones a report has already built: KKT
+the unperturbed cone, perturbed stationarity the perturbed cones, and the
+convex global check the KKT report itself.
 """
 
 from __future__ import annotations
@@ -120,6 +125,13 @@ def _family_rays(scan: ConstraintScan, attained_dirs) -> list[Ray]:
     return out
 
 
+def _active_cone(inst: SipInstance, x, scan: ConstraintScan, eps: float = 0.0) -> GeneratedCone:
+    """The eps-active gradients (exactly active at eps = 0) and the equality
+    lineality space, without limit rays."""
+    labels, cols = scan.generators(scan.active(eps))
+    return GeneratedCone(inst.dim, labels, cols, inst.eq_jacobian(x).T)
+
+
 def _qualified_rays(rays: list[Ray], eps: float) -> list[Ray]:
     """The rays whose trajectory value limit stays eps-active."""
     return [r for r in rays if r.value_limit is not None and r.value_limit >= -(eps + 1e-12)]
@@ -148,7 +160,6 @@ def normal_cone(
     scan = scan or scan_constraints(inst, x)
     _require_feasible(inst, x, scan)
     cq = cq or cq_summary(inst, x, schedule, scan=scan)
-    lineality = inst.eq_jacobian(x).T
     warnings: list[str] = []
     valid = True
 
@@ -157,8 +168,7 @@ def normal_cone(
         regular = bool(moduli.r_est[0] <= max(1e-2, 0.05 * moduli.r_est[-1]))
 
     if variant == "unperturbed":
-        labels, cols = scan.generators(scan.active())
-        cone = GeneratedCone(inst.dim, labels, cols, lineality, limit_rays=[])
+        cone = _active_cone(inst, x, scan)
         compact_t = all(
             isinstance(d, FiniteIndexSet)
             or (isinstance(d, IntervalGridIndexSet) and d.include_lower and d.include_upper)
@@ -174,6 +184,7 @@ def normal_cone(
             )
         return NormalConeRep(x, variant, [], cone, valid, warnings, regular)
 
+    lineality = inst.eq_jacobian(x).T
     grid = scan.grid()
     rays = _family_rays(scan, attained_dirs=scan.grad[grid] if grid.any() else None)
     per_eps: list[tuple[float, GeneratedCone]] = []
@@ -353,20 +364,23 @@ def verify_kkt(
     x,
     *,
     scan: ConstraintScan | None = None,
+    rep: NormalConeRep | None = None,
 ) -> StationarityReport:
     """Multiplier certificate for stationarity over the exactly-active
     gradients, or a separating functional refuting it.
 
     The certificate support is Caratheodory-reduced. The separator a
     satisfies <a, s> <= -gap < 0 for every cost subgradient s, <a, grad> <= 0
-    for every active gradient, and <a, h-row> = 0.
+    for every active gradient, and <a, h-row> = 0. ``rep``, the unperturbed
+    normal cone at x when the caller has built it, is the cone decided.
     """
     x = np.asarray(x, dtype=float)
-    scan = scan or scan_constraints(inst, x)
-    _require_feasible(inst, x, scan)
-    labels, cols = scan.generators(scan.active())
-    lineality = inst.eq_jacobian(x).T
-    cone = GeneratedCone(inst.dim, labels, cols, lineality, limit_rays=[])
+    if rep is None:
+        scan = scan or scan_constraints(inst, x)
+        _require_feasible(inst, x, scan)
+    elif rep.variant != "unperturbed":
+        raise ValueError(f"KKT is decided on the unperturbed cone, not {rep.variant!r}")
+    cone = _active_cone(inst, x, scan) if rep is None else rep.cone
     return _stationarity(inst, x, cone, "unperturbed-kkt")
 
 
@@ -377,9 +391,12 @@ def verify_perturbed_stationarity(
     *,
     scan: ConstraintScan | None = None,
     cq: CqReport | None = None,
+    rep: NormalConeRep | None = None,
 ) -> StationarityReport:
     """Stationarity against the eps-active cones for every scheduled eps,
     limit rays included (the finite proxy for the intersection over eps).
+    ``rep`` is the perturbed normal cone at x when the caller has built it;
+    its cones, and so its schedule, are the ones decided.
 
     The cones are nested, so a certificate on the smallest-eps cone, extended
     by zeros, certifies every larger one: one LP then decides the whole
@@ -387,7 +404,9 @@ def verify_perturbed_stationarity(
     first one without a certificate, whose report is returned; a cone as
     wide as the smallest one reuses its report."""
     x = np.asarray(x, dtype=float)
-    rep = normal_cone(inst, x, schedule, "perturbed", scan=scan, cq=cq)
+    rep = rep or normal_cone(inst, x, schedule, "perturbed", scan=scan, cq=cq)
+    if rep.variant != "perturbed":
+        raise ValueError(f"perturbed stationarity needs the perturbed cone, not {rep.variant!r}")
     condition = "perturbed-stationarity"
     smallest = _stationarity(inst, x, rep.cone, condition)
     if smallest.outcome == "certificate":
@@ -413,10 +432,14 @@ def convex_global_check(
     *,
     scan: ConstraintScan | None = None,
     cq: CqReport | None = None,
+    kkt: StationarityReport | None = None,
 ) -> StationarityReport:
     """For declared-convex instances with affine equalities under the strong
     Slater (equivalently perturbed margin) and closed-cone qualifications,
-    a multiplier certificate is equivalent to global optimality."""
+    a multiplier certificate is equivalent to global optimality.
+
+    ``kkt`` is the `verify_kkt` report at x when the caller has it; the
+    result is a copy, and ``kkt`` is left as it was."""
     x = np.asarray(x, dtype=float)
     if not inst.convex:
         return StationarityReport("convex-global", "inconclusive",
@@ -435,8 +458,8 @@ def convex_global_check(
         return StationarityReport(
             "convex-global", "inconclusive",
             notes=["augmented coefficient cone not verified closed"])
-    report = verify_kkt(inst, x, scan=scan)
-    report.condition = "convex-global"
+    kkt = kkt or verify_kkt(inst, x, scan=scan)
+    report = replace(kkt, condition="convex-global", notes=list(kkt.notes))
     if report.outcome == "certificate":
         report.global_optimal = True
         report.notes.append("multipliers certify a global minimizer of the convex program")
@@ -444,42 +467,6 @@ def convex_global_check(
         report.global_optimal = False
         report.notes.append("not a global minimizer of the convex program")
     return report
-
-
-def linear_specialization(
-    inst: SipInstance, x, *, scan: ConstraintScan | None = None
-) -> NormalConeRep:
-    """Normal cone for systems affine in the decision variables.
-
-    With a strong Slater point the perturbed representation is exact; with a
-    closed augmented coefficient cone and no equalities the unperturbed cone
-    of active coefficients is exact.
-    """
-    x = np.asarray(x, dtype=float)
-    bodies = [b for _, b in inst.fixed] + [fam.body for fam, _ in inst.families]
-    if not all(ex.is_affine_in_x(b) for b in bodies):
-        raise ValueError("instance is not affine in the decision variables")
-    if len(inst.equalities) and not all(
-        ex.is_affine_in_x(c) for c in inst.equalities.components
-    ):
-        raise ValueError("equality block is not affine")
-    convex_view = replace(inst, convex=True)
-    scan = scan or scan_constraints(convex_view, x)
-    cq = cq_summary(convex_view, x, scan=scan)
-    if cq.ssc.verdict == Verdict.HOLDS or cq.pmfcq.verdict == Verdict.HOLDS:
-        rep = normal_cone(convex_view, x, variant="perturbed", scan=scan, cq=cq)
-        rep.warnings.append("affine system with a strong Slater point; representation exact")
-        return rep
-    if cq.nfmcq.verdict == Verdict.HOLDS and not len(inst.equalities):
-        rep = normal_cone(convex_view, x, variant="unperturbed", scan=scan, cq=cq)
-        rep.warnings.append("affine system with closed coefficient cone; "
-                            "unperturbed representation exact")
-        return rep
-    rep = normal_cone(convex_view, x, variant="perturbed", scan=scan, cq=cq)
-    rep.valid = False
-    rep.warnings.append("affine system without a verified strong Slater point; "
-                        "representation not guaranteed")
-    return rep
 
 
 def membership_residual_trace(
@@ -497,10 +484,7 @@ def membership_residual_trace(
     out = []
     for N in truncations:
         scan = scan_constraints(inst, x, truncation=int(N))
-        labels, cols = scan.generators(scan.active(eps))
-        lineality = inst.eq_jacobian(x).T
-        cone = GeneratedCone(inst.dim, labels, cols, lineality)
-        res = membership(cone, v, tol=1e-9)
+        res = membership(_active_cone(inst, x, scan, eps), v, tol=1e-9)
         if isinstance(res, FeasibilityCertificate):
             out.append((int(N), res.residual))
         else:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sipcert
-from sipcert import model
+from sipcert import cli, linsolve, model, optimality
 from sipcert.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER_LIMIT, EXIT_VALIDATION, main
 
 from test_solver import NAN_EQUALITY
@@ -164,11 +164,48 @@ def test_slater_search_domain_error_is_not_a_crash(tmp_path, capsys):
     doc = json.loads(out)
     jsonschema.validate(doc, json.loads(SCHEMA.read_text()))
     ssc = doc["cq"]["ssc"]
-    if ssc["verdict"] == "holds":
-        point = np.array(ssc["slater_point"], dtype=float)
-        assert model.scan_constraints(model.load_instance(path), point).argmax()[0] < 0.0
-    else:
-        assert "could not be evaluated" in ssc["reason"]
+    # the origin's full scan raises, and a later start's point verifies
+    assert ssc["verdict"] == "holds"
+    point = np.array(ssc["slater_point"], dtype=float)
+    assert model.scan_constraints(model.load_instance(path), point).argmax()[0] < 0.0
+
+
+# the bundled instances at the points of their golden reports
+ANALYZE_POINTS = {
+    "countable_cubic": "-1,0",
+    "interval_ramp": "-1,0",
+    "parabola_band": "0,1",
+    "convex_toy": "-0.5,-0.5",
+}
+
+
+@pytest.mark.parametrize("variants,cones", [("perturbed,unperturbed", 2),
+                                            ("perturbed,unperturbed,normalized", 3)])
+@pytest.mark.parametrize("name", sorted(ANALYZE_POINTS))
+def test_report_builds_each_normal_cone_once(name, variants, cones, monkeypatch, capsys):
+    calls = []
+
+    def count(attr, *modules):
+        fn = getattr(modules[0], attr)
+
+        def counted(*args, **kwargs):
+            calls.append(attr)
+            return fn(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, attr, counted)
+
+    count("normal_cone", optimality, cli)
+    count("hull_plus_cone_feasibility", linsolve)
+    code, _, _ = run_cli(
+        ["analyze", str(INSTANCES / f"{name}.sip"), f"--point={ANALYZE_POINTS[name]}",
+         "--variant", variants, "--deterministic"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert calls.count("normal_cone") == cones
+    if name == "convex_toy":  # KKT and perturbed stationarity; the convex check reuses KKT
+        assert calls.count("hull_plus_cone_feasibility") == 2
 
 
 class TestJsonReport:

@@ -18,11 +18,9 @@ from sipcert.expr import (
     Neg,
     ParseError,
     Var,
-    affine_coefficients,
     eval_grad,
     eval_value,
     free_index_names,
-    is_affine_in_x,
     parse,
     to_source,
 )
@@ -214,25 +212,6 @@ class TestProperties:
         for src in ["x1^3/(3*n) - x2", "t*x1 - x2^3", "sin(t)*x1 + cos(2*t)", "x1^-2 + t^2"]:
             ast = parse(src)
             assert parse(to_source(ast)) == ast
-
-
-class TestAffine:
-    def test_affine_detection(self):
-        assert is_affine_in_x(parse("2*x1 - 3*x2 + n*x1 + 1"))
-        assert is_affine_in_x(parse("sin(n)*x1 - n^2"))
-        assert not is_affine_in_x(parse("x1*x2"))
-        assert not is_affine_in_x(parse("x1^2"))
-        assert not is_affine_in_x(parse("1/x1"))
-
-    def test_affine_coefficients(self):
-        a, c = affine_coefficients(parse("2*x1 - 3*x2 + 5"), 2)
-        np.testing.assert_allclose(a, [2.0, -3.0])
-        assert c == pytest.approx(5.0)
-
-    def test_affine_coefficients_with_index(self):
-        a, c = affine_coefficients(parse("t*x1 - x2 - t"), 2, {"t": 0.5})
-        np.testing.assert_allclose(a, [0.5, -1.0])
-        assert c == pytest.approx(-0.5)
 
 
 def _reference(ast, x, index=None, grad=False):

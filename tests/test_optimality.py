@@ -9,8 +9,6 @@ from sipcert.cli import probe_directions
 from sipcert.cones import membership
 from sipcert.linsolve import FeasibilityCertificate
 from sipcert.model import (
-    ConstraintFamily,
-    CountableIndexSet,
     SipInstance,
     SmoothCost,
     ConvexMaxCost,
@@ -24,7 +22,6 @@ from sipcert.optimality import (
     _stationarity,
     empirical_normal_cone_probe,
     convex_global_check,
-    linear_specialization,
     membership_residual_trace,
     normal_cone,
     verify_kkt,
@@ -329,37 +326,31 @@ class TestConvexGlobal:
         report = convex_global_check(countable_cubic(), XBAR)
         assert report.outcome == "inconclusive"
 
+    @pytest.mark.parametrize("point", [(-0.5, -0.5), (-1.0, 0.0)])
+    def test_given_kkt_report_is_left_unchanged(self, point):
+        inst, x = convex_toy(), np.array(point)
+        kkt = verify_kkt(inst, x)
+        before = (kkt.condition, list(kkt.notes), kkt.global_optimal)
+        report = convex_global_check(inst, x, kkt=kkt)
+        assert report.condition == "convex-global" and report.global_optimal is not None
+        assert (kkt.condition, kkt.notes, kkt.global_optimal) == before
 
-class TestLinearSpecialization:
-    def test_single_halfspace(self):
-        inst = SipInstance(
-            dim=2, cost=SmoothCost(ex.parse("x1")), fixed=(("a", ex.parse("x1")),), convex=True
-        )
-        rep = linear_specialization(inst, np.zeros(2))
-        assert rep.member(np.array([1.0, 0.0])).is_member
-        assert not rep.member(np.array([0.0, 1.0])).is_member
-        assert not rep.member(np.array([-1.0, 0.0])).is_member
 
-    def test_countable_affine_coefficients(self):
-        inst = SipInstance(
-            dim=2,
-            cost=SmoothCost(ex.parse("x1")),
-            families=(
-                (
-                    ConstraintFamily("g", "n", ex.parse("x1/n - x2")),
-                    CountableIndexSet(start=1, truncation=2000),
-                ),
-            ),
-            convex=True,
-        )
-        rep = linear_specialization(inst, np.zeros(2))
-        # every coefficient (1/n, -1) is active at the origin
-        assert rep.member(np.array([1.0, -1.0])).is_member
-        assert not rep.member(np.array([0.0, 1.0])).is_member
+class TestPrebuiltCones:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_POINTS))
+    def test_stationarity_on_a_prebuilt_cone_matches_a_fresh_one(self, name):
+        inst, x = load_instance(INSTANCES / f"{name}.sip"), np.array(GOLDEN_POINTS[name])
+        kkt = verify_kkt(inst, x, rep=normal_cone(inst, x, variant="unperturbed"))
+        pert = verify_perturbed_stationarity(inst, x, rep=normal_cone(inst, x))
+        for got, want in ((kkt, verify_kkt(inst, x)), (pert, verify_perturbed_stationarity(inst, x))):
+            assert (got.outcome, got.eps_trace, got.notes) == (want.outcome, want.eps_trace, want.notes)
 
-    def test_nonaffine_rejected(self):
+    def test_wrong_variant_is_rejected(self):
+        inst = countable_cubic()
         with pytest.raises(ValueError):
-            linear_specialization(countable_cubic(), XBAR)
+            verify_kkt(inst, XBAR, rep=normal_cone(inst, XBAR, variant="perturbed"))
+        with pytest.raises(ValueError):
+            verify_perturbed_stationarity(inst, XBAR, rep=normal_cone(inst, XBAR, variant="normalized"))
 
 
 class TestResidualTrace:
