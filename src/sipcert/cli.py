@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import expr as ex
-from .cq import EPS_SCHEDULE, MARGIN_TOL, cq_summary
+from .cq import EPS_SCHEDULE, MARGIN_TOL, cq_summary, validate_schedule
 from .linsolve import LpFailure
 from .model import (
     ConstraintScan,
@@ -350,9 +350,7 @@ def _parse_schedule(text: str):
         vals = tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError as err:
         raise InstanceError(f"bad eps schedule {text!r}: {err}") from None
-    if not vals or not all(0 < v < math.inf for v in vals):
-        raise InstanceError("eps schedule must be finite positive numbers")
-    return tuple(sorted(vals, reverse=True))
+    return tuple(sorted(validate_schedule(vals), reverse=True))
 
 
 # smallest value each integer option accepts; options a command lacks are skipped

@@ -25,7 +25,8 @@ from .cones import (
     closedness_diagnostic,
 )
 from .expr import ExprError
-from .model import ACT_TOL, ConstraintScan, FamilyScan, SipInstance, scan_constraints, worst_row
+from .model import (ACT_TOL, ConstraintScan, FamilyScan, InstanceError, SipInstance,
+                    scan_constraints, worst_row)
 
 EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
 MARGIN_TOL = 1e-6
@@ -36,6 +37,14 @@ _DECAY_STEPS = 3
 
 _SSC_STARTS = 6
 _SSC_ITERS = 80
+
+
+def validate_schedule(schedule) -> tuple[float, ...]:
+    """The schedule as a tuple; it must be nonempty, finite and positive."""
+    vals = tuple(schedule)
+    if not vals or not all(0 < v < math.inf for v in vals):
+        raise InstanceError("eps schedule must be finite positive numbers")
+    return vals
 
 
 class Verdict(Enum):
@@ -78,7 +87,6 @@ class NfmcqResult:
     verdict: Verdict
     closedness: ClosednessVerdict
     inequality_part_only: bool
-    ray_count: int
     reason: str = ""
 
 
@@ -124,8 +132,7 @@ def check_emfcq(
     if not surjective:
         return EmfcqResult(Verdict.FAILS, -math.inf, None, rank, m,
                            "equality Jacobian is not surjective")
-    _, G = scan.generators(scan.active())
-    res = linsolve.max_margin_direction(G, J.T)
+    res = linsolve.max_margin_direction(scan.grad[scan.active()].T, J.T)
     if res.margin > margin_tol:
         return EmfcqResult(Verdict.HOLDS, res.margin, res.direction, rank, m)
     return EmfcqResult(Verdict.FAILS, res.margin, res.direction, rank, m,
@@ -199,6 +206,7 @@ def check_pmfcq(
     across at least three consecutive refinement levels, or to be censored
     (eps-active only beyond the truncation). Anything else is Unknown.
     """
+    eps_schedule = validate_schedule(eps_schedule)
     x = np.asarray(x, dtype=float)
     scan = scan or scan_constraints(inst, x)
     J, m, rank, surjective = _equality_data(inst, x)
@@ -216,8 +224,7 @@ def check_pmfcq(
         margins = []
         witness = None
         for level in range(n_levels):
-            _, G = scan.generators(scan.active(eps, level=level))
-            res = linsolve.max_margin_direction(G, H)
+            res = linsolve.max_margin_direction(scan.grad[scan.active(eps, level=level)].T, H)
             margins.append(res.margin)
             witness = res.direction
         status = _classify_trace(margins, margin_tol)
@@ -270,7 +277,6 @@ def check_nfmcq(
         verdict=mapping[verdict.status],
         closedness=verdict,
         inequality_part_only=len(inst.equalities) > 0,
-        ray_count=len(rays),
         reason=verdict.reason,
     )
 

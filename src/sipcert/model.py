@@ -222,8 +222,6 @@ class FamilyTail:
     """Limits read off one tail ladder; the ladder's rows are in the scan table."""
 
     value_limit: float | None
-    grad_limit: np.ndarray | None
-    ray: np.ndarray | None
     ok: bool
 
 
@@ -308,11 +306,6 @@ class ConstraintScan:
         nf = len(self.fixed_names)
         family = self.families[b - nf].name if b >= nf else None
         return IndexId(b, float(self.t[row]), self.label(row), family)
-
-    def generators(self, mask: np.ndarray) -> tuple[RowLabels, np.ndarray]:
-        """Labels and gradient columns (dim, m) of the rows in mask."""
-        rows = np.flatnonzero(mask)
-        return RowLabels(self, rows), np.ascontiguousarray(self.grad[rows].T)
 
     def argmax(self, tail: bool = True) -> tuple[float, int | None]:
         """Largest constraint value and the first row attaining it. A NaN
@@ -406,14 +399,11 @@ def _tail_ladders(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
         finite = np.isfinite(vals) & np.all(np.isfinite(grads), axis=1)
         params, ts, vals, grads = params[finite], ts[finite], vals[finite], grads[finite]
         if len(vals) < 2:
-            no_limit = FamilyTail(None, None, None, False)
-            out.append((params, ts, vals, grads, no_limit))
+            out.append((params, ts, vals, grads, FamilyTail(None, False)))
             continue
-        prev_dir, last_dir = unit_vectors(grads[-2:])
-        ray = None if np.isnan(prev_dir[0]) or np.isnan(last_dir[0]) else last_dir
         ok = (abs(float(vals[-1] - vals[-2])) <= 1e-6
               and np.max(np.abs(grads[-1] - grads[-2])) <= 1e-6)
-        summary = FamilyTail(float(vals[-1]), grads[-1], ray, ok)
+        summary = FamilyTail(float(vals[-1]), ok)
         out.append((params, ts, vals, grads, summary))
     return out
 

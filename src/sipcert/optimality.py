@@ -1,16 +1,16 @@
 """Normal cones to the feasible set and stationarity certificates.
 
 The intersection over eps > 0 behind the perturbed representations is
-realized finitely: one cone per scheduled eps, each augmented with the limit
-rays whose generating trajectories stay eps-active in the limit. As eps
-shrinks, both the eps-active generators and the qualified rays shrink, so
-the scheduled cones are nested and their intersection is the smallest-eps
-cone; membership is decided there alone. The perturbed stationarity trace
-is decided there first as well: a certificate on the smallest-eps cone
-marks every scheduled eps, and only without one are the cones tried from
-the largest eps down to the first that fails. This is a semidecision and is
-reported as such whenever the qualification hypotheses behind a
-representation do not hold.
+realized finitely: one row mask over the scan per scheduled eps, selecting
+the eps-active gradients, plus the limit rays whose generating trajectories
+stay eps-active in the limit. Both shrink with eps, so the scheduled cones
+are nested and their intersection is the smallest-eps cone; membership is
+decided there alone, and columns are copied out of the scan only for an LP
+that reads them. The perturbed stationarity trace is decided there first:
+a certificate on the smallest-eps cone marks every scheduled eps, and only
+without one are the cones tried from the largest eps down to the first that
+fails. This is a semidecision and is reported as such whenever the
+qualification hypotheses behind a representation do not hold.
 
 Stationarity is normal-cone membership of the negated cost subdifferential,
 so the stationarity checks read the cones a report has already built: KKT
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,12 +30,13 @@ import numpy as np
 from . import expr as ex
 from . import linsolve
 from .cones import GeneratedCone, Ray, accumulation_rays, membership, reduce_support
-from .cq import EPS_SCHEDULE, CqReport, Verdict, cq_summary
-from .linsolve import ConeRefutation, FeasibilityCertificate, HullFeasibility, LpFailure
+from .cq import EPS_SCHEDULE, CqReport, Verdict, cq_summary, validate_schedule
+from .linsolve import FeasibilityCertificate, HullFeasibility, LpFailure
 from .model import (
     ConstraintScan,
     FiniteIndexSet,
     IntervalGridIndexSet,
+    RowLabels,
     SipInstance,
     SmoothCost,
     UniformityModuli,
@@ -49,28 +51,35 @@ STATIONARITY_TOL = 1e-9
 @dataclass
 class MembershipAnswer:
     is_member: bool
-    certificate: FeasibilityCertificate | None = None
-    refutation: ConeRefutation | None = None
 
 
 @dataclass
 class NormalConeRep:
+    """Nested cones as row masks over one scan: ``per_eps`` holds (eps, row
+    mask, qualified rays) largest eps first, or (0, exactly active rows, [])
+    when unperturbed. Columns are copied only for an LP that reads them."""
+
     point: np.ndarray
     variant: str  # perturbed | unperturbed | normalized
-    per_eps: list[tuple[float, GeneratedCone]]
-    cone: GeneratedCone  # unperturbed cone, or the smallest-eps cone
+    scan: ConstraintScan
+    lineality: np.ndarray  # (dim, k), the equality Jacobian's rows as columns
+    per_eps: list[tuple[float, np.ndarray, list[Ray]]]
     valid: bool
     warnings: list[str] = field(default_factory=list)
     regular: bool | None = None
+
+    @cached_property
+    def cone(self) -> GeneratedCone:
+        """The unperturbed cone, or the smallest-eps cone."""
+        _, mask, rays = self.per_eps[-1]
+        return _cone(self.scan, mask, self.lineality, rays)
 
     def member(self, v, tol: float = 1e-6) -> MembershipAnswer:
         """Membership in `cone`. For the perturbed and normalized variants
         the scheduled cones are nested, so the smallest-eps cone is their
         intersection and no other eps can change the answer."""
         out = membership(self.cone, np.asarray(v, dtype=float), tol)
-        if isinstance(out, FeasibilityCertificate):
-            return MembershipAnswer(True, certificate=out)
-        return MembershipAnswer(False, refutation=out)
+        return MembershipAnswer(isinstance(out, FeasibilityCertificate))
 
 
 @dataclass
@@ -125,11 +134,12 @@ def _family_rays(scan: ConstraintScan, attained_dirs) -> list[Ray]:
     return out
 
 
-def _active_cone(inst: SipInstance, x, scan: ConstraintScan, eps: float = 0.0) -> GeneratedCone:
-    """The eps-active gradients (exactly active at eps = 0) and the equality
-    lineality space, without limit rays."""
-    labels, cols = scan.generators(scan.active(eps))
-    return GeneratedCone(inst.dim, labels, cols, inst.eq_jacobian(x).T)
+def _cone(scan: ConstraintScan, mask: np.ndarray, lineality, rays=()) -> GeneratedCone:
+    """The cone of the gradient rows in mask, in row order, plus lineality
+    and limit rays; the one place a cone copies columns out of a scan."""
+    rows = np.flatnonzero(mask)
+    cols = np.ascontiguousarray(scan.grad[rows].T)
+    return GeneratedCone(len(scan.x), RowLabels(scan, rows), cols, lineality, list(rays))
 
 
 def _qualified_rays(rays: list[Ray], eps: float) -> list[Ray]:
@@ -149,17 +159,19 @@ def normal_cone(
 ) -> NormalConeRep:
     """Finite representation of the normal cone to the feasible set at x.
 
-    perturbed: one cone per scheduled eps over the eps-active gradients plus
+    perturbed: a row mask per scheduled eps over the eps-active gradients plus
     qualified limit rays, plus the equality lineality space. unperturbed:
     the exactly-active gradients only. normalized: eps-activity scaled by
     each gradient's norm, for families with widely spread gradient norms.
     """
     if variant not in ("perturbed", "unperturbed", "normalized"):
         raise ValueError(f"unknown variant {variant!r}")
+    schedule = validate_schedule(schedule)
     x = np.asarray(x, dtype=float)
     scan = scan or scan_constraints(inst, x)
     _require_feasible(inst, x, scan)
     cq = cq or cq_summary(inst, x, schedule, scan=scan)
+    lineality = inst.eq_jacobian(x).T
     warnings: list[str] = []
     valid = True
 
@@ -168,7 +180,6 @@ def normal_cone(
         regular = bool(moduli.r_est[0] <= max(1e-2, 0.05 * moduli.r_est[-1]))
 
     if variant == "unperturbed":
-        cone = _active_cone(inst, x, scan)
         compact_t = all(
             isinstance(d, FiniteIndexSet)
             or (isinstance(d, IntervalGridIndexSet) and d.include_lower and d.include_upper)
@@ -182,16 +193,15 @@ def normal_cone(
                 "coefficient cone (or a compact index set) together with the perturbed "
                 "margin criterion"
             )
-        return NormalConeRep(x, variant, [], cone, valid, warnings, regular)
+        per_eps = [(0.0, scan.active(), [])]
+        return NormalConeRep(x, variant, scan, lineality, per_eps, valid, warnings, regular)
 
-    lineality = inst.eq_jacobian(x).T
     grid = scan.grid()
     rays = _family_rays(scan, attained_dirs=scan.grad[grid] if grid.any() else None)
-    per_eps: list[tuple[float, GeneratedCone]] = []
-    for eps in sorted(schedule, reverse=True):
-        labels, cols = scan.generators(scan.active(eps, normalized=variant == "normalized"))
-        cone = GeneratedCone(inst.dim, labels, cols, lineality, _qualified_rays(rays, eps))
-        per_eps.append((eps, cone))
+    per_eps = [
+        (eps, scan.active(eps, normalized=variant == "normalized"), _qualified_rays(rays, eps))
+        for eps in sorted(schedule, reverse=True)
+    ]
     if cq.pmfcq.verdict != Verdict.HOLDS:
         valid = False
         warnings.append(
@@ -200,8 +210,7 @@ def normal_cone(
         )
     if variant == "normalized" and np.any(scan.grad_norms[grid] < 1e-12):
         warnings.append("some gradients vanish; normalized activity is ill-scaled for them")
-    # the scheduled cones are nested, so the smallest-eps one is their intersection
-    return NormalConeRep(x, variant, per_eps, per_eps[-1][1], valid, warnings, regular)
+    return NormalConeRep(x, variant, scan, lineality, per_eps, valid, warnings, regular)
 
 
 _PROBE_LEVELS = 3  # sampling balls, each half the radius of the last
@@ -380,7 +389,7 @@ def verify_kkt(
         _require_feasible(inst, x, scan)
     elif rep.variant != "unperturbed":
         raise ValueError(f"KKT is decided on the unperturbed cone, not {rep.variant!r}")
-    cone = _active_cone(inst, x, scan) if rep is None else rep.cone
+    cone = _cone(scan, scan.active(), inst.eq_jacobian(x).T) if rep is None else rep.cone
     return _stationarity(inst, x, cone, "unperturbed-kkt")
 
 
@@ -409,18 +418,17 @@ def verify_perturbed_stationarity(
         raise ValueError(f"perturbed stationarity needs the perturbed cone, not {rep.variant!r}")
     condition = "perturbed-stationarity"
     smallest = _stationarity(inst, x, rep.cone, condition)
-    if smallest.outcome == "certificate":
-        report, trace = smallest, [(eps, True) for eps, _ in rep.per_eps]
-    else:
-        # nested, so a cone with as many columns as the smallest one is that cone
-        width = rep.cone.generators.shape[1], len(rep.cone.limit_rays)
-        trace = []
-        for eps, cone in rep.per_eps:
-            same = (cone.generators.shape[1], len(cone.limit_rays)) == width
-            report = smallest if same else _stationarity(inst, x, cone, condition)
-            trace.append((eps, report.outcome == "certificate"))
-            if report.outcome != "certificate":
-                break
+    # nested: a certificate on the smallest cone certifies every larger one,
+    # and a cone with as many columns as the smallest one is that cone
+    width = rep.cone.generators.shape[1], len(rep.cone.limit_rays)
+    trace = []
+    for eps, mask, rays in rep.per_eps:
+        same = smallest.outcome == "certificate" or (np.count_nonzero(mask), len(rays)) == width
+        report = smallest if same else _stationarity(
+            inst, x, _cone(rep.scan, mask, rep.lineality, rays), condition)
+        trace.append((eps, report.outcome == "certificate"))
+        if report.outcome != "certificate":
+            break
     report.eps_trace = trace
     report.notes = rep.warnings + report.notes
     return report
@@ -484,7 +492,7 @@ def membership_residual_trace(
     out = []
     for N in truncations:
         scan = scan_constraints(inst, x, truncation=int(N))
-        res = membership(_active_cone(inst, x, scan, eps), v, tol=1e-9)
+        res = membership(_cone(scan, scan.active(eps), inst.eq_jacobian(x).T), v, tol=1e-9)
         if isinstance(res, FeasibilityCertificate):
             out.append((int(N), res.residual))
         else:

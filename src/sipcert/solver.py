@@ -25,6 +25,8 @@ PENALTY0 = 10.0
 PENALTY_GROWTH = 2.0
 ARMIJO = 1e-4
 STEP0 = 1.0
+PENALTY_STAGES = 18
+MAX_INNER = 80
 POLISH_ITERS = 40
 
 
@@ -32,13 +34,10 @@ POLISH_ITERS = 40
 class SolverConfig:
     max_outer: int = 60
     multistart: int = 8
-    penalty_stages: int = 18
-    max_inner: int = 80
     seed: int = 0
-    polish: bool = True
 
     def __post_init__(self):
-        if min(self.max_outer, self.multistart, self.penalty_stages, self.max_inner) <= 0:
+        if min(self.max_outer, self.multistart) <= 0:
             raise ValueError("solver config counts must be positive")
 
 
@@ -136,12 +135,12 @@ def _max_violation(working, x) -> float:
     return max((wc.value(xs) for wc in working), default=0.0)
 
 
-def _penalty_descent(prob: _Bound, working, x0, config: SolverConfig):
+def _penalty_descent(prob: _Bound, working, x0):
     x = x0.copy()
     rho = PENALTY0
     step = STEP0
-    for _ in range(config.penalty_stages):
-        for _ in range(config.max_inner):
+    for _ in range(PENALTY_STAGES):
+        for _ in range(MAX_INNER):
             val, grad = _penalty(prob, working, x, rho, True)
             gnorm = math.sqrt(grad.dot(grad))  # np.linalg.norm of a 1-D array, without its overhead
             if gnorm <= 1e-10 * max(1.0, abs(val)):
@@ -248,13 +247,12 @@ def _solve_subproblem(prob: _Bound, working, config, rng, warm):
     starts += [rng.uniform(lo, hi) for _ in range(config.multistart if warm is None else 1)]
     candidates = []
     for s in starts:
-        x = _penalty_descent(prob, working, s, config)
-        if config.polish:
-            polished = _polish(prob, working, x)
-            if polished is not None:
-                pv = _max_violation(working, polished)
-                if pv <= max(_max_violation(working, x), VIOLATION_TOL):
-                    x = polished
+        x = _penalty_descent(prob, working, s)
+        polished = _polish(prob, working, x)
+        if polished is not None:
+            pv = _max_violation(working, polished)
+            if pv <= max(_max_violation(working, x), VIOLATION_TOL):
+                x = polished
         viol = max(_max_violation(working, x), prob.inst.eq_residual(x))
         candidates.append((viol, prob.inst.cost_value(x), tuple(x), x))
     feasible = [c for c in candidates if c[0] <= VIOLATION_TOL]

@@ -10,6 +10,7 @@ import pytest
 import sipcert
 from sipcert import cli, linsolve, model, optimality
 from sipcert.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER_LIMIT, EXIT_VALIDATION, main
+from sipcert.cones import GeneratedCone
 
 from test_solver import NAN_EQUALITY
 
@@ -179,11 +180,19 @@ ANALYZE_POINTS = {
 }
 
 
+# cones whose columns a default report copies: the perturbed and unperturbed
+# cones, plus interval_ramp's largest-eps cone once its smallest one refutes
+COLUMN_COPIES = {"countable_cubic": 2, "interval_ramp": 3, "parabola_band": 2, "convex_toy": 2}
+
+
 @pytest.mark.parametrize("variants,cones", [("perturbed,unperturbed", 2),
                                             ("perturbed,unperturbed,normalized", 3)])
 @pytest.mark.parametrize("name", sorted(ANALYZE_POINTS))
 def test_report_builds_each_normal_cone_once(name, variants, cones, monkeypatch, capsys):
     calls = []
+    init = GeneratedCone.__post_init__
+    monkeypatch.setattr(GeneratedCone, "__post_init__",
+                        lambda cone: calls.append("GeneratedCone") or init(cone))
 
     def count(attr, *modules):
         fn = getattr(modules[0], attr)
@@ -204,6 +213,8 @@ def test_report_builds_each_normal_cone_once(name, variants, cones, monkeypatch,
     )
     assert code == EXIT_OK
     assert calls.count("normal_cone") == cones
+    # the normalized cone is copied once, for its probes
+    assert calls.count("GeneratedCone") == COLUMN_COPIES[name] + variants.count("normalized")
     if name == "convex_toy":  # KKT and perturbed stationarity; the convex check reuses KKT
         assert calls.count("hull_plus_cone_feasibility") == 2
 

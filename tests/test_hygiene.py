@@ -1,11 +1,13 @@
 """Source hygiene: no module imports a name it never uses, and no public
-function or class of the package goes unread.
+function, class or class field of the package goes unread.
 
 Stdlib ``ast`` scans. Imports are checked over ``src/sipcert`` and
 ``tests``: a name bound by an import counts as used when the module reads it
 anywhere or lists it in ``__all__``. Public top-level definitions are
 checked over ``src/sipcert``: each must be read somewhere in the package or
 be listed in ``__all__``, unless it is allowlisted below with its reason.
+Annotated class fields are checked by name over ``src/sipcert``: each must
+be read as an attribute somewhere in the package, unless allowlisted.
 """
 
 import ast
@@ -93,3 +95,44 @@ def test_scan_flags_an_unread_definition():
         "b.py": "from a import used\nimport a\nused()\nprint(a.ByAttribute)\n",
     }
     assert unread_definitions(sources) == ["a.py:2: unused"]
+
+
+# annotated class fields that the package itself never reads, and why they stay
+UNREAD_FIELDS_ALLOWED = {
+    "ClosednessVerdict.witness_ray": "the NOT_CLOSED witness, which the tests re-check",
+    "LpSolution.objective": "acceptance criterion 8 compares it with vertex enumeration",
+    "LpSolution.dual": "simplex_solve's duals, whose reduced costs the LP tests check",
+    "ProbeResult.quotient": "the membership oracle's answer",
+}
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """Annotated class fields of the given modules whose name no module
+    reads as an attribute. The match is by name only, so a field shares the
+    reads of every field and attribute of the same name."""
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        defined[f"{node.name}.{item.target.id}"] = f"{module}:{item.lineno}"
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{where}: {name}" for name, where in defined.items()
+            if name.split(".")[1] not in read]
+
+
+def test_every_class_field_is_read():
+    unread = unread_fields({p.name: p.read_text() for p in SOURCES})
+    names = sorted(entry.rsplit(" ", 1)[1] for entry in unread)
+    assert names == sorted(UNREAD_FIELDS_ALLOWED), unread
+
+
+def test_scan_flags_an_unread_field():
+    sources = {
+        "a.py": "class A:\n    used: int\n    unused: int\n    written: int\n    plain = 1\n",
+        "b.py": "def f(a):\n    a.written = 2\n    return a.used\n",
+    }
+    assert unread_fields(sources) == ["a.py:3: A.unused", "a.py:4: A.written"]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sipcert import expr as ex
 from sipcert.cli import EXIT_INFEASIBLE, EXIT_VALIDATION, main
+from sipcert.cq import check_pmfcq, cq_summary
 from sipcert.model import (
     ConstraintFamily,
     CountableIndexSet,
@@ -25,6 +26,7 @@ from sipcert.model import (
     loads_instance,
     scan_constraints,
 )
+from sipcert.optimality import normal_cone
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -181,3 +183,21 @@ def test_bad_number_in_instance_object_rejected(kw):
     _api_instance()  # the same instance without the bad field is fine
     with pytest.raises(InstanceError):
         _api_instance(**kw)
+
+
+BAD_SCHEDULES = {"empty": (), "nan": (NAN,), "inf": (0.1, INF), "negative": (-0.1,),
+                 "zero": (0.1, 0.0)}
+
+
+@pytest.mark.parametrize("schedule", BAD_SCHEDULES.values(), ids=list(BAD_SCHEDULES))
+def test_bad_eps_schedule_rejected_by_the_library(schedule):
+    # the CLI's rule, with its message, also guards the library entry points
+    inst = load_instance(INSTANCES / "countable_cubic.sip")
+    x = np.array([-1.0, 0.0])
+    cq = cq_summary(inst, x)
+    message = "eps schedule must be finite positive numbers"
+    with pytest.raises(InstanceError, match=message):
+        check_pmfcq(inst, x, schedule)
+    for variant in ("perturbed", "unperturbed", "normalized"):
+        with pytest.raises(InstanceError, match=message):
+            normal_cone(inst, x, schedule, variant, cq=cq)

@@ -6,7 +6,7 @@ import pytest
 
 from sipcert import expr as ex
 from sipcert.cli import probe_directions
-from sipcert.cones import membership
+from sipcert.cones import GeneratedCone, membership
 from sipcert.linsolve import FeasibilityCertificate
 from sipcert.model import (
     SipInstance,
@@ -19,6 +19,7 @@ from sipcert.model import (
 )
 from sipcert import linsolve
 from sipcert.optimality import (
+    _cone,
     _stationarity,
     empirical_normal_cone_probe,
     convex_global_check,
@@ -100,11 +101,24 @@ class TestNormalCone:
     @nested_cases
     def test_generator_sets_nested_in_eps(self, name, variant):
         _, rep = golden_cone(name, variant)
-        assert rep.cone is rep.per_eps[-1][1]
-        for (eps, big), (small_eps, small) in zip(rep.per_eps, rep.per_eps[1:]):
+        _, mask, rays = rep.per_eps[-1]
+        np.testing.assert_array_equal(rep.cone.generators, rep.scan.grad[mask].T)
+        assert [r.label for r in rep.cone.limit_rays] == [r.label for r in rays]
+        for (eps, big, big_rays), (small_eps, small, small_rays) in zip(rep.per_eps,
+                                                                        rep.per_eps[1:]):
             assert small_eps < eps
-            assert set(small.labels) <= set(big.labels)
-            assert {r.label for r in small.limit_rays} <= {r.label for r in big.limit_rays}
+            assert np.all(small <= big)
+            assert {r.label for r in small_rays} <= {r.label for r in big_rays}
+
+    def test_columns_copied_when_the_cone_is_first_read(self, monkeypatch):
+        built = []
+        init = GeneratedCone.__post_init__
+        monkeypatch.setattr(GeneratedCone, "__post_init__",
+                            lambda cone: built.append(cone) or init(cone))
+        rep = normal_cone(countable_cubic(), XBAR, variant="perturbed")
+        assert built == []
+        assert rep.cone is rep.cone
+        assert len(built) == 1 and built[0] is rep.cone
 
     @nested_cases
     def test_member_matches_every_eps_loop(self, name, variant):
@@ -112,8 +126,9 @@ class TestNormalCone:
         inst, rep = golden_cone(name, variant)
         for v in probe_directions(inst.dim, 16, 0):
             every_eps = all(
-                isinstance(membership(cone, v, 1e-6), FeasibilityCertificate)
-                for _, cone in rep.per_eps
+                isinstance(membership(_cone(rep.scan, mask, rep.lineality, rays), v, 1e-6),
+                           FeasibilityCertificate)
+                for _, mask, rays in rep.per_eps
             )
             assert rep.member(v, tol=1e-6).is_member == every_eps
 
@@ -286,7 +301,8 @@ def every_eps_stationarity(inst, x):
     the first cone without a certificate."""
     rep = normal_cone(inst, x, variant="perturbed")
     trace = []
-    for eps, cone in rep.per_eps:
+    for eps, mask, rays in rep.per_eps:
+        cone = _cone(rep.scan, mask, rep.lineality, rays)
         report = _stationarity(inst, x, cone, "perturbed-stationarity")
         trace.append((eps, report.outcome == "certificate"))
         if report.outcome != "certificate":

@@ -155,8 +155,7 @@ class TestSolve:
 
     def test_iteration_limit_status(self):
         inst = countable_cubic()
-        x, trace = solve(inst, SolverConfig(max_outer=1, multistart=2, penalty_stages=2,
-                                            max_inner=10, polish=False, seed=0))
+        x, trace = solve(inst, SolverConfig(max_outer=1, multistart=2, seed=0))
         assert trace.status in ("converged", "iteration_limit")
         # with a crippled budget on this instance the limit must be reported
         if trace.status == "converged":
@@ -165,7 +164,7 @@ class TestSolve:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_equality_residual_never_converges(self):
         inst = loads_instance(NAN_EQUALITY)
-        x, trace = solve(inst, SolverConfig(multistart=2, max_outer=3, polish=False))
+        x, trace = solve(inst, SolverConfig(multistart=2, max_outer=3))
         assert trace.status == "iteration_limit"
         assert all(r.max_violation == math.inf for r in trace.records)
         assert not feasibility_check(inst, x).feasible
