@@ -59,40 +59,36 @@ class GeneratedCone:
         if len(self.labels) != self.generators.shape[1]:
             raise ValueError("one label per generator column")
 
-    def columns(self, use_limit_rays: bool) -> np.ndarray:
-        """Generator columns, followed by the limit-ray directions if asked."""
+    def columns(self) -> np.ndarray:
+        """Generator columns, followed by the limit-ray directions."""
         G = self.generators
-        if use_limit_rays and self.limit_rays:
+        if self.limit_rays:
             R = np.column_stack([r.direction for r in self.limit_rays])
             G = np.hstack([G, R]) if G.size else R
         return G
 
     def label(self, j: int) -> str:
-        """Label of column j of `columns(True)`."""
+        """Label of column j of `columns()`."""
         m = self.generators.shape[1]
         return self.labels[j] if j < m else self.limit_rays[j - m].label
 
 
-def membership(
-    cone: GeneratedCone, v, tol: float = 1e-9, use_limit_rays: bool = True
-):
+def membership(cone: GeneratedCone, v, tol: float = 1e-9):
     """Certificate or separating functional for v against the cone."""
     v = np.asarray(v, dtype=float)
     if v.shape != (cone.dim,):
         raise ValueError(f"probe vector must have dimension {cone.dim}")
-    return linsolve.cone_feasibility(cone.columns(use_limit_rays), cone.lineality, v, tol)
+    return linsolve.cone_feasibility(cone.columns(), cone.lineality, v, tol)
 
 
 def caratheodory_reduce(
-    cert: FeasibilityCertificate, cone: GeneratedCone, v, use_limit_rays: bool | None = None
+    cert: FeasibilityCertificate, cone: GeneratedCone, v
 ) -> FeasibilityCertificate:
     """Shrink a conic certificate to at most dim + 1 supporting generators by
     eliminating null vectors of the supported columns. Never increases the
     reconstruction residual beyond roundoff."""
     v = np.asarray(v, dtype=float)
-    if use_limit_rays is None:
-        use_limit_rays = len(cert.lam) == cone.generators.shape[1] + len(cone.limit_rays)
-    G = cone.columns(use_limit_rays)
+    G = cone.columns()
     lam, y = reduce_support(G, cone.lineality, cert.lam.copy(), cert.y.copy())
     H = cone.lineality
     recon = (G @ lam if G.size else 0.0) + (H @ y if H.size else 0.0)

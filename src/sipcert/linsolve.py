@@ -17,9 +17,11 @@ free y:
   the row count stays at ambient-dimension scale even with 10^4 generators
   (Goberna & Lopez, Linear Semi-Infinite Optimization, 1998).
 
-The simplex is a dense two-phase tableau; pivoting uses the steepest
-reduced cost with a permanent switch to Bland's lowest-index rule after a
-degenerate stall, so wide degenerate cone LPs stay fast without cycling.
+The simplex is a two-phase revised simplex that keeps only the basis
+inverse, whose size is the row count, and reads the wide constraint matrix
+in place. Pivoting uses the steepest reduced cost with a permanent switch to
+Bland's lowest-index rule after a degenerate stall, so wide degenerate cone
+LPs stay fast without cycling.
 """
 
 from __future__ import annotations
@@ -143,51 +145,37 @@ _RC_TOL = 1e-10
 
 
 def _simplex_standard(c, A, b):
-    """min c.x s.t. A x = b, x >= 0 via a dense two-phase tableau.
+    """min c.x s.t. A x = b, x >= 0 by a two-phase revised simplex.
 
+    Keeps only the m x m basis inverse and the m basic values, and reads A
+    in place: each pivot prices A with one y @ A and computes the entering
+    column as B^{-1} A_q. Artificial i has the column sign(b_i) e_i, so the
+    first basis inverse is diag(sign b) and the first basic values are |b|.
     Returns (status, x, objective, dual). The dual vector y satisfies
     c_j - y.A_j >= -tol at optimality.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float).copy()
+    b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
-    if m == 0:
-        x = np.zeros(n)
-        if np.all(c >= -_RC_TOL):
-            return LpStatus.OPTIMAL, x, 0.0, np.zeros(0)
-        return LpStatus.UNBOUNDED, None, None, None
-
-    flip = b < 0
-    if flip.any():  # A itself is only read
-        A = A.copy()
-        A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # tableau [A | I | b]; the identity block tracks B^{-1}
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    total = n + m
-    basis = list(range(n, n + m))
-    scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))))
+    sign = np.where(b < 0, -1.0, 1.0)
+    Binv = np.diag(sign)
+    xB = np.abs(b)
+    basis = np.arange(n, n + m)
+    scale = max(1.0, A.max(initial=0.0), -A.min(initial=0.0), xB.max(initial=0.0))
     rc_tol = _RC_TOL * scale
     max_iter = 50 * (m + n) + 2000
 
-    def reduced_costs(cost, allowed):
-        y = cost[basis] @ T[:, n : n + m]
-        r = cost[:total] - np.concatenate([y @ A, y])
-        r[~allowed] = np.inf
-        return r, y
+    def column(q):
+        return Binv @ A[:, q] if q < n else Binv[:, q - n] * sign[q - n]
 
-    # one update buffer for every pivot, so a wide LP does not allocate and
-    # free a tableau-sized temporary per pivot
-    work = np.empty_like(T)
-
-    def pivot(row, col):
-        T[row] /= T[row, col]
-        colvals = T[:, col].copy()
-        colvals[row] = 0.0
-        T[:] -= np.multiply.outer(colvals, T[row], out=work)
-        basis[row] = col
+    def pivot(row, q, col):
+        Binv[row] /= col[row]
+        xB[row] /= col[row]
+        col[row] = 0.0
+        Binv[:] -= np.outer(col, Binv[row])
+        xB[:] -= col * xB[row]
+        basis[row] = q
 
     # Entering rule: steepest reduced cost, falling back to Bland's
     # lowest-index rule permanently after a long degenerate stall. Bland
@@ -195,13 +183,14 @@ def _simplex_standard(c, A, b):
     # from crawling through every generator column.
     stall_limit = 30 * (m + 1)
 
-    def run_phase(cost, allowed):
-        it = 0
+    def run_phase(cost, artificials_enter):
         stall = 0
         bland = False
-        while it < max_iter:
-            it += 1
-            r, y = reduced_costs(cost, allowed)
+        for _ in range(max_iter):
+            y = cost[basis] @ Binv
+            r = cost - np.concatenate([y @ A, y * sign])
+            if not artificials_enter:
+                r[n:] = np.inf
             candidates = np.flatnonzero(r < -rc_tol)
             if candidates.size == 0:
                 return LpStatus.OPTIMAL, y
@@ -209,64 +198,52 @@ def _simplex_standard(c, A, b):
                 q = int(candidates[0])
             else:
                 q = int(candidates[np.argmin(r[candidates])])
-            col = T[:, q]
+            col = column(q)
             rows = np.flatnonzero(col > rc_tol)
             if rows.size == 0:
                 return LpStatus.UNBOUNDED, y
-            ratios = T[rows, -1] / col[rows]
+            ratios = xB[rows] / col[rows]
             best = np.min(ratios)
             ties = rows[ratios <= best + 1e-14 * scale]
-            p = int(ties[np.argmin([basis[t] for t in ties])])  # lowest variable leaves
+            p = int(ties[np.argmin(basis[ties])])  # lowest variable leaves
             if best <= 1e-14 * scale:
                 stall += 1
                 if stall > stall_limit:
                     bland = True
             else:
                 stall = 0
-            pivot(p, q)
+            pivot(p, q, col)
         return LpStatus.ITERATION_LIMIT, None
 
     # phase 1: drive artificials to zero
-    cost1 = np.zeros(total)
-    cost1[n:] = 1.0
-    allowed1 = np.ones(total, dtype=bool)
-    status, _ = run_phase(cost1, allowed1)
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
+    status, y = run_phase(cost, True)
     if status != LpStatus.OPTIMAL:
         # phase 1 is bounded below by zero, so anything else is a numerical breakdown
         return LpStatus.ITERATION_LIMIT, None, None, None
-    phase1_obj = float(cost1[basis] @ T[:, -1])
-    if phase1_obj > 1e-9 * scale:
-        # infeasible; duals of phase 1 certify it
-        y = cost1[basis] @ T[:, n : n + m]
-        y[flip] *= -1.0
-        return LpStatus.INFEASIBLE, None, None, y
+    if float(cost[basis] @ xB) > 1e-9 * scale:
+        return LpStatus.INFEASIBLE, None, None, y  # the phase-1 duals certify it
 
     # pivot lingering artificials out where possible
-    for row in range(m):
-        if basis[row] >= n:
-            cols = np.flatnonzero(np.abs(T[row, :n]) > rc_tol)
-            if cols.size:
-                pivot(row, int(cols[0]))
+    for row in np.flatnonzero(basis >= n):
+        cols = np.flatnonzero(np.abs(Binv[row] @ A) > rc_tol)
+        if cols.size:
+            q = int(cols[0])
+            pivot(row, q, column(q))
 
-    cost2 = np.concatenate([c, np.zeros(m)])
-    allowed2 = np.ones(total, dtype=bool)
-    allowed2[n:] = False  # artificials never re-enter
-    status, y = run_phase(cost2, allowed2)
-    if status == LpStatus.ITERATION_LIMIT:
-        return LpStatus.ITERATION_LIMIT, None, None, None
-    if status == LpStatus.UNBOUNDED:
-        return LpStatus.UNBOUNDED, None, None, None
+    cost[:n] = c
+    cost[n:] = 0.0
+    status, y = run_phase(cost, False)  # artificials never re-enter
+    if status != LpStatus.OPTIMAL:
+        return status, None, None, None
     x = np.zeros(n)
-    for row, j in enumerate(basis):
-        if j < n:
-            x[j] = T[row, -1]
-    y = y.copy()
-    y[flip] *= -1.0
+    structural = basis < n
+    x[basis[structural]] = xB[structural]
     return LpStatus.OPTIMAL, x, float(c @ x), y
 
 
 def simplex_solve(p: LpProblem) -> LpSolution:
-    """Two-phase dense simplex for the bounded-variable problem.
+    """Two-phase revised simplex for the bounded-variable problem.
 
     Finite lower bounds are shifted out; finite upper bounds become slack
     rows. Never reports OPTIMAL when the iteration budget runs out.
@@ -278,21 +255,17 @@ def simplex_solve(p: LpProblem) -> LpSolution:
     # x = shift + P z with z >= 0 (free variables split into two columns)
     cols = []
     shift = np.zeros(n)
-    col_sign = []
     for j in range(n):
         lo, up = lower[j], upper[j]
         if math.isfinite(lo):
             shift[j] = lo
             cols.append((j, +1.0))
-            col_sign.append("lo")
         elif math.isfinite(up):
             shift[j] = up
             cols.append((j, -1.0))
-            col_sign.append("up")
         else:
             cols.append((j, +1.0))
             cols.append((j, -1.0))
-            col_sign.extend(["free+", "free-"])
     k = len(cols)
     P = np.zeros((n, k))
     for idx, (j, s) in enumerate(cols):
@@ -305,15 +278,12 @@ def simplex_solve(p: LpProblem) -> LpSolution:
     # upper bounds on shifted variables become equality rows with slacks
     extra_rows = []
     extra_rhs = []
-    slack_count = 0
-    slack_for = []
     for idx, (j, s) in enumerate(cols):
         lo, up = lower[j], upper[j]
         if math.isfinite(lo) and math.isfinite(up) and s > 0:
             extra_rows.append(idx)
             extra_rhs.append(up - lo)
-            slack_for.append(idx)
-            slack_count += 1
+    slack_count = len(extra_rows)
     rows = m + slack_count
     A3 = np.zeros((rows, k + slack_count))
     A3[:m, :k] = A2

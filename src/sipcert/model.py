@@ -630,7 +630,6 @@ class IndexEntry:
 class ActiveSetReport:
     """Active grid rows of a scan; entries are built only when read."""
 
-    point: np.ndarray
     eps: float
     scan: ConstraintScan
     active_rows: np.ndarray
@@ -672,7 +671,6 @@ def active_set(
     grid = scan.grid()
     norms = scan.grad_norms
     return ActiveSetReport(
-        point=scan.x,
         eps=eps,
         scan=scan,
         active_rows=np.flatnonzero(scan.active()),

@@ -59,7 +59,6 @@ class NormalConeRep:
     mask, qualified rays) largest eps first, or (0, exactly active rows, [])
     when unperturbed. Columns are copied only for an LP that reads them."""
 
-    point: np.ndarray
     variant: str  # perturbed | unperturbed | normalized
     scan: ConstraintScan
     lineality: np.ndarray  # (dim, k), the equality Jacobian's rows as columns
@@ -194,7 +193,7 @@ def normal_cone(
                 "margin criterion"
             )
         per_eps = [(0.0, scan.active(), [])]
-        return NormalConeRep(x, variant, scan, lineality, per_eps, valid, warnings, regular)
+        return NormalConeRep(variant, scan, lineality, per_eps, valid, warnings, regular)
 
     grid = scan.grid()
     rays = _family_rays(scan, attained_dirs=scan.grad[grid] if grid.any() else None)
@@ -210,7 +209,7 @@ def normal_cone(
         )
     if variant == "normalized" and np.any(scan.grad_norms[grid] < 1e-12):
         warnings.append("some gradients vanish; normalized activity is ill-scaled for them")
-    return NormalConeRep(x, variant, scan, lineality, per_eps, valid, warnings, regular)
+    return NormalConeRep(variant, scan, lineality, per_eps, valid, warnings, regular)
 
 
 _PROBE_LEVELS = 3  # sampling balls, each half the radius of the last
@@ -346,7 +345,7 @@ def _certificate_from_hull(out: HullFeasibility, cone: GeneratedCone, G, F) -> K
 
 def _stationarity(inst, x, cone: GeneratedCone, condition) -> StationarityReport:
     F = _cost_hull(inst, x)
-    G = cone.columns(use_limit_rays=True)
+    G = cone.columns()
     try:
         out = linsolve.hull_plus_cone_feasibility(F, G, cone.lineality, STATIONARITY_TOL)
     except LpFailure as err:

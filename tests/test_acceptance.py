@@ -369,7 +369,7 @@ def test_criterion_08_lp_and_cone_kernel():
                 dim=d, labels=[str(i) for i in range(mg)], generators=G,
                 lineality=np.zeros((d, 0)),
             )
-            red = caratheodory_reduce(out, cone, v, use_limit_rays=False)
+            red = caratheodory_reduce(out, cone, v)
             assert int(np.sum(red.lam > 1e-10)) <= d + 1
             assert red.residual <= 1e-8
             assert np.all(red.lam >= 0)

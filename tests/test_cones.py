@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -52,8 +53,8 @@ class TestMembership:
 
     def test_limit_ray_closes_the_gap(self):
         cone = quadrant_like_cone(n_tail=100, with_ray=True)
-        with_ray = membership(cone, [0.0, -1.0], tol=1e-9, use_limit_rays=True)
-        without = membership(cone, [0.0, -1.0], tol=1e-9, use_limit_rays=False)
+        with_ray = membership(cone, [0.0, -1.0], tol=1e-9)
+        without = membership(dataclasses.replace(cone, limit_rays=[]), [0.0, -1.0], tol=1e-9)
         assert isinstance(with_ray, FeasibilityCertificate)
         assert isinstance(without, ConeRefutation)
         # the refutation margin shrinks like the truncation level
@@ -73,12 +74,12 @@ class TestMembership:
             v = rng.normal(size=d)
             out = membership(cone, v)
             if isinstance(out, FeasibilityCertificate):
-                G = cone.columns(False)
+                G = cone.columns()
                 assert np.max(np.abs(G @ out.lam - v)) <= 1e-8
                 assert np.all(out.lam >= -1e-12)
             else:
                 assert out.separator @ v > 1e-9
-                G = cone.columns(False)
+                G = cone.columns()
                 assert np.all(G.T @ out.separator <= 1e-9)
 
 
@@ -100,7 +101,7 @@ class TestCaratheodory:
         lam = np.array([0.5, 0.5, 0.5, 0.5])
         v = G @ lam
         cert = FeasibilityCertificate(lam=lam, y=np.zeros(0), residual=0.0)
-        red = caratheodory_reduce(cert, cone, v, use_limit_rays=False)
+        red = caratheodory_reduce(cert, cone, v)
         support = np.flatnonzero(red.lam > 1e-12)
         assert len(support) <= 3
         assert red.residual <= 1e-9
@@ -132,7 +133,7 @@ class TestCaratheodory:
                 dim=d, labels=[str(i) for i in range(m)], generators=G, lineality=np.zeros((d, 0))
             )
             cert = FeasibilityCertificate(lam=lam, y=np.zeros(0), residual=0.0)
-            red = caratheodory_reduce(cert, cone, v, use_limit_rays=False)
+            red = caratheodory_reduce(cert, cone, v)
             assert np.sum(red.lam > 1e-10) <= d + 1
             assert red.residual <= 1e-8
             assert np.all(red.lam >= 0)

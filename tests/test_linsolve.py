@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,19 @@ class TestMaxMargin:
         # x must satisfy x1 - x2 = 0, so best is x = (-1,-1), margin 1
         assert res.margin == pytest.approx(1.0, abs=1e-9)
         assert res.direction[0] == pytest.approx(res.direction[1], abs=1e-9)
+
+    def test_wide_lp_allocates_no_tableau(self):
+        # the kernel keeps B^{-1} and the basic values and reads the LP
+        # matrix in place: past the elastic fit's own (d+1) x (m+2d) matrix
+        # only length-(n+m) pricing vectors are allocated
+        G = np.random.default_rng(13).normal(size=(3, 10**5))
+        tracemalloc.start()
+        try:
+            max_margin_direction(G, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * G.nbytes
 
 
 def check_hull_answer(out, F, G, H, tol=1e-9):
