@@ -72,7 +72,7 @@ def test_solve_report_matches_golden(name, monkeypatch, capsys):
 # once from the code that committed it; regenerate only when solve reports
 # are meant to change, and say why in CHANGES.md.
 SEED_DIGESTS = GOLDEN / "solve_seeds.json"
-SEED_INSTANCES = ("convex_toy", "parabola_band", "countable_cubic")
+SEED_INSTANCES = ("convex_toy", "parabola_band", "countable_cubic", "interval_ramp")
 SEEDS = (1, 2, 3, 4, 5)
 
 
