@@ -305,6 +305,8 @@ def _bind(env: Bindings, name: str):
         v = env[name]
     except KeyError:
         raise ExprError(f"unbound index variable '{name}'") from None
+    if v.__class__ is float:  # bound once by the caller, as the solver does
+        return v
     if isinstance(v, (float, int)):
         return float(v)
     arr = np.asarray(v, dtype=float)

@@ -646,14 +646,6 @@ class ActiveSetReport:
     def active(self) -> list[IndexEntry]:
         return self._entries(self.active_rows)
 
-    @property
-    def eps_active(self) -> list[IndexEntry]:
-        return self._entries(self.eps_active_rows)
-
-    @property
-    def normalized_eps_active(self) -> list[IndexEntry]:
-        return self._entries(self.normalized_rows)
-
 
 def active_set(
     inst: SipInstance,

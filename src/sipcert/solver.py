@@ -58,11 +58,12 @@ class SolverTrace:
 
 @dataclass(frozen=True)
 class WorkingConstraint:
-    """A constraint with its kernels and index binding bound once; both take x.tolist()."""
+    """A constraint with its kernels and index binding bound once. Both take the
+    coordinate list ``xs``; ``grad`` gives (value, the kernel's tuple of partials)."""
 
     label: str
     value: Callable[[list], float]
-    grad: Callable[[list], tuple[float, np.ndarray]]
+    grad: Callable[[list], tuple[float, tuple]]
 
 
 def _bind(label: str, body: ex.ExprAst, n: int, env: dict) -> WorkingConstraint:
@@ -70,7 +71,7 @@ def _bind(label: str, body: ex.ExprAst, n: int, env: dict) -> WorkingConstraint:
 
     def grad(xs):
         v, partials = grad_kernel(xs, env, body)
-        return float(v), np.array(partials, dtype=float)
+        return float(v), partials
 
     return WorkingConstraint(label, lambda xs: float(value_kernel(xs, env, body)), grad)
 
@@ -86,7 +87,7 @@ class _Bound:
         self.eqs = [_bind("h", c, inst.dim, {}) for c in inst.equalities.components]
 
     def cost(self, xs, grad: bool):
-        """(cost, gradient or None); a max-type cost takes the gradient of the
+        """(cost, partials or None); a max-type cost takes the gradient of the
         first piece attaining the maximum (a valid subgradient)."""
         if grad and isinstance(self.inst.cost, SmoothCost):
             return self.pieces[0].grad(xs)
@@ -108,25 +109,26 @@ def _constraint_for(inst: SipInstance, idx: IndexId) -> WorkingConstraint:
     if idx.family is None:
         return _bind(idx.label, inst.fixed[idx.block][1], inst.dim, {})
     fam = next(f for f, _ in inst.families if f.name == idx.family)
-    return _bind(idx.label, fam.body, inst.dim, {fam.index_name: idx.value})
+    # converted once, as expr._bind converts a scalar, so each kernel call takes it as is
+    return _bind(idx.label, fam.body, inst.dim, {fam.index_name: float(idx.value)})
 
 
-def _penalty(prob: _Bound, working, x, rho, grad: bool):
-    """Cost plus rho * v^2 for each violated working constraint and each
-    equality residual at x; with ``grad``, (value, gradient)."""
-    xs = x.tolist()
+def _penalty(prob: _Bound, working, xs, rho, grad: bool):
+    """Cost plus rho * v^2 for each violated working constraint (its gradient is
+    taken only then) and each equality residual at the coordinates ``xs``; with
+    ``grad``, (value, gradient as a sequence of floats)."""
     val, g = prob.cost(xs, grad)
     for wc in working:
-        v, gv = wc.grad(xs) if grad else (wc.value(xs), None)
+        v = wc.value(xs)
         if v > 0:
             val += rho * v * v
             if grad:
-                g += 2.0 * rho * v * gv
+                g = [gj + 2.0 * rho * v * pj for gj, pj in zip(g, wc.grad(xs)[1])]
     for h in prob.eqs:
-        v, gv = h.grad(xs) if grad else (h.value(xs), None)
+        v, partials = h.grad(xs) if grad else (h.value(xs), None)
         val += rho * v ** 2 if grad else rho * v * v  # kept: the passes round differently
         if grad:
-            g += 2.0 * rho * v * gv
+            g = [gj + 2.0 * rho * v * pj for gj, pj in zip(g, partials)]
     return (val, g) if grad else val
 
 
@@ -136,20 +138,22 @@ def _max_violation(working, x) -> float:
 
 
 def _penalty_descent(prob: _Bound, working, x0):
-    x = x0.copy()
+    """Penalty stages from x0 on coordinate lists; arrays only between stages."""
+    x = x0.tolist()
     rho = PENALTY0
     step = STEP0
     for _ in range(PENALTY_STAGES):
         for _ in range(MAX_INNER):
             val, grad = _penalty(prob, working, x, rho, True)
+            grad = np.array(grad)
             gnorm = math.sqrt(grad.dot(grad))  # np.linalg.norm of a 1-D array, without its overhead
             if gnorm <= 1e-10 * max(1.0, abs(val)):
                 break
-            d = -grad / gnorm
+            d = [-gj / gnorm for gj in grad.tolist()]
             t = step
             improved = False
             for _ in range(40):
-                cand = x + t * d
+                cand = [xj + t * dj for xj, dj in zip(x, d)]
                 if _penalty(prob, working, cand, rho, False) <= val - ARMIJO * t * gnorm:
                     x = cand
                     step = min(t * 1.5, STEP0)
@@ -158,11 +162,12 @@ def _penalty_descent(prob: _Bound, working, x0):
                 t *= 0.5
             if not improved:
                 break
-        eq = prob.inst.eq_residual(x)
-        if max(_max_violation(working, x), eq) <= VIOLATION_TOL and rho > 1e4:
+        xa = np.array(x)
+        eq = prob.inst.eq_residual(xa)
+        if max(_max_violation(working, xa), eq) <= VIOLATION_TOL and rho > 1e4:
             break
         rho *= PENALTY_GROWTH
-    return x
+    return np.array(x)
 
 
 def _polish(prob: _Bound, working, x):
@@ -180,9 +185,9 @@ def _polish(prob: _Bound, working, x):
         return np.vstack([h.grad(xs)[1] for h in prob.eqs]).T
 
     def lagr_grad(xs, lam, y):
-        g = prob.cost(xs, True)[1]
+        g = np.array(prob.cost(xs, True)[1])
         for lam_i, wc in zip(lam, near):
-            g = g + lam_i * wc.grad(xs)[1]
+            g = g + lam_i * np.array(wc.grad(xs)[1])
         if m:
             g = g + jacobian_t(xs) @ y
         return g
@@ -196,7 +201,7 @@ def _polish(prob: _Bound, working, x):
         return np.concatenate([p for p in parts if len(p)])
 
     G = np.column_stack([wc.grad(xs)[1] for wc in near]) if k else np.zeros((n, 0))
-    rhs = -prob.cost(xs, True)[1]
+    rhs = -np.array(prob.cost(xs, True)[1])
     M = np.hstack([G, jacobian_t(xs)]) if m else G
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         return None
@@ -315,8 +320,9 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
                 working_ids.append(idx)
                 working.append(_constraint_for(inst, idx))
             else:
-                # the worst index is already in the working set; tighten the
-                # subproblem by restarting the penalty from the best candidate
+                # the worst index is already in the working set: warm-start from the
+                # best candidate. The penalty restarts at PENALTY0 on the same schedule,
+                # so this does not tighten the subproblem and often repeats its result.
                 warm = best_x
         trace.status = "iteration_limit"
         return (best_x if best_x is not None else warm), trace

@@ -414,6 +414,26 @@ class TestKernel:
         with pytest.raises(ExprError):
             eval_value(node, [1.0])
 
+    def test_every_kind_of_scalar_binding_gives_the_same_bits(self):
+        # an exact float is used as is; every other scalar converts to one
+        class Sub(float):
+            pass
+
+        ast = parse("t*x1^2 - exp(x2/t) + log(t)*x1 + sqrt(t)*x2^-3")
+        x = np.array([0.7, -1.3])
+        want_value = _outcome(lambda: _reference(ast, x, {"t": 3.0})[0])
+        want_grad = _outcome(lambda: _reference(ast, x, {"t": 3.0}, grad=True))
+        for t in (3.0, 3, np.float64(3.0), np.array(3.0), Sub(3.0)):
+            assert _outcome(lambda: eval_value(ast, x, {"t": t})) == want_value
+            assert _outcome(lambda: eval_grad(ast, x, {"t": t})) == want_grad
+
+    def test_unbound_index_message(self):
+        ast = parse("x1 + t")
+        for fn in (eval_value, eval_grad):
+            for index in (None, {"s": 1.0}):
+                with pytest.raises(ExprError, match=r"^unbound index variable 't'$"):
+                    fn(ast, [1.0], index)
+
     def test_index_name_is_data_not_source(self):
         name = "t) or (1"
         assert eval_value(BinOp("*", IndexVar(name), Var(1)), [2.0], {name: 3.0}) == 6.0

@@ -179,6 +179,10 @@ class TestBox:
         np.testing.assert_array_equal(hi, [1.0, 1.0])
 
 
+def _ids(rep, rows):
+    return [rep.scan.index_id(int(i)) for i in rows]
+
+
 class TestActiveSets:
     def test_countable_eps_active_matches_scan(self):
         inst = countable_cubic()
@@ -187,15 +191,16 @@ class TestActiveSets:
         assert active_labels == ["g1"]
         # brute-force oracle: g_n(-1, 0) = -1/(3n) >= -0.05 iff n >= 7
         expected = {"g1"} | {f"g({n})" for n in range(7, 10_001)}
-        got = {e.id.label for e in rep.eps_active}
+        got = {i.label for i in _ids(rep, rep.eps_active_rows)}
         assert got == expected
 
     def test_interval_eps_active(self):
         inst = interval_ramp()
         rep = active_set(inst, [-1.0, 0.0], eps=0.5)
-        labels = {e.id.label for e in rep.eps_active}
+        ids = _ids(rep, rep.eps_active_rows)
+        labels = {i.label for i in ids}
         assert "g0" in labels
-        family_ts = [e.id.value for e in rep.eps_active if e.id.family == "g"]
+        family_ts = [i.value for i in ids if i.family == "g"]
         assert family_ts
         assert max(family_ts) <= 0.5 + 1e-9
         assert min(family_ts) > 0.0
@@ -203,21 +208,22 @@ class TestActiveSets:
     def test_eps_zero_coincides_with_active(self):
         inst = countable_cubic()
         rep = active_set(inst, [-1.0, 0.0], eps=0.0)
-        assert [e.id for e in rep.eps_active] == [e.id for e in rep.active]
+        assert _ids(rep, rep.eps_active_rows) == [e.id for e in rep.active]
 
     def test_monotone_in_eps(self):
         inst = countable_cubic(truncation=500)
         r1 = active_set(inst, [-1.0, 0.0], eps=0.01)
         r2 = active_set(inst, [-1.0, 0.0], eps=0.1)
-        s1 = {e.id for e in r1.eps_active}
-        s2 = {e.id for e in r2.eps_active}
+        s1 = set(_ids(r1, r1.eps_active_rows))
+        s2 = set(_ids(r2, r2.eps_active_rows))
         assert s1 <= s2
 
     def test_listed_indices_verify_inequality(self):
         inst = countable_cubic(truncation=500)
         rep = active_set(inst, [-1.0, 0.0], eps=0.03)
-        for e in rep.eps_active:
-            assert e.value >= -0.03 - 1e-12
+        assert len(rep.eps_active_rows)
+        for i in rep.eps_active_rows:
+            assert rep.scan.value[i] >= -0.03 - 1e-12
 
     def test_finite_gap_collapse(self):
         inst = SipInstance(
@@ -226,22 +232,23 @@ class TestActiveSets:
             fixed=(("a", ex.parse("x1 - 1")), ("b", ex.parse("x2 - 2"))),
         )
         rep = active_set(inst, [0.0, 0.0], eps=0.4)
-        assert rep.eps_active == rep.active == []
+        assert _ids(rep, rep.eps_active_rows) == rep.active == []
 
     def test_grid_refinement_never_drops_indices(self):
         coarse = interval_ramp(refinements=1)
         fine = interval_ramp(refinements=4)
         rc = active_set(coarse, [-1.0, 0.0], eps=0.2)
         rf = active_set(fine, [-1.0, 0.0], eps=0.2)
-        assert {e.id.value for e in rc.eps_active} <= {e.id.value for e in rf.eps_active}
+        coarse_ts = {i.value for i in _ids(rc, rc.eps_active_rows)}
+        assert coarse_ts <= {i.value for i in _ids(rf, rf.eps_active_rows)}
 
     def test_normalized_set(self):
         inst = countable_cubic(truncation=200)
         rep = active_set(inst, [-1.0, 0.0], eps=0.05)
         # |grad g_n| = sqrt(1/n^2 + 1) ~ 1, so the normalized set is close to
         # the plain eps-active set here
-        norm_labels = {e.id.label for e in rep.normalized_eps_active}
-        plain_labels = {e.id.label for e in rep.eps_active}
+        norm_labels = {i.label for i in _ids(rep, rep.normalized_rows)}
+        plain_labels = {i.label for i in _ids(rep, rep.eps_active_rows)}
         assert "g1" in norm_labels
         assert norm_labels >= plain_labels
 

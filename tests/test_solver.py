@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -311,8 +312,8 @@ def test_bound_penalty_is_bit_identical_to_eval_path(name):
         for rho in (10.0, 2.5e4):
             with np.errstate(over="ignore", invalid="ignore"):  # as inside solve()
                 val, gval, grad = _reference_penalty(inst, terms, x, rho)
-                got_val = solver._penalty(prob, working, x, rho, False)
-                got_gval, got_grad = solver._penalty(prob, working, x, rho, True)
+                got_val = solver._penalty(prob, working, x.tolist(), rho, False)
+                got_gval, got_grad = solver._penalty(prob, working, x.tolist(), rho, True)
             assert _bits(got_val) == _bits(val)
             assert _bits(got_gval) == _bits(gval)
             assert _bits(got_grad) == _bits(grad)
@@ -326,5 +327,31 @@ def test_bound_penalty_is_bit_identical_to_eval_path(name):
         assert math.isnan(values[0])
         x = np.array([850.0, 0.5])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert solver._penalty(prob, working, x, 10.0, False) == 0.5
-            assert solver._penalty(prob, working, x, 10.0, True)[0] == 0.5
+            assert solver._penalty(prob, working, x.tolist(), 10.0, False) == 0.5
+            assert solver._penalty(prob, working, x.tolist(), 10.0, True)[0] == 0.5
+
+
+def test_penalty_gradient_pass_skips_satisfied_constraints():
+    inst = interval_ramp()
+    lo, hi = inst.box_bounds()
+    scan = scan_constraints(inst, 0.5 * (lo + hi))
+    rows = np.unique(np.linspace(0, len(scan.value) - 1, 7).astype(int))
+    calls = []
+
+    def counted(wc):
+        def grad(xs):
+            calls.append(wc.label)
+            return wc.grad(xs)
+
+        return dataclasses.replace(wc, grad=grad)
+
+    working = [counted(solver._constraint_for(inst, scan.index_id(int(r)))) for r in rows]
+    prob = solver._Bound(inst)
+    # g0 = x1 + 1 and g(t) = t*x1 - x2^3 with t in (0, 1]: (-2, 1) satisfies
+    # every working constraint, and (0, 1) violates g0 alone
+    for xs, n_violated in (([-2.0, 1.0], 0), ([0.0, 1.0], 1)):
+        violated = [wc.label for wc in working if wc.value(xs) > 0]
+        assert len(violated) == n_violated
+        calls.clear()
+        solver._penalty(prob, working, xs, 10.0, True)
+        assert calls == violated
