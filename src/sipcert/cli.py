@@ -143,10 +143,7 @@ def _stationarity_section(report) -> dict:
 
 
 def _normal_cone_section(rep, dirs) -> dict:
-    probes = []
-    for v in dirs:
-        ans = rep.member(v, tol=1e-6)
-        probes.append({"direction": _vec(v), "member": bool(ans.is_member)})
+    probes = [{"direction": _vec(v), "member": rep.member(v, tol=1e-6)} for v in dirs]
     return {
         "variant": rep.variant,
         "valid": rep.valid,

@@ -1,8 +1,10 @@
 """Finitely generated convex cones with lineality and limit rays.
 
 A truncated infinite family approaches limit directions it never attains.
-Those directions enter here as *limit rays*: extrapolated from normalized
-tail gradients, or declared in the instance. Membership, separation, and the
+Those directions enter here as *limit rays*: declared in the instance, or
+extrapolated from the normalized rows of the scan's tail ladders one ladder
+at a time, so a family open at both ends gets up to two rays, each with the
+value limit of its own ladder. Membership, separation, and the
 closedness diagnostic all work on the finite surrogate cone(generators
 [+ rays]) + span(lineality), so every verdict is backed by a certificate a
 test can re-check.
@@ -12,14 +14,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from . import linsolve
 from .linsolve import ConeRefutation, FeasibilityCertificate
-from .model import ConstraintScan, SipInstance, scan_constraints, unit_vectors
+from .model import ConstraintScan, FamilyScan, unit_vectors
 
 
 @dataclass(frozen=True)
@@ -139,49 +141,32 @@ RESIDUAL_TOL = 1e-6
 ATTAIN_TOL = 1e-9
 
 
-def accumulation_rays(samples, hints=None, *, attained_dirs=None):
-    """Limit directions of an indexed gradient sequence.
+def _unit_rows(v) -> np.ndarray:
+    """Unit rows of v, with its zero and non-finite rows dropped."""
+    u = unit_vectors(v)
+    return u[~np.isnan(u[:, 0])]
 
-    ``samples`` is a sequence of (parameter, vector) pairs with parameter
-    decreasing to 0 along the tail. Declared hints pass through. Otherwise
-    the last K_TAIL normalized samples are Richardson-extrapolated pairwise
-    and the estimates clustered at angular tolerance THETA_TOL; only clusters
-    whose tail estimates agree to RESIDUAL_TOL survive. Returns (rays, ok);
-    an inconclusive extrapolation gives ([], False).
 
-    A ray is attained when its unit direction lies within chord distance
-    ATTAIN_TOL of the unit direction of a row of ``attained_dirs`` (the
-    directions the materialized generator set actually realizes). Tail
-    samples approach the limit by construction, so they are a poor
-    attainment reference and are used only when ``attained_dirs`` is None.
-    """
-    rays: list[Ray] = []
-    pairs = sorted(((float(s), np.asarray(w, dtype=float)) for s, w in samples),
-                   key=lambda p: -p[0])
-    params = np.array([s for s, _ in pairs])
-    units = unit_vectors([w for _, w in pairs]) if pairs else np.zeros((0, 1))
+def _attained(ref: np.ndarray, direction) -> bool:
+    """A unit direction within chord distance ATTAIN_TOL of a row of ref."""
+    return bool(np.any(np.linalg.norm(ref - direction, axis=1) <= ATTAIN_TOL))
+
+
+def accumulation_rays(params, vectors, *, attained_dirs):
+    """Limit directions of one tail ladder.
+
+    ``params`` fall strictly to 0, one per row of ``vectors``. The last K_TAIL
+    normalized rows are Richardson-extrapolated pairwise and the estimates
+    clustered at angular tolerance THETA_TOL; only clusters whose tail
+    estimates agree to RESIDUAL_TOL survive. A ray is attained when it lies
+    within chord distance ATTAIN_TOL of a row of ``attained_dirs``, the unit
+    directions the materialized generators realize. Returns (rays, ok); an
+    inconclusive extrapolation gives ([], False)."""
+    units = unit_vectors(vectors)
     keep = ~np.isnan(units[:, 0])
-    params, units = params[keep], units[keep]
-    ref = units if attained_dirs is None else unit_vectors(attained_dirs)
-    ref = ref[~np.isnan(ref[:, 0])]
-
-    def is_attained(direction) -> bool:
-        return bool(np.any(np.linalg.norm(ref - direction, axis=1) <= ATTAIN_TOL))
-
-    if hints:
-        for hv in unit_vectors(hints):
-            if not np.isnan(hv[0]):
-                rays.append(Ray(hv, "declared", is_attained(hv), label="declared-ray"))
-        return rays, True
-    s, u = params[-K_TAIL:], units[-K_TAIL:]
-    if len(s) < 2:
-        return [], False
-    step = s[:-1] > s[1:]
-    s1, s2 = s[:-1][step, None], s[1:][step, None]
-    estimates = unit_vectors((s1 * u[1:][step] - s2 * u[:-1][step]) / (s1 - s2))
-    estimates = estimates[~np.isnan(estimates[:, 0])]
-    if not len(estimates):
-        return [], False
+    s, u = np.asarray(params, dtype=float)[keep][-K_TAIL:], units[keep][-K_TAIL:]
+    s1, s2 = s[:-1, None], s[1:, None]
+    estimates = _unit_rows((s1 * u[1:] - s2 * u[:-1]) / (s1 - s2))
     clusters: list[list[np.ndarray]] = []
     for est in estimates:
         for cl in clusters:
@@ -190,10 +175,10 @@ def accumulation_rays(samples, hints=None, *, attained_dirs=None):
                 break
         else:
             clusters.append([est])
-    for ci, cl in enumerate(clusters):
+    rays: list[Ray] = []
+    for cl in clusters:
+        # the cluster sits within THETA_TOL of cl[0], so its mean is not 0
         rep = unit_vectors(np.mean(cl[-3:], axis=0))
-        if np.isnan(rep[0]):
-            continue
         if len(cl) >= 2:
             # the tail estimates of a convergent cluster must agree
             tail = cl[-3:]
@@ -201,13 +186,47 @@ def accumulation_rays(samples, hints=None, *, attained_dirs=None):
         else:
             # an uncorroborated single estimate only counts if the raw tail
             # already sits on it
-            resid = _angle(cl[0], units[-1])
-        if resid > RESIDUAL_TOL:
-            continue
-        rays.append(Ray(rep, "extrapolated", is_attained(rep), label=f"limit-ray-{ci}"))
-    if not rays:
-        return [], False
-    return rays, True
+            resid = _angle(cl[0], u[-1])
+        if resid <= RESIDUAL_TOL:
+            rays.append(Ray(rep, "extrapolated", _attained(attained_dirs, rep)))
+    return rays, bool(rays)
+
+
+def family_rays(scan: ConstraintScan, fam: FamilyScan, vectors, ladders, attained_dirs):
+    """The limit rays of one family, one tail ladder at a time: each ladder k
+    in ``ladders`` is extrapolated from its own rows of ``vectors`` (the
+    gradients or their lift, one row per tail row of the scan, in scan order),
+    whose parameter falls to 0. A family open at both ends thus gets up to two
+    rays, each with its own ladder's value limit; a ray within THETA_TOL of an
+    earlier one merges into it and keeps the larger value limit.
+    ``attained_dirs`` is normalized here, once. Returns (rays, ok), where ok
+    says every ladder extrapolated."""
+    ref = _unit_rows(attained_dirs)
+    rays: list[Ray] = []
+    ok = True
+    for k in ladders:
+        rows = (scan.block == fam.block) & (scan.ladder == k)
+        found, ladder_ok = accumulation_rays(scan.param[rows], vectors[rows[scan.tail]],
+                                             attained_dirs=ref)
+        ok = ok and ladder_ok
+        vlimit = fam.tails[k].value_limit
+        for ray in found:
+            j = next((j for j, r in enumerate(rays)
+                      if _angle(r.direction, ray.direction) <= THETA_TOL), len(rays))
+            if j < len(rays):
+                rays[j] = replace(rays[j], value_limit=max(rays[j].value_limit, vlimit))
+            else:
+                label = f"{fam.name}:limit-ray-{j}"
+                rays.append(replace(ray, label=label, value_limit=vlimit))
+    return rays, ok
+
+
+def declared_rays(fam: FamilyScan, value_limit: float, attained_dirs) -> list[Ray]:
+    """The family's declared limit ray, taken as given without extrapolation;
+    none when its direction is not finite."""
+    ref = _unit_rows(attained_dirs)
+    return [Ray(u, "declared", _attained(ref, u), f"{fam.name}:declared-ray", value_limit)
+            for u in _unit_rows([fam.declared_ray])]
 
 
 def _angle(u: np.ndarray, v: np.ndarray) -> float:
@@ -215,22 +234,12 @@ def _angle(u: np.ndarray, v: np.ndarray) -> float:
     return math.acos(c)
 
 
-def augmented_generators(inst: SipInstance, x, scan: ConstraintScan | None = None):
-    """Value-augmented coefficient vectors (grad, <grad, x> - g(x)) over the
-    base materialization, plus tail samples of the same lift for ray work.
-
-    Returns (columns (d+1, m), tail_samples) where tail_samples maps each
-    family with tail rows to its (parameter, augmented vector) pairs.
-    """
-    x = np.asarray(x, dtype=float)
-    scan = scan or scan_constraints(inst, x)
-    lift = np.hstack([scan.grad, (scan.grad @ x - scan.value)[:, None]])
-    tail_samples: dict[str, list[tuple[float, np.ndarray]]] = {}
-    for fam in scan.families:
-        rows = scan.tail & (scan.block == fam.block)
-        if rows.any():
-            tail_samples[fam.name] = list(zip(scan.param[rows], lift[rows]))
-    return np.ascontiguousarray(lift[scan.grid(level=0)].T), tail_samples
+def augmented_generators(scan: ConstraintScan):
+    """Value-augmented coefficient vectors (grad, <grad, x> - g(x)) at the
+    scan's point: (columns (d+1, m) over the base materialization, the lift of
+    the tail-ladder rows for `family_rays`)."""
+    lift = np.hstack([scan.grad, (scan.grad @ scan.x - scan.value)[:, None]])
+    return np.ascontiguousarray(lift[scan.grid(level=0)].T), lift[scan.tail]
 
 
 NORM_RATIO_CAP = 1e3

@@ -20,9 +20,9 @@ from . import linsolve
 from .cones import (
     Closedness,
     ClosednessVerdict,
-    accumulation_rays,
     augmented_generators,
     closedness_diagnostic,
+    family_rays,
 )
 from .expr import ExprError
 from .model import (ACT_TOL, ConstraintScan, FamilyScan, InstanceError, SipInstance,
@@ -252,20 +252,15 @@ def check_nfmcq(
     With a nonempty equality block the check covers the inequality system
     only and is labelled as such.
     """
-    x = np.asarray(x, dtype=float)
     scan = scan or scan_constraints(inst, x)
-    cols, tail_samples = augmented_generators(inst, x, scan)
+    cols, tail_lift = augmented_generators(scan)
     rays = []
     extrap_ok = True
     for fam in scan.families:
-        samples = tail_samples.get(fam.name)
-        if not samples:
-            if not fam.complete:
-                extrap_ok = False
-            continue
-        fam_rays, ok = accumulation_rays(samples, attained_dirs=cols.T)
+        fam_rays, ok = family_rays(scan, fam, tail_lift, range(len(fam.tails)), cols.T)
         rays.extend(fam_rays)
-        extrap_ok = extrap_ok and ok
+        # a truncated family without tail ladders has nothing to extrapolate
+        extrap_ok = extrap_ok and ok and (fam.complete or bool(fam.tails))
     complete = all(f.complete for f in scan.families)
     verdict = closedness_diagnostic(cols, rays, complete=complete, extrapolation_ok=extrap_ok)
     mapping = {

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import expr as ex
 from . import linsolve
-from .cones import GeneratedCone, Ray, accumulation_rays, membership, reduce_support
+from .cones import (GeneratedCone, Ray, declared_rays, family_rays, membership,
+                    reduce_support)
 from .cq import EPS_SCHEDULE, CqReport, Verdict, cq_summary, validate_schedule
 from .linsolve import FeasibilityCertificate, HullFeasibility, LpFailure
 from .model import (
@@ -46,11 +47,6 @@ from .model import (
 
 
 STATIONARITY_TOL = 1e-9
-
-
-@dataclass
-class MembershipAnswer:
-    is_member: bool
 
 
 @dataclass
@@ -73,12 +69,11 @@ class NormalConeRep:
         _, mask, rays = self.per_eps[-1]
         return _cone(self.scan, mask, self.lineality, rays)
 
-    def member(self, v, tol: float = 1e-6) -> MembershipAnswer:
+    def member(self, v, tol: float = 1e-6) -> bool:
         """Membership in `cone`. For the perturbed and normalized variants
         the scheduled cones are nested, so the smallest-eps cone is their
         intersection and no other eps can change the answer."""
-        out = membership(self.cone, np.asarray(v, dtype=float), tol)
-        return MembershipAnswer(isinstance(out, FeasibilityCertificate))
+        return isinstance(membership(self.cone, v, tol), FeasibilityCertificate)
 
 
 @dataclass
@@ -112,24 +107,19 @@ def _require_feasible(inst: SipInstance, x, scan: ConstraintScan):
 
 
 def _family_rays(scan: ConstraintScan, attained_dirs) -> list[Ray]:
-    """Gradient limit rays per family, with the trajectory value limit
-    attached so eps-qualification can be decided per cone."""
+    """Gradient limit rays per family from its converged tail ladders, each
+    with its trajectory value limit for eps-qualification; a declared ray
+    stands for them and takes their largest value limit (0 without one)."""
     out: list[Ray] = []
     for fam in scan.families:
         good = [k for k, tl in enumerate(fam.tails) if tl.ok]
-        rows = (scan.block == fam.block) & np.isin(scan.ladder, good)
-        vlimit = max((fam.tails[k].value_limit for k in good), default=None)
-        hints = [fam.declared_ray] if fam.declared_ray is not None else None
-        if hints and vlimit is None:
-            vlimit = 0.0
-        if not rows.any() and not hints:
+        if fam.declared_ray is not None:
+            vlimit = max((fam.tails[k].value_limit for k in good), default=0.0)
+            out.extend(declared_rays(fam, vlimit, attained_dirs))
             continue
-        samples = zip(scan.param[rows], scan.grad[rows])
-        rays, ok = accumulation_rays(samples, hints, attained_dirs=attained_dirs)
-        if not ok:
-            continue
-        for ray in rays:
-            out.append(replace(ray, label=f"{fam.name}:{ray.label}", value_limit=vlimit))
+        rays, ok = family_rays(scan, fam, scan.grad[scan.tail], good, attained_dirs)
+        if ok:
+            out.extend(rays)
     return out
 
 
@@ -196,7 +186,7 @@ def normal_cone(
         return NormalConeRep(variant, scan, lineality, per_eps, valid, warnings, regular)
 
     grid = scan.grid()
-    rays = _family_rays(scan, attained_dirs=scan.grad[grid] if grid.any() else None)
+    rays = _family_rays(scan, scan.grad[grid])
     per_eps = [
         (eps, scan.active(eps, normalized=variant == "normalized"), _qualified_rays(rays, eps))
         for eps in sorted(schedule, reverse=True)

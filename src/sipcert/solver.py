@@ -113,6 +113,14 @@ def _constraint_for(inst: SipInstance, idx: IndexId) -> WorkingConstraint:
     return _bind(idx.label, fam.body, inst.dim, {fam.index_name: float(idx.value)})
 
 
+def _square(v: float) -> float:
+    """v ** 2, or inf where the float power overflows (it raises, unlike *)."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _penalty(prob: _Bound, working, xs, rho, grad: bool):
     """Cost plus rho * v^2 for each violated working constraint (its gradient is
     taken only then) and each equality residual at the coordinates ``xs``; with
@@ -126,7 +134,7 @@ def _penalty(prob: _Bound, working, xs, rho, grad: bool):
                 g = [gj + 2.0 * rho * v * pj for gj, pj in zip(g, wc.grad(xs)[1])]
     for h in prob.eqs:
         v, partials = h.grad(xs) if grad else (h.value(xs), None)
-        val += rho * v ** 2 if grad else rho * v * v  # kept: the passes round differently
+        val += rho * _square(v) if grad else rho * v * v  # kept: the passes round differently
         if grad:
             g = [gj + 2.0 * rho * v * pj for gj, pj in zip(g, partials)]
     return (val, g) if grad else val

@@ -91,7 +91,7 @@ def stabilized_cone():
     inst = countable_cubic()
     cq = cq_summary(inst, XBAR)
     pert = normal_cone(inst, XBAR, variant="perturbed", cq=cq)
-    in_cone = [pert.member(v, tol=1e-6).is_member for v in COMPASS]
+    in_cone = [pert.member(v, tol=1e-6) for v in COMPASS]
     return inst, cq, pert, in_cone
 
 
@@ -156,7 +156,7 @@ def test_criterion_02_interval_ramp_pipeline(ramp_cq):
                                             radius=1e-3, seed=2)
         assert probe.status == "ok"
         assert probe.quotient <= 1e-3
-        assert not rep.member(down, tol=1e-6).is_member
+        assert not rep.member(down, tol=1e-6)
 
         assert elapsed < 5.0, f"pipeline took {elapsed:.2f}s"
 
@@ -171,13 +171,13 @@ def test_criterion_03_cone_equality_probes(stabilized_cone):
             in_quadrant = v[0] >= -tol and v[1] <= tol
             assert got == in_quadrant, f"perturbed disagrees at {v}"
             on_halfline = v[0] >= -tol and abs(v[1]) <= tol
-            assert unpert.member(v, tol=tol).is_member == on_halfline, (
+            assert unpert.member(v, tol=tol) == on_halfline, (
                 f"unperturbed disagrees at {v}"
             )
         for v in ([1.0, -1.0], [0.0, -1.0]):
             v = np.asarray(v)
-            assert pert.member(v, tol=tol).is_member
-            assert not unpert.member(v, tol=tol).is_member
+            assert pert.member(v, tol=tol)
+            assert not unpert.member(v, tol=tol)
 
 
 def test_criterion_04_parabola_band(parabola_cq):

@@ -19,6 +19,19 @@ INSTANCES = ROOT / "instances"
 SCHEMA = ROOT / "docs" / "report_schema.json"
 
 
+HUGE_EQUALITY = """[problem]
+vars = x1 x2
+minimize = x1^2 + x2^2
+box = -2 2; -2 2
+
+[constraints]
+g = x1 - 5
+
+[equalities]
+h = 1e200*x1 - 1e199
+"""
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
@@ -343,6 +356,16 @@ class TestSolveCommand:
         assert "solver: iteration_limit after 3 iterations" in out
         assert "equality residual inf" in out
         assert "iteration limit" in err
+
+    def test_overflowing_equality_penalty_is_not_a_crash(self, tmp_path, capsys):
+        # the squared residual of h near x1 = 2 exceeds the float range; the
+        # penalty takes it as inf instead of raising OverflowError
+        path = tmp_path / "huge_equality.sip"
+        path.write_text(HUGE_EQUALITY)
+        code, out, err = run_cli(["solve", str(path), "--seed", "0"], capsys)
+        assert code == EXIT_OK
+        assert "point: [0.1, 0.0]" in out
+        assert err == ""
 
     def test_non_finite_report_is_strict_json(self, tmp_path):
         # the infinite residuals reach the report as "inf" strings, never as

@@ -13,11 +13,15 @@ from sipcert.cones import (
     augmented_generators,
     caratheodory_reduce,
     closedness_diagnostic,
+    declared_rays,
+    family_rays,
     membership,
 )
 from sipcert.linsolve import ConeRefutation, FeasibilityCertificate
+from sipcert.model import FamilyScan, scan_constraints, unit_vectors
+from sipcert.optimality import _family_rays
 
-from test_model import countable_cubic, interval_ramp
+from test_model import countable_cubic, interval_ramp, open_interval
 
 
 def quadrant_like_cone(n_tail=50, with_ray=True):
@@ -139,10 +143,19 @@ class TestCaratheodory:
             assert np.all(red.lam >= 0)
 
 
+def tail_rays(samples):
+    """`accumulation_rays` on the arrays of (parameter, vector) pairs, with
+    attainment judged against the samples' own directions."""
+    params = np.array([p for p, _ in samples])
+    vectors = np.array([v for _, v in samples], dtype=float)
+    own = unit_vectors(vectors)
+    return accumulation_rays(params, vectors, attained_dirs=own[~np.isnan(own[:, 0])])
+
+
 class TestAccumulationRays:
     def test_reciprocal_tail(self):
         samples = [(1.0 / n, np.array([1.0 / n, -1.0])) for n in range(2, 200)]
-        rays, ok = accumulation_rays(samples)
+        rays, ok = tail_rays(samples)
         assert ok and len(rays) == 1
         np.testing.assert_allclose(rays[0].direction, [0.0, -1.0], atol=1e-6)
         assert not rays[0].attained
@@ -150,15 +163,15 @@ class TestAccumulationRays:
 
     def test_constant_sequence_attained(self):
         samples = [(1.0 / n, np.array([1.0, 0.0])) for n in range(2, 40)]
-        rays, ok = accumulation_rays(samples)
+        rays, ok = tail_rays(samples)
         assert ok and len(rays) == 1
         np.testing.assert_allclose(rays[0].direction, [1.0, 0.0], atol=1e-9)
         assert rays[0].attained
 
     def test_scaling_family_attained_direction(self):
-        ts = np.linspace(1e-3, 1.0, 60)
+        ts = np.linspace(1e-3, 1.0, 60)[::-1]
         samples = [(t, np.array([t, 0.0])) for t in ts]
-        rays, ok = accumulation_rays(samples)
+        rays, ok = tail_rays(samples)
         assert ok and len(rays) == 1
         np.testing.assert_allclose(rays[0].direction, [1.0, 0.0], atol=1e-9)
         assert rays[0].attained
@@ -169,14 +182,17 @@ class TestAccumulationRays:
     def test_direction_attained_against_itself(self, v):
         # u.u can round below 1, and acos(1 - 1 ulp) = 1.5e-8 exceeds attain_tol
         v = np.array(v)
-        rays, ok = accumulation_rays([], hints=[v], attained_dirs=[v])
-        assert ok and len(rays) == 1
+        rays = declared_rays(FamilyScan("g", 0, [], False, declared_ray=v), 0.0, [v])
+        assert len(rays) == 1
         assert rays[0].attained
 
     def test_declared_hint_passes_through(self):
-        samples = [(1.0 / n, np.array([1.0 / n, -1.0])) for n in range(2, 10)]
-        rays, ok = accumulation_rays(samples, hints=[np.array([0.0, -2.0])])
-        assert ok and len(rays) == 1
+        # the declared ray stands for the family: its tail is not extrapolated
+        inst = countable_cubic(truncation=8)
+        scan = scan_constraints(inst, np.array([-1.0, 0.0]))
+        scan.families[0].declared_ray = np.array([0.0, -2.0])
+        rays = _family_rays(scan, scan.grad[scan.grid()])
+        assert len(rays) == 1
         np.testing.assert_allclose(rays[0].direction, [0.0, -1.0])
         assert rays[0].provenance == "declared"
 
@@ -184,11 +200,11 @@ class TestAccumulationRays:
         samples = [
             (1.0 / n, np.array([math.cos(n * 2.0), math.sin(n * 2.0)])) for n in range(2, 60)
         ]
-        rays, ok = accumulation_rays(samples)
+        rays, ok = tail_rays(samples)
         assert rays == [] and not ok
 
     def test_too_few_samples(self):
-        rays, ok = accumulation_rays([(0.5, np.array([1.0, 0.0]))])
+        rays, ok = tail_rays([(0.5, np.array([1.0, 0.0]))])
         assert rays == [] and not ok
 
     def test_two_estimates_must_agree(self):
@@ -196,27 +212,67 @@ class TestAccumulationRays:
         # residual_tol, so the cluster is not corroborated
         turn = [math.cos(2.5e-4), math.sin(2.5e-4)]
         samples = [(1.0, [1.0, 0.0]), (0.5, [1.0, 0.0]), (0.25, turn)]
-        assert accumulation_rays(samples) == ([], False)
-        rays, ok = accumulation_rays([(1.0, [1.0, 0.0]), (0.5, [1.0, 0.0]), (0.25, [1.0, 0.0])])
+        assert tail_rays(samples) == ([], False)
+        rays, ok = tail_rays([(1.0, [1.0, 0.0]), (0.5, [1.0, 0.0]), (0.25, [1.0, 0.0])])
         assert ok and len(rays) == 1
         np.testing.assert_allclose(rays[0].direction, [1.0, 0.0])
+
+
+class TestFamilyRays:
+    def test_one_ray_per_end_with_its_own_value_limit(self):
+        # g(t) -> x2 - 1 as t -> 0 (value limit -1) and -> x1 as t -> 1 (0)
+        inst = open_interval("t*x1 + (1-t)*x2 - (1-t)^2")
+        scan = scan_constraints(inst, np.zeros(2))
+        fam = scan.families[0]
+        rays, ok = family_rays(scan, fam, scan.grad[scan.tail], [0, 1], scan.grad[scan.grid()])
+        assert ok and len(rays) == 2
+        np.testing.assert_allclose(rays[0].direction, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(rays[1].direction, [1.0, 0.0], atol=1e-12)
+        assert rays[0].value_limit == pytest.approx(-1.0)
+        assert rays[1].value_limit == pytest.approx(0.0, abs=1e-12)
+        assert [r.label for r in rays] == ["g:limit-ray-0", "g:limit-ray-1"]
+
+    def test_close_rays_merge_with_the_larger_value_limit(self):
+        # both ends have gradient (0, -1); the value limits are 0 and -1
+        inst = open_interval("-t*x2 - t")
+        scan = scan_constraints(inst, np.zeros(2))
+        fam = scan.families[0]
+        assert [tl.value_limit for tl in fam.tails] == pytest.approx([0.0, -1.0], abs=1e-12)
+        for order in ([0, 1], [1, 0]):
+            rays, ok = family_rays(scan, fam, scan.grad[scan.tail], order, scan.grad[scan.grid()])
+            assert ok and len(rays) == 1
+            np.testing.assert_allclose(rays[0].direction, [0.0, -1.0], atol=1e-12)
+            assert rays[0].value_limit == pytest.approx(0.0, abs=1e-12)
+
+    def test_ok_needs_every_ladder(self):
+        inst = open_interval("t*x1 + (1-t)*x2")
+        scan = scan_constraints(inst, np.zeros(2))
+        fam = scan.families[0]
+        scan.grad[(scan.block == fam.block) & (scan.ladder == 1)] = 0.0
+        rays, ok = family_rays(scan, fam, scan.grad[scan.tail], [0, 1], scan.grad[scan.grid()])
+        assert not ok and len(rays) == 1
+        np.testing.assert_allclose(rays[0].direction, [0.0, 1.0], atol=1e-12)
 
 
 class TestAugmentedGenerators:
     def test_interval_ramp_lift(self):
         inst = interval_ramp(resolution=9, refinements=0)
-        cols, tails = augmented_generators(inst, [-1.0, 0.0])
+        scan = scan_constraints(inst, np.array([-1.0, 0.0]))
+        cols, lift = augmented_generators(scan)
         assert cols.shape[0] == 3
         np.testing.assert_allclose(cols[:, 0], [1.0, 0.0, -1.0], atol=1e-12)
         # family columns are (t, 0, 0)
         for j in range(1, cols.shape[1]):
             t = cols[0, j]
             np.testing.assert_allclose(cols[:, j], [t, 0.0, 0.0], atol=1e-12)
-        assert "g" in tails
+        # the tail-ladder rows' lift, (t, 0, 0) with t -> 0
+        assert lift.shape == (np.count_nonzero(scan.tail), 3) and len(lift)
+        np.testing.assert_array_equal(lift[:, 0], scan.t[scan.tail])
+        np.testing.assert_allclose(lift[:, 1:], 0.0, atol=1e-12)
 
     def test_countable_cubic_lift(self):
         inst = countable_cubic(truncation=10)
-        cols, _ = augmented_generators(inst, [-1.0, 0.0])
+        cols, _ = augmented_generators(scan_constraints(inst, np.array([-1.0, 0.0])))
         np.testing.assert_allclose(cols[:, 0], [1.0, 0.0, -1.0], atol=1e-12)
         for j, n in enumerate(range(2, 11), start=1):
             np.testing.assert_allclose(
@@ -230,21 +286,19 @@ class TestAugmentedGenerators:
         inst = load_instance(
             Path(__file__).resolve().parent.parent / "instances" / "parabola_band.sip"
         )
-        cols, _ = augmented_generators(inst, [0.0, 0.0])
+        cols, _ = augmented_generators(scan_constraints(inst, np.zeros(2)))
         for j in range(cols.shape[1]):
             np.testing.assert_allclose(cols[:, j], [0.0, -1.0, 0.0], atol=1e-12)
 
 
 class TestClosedness:
     def _aug_cone(self, inst, x):
-        from sipcert.model import scan_constraints
-
         scan = scan_constraints(inst, np.asarray(x, dtype=float))
-        cols, tails = augmented_generators(inst, x, scan)
+        cols, lift = augmented_generators(scan)
         all_rays = []
         ok_all = True
-        for fam_name, samples in tails.items():
-            rays, ok = accumulation_rays(samples, attained_dirs=cols.T)
+        for fam in scan.families:
+            rays, ok = family_rays(scan, fam, lift, range(len(fam.tails)), cols.T)
             all_rays.extend(rays)
             ok_all = ok_all and ok
         complete = all(f.complete for f in scan.families)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sipcert import expr as ex
+from sipcert import cq as cq_module
 from sipcert import model
 from sipcert.cq import (
     Verdict,
@@ -28,7 +29,7 @@ from sipcert.model import (
     scan_constraints,
 )
 
-from test_model import GOLDEN_POINTS, countable_cubic, interval_ramp
+from test_model import GOLDEN_POINTS, countable_cubic, interval_ramp, open_interval
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 XBAR = np.array([-1.0, 0.0])
@@ -141,6 +142,25 @@ class TestNfmcq:
     def test_parabola_band_holds(self):
         res = check_nfmcq(parabola_band(), np.zeros(2))
         assert res.verdict == Verdict.HOLDS
+
+    def test_open_interval_gives_a_ray_per_end(self, monkeypatch):
+        # lifts (t, 1-t, 0) over t in (0, 1): the ladders toward 0 and 1 end
+        # at (0, 1, 0) and (1, 0, 0), and both reach the closedness check
+        seen = []
+        diagnose = cq_module.closedness_diagnostic
+
+        def spy(cols, rays, **kw):
+            seen.append(rays)
+            return diagnose(cols, rays, **kw)
+
+        monkeypatch.setattr(cq_module, "closedness_diagnostic", spy)
+        res = check_nfmcq(open_interval("t*x1 + (1-t)*x2"), np.zeros(2))
+        (rays,) = seen
+        assert len(rays) == 2
+        np.testing.assert_allclose(rays[0].direction, [0.0, 1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(rays[1].direction, [1.0, 0.0, 0.0], atol=1e-12)
+        assert not any(r.attained for r in rays)
+        assert res.verdict == Verdict.FAILS
 
     def test_equality_block_labelled(self):
         inst = SipInstance(

@@ -10,11 +10,18 @@ CHANGES.md. From the repo root:
 - `sipcert solve instances/<name>.sip --deterministic --report json
   --max-iters 6 --multistart 4 --seed 0` writes
   `tests/golden/solve_<name>.json`. interval_ramp exits 4 (the solver hits
-  its iteration limit) and still prints its report.
+  its iteration limit) and still prints its report;
+- `PYTHONPATH=src python tests/test_golden.py <name>...` rewrites the
+  entries of the named instances in `tests/golden/solve_seeds.json` (the
+  seed 1-5 digests below) and leaves the other entries as they are.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,15 +83,30 @@ SEED_INSTANCES = ("convex_toy", "parabola_band", "countable_cubic", "interval_ra
 SEEDS = (1, 2, 3, 4, 5)
 
 
-def _solve_digest(name, seed, capsys):
+def _solve_digest(name, seed):
     args = ["--max-iters", "6", "--multistart", "4", "--seed", str(seed)]
-    code = main(["solve", f"instances/{name}.sip", *args, "--deterministic", "--report", "json"])
-    out = capsys.readouterr().out
-    return {"exit": code, "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+    argv = ["solve", f"instances/{name}.sip", *args, "--deterministic", "--report", "json"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()}
+
+
+def _seed_digests(name):
+    return {str(s): _solve_digest(name, s) for s in SEEDS}
 
 
 @pytest.mark.parametrize("name", SEED_INSTANCES)
-def test_solve_seed_digests(name, monkeypatch, capsys):
+def test_solve_seed_digests(name, monkeypatch):
     monkeypatch.chdir(ROOT)
     expected = json.loads(SEED_DIGESTS.read_text(encoding="utf-8"))[name]
-    assert {str(s): _solve_digest(name, s, capsys) for s in SEEDS} == expected
+    assert _seed_digests(name) == expected
+
+
+if __name__ == "__main__":
+    unknown = sorted(set(sys.argv[1:]) - set(SEED_INSTANCES))
+    if unknown:
+        sys.exit(f"not a seed instance: {' '.join(unknown)}")
+    os.chdir(ROOT)
+    digests = json.loads(SEED_DIGESTS.read_text(encoding="utf-8"))
+    digests.update({name: _seed_digests(name) for name in sys.argv[1:]})
+    SEED_DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -49,6 +49,15 @@ def countable_cubic(truncation=10_000):
     )
 
 
+def open_interval(body):
+    """One family g(t) = body over t in the interval (0, 1), open at both ends."""
+    return loads_instance(
+        "[problem]\nvars = x1 x2\nminimize = x2\nbox = -2 2 ; -2 2\n\n"
+        "[index t]\nkind = interval\na = 0\nb = 1\ninclude_a = false\ninclude_b = false\n\n"
+        f"[constraints]\ng(t) = {body}\n"
+    )
+
+
 def interval_ramp(resolution=257, refinements=4):
     return SipInstance(
         dim=2,

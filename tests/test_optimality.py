@@ -20,6 +20,7 @@ from sipcert.model import (
 from sipcert import linsolve
 from sipcert.optimality import (
     _cone,
+    _family_rays,
     _stationarity,
     empirical_normal_cone_probe,
     convex_global_check,
@@ -29,7 +30,7 @@ from sipcert.optimality import (
     verify_perturbed_stationarity,
 )
 
-from test_model import countable_cubic, interval_ramp
+from test_model import countable_cubic, interval_ramp, open_interval
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 XBAR = np.array([-1.0, 0.0])
@@ -72,7 +73,7 @@ class TestNormalCone:
         rep = normal_cone(inst, XBAR, variant="perturbed")
         assert rep.valid
         for v in COMPASS:
-            assert rep.member(v, tol=1e-6).is_member == in_quadrant(v)
+            assert rep.member(v, tol=1e-6) == in_quadrant(v)
 
     def test_cubic_unperturbed_is_halfline(self):
         inst = countable_cubic()
@@ -80,15 +81,15 @@ class TestNormalCone:
         assert not rep.valid  # closedness qualification fails here
         for v in COMPASS:
             expected = v[0] >= -1e-6 and abs(v[1]) <= 1e-6
-            assert rep.member(v, tol=1e-6).is_member == expected
+            assert rep.member(v, tol=1e-6) == expected
 
     def test_variants_disagree_on_two_probes(self):
         inst = countable_cubic()
         pert = normal_cone(inst, XBAR, variant="perturbed")
         unpert = normal_cone(inst, XBAR, variant="unperturbed")
         for v in ([1.0, -1.0], [0.0, -1.0]):
-            assert pert.member(np.array(v)).is_member
-            assert not unpert.member(np.array(v)).is_member
+            assert pert.member(np.array(v))
+            assert not unpert.member(np.array(v))
 
     def test_ramp_perturbed_carries_warning_and_misses_normal(self):
         inst = interval_ramp()
@@ -96,7 +97,7 @@ class TestNormalCone:
         assert not rep.valid
         assert rep.warnings
         # (0,-1) is a true normal but the emitted cone refuses it
-        assert not rep.member(np.array([0.0, -1.0]), tol=1e-6).is_member
+        assert not rep.member(np.array([0.0, -1.0]), tol=1e-6)
 
     @nested_cases
     def test_generator_sets_nested_in_eps(self, name, variant):
@@ -130,7 +131,7 @@ class TestNormalCone:
                            FeasibilityCertificate)
                 for _, mask, rays in rep.per_eps
             )
-            assert rep.member(v, tol=1e-6).is_member == every_eps
+            assert rep.member(v, tol=1e-6) == every_eps
 
     def test_regular_flag_from_moduli(self):
         inst = countable_cubic(truncation=200)
@@ -141,11 +142,42 @@ class TestNormalCone:
     def test_normalized_variant_runs(self):
         inst = countable_cubic()
         rep = normal_cone(inst, XBAR, variant="normalized")
-        assert rep.member(np.array([1.0, -1.0])).is_member
+        assert rep.member(np.array([1.0, -1.0]))
 
     def test_infeasible_point_raises(self):
         with pytest.raises(ValueError):
             normal_cone(countable_cubic(), np.array([0.0, 0.0]))
+
+
+class TestOpenIntervalRays:
+    """An interval open at both ends has a tail ladder toward each end; the
+    two share their parameters, and each end's limit ray must survive."""
+
+    def test_both_active_ends_give_rays(self):
+        # gradients (t, 1-t), all active at the origin: the cone is the quadrant
+        rep = normal_cone(open_interval("t*x1 + (1-t)*x2"), np.zeros(2), variant="perturbed")
+        rays = rep.cone.limit_rays
+        assert len(rays) == 2
+        np.testing.assert_allclose(rays[0].direction, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(rays[1].direction, [1.0, 0.0], atol=1e-12)
+        assert [r.value_limit for r in rays] == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert rep.member(np.array([1.0, 0.0])) is True
+        assert rep.member(np.array([0.0, 1.0])) is True
+
+    def test_inactive_end_ray_keeps_its_value_limit(self):
+        # (0, 1) is the limit at the end t -> 0 where g -> -1, so it is not
+        # qualified at any scheduled eps; (1, 0) is the active end's limit
+        inst = open_interval("t*x1 + (1-t)*x2 - (1-t)^2")
+        rep = normal_cone(inst, np.zeros(2), variant="perturbed")
+        rays = _family_rays(rep.scan, rep.scan.grad[rep.scan.grid()])
+        assert len(rays) == 2
+        np.testing.assert_allclose(rays[0].direction, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(rays[1].direction, [1.0, 0.0], atol=1e-12)
+        assert rays[0].value_limit == pytest.approx(-1.0)
+        assert rays[1].value_limit == pytest.approx(0.0, abs=1e-12)
+        assert [r.label for r in rep.cone.limit_rays] == [rays[1].label]
+        assert rep.member(np.array([1.0, 0.0])) is True
+        assert rep.member(np.array([0.0, 1.0])) is False
 
 
 class TestProbe:

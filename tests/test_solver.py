@@ -290,6 +290,14 @@ PENALTY_CASES = {
 }
 
 
+def test_square_is_the_float_power_until_it_overflows():
+    rng = np.random.default_rng(0)
+    draws = rng.normal(size=50) * 10.0 ** rng.integers(-160, 150, 50)
+    for v in [0.0, -3.0, 1.1e154, -1.34e154, *draws]:
+        assert solver._square(float(v)) == float(v) ** 2
+    assert solver._square(1.35e154) == solver._square(-1e200) == math.inf
+
+
 @pytest.mark.parametrize("name", sorted(PENALTY_CASES))
 def test_bound_penalty_is_bit_identical_to_eval_path(name):
     inst = PENALTY_CASES[name]()
