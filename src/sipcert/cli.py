@@ -242,19 +242,19 @@ def build_report(
         doc["active_set"] = {
             "eps": asr.eps,
             "active": [
-                {"label": e.id.label, "value": float(e.value), "grad": _vec(e.grad)}
+                {"label": e.id.label, "value": float(e.value), "grad": [_finite(g) for g in e.grad]}
                 for e in asr.active
             ],
             "eps_active_count": len(asr.eps_active_rows),
             "normalized_eps_active_count": len(asr.normalized_rows),
-            "grad_norm_bound": float(bound),
+            "grad_norm_bound": _finite(bound),
             "grad_norm_bound_finite": bool(bound_ok),
             "normalization_trigger": bool(norm_trigger),
         }
         doc["moduli"] = {
             "etas": _vec(moduli.etas),
-            "s": _vec(moduli.s_est),
-            "r": _vec(moduli.r_est),
+            "s": [_finite(v) for v in moduli.s_est],
+            "r": [_finite(v) for v in moduli.r_est],
             "samples_per_eta": moduli.samples_per_eta,
         }
         doc["cq"] = _cq_section(cq)

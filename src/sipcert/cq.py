@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -40,9 +41,9 @@ _SSC_ITERS = 80
 
 
 def validate_schedule(schedule) -> tuple[float, ...]:
-    """The schedule as a tuple; it must be nonempty, finite and positive."""
+    """The schedule as a tuple; it must be nonempty, numeric, finite and positive."""
     vals = tuple(schedule)
-    if not vals or not all(0 < v < math.inf for v in vals):
+    if not vals or not all(isinstance(v, Real) and 0 < v < math.inf for v in vals):
         raise InstanceError("eps schedule must be finite positive numbers")
     return vals
 
@@ -276,15 +277,13 @@ def check_nfmcq(
     )
 
 
-def _sup_inequalities(inst: SipInstance, x) -> float | None:
+def _sup_inequalities(inst: SipInstance, x) -> float:
     """Upper estimate of sup_t g_t(x): the materialized maximum plus the
     between-grid-points slack bounded by local curvature at each family's
     maximizer. Keeps a grid from hiding a positive peak between its points.
-    None when a constraint cannot be evaluated at x."""
-    try:
-        scan = scan_constraints(inst, np.asarray(x, dtype=float))
-    except ExprError:
-        return None
+    0 when that maximum is not finite; a row the expression rejects is NaN,
+    which counts as +inf."""
+    scan = scan_constraints(inst, np.asarray(x, dtype=float))
     best, _ = scan.argmax(tail=True)
     if not math.isfinite(best):
         return 0.0
@@ -346,7 +345,7 @@ def check_ssc(
         x_hat = np.asarray(x_hat, dtype=float)
         eq = inst.eq_residual(x_hat)
         sup = _sup_inequalities(inst, x_hat)
-        if eq <= 1e-9 and sup is not None and sup < -1e-9:
+        if eq <= 1e-9 and sup < -1e-9:
             return SscResult(Verdict.HOLDS, x_hat, sup)
         notes.append("supplied point is not strongly feasible")
 
@@ -376,13 +375,12 @@ def check_ssc(
             xk = project(xk - (step0 / math.sqrt(k + 1.0)) * g / norm)
         if best[0] < -1e-8:
             bests.append(best)
-    unverified = {"could not be evaluated": 0, "failed full verification": 0}
     for _, point in sorted(bests, key=lambda b: b[0]):  # stable: earlier starts first on ties
         sup_full = _sup_inequalities(inst, point)
-        if sup_full is not None and sup_full < -1e-9:
+        if sup_full < -1e-9:
             return SscResult(Verdict.HOLDS, point, sup_full)
-        unverified["could not be evaluated" if sup_full is None else "failed full verification"] += 1
-    notes.extend(f"{k} coarse search point(s) {why}" for why, k in unverified.items() if k)
+    if bests:
+        notes.append(f"{len(bests)} coarse search point(s) failed full verification")
     if pmfcq is not None and pmfcq.verdict == Verdict.FAILS:
         return SscResult(Verdict.FAILS, None, None,
                          "perturbed margin criterion fails on a convex instance")

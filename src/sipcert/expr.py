@@ -464,15 +464,18 @@ class _Lowering:
         fn = node.fn
         if fn not in _FUNCTIONS:
             raise ExprError(f"unknown function {fn!r}")
+        x_free = fn == "sqrt" and not max_var_position(node.arg)  # partials all +-0 or NaN
         if fn == "log":
             self.check(node, v, "<=", "log of a nonpositive value")
         elif fn == "sqrt":
             self.check(node, v, "<", "sqrt of a negative value")
-            if self.grad:
+            if self.grad and not x_free:
                 self.check(node, v, "==", "sqrt gradient at zero")
         val = self.call(fn, v)
         if not self.grad:
             return val, None
+        if x_free:  # t * (0.5 / val) keeps +-0 and NaN for any val > 0: no zero check
+            return val, t
         if fn == "sin":
             d = self.call("cos", v)
         elif fn == "cos":

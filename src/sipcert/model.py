@@ -231,7 +231,7 @@ class FamilyScan:
     block: int
     tails: list[FamilyTail]  # tails[k] summarizes the rows with ladder == k
     complete: bool
-    declared_ray: np.ndarray | None = None
+    declared_ray: tuple[float, ...] | None = None  # as declared; cones.declared_rays normalizes
 
 
 class RowLabels(Sequence):
@@ -274,8 +274,9 @@ class ConstraintScan:
 
     @cached_property
     def grad_norms(self) -> np.ndarray:
-        """Row 2-norms of `grad`."""
-        return np.linalg.norm(self.grad, axis=1)
+        """Row 2-norms of `grad`; one that overflows is inf, with no RuntimeWarning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linalg.norm(self.grad, axis=1)
 
     def grid(self, level: int | None = None, block: int | None = None) -> np.ndarray:
         """Mask of the fixed and family grid rows, up to a refinement level
@@ -343,16 +344,25 @@ def _ladder_exponents(k0: int) -> list[int]:
     return sorted(set(ks))
 
 
-def _family_batch(fam: ConstraintFamily, x, ts: np.ndarray, grad: bool = True):
-    """Values and gradients (None without `grad`) of one family over an index
-    array, broadcasting expressions that do not mention the index variable."""
+def _rows(body: ex.ExprAst, name: str | None, x, ts: np.ndarray, grad: bool = True):
+    """Values and gradients (None without `grad`) of one constraint body at x
+    over the index array ts, one row per entry (`name` None for a fixed
+    constraint). The scan's one domain-error rule: when the batched call
+    raises, each row is evaluated alone, bound as a one-element array so that
+    it keeps its batched bits, and a row the expression still rejects is NaN,
+    value and gradient alike; like any NaN it counts as violated."""
     m, n = len(ts), len(x)
-    env = {fam.index_name: ts}
-    if grad:
-        vals, grads = ex.eval_grad(fam.body, x, env)
-        grads = np.broadcast_to(np.asarray(grads, dtype=float), (m, n)).copy()
-    else:
-        vals, grads = ex.eval_value(fam.body, x, env), None
+    try:
+        if grad:
+            vals, grads = ex.eval_grad(body, x, name and {name: ts})
+            grads = np.broadcast_to(np.asarray(grads, dtype=float), (m, n)).copy()
+        else:
+            vals, grads = ex.eval_value(body, x, name and {name: ts}), None
+    except ex.ExprError:
+        if m <= 1:
+            return np.full(m, np.nan), np.full((m, n), np.nan) if grad else None
+        vals, grads = zip(*(_rows(body, name, x, ts[i : i + 1], grad) for i in range(m)))
+        return np.concatenate(vals), np.vstack(grads) if grad else None
     return np.broadcast_to(np.asarray(vals, dtype=float), (m,)).copy(), grads
 
 
@@ -374,36 +384,15 @@ def _tail_ladders(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
         if not desc.include_upper:
             ladders.append((ss, desc.upper - width * ss))
     out = []
-    n = len(x)
     for params, ts in ladders:
-        order = np.argsort(-params)  # approach the limit last
-        params, ts = params[order], ts[order]
-        try:
-            vals, grads = _family_batch(fam, x, ts)
-        except ex.ExprError:
-            # evaluate entrywise, dropping points the expression rejects
-            keep, vlist, glist = [], [], []
-            for i, t in enumerate(ts):
-                try:
-                    v, g = ex.eval_grad(fam.body, x, {fam.index_name: float(t)})
-                except ex.ExprError:
-                    continue
-                keep.append(i)
-                vlist.append(float(v))
-                glist.append(g)
-            if len(keep) < 2:
-                keep, vlist, glist = [], [], []
-            params, ts = params[keep], ts[keep]
-            vals = np.array(vlist, dtype=float)
-            grads = np.array(glist, dtype=float).reshape(len(keep), n)
+        vals, grads = _rows(fam.body, fam.index_name, x, ts)
         finite = np.isfinite(vals) & np.all(np.isfinite(grads), axis=1)
         params, ts, vals, grads = params[finite], ts[finite], vals[finite], grads[finite]
-        if len(vals) < 2:
-            out.append((params, ts, vals, grads, FamilyTail(None, False)))
-            continue
-        ok = (abs(float(vals[-1] - vals[-2])) <= 1e-6
-              and np.max(np.abs(grads[-1] - grads[-2])) <= 1e-6)
-        summary = FamilyTail(float(vals[-1]), ok)
+        summary = FamilyTail(None, False)
+        if len(vals) >= 2:
+            ok = (abs(float(vals[-1] - vals[-2])) <= 1e-6
+                  and np.max(np.abs(grads[-1] - grads[-2])) <= 1e-6)
+            summary = FamilyTail(float(vals[-1]), ok)
         out.append((params, ts, vals, grads, summary))
     return out
 
@@ -469,12 +458,12 @@ def _family_grid(fam: ConstraintFamily, desc: IndexSetDescriptor, x, grad: bool)
     ts = _base_grid(desc)
     if len(ts) == 0:
         raise InstanceError(f"family '{fam.name}' materializes to an empty index set")
-    vals, grads = _family_batch(fam, x, ts, grad)
+    vals, grads = _rows(fam.body, fam.index_name, x, ts, grad)
     level = np.zeros(len(ts), dtype=int)
     if isinstance(desc, IntervalGridIndexSet):
         for k in range(1, desc.refinements + 1):
             new = _refine_once(desc, ts, vals)
-            new_vals, new_grads = _family_batch(fam, x, new, grad)
+            new_vals, new_grads = _rows(fam.body, fam.index_name, x, new, grad)
             order = np.argsort(np.concatenate([ts, new]), kind="stable")
             ts = np.concatenate([ts, new])[order]
             vals = np.concatenate([vals, new_vals])[order]
@@ -512,8 +501,7 @@ def scan_constraints(
         # (block, t, level, ladder, param, value, grad)
         segments = [(0, np.zeros(0), 0, -1, 0.0, np.zeros(0), np.zeros((0, inst.dim)))]
         for i, (_, body) in enumerate(inst.fixed):
-            v, g = ex.eval_grad(body, x)
-            segments.append((i, np.zeros(1), 0, -1, 0.0, np.array([float(v)]), g[None, :]))
+            segments.append((i, np.zeros(1), 0, -1, 0.0, *_rows(body, None, x, np.zeros(1))))
 
         families = []
         n_levels = 1
@@ -527,17 +515,13 @@ def scan_constraints(
             ladders = _tail_ladders(fam, desc, x) if tail else []
             for k, (params, lts, lvals, lgrads, _) in enumerate(ladders):
                 segments.append((block, lts, 0, k, params, lvals, lgrads))
-            declared = None
-            if isinstance(desc, CountableIndexSet) and desc.limit_ray is not None:
-                v = np.asarray(desc.limit_ray, dtype=float)
-                declared = v / np.linalg.norm(v)
             families.append(
                 FamilyScan(
                     name=fam.name,
                     block=block,
                     tails=[summary for *_, summary in ladders],
                     complete=isinstance(desc, FiniteIndexSet),
-                    declared_ray=declared,
+                    declared_ray=getattr(desc, "limit_ray", None),
                 )
             )
     block, t, level, ladder, param, value = (
@@ -717,8 +701,9 @@ def estimate_moduli(
     points of each tail ladder. The RNG draws go eta-major (ascending), then
     row by row in that order: `samples_per_eta` unit directions, then as
     many radii. Each body is evaluated once per eta on the samples of all
-    its rows; when that call raises, its rows are evaluated one by one and a
-    row that raises is skipped."""
+    its rows; when that call raises, its rows are evaluated one by one, and a
+    row the expression rejects is NaN, as in the scan, and adds nothing. As in
+    the scan, overflow and NaN raise no RuntimeWarning."""
     x = np.asarray(x, dtype=float)
     n = inst.dim
     rng = np.random.default_rng(seed)
@@ -755,37 +740,38 @@ def estimate_moduli(
     radii = np.empty((len(rows), samples_per_eta, 1))
 
     s_run, r_run = 0.0, 0.0
-    for k, eta in enumerate(etas_sorted):
-        for j in range(len(rows)):
-            u[j] = rng.normal(size=(samples_per_eta, n))
-            radii[j] = rng.uniform(0.05, 1.0, size=(samples_per_eta, 1))
-        u /= np.linalg.norm(u, axis=-1, keepdims=True)
-        pts = x + eta * radii ** (1.0 / n) * u
-        vals = np.full((len(rows), samples_per_eta), np.nan)  # a skipped row stays NaN
-        for sel, body, name, ts in bodies:
-            try:
-                vals[sel] = ex.eval_value(body, pts[sel], name and {name: ts[:, None]})
-            except ex.ExprError:
-                for j, t in zip(sel, ts.tolist()):  # row by row, skipping a row that raises
-                    try:
-                        vals[j] = ex.eval_value(body, pts[j], name and {name: t})
-                    except ex.ExprError:
-                        pass
-        diffs = pts - x
-        quot_s = np.abs(vals - v0 - (diffs @ g0)[..., 0]) / np.linalg.norm(diffs, axis=-1)
-        # fmax passes over a row whose maximum is NaN: that row adds nothing
-        s_run = float(np.fmax.reduce(np.max(quot_s, axis=1), initial=s_run))
-        if half:
-            # pairs for the two-point modulus, plus the base-point pairs
-            d2 = pts[:, :half] - pts[:, half : 2 * half]
-            n2 = np.linalg.norm(d2, axis=-1)
-            keep = n2 > 1e-12
-            num = np.abs(vals[:, :half] - vals[:, half : 2 * half] - (d2 @ g0)[..., 0])
-            quot_r = np.where(keep, num / np.where(keep, n2, 1.0), -math.inf)
-            r_run = float(np.fmax.reduce(np.max(quot_r, axis=1), initial=r_run))
-        r_run = max(r_run, s_run)
-        s_est[k] = s_run
-        r_est[k] = r_run
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, eta in enumerate(etas_sorted):
+            for j in range(len(rows)):
+                u[j] = rng.normal(size=(samples_per_eta, n))
+                radii[j] = rng.uniform(0.05, 1.0, size=(samples_per_eta, 1))
+            u /= np.linalg.norm(u, axis=-1, keepdims=True)
+            pts = x + eta * radii ** (1.0 / n) * u
+            vals = np.full((len(rows), samples_per_eta), np.nan)  # a rejected row stays NaN
+            for sel, body, name, ts in bodies:
+                try:
+                    vals[sel] = ex.eval_value(body, pts[sel], name and {name: ts[:, None]})
+                except ex.ExprError:
+                    for j, t in zip(sel, ts.tolist()):  # row by row; a row that raises stays NaN
+                        try:
+                            vals[j] = ex.eval_value(body, pts[j], name and {name: t})
+                        except ex.ExprError:
+                            pass
+            diffs = pts - x
+            quot_s = np.abs(vals - v0 - (diffs @ g0)[..., 0]) / np.linalg.norm(diffs, axis=-1)
+            # fmax passes over a row whose maximum is NaN: that row adds nothing
+            s_run = float(np.fmax.reduce(np.max(quot_s, axis=1), initial=s_run))
+            if half:
+                # pairs for the two-point modulus, plus the base-point pairs
+                d2 = pts[:, :half] - pts[:, half : 2 * half]
+                n2 = np.linalg.norm(d2, axis=-1)
+                keep = n2 > 1e-12
+                num = np.abs(vals[:, :half] - vals[:, half : 2 * half] - (d2 @ g0)[..., 0])
+                quot_r = np.where(keep, num / np.where(keep, n2, 1.0), -math.inf)
+                r_run = float(np.fmax.reduce(np.max(quot_r, axis=1), initial=r_run))
+            r_run = max(r_run, s_run)
+            s_est[k] = s_run
+            r_est[k] = r_run
     return UniformityModuli(
         etas=etas_sorted,
         s_est=s_est,

@@ -342,6 +342,9 @@ def _stationarity(inst, x, cone: GeneratedCone, condition) -> StationarityReport
         return StationarityReport(condition, "inconclusive", notes=[str(err)])
     if isinstance(out, HullFeasibility):
         cert = _certificate_from_hull(out, cone, G, F)
+        if not math.isfinite(cert.residual):
+            return StationarityReport(condition, "inconclusive",
+                                      notes=["certificate residual is not finite"])
         return StationarityReport(condition, "certificate", certificate=cert)
     a = out.separator
     checks = [

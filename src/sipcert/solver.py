@@ -59,7 +59,8 @@ class SolverTrace:
 @dataclass(frozen=True)
 class WorkingConstraint:
     """A constraint with its kernels and index binding bound once. Both take the
-    coordinate list ``xs``; ``grad`` gives (value, the kernel's tuple of partials)."""
+    coordinate list ``xs``; ``grad`` gives (value, the kernel's tuple of partials).
+    A point the expression rejects reads as value +inf with NaN partials."""
 
     label: str
     value: Callable[[list], float]
@@ -69,11 +70,20 @@ class WorkingConstraint:
 def _bind(label: str, body: ex.ExprAst, n: int, env: dict) -> WorkingConstraint:
     value_kernel, grad_kernel = ex.kernel(body, n, False), ex.kernel(body, n, True)
 
+    def value(xs):
+        try:
+            return float(value_kernel(xs, env, body))
+        except ex.ExprError:
+            return math.inf
+
     def grad(xs):
-        v, partials = grad_kernel(xs, env, body)
+        try:
+            v, partials = grad_kernel(xs, env, body)
+        except ex.ExprError:
+            return math.inf, (math.nan,) * n
         return float(v), partials
 
-    return WorkingConstraint(label, lambda xs: float(value_kernel(xs, env, body)), grad)
+    return WorkingConstraint(label, value, grad)
 
 
 class _Bound:
@@ -285,9 +295,9 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
         lo, hi = inst.box_bounds()
         center = 0.5 * (lo + hi)
 
-        # seeds: every fixed constraint and the largest grid values of each family
+        # seeds: every fixed constraint and the largest grid values of each family; NaN rows skipped
         scan0 = scan_constraints(inst, center)
-        grid = np.flatnonzero(scan0.grid())
+        grid = np.flatnonzero(scan0.grid() & ~np.isnan(scan0.value))
         by_block = grid[np.lexsort((-scan0.value[grid], scan0.block[grid]))]
         blocks = scan0.block[by_block]
         rank = np.arange(len(blocks)) - np.searchsorted(blocks, blocks)

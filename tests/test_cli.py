@@ -178,7 +178,7 @@ def test_slater_search_domain_error_is_not_a_crash(tmp_path, capsys):
     doc = json.loads(out)
     jsonschema.validate(doc, json.loads(SCHEMA.read_text()))
     ssc = doc["cq"]["ssc"]
-    # the origin's full scan raises, and a later start's point verifies
+    # the origin's full scan rejects a row, and a later start's point verifies
     assert ssc["verdict"] == "holds"
     point = np.array(ssc["slater_point"], dtype=float)
     assert model.scan_constraints(model.load_instance(path), point).argmax()[0] < 0.0

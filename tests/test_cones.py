@@ -196,6 +196,17 @@ class TestAccumulationRays:
         np.testing.assert_allclose(rays[0].direction, [0.0, -1.0])
         assert rays[0].provenance == "declared"
 
+    def test_declared_ray_whose_norm_overflows_is_kept(self):
+        # |(0, -1e308)| overflows to inf; the ray still has the direction (0, -1)
+        inst = countable_cubic(truncation=100)
+        fam, desc = inst.families[0]
+        desc = dataclasses.replace(desc, limit_ray=(0.0, -1e308))
+        inst = dataclasses.replace(inst, families=((fam, desc),))
+        scan = scan_constraints(inst, np.array([-1.0, 0.0]))
+        rays = _family_rays(scan, scan.grad[scan.grid()])
+        assert [r.direction.tolist() for r in rays] == [[0.0, -1.0]]
+        assert rays[0].provenance == "declared"
+
     def test_oscillating_tail_inconclusive(self):
         samples = [
             (1.0 / n, np.array([math.cos(n * 2.0), math.sin(n * 2.0)])) for n in range(2, 60)

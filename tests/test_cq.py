@@ -222,7 +222,8 @@ class TestSsc:
     @staticmethod
     def _sqrt_instance(**kw):
         # sqrt's gradient is undefined at x1 = 0, t = 0, so the full scan
-        # raises wherever x1 = 0; the search's grid values there are negative
+        # rejects that row (NaN, counted as +inf) wherever x1 = 0; the search's
+        # grid values there are negative
         return SipInstance(
             dim=2,
             cost=SmoothCost(ex.parse("x1")),
@@ -238,24 +239,23 @@ class TestSsc:
         )
 
     def test_search_iterate_domain_error_ends_the_start(self):
-        # the best coarse point is the origin, where the full scan raises; the
-        # next starts' best points are verified in turn, and one holds
+        # the best coarse point is the origin, where the full scan rejects a
+        # row; the next starts' best points are verified in turn, and one holds
         inst = self._sqrt_instance()
-        with pytest.raises(ex.ExprError):
-            scan_constraints(inst, np.zeros(2))
+        assert scan_constraints(inst, np.zeros(2)).argmax()[0] == math.inf
         res = check_ssc(inst)
         assert res.verdict == Verdict.HOLDS
         assert scan_constraints(inst, res.slater_point).argmax()[0] < 0.0
 
     def test_no_start_point_verified_is_unknown(self):
         # the equality x1 = 0 projects every start onto the line where the
-        # full scan raises, so no start's best point can be verified
+        # full scan rejects a row, so no start's best point can be verified
         inst = self._sqrt_instance(
             equalities=EqualityBlock((ex.parse("x1"),), affine=True)
         )
         res = check_ssc(inst)
         assert res.verdict == Verdict.UNKNOWN
-        assert "6 coarse search point(s) could not be evaluated" in res.reason
+        assert "6 coarse search point(s) failed full verification" in res.reason
 
     def test_search_iterate_domain_error_skips_the_start(self):
         # every random start has x1 < -1.5, where the log is undefined; the

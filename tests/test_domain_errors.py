@@ -1,0 +1,184 @@
+"""One domain-error rule for every constraint row: a row the expression
+rejects (a division by zero, a log or sqrt out of domain) is NaN in the scan
+and +inf in the solver, and every CLI run ends in a documented exit code."""
+
+import contextlib
+import io
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sipcert import expr as ex
+from sipcert import solver
+from sipcert.cli import EXIT_INFEASIBLE, EXIT_OK, main
+from sipcert.model import feasibility_check, loads_instance, scan_constraints
+from sipcert.solver import SolverConfig, solve
+
+from test_expr import ASTS
+
+SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" / "report_schema.json")
+                    .read_text())
+
+
+def instance_text(body: str, index: str | None = None, dim: int = 2) -> str:
+    """A minimal instance: one fixed constraint g1, or a family g(t) over the
+    [index t] section ``index``."""
+    names = " ".join(f"x{i}" for i in range(1, dim + 1))
+    box = " ; ".join(["-2 2"] * dim)
+    text = f"[problem]\nvars = {names}\nminimize = x1^2 + x2^2\nbox = {box}\n"
+    if index is None:
+        return text + f"[constraints]\ng1 = {body}\n"
+    return text + f"[index t]\n{index}[constraints]\ng(t) = {body}\n"
+
+
+CLOSED_01 = "kind = interval\na = 0\nb = 1\nresolution = 9\nrefinements = 1\n"
+LOG_FAMILY = instance_text("log(t - 0.5)*x1 - x2 - 1", CLOSED_01)
+
+
+class TestScan:
+    def test_rejected_rows_are_nan_and_the_others_keep_their_batched_bits(self):
+        inst = loads_instance(LOG_FAMILY)
+        x = np.array([0.3, -1.7])
+        scan = scan_constraints(inst, x)
+        bad = scan.t <= 0.5
+        assert bad.any() and not bad.all()
+        assert np.isnan(scan.value[bad]).all() and np.isnan(scan.grad[bad]).all()
+        body = inst.families[0][0].body
+        vals, grads = ex.eval_grad(body, x, {"t": scan.t[~bad]})
+        assert scan.value[~bad].tobytes() == vals.tobytes()
+        assert scan.grad[~bad].tobytes() == grads.tobytes()
+        # a NaN row counts as +inf: the first rejected index is the worst
+        assert scan.argmax() == (math.inf, 0)
+        assert feasibility_check(inst, x, scan=scan).worst.label == "g(0)"
+
+    def test_rejected_fixed_constraint_is_nan(self):
+        inst = loads_instance(instance_text("1/x1 - x2"))
+        scan = scan_constraints(inst, np.zeros(2))
+        assert np.isnan(scan.value).all() and np.isnan(scan.grad).all()
+        assert scan.label(scan.argmax()[1]) == "g1"
+        assert scan_constraints(inst, np.array([1.0, 0.0])).value.tolist() == [1.0]
+
+    def test_index_free_rejection_reaches_the_empty_refinement(self):
+        # log(x1 + 1.5) raises for every t at x1 < -1.5, so the grid is all
+        # NaN, refinement finds no site, and the empty array raises too
+        inst = loads_instance(instance_text("log(x1 + 1.5) - t", CLOSED_01))
+        scan = scan_constraints(inst, np.array([-1.8, 0.0]))
+        assert len(scan.value) == 9 and np.isnan(scan.value).all()
+
+    def test_one_point_tail_ladder_keeps_its_row(self):
+        # 4/exp(t) is 0 from t = 1000 on, so the ladder 100, 1000, ... keeps
+        # only its first point: its row stays in the table, and no limit is read
+        inst = loads_instance(instance_text(
+            "t/(4/exp(t)) - x2 - 1", "kind = countable\nstart = 0\ntruncation = 50\n"))
+        scan = scan_constraints(inst, np.zeros(2))
+        assert scan.t[scan.tail].tolist() == [100.0]
+        assert scan.families[0].tails[0].value_limit is None
+
+
+class TestSolver:
+    def test_working_constraint_reads_a_rejected_point_as_inf(self):
+        wc = solver._bind("g1", ex.parse("1/x1 - x2"), 2, {})
+        assert wc.value([0.0, 0.0]) == math.inf
+        value, partials = wc.grad([0.0, 0.0])
+        assert value == math.inf and len(partials) == 2
+        assert all(math.isnan(p) for p in partials)
+        assert wc.value([1.0, 0.5]) == 0.5 and wc.grad([1.0, 0.5]) == (0.5, (-1.0, -1.0))
+
+    def test_seeds_skip_rejected_rows(self):
+        # every index but t = 2 is rejected, so it is the one seed
+        inst = loads_instance(instance_text(
+            "log(t - 1.5)*x1 - x2 - 1", "kind = finite\nvalues = 0 0.5 1 2\n"))
+        _, trace = solve(inst, SolverConfig(max_outer=3, multistart=2))
+        assert trace.records[0].working == ["g(2)"]
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def validate(doc):
+    import jsonschema
+
+    jsonschema.Draft7Validator(SCHEMA).validate(doc)
+
+
+def analyze_json(tmp_path, text, point):
+    path = tmp_path / "case.sip"
+    path.write_text(text)
+    code, out, err = run_cli(
+        ["analyze", str(path), f"--point={point}", "--report=json", "--deterministic",
+         "--probe-dirs=4", "--moduli-samples=4"])
+    doc = json.loads(out) if out else None
+    if doc is not None:
+        validate(doc)
+    return code, doc, err
+
+
+class TestCli:
+    @pytest.mark.parametrize("text, worst", [(LOG_FAMILY, "g(0)"),
+                                             (instance_text("1/x1 - x2"), "g1")],
+                             ids=["family", "fixed"])
+    def test_rejected_row_is_an_infeasible_point(self, tmp_path, text, worst):
+        code, doc, err = analyze_json(tmp_path, text, "0,0")
+        assert code == EXIT_INFEASIBLE and doc is None
+        assert f"max violation inf at {worst}," in err
+
+    def test_sqrt_of_the_index_alone_analyzes(self, tmp_path):
+        text = instance_text("sqrt(t)*x1 - x2", CLOSED_01 + "include_b = false\n")
+        code, doc, err = analyze_json(tmp_path, text, "0,0")
+        assert code == EXIT_OK and err == ""
+        assert doc["feasibility"]["feasible"]
+
+    def test_infinite_moduli_are_reported(self, tmp_path):
+        # exp(10000*x1) overflows within every eta-ball around the origin
+        code, doc, err = analyze_json(tmp_path, instance_text("exp(10000*x1) - x2 - 10"), "0,0")
+        assert code == EXIT_OK and err == ""
+        assert "inf" in doc["moduli"]["s"] and "inf" in doc["moduli"]["r"]
+
+    # the LPs read the infinite gradient column, and numpy warns on inf * 0
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_infinite_gradient_is_reported_and_certifies_nothing(self, tmp_path):
+        code, doc, err = analyze_json(tmp_path, instance_text("x1*1e308*1e308 - x2"), "0,0")
+        assert code == EXIT_OK
+        assert doc["active_set"]["active"][0]["grad"] == ["inf", -1.0]
+        assert doc["active_set"]["grad_norm_bound"] == "inf"
+        for section in doc["stationarity"]:
+            assert section["outcome"] == "inconclusive"
+            assert "certificate residual is not finite" in section["notes"]
+
+
+INDEX_SETS = {
+    "finite": "kind = finite\nvalues = 0 0.5 1 2\n",
+    "countable": "kind = countable\nstart = 0\ntruncation = 50\n",
+    **{f"interval {a}{b}": CLOSED_01 + f"include_a = {a}\ninclude_b = {b}\n"
+       for a in ("true", "false") for b in ("true", "false")},
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ast=ASTS, index=st.sampled_from(sorted(INDEX_SETS)),
+       command=st.sampled_from(["analyze", "solve"]),
+       point=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))
+def test_every_run_ends_in_a_documented_exit_code(tmp_path_factory, ast, index, command, point):
+    # one family over a random body from the kernel tests' grammar; any
+    # domain error, overflow or NaN must end in an exit code, not a traceback
+    path = tmp_path_factory.getbasetemp() / "fuzz.sip"
+    path.write_text(instance_text(f"{ex.to_source(ast)} - x2 - 1", INDEX_SETS[index], dim=3))
+    argv = [command, str(path), "--report=json", "--deterministic", "--probe-dirs=4",
+            "--moduli-samples=4"]
+    if command == "analyze":
+        argv.append("--point=" + ",".join(repr(v) for v in point))
+    else:
+        argv += ["--max-iters=3", "--multistart=2"]
+    code, out, _ = run_cli(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if out:
+        validate(json.loads(out))

@@ -246,9 +246,12 @@ def _reference(ast, x, index=None, grad=False):
                 raise DomainError("log of a nonpositive value", node)
             if node.fn == "sqrt" and np.any(v < 0.0):
                 raise DomainError("sqrt of a negative value", node)
-            if node.fn == "sqrt" and grad and np.any(v == 0.0):
+            x_free = node.fn == "sqrt" and expr.max_var_position(node.arg) == 0
+            if node.fn == "sqrt" and grad and not x_free and np.any(v == 0.0):
                 raise DomainError("sqrt gradient at zero", node)
             val = getattr(np, node.fn)(v)
+            if x_free:  # no decision variable below: the tangent passes through
+                return val, t
             if node.fn == "sin":
                 d = np.cos(v)
             elif node.fn == "cos":
@@ -402,6 +405,16 @@ class TestKernel:
         assert eval_value(ast, [0.0]) == 0.0
         with pytest.raises(DomainError, match=r"^sqrt gradient at zero in 'sqrt\(x1\)'$"):
             eval_grad(ast, [0.0])
+
+    def test_sqrt_of_an_argument_free_of_x_has_a_gradient_at_zero(self):
+        # sqrt(t) does not depend on x: its partials are 0, also where t = 0
+        ast = parse("sqrt(t)*x1 - x2")
+        value, grad = eval_grad(ast, [1.0, 0.0], {"t": 0.0})
+        assert value == 0.0 and grad.tolist() == [0.0, -1.0]
+        values, grads = eval_grad(ast, [1.0, 0.0], {"t": np.array([0.0, 4.0])})
+        assert values.tolist() == [0.0, 2.0] and grads.tolist() == [[0.0, -1.0], [2.0, -1.0]]
+        with pytest.raises(DomainError, match="sqrt gradient at zero"):
+            eval_grad(parse("sqrt(t + 0*x1)"), [1.0], {"t": 0.0})
 
     def test_domain_error_on_any_index_entry(self):
         with pytest.raises(DomainError, match="division by zero"):

@@ -7,7 +7,9 @@ anywhere or lists it in ``__all__``. Public top-level definitions are
 checked over ``src/sipcert``: each must be read somewhere in the package or
 be listed in ``__all__``, unless it is allowlisted below with its reason.
 Annotated class fields are checked by name over ``src/sipcert``: each must
-be read as an attribute somewhere in the package, unless allowlisted.
+be read as an attribute somewhere in the package, unless allowlisted. An
+expression error is caught only at the allowlisted places of
+``src/sipcert``, so that a rejected constraint row has one rule.
 """
 
 import ast
@@ -136,3 +138,47 @@ def test_scan_flags_an_unread_field():
         "b.py": "def f(a):\n    a.written = 2\n    return a.used\n",
     }
     assert unread_fields(sources) == ["a.py:3: A.unused", "a.py:4: A.written"]
+
+
+EXPR_ERRORS = {"ExprError", "DomainError", "ParseError"}
+
+# the definitions that catch an expression error, and why each does
+EXPR_ERROR_CATCHES_ALLOWED = {
+    "model._rows": "the scan's row evaluator: a row the expression rejects is NaN",
+    "model.estimate_moduli": "its per-row fallback on perturbed points: a rejected row is NaN",
+    "model._parse_expr": "a parse error in an instance file is reported with its line",
+    "model.loads_instance": "an instance the expression checks reject is a bad instance",
+    "cq.check_ssc": "a Slater search start ends where worst_row's gradient is rejected",
+    "solver._bind": "the solver's rule: a rejected point reads as +inf with NaN partials",
+    "cli.main": "an instance file that does not load ends in exit 2",
+}
+
+
+def expr_error_catches(sources: dict[str, str]) -> list[str]:
+    """``module.definition`` for each top-level definition of the given
+    modules with an except clause that names an expression error class, alone
+    or in a tuple. The match is by class name."""
+    found = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    if {getattr(t, "id", getattr(t, "attr", None)) for t in types} & EXPR_ERRORS:
+                        found.add(f"{module}.{getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_expression_errors_are_caught_only_where_allowed():
+    catches = expr_error_catches({p.stem: p.read_text() for p in SOURCES})
+    assert catches == sorted(EXPR_ERROR_CATCHES_ALLOWED)
+
+
+def test_scan_flags_an_expression_error_handler():
+    source = (
+        "def by_attribute():\n    try:\n        f()\n    except ex.DomainError:\n        pass\n"
+        "def in_tuple():\n    try:\n        f()\n    except (OSError, ExprError):\n        pass\n"
+        "def other():\n    try:\n        f()\n    except ValueError:\n        pass\n"
+        "try:\n    f()\nexcept ParseError:\n    pass\n"
+    )
+    assert expr_error_catches({"m": source}) == ["m.<module>", "m.by_attribute", "m.in_tuple"]

@@ -186,7 +186,9 @@ def test_bad_number_in_instance_object_rejected(kw):
 
 
 BAD_SCHEDULES = {"empty": (), "nan": (NAN,), "inf": (0.1, INF), "negative": (-0.1,),
-                 "zero": (0.1, 0.0)}
+                 "zero": (0.1, 0.0), "non-numeric entry": (0.1, "0.01"),
+                 # normal_cone(inst, x, "perturbed") puts a variant in the schedule's place
+                 "variant name": "perturbed"}
 
 
 @pytest.mark.parametrize("schedule", BAD_SCHEDULES.values(), ids=list(BAD_SCHEDULES))
