@@ -19,10 +19,13 @@ runs on Python floats for one point with scalar bindings, and broadcasts
 over numpy arrays bound to the index variable or over a batch of points,
 which is how whole index grids are scanned in one pass. Kernels are kept on
 the root node of the AST and freed with it; nothing is cached at module level.
+The same lowering also writes several roots, with their index bindings
+folded in, into one function owned by its caller: the solver's penalty.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -341,9 +344,9 @@ _RUNTIME = {
 
 
 class _Lowering:
-    """Lowers one AST to the body of ``kernel(xs, env, root)``: straight-line
-    forward-mode code in which the value and each of the n partials is its
-    own operand.
+    """Lowers ASTs, one root after another, to the body of one function:
+    straight-line forward-mode code in which the value and each of the n
+    partials is its own operand.
 
     Each statement is one IEEE operation of the dual-number recursion, in
     its order (tangent first in products, the integer-power loop unrolled
@@ -351,40 +354,69 @@ class _Lowering:
     dense), so results match that recursion bit for bit, signed zeros
     included. An operand is a local name or a float known when compiling;
     operations on known floats are folded with the same arithmetic, and a
-    repeated operation reuses its first result. The source holds only
-    generated names, float reprs, integers and names and messages from
-    fixed tables: index names reach the kernel through ``_names``, never as
-    text.
+    repeated operation reuses its first result, unless that result was
+    computed under a ``branch`` that has ended. A root lowered with
+    ``fixed`` bindings runs on one point: its index values are known floats
+    and its checks plain comparisons. The source holds only generated names,
+    float reprs, integers and names and messages from fixed tables: index
+    names reach the kernel through ``_names``, never as text.
     """
 
-    def __init__(self, ast: ExprAst, n: int, grad: bool):
-        self.ast = ast
+    def __init__(self, n: int):
         self.n = n
-        self.grad = grad
         self.lines: list[str] = []
+        self.indent = ""
         self.results: dict[str, str] = {}  # right-hand side -> local holding it
-        self.runtime: dict[str, object] = dict(_RUNTIME, _names=[])
+        # env: the bindings of a function without that parameter (none beyond ``fixed``)
+        self.runtime: dict[str, object] = dict(_RUNTIME, _names=[], _roots=[], env={})
         self.consts: dict[str, str] = {}  # repr of a non-finite constant -> its global
         self.index: dict[str, str] = {}  # index name -> local holding its value
         self.columns: set[int] = set()
+
+    def root(self, ast: ExprAst, grad: bool, fixed: Mapping[str, float] | None = None):
+        """(value, partials) of ``ast``, partials None without ``grad``. Without
+        ``fixed``, index variables are read from ``env`` at run time and a
+        domain error names a node of the ``root`` argument; with it, they are
+        its values, and the error names a node of ``ast`` (kept in ``_roots``)."""
+        self.grad, self.fixed, self.ref = grad, fixed, "root"
+        if fixed is not None:
+            self.ref = f"_roots[{len(self.runtime['_roots'])}]"
+            self.runtime["_roots"].append(ast)
         self.pos: dict[int, int] = {}
         for i, node in enumerate(_subtrees(ast)):
             self.pos.setdefault(id(node), i)
+        return self.lower(ast)
 
-    def source(self) -> str:
-        value, partials = self.lower(self.ast)
-        out = self.text(value)
-        if self.grad:
-            out += ", (" + "".join(f"{self.text(p)}, " for p in partials) + ")"
+    def source(self, params: str, out: str) -> str:
         head = [f"    x{p} = xs[{p - 1}]" for p in sorted(self.columns)]
         body = [f"    {line}" for line in self.lines]
-        return "\n".join(["def kernel(xs, env, root):", *head, *body, f"    return {out}"])
+        return "\n".join([f"def kernel({params}):", *head, *body, f"    return {out}"])
+
+    def function(self, params: str, out: str, **extra):
+        """The function ``kernel(params)`` returning ``out``; ``extra`` adds globals."""
+        namespace = dict(self.runtime, **extra, __builtins__={})
+        exec(compile(self.source(params, out), "<sipcert kernel>", "exec"), namespace)
+        return namespace.pop("kernel")
+
+    def line(self, text: str) -> None:
+        self.lines.append(self.indent + text)
+
+    @contextlib.contextmanager
+    def branch(self, cond: str):
+        """Lines emitted inside run only where ``cond`` holds, and what they
+        compute is reused only inside."""
+        self.line(f"if {cond}:")
+        saved = dict(self.results), dict(self.index)
+        self.indent += "    "
+        yield
+        self.indent = self.indent[:-4]
+        self.results, self.index = saved
 
     def text(self, a) -> str:
         if isinstance(a, str):
             return a
         if math.isfinite(a):
-            return f"({a!r})"
+            return repr(a)  # bare: unary minus binds tighter than any operator emitted
         if repr(a) not in self.consts:
             self.consts[repr(a)] = f"_k{len(self.consts)}"
             self.runtime[self.consts[repr(a)]] = a
@@ -393,8 +425,8 @@ class _Lowering:
     def emit(self, rhs: str) -> str:
         name = self.results.get(rhs)
         if name is None:
-            name = self.results[rhs] = f"v{len(self.results)}"
-            self.lines.append(f"{name} = {rhs}")
+            name = self.results[rhs] = f"v{len(self.lines)}"
+            self.line(f"{name} = {rhs}")
         return name
 
     def arith(self, op: str, a, b):
@@ -418,11 +450,12 @@ class _Lowering:
 
     def check(self, node: ExprAst, a, cmp: str, message: str) -> None:
         """Raise the domain error where any entry of ``a cmp 0`` holds."""
-        fail = f"raise _domain_error(root, {self.pos[id(node)]}, {message!r})"
+        fail = f"raise _domain_error({self.ref}, {self.pos[id(node)]}, {message!r})"
         if not isinstance(a, float):
-            self.lines.append(f"if _any({a} {cmp} 0.0): {fail}")
+            test = f"{a} {cmp} 0.0"
+            self.line(f"if {test if self.fixed is not None else f'_any({test})'}: {fail}")
         elif _COMPARE[cmp](a, 0.0):
-            self.lines.append(fail)
+            self.line(fail)
 
     def lower(self, node: ExprAst):
         """(value, partials) of ``node``; partials is None without gradients."""
@@ -433,16 +466,18 @@ class _Lowering:
             p = node.position
             if p > self.n:
                 message = f"x{p} out of range for dimension {self.n}"
-                self.lines.append(f"raise ExprError({message!r})")
+                self.line(f"raise ExprError({message!r})")
             else:
                 self.columns.add(p)
             unit = [1.0 if j == p - 1 else 0.0 for j in range(self.n)]
             return f"x{p}", unit if self.grad else None
         if isinstance(node, IndexVar):
+            if self.fixed is not None and node.name in self.fixed:
+                return float(self.fixed[node.name]), zeros
             if node.name not in self.index:
                 names = self.runtime["_names"]
                 local = self.index[node.name] = f"i{len(names)}"
-                self.lines.append(f"{local} = _bind(env, _names[{len(names)}])")
+                self.line(f"{local} = _bind(env, _names[{len(names)}])")
                 names.append(node.name)
             return self.index[node.name], zeros
         if isinstance(node, Neg):
@@ -557,11 +592,12 @@ class _Lowering:
 
 
 def _compile(ast: ExprAst, n: int, grad: bool):
-    lowering = _Lowering(ast, n, grad)
-    source = lowering.source()
-    namespace = dict(lowering.runtime, __builtins__={})
-    exec(compile(source, "<sipcert kernel>", "exec"), namespace)
-    return namespace.pop("kernel")
+    lowering = _Lowering(n)
+    value, partials = lowering.root(ast, grad)
+    out = lowering.text(value)
+    if grad:
+        out += ", (" + "".join(f"{lowering.text(p)}, " for p in partials) + ")"
+    return lowering.function("xs, env, root", out)
 
 
 def kernel(ast: ExprAst, n: int, grad: bool):

@@ -6,6 +6,8 @@ ladders included) is satisfied. The finite subproblem runs multistart
 penalized gradient descent with Armijo backtracking; for smooth costs a
 square Newton polish on the working-set stationarity system sharpens the
 candidate to tight tolerances. Everything is seeded and deterministic.
+The penalty of each working set runs as one generated function per pass,
+compiled when the working set changes and dropped with it.
 """
 
 from __future__ import annotations
@@ -58,11 +60,13 @@ class SolverTrace:
 
 @dataclass(frozen=True)
 class WorkingConstraint:
-    """A constraint with its kernels and index binding bound once. Both take the
-    coordinate list ``xs``; ``grad`` gives (value, the kernel's tuple of partials).
-    A point the expression rejects reads as value +inf with NaN partials."""
+    """A constraint with its kernels and index binding ``env`` bound once. Both
+    take the coordinate list ``xs``; ``grad`` gives (value, the kernel's tuple of
+    partials). A point the expression rejects reads as value +inf with NaN partials."""
 
     label: str
+    body: ex.ExprAst
+    env: dict
     value: Callable[[list], float]
     grad: Callable[[list], tuple[float, tuple]]
 
@@ -83,7 +87,7 @@ def _bind(label: str, body: ex.ExprAst, n: int, env: dict) -> WorkingConstraint:
             return math.inf, (math.nan,) * n
         return float(v), partials
 
-    return WorkingConstraint(label, value, grad)
+    return WorkingConstraint(label, body, env, value, grad)
 
 
 class _Bound:
@@ -124,9 +128,9 @@ def _constraint_for(inst: SipInstance, idx: IndexId) -> WorkingConstraint:
 
 
 def _square(v: float) -> float:
-    """v ** 2, or inf where the float power overflows (it raises, unlike *)."""
+    """v ** 2 as a Python float, or inf where that power overflows (it raises, unlike *)."""
     try:
-        return v ** 2
+        return float(v) ** 2
     except OverflowError:
         return math.inf
 
@@ -134,7 +138,8 @@ def _square(v: float) -> float:
 def _penalty(prob: _Bound, working, xs, rho, grad: bool):
     """Cost plus rho * v^2 for each violated working constraint (its gradient is
     taken only then) and each equality residual at the coordinates ``xs``; with
-    ``grad``, (value, gradient as a sequence of floats)."""
+    ``grad``, (value, gradient as a sequence of floats). The reference for
+    ``_penalty_pair``, and its fallback at a point where a term is rejected."""
     val, g = prob.cost(xs, grad)
     for wc in working:
         v = wc.value(xs)
@@ -150,19 +155,75 @@ def _penalty(prob: _Bound, working, xs, rho, grad: bool):
     return (val, g) if grad else val
 
 
+def _penalty_pair(prob: _Bound, working) -> tuple:
+    """``_penalty(prob, working, xs, rho, grad)`` for grad False and True, each
+    as one generated function ``f(xs, rho)`` with the working bindings folded
+    in. Both perform the same IEEE operations in the same order, and raise an
+    ExprError wherever one of the terms would."""
+    return tuple(_penalty_function(prob, working, grad) for grad in (False, True))
+
+
+def _penalty_function(prob: _Bound, working, grad: bool):
+    n = prob.inst.dim
+    lw = ex._Lowering(n)
+    t, line, gs = lw.text, lw.line, [f"g{j}" for j in range(n)]
+
+    def add_grad(v, partials):  # g_j + 2.0 * rho * v * p_j, with 2.0 * rho * v once
+        line(f"s = r2 * {v}")
+        for gj, pj in zip(gs, partials):
+            line(f"{gj} = {gj} + s * {t(pj)}")
+
+    if grad and isinstance(prob.inst.cost, SmoothCost):
+        v, partials = lw.root(prob.pieces[0].body, True, {})
+        line(f"val = {t(v)}")
+        for gj, pj in zip(gs, partials):
+            line(f"{gj} = {t(pj)}")
+    else:
+        vals = ", ".join(t(lw.root(p.body, False, {})[0]) for p in prob.pieces)
+        line(f"val = _max([{vals}])" if len(prob.pieces) > 1 else f"val = {vals}")
+        if grad:  # the gradient of the first piece attaining the maximum
+            line(f"k = _argmax([{vals}])")
+            for i, p in enumerate(prob.pieces):
+                with lw.branch(f"k == {i}"):
+                    for gj, pj in zip(gs, lw.root(p.body, True, {})[1]):
+                        line(f"{gj} = {t(pj)}")
+    if grad:
+        line("r2 = 2.0 * rho")
+    for wc in working:
+        v = t(lw.root(wc.body, False, wc.env)[0])
+        with lw.branch(f"{v} > 0"):
+            line(f"val = val + rho * {v} * {v}")
+            if grad:
+                add_grad(v, lw.root(wc.body, True, wc.env)[1])
+    for h in prob.eqs:
+        v, partials = lw.root(h.body, grad, {})
+        v = t(v)
+        line(f"val = val + rho * _square({v})" if grad else f"val = val + rho * {v} * {v}")
+        if grad:
+            add_grad(v, partials)
+    out = f"val, [{', '.join(gs)}]" if grad else "val"
+    return lw.function("xs, rho", out, _max=max, _argmax=np.argmax, _square=_square)
+
+
 def _max_violation(working, x) -> float:
     xs = x.tolist()
     return max((wc.value(xs) for wc in working), default=0.0)
 
 
-def _penalty_descent(prob: _Bound, working, x0):
-    """Penalty stages from x0 on coordinate lists; arrays only between stages."""
+def _penalty_descent(prob: _Bound, working, pair, x0):
+    """Penalty stages from x0 on coordinate lists; arrays only between stages.
+    ``pair`` is ``_penalty_pair(prob, working)``; a point it rejects is
+    evaluated again term by term by ``_penalty``."""
+    value_pass, grad_pass = pair
     x = x0.tolist()
     rho = PENALTY0
     step = STEP0
     for _ in range(PENALTY_STAGES):
         for _ in range(MAX_INNER):
-            val, grad = _penalty(prob, working, x, rho, True)
+            try:
+                val, grad = grad_pass(x, rho)
+            except ex.ExprError:
+                val, grad = _penalty(prob, working, x, rho, True)
             grad = np.array(grad)
             gnorm = math.sqrt(grad.dot(grad))  # np.linalg.norm of a 1-D array, without its overhead
             if gnorm <= 1e-10 * max(1.0, abs(val)):
@@ -172,7 +233,11 @@ def _penalty_descent(prob: _Bound, working, x0):
             improved = False
             for _ in range(40):
                 cand = [xj + t * dj for xj, dj in zip(x, d)]
-                if _penalty(prob, working, cand, rho, False) <= val - ARMIJO * t * gnorm:
+                try:
+                    cand_val = value_pass(cand, rho)
+                except ex.ExprError:
+                    cand_val = _penalty(prob, working, cand, rho, False)
+                if cand_val <= val - ARMIJO * t * gnorm:
                     x = cand
                     step = min(t * 1.5, STEP0)
                     improved = True
@@ -264,13 +329,13 @@ def _polish(prob: _Bound, working, x):
     return z[:n]
 
 
-def _solve_subproblem(prob: _Bound, working, config, rng, warm):
+def _solve_subproblem(prob: _Bound, working, pair, config, rng, warm):
     lo, hi = prob.inst.box_bounds()
     starts = [] if warm is None else [warm.copy()]
     starts += [rng.uniform(lo, hi) for _ in range(config.multistart if warm is None else 1)]
     candidates = []
     for s in starts:
-        x = _penalty_descent(prob, working, s)
+        x = _penalty_descent(prob, working, pair, s)
         polished = _polish(prob, working, x)
         if polished is not None:
             pv = _max_violation(working, polished)
@@ -312,9 +377,10 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
         trace = SolverTrace()
         best_x = None
         best_viol = math.inf
-        warm = None
+        warm = pair = None
         for outer in range(config.max_outer):
-            x = _solve_subproblem(prob, working, config, rng, warm)
+            pair = pair or _penalty_pair(prob, working)  # once per working set
+            x = _solve_subproblem(prob, working, pair, config, rng, warm)
             warm = x
             idx, viol = most_violated_index(inst, x)
             eq = inst.eq_residual(x)
@@ -337,6 +403,7 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
             if idx is not None and idx not in working_ids:
                 working_ids.append(idx)
                 working.append(_constraint_for(inst, idx))
+                pair = None
             else:
                 # the worst index is already in the working set: warm-start from the
                 # best candidate. The penalty restarts at PENALTY0 on the same schedule,

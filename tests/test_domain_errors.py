@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from sipcert import expr as ex
 from sipcert import solver
-from sipcert.cli import EXIT_INFEASIBLE, EXIT_OK, main
+from sipcert.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 from sipcert.model import feasibility_check, loads_instance, scan_constraints
 from sipcert.solver import SolverConfig, solve
 
@@ -130,6 +130,17 @@ class TestCli:
         code, doc, err = analyze_json(tmp_path, text, "0,0")
         assert code == EXIT_INFEASIBLE and doc is None
         assert f"max violation inf at {worst}," in err
+
+    @pytest.mark.parametrize("cost, message", [
+        ("minimize = 1/x1 + x2", "division by zero in '1/x1'"),
+        # both pieces attain the maximum at the origin; only the gradient is rejected
+        ("minimize_max = x2 ; sqrt(x1)", "sqrt gradient at zero in 'sqrt(x1)'"),
+    ], ids=["smooth", "max"])
+    def test_cost_rejected_at_the_point_is_a_validation_error(self, tmp_path, cost, message):
+        text = f"[problem]\nvars = x1 x2\n{cost}\nbox = -2 2 ; -2 2\n[constraints]\ng1 = x2 - 1\n"
+        code, doc, err = analyze_json(tmp_path, text, "0,0")
+        assert code == EXIT_VALIDATION and doc is None
+        assert err == f"error: cost is not defined at the point: {message}\n"
 
     def test_sqrt_of_the_index_alone_analyzes(self, tmp_path):
         text = instance_text("sqrt(t)*x1 - x2", CLOSED_01 + "include_b = false\n")

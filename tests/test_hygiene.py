@@ -150,6 +150,8 @@ EXPR_ERROR_CATCHES_ALLOWED = {
     "model.loads_instance": "an instance the expression checks reject is a bad instance",
     "cq.check_ssc": "a Slater search start ends where worst_row's gradient is rejected",
     "solver._bind": "the solver's rule: a rejected point reads as +inf with NaN partials",
+    "solver._penalty_descent": "a point the generated penalty rejects is evaluated again by "
+                               "_penalty, term by term under solver._bind's rule",
     "cli.main": "an instance file that does not load ends in exit 2",
 }
 

@@ -1,5 +1,10 @@
 import dataclasses
+import gc
+import io
 import math
+import re
+import tokenize
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +77,22 @@ box = 800 900; -2 2
 [constraints]
 g = exp(x1)*0 + x2
 f = -x2 - 1
+"""
+
+
+def finite_family(body: str, values: str, box: str = "-2 2; -2 2") -> str:
+    """x1^2 + x2 subject to g(t) = <body> over the finite index ``values``."""
+    return f"""[problem]
+vars = x1 x2
+minimize = x1^2 + x2
+box = {box}
+
+[index t]
+kind = finite
+values = {values}
+
+[constraints]
+g(t) = {body}
 """
 
 
@@ -246,6 +267,15 @@ class TestConstraintNames:
         np.testing.assert_allclose(x, [-1.0, -5.0], atol=1e-6)
 
 
+def _ruled(fn, body, x, env):
+    """fn(body, x, env), or the solver's reading of a point the expression
+    rejects: value +inf, and NaN partials from eval_grad."""
+    try:
+        return fn(body, x, env)
+    except ex.ExprError:
+        return math.inf if fn is ex.eval_value else (math.inf, np.full(len(x), math.nan))
+
+
 def _reference_penalty(inst, terms, x, rho):
     """Reference penalty from the public eval_value / eval_grad, term for term
     in the order the solver must keep: (value, value of the gradient pass,
@@ -253,7 +283,7 @@ def _reference_penalty(inst, terms, x, rho):
     constraints."""
     val = inst.cost_value(x)
     for body, env in terms:
-        v = float(ex.eval_value(body, x, env))
+        v = float(_ruled(ex.eval_value, body, x, env))
         if v > 0:
             val += rho * v * v
     for comp in inst.equalities.components:
@@ -266,7 +296,7 @@ def _reference_penalty(inst, terms, x, rho):
         vals = [float(ex.eval_value(p, x)) for p in inst.cost.pieces]
         grad = ex.eval_grad(inst.cost.pieces[int(np.argmax(vals))], x)[1].copy()
     for body, env in terms:
-        v, g = ex.eval_grad(body, x, env)
+        v, g = _ruled(ex.eval_grad, body, x, env)
         v, g = float(v), np.asarray(g, dtype=float)
         if v > 0:
             gval += rho * v * v
@@ -287,6 +317,11 @@ PENALTY_CASES = {
        for name in ("convex_toy", "countable_cubic", "interval_ramp", "parabola_band")},
     "max_cost": lambda: loads_instance(MAX_COST),
     "nan_constraint": lambda: loads_instance(NAN_CONSTRAINT),
+    # an index used as an exponent stays on the exp/log path when its value is
+    # folded in, although t = 1, 2, 3 are integral
+    "index_exponent": lambda: loads_instance(finite_family("x1^t - x2", "1 2 3", "0.25 2; -2 2")),
+    # at t = 0.3 the folded binding makes log(t - 0.5) raise at every x
+    "rejected_everywhere": lambda: loads_instance(finite_family("log(t - 0.5)*x1 - x2", "0.3 1")),
 }
 
 
@@ -314,21 +349,34 @@ def test_bound_penalty_is_bit_identical_to_eval_path(name):
             fam = next(f for f, _ in inst.families if f.name == idx.family)
             terms.append((fam.body, {fam.index_name: idx.value}))
     prob = solver._Bound(inst)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value_pass, grad_pass = solver._penalty_pair(prob, working)
     rng = np.random.default_rng(7)
     violated = 0
     for x in rng.uniform(lo, hi, size=(20, inst.dim)):
         for rho in (10.0, 2.5e4):
             with np.errstate(over="ignore", invalid="ignore"):  # as inside solve()
                 val, gval, grad = _reference_penalty(inst, terms, x, rho)
-                got_val = solver._penalty(prob, working, x.tolist(), rho, False)
-                got_gval, got_grad = solver._penalty(prob, working, x.tolist(), rho, True)
-            assert _bits(got_val) == _bits(val)
-            assert _bits(got_gval) == _bits(gval)
-            assert _bits(got_grad) == _bits(grad)
+                # the fallback, then the generated pass, which raises only where a term does
+                got = [(solver._penalty(prob, working, x.tolist(), rho, False),
+                        *solver._penalty(prob, working, x.tolist(), rho, True))]
+                if name == "rejected_everywhere":
+                    for generated in (value_pass, grad_pass):
+                        with pytest.raises(ex.ExprError):
+                            generated(x.tolist(), rho)
+                else:
+                    got.append((value_pass(x.tolist(), rho), *grad_pass(x.tolist(), rho)))
+            for got_val, got_gval, got_grad in got:
+                assert _bits(got_val) == _bits(val)
+                assert _bits(got_gval) == _bits(gval)
+                assert _bits(got_grad) == _bits(grad)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = [float(ex.eval_value(b, x, env)) for b, env in terms]
+            values = [float(_ruled(ex.eval_value, b, x, env)) for b, env in terms]
         violated += any(v > 0 for v in values)
     assert violated > 0
+    if name == "rejected_everywhere":
+        # the rejected term reads +inf with NaN partials, as before the generated pass
+        assert (val, gval) == (math.inf, math.inf) and np.isnan(grad).all()
     if name == "nan_constraint":
         # g is NaN and never penalized (NaN > 0 is False); f = -x2 - 1 is
         # violated only for x2 < -1
@@ -363,3 +411,63 @@ def test_penalty_gradient_pass_skips_satisfied_constraints():
         calls.clear()
         solver._penalty(prob, working, xs, 10.0, True)
         assert calls == violated
+
+
+# interval_ramp with an equality and names unlike anything the code generator
+# writes; its working set grows once in 6 outer iterations
+NAMED = """[problem]
+vars = x1 x2
+minimize = (x1+1)^2 + x2
+box = -3 3; -3 3
+
+[index tau]
+kind = interval
+a = 0
+b = 1
+include_a = false
+resolution = 33
+refinements = 2
+
+[constraints]
+floor_guard = x1 + 1
+ceiling_band(tau) = sqrt(tau + 1)*tau*x1 - x2^3
+
+[equalities]
+balance_eq = x1 - 2*x2 + 1
+"""
+
+GENERATED_NAME = re.compile(r"(def|if|return|raise|kernel|xs|rho|val|s|r2|k|np|sin|cos|exp|log"
+                            r"|sqrt|[xvg]\d+|_\w+)$")
+
+
+def test_penalty_pair_lives_for_one_working_set_and_holds_no_names(monkeypatch):
+    built, sources = [], []
+    pair_of, source_of = solver._penalty_pair, ex._Lowering.source
+
+    def recording_pair(prob, working):
+        pair = pair_of(prob, working)
+        kernels = [f for wc in working for f in (wc.value, wc.grad)]
+        built.append([weakref.ref(obj) for obj in (*pair, prob, *working, *kernels)])
+        return pair
+
+    def recording_source(lowering, params, out):
+        text = source_of(lowering, params, out)
+        if params == "xs, rho":
+            sources.append(text)
+        return text
+
+    monkeypatch.setattr(solver, "_penalty_pair", recording_pair)
+    monkeypatch.setattr(ex._Lowering, "source", recording_source)
+    _, trace = solve(loads_instance(NAMED), SolverConfig(max_outer=6, multistart=2, seed=0))
+    # one pair per distinct working set, though some outer iterations repeat one
+    distinct = {tuple(r.working) for r in trace.records}
+    assert len(built) == len(distinct) >= 2 and len(trace.records) > len(distinct)
+    assert len(sources) == 2 * len(built)
+    gc.collect()
+    assert [ref() for refs in built for ref in refs] == [None] * sum(map(len, built))
+    for text in sources:
+        assert not any(name in text for name in ("floor_guard", "ceiling_band", "tau",
+                                                 "balance_eq"))
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                assert GENERATED_NAME.match(tok.string), tok.string
