@@ -477,9 +477,7 @@ def main(argv=None) -> int:
     except ex.ExprError as err:
         # a constraint row the expression rejects reads NaN; the cost at the point has no such rule
         cost = getattr(inst.cost, "pieces", None) or (inst.cost.body,)
-        if args.command != "analyze" or getattr(err, "subexpr", None) not in [
-            node for piece in cost for node in ex._subtrees(piece)
-        ]:
+        if not any(getattr(err, "subexpr", None) in ex._subtrees(piece) for piece in cost):
             raise
         print(f"error: cost is not defined at the point: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -286,8 +286,10 @@ def closedness_diagnostic(
         return ClosednessVerdict(
             Closedness.UNKNOWN, "tail extrapolation inconclusive; compactness not certifiable"
         )
-    norms = np.linalg.norm(G, axis=0)
-    if np.min(norms) < NORM_FLOOR or np.max(norms) / max(np.min(norms), 1e-300) > NORM_RATIO_CAP:
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is inf
+        norms = np.linalg.norm(G, axis=0)
+        spread = np.max(norms) / max(np.min(norms), 1e-300)  # NaN when every norm is inf
+    if np.min(norms) < NORM_FLOOR or not spread <= NORM_RATIO_CAP:
         return ClosednessVerdict(
             Closedness.UNKNOWN,
             "generator norms spread outside the compactness band",

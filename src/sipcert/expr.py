@@ -441,7 +441,8 @@ class _Lowering:
 
     def call(self, fn: str, *args):
         if all(isinstance(a, float) for a in args):
-            return float(self.runtime[fn](*args) if fn[0] == "_" else getattr(np, fn)(*args))
+            with np.errstate(all="ignore"):  # an overflow, or a log after an unconditional raise
+                return float(self.runtime[fn](*args) if fn[0] == "_" else getattr(np, fn)(*args))
         prefix = "" if fn[0] == "_" else "np."
         return self.emit(f"{prefix}{fn}({', '.join(self.text(a) for a in args)})")
 

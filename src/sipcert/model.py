@@ -178,12 +178,15 @@ class SipInstance:
 
     def eq_residual(self, x) -> float:
         """Largest absolute equality residual at x, 0 without equalities. A
-        NaN residual counts as +inf, as a NaN constraint value does in
-        ConstraintScan.argmax."""
+        NaN residual, or an equality the expression rejects, counts as +inf,
+        as a NaN constraint value does in ConstraintScan.argmax."""
         if not self.equalities.components:
             return 0.0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = np.abs(self.eq_values(x))
+            try:
+                r = np.abs(self.eq_values(x))
+            except ex.ExprError:
+                return math.inf
         return float(np.max(np.where(np.isnan(r), math.inf, r)))
 
     def box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -194,9 +197,12 @@ class SipInstance:
         return lo, hi
 
     def cost_value(self, x) -> float:
-        if isinstance(self.cost, SmoothCost):
-            return float(ex.eval_value(self.cost.body, x))
-        return max(float(ex.eval_value(p, x)) for p in self.cost.pieces)
+        """The cost at x, +inf where the expression rejects it (the solver's rule)."""
+        pieces = (self.cost.body,) if isinstance(self.cost, SmoothCost) else self.cost.pieces
+        try:
+            return max(float(ex.eval_value(p, x)) for p in pieces)
+        except ex.ExprError:
+            return math.inf
 
 
 # ---------------------------------------------------------------------------

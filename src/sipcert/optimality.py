@@ -334,7 +334,10 @@ def _certificate_from_hull(out: HullFeasibility, cone: GeneratedCone, G, F) -> K
 
 
 def _stationarity(inst, x, cone: GeneratedCone, condition) -> StationarityReport:
-    F = _cost_hull(inst, x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        F = _cost_hull(inst, x)
+    if not np.isfinite(F).all():
+        return StationarityReport(condition, "inconclusive", notes=["cost gradient is not finite"])
     G = cone.columns()
     try:
         out = linsolve.hull_plus_cone_feasibility(F, G, cone.lineality, STATIONARITY_TOL)

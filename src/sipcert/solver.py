@@ -90,25 +90,6 @@ def _bind(label: str, body: ex.ExprAst, n: int, env: dict) -> WorkingConstraint:
     return WorkingConstraint(label, body, env, value, grad)
 
 
-class _Bound:
-    """An instance with its cost pieces (one for a smooth cost) and equality
-    components bound, once per solve()."""
-
-    def __init__(self, inst: SipInstance):
-        self.inst = inst
-        pieces = (inst.cost.body,) if isinstance(inst.cost, SmoothCost) else inst.cost.pieces
-        self.pieces = [_bind("cost", p, inst.dim, {}) for p in pieces]
-        self.eqs = [_bind("h", c, inst.dim, {}) for c in inst.equalities.components]
-
-    def cost(self, xs, grad: bool):
-        """(cost, partials or None); a max-type cost takes the gradient of the
-        first piece attaining the maximum (a valid subgradient)."""
-        if grad and isinstance(self.inst.cost, SmoothCost):
-            return self.pieces[0].grad(xs)
-        vals = [p.value(xs) for p in self.pieces]
-        return max(vals), self.pieces[int(np.argmax(vals))].grad(xs)[1] if grad else None
-
-
 def most_violated_index(inst: SipInstance, x) -> tuple[IndexId | None, float]:
     """Argmax of the constraint values over the materialization and tail
     ladders, ties broken by block order then lowest index value."""
@@ -135,57 +116,36 @@ def _square(v: float) -> float:
         return math.inf
 
 
-def _penalty(prob: _Bound, working, xs, rho, grad: bool):
-    """Cost plus rho * v^2 for each violated working constraint (its gradient is
-    taken only then) and each equality residual at the coordinates ``xs``; with
-    ``grad``, (value, gradient as a sequence of floats). The reference for
-    ``_penalty_pair``, and its fallback at a point where a term is rejected."""
-    val, g = prob.cost(xs, grad)
-    for wc in working:
-        v = wc.value(xs)
-        if v > 0:
-            val += rho * v * v
-            if grad:
-                g = [gj + 2.0 * rho * v * pj for gj, pj in zip(g, wc.grad(xs)[1])]
-    for h in prob.eqs:
-        v, partials = h.grad(xs) if grad else (h.value(xs), None)
-        val += rho * _square(v) if grad else rho * v * v  # kept: the passes round differently
-        if grad:
-            g = [gj + 2.0 * rho * v * pj for gj, pj in zip(g, partials)]
-    return (val, g) if grad else val
+def _penalty_pair(inst: SipInstance, working) -> tuple:
+    """The value pass and the gradient pass (value, list of partials) of the cost
+    plus rho * v^2 for each violated working constraint and each equality
+    residual, each one generated function ``f(xs, rho)`` with the working
+    bindings folded in. Both raise an ExprError wherever one of those terms would."""
+    return tuple(_penalty_function(inst, working, grad) for grad in (False, True))
 
 
-def _penalty_pair(prob: _Bound, working) -> tuple:
-    """``_penalty(prob, working, xs, rho, grad)`` for grad False and True, each
-    as one generated function ``f(xs, rho)`` with the working bindings folded
-    in. Both perform the same IEEE operations in the same order, and raise an
-    ExprError wherever one of the terms would."""
-    return tuple(_penalty_function(prob, working, grad) for grad in (False, True))
-
-
-def _penalty_function(prob: _Bound, working, grad: bool):
-    n = prob.inst.dim
-    lw = ex._Lowering(n)
-    t, line, gs = lw.text, lw.line, [f"g{j}" for j in range(n)]
+def _penalty_function(inst: SipInstance, working, grad: bool):
+    lw = ex._Lowering(inst.dim)
+    t, line, gs = lw.text, lw.line, [f"g{j}" for j in range(inst.dim)]
 
     def add_grad(v, partials):  # g_j + 2.0 * rho * v * p_j, with 2.0 * rho * v once
         line(f"s = r2 * {v}")
         for gj, pj in zip(gs, partials):
             line(f"{gj} = {gj} + s * {t(pj)}")
 
-    if grad and isinstance(prob.inst.cost, SmoothCost):
-        v, partials = lw.root(prob.pieces[0].body, True, {})
+    if isinstance(inst.cost, SmoothCost):
+        v, partials = lw.root(inst.cost.body, grad, {})
         line(f"val = {t(v)}")
-        for gj, pj in zip(gs, partials):
+        for gj, pj in zip(gs, partials or ()):
             line(f"{gj} = {t(pj)}")
     else:
-        vals = ", ".join(t(lw.root(p.body, False, {})[0]) for p in prob.pieces)
-        line(f"val = _max([{vals}])" if len(prob.pieces) > 1 else f"val = {vals}")
+        vals = ", ".join(t(lw.root(p, False, {})[0]) for p in inst.cost.pieces)
+        line(f"val = _max([{vals}])" if len(inst.cost.pieces) > 1 else f"val = {vals}")
         if grad:  # the gradient of the first piece attaining the maximum
             line(f"k = _argmax([{vals}])")
-            for i, p in enumerate(prob.pieces):
+            for i, p in enumerate(inst.cost.pieces):
                 with lw.branch(f"k == {i}"):
-                    for gj, pj in zip(gs, lw.root(p.body, True, {})[1]):
+                    for gj, pj in zip(gs, lw.root(p, True, {})[1]):
                         line(f"{gj} = {t(pj)}")
     if grad:
         line("r2 = 2.0 * rho")
@@ -195,9 +155,10 @@ def _penalty_function(prob: _Bound, working, grad: bool):
             line(f"val = val + rho * {v} * {v}")
             if grad:
                 add_grad(v, lw.root(wc.body, True, wc.env)[1])
-    for h in prob.eqs:
-        v, partials = lw.root(h.body, grad, {})
+    for h in inst.equalities.components:
+        v, partials = lw.root(h, grad, {})
         v = t(v)
+        # the passes round rho * v^2 differently; one form for both would change solver outputs
         line(f"val = val + rho * _square({v})" if grad else f"val = val + rho * {v} * {v}")
         if grad:
             add_grad(v, partials)
@@ -210,10 +171,12 @@ def _max_violation(working, x) -> float:
     return max((wc.value(xs) for wc in working), default=0.0)
 
 
-def _penalty_descent(prob: _Bound, working, pair, x0):
+def _penalty_descent(inst: SipInstance, working, pair, x0):
     """Penalty stages from x0 on coordinate lists; arrays only between stages.
-    ``pair`` is ``_penalty_pair(prob, working)``; a point it rejects is
-    evaluated again term by term by ``_penalty``."""
+    ``pair`` is ``_penalty_pair(inst, working)``. A point the gradient pass
+    rejects ends the stage's descent, and a trial point the value pass rejects
+    reads +inf: under ``_bind``'s rule such a point has NaN partials or an
+    infinite value, which no line search leaves or accepts."""
     value_pass, grad_pass = pair
     x = x0.tolist()
     rho = PENALTY0
@@ -223,7 +186,7 @@ def _penalty_descent(prob: _Bound, working, pair, x0):
             try:
                 val, grad = grad_pass(x, rho)
             except ex.ExprError:
-                val, grad = _penalty(prob, working, x, rho, True)
+                break
             grad = np.array(grad)
             gnorm = math.sqrt(grad.dot(grad))  # np.linalg.norm of a 1-D array, without its overhead
             if gnorm <= 1e-10 * max(1.0, abs(val)):
@@ -236,7 +199,7 @@ def _penalty_descent(prob: _Bound, working, pair, x0):
                 try:
                     cand_val = value_pass(cand, rho)
                 except ex.ExprError:
-                    cand_val = _penalty(prob, working, cand, rho, False)
+                    cand_val = math.inf
                 if cand_val <= val - ARMIJO * t * gnorm:
                     x = cand
                     step = min(t * 1.5, STEP0)
@@ -246,29 +209,31 @@ def _penalty_descent(prob: _Bound, working, pair, x0):
             if not improved:
                 break
         xa = np.array(x)
-        eq = prob.inst.eq_residual(xa)
+        eq = inst.eq_residual(xa)
         if max(_max_violation(working, xa), eq) <= VIOLATION_TOL and rho > 1e4:
             break
         rho *= PENALTY_GROWTH
     return np.array(x)
 
 
-def _polish(prob: _Bound, working, x):
+def _polish(inst: SipInstance, working, x):
     """Square Newton solve of the working-set stationarity system (gradients
     of the Lagrangian, near-active working constraints, equalities). The
     Hessian block comes from central differences of the analytic gradients."""
-    if not isinstance(prob.inst.cost, SmoothCost):
+    if not isinstance(inst.cost, SmoothCost):
         return None
-    n, m, xs = len(x), len(prob.eqs), x.tolist()
+    n, m, xs = len(x), len(inst.equalities), x.tolist()
+    cost = _bind("cost", inst.cost.body, n, {})
+    eqs = [_bind("h", c, n, {}) for c in inst.equalities.components]
     near = [wc for wc in working if abs(wc.value(xs)) <= 1e-4 * max(1.0, float(np.linalg.norm(x)))]
     near = near[: max(0, n - m)]
     k = len(near)
 
     def jacobian_t(xs):
-        return np.vstack([h.grad(xs)[1] for h in prob.eqs]).T
+        return np.vstack([h.grad(xs)[1] for h in eqs]).T
 
     def lagr_grad(xs, lam, y):
-        g = np.array(prob.cost(xs, True)[1])
+        g = np.array(cost.grad(xs)[1])
         for lam_i, wc in zip(lam, near):
             g = g + lam_i * np.array(wc.grad(xs)[1])
         if m:
@@ -280,11 +245,11 @@ def _polish(prob: _Bound, working, x):
         parts = [lagr_grad(xs, lam, y)]
         parts.append(np.array([wc.value(xs) for wc in near]))
         if m:
-            parts.append(np.array([h.value(xs) for h in prob.eqs]))
+            parts.append(np.array([h.value(xs) for h in eqs]))
         return np.concatenate([p for p in parts if len(p)])
 
     G = np.column_stack([wc.grad(xs)[1] for wc in near]) if k else np.zeros((n, 0))
-    rhs = -np.array(prob.cost(xs, True)[1])
+    rhs = -np.array(cost.grad(xs)[1])
     M = np.hstack([G, jacobian_t(xs)]) if m else G
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         return None
@@ -329,20 +294,20 @@ def _polish(prob: _Bound, working, x):
     return z[:n]
 
 
-def _solve_subproblem(prob: _Bound, working, pair, config, rng, warm):
-    lo, hi = prob.inst.box_bounds()
+def _solve_subproblem(inst: SipInstance, working, pair, config, rng, warm):
+    lo, hi = inst.box_bounds()
     starts = [] if warm is None else [warm.copy()]
     starts += [rng.uniform(lo, hi) for _ in range(config.multistart if warm is None else 1)]
     candidates = []
     for s in starts:
-        x = _penalty_descent(prob, working, pair, s)
-        polished = _polish(prob, working, x)
+        x = _penalty_descent(inst, working, pair, s)
+        polished = _polish(inst, working, x)
         if polished is not None:
             pv = _max_violation(working, polished)
             if pv <= max(_max_violation(working, x), VIOLATION_TOL):
                 x = polished
-        viol = max(_max_violation(working, x), prob.inst.eq_residual(x))
-        candidates.append((viol, prob.inst.cost_value(x), tuple(x), x))
+        viol = max(_max_violation(working, x), inst.eq_residual(x))
+        candidates.append((viol, inst.cost_value(x), tuple(x), x))
     feasible = [c for c in candidates if c[0] <= VIOLATION_TOL]
     pool = feasible or candidates
     pool.sort(key=lambda c: (c[1], c[2]) if feasible else (c[0], c[1], c[2]))
@@ -355,7 +320,6 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
     materialization is satisfied. Non-finite values count as violations, silently."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         config = config or SolverConfig()
-        prob = _Bound(inst)
         rng = np.random.default_rng(config.seed)
         lo, hi = inst.box_bounds()
         center = 0.5 * (lo + hi)
@@ -379,8 +343,8 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
         best_viol = math.inf
         warm = pair = None
         for outer in range(config.max_outer):
-            pair = pair or _penalty_pair(prob, working)  # once per working set
-            x = _solve_subproblem(prob, working, pair, config, rng, warm)
+            pair = pair or _penalty_pair(inst, working)  # once per working set
+            x = _solve_subproblem(inst, working, pair, config, rng, warm)
             warm = x
             idx, viol = most_violated_index(inst, x)
             eq = inst.eq_residual(x)

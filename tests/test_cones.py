@@ -355,6 +355,14 @@ class TestClosedness:
             )
             assert verdict.status == Closedness.CLOSED
 
+    def test_generator_norm_past_the_float_range_is_unknown(self):
+        # each entry is finite but its square overflows, so the norm reads inf;
+        # the RuntimeWarning filter of the suite turns a warning into a failure
+        cols = np.array([[-2.6e154, -2.6e154], [-1.0, -1.0], [0.0, 0.0]])
+        verdict = closedness_diagnostic(cols, [], complete=False)
+        assert verdict.status == Closedness.UNKNOWN
+        assert verdict.reason == "generator norms spread outside the compactness band"
+
     def test_monotone_information(self):
         # adding an extrapolated ray can refine Unknown but never flips a
         # definite verdict on the worked instances

@@ -25,12 +25,13 @@ SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" / "report_s
                     .read_text())
 
 
-def instance_text(body: str, index: str | None = None, dim: int = 2) -> str:
+def instance_text(body: str, index: str | None = None, dim: int = 2,
+                  cost: str = "x1^2 + x2^2") -> str:
     """A minimal instance: one fixed constraint g1, or a family g(t) over the
     [index t] section ``index``."""
     names = " ".join(f"x{i}" for i in range(1, dim + 1))
     box = " ; ".join(["-2 2"] * dim)
-    text = f"[problem]\nvars = {names}\nminimize = x1^2 + x2^2\nbox = {box}\n"
+    text = f"[problem]\nvars = {names}\nminimize = {cost}\nbox = {box}\n"
     if index is None:
         return text + f"[constraints]\ng1 = {body}\n"
     return text + f"[index t]\n{index}[constraints]\ng(t) = {body}\n"
@@ -122,6 +123,18 @@ def analyze_json(tmp_path, text, point):
     return code, doc, err
 
 
+def solve_json(tmp_path, text):
+    path = tmp_path / "case.sip"
+    path.write_text(text)
+    code, out, err = run_cli(
+        ["solve", str(path), "--max-iters=3", "--multistart=2", "--report=json",
+         "--deterministic", "--probe-dirs=4", "--moduli-samples=4"])
+    doc = json.loads(out) if out else None
+    if doc is not None:
+        validate(doc)
+    return code, doc, err
+
+
 class TestCli:
     @pytest.mark.parametrize("text, worst", [(LOG_FAMILY, "g(0)"),
                                              (instance_text("1/x1 - x2"), "g1")],
@@ -135,12 +148,47 @@ class TestCli:
         ("minimize = 1/x1 + x2", "division by zero in '1/x1'"),
         # both pieces attain the maximum at the origin; only the gradient is rejected
         ("minimize_max = x2 ; sqrt(x1)", "sqrt gradient at zero in 'sqrt(x1)'"),
-    ], ids=["smooth", "max"])
+        # log(-1.97) is folded when the kernel is compiled, with no RuntimeWarning
+        ("minimize = log(-1.97) + x1", "log of a nonpositive value in 'log(-1.97)'"),
+    ], ids=["smooth", "max", "folded"])
     def test_cost_rejected_at_the_point_is_a_validation_error(self, tmp_path, cost, message):
         text = f"[problem]\nvars = x1 x2\n{cost}\nbox = -2 2 ; -2 2\n[constraints]\ng1 = x2 - 1\n"
         code, doc, err = analyze_json(tmp_path, text, "0,0")
         assert code == EXIT_VALIDATION and doc is None
         assert err == f"error: cost is not defined at the point: {message}\n"
+
+    def test_rejected_equality_is_an_infeasible_point(self, tmp_path):
+        text = ("[problem]\nvars = x1 x2\nminimize = x1 + x2\nbox = -2 2 ; -2 2\n"
+                "[constraints]\ng1 = x2 - 1\n[equalities]\nh = 1/x1 + x2\n")
+        code, doc, err = analyze_json(tmp_path, text, "0,0")
+        assert code == EXIT_INFEASIBLE and doc is None
+        assert "equality residual inf)" in err
+
+    def test_cost_rejected_at_a_solver_start_solves(self, tmp_path):
+        # sqrt(x1) is rejected on half the box, where most starts fall
+        code, doc, err = solve_json(tmp_path, instance_text("-x2 - 1", cost="sqrt(x1) + x2"))
+        assert code == EXIT_OK and err == ""
+        assert doc["solver"]["status"] == "converged"
+
+    def test_cost_rejected_at_the_candidate_is_a_validation_error(self, tmp_path):
+        # the feasible set is x1 <= -1 and the cost is defined for x1 >= -1 only,
+        # so the candidate sits where the cost's gradient is rejected
+        text = instance_text("x1 + 1", cost="sqrt(x1 + 1) + x2").replace(
+            "g1 = x1 + 1\n", "g1 = x1 + 1\ng2 = -x2 - 1\n")
+        code, doc, err = solve_json(tmp_path, text)
+        assert code == EXIT_VALIDATION and doc is None
+        assert err == "error: cost is not defined at the point: " \
+                      "sqrt gradient at zero in 'sqrt(x1+1)'\n"
+
+    def test_infinite_cost_gradient_certifies_nothing(self, tmp_path):
+        # x2*x2 underflows to 0 at x2 = 1e-200, so x2^-2 and its partial are
+        # infinite, with no RuntimeWarning
+        text = instance_text("x2 - 1", cost="x2^-2 + x1")
+        code, doc, err = analyze_json(tmp_path, text, "0,1e-200")
+        assert code == EXIT_OK and err == ""
+        for section in doc["stationarity"]:
+            assert section["outcome"] == "inconclusive"
+            assert section["notes"] == ["cost gradient is not finite"]
 
     def test_sqrt_of_the_index_alone_analyzes(self, tmp_path):
         text = instance_text("sqrt(t)*x1 - x2", CLOSED_01 + "include_b = false\n")
@@ -175,14 +223,16 @@ INDEX_SETS = {
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(ast=ASTS, index=st.sampled_from(sorted(INDEX_SETS)),
+@given(ast=ASTS, cost=ASTS, index=st.sampled_from(sorted(INDEX_SETS)),
        command=st.sampled_from(["analyze", "solve"]),
        point=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))
-def test_every_run_ends_in_a_documented_exit_code(tmp_path_factory, ast, index, command, point):
-    # one family over a random body from the kernel tests' grammar; any
-    # domain error, overflow or NaN must end in an exit code, not a traceback
+def test_every_run_ends_in_a_documented_exit_code(tmp_path_factory, ast, cost, index, command,
+                                                  point):
+    # one family and the cost over random bodies from the kernel tests' grammar;
+    # any domain error, overflow or NaN must end in an exit code, not a traceback
     path = tmp_path_factory.getbasetemp() / "fuzz.sip"
-    path.write_text(instance_text(f"{ex.to_source(ast)} - x2 - 1", INDEX_SETS[index], dim=3))
+    path.write_text(instance_text(f"{ex.to_source(ast)} - x2 - 1", INDEX_SETS[index], dim=3,
+                                  cost=ex.to_source(cost)))
     argv = [command, str(path), "--report=json", "--deterministic", "--probe-dirs=4",
             "--moduli-samples=4"]
     if command == "analyze":

@@ -148,10 +148,11 @@ EXPR_ERROR_CATCHES_ALLOWED = {
     "model.estimate_moduli": "its per-row fallback on perturbed points: a rejected row is NaN",
     "model._parse_expr": "a parse error in an instance file is reported with its line",
     "model.loads_instance": "an instance the expression checks reject is a bad instance",
+    "model.SipInstance": "cost_value and eq_residual read a rejected cost or equality as +inf",
     "cq.check_ssc": "a Slater search start ends where worst_row's gradient is rejected",
     "solver._bind": "the solver's rule: a rejected point reads as +inf with NaN partials",
-    "solver._penalty_descent": "a point the generated penalty rejects is evaluated again by "
-                               "_penalty, term by term under solver._bind's rule",
+    "solver._penalty_descent": "a point the gradient pass rejects ends the stage's descent, "
+                               "and a trial point the value pass rejects reads +inf",
     "cli.main": "an instance file that does not load ends in exit 2",
 }
 

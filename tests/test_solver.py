@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import io
 import math
@@ -16,6 +15,7 @@ from sipcert.cli import EXIT_VALIDATION, main
 from sipcert.model import (
     ConstraintFamily,
     FiniteIndexSet,
+    IndexId,
     InstanceError,
     IntervalGridIndexSet,
     SipInstance,
@@ -348,18 +348,16 @@ def test_bound_penalty_is_bit_identical_to_eval_path(name):
         else:
             fam = next(f for f, _ in inst.families if f.name == idx.family)
             terms.append((fam.body, {fam.index_name: idx.value}))
-    prob = solver._Bound(inst)
     with np.errstate(over="ignore", invalid="ignore"):
-        value_pass, grad_pass = solver._penalty_pair(prob, working)
+        value_pass, grad_pass = solver._penalty_pair(inst, working)
     rng = np.random.default_rng(7)
     violated = 0
     for x in rng.uniform(lo, hi, size=(20, inst.dim)):
         for rho in (10.0, 2.5e4):
             with np.errstate(over="ignore", invalid="ignore"):  # as inside solve()
                 val, gval, grad = _reference_penalty(inst, terms, x, rho)
-                # the fallback, then the generated pass, which raises only where a term does
-                got = [(solver._penalty(prob, working, x.tolist(), rho, False),
-                        *solver._penalty(prob, working, x.tolist(), rho, True))]
+                # the generated passes raise only where a term does
+                got = []
                 if name == "rejected_everywhere":
                     for generated in (value_pass, grad_pass):
                         with pytest.raises(ex.ExprError):
@@ -375,7 +373,8 @@ def test_bound_penalty_is_bit_identical_to_eval_path(name):
         violated += any(v > 0 for v in values)
     assert violated > 0
     if name == "rejected_everywhere":
-        # the rejected term reads +inf with NaN partials, as before the generated pass
+        # read term by term, the rejected term is +inf with NaN partials: no
+        # line search accepts such a point, which is why _penalty_descent stops there
         assert (val, gval) == (math.inf, math.inf) and np.isnan(grad).all()
     if name == "nan_constraint":
         # g is NaN and never penalized (NaN > 0 is False); f = -x2 - 1 is
@@ -383,34 +382,34 @@ def test_bound_penalty_is_bit_identical_to_eval_path(name):
         assert math.isnan(values[0])
         x = np.array([850.0, 0.5])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert solver._penalty(prob, working, x.tolist(), 10.0, False) == 0.5
-            assert solver._penalty(prob, working, x.tolist(), 10.0, True)[0] == 0.5
+            assert value_pass(x.tolist(), 10.0) == 0.5
+            assert grad_pass(x.tolist(), 10.0)[0] == 0.5
 
 
 def test_penalty_gradient_pass_skips_satisfied_constraints():
-    inst = interval_ramp()
-    lo, hi = inst.box_bounds()
-    scan = scan_constraints(inst, 0.5 * (lo + hi))
-    rows = np.unique(np.linspace(0, len(scan.value) - 1, 7).astype(int))
-    calls = []
+    # sqrt(x1) has no gradient at x1 = 0; the pass takes a working
+    # constraint's gradient only where it is violated
+    for body, xs, violated in (("sqrt(x1) - 5", [0.0, 0.0], False),
+                               ("sqrt(x1) + x2", [0.0, 1.0], True)):
+        inst = loads_instance(f"[problem]\nvars = x1 x2\nminimize = x1^2 + x2\n"
+                              f"[constraints]\ng1 = {body}\n")
+        working = [solver._constraint_for(inst, IndexId(0, 0.0, "g1"))]
+        _, grad_pass = solver._penalty_pair(inst, working)
+        if violated:
+            with pytest.raises(ex.DomainError, match="sqrt gradient at zero"):
+                grad_pass(xs, 10.0)
+        else:
+            assert grad_pass(xs, 10.0) == (0.0, [0.0, 1.0])
 
-    def counted(wc):
-        def grad(xs):
-            calls.append(wc.label)
-            return wc.grad(xs)
 
-        return dataclasses.replace(wc, grad=grad)
-
-    working = [counted(solver._constraint_for(inst, scan.index_id(int(r)))) for r in rows]
-    prob = solver._Bound(inst)
-    # g0 = x1 + 1 and g(t) = t*x1 - x2^3 with t in (0, 1]: (-2, 1) satisfies
-    # every working constraint, and (0, 1) violates g0 alone
-    for xs, n_violated in (([-2.0, 1.0], 0), ([0.0, 1.0], 1)):
-        violated = [wc.label for wc in working if wc.value(xs) > 0]
-        assert len(violated) == n_violated
-        calls.clear()
-        solver._penalty(prob, working, xs, 10.0, True)
-        assert calls == violated
+def test_descent_from_a_rejected_start_returns_it_bit_for_bit():
+    # at t = 0.3 log(t - 0.5) raises at every x, so every stage stops at the start
+    inst = loads_instance(finite_family("log(t - 0.5)*x1 - x2", "0.3"))
+    working = [solver._constraint_for(inst, IndexId(0, 0.3, "g(0.3)", "g"))]
+    pair = solver._penalty_pair(inst, working)
+    x0 = np.array([0.1234567, -1.9876543])
+    x = solver._penalty_descent(inst, working, pair, x0)
+    assert x.tobytes() == x0.tobytes() and x is not x0
 
 
 # interval_ramp with an equality and names unlike anything the code generator
@@ -444,10 +443,10 @@ def test_penalty_pair_lives_for_one_working_set_and_holds_no_names(monkeypatch):
     built, sources = [], []
     pair_of, source_of = solver._penalty_pair, ex._Lowering.source
 
-    def recording_pair(prob, working):
-        pair = pair_of(prob, working)
+    def recording_pair(inst, working):
+        pair = pair_of(inst, working)
         kernels = [f for wc in working for f in (wc.value, wc.grad)]
-        built.append([weakref.ref(obj) for obj in (*pair, prob, *working, *kernels)])
+        built.append([weakref.ref(obj) for obj in (*pair, *working, *kernels)])
         return pair
 
     def recording_source(lowering, params, out):
