@@ -118,6 +118,15 @@ def _equality_data(inst: SipInstance, x):
     return J, m, rank, rank == m
 
 
+NONFINITE_ACTIVE = "an active gradient is not finite"
+
+
+def _nonfinite_active(scan: ConstraintScan, eps: float = 0.0) -> bool:
+    """Whether some grid row active at ``eps`` has a gradient entry that is not
+    finite. A check that reads such a row gives Unknown before any LP runs."""
+    return not np.isfinite(scan.grad[scan.active(eps)]).all()
+
+
 def check_emfcq(
     inst: SipInstance,
     x,
@@ -133,6 +142,8 @@ def check_emfcq(
     if not surjective:
         return EmfcqResult(Verdict.FAILS, -math.inf, None, rank, m,
                            "equality Jacobian is not surjective")
+    if _nonfinite_active(scan):
+        return EmfcqResult(Verdict.UNKNOWN, math.nan, None, rank, m, NONFINITE_ACTIVE)
     res = linsolve.max_margin_direction(scan.grad[scan.active()].T, J.T)
     if res.margin > margin_tol:
         return EmfcqResult(Verdict.HOLDS, res.margin, res.direction, rank, m)
@@ -214,6 +225,8 @@ def check_pmfcq(
     if not surjective:
         return PmfcqResult(Verdict.FAILS, [], None, None, None, rank, m,
                            "equality Jacobian is not surjective")
+    if _nonfinite_active(scan, max(eps_schedule)):  # the widest eps-active set
+        return PmfcqResult(Verdict.UNKNOWN, [], None, None, None, rank, m, NONFINITE_ACTIVE)
     H = J.T
     n_levels = scan.n_levels
     traces: list[EpsTrace] = []
@@ -254,6 +267,9 @@ def check_nfmcq(
     only and is labelled as such.
     """
     scan = scan or scan_constraints(inst, x)
+    if _nonfinite_active(scan):
+        return NfmcqResult(Verdict.UNKNOWN, ClosednessVerdict(Closedness.UNKNOWN, NONFINITE_ACTIVE),
+                           len(inst.equalities) > 0, NONFINITE_ACTIVE)
     cols, tail_lift = augmented_generators(scan)
     rays = []
     extrap_ok = True

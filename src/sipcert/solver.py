@@ -7,7 +7,8 @@ penalized gradient descent with Armijo backtracking; for smooth costs a
 square Newton polish on the working-set stationarity system sharpens the
 candidate to tight tolerances. Everything is seeded and deterministic.
 The penalty of each working set runs as one generated function per pass,
-compiled when the working set changes and dropped with it.
+compiled when the working set changes and dropped with it. The Newton
+polish runs on Python floats and reads a rejected point as ``_bind`` does.
 """
 
 from __future__ import annotations
@@ -216,37 +217,41 @@ def _penalty_descent(inst: SipInstance, working, pair, x0):
     return np.array(x)
 
 
+def _peak(v) -> float:
+    """max |v_j| of a list, NaN when an entry is NaN, as np.max reads it."""
+    return math.nan if any(map(math.isnan, v)) else max(map(abs, v))
+
+
 def _polish(inst: SipInstance, working, x):
     """Square Newton solve of the working-set stationarity system (gradients
     of the Lagrangian, near-active working constraints, equalities). The
-    Hessian block comes from central differences of the analytic gradients."""
+    Hessian block comes from central differences of the analytic gradients.
+    The iterate and the residual are lists of Python floats."""
     if not isinstance(inst.cost, SmoothCost):
         return None
     n, m, xs = len(x), len(inst.equalities), x.tolist()
     cost = _bind("cost", inst.cost.body, n, {})
     eqs = [_bind("h", c, n, {}) for c in inst.equalities.components]
-    near = [wc for wc in working if abs(wc.value(xs)) <= 1e-4 * max(1.0, float(np.linalg.norm(x)))]
-    near = near[: max(0, n - m)]
+    tol = 1e-4 * max(1.0, float(np.linalg.norm(x)))
+    near = [wc for wc in working if abs(wc.value(xs)) <= tol][: max(0, n - m)]
     k = len(near)
 
     def jacobian_t(xs):
         return np.vstack([h.grad(xs)[1] for h in eqs]).T
 
-    def lagr_grad(xs, lam, y):
-        g = np.array(cost.grad(xs)[1])
-        for lam_i, wc in zip(lam, near):
-            g = g + lam_i * np.array(wc.grad(xs)[1])
-        if m:
-            g = g + jacobian_t(xs) @ y
-        return g
-
     def residual(z):
-        xs, lam, y = z[:n].tolist(), z[n : n + k], z[n + k :]
-        parts = [lagr_grad(xs, lam, y)]
-        parts.append(np.array([wc.value(xs) for wc in near]))
-        if m:
-            parts.append(np.array([h.value(xs) for h in eqs]))
-        return np.concatenate([p for p in parts if len(p)])
+        # each near value comes from its gradient call; only the sqrt gradient
+        # at zero rejects a point the value kernel takes, so +inf asks again
+        xs, vals = z[:n], []
+        g = cost.grad(xs)[1]
+        for lam_i, wc in zip(z[n : n + k], near):
+            v, partials = wc.grad(xs)
+            g = [gj + lam_i * pj for gj, pj in zip(g, partials)]
+            vals.append(v if v < math.inf else wc.value(xs))
+        if m:  # numpy for the sum: BLAS may fuse it, which floats cannot repeat
+            g = (np.array(g) + jacobian_t(xs) @ np.array(z[n + k :])).tolist()
+            vals += [h.value(xs) for h in eqs]
+        return [*g, *vals]
 
     G = np.column_stack([wc.grad(xs)[1] for wc in near]) if k else np.zeros((n, 0))
     rhs = -np.array(cost.grad(xs)[1])
@@ -258,40 +263,37 @@ def _polish(inst: SipInstance, working, x):
         lam0, y0 = np.maximum(mult[:k], 0.0), mult[k:]
     else:
         lam0, y0 = np.zeros(0), np.zeros(0)
-    z = np.concatenate([x, lam0, y0])
+    z = [*xs, *lam0.tolist(), *y0.tolist()]
     fz = residual(z)
-    scale = max(1.0, float(np.max(np.abs(fz))))
+    scale = max(1.0, _peak(fz))
     h = 1e-7
+    h2 = 2 * h
     for _ in range(POLISH_ITERS):
-        norm0 = float(np.max(np.abs(fz)))
+        norm0 = _peak(fz)
         if norm0 <= 1e-12 * scale:
             break
-        Jf = np.zeros((len(fz), len(z)))
-        for j in range(len(z)):
+        cols = []
+        for j, zj in enumerate(z):
             zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            Jf[:, j] = (residual(zp) - residual(zm)) / (2 * h)
+            zp[j], zm[j] = zj + h, zj - h
+            cols.append([(a - b) / h2 for a, b in zip(residual(zp), residual(zm))])
         try:
-            delta = np.linalg.solve(Jf, -fz)
+            delta = np.linalg.solve(np.array(cols).T, -np.array(fz)).tolist()
         except np.linalg.LinAlgError:
             return None
         t = 1.0
         for _ in range(25):
-            cand = z + t * delta
+            cand = [zj + t * dj for zj, dj in zip(z, delta)]
             fc = residual(cand)
-            if float(np.max(np.abs(fc))) < norm0:
+            if _peak(fc) < norm0:
                 z, fz = cand, fc
                 break
             t *= 0.5
         else:
             break
-    if float(np.max(np.abs(fz))) > 1e-9 * scale:
+    if _peak(fz) > 1e-9 * scale or any(lam < -1e-8 for lam in z[n : n + k]):
         return None
-    lam = z[n : n + k]
-    if np.any(lam < -1e-8):
-        return None
-    return z[:n]
+    return np.array(z[:n])
 
 
 def _solve_subproblem(inst: SipInstance, working, pair, config, rng, warm):
@@ -302,11 +304,12 @@ def _solve_subproblem(inst: SipInstance, working, pair, config, rng, warm):
     for s in starts:
         x = _penalty_descent(inst, working, pair, s)
         polished = _polish(inst, working, x)
+        xv = _max_violation(working, x)
         if polished is not None:
             pv = _max_violation(working, polished)
-            if pv <= max(_max_violation(working, x), VIOLATION_TOL):
-                x = polished
-        viol = max(_max_violation(working, x), inst.eq_residual(x))
+            if pv <= max(xv, VIOLATION_TOL):
+                x, xv = polished, pv
+        viol = max(xv, inst.eq_residual(x))
         candidates.append((viol, inst.cost_value(x), tuple(x), x))
     feasible = [c for c in candidates if c[0] <= VIOLATION_TOL]
     pool = feasible or candidates

@@ -2,6 +2,7 @@
 never counted as satisfied."""
 
 import io
+import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from sipcert import expr as ex
 from sipcert.cli import EXIT_INFEASIBLE, EXIT_VALIDATION, main
-from sipcert.cq import check_pmfcq, cq_summary
+from sipcert.cq import (NONFINITE_ACTIVE, Verdict, check_emfcq, check_nfmcq, check_pmfcq,
+                        cq_summary)
 from sipcert.model import (
     ConstraintFamily,
     CountableIndexSet,
@@ -203,3 +205,16 @@ def test_bad_eps_schedule_rejected_by_the_library(schedule):
     for variant in ("perturbed", "unperturbed", "normalized"):
         with pytest.raises(InstanceError, match=message):
             normal_cone(inst, x, schedule, variant, cq=cq)
+
+
+def test_infinite_active_gradient_reads_unknown():
+    # g1 is active at the origin with gradient (inf, -1): no LP may run over it
+    inst = loads_instance("[problem]\nvars = x1 x2\nminimize = x1^2 + x2\n\n"
+                          "[constraints]\ng1 = x1*1e308*1e308 - x2\n")
+    x = np.zeros(2)
+    assert not np.isfinite(scan_constraints(inst, x).grad).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [check(inst, x) for check in (check_emfcq, check_pmfcq, check_nfmcq)]
+    for res in results:
+        assert res.verdict == Verdict.UNKNOWN and res.reason == NONFINITE_ACTIVE

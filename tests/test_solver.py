@@ -470,3 +470,150 @@ def test_penalty_pair_lives_for_one_working_set_and_holds_no_names(monkeypatch):
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             if tok.type == tokenize.NAME:
                 assert GENERATED_NAME.match(tok.string), tok.string
+
+
+def _reference_polish(inst, working, x):
+    """The numpy Newton polish that ``solver._polish`` must repeat bit for bit:
+    arrays throughout, each near value from its own value kernel call."""
+    if not isinstance(inst.cost, SmoothCost):
+        return None
+    n, m, xs = len(x), len(inst.equalities), x.tolist()
+    cost = solver._bind("cost", inst.cost.body, n, {})
+    eqs = [solver._bind("h", c, n, {}) for c in inst.equalities.components]
+    near = [wc for wc in working if abs(wc.value(xs)) <= 1e-4 * max(1.0, float(np.linalg.norm(x)))]
+    near = near[: max(0, n - m)]
+    k = len(near)
+
+    def jacobian_t(xs):
+        return np.vstack([h.grad(xs)[1] for h in eqs]).T
+
+    def lagr_grad(xs, lam, y):
+        g = np.array(cost.grad(xs)[1])
+        for lam_i, wc in zip(lam, near):
+            g = g + lam_i * np.array(wc.grad(xs)[1])
+        if m:
+            g = g + jacobian_t(xs) @ y
+        return g
+
+    def residual(z):
+        xs, lam, y = z[:n].tolist(), z[n : n + k], z[n + k :]
+        parts = [lagr_grad(xs, lam, y)]
+        parts.append(np.array([wc.value(xs) for wc in near]))
+        if m:
+            parts.append(np.array([h.value(xs) for h in eqs]))
+        return np.concatenate([p for p in parts if len(p)])
+
+    G = np.column_stack([wc.grad(xs)[1] for wc in near]) if k else np.zeros((n, 0))
+    rhs = -np.array(cost.grad(xs)[1])
+    M = np.hstack([G, jacobian_t(xs)]) if m else G
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
+        return None
+    if M.size:
+        mult, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        lam0, y0 = np.maximum(mult[:k], 0.0), mult[k:]
+    else:
+        lam0, y0 = np.zeros(0), np.zeros(0)
+    z = np.concatenate([x, lam0, y0])
+    fz = residual(z)
+    scale = max(1.0, float(np.max(np.abs(fz))))
+    h = 1e-7
+    for _ in range(solver.POLISH_ITERS):
+        norm0 = float(np.max(np.abs(fz)))
+        if norm0 <= 1e-12 * scale:
+            break
+        Jf = np.zeros((len(fz), len(z)))
+        for j in range(len(z)):
+            zp, zm = z.copy(), z.copy()
+            zp[j] += h
+            zm[j] -= h
+            Jf[:, j] = (residual(zp) - residual(zm)) / (2 * h)
+        try:
+            delta = np.linalg.solve(Jf, -fz)
+        except np.linalg.LinAlgError:
+            return None
+        t = 1.0
+        for _ in range(25):
+            cand = z + t * delta
+            fc = residual(cand)
+            if float(np.max(np.abs(fc))) < norm0:
+                z, fz = cand, fc
+                break
+            t *= 0.5
+        else:
+            break
+    if float(np.max(np.abs(fz))) > 1e-9 * scale:
+        return None
+    lam = z[n : n + k]
+    if np.any(lam < -1e-8):
+        return None
+    return z[:n]
+
+
+def _three_vars(cost: str, constraints: str, equalities: str = "") -> SipInstance:
+    text = f"[problem]\nvars = x1 x2 x3\nminimize = {cost}\n\n[constraints]\n{constraints}\n"
+    return loads_instance(text + (f"\n[equalities]\n{equalities}\n" if equalities else ""))
+
+
+# (instance, points) for _polish over the instance's fixed constraints
+POLISH_CASES = {
+    # non-affine equalities; with two of them numpy may fuse the two products of
+    # the equality term, and a float sum of them changes the polished points
+    "one_equality": (_three_vars("x1^2 + x2^2 + x3 + sin(x1)", "g = x1 + x2^2 - 0.75",
+                                 "h = x1*x2 + x3 - 0.5"),
+                     [[0.5, 0.5, 0.25], [0.5, 0.5 + 3e-6, 0.25], [0.45, 0.55, 0.2]]),
+    "two_equalities": (_three_vars("x1^2 + x2^2 + x3 + sin(x1)", "g = x1 + x2^2 - 0.75",
+                                   "h1 = x1*x2 + x3 - 0.5\nh2 = x1^2 - x3"),
+                       [[0.5, 0.5, 0.25], [0.513, 0.487, 0.314], [0.501, 0.4946, 0.2536],
+                        [0.5013, 0.50095, 0.2493], [0.500137, 0.499933, 0.250035]]),
+    # central differences and trial points step to x1 < 0, which sqrt and log reject
+    "sqrt_rejects": (_three_vars("(x1 + 1)^2 + x2^2 + x3^2", "g = sqrt(x1) - x2\nf = x3 - 5"),
+                     [[1e-8, 1e-4, 0.0], [4e-8, 2e-4, 0.1], [1e-10, 1e-5, 0.0],
+                      # x1 - 1e-7 is 0.0, where only the gradient kernel rejects sqrt
+                      [1e-7, math.sqrt(1e-7), 0.0]]),
+    "log_rejects": (_three_vars("(x1 + 1)^2 + (x2 - 1)^2 + x3^2",
+                                "g = x2 + 0.1*log(x1) - 1 + 0.1*log(1/5e-8)"),
+                    [[5e-8, 1.0, 0.0], [2e-7, 1.0 + 0.1*math.log(4), 0.0]]),
+    # for 0.7029 < x3 < 0.7098 the x3 partial of exp(1000*x3) - exp(1000*x3) is
+    # inf - inf while the rest stays finite, so the first Newton step lands on a
+    # residual (0, 0, NaN); read without its NaN it would pass for converged
+    "nan_entry": (_three_vars("(exp(1000*x3) - exp(1000*x3)) + x1^2 + x2^2 + (x3 - 0.705)^2",
+                              "g = x1 + x2 - 10"),
+                  [[0.3, -0.2, 0.70], [0.1, 0.4, 0.69]]),
+}
+
+
+def _recorded_polish_inputs():
+    """(instance, working set, x) of every _polish call that solve() makes on
+    the bundled instances, as the benchmark's solves configure it."""
+    calls, polish = [], solver._polish
+
+    def recording(inst, working, x):
+        calls.append((inst, list(working), x.copy()))
+        return polish(inst, working, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_polish", recording)
+        for name in ("convex_toy", "countable_cubic", "interval_ramp", "parabola_band"):
+            inst = load_instance(INSTANCES / f"{name}.sip")
+            for seed in range(3):
+                solve(inst, SolverConfig(multistart=4, max_outer=6, seed=seed))
+    return calls
+
+
+def test_polish_is_bit_identical_to_the_numpy_reference():
+    calls = _recorded_polish_inputs()
+    for inst, points in POLISH_CASES.values():
+        working = [solver._constraint_for(inst, IndexId(i, 0.0, name))
+                   for i, (name, _) in enumerate(inst.fixed)]
+        calls += [(inst, working, np.array(p)) for p in points]
+    outcomes = []
+    for inst, working, x in calls:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as inside solve()
+            want = _reference_polish(inst, working, x)
+            got = solver._polish(inst, working, x)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+        outcomes.append(want is not None)
+    assert len(calls) > 60 and 0 < sum(outcomes) < len(outcomes)
+
