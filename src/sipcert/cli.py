@@ -1,9 +1,10 @@
 """Command-line frontend: analyze an instance at a point, or solve then
 analyze, emitting human-readable text and a machine-readable JSON report.
 
-Exit codes: 0 ok, 2 validation error (including a non-finite point), 3
-infeasible point, 4 solver hit its iteration limit, 5 internal LP failure.
-Verdicts never change the exit code.
+Exit codes: 0 ok, 2 validation error (including a non-finite point, and a
+cost or equality the expression rejects at the point), 3 infeasible point,
+4 solver hit its iteration limit, 5 internal LP failure. Verdicts never
+change the exit code.
 """
 
 from __future__ import annotations
@@ -475,11 +476,17 @@ def main(argv=None) -> int:
         print(f"error: internal LP failure: {err}", file=sys.stderr)
         return EXIT_LP_FAILURE
     except ex.ExprError as err:
-        # a constraint row the expression rejects reads NaN; the cost at the point has no such rule
+        # a constraint row the expression rejects reads NaN; the cost and the
+        # equalities at the point have no such rule
         cost = getattr(inst.cost, "pieces", None) or (inst.cost.body,)
-        if not any(getattr(err, "subexpr", None) in ex._subtrees(piece) for piece in cost):
+        roots = [("cost", piece) for piece in cost]
+        roots += [(f"equality {name}", comp)
+                  for name, comp in zip(inst.equalities.names, inst.equalities.components)]
+        subexpr = getattr(err, "subexpr", None)
+        what = next((what for what, root in roots if subexpr in ex._subtrees(root)), None)
+        if what is None:
             raise
-        print(f"error: cost is not defined at the point: {err}", file=sys.stderr)
+        print(f"error: {what} is not defined at the point: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     _emit(doc, args)
     return EXIT_OK

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import linsolve
-from .linsolve import ConeRefutation, FeasibilityCertificate
+from .linsolve import ConeRefutation
 from .model import ConstraintScan, FamilyScan, unit_vectors
 
 
@@ -81,21 +81,6 @@ def membership(cone: GeneratedCone, v, tol: float = 1e-9):
     if v.shape != (cone.dim,):
         raise ValueError(f"probe vector must have dimension {cone.dim}")
     return linsolve.cone_feasibility(cone.columns(), cone.lineality, v, tol)
-
-
-def caratheodory_reduce(
-    cert: FeasibilityCertificate, cone: GeneratedCone, v
-) -> FeasibilityCertificate:
-    """Shrink a conic certificate to at most dim + 1 supporting generators by
-    eliminating null vectors of the supported columns. Never increases the
-    reconstruction residual beyond roundoff."""
-    v = np.asarray(v, dtype=float)
-    G = cone.columns()
-    lam, y = reduce_support(G, cone.lineality, cert.lam.copy(), cert.y.copy())
-    H = cone.lineality
-    recon = (G @ lam if G.size else 0.0) + (H @ y if H.size else 0.0)
-    residual = float(np.max(np.abs(recon - v))) if cone.dim else 0.0
-    return FeasibilityCertificate(lam=lam, y=y, residual=residual)
 
 
 def reduce_support(G, H, lam, y):
@@ -237,8 +222,10 @@ def _angle(u: np.ndarray, v: np.ndarray) -> float:
 def augmented_generators(scan: ConstraintScan):
     """Value-augmented coefficient vectors (grad, <grad, x> - g(x)) at the
     scan's point: (columns (d+1, m) over the base materialization, the lift of
-    the tail-ladder rows for `family_rays`)."""
-    lift = np.hstack([scan.grad, (scan.grad @ scan.x - scan.value)[:, None]])
+    the tail-ladder rows for `family_rays`). A gradient that is not finite
+    lifts to a column that is not finite, with no RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lift = np.hstack([scan.grad, (scan.grad @ scan.x - scan.value)[:, None]])
     return np.ascontiguousarray(lift[scan.grid(level=0)].T), lift[scan.tail]
 
 

@@ -25,7 +25,6 @@ from .cones import (
     closedness_diagnostic,
     family_rays,
 )
-from .expr import ExprError
 from .model import (ACT_TOL, ConstraintScan, FamilyScan, InstanceError, SipInstance,
                     scan_constraints, worst_row)
 
@@ -119,12 +118,13 @@ def _equality_data(inst: SipInstance, x):
 
 
 NONFINITE_ACTIVE = "an active gradient is not finite"
+NONFINITE_GENERATOR = "an augmented generator is not finite"
 
 
 def _nonfinite_active(scan: ConstraintScan, eps: float = 0.0) -> bool:
     """Whether some grid row active at ``eps`` has a gradient entry that is not
     finite. A check that reads such a row gives Unknown before any LP runs."""
-    return not np.isfinite(scan.grad[scan.active(eps)]).all()
+    return bool(np.any(scan.active(eps) & ~scan.grad_finite))
 
 
 def check_emfcq(
@@ -264,13 +264,17 @@ def check_nfmcq(
     """Closedness of the cone of value-augmented constraint coefficients.
 
     With a nonempty equality block the check covers the inequality system
-    only and is labelled as such.
+    only and is labelled as such. The cone takes every base grid row, active
+    or not, so any generator that is not finite gives Unknown before an LP.
     """
     scan = scan or scan_constraints(inst, x)
-    if _nonfinite_active(scan):
-        return NfmcqResult(Verdict.UNKNOWN, ClosednessVerdict(Closedness.UNKNOWN, NONFINITE_ACTIVE),
-                           len(inst.equalities) > 0, NONFINITE_ACTIVE)
     cols, tail_lift = augmented_generators(scan)
+    reason = NONFINITE_ACTIVE if _nonfinite_active(scan) else None
+    if reason is None and not np.isfinite(cols).all():
+        reason = NONFINITE_GENERATOR
+    if reason is not None:
+        return NfmcqResult(Verdict.UNKNOWN, ClosednessVerdict(Closedness.UNKNOWN, reason),
+                           len(inst.equalities) > 0, reason)
     rays = []
     extrap_ok = True
     for fam in scan.families:
@@ -346,9 +350,10 @@ def check_ssc(
     A supplied candidate is verified directly. Otherwise a multistart
     projected subgradient search tries to drive the constraint supremum
     strictly negative along the gradient of a worst row of a thinned grid;
-    a start ends where a constraint cannot be evaluated. Each start's best
-    point, in ascending order of coarse supremum, is then checked against the
-    full scan, and the first that passes is the Slater point. Search failure
+    a start ends where that row is rejected (+inf with a NaN gradient) or its
+    gradient is not finite. Each start's best point, in ascending order of
+    coarse supremum, is then checked against the full scan, and the first
+    that passes is the Slater point. Search failure
     alone never yields Fails. Fails comes only from the equivalence with the
     perturbed margin criterion on convex instances.
     """
@@ -377,10 +382,7 @@ def check_ssc(
         step0 = float(np.max(hi - lo)) / 2.0
         best = (math.inf, None)
         for k in range(_SSC_ITERS):
-            try:
-                sup, g = _coarse_sup_and_gradient(inst, xk)
-            except ExprError:
-                break
+            sup, g = _coarse_sup_and_gradient(inst, xk)
             if sup < best[0]:
                 best = (sup, xk.copy())
             if sup < -1e-6:

@@ -36,6 +36,11 @@ from typing import Iterator, Mapping, Union
 import numpy as np
 
 MAX_DIM = 16
+# Levels an expression may nest: parse counts each operator, call and
+# parenthesized group as one, and SipInstance bounds a hand-built AST's depth
+# by it. Parsing takes at most five frames per level, lowering and to_source
+# one, so no entry point comes near Python's default recursion limit of 1000.
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -136,9 +141,17 @@ def _tokenize(source: str) -> Iterator[_Token]:
 
 
 class _Parser:
+    """Recursive descent. Each method returns (node, levels): a leaf is one
+    level, and each operator, call and parenthesized group adds one. Input
+    deeper than MAX_DEPTH levels is a ParseError where it becomes too deep.
+    ``_open`` counts the groups, calls, unary minuses and exponents being
+    parsed; each adds a level around at least a leaf, so bounding it stops
+    the descent before it recurses deeper than the levels allow."""
+
     def __init__(self, source: str):
         self._tokens = list(_tokenize(source))
         self._pos = 0
+        self._open = 0
 
     def peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -156,52 +169,68 @@ class _Parser:
         raise ParseError(f"expected {text!r}, found {shown!r}", tok.line, tok.column)
 
     def parse(self) -> ExprAst:
-        node = self.sum_expr()
+        node, _ = self.sum_expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
         return node
 
-    def sum_expr(self) -> ExprAst:
-        node = self.term()
+    def bounded(self, tok: _Token, levels: int) -> int:
+        if levels > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                             tok.line, tok.column)
+        return levels
+
+    def enter(self, tok: _Token) -> None:
+        self._open += 1
+        self.bounded(tok, self._open + 1)
+
+    def sum_expr(self) -> tuple[ExprAst, int]:
+        node, levels = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, right_levels = self.term()
+            node = BinOp(tok.text, node, right)
+            levels = self.bounded(tok, 1 + max(levels, right_levels))
+        return node, levels
 
-    def term(self) -> ExprAst:
-        node = self.factor()
+    def term(self) -> tuple[ExprAst, int]:
+        node, levels = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.factor())
-        return node
+            tok = self.advance()
+            right, right_levels = self.factor()
+            node = BinOp(tok.text, node, right)
+            levels = self.bounded(tok, 1 + max(levels, right_levels))
+        return node, levels
 
-    def factor(self) -> ExprAst:
+    def factor(self) -> tuple[ExprAst, int]:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.factor())
+            self.enter(tok)
+            child, levels = self.factor()
+            self._open -= 1
+            return Neg(child), self.bounded(tok, 1 + levels)
         return self.power()
 
-    def power(self) -> ExprAst:
-        base = self.atom()
+    def power(self) -> tuple[ExprAst, int]:
+        base, levels = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             # right-associative; exponent may carry a unary minus
-            return BinOp("^", base, self.factor())
-        return base
+            self.enter(tok)
+            exponent, exp_levels = self.factor()
+            self._open -= 1
+            return BinOp("^", base, exponent), self.bounded(tok, 1 + max(levels, exp_levels))
+        return base, levels
 
-    def atom(self) -> ExprAst:
+    def atom(self) -> tuple[ExprAst, int]:
         tok = self.advance()
         if tok.kind == "num":
-            return Const(float(tok.text))
-        if tok.kind == "ident":
-            if tok.text in _FUNCTIONS:
-                self.expect("(")
-                arg = self.sum_expr()
-                self.expect(")")
-                return Call(tok.text, arg)
+            return Const(float(tok.text)), 1
+        call = tok.kind == "ident" and tok.text in _FUNCTIONS
+        if tok.kind == "ident" and not call:
             m = _VAR_RE.match(tok.text)
             if m:
                 pos = int(m.group(1))
@@ -211,14 +240,19 @@ class _Parser:
                         tok.line,
                         tok.column,
                     )
-                return Var(pos)
-            return IndexVar(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.sum_expr()
-            self.expect(")")
-            return node
-        shown = tok.text if tok.kind != "end" else "end of input"
-        raise ParseError(f"unexpected {shown!r}", tok.line, tok.column)
+                return Var(pos), 1
+            return IndexVar(tok.text), 1
+        if call:
+            self.expect("(")
+        elif not (tok.kind == "op" and tok.text == "("):
+            shown = tok.text if tok.kind != "end" else "end of input"
+            raise ParseError(f"unexpected {shown!r}", tok.line, tok.column)
+        # a call's argument or a parenthesized group: one level around the sum
+        self.enter(tok)
+        node, levels = self.sum_expr()
+        self._open -= 1
+        self.expect(")")
+        return (Call(tok.text, node) if call else node), self.bounded(tok, 1 + levels)
 
 
 def parse(source: str) -> ExprAst:
@@ -256,7 +290,8 @@ def _render(node: ExprAst, ctx: int) -> str:
 
 
 def to_source(ast: ExprAst) -> str:
-    """Canonical text form; parse(to_source(ast)) is structurally equal to ast."""
+    """Canonical text form; parse(to_source(ast)) is structurally equal to ast
+    when the text, its parentheses counted, nests at most MAX_DEPTH levels."""
     return _render(ast, 0)
 
 
@@ -280,6 +315,21 @@ def free_index_names(ast: ExprAst) -> set[str]:
 
 def max_var_position(ast: ExprAst) -> int:
     return max((node.position for node in _subtrees(ast) if isinstance(node, Var)), default=0)
+
+
+def depth(ast: ExprAst) -> int:
+    """Nodes on the longest path from the root to a leaf, found without recursion."""
+    deepest, stack = 0, [(ast, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(node, Neg):
+            stack.append((node.child, d + 1))
+        elif isinstance(node, Call):
+            stack.append((node.arg, d + 1))
+        elif isinstance(node, BinOp):
+            stack += ((node.left, d + 1), (node.right, d + 1))
+    return deepest
 
 
 def _int_exponent(node: ExprAst):

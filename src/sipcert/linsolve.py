@@ -45,40 +45,6 @@ class LpFailure(RuntimeError):
 
 
 @dataclass
-class LpProblem:
-    """min c.x subject to A x = b and lower <= x <= upper (entries may be +-inf)."""
-
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.b = np.asarray(self.b, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        n = self.c.shape[0]
-        if self.A.size == 0:
-            self.A = self.A.reshape(0, n)
-            self.b = self.b.reshape(0)
-        if self.A.shape[1] != n or self.b.shape[0] != self.A.shape[0]:
-            raise ValueError("inconsistent LP dimensions")
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bound exceeds upper bound")
-
-
-@dataclass
-class LpSolution:
-    status: LpStatus
-    x: np.ndarray | None = None
-    objective: float | None = None
-    dual: np.ndarray | None = None
-
-
-@dataclass
 class FeasibilityCertificate:
     """Nonnegative weights over generators plus free lineality coefficients."""
 
@@ -240,65 +206,6 @@ def _simplex_standard(c, A, b):
     structural = basis < n
     x[basis[structural]] = xB[structural]
     return LpStatus.OPTIMAL, x, float(c @ x), y
-
-
-def simplex_solve(p: LpProblem) -> LpSolution:
-    """Two-phase revised simplex for the bounded-variable problem.
-
-    Finite lower bounds are shifted out; finite upper bounds become slack
-    rows. Never reports OPTIMAL when the iteration budget runs out.
-    """
-    n = p.c.shape[0]
-    m = p.A.shape[0]
-    lower, upper = p.lower, p.upper
-
-    # x = shift + P z with z >= 0 (free variables split into two columns)
-    cols = []
-    shift = np.zeros(n)
-    for j in range(n):
-        lo, up = lower[j], upper[j]
-        if math.isfinite(lo):
-            shift[j] = lo
-            cols.append((j, +1.0))
-        elif math.isfinite(up):
-            shift[j] = up
-            cols.append((j, -1.0))
-        else:
-            cols.append((j, +1.0))
-            cols.append((j, -1.0))
-    k = len(cols)
-    P = np.zeros((n, k))
-    for idx, (j, s) in enumerate(cols):
-        P[j, idx] = s
-
-    A2 = p.A @ P
-    b2 = p.b - p.A @ shift
-    c2 = p.c @ P
-
-    # upper bounds on shifted variables become equality rows with slacks
-    extra_rows = []
-    extra_rhs = []
-    for idx, (j, s) in enumerate(cols):
-        lo, up = lower[j], upper[j]
-        if math.isfinite(lo) and math.isfinite(up) and s > 0:
-            extra_rows.append(idx)
-            extra_rhs.append(up - lo)
-    slack_count = len(extra_rows)
-    rows = m + slack_count
-    A3 = np.zeros((rows, k + slack_count))
-    A3[:m, :k] = A2
-    b3 = np.concatenate([b2, np.asarray(extra_rhs, dtype=float)])
-    for srow, idx in enumerate(extra_rows):
-        A3[m + srow, idx] = 1.0
-        A3[m + srow, k + srow] = 1.0
-    c3 = np.concatenate([c2, np.zeros(slack_count)])
-
-    status, z, obj, y = _simplex_standard(c3, A3, b3)
-    if status != LpStatus.OPTIMAL:
-        dual = y[:m] if (status == LpStatus.INFEASIBLE and y is not None) else None
-        return LpSolution(status=status, dual=dual)
-    x = shift + P @ z[:k]
-    return LpSolution(status=LpStatus.OPTIMAL, x=x, objective=float(p.c @ x), dual=y[:m])
 
 
 def _as_columns(M, d):

@@ -154,6 +154,8 @@ class SipInstance:
             name = self.equalities.names[i] if i < len(self.equalities.names) else f"h{i + 1}"
             bodies.append((name, comp, set()))
         for name, body, allowed in bodies:
+            if ex.depth(body) > ex.MAX_DEPTH:
+                raise InstanceError(f"'{name}' is nested deeper than {ex.MAX_DEPTH} levels")
             if ex.max_var_position(body) > self.dim:
                 raise InstanceError(f"'{name}' references a variable beyond dimension {self.dim}")
             extra = ex.free_index_names(body) - allowed
@@ -284,6 +286,11 @@ class ConstraintScan:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.linalg.norm(self.grad, axis=1)
 
+    @cached_property
+    def grad_finite(self) -> np.ndarray:
+        """Mask of the rows whose gradient is finite in every entry."""
+        return np.isfinite(self.grad).all(axis=1)
+
     def grid(self, level: int | None = None, block: int | None = None) -> np.ndarray:
         """Mask of the fixed and family grid rows, up to a refinement level
         (the finest by default), optionally of one block only."""
@@ -356,7 +363,9 @@ def _rows(body: ex.ExprAst, name: str | None, x, ts: np.ndarray, grad: bool = Tr
     constraint). The scan's one domain-error rule: when the batched call
     raises, each row is evaluated alone, bound as a one-element array so that
     it keeps its batched bits, and a row the expression still rejects is NaN,
-    value and gradient alike; like any NaN it counts as violated."""
+    value and gradient alike; like any NaN it counts as violated. A domain
+    error in a subexpression without the index variable rejects every row at
+    the same check, so then all rows are NaN at once."""
     m, n = len(ts), len(x)
     try:
         if grad:
@@ -364,8 +373,8 @@ def _rows(body: ex.ExprAst, name: str | None, x, ts: np.ndarray, grad: bool = Tr
             grads = np.broadcast_to(np.asarray(grads, dtype=float), (m, n)).copy()
         else:
             vals, grads = ex.eval_value(body, x, name and {name: ts}), None
-    except ex.ExprError:
-        if m <= 1:
+    except ex.ExprError as err:
+        if m <= 1 or (isinstance(err, ex.DomainError) and not ex.free_index_names(err.subexpr)):
             return np.full(m, np.nan), np.full((m, n), np.nan) if grad else None
         vals, grads = zip(*(_rows(body, name, x, ts[i : i + 1], grad) for i in range(m)))
         return np.concatenate(vals), np.vstack(grads) if grad else None
@@ -553,26 +562,30 @@ def worst_row(inst: SipInstance, x, *, truncation: int, resolution: int, refinem
     """Value and gradient of the row `scan_constraints(inst, x, ..., tail=False)
     .argmax(tail=False)` picks, without the table: grid values only, then one
     gradient, its index bound as a one-element array so that it equals the
-    batched row bit for bit. NaN counts as +inf; (-inf, None) without a row."""
+    batched row bit for bit. Every row is read through `_rows`, so a rejected
+    row is NaN and counts as +inf; a row whose gradient alone is rejected
+    (sqrt at 0) reads +inf with a NaN gradient, where the scan may pick an
+    earlier such row. (-inf, None) without a row."""
     x = _checked_point(inst, x)
-    best, worst = -math.inf, None  # worst: (body, index bindings) of the row
+    best, worst = -math.inf, None  # worst: (body, index name, index values) of the row
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _, body in inst.fixed:
-            v = float(ex.eval_value(body, x))
+            v = float(_rows(body, None, x, np.zeros(1), grad=False)[0][0])
             v = math.inf if math.isnan(v) else v
             if v > best:
-                best, worst = v, (body, None)
+                best, worst = v, (body, None, np.zeros(1))
         for fam, desc0 in inst.families:
             desc = _apply_overrides(desc0, truncation, resolution, refinements)
             ts, _, vals, _ = _family_grid(fam, desc, x, grad=False)
             vals = np.where(np.isnan(vals), math.inf, vals)
             j = int(np.argmax(vals))
             if vals[j] > best:
-                best, worst = float(vals[j]), (fam.body, {fam.index_name: ts[j : j + 1]})
+                best, worst = float(vals[j]), (fam.body, fam.index_name, ts[j : j + 1])
         if worst is None:
             return -math.inf, None
-        _, g = ex.eval_grad(worst[0], x, worst[1])
-    return best, g.reshape(inst.dim)
+        body, name, ts = worst
+        v, g = _rows(body, name, x, ts)
+    return (math.inf if math.isnan(v[0]) else best), g.reshape(inst.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -976,20 +989,15 @@ def loads_instance(text: str) -> SipInstance:
 
     eq_components = tuple(_parse_expr(src, ln) for _, src, ln in equalities)
     eq_names = tuple(name for name, _, _ in equalities)
-    try:
-        return SipInstance(
-            dim=dim,
-            cost=cost,
-            fixed=tuple(fixed),
-            families=tuple(families),
-            equalities=EqualityBlock(components=eq_components, affine=eq_affine, names=eq_names),
-            convex=convex,
-            box=box,
-        )
-    except InstanceError:
-        raise
-    except ex.ExprError as err:
-        raise InstanceError(str(err)) from err
+    return SipInstance(
+        dim=dim,
+        cost=cost,
+        fixed=tuple(fixed),
+        families=tuple(families),
+        equalities=EqualityBlock(components=eq_components, affine=eq_affine, names=eq_names),
+        convex=convex,
+        box=box,
+    )
 
 
 def load_instance(path) -> SipInstance:

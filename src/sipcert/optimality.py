@@ -47,6 +47,7 @@ from .model import (
 
 
 STATIONARITY_TOL = 1e-9
+NONFINITE_COLUMN = "a normal-cone column is not finite"
 
 
 @dataclass
@@ -63,17 +64,29 @@ class NormalConeRep:
     warnings: list[str] = field(default_factory=list)
     regular: bool | None = None
 
+    def __post_init__(self):
+        if not self.finite:
+            self.warnings.append(f"{NONFINITE_COLUMN}; every probe reads as outside the cone")
+
     @cached_property
     def cone(self) -> GeneratedCone:
         """The unperturbed cone, or the smallest-eps cone."""
         _, mask, rays = self.per_eps[-1]
         return _cone(self.scan, mask, self.lineality, rays)
 
+    @cached_property
+    def finite(self) -> bool:
+        """Whether every column of `cone` is finite, read off the scan's rows
+        without building it (limit rays are unit vectors, finite already)."""
+        _, mask, _ = self.per_eps[-1]
+        return bool(np.isfinite(self.lineality).all()) and not np.any(mask & ~self.scan.grad_finite)
+
     def member(self, v, tol: float = 1e-6) -> bool:
         """Membership in `cone`. For the perturbed and normalized variants
         the scheduled cones are nested, so the smallest-eps cone is their
-        intersection and no other eps can change the answer."""
-        return isinstance(membership(self.cone, v, tol), FeasibilityCertificate)
+        intersection and no other eps can change the answer. A cone with a
+        column that is not finite runs no LP and answers False."""
+        return self.finite and isinstance(membership(self.cone, v, tol), FeasibilityCertificate)
 
 
 @dataclass
@@ -202,109 +215,6 @@ def normal_cone(
     return NormalConeRep(variant, scan, lineality, per_eps, valid, warnings, regular)
 
 
-_PROBE_LEVELS = 3  # sampling balls, each half the radius of the last
-_PROBE_MIN_FEASIBLE = 50
-
-
-@dataclass
-class ProbeResult:
-    quotient: float
-    status: str  # ok | inconclusive
-
-
-def empirical_normal_cone_probe(
-    inst: SipInstance,
-    x,
-    v,
-    samples: int = 2000,
-    radius: float = 1e-3,
-    *,
-    seed: int = 0,
-    scan: ConstraintScan | None = None,
-) -> ProbeResult:
-    """Largest quotient <v, x' - x> / |x' - x| over feasible points sampled
-    in shrinking balls around x. An oracle for membership in the regular
-    normal cone that never looks at the cone construction: true normals give
-    quotients near zero, and interior-pointing directions are rejected with
-    quotients near one.
-
-    Feasibility of samples is strict (no tolerance) over the materialized
-    index grid and its tail ladders.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    scan = scan or scan_constraints(inst, x)
-    _require_feasible(inst, x, scan)
-    rng = np.random.default_rng(seed)
-    n = inst.dim
-
-    # frozen index grids from the base-point scan, tails included
-    family_ts = [
-        (fam_obj, np.unique(scan.t[scan.block == fam.block]))
-        for (fam_obj, _), fam in zip(inst.families, scan.families)
-    ]
-
-    project = None
-    if len(inst.equalities):
-        J = inst.eq_jacobian(x)
-
-        def project(p):
-            resid = inst.eq_values(p)
-            corr, *_ = np.linalg.lstsq(J, resid, rcond=None)
-            return p - corr
-
-    def feasible_mask(pts: np.ndarray) -> np.ndarray:
-        ok = np.ones(len(pts), dtype=bool)
-        for _, body in inst.fixed:
-            vals = np.broadcast_to(
-                np.asarray(ex.eval_value(body, pts), dtype=float), (len(pts),)
-            )
-            ok &= vals <= 0.0
-        chunk = max(1, 2_000_000 // max(1, max((len(t) for _, t in family_ts), default=1)))
-        for fam_obj, ts in family_ts:
-            for start in range(0, len(pts), chunk):
-                sl = slice(start, min(start + chunk, len(pts)))
-                if not np.any(ok[sl]):
-                    continue
-                # broadcast samples against the whole index grid at once
-                vals = np.asarray(
-                    ex.eval_value(fam_obj.body, pts[sl][:, None, :], {fam_obj.index_name: ts}),
-                    dtype=float,
-                )
-                if vals.ndim < 2:
-                    vals = np.broadcast_to(vals, (sl.stop - sl.start, len(ts)))
-                ok[sl] &= np.all(vals <= 0.0, axis=-1)
-        for comp in inst.equalities.components:
-            vals = np.broadcast_to(
-                np.asarray(ex.eval_value(comp, pts), dtype=float), (len(pts),)
-            )
-            ok &= np.abs(vals) <= 1e-12
-        return ok
-
-    quot = -math.inf
-    feasible_count = 0
-    per_level = max(1, samples // _PROBE_LEVELS)
-    for level in range(_PROBE_LEVELS):
-        r = radius / (2.0**level)
-        u = rng.normal(size=(per_level, n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        radii = r * rng.uniform(0.0, 1.0, size=(per_level, 1)) ** (1.0 / n)
-        pts = x + radii * u
-        if project is not None:
-            pts = np.vstack([project(p) for p in pts])
-        good = pts[feasible_mask(pts)]
-        feasible_count += len(good)
-        if len(good):
-            d = good - x
-            norms = np.linalg.norm(d, axis=1)
-            keep = norms > 1e-15
-            if np.any(keep):
-                quot = max(quot, float(np.max(d[keep] @ v / norms[keep])))
-    if feasible_count < _PROBE_MIN_FEASIBLE:
-        return ProbeResult(math.inf, "inconclusive")
-    return ProbeResult(quot, "ok")
-
-
 def _cost_hull(inst: SipInstance, x):
     """Columns of the cost subdifferential hull: the gradient for a smooth
     cost, the active-piece gradients for a max-type cost."""
@@ -339,6 +249,8 @@ def _stationarity(inst, x, cone: GeneratedCone, condition) -> StationarityReport
     if not np.isfinite(F).all():
         return StationarityReport(condition, "inconclusive", notes=["cost gradient is not finite"])
     G = cone.columns()
+    if not (np.isfinite(G).all() and np.isfinite(cone.lineality).all()):
+        return StationarityReport(condition, "inconclusive", notes=[NONFINITE_COLUMN])
     try:
         out = linsolve.hull_plus_cone_feasibility(F, G, cone.lineality, STATIONARITY_TOL)
     except LpFailure as err:
@@ -470,26 +382,3 @@ def convex_global_check(
         report.global_optimal = False
         report.notes.append("not a global minimizer of the convex program")
     return report
-
-
-def membership_residual_trace(
-    inst: SipInstance,
-    x,
-    v,
-    truncations: Sequence[int] = (100, 1000, 10_000),
-    eps: float = 0.1,
-) -> list[tuple[int, float]]:
-    """Distance of v from the eps-active cone, limit rays left out, as the
-    countable truncation grows; shows the convergence behind
-    tolerance-membership semantics."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    out = []
-    for N in truncations:
-        scan = scan_constraints(inst, x, truncation=int(N))
-        res = membership(_cone(scan, scan.active(eps), inst.eq_jacobian(x).T), v, tol=1e-9)
-        if isinstance(res, FeasibilityCertificate):
-            out.append((int(N), res.residual))
-        else:
-            out.append((int(N), float(res.value)))
-    return out

@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 
 from sipcert import expr as ex
-from sipcert.cones import GeneratedCone, caratheodory_reduce
+from sipcert.cones import GeneratedCone
 from sipcert.cq import Verdict, check_emfcq, check_nfmcq, check_pmfcq, check_ssc, cq_summary
 from sipcert.linsolve import (
     FeasibilityCertificate,
-    LpProblem,
     LpStatus,
     cone_feasibility,
-    simplex_solve,
 )
 from sipcert.model import (
     ConstraintFamily,
@@ -30,7 +28,6 @@ from sipcert.model import (
     load_instance,
 )
 from sipcert.optimality import (
-    empirical_normal_cone_probe,
     convex_global_check,
     normal_cone,
     verify_kkt,
@@ -38,6 +35,7 @@ from sipcert.optimality import (
 )
 from sipcert.solver import SolverConfig, solve
 
+from oracles import LpProblem, caratheodory_reduce, empirical_normal_cone_probe, simplex_solve
 from test_expr import _random_ast, central_diff
 from test_linsolve import brute_force_lp
 from test_model import countable_cubic, interval_ramp

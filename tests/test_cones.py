@@ -11,7 +11,6 @@ from sipcert.cones import (
     Ray,
     accumulation_rays,
     augmented_generators,
-    caratheodory_reduce,
     closedness_diagnostic,
     declared_rays,
     family_rays,
@@ -21,6 +20,7 @@ from sipcert.linsolve import ConeRefutation, FeasibilityCertificate
 from sipcert.model import FamilyScan, scan_constraints, unit_vectors
 from sipcert.optimality import _family_rays
 
+from oracles import caratheodory_reduce
 from test_model import countable_cubic, interval_ramp, open_interval
 
 

@@ -8,7 +8,12 @@ import pytest
 from sipcert import expr as ex
 from sipcert import cq as cq_module
 from sipcert import model
+from sipcert.cones import Closedness, ClosednessVerdict
 from sipcert.cq import (
+    EmfcqResult,
+    NfmcqResult,
+    PmfcqResult,
+    SscResult,
     Verdict,
     _coarse_sup_and_gradient,
     check_emfcq,
@@ -389,6 +394,14 @@ COARSE_CASES = {
         fixed=(("a", "x1 - 3"),)), [(1.0, 0.0), (0.0, 0.0)]),
     "no_constraints": (lambda: SipInstance(dim=2, cost=SmoothCost(ex.parse("x1"))),
                        [(0.0, 0.0)]),
+    # 1/x1 is rejected at x1 = 0: the fixed row is NaN there, counted as +inf
+    "fixed_rejected": (lambda: _family_instance(
+        "t*x2 - 1", "t", IntervalGridIndexSet(0.0, 1.0, resolution=9, refinements=1),
+        fixed=(("a", "1/x1 - 3"),)), [(0.0, 0.0), (0.0, 5.0)]),
+    # log(t - 0.5) is rejected for t <= 0.5, so those rows are NaN and t = 0 is worst
+    "family_partly_rejected": (lambda: _family_instance(
+        "log(t - 0.5)*x1 - x2", "t", IntervalGridIndexSet(0.0, 1.0, resolution=33, refinements=2)),
+        [(0.0, 0.0), (1.0, -1.0)]),
 }
 
 
@@ -420,6 +433,26 @@ class TestCoarseStep:
         build, points = COARSE_CASES["fixed_ties_fixed"]
         v, g = _coarse_sup_and_gradient(build(), np.array(points[1]))
         assert v == 0.5 and g.tolist() == [1.0, 0.0]
+        for case in ("fixed_rejected", "family_partly_rejected"):
+            build, points = COARSE_CASES[case]
+            v, g = _coarse_sup_and_gradient(build(), np.array(points[0]))
+            assert v == math.inf and np.all(np.isnan(g))
+
+    def test_a_start_at_a_rejected_row_ends_and_the_others_search_on(self):
+        # the zero start reads +inf with a NaN gradient (sqrt's gradient at 0),
+        # and sqrt(x1) is rejected wherever x1 < 0; starts with x1 > 0 step down
+        inst = SipInstance(
+            dim=2,
+            cost=SmoothCost(ex.parse("x1")),
+            convex=True,
+            box=((-2.0, 2.0), (-2.0, 2.0)),
+            fixed=(("a", ex.parse("x1 + x2 - 1 + 0*sqrt(x1)")),),
+        )
+        v, g = _coarse_sup_and_gradient(inst, np.zeros(2))
+        assert v == math.inf and np.all(np.isnan(g))
+        res = check_ssc(inst)
+        assert res.verdict == Verdict.HOLDS and res.slater_point[0] > 0.0
+        assert res.sup_value < 0.0
 
     @pytest.mark.parametrize("x", [np.zeros(3), np.array([0.0, math.nan])])
     def test_point_checks(self, x):
@@ -427,7 +460,65 @@ class TestCoarseStep:
             _coarse_sup_and_gradient(COARSE_CASES["finite"][0](), x)
 
 
+def _stub_checks(monkeypatch, emfcq, pmfcq, nfmcq, ssc):
+    """Make the four checks cq_summary calls return the given verdicts."""
+    monkeypatch.setattr(cq_module, "check_emfcq",
+                        lambda *a, **k: EmfcqResult(emfcq, 1.0, None, 0, 0))
+    monkeypatch.setattr(cq_module, "check_pmfcq",
+                        lambda *a, **k: PmfcqResult(pmfcq, [], None, None, None, 0, 0))
+    monkeypatch.setattr(cq_module, "check_nfmcq", lambda *a, **k: NfmcqResult(
+        nfmcq, ClosednessVerdict(Closedness.UNKNOWN, ""), False))
+    monkeypatch.setattr(cq_module, "check_ssc", lambda *a, **k: SscResult(ssc, None, None))
+
+
+H, F, U = Verdict.HOLDS, Verdict.FAILS, Verdict.UNKNOWN
+
+# (convex, verdicts emfcq/pmfcq/nfmcq/ssc as checked, diagnostic, verdicts after)
+CONFLICTS = {
+    "perturbed_without_exact": (
+        False, (F, H, H, U),
+        "inconsistency: perturbed margin holds while the exact-active margin does not; "
+        "both downgraded", (U, U, H, U)),
+    "finite_margin_with_nonclosed_cone": (
+        False, (H, H, F, U),
+        "inconsistency: finite index set with a strict-margin direction cannot have a "
+        "non-closed coefficient cone; closedness downgraded", (H, H, U, U)),
+    "slater_holds_margin_fails": (
+        True, (H, F, H, H),
+        "inconsistency: strong Slater and perturbed margin verdicts disagree on a convex "
+        "instance; both downgraded", (H, U, H, U)),
+    "slater_fails_margin_holds": (
+        True, (H, H, H, F),
+        "inconsistency: strong Slater and perturbed margin verdicts disagree on a convex "
+        "instance; both downgraded", (H, U, H, U)),
+}
+
+
 class TestSummary:
+    @pytest.mark.parametrize("case", sorted(CONFLICTS))
+    def test_conflicting_verdicts_are_downgraded(self, monkeypatch, case):
+        convex, checked, diagnostic, after = CONFLICTS[case]
+        _stub_checks(monkeypatch, *checked)
+        inst = SipInstance(dim=2, cost=SmoothCost(ex.parse("x1")), convex=convex,
+                           fixed=(("a", ex.parse("x1 - 1")),))
+        rep = cq_summary(inst, np.zeros(2))
+        assert rep.diagnostics == [diagnostic]
+        assert (rep.emfcq.verdict, rep.pmfcq.verdict, rep.nfmcq.verdict, rep.ssc.verdict) == after
+
+    def test_dependent_equalities_fail_both_margin_criteria(self):
+        inst = SipInstance(
+            dim=3,
+            cost=SmoothCost(ex.parse("x3")),
+            fixed=(("a", ex.parse("x3 - 1")),),
+            equalities=EqualityBlock((ex.parse("x1 + x2"), ex.parse("2*x1 + 2*x2"))),
+        )
+        rep = cq_summary(inst, np.zeros(3))
+        for res in (rep.emfcq, rep.pmfcq):
+            assert res.verdict == Verdict.FAILS
+            assert res.reason == "equality Jacobian is not surjective"
+            assert (res.rank, res.eq_count) == (1, 2)
+        assert not rep.surjective and rep.diagnostics == []
+
     def test_countable_cubic_summary(self):
         rep = cq_summary(countable_cubic(), XBAR)
         assert rep.emfcq.verdict == Verdict.HOLDS

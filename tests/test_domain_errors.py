@@ -164,6 +164,25 @@ class TestCli:
         assert code == EXIT_INFEASIBLE and doc is None
         assert "equality residual inf)" in err
 
+    def test_equality_with_a_rejected_gradient_is_a_validation_error(self, tmp_path):
+        # h reads 0 at the origin, so the point is feasible; its Jacobian is rejected
+        text = ("[problem]\nvars = x1 x2\nminimize = x1 + x2\nbox = -2 2 ; -2 2\n"
+                "[constraints]\ng1 = x2 - 1\n[equalities]\nh = sqrt(x1) - x2\n")
+        code, doc, err = analyze_json(tmp_path, text, "0,0")
+        assert code == EXIT_VALIDATION and doc is None
+        assert err == ("error: equality h is not defined at the point: "
+                       "sqrt gradient at zero in 'sqrt(x1)'\n")
+
+    @pytest.mark.parametrize("body, column", [
+        ("(" * 200 + "x1 - x2" + ")" * 200, ex.MAX_DEPTH),
+        ("+".join(["x1"] * 3000) + " - x2", 3 * ex.MAX_DEPTH),
+    ], ids=["200 parentheses", "3000 terms"])
+    def test_expression_nested_too_deep_is_a_validation_error(self, tmp_path, body, column):
+        code, doc, err = analyze_json(tmp_path, instance_text(body), "0,0")
+        assert code == EXIT_VALIDATION and doc is None
+        assert err == (f"error: bad expression: expression nested deeper than {ex.MAX_DEPTH} "
+                       f"levels (line 1, column {column}) (line 6)\n")
+
     def test_cost_rejected_at_a_solver_start_solves(self, tmp_path):
         # sqrt(x1) is rejected on half the box, where most starts fall
         code, doc, err = solve_json(tmp_path, instance_text("-x2 - 1", cost="sqrt(x1) + x2"))
@@ -202,8 +221,7 @@ class TestCli:
         assert code == EXIT_OK and err == ""
         assert "inf" in doc["moduli"]["s"] and "inf" in doc["moduli"]["r"]
 
-    # the LPs read the infinite gradient column, and numpy warns on inf * 0
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    # no LP reads the infinite gradient column, so numpy never warns on inf * 0
     def test_infinite_gradient_is_reported_and_certifies_nothing(self, tmp_path):
         code, doc, err = analyze_json(tmp_path, instance_text("x1*1e308*1e308 - x2"), "0,0")
         assert code == EXIT_OK
@@ -211,7 +229,7 @@ class TestCli:
         assert doc["active_set"]["grad_norm_bound"] == "inf"
         for section in doc["stationarity"]:
             assert section["outcome"] == "inconclusive"
-            assert "certificate residual is not finite" in section["notes"]
+            assert "a normal-cone column is not finite" in section["notes"]
 
 
 INDEX_SETS = {

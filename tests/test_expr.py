@@ -1,5 +1,6 @@
 import math
 import operator
+import sys
 import weakref
 
 import numpy as np
@@ -68,6 +69,64 @@ class TestParse:
     def test_dimension_cap(self):
         with pytest.raises(ParseError):
             parse("x17")
+
+
+D = expr.MAX_DEPTH
+# sources of exactly MAX_DEPTH levels: each operator, call and group is one
+DEEPEST = {
+    "groups": "(" * (D - 1) + "x1" + ")" * (D - 1),
+    "sum": "+".join(["x1"] * D),
+    "minus": "-" * (D - 1) + "x1",
+    "calls": "sin(" * (D - 1) + "x1" + ")" * (D - 1),
+    "powers": "x1^-" * ((D - 1) // 2) + "x1",
+}
+
+
+def _frames() -> int:
+    frame, count = sys._getframe(), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("name", sorted(DEEPEST))
+    def test_deepest_input_parses_lowers_and_prints(self, name):
+        # within 5 frames per level of the caller's depth: far from the default limit
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frames() + 5 * D + 20)
+        try:
+            ast = parse(DEEPEST[name])
+            text = to_source(ast)
+            value, grad = eval_grad(ast, [1.0])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert expr.depth(ast) <= D
+        assert math.isfinite(value) and grad.shape == (1,)
+        assert text.count("x1") == DEEPEST[name].count("x1")
+
+    @pytest.mark.parametrize("source, column", [
+        ("x1" + "+x1" * D, 3 * D),  # the operator that makes it one level too deep
+        ("(" * D + "x1" + ")" * D, D),
+        ("-" * D + "x1", D),
+        ("sin(" * D + "x1" + ")" * D, 4 * D - 3),
+        ("x1^" * D + "x1", 3 * D),
+        ("(" * 200 + "x1 - x2" + ")" * 200, D),
+        ("+".join(["x1"] * 3000), 3 * D),
+    ], ids=["sum", "groups", "minus", "calls", "powers", "200 groups", "3000 terms"])
+    def test_one_level_more_is_a_parse_error_where_it_happens(self, source, column):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert f"nested deeper than {D} levels" in str(err.value)
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_depth_counts_nodes_on_the_longest_path(self):
+        assert expr.depth(Var(1)) == 1
+        assert expr.depth(parse("sin(x1) + -(x2*3)^2")) == 5
+        deep = Var(1)
+        for _ in range(5000):  # no recursion, so any depth is measured
+            deep = Neg(deep)
+        assert expr.depth(deep) == 5001
 
 
 class TestEval:

@@ -5,11 +5,11 @@ Stdlib ``ast`` scans. Imports are checked over ``src/sipcert`` and
 ``tests``: a name bound by an import counts as used when the module reads it
 anywhere or lists it in ``__all__``. Public top-level definitions are
 checked over ``src/sipcert``: each must be read somewhere in the package or
-be listed in ``__all__``, unless it is allowlisted below with its reason.
-Annotated class fields are checked by name over ``src/sipcert``: each must
-be read as an attribute somewhere in the package, unless allowlisted. An
-expression error is caught only at the allowlisted places of
-``src/sipcert``, so that a rejected constraint row has one rule.
+be listed in ``__all__``, and what only the tests read lives in
+``tests/oracles.py``. Annotated class fields are checked by name over
+``src/sipcert``: each must be read as an attribute somewhere in the package,
+unless allowlisted. An expression error is caught only at the allowlisted
+places of ``src/sipcert``, so that a rejected constraint row has one rule.
 """
 
 import ast
@@ -20,15 +20,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "sipcert").glob("*.py"))
 MODULES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
-
-# public definitions that the package itself never reads, and why they stay
-UNREAD_ALLOWED = {
-    "simplex_solve": "acceptance criterion 8 solves its LPs with it",
-    "caratheodory_reduce": "the acceptance tests reduce certificate supports with it",
-    "empirical_normal_cone_probe": "the acceptance tests' independent membership oracle",
-    "membership_residual_trace": "the README names it as the way to see the refusal residual",
-}
-
 
 def _all_names(node) -> list[str]:
     """The names an ``__all__ = [...]`` assignment lists, else none."""
@@ -86,8 +77,7 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
 
 
 def test_every_public_definition_is_read():
-    unread = unread_definitions({p.name: p.read_text() for p in SOURCES})
-    assert sorted(entry.rsplit(" ", 1)[1] for entry in unread) == sorted(UNREAD_ALLOWED), unread
+    assert unread_definitions({p.name: p.read_text() for p in SOURCES}) == []
 
 
 def test_scan_flags_an_unread_definition():
@@ -102,9 +92,6 @@ def test_scan_flags_an_unread_definition():
 # annotated class fields that the package itself never reads, and why they stay
 UNREAD_FIELDS_ALLOWED = {
     "ClosednessVerdict.witness_ray": "the NOT_CLOSED witness, which the tests re-check",
-    "LpSolution.objective": "acceptance criterion 8 compares it with vertex enumeration",
-    "LpSolution.dual": "simplex_solve's duals, whose reduced costs the LP tests check",
-    "ProbeResult.quotient": "the membership oracle's answer",
 }
 
 
@@ -147,13 +134,12 @@ EXPR_ERROR_CATCHES_ALLOWED = {
     "model._rows": "the scan's row evaluator: a row the expression rejects is NaN",
     "model.estimate_moduli": "its per-row fallback on perturbed points: a rejected row is NaN",
     "model._parse_expr": "a parse error in an instance file is reported with its line",
-    "model.loads_instance": "an instance the expression checks reject is a bad instance",
     "model.SipInstance": "cost_value and eq_residual read a rejected cost or equality as +inf",
-    "cq.check_ssc": "a Slater search start ends where worst_row's gradient is rejected",
     "solver._bind": "the solver's rule: a rejected point reads as +inf with NaN partials",
     "solver._penalty_descent": "a point the gradient pass rejects ends the stage's descent, "
                                "and a trial point the value pass rejects reads +inf",
-    "cli.main": "an instance file that does not load ends in exit 2",
+    "cli.main": "an instance file that does not load, or a cost or equality the expression "
+                "rejects at the point, ends in exit 2",
 }
 
 

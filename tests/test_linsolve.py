@@ -10,14 +10,14 @@ from sipcert.linsolve import (
     FeasibilityCertificate,
     HullFeasibility,
     HullRefutation,
-    LpProblem,
     LpStatus,
     cone_feasibility,
     hull_plus_cone_feasibility,
     max_margin_direction,
     rank_nullspace,
-    simplex_solve,
 )
+
+from oracles import LpProblem, simplex_solve
 
 
 class TestRankNullspace:

@@ -120,6 +120,15 @@ g(t) = t*x1
             loads_instance(text)
         assert "line 3" in str(err.value)
 
+    def test_hand_built_body_deeper_than_the_limit_rejected(self):
+        body = ex.Var(1)
+        for _ in range(ex.MAX_DEPTH - 1):
+            body = ex.Neg(body)
+        SipInstance(dim=1, cost=SmoothCost(ex.Var(1)), fixed=(("g", body),))
+        with pytest.raises(InstanceError) as err:
+            SipInstance(dim=1, cost=SmoothCost(ex.Var(1)), fixed=(("g", ex.Neg(body)),))
+        assert str(err.value) == f"'g' is nested deeper than {ex.MAX_DEPTH} levels"
+
     def test_max_cost(self):
         inst = loads_instance(
             "[problem]\nvars = x1 x2\nminimize_max = x1 ; x2 ; x1+x2\n"
@@ -271,6 +280,27 @@ class TestActiveSets:
 
 
 class TestScan:
+    def test_index_free_rejection_fills_every_row_at_once(self, monkeypatch):
+        # log(x1 + 1.5) is rejected at x1 = -2 whatever n is: one call per segment
+        inst = loads_instance(
+            "[problem]\nvars = x1 x2\nminimize = x1\n[index n]\nkind = countable\n"
+            "start = 0\ntruncation = 10000\n[constraints]\ng(n) = log(x1 + 1.5) - x2/(n+1)\n")
+        calls = []
+        original = ex.eval_grad
+        monkeypatch.setattr(ex, "eval_grad", lambda *a: calls.append(a) or original(*a))
+        x = np.array([-2.0, 0.0])
+        scan = scan_constraints(inst, x)
+        segments = 1 + len(scan.families[0].tails)  # the grid and its one ladder
+        assert len(calls) <= 2 * segments
+        # the table a row-by-row evaluation gives: every grid row NaN, and the
+        # ladder rows dropped as not finite
+        assert scan.t.tolist() == list(range(10_001)) and not scan.tail.any()
+        assert np.isnan(scan.value).all() and np.isnan(scan.grad).all()
+        body = inst.families[0][0].body
+        for t in (0.0, 5000.0, 10_000.0):
+            with pytest.raises(ex.DomainError):
+                original(body, x, {"n": np.array([t])})
+
     def test_tail_limits_countable(self):
         inst = countable_cubic()
         scan = scan_constraints(inst, np.array([-1.0, 0.0]))

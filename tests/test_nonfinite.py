@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from sipcert import expr as ex
 from sipcert.cli import EXIT_INFEASIBLE, EXIT_VALIDATION, main
-from sipcert.cq import (NONFINITE_ACTIVE, Verdict, check_emfcq, check_nfmcq, check_pmfcq,
-                        cq_summary)
+from sipcert.cq import (NONFINITE_ACTIVE, NONFINITE_GENERATOR, Verdict, check_emfcq,
+                        check_nfmcq, check_pmfcq, cq_summary)
 from sipcert.model import (
     ConstraintFamily,
     CountableIndexSet,
@@ -28,7 +28,7 @@ from sipcert.model import (
     loads_instance,
     scan_constraints,
 )
-from sipcert.optimality import normal_cone
+from sipcert.optimality import NONFINITE_COLUMN, normal_cone, verify_kkt
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -218,3 +218,34 @@ def test_infinite_active_gradient_reads_unknown():
         results = [check(inst, x) for check in (check_emfcq, check_pmfcq, check_nfmcq)]
     for res in results:
         assert res.verdict == Verdict.UNKNOWN and res.reason == NONFINITE_ACTIVE
+
+
+def _infinite_gradient_instance(body: str):
+    # at the origin x1*1e308*1e308 reads 0 and its x1 partial is inf
+    return loads_instance("[problem]\nvars = x1 x2\nminimize = x1^2 + x2\n\n"
+                          f"[constraints]\ng1 = {body}\n")
+
+
+def test_inactive_infinite_gradient_leaves_no_lp_a_column():
+    # g1 reads -1 at the origin, so only NFMCQ, whose cone takes every row, reads it
+    inst = _infinite_gradient_instance("x1*1e308*1e308 - x2 - 1")
+    x = np.zeros(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emfcq, pmfcq, nfmcq = (check(inst, x) for check in (check_emfcq, check_pmfcq, check_nfmcq))
+    assert emfcq.verdict == Verdict.HOLDS and pmfcq.verdict == Verdict.HOLDS
+    assert nfmcq.verdict == Verdict.UNKNOWN and nfmcq.reason == NONFINITE_GENERATOR
+
+
+@pytest.mark.parametrize("variant", ["perturbed", "unperturbed", "normalized"])
+def test_cone_with_an_infinite_column_answers_no_probe(variant):
+    inst = _infinite_gradient_instance("x1*1e308*1e308 - x2")
+    x = np.zeros(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = normal_cone(inst, x, variant=variant)
+        answers = [rep.member(v) for v in ([0.0, -1.0], [1.0, 0.0], [0.0, 0.0])]
+        kkt = verify_kkt(inst, x)
+    assert answers == [False, False, False]
+    assert f"{NONFINITE_COLUMN}; every probe reads as outside the cone" in rep.warnings
+    assert kkt.outcome == "inconclusive" and kkt.notes == [NONFINITE_COLUMN]

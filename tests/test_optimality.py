@@ -22,14 +22,13 @@ from sipcert.optimality import (
     _cone,
     _family_rays,
     _stationarity,
-    empirical_normal_cone_probe,
     convex_global_check,
-    membership_residual_trace,
     normal_cone,
     verify_kkt,
     verify_perturbed_stationarity,
 )
 
+from oracles import empirical_normal_cone_probe, membership_residual_trace
 from test_model import countable_cubic, interval_ramp, open_interval
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
