@@ -108,16 +108,8 @@ class CqReport:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _equality_data(inst: SipInstance, x):
-    J = inst.eq_jacobian(x)
-    m = J.shape[0]
-    if m == 0:
-        return J, 0, 0, True
-    rank, _ = linsolve.rank_nullspace(J, 1e-9)
-    return J, m, rank, rank == m
-
-
 NONFINITE_ACTIVE = "an active gradient is not finite"
+NONFINITE_EQUALITY = "an equality Jacobian entry is not finite"
 NONFINITE_GENERATOR = "an augmented generator is not finite"
 
 
@@ -125,6 +117,22 @@ def _nonfinite_active(scan: ConstraintScan, eps: float = 0.0) -> bool:
     """Whether some grid row active at ``eps`` has a gradient entry that is not
     finite. A check that reads such a row gives Unknown before any LP runs."""
     return bool(np.any(scan.active(eps) & ~scan.grad_finite))
+
+
+def _margin_screen(inst: SipInstance, x, scan: ConstraintScan, eps: float):
+    """(J, rank, m, verdict, reason) ahead of a margin check's LPs: Unknown if
+    an equality Jacobian entry is not finite (rank 0, no rank test), Fails if
+    J is not surjective, Unknown if a gradient active at eps is not finite."""
+    J = inst.eq_jacobian(x)
+    m = J.shape[0]
+    if not np.isfinite(J).all():
+        return J, 0, m, Verdict.UNKNOWN, NONFINITE_EQUALITY
+    rank = linsolve.rank_nullspace(J, 1e-9)[0] if m else 0
+    if rank < m:
+        return J, rank, m, Verdict.FAILS, "equality Jacobian is not surjective"
+    if _nonfinite_active(scan, eps):
+        return J, rank, m, Verdict.UNKNOWN, NONFINITE_ACTIVE
+    return J, rank, m, None, ""
 
 
 def check_emfcq(
@@ -138,12 +146,10 @@ def check_emfcq(
     that is uniformly negative against every exactly-active gradient."""
     x = np.asarray(x, dtype=float)
     scan = scan or scan_constraints(inst, x)
-    J, m, rank, surjective = _equality_data(inst, x)
-    if not surjective:
-        return EmfcqResult(Verdict.FAILS, -math.inf, None, rank, m,
-                           "equality Jacobian is not surjective")
-    if _nonfinite_active(scan):
-        return EmfcqResult(Verdict.UNKNOWN, math.nan, None, rank, m, NONFINITE_ACTIVE)
+    J, rank, m, verdict, reason = _margin_screen(inst, x, scan, 0.0)
+    if verdict is not None:
+        margin = -math.inf if verdict == Verdict.FAILS else math.nan
+        return EmfcqResult(verdict, margin, None, rank, m, reason)
     res = linsolve.max_margin_direction(scan.grad[scan.active()].T, J.T)
     if res.margin > margin_tol:
         return EmfcqResult(Verdict.HOLDS, res.margin, res.direction, rank, m)
@@ -221,12 +227,9 @@ def check_pmfcq(
     eps_schedule = validate_schedule(eps_schedule)
     x = np.asarray(x, dtype=float)
     scan = scan or scan_constraints(inst, x)
-    J, m, rank, surjective = _equality_data(inst, x)
-    if not surjective:
-        return PmfcqResult(Verdict.FAILS, [], None, None, None, rank, m,
-                           "equality Jacobian is not surjective")
-    if _nonfinite_active(scan, max(eps_schedule)):  # the widest eps-active set
-        return PmfcqResult(Verdict.UNKNOWN, [], None, None, None, rank, m, NONFINITE_ACTIVE)
+    J, rank, m, verdict, reason = _margin_screen(inst, x, scan, max(eps_schedule))
+    if verdict is not None:
+        return PmfcqResult(verdict, [], None, None, None, rank, m, reason)
     H = J.T
     n_levels = scan.n_levels
     traces: list[EpsTrace] = []

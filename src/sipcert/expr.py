@@ -10,17 +10,16 @@ constant.
 Evaluation runs compiled kernels. ``kernel(ast, n, grad)`` lowers the tree
 once, on first use, into a straight-line Python function for dimension n:
 the value kernel, or with ``grad`` a separate value-and-gradient kernel.
-``eval_value`` and ``eval_grad`` look the kernel up and run it; a caller
-that evaluates one expression many times, like the solver, looks it up once
-and calls it directly. A kernel performs the IEEE operations of the
-forward-mode dual recursion in its order, with the value and each partial as
-separate operands, and raises the same domain errors at the same points. It
-runs on Python floats for one point with scalar bindings, and broadcasts
-over numpy arrays bound to the index variable or over a batch of points,
-which is how whole index grids are scanned in one pass. Kernels are kept on
-the root node of the AST and freed with it; nothing is cached at module level.
-The same lowering also writes several roots, with their index bindings
-folded in, into one function owned by its caller: the solver's penalty.
+A kernel performs the IEEE operations of the forward-mode dual recursion in
+its order, with the value and each partial as separate operands, and raises
+the same domain errors at the same points. It runs on Python floats for one
+point with scalar bindings, and broadcasts over numpy arrays bound to the
+index variable or over a batch of points, which is how whole index grids are
+scanned in one pass. A masked kernel raises no domain error: the value and
+each partial are NaN at the entries a check rejects, and the other entries
+keep their bits. Kernels live on the root node of the AST. The same lowering
+writes several roots, with their index bindings folded in, into one function
+owned by its caller: the solver's penalty.
 """
 
 from __future__ import annotations
@@ -279,7 +278,7 @@ def _render(node: ExprAst, ctx: int) -> str:
     if isinstance(node, Call):
         return f"{node.fn}({_render(node.arg, 0)})"
     if isinstance(node, Neg):
-        body = "-" + _render(node.child, 4)
+        body = "-" + _render(node.child, 3)  # a negation inside one needs no group
         return f"({body})" if ctx > 3 else body
     prec = _PREC[node.op]
     if node.op == "^":
@@ -407,13 +406,15 @@ class _Lowering:
     repeated operation reuses its first result, unless that result was
     computed under a ``branch`` that has ended. A root lowered with
     ``fixed`` bindings runs on one point: its index values are known floats
-    and its checks plain comparisons. The source holds only generated names,
-    float reprs, integers and names and messages from fixed tables: index
-    names reach the kernel through ``_names``, never as text.
+    and its checks plain comparisons. A ``masked`` lowering gathers what its
+    checks reject in ``bad`` and runs on, so it divides by a local through
+    ``_div``. The source holds only generated names, float reprs, integers
+    and names and messages from fixed tables: index names reach the kernel
+    through ``_names``, never as text.
     """
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, n: int, masked: bool = False):
+        self.n, self.masked, self.checked = n, masked, False  # checked: a check can fail
         self.lines: list[str] = []
         self.indent = ""
         self.results: dict[str, str] = {}  # right-hand side -> local holding it
@@ -484,9 +485,11 @@ class _Lowering:
             try:
                 return float(_ARITH[op](a, b))
             except ZeroDivisionError:
-                pass  # only on code after an unconditional raise
+                pass  # only past a check that always fails
         elif op == "*" and (a == 1.0 or b == 1.0):
             return b if isinstance(a, float) else a  # 1 * b == b exactly
+        if op == "/" and self.masked and (not isinstance(b, float) or b == 0.0):
+            return self.call("_div", a, b)  # past a failed check, a float divisor may be 0
         return self.emit(f"{self.text(a)} {op} {self.text(b)}")
 
     def call(self, fn: str, *args):
@@ -500,13 +503,17 @@ class _Lowering:
         return -a if isinstance(a, float) else self.emit(f"-{a}")
 
     def check(self, node: ExprAst, a, cmp: str, message: str) -> None:
-        """Raise the domain error where any entry of ``a cmp 0`` holds."""
-        fail = f"raise _domain_error({self.ref}, {self.pos[id(node)]}, {message!r})"
-        if not isinstance(a, float):
-            test = f"{a} {cmp} 0.0"
-            self.line(f"if {test if self.fixed is not None else f'_any({test})'}: {fail}")
-        elif _COMPARE[cmp](a, 0.0):
-            self.line(fail)
+        """Raise the domain error where any entry of ``a cmp 0`` holds, or in
+        a masked kernel add those entries to ``bad``."""
+        if isinstance(a, float) and not _COMPARE[cmp](a, 0.0):
+            return
+        test = f"({self.text(a)} {cmp} 0.0)"
+        if self.masked:
+            self.line(f"bad = bad | {test}" if self.checked else f"bad = {test}")
+        else:
+            fail = f"raise _domain_error({self.ref}, {self.pos[id(node)]}, {message!r})"
+            self.line(f"if {'_any' if self.fixed is None else ''}{test}: {fail}")
+        self.checked = True
 
     def lower(self, node: ExprAst):
         """(value, partials) of ``node``; partials is None without gradients."""
@@ -642,60 +649,65 @@ class _Lowering:
         return val, [arith("*", r, w) for r in rt]
 
 
-def _compile(ast: ExprAst, n: int, grad: bool):
-    lowering = _Lowering(n)
+def _compile(ast: ExprAst, n: int, grad: bool, masked: bool):
+    """The kernel, and whether it has a check."""
+    lowering = _Lowering(n, masked)
     value, partials = lowering.root(ast, grad)
     out = lowering.text(value)
     if grad:
         out += ", (" + "".join(f"{lowering.text(p)}, " for p in partials) + ")"
-    return lowering.function("xs, env, root", out)
+    if masked and lowering.checked:  # each operand of the result NaN where ``bad`` holds
+        nan = re.sub(r"[^(), ]+", r"np.where(bad, np.nan, \g<0>)", out)
+        lowering.line(f"if _any(bad): return {nan}")
+    return lowering.function("xs, env, root", out), lowering.checked
 
 
-def kernel(ast: ExprAst, n: int, grad: bool):
+def kernel(ast: ExprAst, n: int, grad: bool, masked: bool = False):
     """The compiled kernel of ``ast`` for dimension ``n``: the value kernel,
-    or with ``grad`` the value-and-gradient kernel. ``kernel(xs, env, ast)``
-    takes the n coordinates ``xs`` (``x.tolist()`` for one point) and the
-    index bindings, and returns the value, or ``(value, partials)``.
-    Kernels live in the node's own ``__dict__`` (the dataclasses are frozen),
-    so they are freed with the AST; they hold no reference back to it.
+    or with ``grad`` the value-and-gradient kernel, raising or ``masked``.
+    ``kernel(xs, env, ast)`` takes the n coordinates ``xs`` (``x.tolist()``
+    for one point) and the index bindings, and returns the value, or
+    ``(value, partials)``. Kernels live in the node's own ``__dict__`` (the
+    dataclasses are frozen), so they are freed with the AST; they hold no
+    reference back to it. Without a check, both variants are one function.
     """
     if not 1 <= n <= MAX_DIM:
         raise ExprError(f"decision vector must have between 1 and {MAX_DIM} components")
     kernels = ast.__dict__.setdefault("_kernels", {})
-    found = kernels.get((n, grad))
+    found = kernels.get((n, grad, masked))
     if found is None:
-        found = kernels[n, grad] = _compile(ast, n, grad)
+        found, checked = _compile(ast, n, grad, masked)
+        kernels.update({(n, grad, v): found for v in ((masked,) if checked else (False, True))})
     return found
 
 
-def eval_value(ast: ExprAst, x, index: Bindings | None = None):
+def eval_value(ast: ExprAst, x, index: Bindings | None = None, *, masked: bool = False):
     """Evaluate the expression at decision vector ``x`` (shape (n,) or (m, n)).
 
     Index bindings may be scalars or numpy arrays; array bindings broadcast,
-    giving one value per index entry. The value kernel of ``ast`` for
-    dimension n is compiled by the first call and kept on the AST for as
-    long as the AST lives. It runs on Python floats for a single ``x`` with
-    scalar bindings, and on arrays otherwise.
+    giving one value per index entry. The value kernel for dimension n is
+    compiled by the first call and kept on the AST. It runs on Python floats
+    for a single ``x`` with scalar bindings, and on arrays otherwise. A
+    domain error raises, or with ``masked`` makes each entry it rejects NaN.
     """
     xa = np.asarray(x, dtype=float)
-    run = kernel(ast, xa.shape[-1] if xa.ndim else 0, False)
+    run = kernel(ast, xa.shape[-1] if xa.ndim else 0, False, masked)
     xs = xa.tolist() if xa.ndim == 1 else list(np.moveaxis(xa, -1, 0))
     return run(xs, index or {}, ast)
 
 
-def eval_grad(ast: ExprAst, x, index: Bindings | None = None):
+def eval_grad(ast: ExprAst, x, index: Bindings | None = None, *, masked: bool = False):
     """Value and gradient in the decision variables via forward-mode duals.
 
     Returns ``(value, grad)``. With scalar bindings ``grad`` has shape (n,);
     with an array bound to the index variable the shapes are (m,) and (m, n).
-    The value-and-gradient kernel for dimension n is compiled by the first
-    call, apart from the value kernel, and lives on the AST like it.
+    Its kernel is compiled and kept, and ``masked`` acts, as in eval_value.
     """
     xa = np.asarray(x, dtype=float)
     if xa.ndim != 1:
         raise ExprError("eval_grad expects a single decision vector")
     n = xa.shape[0]
-    val, partials = kernel(ast, n, True)(xa.tolist(), index or {}, ast)
+    val, partials = kernel(ast, n, True, masked)(xa.tolist(), index or {}, ast)
     val = np.asarray(val, dtype=float)
     if val.ndim == 0:
         return val, np.array(partials, dtype=float)

@@ -360,24 +360,15 @@ def _ladder_exponents(k0: int) -> list[int]:
 def _rows(body: ex.ExprAst, name: str | None, x, ts: np.ndarray, grad: bool = True):
     """Values and gradients (None without `grad`) of one constraint body at x
     over the index array ts, one row per entry (`name` None for a fixed
-    constraint). The scan's one domain-error rule: when the batched call
-    raises, each row is evaluated alone, bound as a one-element array so that
-    it keeps its batched bits, and a row the expression still rejects is NaN,
-    value and gradient alike; like any NaN it counts as violated. A domain
-    error in a subexpression without the index variable rejects every row at
-    the same check, so then all rows are NaN at once."""
+    constraint), from one masked kernel call. The scan's one domain-error
+    rule: a row the expression rejects is NaN, value and gradient alike, and
+    like any NaN it counts as violated; the others equal lone rows bit for bit."""
     m, n = len(ts), len(x)
-    try:
-        if grad:
-            vals, grads = ex.eval_grad(body, x, name and {name: ts})
-            grads = np.broadcast_to(np.asarray(grads, dtype=float), (m, n)).copy()
-        else:
-            vals, grads = ex.eval_value(body, x, name and {name: ts}), None
-    except ex.ExprError as err:
-        if m <= 1 or (isinstance(err, ex.DomainError) and not ex.free_index_names(err.subexpr)):
-            return np.full(m, np.nan), np.full((m, n), np.nan) if grad else None
-        vals, grads = zip(*(_rows(body, name, x, ts[i : i + 1], grad) for i in range(m)))
-        return np.concatenate(vals), np.vstack(grads) if grad else None
+    if grad:
+        vals, grads = ex.eval_grad(body, x, name and {name: ts}, masked=True)
+        grads = np.broadcast_to(np.asarray(grads, dtype=float), (m, n)).copy()
+    else:
+        vals, grads = ex.eval_value(body, x, name and {name: ts}, masked=True), None
     return np.broadcast_to(np.asarray(vals, dtype=float), (m,)).copy(), grads
 
 
@@ -562,8 +553,8 @@ def worst_row(inst: SipInstance, x, *, truncation: int, resolution: int, refinem
     """Value and gradient of the row `scan_constraints(inst, x, ..., tail=False)
     .argmax(tail=False)` picks, without the table: grid values only, then one
     gradient, its index bound as a one-element array so that it equals the
-    batched row bit for bit. Every row is read through `_rows`, so a rejected
-    row is NaN and counts as +inf; a row whose gradient alone is rejected
+    batched row bit for bit. Every row is read through `_rows`'s masked
+    kernels, so a rejected row is NaN and counts as +inf; a row whose gradient alone is rejected
     (sqrt at 0) reads +inf with a NaN gradient, where the scan may pick an
     earlier such row. (-inf, None) without a row."""
     x = _checked_point(inst, x)
@@ -719,10 +710,10 @@ def estimate_moduli(
     evenly spaced points of each finest family grid, and the last three
     points of each tail ladder. The RNG draws go eta-major (ascending), then
     row by row in that order: `samples_per_eta` unit directions, then as
-    many radii. Each body is evaluated once per eta on the samples of all
-    its rows; when that call raises, its rows are evaluated one by one, and a
-    row the expression rejects is NaN, as in the scan, and adds nothing. As in
-    the scan, overflow and NaN raise no RuntimeWarning."""
+    many radii. Each body is evaluated once per eta, by its masked value
+    kernel, on the samples of all its rows. As in the scan, a sample the
+    expression rejects is NaN and overflow raises no RuntimeWarning; a row
+    with a NaN quotient adds nothing."""
     x = np.asarray(x, dtype=float)
     n = inst.dim
     rng = np.random.default_rng(seed)
@@ -766,16 +757,9 @@ def estimate_moduli(
                 radii[j] = rng.uniform(0.05, 1.0, size=(samples_per_eta, 1))
             u /= np.linalg.norm(u, axis=-1, keepdims=True)
             pts = x + eta * radii ** (1.0 / n) * u
-            vals = np.full((len(rows), samples_per_eta), np.nan)  # a rejected row stays NaN
+            vals = np.empty((len(rows), samples_per_eta))
             for sel, body, name, ts in bodies:
-                try:
-                    vals[sel] = ex.eval_value(body, pts[sel], name and {name: ts[:, None]})
-                except ex.ExprError:
-                    for j, t in zip(sel, ts.tolist()):  # row by row; a row that raises stays NaN
-                        try:
-                            vals[j] = ex.eval_value(body, pts[j], name and {name: t})
-                        except ex.ExprError:
-                            pass
+                vals[sel] = ex.eval_value(body, pts[sel], name and {name: ts[:, None]}, masked=True)
             diffs = pts - x
             quot_s = np.abs(vals - v0 - (diffs @ g0)[..., 0]) / np.linalg.norm(diffs, axis=-1)
             # fmax passes over a row whose maximum is NaN: that row adds nothing

@@ -39,6 +39,9 @@ def instance_text(body: str, index: str | None = None, dim: int = 2,
 
 CLOSED_01 = "kind = interval\na = 0\nb = 1\nresolution = 9\nrefinements = 1\n"
 LOG_FAMILY = instance_text("log(t - 0.5)*x1 - x2 - 1", CLOSED_01)
+# only t = 2..5 are rejected, of 10^4 indices
+FEW_REJECTED = instance_text("log(t - 5)*x1/t - x2 - 1",
+                             "kind = countable\nstart = 2\ntruncation = 10000\n")
 
 
 class TestScan:
@@ -56,6 +59,22 @@ class TestScan:
         # a NaN row counts as +inf: the first rejected index is the worst
         assert scan.argmax() == (math.inf, 0)
         assert feasibility_check(inst, x, scan=scan).worst.label == "g(0)"
+
+    def test_few_rejected_rows_take_one_kernel_call_per_segment(self, monkeypatch):
+        inst = loads_instance(FEW_REJECTED)
+        calls = []
+        original = ex.kernel
+
+        def counting(*args, **kwargs):
+            run = original(*args, **kwargs)
+            return lambda *a: calls.append(args) or run(*a)
+
+        monkeypatch.setattr(ex, "kernel", counting)
+        scan = scan_constraints(inst, np.zeros(2))
+        assert len(calls) == 1 + len(scan.families[0].tails)  # the grid and its ladder
+        rejected = np.isnan(scan.value)
+        assert scan.t[rejected].tolist() == [2.0, 3.0, 4.0, 5.0]
+        assert np.isnan(scan.grad[rejected]).all() and np.isfinite(scan.grad[~rejected]).all()
 
     def test_rejected_fixed_constraint_is_nan(self):
         inst = loads_instance(instance_text("1/x1 - x2"))
@@ -156,6 +175,11 @@ class TestCli:
         code, doc, err = analyze_json(tmp_path, text, "0,0")
         assert code == EXIT_VALIDATION and doc is None
         assert err == f"error: cost is not defined at the point: {message}\n"
+
+    def test_few_rejected_rows_are_an_infeasible_point(self, tmp_path):
+        code, doc, err = analyze_json(tmp_path, FEW_REJECTED, "0,0")
+        assert code == EXIT_INFEASIBLE and doc is None
+        assert "max violation inf at g(2)," in err
 
     def test_rejected_equality_is_an_infeasible_point(self, tmp_path):
         text = ("[problem]\nvars = x1 x2\nminimize = x1 + x2\nbox = -2 2 ; -2 2\n"

@@ -399,6 +399,20 @@ SPECIAL = [0.0, -0.0, 1e-170, -1e-170, 1e300, math.inf, -math.inf, math.nan]
 NUMBERS = st.one_of(st.floats(-3, 3), st.sampled_from(SPECIAL))
 
 
+class TestRoundTrip:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ast=ASTS)
+    def test_print_parse_roundtrip_over_the_grammar(self, ast):
+        assert parse(to_source(ast)) == ast
+
+    def test_nested_negations_print_without_groups(self):
+        # each group would count as a level: -(-x1) nested 99 deep passes the limit
+        source = "-" * 99 + "x1"
+        assert to_source(parse(source)) == source
+        assert to_source(Neg(Neg(Var(1)))) == "--x1"
+        assert to_source(Neg(BinOp("*", Neg(Var(1)), Var(2)))) == "-(-x1*x2)"
+
+
 class TestKernel:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf, nan and overflow are inputs here
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -437,6 +451,37 @@ class TestKernel:
             v, g = eval_grad(ast, x, {"t": tk})
             assert _bits(v) == _bits(vals[k]) and _bits(g) == _bits(grads[k])
             assert _bits(eval_value(ast, x, {"t": tk})) == _bits(row_vals[k])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a masked kernel runs past a rejection
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ast=ASTS, xs=st.lists(NUMBERS, min_size=6, max_size=6),
+           ts=st.lists(NUMBERS, min_size=1, max_size=4))
+    def test_masked_kernel_is_nan_exactly_where_the_row_kernel_raises(self, ast, xs, ts):
+        # each row of a masked call against the raising kernel on that row
+        # alone (one-element arrays, or Python floats for a scalar call): NaN,
+        # value and partials alike, where that raises, and its bits elsewhere
+        x, t, points = np.array(xs[:3]), np.array(ts), np.array(xs).reshape(2, 1, 3)
+        k = len(ts)
+        vals, grads = eval_grad(ast, x, {"t": t}, masked=True)
+        batch = np.broadcast_to(eval_value(ast, points, {"t": t}, masked=True), (2, k))
+        rows = [(np.broadcast_to(vals, (k,))[j], np.broadcast_to(grads, (k, 3))[j],
+                 lambda j=j: eval_grad(ast, x, {"t": t[j : j + 1]})) for j in range(k)]
+        rows += [(batch[i, j], None,
+                  lambda i=i, j=j: eval_value(ast, points[i], {"t": t[j : j + 1]}))
+                 for i in range(2) for j in range(k)]
+        rows += [(*eval_grad(ast, x, {"t": ts[0]}, masked=True),
+                  lambda: eval_grad(ast, x, {"t": ts[0]})),
+                 (eval_value(ast, x, {"t": ts[0]}, masked=True), None,
+                  lambda: eval_value(ast, x, {"t": ts[0]}))]
+        for value, grad, row in rows:
+            try:
+                want = row() if grad is not None else (row(), None)
+            except DomainError:
+                assert np.isnan(value) and (grad is None or np.isnan(grad).all())
+                continue
+            assert _bits(np.ravel(value)) == _bits(np.ravel(want[0]))
+            if grad is not None:
+                assert _bits(np.ravel(grad)) == _bits(np.ravel(want[1]))
 
     @pytest.mark.parametrize(
         "source, x, message, subexpr",
@@ -513,7 +558,8 @@ class TestKernel:
     def test_kernels_compile_lazily_and_die_with_the_ast(self):
         ast = parse("t*x1 - x2^3")
         eval_value(ast, [1.0, 2.0], {"t": 0.5})
-        assert set(vars(ast)["_kernels"]) == {(2, False)}
+        # no check: the one value kernel serves the raising and the masked variant
+        assert set(vars(ast)["_kernels"]) == {(2, False, False), (2, False, True)}
         eval_grad(ast, [1.0, 2.0], {"t": 0.5})
         kernels = [expr.kernel(ast, 2, False), expr.kernel(ast, 2, True)]
         refs = [weakref.ref(obj) for obj in (ast, *kernels)]

@@ -131,8 +131,6 @@ EXPR_ERRORS = {"ExprError", "DomainError", "ParseError"}
 
 # the definitions that catch an expression error, and why each does
 EXPR_ERROR_CATCHES_ALLOWED = {
-    "model._rows": "the scan's row evaluator: a row the expression rejects is NaN",
-    "model.estimate_moduli": "its per-row fallback on perturbed points: a rejected row is NaN",
     "model._parse_expr": "a parse error in an instance file is reported with its line",
     "model.SipInstance": "cost_value and eq_residual read a rejected cost or equality as +inf",
     "solver._bind": "the solver's rule: a rejected point reads as +inf with NaN partials",

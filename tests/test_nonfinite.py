@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from sipcert import expr as ex
 from sipcert.cli import EXIT_INFEASIBLE, EXIT_VALIDATION, main
-from sipcert.cq import (NONFINITE_ACTIVE, NONFINITE_GENERATOR, Verdict, check_emfcq,
-                        check_nfmcq, check_pmfcq, cq_summary)
+from sipcert.cq import (NONFINITE_ACTIVE, NONFINITE_EQUALITY, NONFINITE_GENERATOR, Verdict,
+                        check_emfcq, check_nfmcq, check_pmfcq, cq_summary)
 from sipcert.model import (
     ConstraintFamily,
     CountableIndexSet,
@@ -218,6 +218,19 @@ def test_infinite_active_gradient_reads_unknown():
         results = [check(inst, x) for check in (check_emfcq, check_pmfcq, check_nfmcq)]
     for res in results:
         assert res.verdict == Verdict.UNKNOWN and res.reason == NONFINITE_ACTIVE
+
+
+def test_infinite_equality_jacobian_entry_reads_unknown():
+    # h's x1 partial is inf at the origin: no rank test may read that as rank deficiency
+    inst = loads_instance("[problem]\nvars = x1 x2 x3\nminimize = x1^2 + x2^2 + x3^2\n\n"
+                          "[constraints]\ng1 = x3 - 1\n\n[equalities]\nh = x1*1e308*1e308 + x2\n")
+    x = np.zeros(3)
+    assert inst.eq_jacobian(x).tolist() == [[np.inf, 1.0, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [check(inst, x) for check in (check_emfcq, check_pmfcq)]
+    for res in results:
+        assert res.verdict == Verdict.UNKNOWN and res.reason == NONFINITE_EQUALITY
 
 
 def _infinite_gradient_instance(body: str):
