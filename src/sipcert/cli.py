@@ -296,10 +296,9 @@ def render_text(doc: dict) -> str:
     if "cq" in doc:
         cq = doc["cq"]
         lines.append("constraint qualifications:")
-        lines.append(f"  EMFCQ: {cq['emfcq']['verdict']}  margin={cq['emfcq']['margin']}")
-        lines.append(
-            f"  PMFCQ: {cq['pmfcq']['verdict']}  stabilized_eps={cq['pmfcq']['stabilized_eps']}"
-        )
+        for name, shown in (("emfcq", "margin"), ("pmfcq", "stabilized_eps")):
+            res, reason = cq[name], cq[name]["reason"] and f"  ({cq[name]['reason']})"
+            lines.append(f"  {name.upper()}: {res['verdict']}  {shown}={res[shown]}{reason}")
         lines.append(f"  NFMCQ: {cq['nfmcq']['verdict']}  ({cq['nfmcq']['reason']})")
         lines.append(f"  SSC:   {cq['ssc']['verdict']}  ({cq['ssc']['reason']})")
         for diag in cq["diagnostics"]:

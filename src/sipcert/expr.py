@@ -18,8 +18,9 @@ index variable or over a batch of points, which is how whole index grids are
 scanned in one pass. A masked kernel raises no domain error: the value and
 each partial are NaN at the entries a check rejects, and the other entries
 keep their bits. Kernels live on the root node of the AST. The same lowering
-writes several roots, with their index bindings folded in, into one function
-owned by its caller: the solver's penalty.
+writes several roots, with their index bindings folded in, into one masked
+function owned by its caller: the solver's penalty. Raising kernels serve
+where an error message is needed, as in the analysis at a user's point.
 """
 
 from __future__ import annotations
@@ -368,8 +369,18 @@ def _bind(env: Bindings, name: str):
 def _div(a, b):
     try:
         return a / b
-    except ZeroDivisionError:  # a Python float underflowed to 0; numpy gives +-inf
-        return np.float64(a) / b
+    except ZeroDivisionError:  # a Python float divisor of 0: numpy's +-inf or NaN, as a
+        with np.errstate(divide="ignore", invalid="ignore"):  # Python float, on which
+            return float(np.float64(a) / b)  # later operations warn of nothing
+
+
+def _nan(bad, a):
+    """Each operand of ``a`` NaN where ``bad`` holds: a float on one point, else an array."""
+    if a.__class__ is tuple:
+        return tuple(_nan(bad, b) for b in a)
+    if bad.__class__ is np.ndarray or a.__class__ is np.ndarray:
+        return np.where(bad, np.nan, a)
+    return math.nan
 
 
 def _ones_like(v):
@@ -387,6 +398,7 @@ _RUNTIME = {
     "_any": _any,
     "_bind": _bind,
     "_div": _div,
+    "_nan": _nan,
     "_ones_like": _ones_like,
     "_domain_error": _domain_error,
 }
@@ -405,12 +417,14 @@ class _Lowering:
     operations on known floats are folded with the same arithmetic, and a
     repeated operation reuses its first result, unless that result was
     computed under a ``branch`` that has ended. A root lowered with
-    ``fixed`` bindings runs on one point: its index values are known floats
-    and its checks plain comparisons. A ``masked`` lowering gathers what its
-    checks reject in ``bad`` and runs on, so it divides by a local through
-    ``_div``. The source holds only generated names, float reprs, integers
-    and names and messages from fixed tables: index names reach the kernel
-    through ``_names``, never as text.
+    ``fixed`` bindings runs on one point with its index values known floats;
+    only a masked lowering takes one, so only a kernel's own root raises. A
+    ``masked`` lowering gathers what its checks reject in ``bad`` (bound
+    first thing when its first check is under a branch) and runs on, so it
+    divides by a local through ``_div``, and its function returns NaN where
+    ``bad`` holds. The source holds only generated names, float reprs,
+    integers and names and messages from fixed tables: index names reach
+    the kernel through ``_names``, never as text.
     """
 
     def __init__(self, n: int, masked: bool = False):
@@ -419,7 +433,7 @@ class _Lowering:
         self.indent = ""
         self.results: dict[str, str] = {}  # right-hand side -> local holding it
         # env: the bindings of a function without that parameter (none beyond ``fixed``)
-        self.runtime: dict[str, object] = dict(_RUNTIME, _names=[], _roots=[], env={})
+        self.runtime: dict[str, object] = dict(_RUNTIME, _names=[], env={})
         self.consts: dict[str, str] = {}  # repr of a non-finite constant -> its global
         self.index: dict[str, str] = {}  # index name -> local holding its value
         self.columns: set[int] = set()
@@ -428,11 +442,8 @@ class _Lowering:
         """(value, partials) of ``ast``, partials None without ``grad``. Without
         ``fixed``, index variables are read from ``env`` at run time and a
         domain error names a node of the ``root`` argument; with it, they are
-        its values, and the error names a node of ``ast`` (kept in ``_roots``)."""
-        self.grad, self.fixed, self.ref = grad, fixed, "root"
-        if fixed is not None:
-            self.ref = f"_roots[{len(self.runtime['_roots'])}]"
-            self.runtime["_roots"].append(ast)
+        its values, and only a masked lowering may take it."""
+        self.grad, self.fixed = grad, fixed
         self.pos: dict[int, int] = {}
         for i, node in enumerate(_subtrees(ast)):
             self.pos.setdefault(id(node), i)
@@ -443,8 +454,14 @@ class _Lowering:
         body = [f"    {line}" for line in self.lines]
         return "\n".join([f"def kernel({params}):", *head, *body, f"    return {out}"])
 
-    def function(self, params: str, out: str, **extra):
-        """The function ``kernel(params)`` returning ``out``; ``extra`` adds globals."""
+    def function(self, params: str, value, partials=None, **extra):
+        """``kernel(params)`` returning ``value``, or ``value, (partials)``, NaN where
+        ``bad`` holds if masked; ``extra`` adds globals."""
+        out = self.text(value)
+        if partials is not None:
+            out += ", (" + "".join(f"{self.text(p)}, " for p in partials) + ")"
+        if self.masked and self.checked:
+            self.line(f"if _any(bad): return _nan(bad, ({out}))")
         namespace = dict(self.runtime, **extra, __builtins__={})
         exec(compile(self.source(params, out), "<sipcert kernel>", "exec"), namespace)
         return namespace.pop("kernel")
@@ -494,7 +511,7 @@ class _Lowering:
 
     def call(self, fn: str, *args):
         if all(isinstance(a, float) for a in args):
-            with np.errstate(all="ignore"):  # an overflow, or a log after an unconditional raise
+            with np.errstate(all="ignore"):  # an overflow, or a log past a check that always fails
                 return float(self.runtime[fn](*args) if fn[0] == "_" else getattr(np, fn)(*args))
         prefix = "" if fn[0] == "_" else "np."
         return self.emit(f"{prefix}{fn}({', '.join(self.text(a) for a in args)})")
@@ -508,11 +525,14 @@ class _Lowering:
         if isinstance(a, float) and not _COMPARE[cmp](a, 0.0):
             return
         test = f"({self.text(a)} {cmp} 0.0)"
-        if self.masked:
-            self.line(f"bad = bad | {test}" if self.checked else f"bad = {test}")
+        if not self.masked:
+            fail = f"raise _domain_error(root, {self.pos[id(node)]}, {message!r})"
+            self.line(f"if _any{test}: {fail}")
+        elif self.indent and not self.checked:  # the first check, under a branch that may not run
+            self.lines.insert(0, "bad = False")
+            self.line(f"bad = bad | {test}")
         else:
-            fail = f"raise _domain_error({self.ref}, {self.pos[id(node)]}, {message!r})"
-            self.line(f"if {'_any' if self.fixed is None else ''}{test}: {fail}")
+            self.line(f"bad = bad | {test}" if self.checked else f"bad = {test}")
         self.checked = True
 
     def lower(self, node: ExprAst):
@@ -652,14 +672,7 @@ class _Lowering:
 def _compile(ast: ExprAst, n: int, grad: bool, masked: bool):
     """The kernel, and whether it has a check."""
     lowering = _Lowering(n, masked)
-    value, partials = lowering.root(ast, grad)
-    out = lowering.text(value)
-    if grad:
-        out += ", (" + "".join(f"{lowering.text(p)}, " for p in partials) + ")"
-    if masked and lowering.checked:  # each operand of the result NaN where ``bad`` holds
-        nan = re.sub(r"[^(), ]+", r"np.where(bad, np.nan, \g<0>)", out)
-        lowering.line(f"if _any(bad): return {nan}")
-    return lowering.function("xs, env, root", out), lowering.checked
+    return lowering.function("xs, env, root", *lowering.root(ast, grad)), lowering.checked
 
 
 def kernel(ast: ExprAst, n: int, grad: bool, masked: bool = False):

@@ -178,18 +178,16 @@ class SipInstance:
         rows = [ex.eval_grad(c, x)[1] for c in self.equalities.components]
         return np.array(rows, dtype=float).reshape(len(rows), self.dim)
 
-    def eq_residual(self, x) -> float:
-        """Largest absolute equality residual at x, 0 without equalities. A
-        NaN residual, or an equality the expression rejects, counts as +inf,
-        as a NaN constraint value does in ConstraintScan.argmax."""
-        if not self.equalities.components:
-            return 0.0
+    def _read(self, bodies, x) -> list[float]:
+        """Each body's value at x from its masked kernel, a NaN (as at a point the
+        expression rejects) read as +inf, as in ConstraintScan.argmax and the solver."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                r = np.abs(self.eq_values(x))
-            except ex.ExprError:
-                return math.inf
-        return float(np.max(np.where(np.isnan(r), math.inf, r)))
+            vals = [float(ex.eval_value(b, x, masked=True)) for b in bodies]
+        return [v if v == v else math.inf for v in vals]
+
+    def eq_residual(self, x) -> float:
+        """Largest absolute equality residual at x, read by ``_read``; 0 without equalities."""
+        return max(map(abs, self._read(self.equalities.components, x)), default=0.0)
 
     def box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper corners of the declared box, [-1, 1]^dim without one."""
@@ -199,12 +197,9 @@ class SipInstance:
         return lo, hi
 
     def cost_value(self, x) -> float:
-        """The cost at x, +inf where the expression rejects it (the solver's rule)."""
+        """The cost at x, its largest piece for a max-type cost, read by ``_read``."""
         pieces = (self.cost.body,) if isinstance(self.cost, SmoothCost) else self.cost.pieces
-        try:
-            return max(float(ex.eval_value(p, x)) for p in pieces)
-        except ex.ExprError:
-            return math.inf
+        return max(self._read(pieces, x))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ penalized gradient descent with Armijo backtracking; for smooth costs a
 square Newton polish on the working-set stationarity system sharpens the
 candidate to tight tolerances. Everything is seeded and deterministic.
 The penalty of each working set runs as one generated function per pass,
-compiled when the working set changes and dropped with it. The Newton
-polish runs on Python floats and reads a rejected point as ``_bind`` does.
+compiled when the working set changes and dropped with it. Every reading
+is masked: a point the expression rejects reads NaN, never an error. The
+Newton polish runs on Python floats and reads such a point as ``_bind`` does.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class SolverTrace:
 
 @dataclass(frozen=True)
 class WorkingConstraint:
-    """A constraint with its kernels and index binding ``env`` bound once. Both
+    """A constraint with its masked kernels and index binding ``env`` bound once. Both
     take the coordinate list ``xs``; ``grad`` gives (value, the kernel's tuple of
-    partials). A point the expression rejects reads as value +inf with NaN partials."""
+    partials). A NaN value reads +inf, so a rejected point is +inf with NaN partials."""
 
     label: str
     body: ex.ExprAst
@@ -73,20 +74,15 @@ class WorkingConstraint:
 
 
 def _bind(label: str, body: ex.ExprAst, n: int, env: dict) -> WorkingConstraint:
-    value_kernel, grad_kernel = ex.kernel(body, n, False), ex.kernel(body, n, True)
+    value_kernel, grad_kernel = ex.kernel(body, n, False, True), ex.kernel(body, n, True, True)
 
     def value(xs):
-        try:
-            return float(value_kernel(xs, env, body))
-        except ex.ExprError:
-            return math.inf
+        v = value_kernel(xs, env, body)
+        return float(v) if v == v else math.inf
 
     def grad(xs):
-        try:
-            v, partials = grad_kernel(xs, env, body)
-        except ex.ExprError:
-            return math.inf, (math.nan,) * n
-        return float(v), partials
+        v, partials = grad_kernel(xs, env, body)
+        return float(v) if v == v else math.inf, partials
 
     return WorkingConstraint(label, body, env, value, grad)
 
@@ -118,15 +114,16 @@ def _square(v: float) -> float:
 
 
 def _penalty_pair(inst: SipInstance, working) -> tuple:
-    """The value pass and the gradient pass (value, list of partials) of the cost
+    """The value pass and the gradient pass (value, tuple of partials) of the cost
     plus rho * v^2 for each violated working constraint and each equality
     residual, each one generated function ``f(xs, rho)`` with the working
-    bindings folded in. Both raise an ExprError wherever one of those terms would."""
+    bindings folded in. Both are masked: where the expression rejects a term
+    they read, the value and every partial are NaN."""
     return tuple(_penalty_function(inst, working, grad) for grad in (False, True))
 
 
 def _penalty_function(inst: SipInstance, working, grad: bool):
-    lw = ex._Lowering(inst.dim)
+    lw = ex._Lowering(inst.dim, masked=True)
     t, line, gs = lw.text, lw.line, [f"g{j}" for j in range(inst.dim)]
 
     def add_grad(v, partials):  # g_j + 2.0 * rho * v * p_j, with 2.0 * rho * v once
@@ -163,8 +160,8 @@ def _penalty_function(inst: SipInstance, working, grad: bool):
         line(f"val = val + rho * _square({v})" if grad else f"val = val + rho * {v} * {v}")
         if grad:
             add_grad(v, partials)
-    out = f"val, [{', '.join(gs)}]" if grad else "val"
-    return lw.function("xs, rho", out, _max=max, _argmax=np.argmax, _square=_square)
+    return lw.function("xs, rho", "val", gs if grad else None,
+                       _max=max, _argmax=np.argmax, _square=_square)
 
 
 def _max_violation(working, x) -> float:
@@ -174,46 +171,40 @@ def _max_violation(working, x) -> float:
 
 def _penalty_descent(inst: SipInstance, working, pair, x0):
     """Penalty stages from x0 on coordinate lists; arrays only between stages.
-    ``pair`` is ``_penalty_pair(inst, working)``. A point the gradient pass
-    rejects ends the stage's descent, and a trial point the value pass rejects
-    reads +inf: under ``_bind``'s rule such a point has NaN partials or an
-    infinite value, which no line search leaves or accepts."""
+    ``pair`` is ``_penalty_pair(inst, working)``. A gradient that is not a
+    number, as at a point the gradient pass rejects, ends the stage's descent,
+    and a trial point the value pass rejects is NaN, which no line search
+    accepts. The masked passes run past a rejection, so numpy's warnings are off."""
     value_pass, grad_pass = pair
     x = x0.tolist()
     rho = PENALTY0
     step = STEP0
-    for _ in range(PENALTY_STAGES):
-        for _ in range(MAX_INNER):
-            try:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in solve()
+        for _ in range(PENALTY_STAGES):
+            for _ in range(MAX_INNER):
                 val, grad = grad_pass(x, rho)
-            except ex.ExprError:
-                break
-            grad = np.array(grad)
-            gnorm = math.sqrt(grad.dot(grad))  # np.linalg.norm of a 1-D array, without its overhead
-            if gnorm <= 1e-10 * max(1.0, abs(val)):
-                break
-            d = [-gj / gnorm for gj in grad.tolist()]
-            t = step
-            improved = False
-            for _ in range(40):
-                cand = [xj + t * dj for xj, dj in zip(x, d)]
-                try:
-                    cand_val = value_pass(cand, rho)
-                except ex.ExprError:
-                    cand_val = math.inf
-                if cand_val <= val - ARMIJO * t * gnorm:
-                    x = cand
-                    step = min(t * 1.5, STEP0)
-                    improved = True
+                grad = np.array(grad)
+                gnorm = math.sqrt(grad.dot(grad))  # np.linalg.norm of a 1-D array, less overhead
+                if not gnorm > 1e-10 * max(1.0, abs(val)):
                     break
-                t *= 0.5
-            if not improved:
+                d = [-gj / gnorm for gj in grad.tolist()]
+                t = step
+                improved = False
+                for _ in range(40):
+                    cand = [xj + t * dj for xj, dj in zip(x, d)]
+                    if value_pass(cand, rho) <= val - ARMIJO * t * gnorm:
+                        x = cand
+                        step = min(t * 1.5, STEP0)
+                        improved = True
+                        break
+                    t *= 0.5
+                if not improved:
+                    break
+            xa = np.array(x)
+            eq = inst.eq_residual(xa)
+            if max(_max_violation(working, xa), eq) <= VIOLATION_TOL and rho > 1e4:
                 break
-        xa = np.array(x)
-        eq = inst.eq_residual(xa)
-        if max(_max_violation(working, xa), eq) <= VIOLATION_TOL and rho > 1e4:
-            break
-        rho *= PENALTY_GROWTH
+            rho *= PENALTY_GROWTH
     return np.array(x)
 
 

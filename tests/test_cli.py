@@ -184,6 +184,18 @@ def test_slater_search_domain_error_is_not_a_crash(tmp_path, capsys):
     assert model.scan_constraints(model.load_instance(path), point).argmax()[0] < 0.0
 
 
+def test_text_report_gives_the_emfcq_and_pmfcq_reasons(tmp_path, capsys):
+    # h's x1 partial is inf at the origin, so both read unknown, and say why
+    path = tmp_path / "infinite_jacobian.sip"
+    path.write_text("[problem]\nvars = x1 x2 x3\nminimize = x1^2 + x2^2 + x3^2\n\n"
+                    "[constraints]\ng1 = x3 - 1\n\n[equalities]\nh = x1*1e308*1e308 + x2\n")
+    code, out, _ = run_cli(["analyze", str(path), "--point=0,0,0"], capsys)
+    assert code == EXIT_OK
+    reason = "(an equality Jacobian entry is not finite)"
+    assert f"  EMFCQ: unknown  margin=None  {reason}\n" in out
+    assert f"  PMFCQ: unknown  stabilized_eps=None  {reason}\n" in out
+
+
 # the bundled instances at the points of their golden reports
 ANALYZE_POINTS = {
     "countable_cubic": "-1,0",

@@ -566,6 +566,16 @@ class TestKernel:
         del ast, kernels
         assert [r() for r in refs] == [None, None, None]
 
+    def test_masked_lowering_binds_its_mask_before_a_branch(self):
+        # the one check sits under a branch, which x1 = -2 does not take
+        lowering = expr._Lowering(1, masked=True)
+        lowering.line("val = 0.0")
+        with lowering.branch("x1 > -1.0"):
+            lowering.line(f"val = val + {lowering.root(parse('log(x1)'), False, {})[0]}")
+        run = lowering.function("xs", "val")
+        with np.errstate(invalid="ignore"):  # log(-0.5) runs on, and is masked
+            assert [run([x]) for x in (-2.0, 1.0)] == [0.0, 0.0] and math.isnan(run([-0.5]))
+
 
 @pytest.fixture(scope="module")
 def sympy():

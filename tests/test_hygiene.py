@@ -132,10 +132,6 @@ EXPR_ERRORS = {"ExprError", "DomainError", "ParseError"}
 # the definitions that catch an expression error, and why each does
 EXPR_ERROR_CATCHES_ALLOWED = {
     "model._parse_expr": "a parse error in an instance file is reported with its line",
-    "model.SipInstance": "cost_value and eq_residual read a rejected cost or equality as +inf",
-    "solver._bind": "the solver's rule: a rejected point reads as +inf with NaN partials",
-    "solver._penalty_descent": "a point the gradient pass rejects ends the stage's descent, "
-                               "and a trial point the value pass rejects reads +inf",
     "cli.main": "an instance file that does not load, or a cost or equality the expression "
                 "rejects at the point, ends in exit 2",
 }

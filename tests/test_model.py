@@ -183,6 +183,12 @@ class TestFeasibility:
         assert not res.feasible and res.eq_residual == math.inf
         assert inst.eq_residual([1.0, -0.5]) == 0.5
 
+    def test_nan_cost_piece_is_infinite_in_any_order(self):
+        # exp(850) * 0 is NaN, so a NaN-blind max of the pieces depends on their order
+        for pieces in ("exp(x1)*0 + x2; x2", "x2; exp(x1)*0 + x2"):
+            inst = loads_instance(f"[problem]\nvars = x1 x2\nminimize_max = {pieces}\n")
+            assert inst.cost_value([850.0, 0.5]) == math.inf
+
 
 class TestBox:
     def test_declared_box(self):
