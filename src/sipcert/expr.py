@@ -12,7 +12,9 @@ once, on first use, into a straight-line Python function for dimension n:
 the value kernel, or with ``grad`` a separate value-and-gradient kernel.
 A kernel performs the IEEE operations of the forward-mode dual recursion in
 its order, with the value and each partial as separate operands, and raises
-the same domain errors at the same points. It runs on Python floats for one
+the same domain errors at the same points. Tangents are sparse: a partial
+that is structurally zero, as every partial of ``-t`` or ``x1^0`` is, takes
+no operation and reads exactly +0.0. A kernel runs on Python floats for one
 point with scalar bindings, and broadcasts over numpy arrays bound to the
 index variable or over a batch of points, which is how whole index grids are
 scanned in one pass. A masked kernel raises no domain error: the value and
@@ -411,27 +413,32 @@ class _Lowering:
 
     Each statement is one IEEE operation of the dual-number recursion, in
     its order (tangent first in products, the integer-power loop unrolled
-    with its ``1 * b`` and ``0 * b + b'`` first step, zero partials kept
-    dense), so results match that recursion bit for bit, signed zeros
-    included. An operand is a local name or a float known when compiling;
-    operations on known floats are folded with the same arithmetic, and a
-    repeated operation reuses its first result, unless that result was
-    computed under a ``branch`` that has ended. A root lowered with
-    ``fixed`` bindings runs on one point with its index values known floats;
-    only a masked lowering takes one, so only a kernel's own root raises. A
-    ``masked`` lowering gathers what its checks reject in ``bad`` (bound
-    first thing when its first check is under a branch) and runs on, so it
-    divides by a local through ``_div``, and its function returns NaN where
-    ``bad`` holds. The source holds only generated names, float reprs,
-    integers and names and messages from fixed tables: index names reach
-    the kernel through ``_names``, never as text.
+    from its first factor). Tangents are sparse: a partial that no
+    chain-rule term reaches from a decision variable, as each partial of a
+    constant, an index variable or ``a ^ 0``, is structurally zero and is
+    None (a value-only lowering has no partials at all). A term with such a
+    factor drops out of its sum, a derivative factor that only such
+    partials would take is not computed, and the function returns +0.0 for
+    one. An operand is a local name or a float known when compiling;
+    operations on known floats are folded with the same arithmetic, a
+    repeated operation reuses its first result, and a repeated check is not
+    made again, unless the first was emitted under a ``branch`` that has
+    ended. A root lowered with ``fixed`` bindings runs on one point with its
+    index values known floats; only a masked lowering takes one, so only a
+    kernel's own root raises. A ``masked`` lowering gathers what its checks
+    reject in ``bad`` (bound first thing when its first check is under a
+    branch) and runs on, so it divides by a local through ``_div``, and its
+    function returns NaN where ``bad`` holds. The source holds only
+    generated names, float reprs, integers and names and messages from fixed
+    tables: index names reach the kernel through ``_names``, never as text.
     """
 
     def __init__(self, n: int, masked: bool = False):
         self.n, self.masked, self.checked = n, masked, False  # checked: a check can fail
         self.lines: list[str] = []
         self.indent = ""
-        self.results: dict[str, str] = {}  # right-hand side -> local holding it
+        # right-hand side -> local holding it, and each check's test -> itself
+        self.results: dict[str, str] = {}
         # env: the bindings of a function without that parameter (none beyond ``fixed``)
         self.runtime: dict[str, object] = dict(_RUNTIME, _names=[], env={})
         self.consts: dict[str, str] = {}  # repr of a non-finite constant -> its global
@@ -439,11 +446,11 @@ class _Lowering:
         self.columns: set[int] = set()
 
     def root(self, ast: ExprAst, grad: bool, fixed: Mapping[str, float] | None = None):
-        """(value, partials) of ``ast``, partials None without ``grad``. Without
-        ``fixed``, index variables are read from ``env`` at run time and a
-        domain error names a node of the ``root`` argument; with it, they are
-        its values, and only a masked lowering may take it."""
-        self.grad, self.fixed = grad, fixed
+        """(value, partials) of ``ast``: n partials with ``grad``, else none.
+        Without ``fixed``, index variables are read from ``env`` at run time
+        and a domain error names a node of the ``root`` argument; with it,
+        they are its values, and only a masked lowering may take it."""
+        self.width, self.fixed = self.n if grad else 0, fixed
         self.pos: dict[int, int] = {}
         for i, node in enumerate(_subtrees(ast)):
             self.pos.setdefault(id(node), i)
@@ -454,11 +461,11 @@ class _Lowering:
         body = [f"    {line}" for line in self.lines]
         return "\n".join([f"def kernel({params}):", *head, *body, f"    return {out}"])
 
-    def function(self, params: str, value, partials=None, **extra):
+    def function(self, params: str, value, partials=(), **extra):
         """``kernel(params)`` returning ``value``, or ``value, (partials)``, NaN where
         ``bad`` holds if masked; ``extra`` adds globals."""
         out = self.text(value)
-        if partials is not None:
+        if partials:
             out += ", (" + "".join(f"{self.text(p)}, " for p in partials) + ")"
         if self.masked and self.checked:
             self.line(f"if _any(bad): return _nan(bad, ({out}))")
@@ -472,7 +479,7 @@ class _Lowering:
     @contextlib.contextmanager
     def branch(self, cond: str):
         """Lines emitted inside run only where ``cond`` holds, and what they
-        compute is reused only inside."""
+        compute or check is reused only inside."""
         self.line(f"if {cond}:")
         saved = dict(self.results), dict(self.index)
         self.indent += "    "
@@ -481,6 +488,8 @@ class _Lowering:
         self.results, self.index = saved
 
     def text(self, a) -> str:
+        if a is None:  # a structurally zero partial
+            return "0.0"
         if isinstance(a, str):
             return a
         if math.isfinite(a):
@@ -498,6 +507,10 @@ class _Lowering:
         return name
 
     def arith(self, op: str, a, b):
+        if b is None:  # a structurally zero partial: its term drops out
+            return None if op in "*/" else a
+        if a is None:
+            return None if op in "*/" else b if op == "+" else self.neg(b)
         if isinstance(a, float) and isinstance(b, float):
             try:
                 return float(_ARITH[op](a, b))
@@ -517,14 +530,28 @@ class _Lowering:
         return self.emit(f"{prefix}{fn}({', '.join(self.text(a) for a in args)})")
 
     def neg(self, a):
+        if a is None:
+            return None
         return -a if isinstance(a, float) else self.emit(f"-{a}")
+
+    def scale(self, partials: list, factor) -> list:
+        """Each partial times ``factor()``, which is lowered only when some
+        partial is not structurally zero."""
+        if all(p is None for p in partials):
+            return partials
+        d = factor()
+        return [self.arith("*", p, d) for p in partials]
 
     def check(self, node: ExprAst, a, cmp: str, message: str) -> None:
         """Raise the domain error where any entry of ``a cmp 0`` holds, or in
-        a masked kernel add those entries to ``bad``."""
+        a masked kernel add those entries to ``bad``; a test already made
+        where this line runs is not made again."""
         if isinstance(a, float) and not _COMPARE[cmp](a, 0.0):
             return
         test = f"({self.text(a)} {cmp} 0.0)"
+        if test in self.results:
+            return
+        self.results[test] = test
         if not self.masked:
             fail = f"raise _domain_error(root, {self.pos[id(node)]}, {message!r})"
             self.line(f"if _any{test}: {fail}")
@@ -536,8 +563,8 @@ class _Lowering:
         self.checked = True
 
     def lower(self, node: ExprAst):
-        """(value, partials) of ``node``; partials is None without gradients."""
-        zeros = [0.0] * self.n if self.grad else None
+        """(value, partials) of ``node``."""
+        zeros = [None] * self.width
         if isinstance(node, Const):
             return float(node.value), zeros
         if isinstance(node, Var) and type(node.position) is int and node.position >= 1:
@@ -547,8 +574,7 @@ class _Lowering:
                 self.line(f"raise ExprError({message!r})")
             else:
                 self.columns.add(p)
-            unit = [1.0 if j == p - 1 else 0.0 for j in range(self.n)]
-            return f"x{p}", unit if self.grad else None
+            return f"x{p}", [1.0 if j == p - 1 else None for j in range(self.width)]
         if isinstance(node, IndexVar):
             if self.fixed is not None and node.name in self.fixed:
                 return float(self.fixed[node.name]), zeros
@@ -560,7 +586,7 @@ class _Lowering:
             return self.index[node.name], zeros
         if isinstance(node, Neg):
             v, t = self.lower(node.child)
-            return self.neg(v), [self.neg(tj) for tj in t] if self.grad else None
+            return self.neg(v), [self.neg(tj) for tj in t]
         if isinstance(node, Call):
             return self.lower_call(node, *self.lower(node.arg))
         if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/", "^"):
@@ -577,29 +603,20 @@ class _Lowering:
         fn = node.fn
         if fn not in _FUNCTIONS:
             raise ExprError(f"unknown function {fn!r}")
-        x_free = fn == "sqrt" and not max_var_position(node.arg)  # partials all +-0 or NaN
         if fn == "log":
             self.check(node, v, "<=", "log of a nonpositive value")
         elif fn == "sqrt":
             self.check(node, v, "<", "sqrt of a negative value")
-            if self.grad and not x_free:
+            if any(tj is not None for tj in t):
                 self.check(node, v, "==", "sqrt gradient at zero")
         val = self.call(fn, v)
-        if not self.grad:
-            return val, None
-        if x_free:  # t * (0.5 / val) keeps +-0 and NaN for any val > 0: no zero check
-            return val, t
-        if fn == "sin":
-            d = self.call("cos", v)
-        elif fn == "cos":
-            d = self.neg(self.call("sin", v))
-        elif fn == "exp":
-            d = val
-        elif fn == "log":
-            d = self.arith("/", 1.0, v)
-        else:
-            d = self.arith("/", 0.5, val)
-        return val, [self.arith("*", tj, d) for tj in t]
+        return val, self.scale(t, {
+            "sin": lambda: self.call("cos", v),
+            "cos": lambda: self.neg(self.call("sin", v)),
+            "exp": lambda: val,
+            "log": lambda: self.arith("/", 1.0, v),
+            "sqrt": lambda: self.arith("/", 0.5, val),
+        }[fn])
 
     def lower_binop(self, node: BinOp, va, ta, vb, tb):
         op, arith = node.op, self.arith
@@ -607,66 +624,45 @@ class _Lowering:
             self.check(node, va, "<=", "non-integer power of a nonpositive base")
             log_a = self.call("log", va)
             val = self.call("exp", arith("*", vb, log_a))
-            if not self.grad:
-                return val, None
-            s_b = arith("*", val, log_a)
-            s_a = arith("/", arith("*", val, vb), va)
-            return val, [
-                arith("+", arith("*", b, s_b), arith("*", a, s_a)) for a, b in zip(ta, tb)
-            ]
+            tb = self.scale(tb, lambda: arith("*", val, log_a))
+            ta = self.scale(ta, lambda: arith("/", arith("*", val, vb), va))
+            return val, [arith("+", b, a) for a, b in zip(ta, tb)]
         if op in ("+", "-"):
-            val = arith(op, va, vb)
-            if not self.grad:
-                return val, None
-            return val, [arith(op, a, b) for a, b in zip(ta, tb)]
+            return arith(op, va, vb), [arith(op, a, b) for a, b in zip(ta, tb)]
         if op == "*":
             val = arith("*", va, vb)
-            if not self.grad:
-                return val, None
             return val, [arith("+", arith("*", a, vb), arith("*", b, va)) for a, b in zip(ta, tb)]
         self.check(node, vb, "==", "division by zero")
         val = arith("/", va, vb)
-        if not self.grad:
-            return val, None
-        r = arith("/", 1.0, vb)
-        return val, [arith("*", arith("-", a, arith("*", b, val)), r) for a, b in zip(ta, tb)]
+        t = [arith("-", a, arith("*", b, val)) for a, b in zip(ta, tb)]
+        return val, self.scale(t, lambda: arith("/", 1.0, vb))
 
     def lower_int_pow(self, node: BinOp, v, t, k: int):
-        """``v ^ k`` by binary powering, as the dual recursion unrolls it."""
+        """``v ^ k`` by binary powering, as the dual recursion unrolls it: the
+        first factor is taken as it is, tangent included."""
         arith = self.arith
         if k < 0:
             self.check(node, v, "==", "zero base with a negative exponent")
         if k == 0:
-            return self.call("_ones_like", v), [0.0] * self.n if self.grad else None
-        rv = rt = None  # the loop's ones and zeros, before the first factor
+            return self.call("_ones_like", v), [None] * self.width
+        rv = rt = None  # the loop's one, before the first factor
         bv, bt = v, t
         e = abs(k)
         while e:
             if e & 1:
                 if rv is None:
-                    if self.grad:
-                        zero = arith("*", 0.0, bv)
-                        rt = [arith("+", zero, b) for b in bt]
-                    rv = bv
+                    rv, rt = bv, bt
                 else:
-                    if self.grad:
-                        rt = [
-                            arith("+", arith("*", r, bv), arith("*", b, rv))
-                            for r, b in zip(rt, bt)
-                        ]
+                    rt = [arith("+", arith("*", r, bv), arith("*", b, rv)) for r, b in zip(rt, bt)]
                     rv = arith("*", rv, bv)
             e >>= 1
             if e:
-                if self.grad:
-                    bt = [arith("*", 2.0, arith("*", b, bv)) for b in bt]
+                bt = [arith("*", 2.0, arith("*", b, bv)) for b in bt]
                 bv = arith("*", bv, bv)
         if k > 0:
             return rv, rt
-        val = self.call("_div", 1.0, rv)
-        if not self.grad:
-            return val, None
-        w = self.call("_div", -1.0, arith("*", rv, rv))
-        return val, [arith("*", r, w) for r in rt]
+        return self.call("_div", 1.0, rv), self.scale(
+            rt, lambda: self.call("_div", -1.0, arith("*", rv, rv)))
 
 
 def _compile(ast: ExprAst, n: int, grad: bool, masked: bool):

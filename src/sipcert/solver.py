@@ -129,12 +129,13 @@ def _penalty_function(inst: SipInstance, working, grad: bool):
     def add_grad(v, partials):  # g_j + 2.0 * rho * v * p_j, with 2.0 * rho * v once
         line(f"s = r2 * {v}")
         for gj, pj in zip(gs, partials):
-            line(f"{gj} = {gj} + s * {t(pj)}")
+            if pj is not None:  # a structurally zero partial adds nothing
+                line(f"{gj} = {gj} + s * {t(pj)}")
 
     if isinstance(inst.cost, SmoothCost):
         v, partials = lw.root(inst.cost.body, grad, {})
         line(f"val = {t(v)}")
-        for gj, pj in zip(gs, partials or ()):
+        for gj, pj in zip(gs, partials):
             line(f"{gj} = {t(pj)}")
     else:
         vals = ", ".join(t(lw.root(p, False, {})[0]) for p in inst.cost.pieces)
@@ -160,7 +161,7 @@ def _penalty_function(inst: SipInstance, working, grad: bool):
         line(f"val = val + rho * _square({v})" if grad else f"val = val + rho * {v} * {v}")
         if grad:
             add_grad(v, partials)
-    return lw.function("xs, rho", "val", gs if grad else None,
+    return lw.function("xs, rho", "val", gs if grad else (),
                        _max=max, _argmax=np.argmax, _square=_square)
 
 

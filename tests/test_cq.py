@@ -424,9 +424,14 @@ class TestCoarseStep:
             assert np.signbit(got_g).tolist() == np.signbit(want_g).tolist()
 
     def test_cases_reach_nan_and_ties(self):
+        # every row is NaN (inf - inf), so the first, t = 0, is the worst: its
+        # x1 partial is NaN too, and its x2 partial is t, exactly +0.0
         build, points = COARSE_CASES["nan_body"]
         v, g = _coarse_sup_and_gradient(build(), np.array(points[0]))
-        assert v == math.inf and np.all(np.isnan(g))
+        assert v == math.inf and math.isnan(g[0])
+        assert g[1] == 0.0 and not np.signbit(g[1])
+        norm = np.linalg.norm(g)  # not finite, so check_ssc's step ends there
+        assert not 1e-14 <= norm < math.inf and math.isnan(norm)
         build, points = COARSE_CASES["fixed_ties_family"]
         v, g = _coarse_sup_and_gradient(build(), np.array(points[1]))
         assert v == 0.0 and g.tolist() == [1.0, 0.0]

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sipcert import expr
@@ -274,15 +274,25 @@ class TestProperties:
 
 
 def _reference(ast, x, index=None, grad=False):
-    """(value, tangent) by the tree-walking dual-number recursion that the
-    compiled kernels replay: numpy values, tangents of shape (..., n)."""
+    """(value, gradient) by a tree-walking sparse dual-number recursion, the
+    one that the compiled kernels replay: numpy values, and a tangent that
+    is a list of n partials, None where a partial is structurally zero (no
+    decision variable it could depend on occurs below). A term with such a
+    factor drops out of its sum, and such a partial reads +0.0 in the
+    gradient, of shape value shape + (n,)."""
     xa = np.asarray(x, dtype=float)
     n = xa.shape[-1]
     env = dict(index or {})
-    zeros = np.zeros(n)
+    zeros = [None] * n
 
-    def scale(t, v):
-        return t * v if np.ndim(v) == 0 else t * np.asarray(v)[..., None]
+    def mul(t, v):
+        return None if t is None else t * v
+
+    def add(a, b):
+        return b if a is None else a if b is None else a + b
+
+    def sub(a, b):
+        return a if b is None else -b if a is None else a - b
 
     def rec(node):
         if isinstance(node, Const):
@@ -290,26 +300,26 @@ def _reference(ast, x, index=None, grad=False):
         if isinstance(node, Var):
             if node.position > n:
                 raise ExprError(f"x{node.position} out of range for dimension {n}")
-            return xa[..., node.position - 1], np.eye(n)[node.position - 1]
+            return xa[..., node.position - 1], [1.0 if j == node.position - 1 else None
+                                                for j in range(n)]
         if isinstance(node, IndexVar):
             if node.name not in env:
                 raise ExprError(f"unbound index variable '{node.name}'")
-            v = np.asarray(env[node.name], dtype=float)
-            return v, np.zeros(v.shape + (n,))
+            return np.asarray(env[node.name], dtype=float), zeros
         if isinstance(node, Neg):
             v, t = rec(node.child)
-            return -v, -t
+            return -v, [None if p is None else -p for p in t]
         if isinstance(node, Call):
             v, t = rec(node.arg)
             if node.fn == "log" and np.any(v <= 0.0):
                 raise DomainError("log of a nonpositive value", node)
             if node.fn == "sqrt" and np.any(v < 0.0):
                 raise DomainError("sqrt of a negative value", node)
-            x_free = node.fn == "sqrt" and expr.max_var_position(node.arg) == 0
+            x_free = all(p is None for p in t)
             if node.fn == "sqrt" and grad and not x_free and np.any(v == 0.0):
                 raise DomainError("sqrt gradient at zero", node)
             val = getattr(np, node.fn)(v)
-            if x_free:  # no decision variable below: the tangent passes through
+            if x_free:  # no decision variable below: no derivative factor
                 return val, t
             if node.fn == "sin":
                 d = np.cos(v)
@@ -321,42 +331,53 @@ def _reference(ast, x, index=None, grad=False):
                 d = 1.0 / v
             else:
                 d = 0.5 / val
-            return val, scale(t, d)
+            return val, [mul(p, d) for p in t]
         va, ta = rec(node.left)
         k = expr._int_exponent(node.right) if node.op == "^" else None
         if k is not None:
             if k < 0 and np.any(va == 0.0):
                 raise DomainError("zero base with a negative exponent", node)
-            rv, rt = np.ones_like(va) if np.ndim(va) else 1.0, np.zeros_like(ta)
+            if k == 0:
+                return np.ones_like(va) if np.ndim(va) else 1.0, zeros
+            rv, rt = None, None  # the first factor is taken as it is
             bv, bt, e = va, ta, abs(k)
             while e > 0:
                 if e & 1:
-                    rv, rt = rv * bv, scale(rt, bv) + scale(bt, rv)
+                    if rv is None:
+                        rv, rt = bv, bt
+                    else:
+                        rv, rt = rv * bv, [add(mul(r, bv), mul(b, rv)) for r, b in zip(rt, bt)]
                 e >>= 1
                 if e:
-                    bv, bt = bv * bv, 2.0 * scale(bt, bv)
+                    bv, bt = bv * bv, [mul(mul(b, bv), 2.0) for b in bt]
             if k >= 0:
                 return rv, rt
             # a constant base can underflow to a Python 0.0: divide as numpy does
-            return np.divide(1.0, rv), scale(rt, np.divide(-1.0, rv * rv))
+            w = np.divide(-1.0, rv * rv)
+            return np.divide(1.0, rv), [mul(r, w) for r in rt]
         vb, tb = rec(node.right)
         if node.op == "^":
             if np.any(va <= 0.0):
                 raise DomainError("non-integer power of a nonpositive base", node)
             val = np.exp(vb * np.log(va))
-            return val, scale(tb, val * np.log(va)) + scale(ta, val * vb / va)
+            s_b, s_a = val * np.log(va), val * vb / va
+            return val, [add(mul(b, s_b), mul(a, s_a)) for a, b in zip(ta, tb)]
         if node.op == "+":
-            return va + vb, ta + tb
+            return va + vb, [add(a, b) for a, b in zip(ta, tb)]
         if node.op == "-":
-            return va - vb, ta - tb
+            return va - vb, [sub(a, b) for a, b in zip(ta, tb)]
         if node.op == "*":
-            return va * vb, scale(ta, vb) + scale(tb, va)
+            return va * vb, [add(mul(a, vb), mul(b, va)) for a, b in zip(ta, tb)]
         if np.any(vb == 0.0):
             raise DomainError("division by zero", node)
         val = va / vb
-        return val, scale(ta - scale(tb, val), 1.0 / vb)
+        return val, [mul(sub(a, mul(b, val)), 1.0 / vb) for a, b in zip(ta, tb)]
 
-    return rec(ast)
+    val, t = rec(ast)
+    gradient = np.zeros(np.shape(val) + (n,))
+    for j, p in enumerate(t):
+        gradient[..., j] = 0.0 if p is None else p
+    return val, gradient
 
 
 def _bits(a):
@@ -418,6 +439,9 @@ class TestKernel:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(ast=ASTS, xs=st.lists(NUMBERS, min_size=6, max_size=6), n=st.integers(2, 3),
            t=NUMBERS, ts=st.lists(NUMBERS, min_size=1, max_size=4))
+    # a term dropped from a difference: the x1 partial is -x2, -0.0 at x2 = 0
+    @example(ast=BinOp("-", Const(2.0), BinOp("*", Var(1), Var(2))), xs=[0.0] * 6, n=2,
+             t=0.0, ts=[0.0])
     def test_replays_the_dual_recursion_bit_for_bit(self, ast, xs, n, t, ts):
         # values, gradients, signed zeros, error types, messages and subexprs;
         # x3 is out of range at n = 2. The batch has the (k, 1, n) layout that
@@ -482,6 +506,44 @@ class TestKernel:
             assert _bits(np.ravel(value)) == _bits(np.ravel(want[0]))
             if grad is not None:
                 assert _bits(np.ravel(grad)) == _bits(np.ravel(want[1]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf, nan and overflow are inputs here
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ast=ASTS, xs=st.lists(NUMBERS, min_size=3, max_size=3),
+           ts=st.lists(NUMBERS, min_size=1, max_size=4))
+    def test_the_partial_in_a_variable_absent_from_the_ast_is_plus_zero(self, ast, xs, ts):
+        # no operation touches that partial, so an inf or NaN value reaches
+        # it nowhere; only a masked kernel's rejected row is NaN throughout
+        present = {node.position for node in expr._subtrees(ast) if isinstance(node, Var)}
+        absent = [j for j in range(3) if j + 1 not in present]
+        assume(absent)
+        x, t = np.array(xs), np.array(ts)
+        grads = np.broadcast_to(eval_grad(ast, x, {"t": t}, masked=True)[1], (len(ts), 3))
+        rows = [(grads[k], {"t": t[k : k + 1]}) for k in range(len(ts))]
+        rows.append((eval_grad(ast, x, {"t": ts[0]}, masked=True)[1], {"t": ts[0]}))
+        for masked, index in rows:
+            try:
+                raising = eval_grad(ast, x, index)[1].reshape(3)
+            except DomainError:
+                assert np.isnan(masked).all()
+                continue
+            for j in absent:
+                assert _bits(raising[j]) == _bits(masked[j]) == _bits(0.0)
+
+    def test_a_check_is_made_once_where_its_line_runs(self):
+        # the penalty lowers a working constraint's value, then its gradient
+        # under ``if v > 0:``, where the value's check has run; a check made
+        # under a branch has not run after it, so it is made again there
+        ast = parse("log(x1 + 3) - x2")
+        lowering = expr._Lowering(2, masked=True)
+        v = lowering.root(ast, False, {})[0]
+        with lowering.branch(f"{v} > 0"):
+            lowering.root(ast, True, {})
+        with lowering.branch(f"{v} < -10"):
+            lowering.root(parse("log(x2)"), False, {})
+        lowering.root(parse("log(x2)"), False, {})
+        assert [line for line in lowering.lines if "<= 0.0" in line] == [
+            "bad = (v0 <= 0.0)", "    bad = bad | (x2 <= 0.0)", "bad = bad | (x2 <= 0.0)"]
 
     @pytest.mark.parametrize(
         "source, x, message, subexpr",

@@ -400,6 +400,34 @@ def test_penalty_gradient_pass_skips_satisfied_constraints():
             assert (val, grad) == (0.0, (0.0, 1.0))
 
 
+ZERO_TANGENT = re.compile(r"\b0\.0 \*|[-+*] 0\.0\b")
+
+
+def test_no_generated_line_operates_on_a_zero_tangent(monkeypatch):
+    # a structurally zero partial drops out of every sum and product, so no
+    # kernel of a bundled body and no penalty pass multiplies or adds +0.0
+    sources, source_of = [], ex._Lowering.source
+    monkeypatch.setattr(ex._Lowering, "source",
+                        lambda lowering, *args: sources.append(source_of(lowering, *args))
+                        or sources[-1])
+    for path in sorted(INSTANCES.glob("*.sip")):
+        inst = load_instance(path)
+        bodies = [inst.cost.body, *(b for _, b in inst.fixed),
+                  *(f.body for f, _ in inst.families), *inst.equalities.components]
+        for body in bodies:
+            for grad in (False, True):
+                for masked in (False, True):
+                    ex._compile(body, inst.dim, grad, masked)
+        lo, hi = inst.box_bounds()
+        scan = scan_constraints(inst, 0.5 * (lo + hi))
+        rows = np.unique(np.linspace(0, len(scan.value) - 1, 7).astype(int))
+        solver._penalty_pair(inst, [solver._constraint_for(inst, scan.index_id(int(r)))
+                                    for r in rows])
+    assert sum(text.startswith("def kernel(xs, rho)") for text in sources) == 4 * 2
+    for text in sources:
+        assert not ZERO_TANGENT.search(text), text
+
+
 def test_working_constraint_reads_a_nan_value_as_inf():
     # a NaN value reads +inf whether or not a check rejects the point
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as inside solve()
