@@ -26,7 +26,7 @@ from .cones import (
     family_rays,
 )
 from .model import (ACT_TOL, ConstraintScan, FamilyScan, InstanceError, SipInstance,
-                    scan_constraints, worst_row)
+                    scan_constraints)
 
 EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
 MARGIN_TOL = 1e-6
@@ -307,7 +307,7 @@ def _sup_inequalities(inst: SipInstance, x) -> float:
     0 when that maximum is not finite; a row the expression rejects is NaN,
     which counts as +inf."""
     scan = scan_constraints(inst, np.asarray(x, dtype=float))
-    best, _ = scan.argmax(tail=True)
+    best, _ = scan.argmax()
     if not math.isfinite(best):
         return 0.0
     slack = max(
@@ -319,10 +319,11 @@ def _sup_inequalities(inst: SipInstance, x) -> float:
 
 def _coarse_sup_and_gradient(inst: SipInstance, x):
     """Constraint supremum and a worst-index gradient on a thinned grid
-    (truncation 512, resolution 65, 2 refinements, no tail ladders): grid
-    values, then one gradient, at the first worst row (model.worst_row)."""
-    best, g = worst_row(inst, x, truncation=512, resolution=65, refinements=2)
-    return (0.0, np.zeros(inst.dim)) if g is None else (best, g)
+    (truncation 512, resolution 65, 2 refinements, no tail ladders): the
+    scan's values, then its gradients, at the first worst row."""
+    scan = scan_constraints(inst, x, truncation=512, resolution=65, refinements=2, tail=False)
+    best, row = scan.argmax()
+    return (0.0, np.zeros(inst.dim)) if row is None else (best, scan.grad[row])
 
 
 def _affine_projector(inst: SipInstance):

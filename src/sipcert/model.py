@@ -269,7 +269,23 @@ class ConstraintScan:
     ladder: np.ndarray  # tail ladder of the family, -1 off the ladders
     param: np.ndarray  # ladder parameter s -> 0 on tail rows
     value: np.ndarray
-    grad: np.ndarray  # (rows, dim)
+    # one per fixed constraint, family grid or tail ladder: (body, index name or
+    # None, rows, the ladder's gradients or None)
+    segments: list[tuple[ex.ExprAst, str | None, slice, np.ndarray | None]]
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """(rows, dim) x-gradients, made on first read by one masked gradient
+        kernel call per segment, its index values bound as a view of `t`; a
+        tail ladder keeps the gradients its rows were chosen by. A row whose
+        gradient alone is rejected (sqrt at 0) keeps its value and has a NaN
+        gradient. Every row has the bits it has when evaluated alone."""
+        grad = np.empty((len(self.value), len(self.x)))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for body, name, rows, known in self.segments:
+                grad[rows] = known if known is not None else ex.eval_grad(
+                    body, self.x, name and {name: self.t[rows]}, masked=True)[1]
+        return grad
 
     @property
     def tail(self) -> np.ndarray:
@@ -316,16 +332,14 @@ class ConstraintScan:
         family = self.families[b - nf].name if b >= nf else None
         return IndexId(b, float(self.t[row]), self.label(row), family)
 
-    def argmax(self, tail: bool = True) -> tuple[float, int | None]:
+    def argmax(self) -> tuple[float, int | None]:
         """Largest constraint value and the first row attaining it. A NaN
         value counts as +inf: a constraint that cannot be evaluated is
         violated. The row is None when no value exceeds -inf."""
         values = np.where(np.isnan(self.value), math.inf, self.value)
-        if not tail:
-            values[self.tail] = -math.inf
         if not len(values):
             return -math.inf, None
-        row = int(np.argmax(values))
+        row = int(values.argmax())
         if values[row] == -math.inf:
             return -math.inf, None
         return float(values[row]), row
@@ -352,25 +366,22 @@ def _ladder_exponents(k0: int) -> list[int]:
     return sorted(set(ks))
 
 
-def _rows(body: ex.ExprAst, name: str | None, x, ts: np.ndarray, grad: bool = True):
-    """Values and gradients (None without `grad`) of one constraint body at x
-    over the index array ts, one row per entry (`name` None for a fixed
-    constraint), from one masked kernel call. The scan's one domain-error
-    rule: a row the expression rejects is NaN, value and gradient alike, and
-    like any NaN it counts as violated; the others equal lone rows bit for bit."""
-    m, n = len(ts), len(x)
-    if grad:
-        vals, grads = ex.eval_grad(body, x, name and {name: ts}, masked=True)
-        grads = np.broadcast_to(np.asarray(grads, dtype=float), (m, n)).copy()
-    else:
-        vals, grads = ex.eval_value(body, x, name and {name: ts}, masked=True), None
-    return np.broadcast_to(np.asarray(vals, dtype=float), (m,)).copy(), grads
+def _rows(body: ex.ExprAst, name: str, x, ts: np.ndarray) -> np.ndarray:
+    """Values of one family body at x over the index array ts, one per
+    entry, from one masked value-kernel call. The scan's one domain-error
+    rule: an entry the kernel rejects is NaN, and like any NaN it counts as
+    violated; the others equal lone rows bit for bit. A result with one row
+    per entry is returned as it is; only an index-free body's scalar is
+    expanded."""
+    vals = ex.eval_value(body, x, {name: ts}, masked=True)
+    return vals if np.ndim(vals) else np.full(len(ts), vals)
 
 
 def _tail_ladders(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
     """Evaluate toward the unattained ends of the index set. One
     (params, index values, values, gradients, summary) per ladder, ordered
-    so the parameter decreases to 0."""
+    so the parameter decreases to 0, from one masked gradient-kernel call:
+    a ladder keeps only the rows whose value and gradient are finite."""
     ladders: list[tuple[np.ndarray, np.ndarray]] = []  # (params s -> 0, index values)
     if isinstance(desc, CountableIndexSet):
         e0 = int(math.floor(math.log10(max(desc.truncation, 1)))) + 1
@@ -386,7 +397,8 @@ def _tail_ladders(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
             ladders.append((ss, desc.upper - width * ss))
     out = []
     for params, ts in ladders:
-        vals, grads = _rows(fam.body, fam.index_name, x, ts)
+        vals, grads = ex.eval_grad(fam.body, x, {fam.index_name: ts}, masked=True)
+        vals, grads = np.broadcast_to(vals, ts.shape), np.broadcast_to(grads, ts.shape + x.shape)
         finite = np.isfinite(vals) & np.all(np.isfinite(grads), axis=1)
         params, ts, vals, grads = params[finite], ts[finite], vals[finite], grads[finite]
         summary = FamilyTail(None, False)
@@ -453,31 +465,29 @@ def _apply_overrides(desc, truncation, resolution, refinements):
     return desc
 
 
-def _family_grid(fam: ConstraintFamily, desc: IndexSetDescriptor, x, grad: bool):
-    """(ts, level, values, gradients or None) of one family's grid at x, by
-    ascending ts: the base grid, on an interval refined around maximizers."""
+def _family_grid(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
+    """(ts, level, values) of one family's grid at x, by ascending ts: the
+    base grid, on an interval refined around maximizers of the values."""
     ts = _base_grid(desc)
     if len(ts) == 0:
         raise InstanceError(f"family '{fam.name}' materializes to an empty index set")
-    vals, grads = _rows(fam.body, fam.index_name, x, ts, grad)
+    vals = _rows(fam.body, fam.index_name, x, ts)
     level = np.zeros(len(ts), dtype=int)
     if isinstance(desc, IntervalGridIndexSet):
         for k in range(1, desc.refinements + 1):
             new = _refine_once(desc, ts, vals)
-            new_vals, new_grads = _rows(fam.body, fam.index_name, x, new, grad)
             order = np.argsort(np.concatenate([ts, new]), kind="stable")
             ts = np.concatenate([ts, new])[order]
-            vals = np.concatenate([vals, new_vals])[order]
-            grads = np.vstack([grads, new_grads])[order] if grad else None
+            vals = np.concatenate([vals, _rows(fam.body, fam.index_name, x, new)])[order]
             level = np.concatenate([level, np.full(len(new), k)])[order]
-    return ts, level, vals, grads
+    return ts, level, vals
 
 
 def _checked_point(inst: SipInstance, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.dim,):
         raise InstanceError(f"point must have dimension {inst.dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InstanceError("point must be finite")
     return x
 
@@ -494,28 +504,32 @@ def scan_constraints(
     """Evaluate every constraint at x: fixed constraints, family grids with
     refinement levels (interval grids refine around local maximizers of the
     constraint value), and tail ladders for truncated descriptors. Each index
-    is evaluated once. Overflow and NaN raise no RuntimeWarning: a
-    non-finite value counts as a violation."""
+    is evaluated once: a grid row by its masked value kernel, with its
+    gradient made on the first read of `ConstraintScan.grad`, and a ladder
+    row with its gradient, as both choose the ladder's rows. Overflow and NaN
+    raise no RuntimeWarning: a non-finite value counts as a violation."""
     x = _checked_point(inst, x)
+    # one segment of table rows per fixed constraint, family grid or ladder: (body, index name,
+    # gradients if known, row count, then the columns block, t, level, ladder, param, value)
+    segments = []
+    families = []
+    n_levels = 1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # one segment of table columns per fixed constraint, family grid or ladder:
-        # (block, t, level, ladder, param, value, grad)
-        segments = [(0, np.zeros(0), 0, -1, 0.0, np.zeros(0), np.zeros((0, inst.dim)))]
         for i, (_, body) in enumerate(inst.fixed):
-            segments.append((i, np.zeros(1), 0, -1, 0.0, *_rows(body, None, x, np.zeros(1))))
-
-        families = []
-        n_levels = 1
+            segments.append((body, None, None, 1, i, 0.0, 0, -1, 0.0,
+                             ex.eval_value(body, x, masked=True)))
         for pos, (fam, desc0) in enumerate(inst.families):
             desc = _apply_overrides(desc0, truncation, resolution, refinements)
             block = len(inst.fixed) + pos
-            ts, level, vals, grads = _family_grid(fam, desc, x, grad=True)
+            ts, level, vals = _family_grid(fam, desc, x)
             if isinstance(desc, IntervalGridIndexSet):
                 n_levels = max(n_levels, desc.refinements + 1)
-            segments.append((block, ts, level, -1, 0.0, vals, grads))
+            segments.append((fam.body, fam.index_name, None, len(ts), block, ts, level, -1, 0.0,
+                             vals))
             ladders = _tail_ladders(fam, desc, x) if tail else []
             for k, (params, lts, lvals, lgrads, _) in enumerate(ladders):
-                segments.append((block, lts, 0, k, params, lvals, lgrads))
+                segments.append((fam.body, fam.index_name, lgrads, len(lts), block, lts, 0, k,
+                                 params, lvals))
             families.append(
                 FamilyScan(
                     name=fam.name,
@@ -525,10 +539,15 @@ def scan_constraints(
                     declared_ray=getattr(desc, "limit_ray", None),
                 )
             )
-    block, t, level, ladder, param, value = (
-        np.concatenate([np.broadcast_to(seg[j], seg[1].shape) for seg in segments])
-        for j in range(6)
-    )
+    n = sum(seg[3] for seg in segments)
+    columns = [np.empty(n, dtype) for dtype in (int, float, int, int, float, float)]
+    lo = 0
+    for j, (body, name, known, m, *values) in enumerate(segments):
+        for column, v in zip(columns, values):
+            column[lo : lo + m] = v
+        segments[j] = (body, name, slice(lo, lo + m), known)
+        lo += m
+    block, t, level, ladder, param, value = columns
     return ConstraintScan(
         x=x,
         fixed_names=[name for name, _ in inst.fixed],
@@ -540,38 +559,8 @@ def scan_constraints(
         ladder=ladder,
         param=param,
         value=value,
-        grad=np.vstack([seg[6] for seg in segments]),
+        segments=segments,
     )
-
-
-def worst_row(inst: SipInstance, x, *, truncation: int, resolution: int, refinements: int):
-    """Value and gradient of the row `scan_constraints(inst, x, ..., tail=False)
-    .argmax(tail=False)` picks, without the table: grid values only, then one
-    gradient, its index bound as a one-element array so that it equals the
-    batched row bit for bit. Every row is read through `_rows`'s masked
-    kernels, so a rejected row is NaN and counts as +inf; a row whose gradient alone is rejected
-    (sqrt at 0) reads +inf with a NaN gradient, where the scan may pick an
-    earlier such row. (-inf, None) without a row."""
-    x = _checked_point(inst, x)
-    best, worst = -math.inf, None  # worst: (body, index name, index values) of the row
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _, body in inst.fixed:
-            v = float(_rows(body, None, x, np.zeros(1), grad=False)[0][0])
-            v = math.inf if math.isnan(v) else v
-            if v > best:
-                best, worst = v, (body, None, np.zeros(1))
-        for fam, desc0 in inst.families:
-            desc = _apply_overrides(desc0, truncation, resolution, refinements)
-            ts, _, vals, _ = _family_grid(fam, desc, x, grad=False)
-            vals = np.where(np.isnan(vals), math.inf, vals)
-            j = int(np.argmax(vals))
-            if vals[j] > best:
-                best, worst = float(vals[j]), (fam.body, fam.index_name, ts[j : j + 1])
-        if worst is None:
-            return -math.inf, None
-        body, name, ts = worst
-        v, g = _rows(body, name, x, ts)
-    return (math.inf if math.isnan(v[0]) else best), g.reshape(inst.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +576,16 @@ class FeasibilityResult:
 
 
 def feasibility_check(
-    inst: SipInstance, x, *, tail: bool = True, scan: ConstraintScan | None = None
+    inst: SipInstance, x, *, scan: ConstraintScan | None = None
 ) -> FeasibilityResult:
-    """Largest inequality value and equality residual at x.
-
-    Tail ladders are included by default so suprema that are approached as the
-    index runs off a truncated set still count against feasibility. A
-    constraint value that is NaN counts as an infinite violation.
+    """Largest inequality value and equality residual at x, over every row of
+    `scan` (a full scan by default). A full scan's tail ladders make suprema
+    that are approached as the index runs off a truncated set count against
+    feasibility. A constraint value that is NaN counts as an infinite
+    violation.
     """
-    scan = scan or scan_constraints(inst, x, tail=tail)
-    best, row = scan.argmax(tail=tail)
+    scan = scan or scan_constraints(inst, x)
+    best, row = scan.argmax()
     if row is None:
         best = 0.0
     eq = inst.eq_residual(x)

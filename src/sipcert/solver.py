@@ -91,7 +91,7 @@ def most_violated_index(inst: SipInstance, x) -> tuple[IndexId | None, float]:
     """Argmax of the constraint values over the materialization and tail
     ladders, ties broken by block order then lowest index value."""
     scan = scan_constraints(inst, np.asarray(x, dtype=float))
-    value, row = scan.argmax(tail=True)
+    value, row = scan.argmax()
     if row is None:
         return None, 0.0
     return scan.index_id(row), value

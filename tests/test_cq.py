@@ -226,9 +226,8 @@ class TestSsc:
 
     @staticmethod
     def _sqrt_instance(**kw):
-        # sqrt's gradient is undefined at x1 = 0, t = 0, so the full scan
-        # rejects that row (NaN, counted as +inf) wherever x1 = 0; the search's
-        # grid values there are negative
+        # sqrt's gradient is undefined at x1 = 0, t = 0, so that row keeps its
+        # value, sqrt(0) - 2 = -2, with a NaN gradient wherever x1 = 0
         return SipInstance(
             dim=2,
             cost=SmoothCost(ex.parse("x1")),
@@ -244,23 +243,26 @@ class TestSsc:
         )
 
     def test_search_iterate_domain_error_ends_the_start(self):
-        # the best coarse point is the origin, where the full scan rejects a
-        # row; the next starts' best points are verified in turn, and one holds
+        # the origin's rows read sqrt(t) - 2, at most -1, though t = 0 has a
+        # NaN gradient; the zero start is strongly feasible at once and ends
         inst = self._sqrt_instance()
-        assert scan_constraints(inst, np.zeros(2)).argmax()[0] == math.inf
+        scan = scan_constraints(inst, np.zeros(2))
+        assert scan.argmax() == (-1.0, len(scan.value) - 1)
+        assert np.isnan(scan.grad[0]).all() and np.isfinite(scan.grad[1:]).all()
         res = check_ssc(inst)
         assert res.verdict == Verdict.HOLDS
-        assert scan_constraints(inst, res.slater_point).argmax()[0] < 0.0
+        assert res.slater_point.tolist() == [0.0, 0.0] and res.sup_value == -1.0
 
     def test_no_start_point_verified_is_unknown(self):
-        # the equality x1 = 0 projects every start onto the line where the
-        # full scan rejects a row, so no start's best point can be verified
+        # the equality x1 = 0 projects every start onto the line where t = 0
+        # has a NaN gradient; its value, -2, is defined, so the rows read
+        # sqrt(t) - 2 <= -1 there, and the zero start is a Slater point
         inst = self._sqrt_instance(
             equalities=EqualityBlock((ex.parse("x1"),), affine=True)
         )
         res = check_ssc(inst)
-        assert res.verdict == Verdict.UNKNOWN
-        assert "6 coarse search point(s) failed full verification" in res.reason
+        assert res.verdict == Verdict.HOLDS
+        assert res.slater_point.tolist() == [0.0, 0.0] and res.sup_value == -1.0
 
     def test_search_iterate_domain_error_skips_the_start(self):
         # every random start has x1 < -1.5, where the log is undefined; the
@@ -309,32 +311,42 @@ class TestSsc:
                 ),
             ),
         )
-        calls = {"scan_constraints": 0, "worst_row": 0}
-        for name in calls:
-            original = getattr(model, name)
+        calls = {"coarse": 0, "full": 0}
+        name, original = "scan_constraints", model.scan_constraints
 
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls["coarse" if kwargs.get("truncation") == 512 else "full"] += 1
+            return original(*args, **kwargs)
 
-            for modname, mod in list(sys.modules.items()):
-                if modname.split(".")[0] == "sipcert" and getattr(mod, name, None) is original:
-                    monkeypatch.setattr(mod, name, counting)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "sipcert" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
         res = check_ssc(inst)
         assert res.verdict == Verdict.UNKNOWN
-        assert calls["worst_row"] == 480
-        assert calls["scan_constraints"] <= 1
+        assert calls["coarse"] == 480
+        assert calls["full"] <= 1
 
 
-def scan_coarse_sup_and_gradient(inst, x):
-    """The reference coarse step: a full scan of the thinned grid, values and
-    gradients of every row, then the gradient of the first worst row."""
-    x = np.asarray(x, dtype=float)
-    scan = scan_constraints(inst, x, truncation=512, resolution=65, refinements=2, tail=False)
-    best, row = scan.argmax(tail=False)
-    if row is None:
-        return 0.0, np.zeros(inst.dim)
-    return best, scan.grad[row]
+def lone_row(inst, scan, row):
+    """A scan row evaluated alone by its masked kernels: (value, gradient),
+    a family row's index bound as a one-element array."""
+    nf = len(inst.fixed)
+    b = int(scan.block[row])
+    if b < nf:
+        body, env = inst.fixed[b][1], None
+    else:
+        fam = inst.families[b - nf][0]
+        body, env = fam.body, {fam.index_name: scan.t[row : row + 1]}
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = ex.eval_value(body, scan.x, env, masked=True)
+        grad = ex.eval_grad(body, scan.x, env, masked=True)[1]
+    return np.reshape(value, -1)[0], np.reshape(grad, (-1, inst.dim))[0]
+
+
+def assert_same_bits(got, want):
+    """Equal arrays, NaN counted equal, with equal sign bits."""
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
 
 
 def _family_instance(body, index, desc, fixed=()):
@@ -406,7 +418,7 @@ COARSE_CASES = {
 
 
 class TestCoarseStep:
-    """The value-only coarse step against the scan-based reference."""
+    """The coarse step's scan and gradient against lone rows."""
 
     @pytest.mark.parametrize("case", sorted(COARSE_CASES))
     def test_bit_equal_to_scan(self, case):
@@ -417,11 +429,20 @@ class TestCoarseStep:
         points = [np.array(p, dtype=float) for p in points]
         points += [rng.uniform(1.5 * lo, 1.5 * hi) for _ in range(20)]
         for x in points:
+            scan = scan_constraints(inst, x, truncation=512, resolution=65, refinements=2,
+                                    tail=False)
+            lone = [lone_row(inst, scan, row) for row in range(len(scan.value))]
+            values = np.array([v for v, _ in lone])
+            assert_same_bits(scan.value, values)
+            assert_same_bits(scan.grad, np.array([g for _, g in lone]).reshape(-1, inst.dim))
             got_v, got_g = _coarse_sup_and_gradient(inst, x)
-            want_v, want_g = scan_coarse_sup_and_gradient(inst, x)
-            assert np.array_equal(got_v, want_v)
-            assert np.array_equal(got_g, want_g, equal_nan=True)
-            assert np.signbit(got_g).tolist() == np.signbit(want_g).tolist()
+            worst = np.where(np.isnan(values), math.inf, values)
+            if not len(worst) or worst.max() == -math.inf:
+                assert got_v == 0.0 and got_g.tolist() == [0.0] * inst.dim
+                continue
+            row = int(np.argmax(worst))
+            assert got_v == worst[row]
+            assert_same_bits(got_g, lone[row][1])
 
     def test_cases_reach_nan_and_ties(self):
         # every row is NaN (inf - inf), so the first, t = 0, is the worst: its
@@ -444,8 +465,10 @@ class TestCoarseStep:
             assert v == math.inf and np.all(np.isnan(g))
 
     def test_a_start_at_a_rejected_row_ends_and_the_others_search_on(self):
-        # the zero start reads +inf with a NaN gradient (sqrt's gradient at 0),
-        # and sqrt(x1) is rejected wherever x1 < 0; starts with x1 > 0 step down
+        # sqrt's gradient is rejected at x1 = 0, its value is not: the origin
+        # reads -1 with a NaN gradient, so the zero start is strongly feasible
+        # at once and ends; sqrt(x1) is rejected wherever x1 < 0, and starts
+        # with x1 > 0 step down to a lower coarse supremum, verified first
         inst = SipInstance(
             dim=2,
             cost=SmoothCost(ex.parse("x1")),
@@ -454,10 +477,11 @@ class TestCoarseStep:
             fixed=(("a", ex.parse("x1 + x2 - 1 + 0*sqrt(x1)")),),
         )
         v, g = _coarse_sup_and_gradient(inst, np.zeros(2))
-        assert v == math.inf and np.all(np.isnan(g))
+        assert v == -1.0 and np.all(np.isnan(g))
+        assert cq_module._sup_inequalities(inst, np.zeros(2)) == -1.0
         res = check_ssc(inst)
         assert res.verdict == Verdict.HOLDS and res.slater_point[0] > 0.0
-        assert res.sup_value < 0.0
+        assert res.sup_value < -1.0
 
     @pytest.mark.parametrize("x", [np.zeros(3), np.array([0.0, math.nan])])
     def test_point_checks(self, x):

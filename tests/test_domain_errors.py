@@ -239,6 +239,17 @@ class TestCli:
         assert code == EXIT_OK and err == ""
         assert doc["feasibility"]["feasible"]
 
+    def test_a_row_whose_gradient_alone_is_rejected_keeps_its_value(self, tmp_path):
+        # sqrt's gradient is rejected at x1 = 0, t = 0, its value -2 is not:
+        # the rows read sqrt(t) - 2 <= -1, and that gradient is NaN
+        text = instance_text("sqrt(x1^2 + t) - 2", CLOSED_01, cost="x1")
+        text = text.replace("[index t]", "convex = true\n[index t]")
+        code, doc, err = analyze_json(tmp_path, text, "0,0")
+        assert code == EXIT_OK and err == ""
+        assert doc["feasibility"]["feasible"] and doc["feasibility"]["max_violation"] == -1.0
+        assert doc["cq"]["nfmcq"]["verdict"] == "unknown"
+        assert doc["cq"]["nfmcq"]["reason"] == "an augmented generator is not finite"
+
     def test_infinite_moduli_are_reported(self, tmp_path):
         # exp(10000*x1) overflows within every eta-ball around the origin
         code, doc, err = analyze_json(tmp_path, instance_text("exp(10000*x1) - x2 - 10"), "0,0")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sipcert import cq
 from sipcert import expr as ex
 from sipcert.model import (
     _REFINE_SITES,
@@ -25,6 +26,7 @@ from sipcert.model import (
     loads_instance,
     scan_constraints,
 )
+from sipcert.solver import most_violated_index
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 GOLDEN_POINTS = {
@@ -155,8 +157,9 @@ class TestFeasibility:
         # with only 10^4 materialized indices, x2 slightly below zero looks
         # feasible; the tail ladder rejects it
         inst = countable_cubic()
-        res_no_tail = feasibility_check(inst, [-1.0, -1e-5], tail=False)
-        res_tail = feasibility_check(inst, [-1.0, -1e-5], tail=True)
+        x = np.array([-1.0, -1e-5])
+        res_no_tail = feasibility_check(inst, x, scan=scan_constraints(inst, x, tail=False))
+        res_tail = feasibility_check(inst, x)
         assert res_no_tail.feasible
         assert not res_tail.feasible
 
@@ -307,6 +310,36 @@ class TestScan:
         for t in (0.0, 5000.0, 10_000.0):
             with pytest.raises(ex.DomainError):
                 original(body, x, {"n": np.array([t])})
+
+    def test_gradients_are_made_on_first_read_only(self, monkeypatch):
+        runs = []  # the grad flag of every kernel run
+        original = ex.kernel
+
+        def counting(ast, n, grad, masked=False):
+            run = original(ast, n, grad, masked)
+            return lambda *a: runs.append(grad) or run(*a)
+
+        monkeypatch.setattr(ex, "kernel", counting)
+        # a fixed constraint, a refined interval grid and a finite grid: no tail ladders
+        inst = loads_instance(
+            "[problem]\nvars = x1 x2\nminimize = x1\n[index t]\nkind = interval\n"
+            "resolution = 17\nrefinements = 2\n[index s]\nkind = finite\nvalues = 1 2 3\n"
+            "[constraints]\na = x1 - 3\ng(t) = t*x1 - x2^2\nh(s) = s*x2 - 1\n")
+        x = np.array([0.5, -0.5])
+        most_violated_index(inst, x)
+        cq._sup_inequalities(inst, x)
+        scan = scan_constraints(inst, x)
+        assert runs and not any(runs)
+        runs.clear()
+        assert scan.grad.shape == (len(scan.value), 2)
+        assert runs == [True] * len(scan.segments) == [True] * 3
+        assert scan.grad is scan.grad and len(runs) == 3
+        # a tail ladder's rows are chosen by their gradients, which it keeps
+        runs.clear()
+        scan = scan_constraints(countable_cubic(), np.array([-1.0, 0.0]))
+        assert runs == [False, False, True]  # g1, the grid, then its one ladder
+        scan.grad
+        assert runs == [False, False, True, True, True]
 
     def test_tail_limits_countable(self):
         inst = countable_cubic()
