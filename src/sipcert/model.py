@@ -458,10 +458,10 @@ def _apply_overrides(desc, truncation, resolution, refinements):
     if isinstance(desc, CountableIndexSet) and truncation is not None:
         desc = replace(desc, truncation=max(truncation, desc.start))
     if isinstance(desc, IntervalGridIndexSet):
-        if resolution is not None:
-            desc = replace(desc, resolution=resolution)
-        if refinements is not None:
-            desc = replace(desc, refinements=refinements)
+        given = {k: v for k, v in (("resolution", resolution), ("refinements", refinements))
+                 if v is not None}
+        if given:
+            desc = replace(desc, **given)
     return desc
 
 
@@ -676,6 +676,14 @@ class UniformityModuli:
 _MODULI_PER_FAMILY = 48
 
 
+def _row_dot(d: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """d[i, k] . g[i], summed coordinate by coordinate so that no BLAS kernel rounds it."""
+    acc = d[..., 0] * g[:, None, 0]
+    for j in range(1, d.shape[-1]):
+        acc += d[..., j] * g[:, None, j]
+    return acc
+
+
 def estimate_moduli(
     inst: SipInstance,
     x,
@@ -728,7 +736,7 @@ def estimate_moduli(
         body = fam_obj.body if fam_obj else inst.fixed[b][1]
         bodies.append((sel, body, fam_obj and fam_obj.index_name, scan.t[rows[sel]]))
     v0 = scan.value[rows][:, None]
-    g0 = scan.grad[rows][:, :, None]
+    g0 = scan.grad[rows]
     half = samples_per_eta // 2
     u = np.empty((len(rows), samples_per_eta, n))
     radii = np.empty((len(rows), samples_per_eta, 1))
@@ -745,7 +753,7 @@ def estimate_moduli(
             for sel, body, name, ts in bodies:
                 vals[sel] = ex.eval_value(body, pts[sel], name and {name: ts[:, None]}, masked=True)
             diffs = pts - x
-            quot_s = np.abs(vals - v0 - (diffs @ g0)[..., 0]) / np.linalg.norm(diffs, axis=-1)
+            quot_s = np.abs(vals - v0 - _row_dot(diffs, g0)) / np.linalg.norm(diffs, axis=-1)
             # fmax passes over a row whose maximum is NaN: that row adds nothing
             s_run = float(np.fmax.reduce(np.max(quot_s, axis=1), initial=s_run))
             if half:
@@ -753,7 +761,7 @@ def estimate_moduli(
                 d2 = pts[:, :half] - pts[:, half : 2 * half]
                 n2 = np.linalg.norm(d2, axis=-1)
                 keep = n2 > 1e-12
-                num = np.abs(vals[:, :half] - vals[:, half : 2 * half] - (d2 @ g0)[..., 0])
+                num = np.abs(vals[:, :half] - vals[:, half : 2 * half] - _row_dot(d2, g0))
                 quot_r = np.where(keep, num / np.where(keep, n2, 1.0), -math.inf)
                 r_run = float(np.fmax.reduce(np.max(quot_r, axis=1), initial=r_run))
             r_run = max(r_run, s_run)

@@ -3,9 +3,10 @@
 Outer loop: solve a finite subproblem over the working index set, then add
 the most violated materialized index until the full materialization (tail
 ladders included) is satisfied. The finite subproblem runs multistart
-penalized gradient descent with Armijo backtracking; for smooth costs a
-square Newton polish on the working-set stationarity system sharpens the
-candidate to tight tolerances. Everything is seeded and deterministic.
+penalized gradient descent with Armijo backtracking, each penalty stage ending
+when a step stalls; for smooth costs a square Newton polish on the working-set
+stationarity system sharpens the candidate to tight tolerances. Everything is
+seeded and deterministic, and the descent's gradient norm is a ``math.fsum``.
 The penalty of each working set runs as one generated function per pass,
 compiled when the working set changes and dropped with it. Every reading
 is masked: a point the expression rejects reads NaN, never an error. The
@@ -31,6 +32,7 @@ ARMIJO = 1e-4
 STEP0 = 1.0
 PENALTY_STAGES = 18
 MAX_INNER = 80
+STALL_TOL = 1e-9
 POLISH_ITERS = 40
 
 
@@ -172,7 +174,9 @@ def _max_violation(working, x) -> float:
 
 def _penalty_descent(inst: SipInstance, working, pair, x0):
     """Penalty stages from x0 on coordinate lists; arrays only between stages.
-    ``pair`` is ``_penalty_pair(inst, working)``. A gradient that is not a
+    ``pair`` is ``_penalty_pair(inst, working)``. A stage ends at ``MAX_INNER``
+    steps or at an accepted step that lowers the penalty by at most ``STALL_TOL *
+    max(1, |val|)``; the gradient norm is a ``math.fsum``. A gradient that is not a
     number, as at a point the gradient pass rejects, ends the stage's descent,
     and a trial point the value pass rejects is NaN, which no line search
     accepts. The masked passes run past a rejection, so numpy's warnings are off."""
@@ -184,22 +188,25 @@ def _penalty_descent(inst: SipInstance, working, pair, x0):
         for _ in range(PENALTY_STAGES):
             for _ in range(MAX_INNER):
                 val, grad = grad_pass(x, rho)
-                grad = np.array(grad)
-                gnorm = math.sqrt(grad.dot(grad))  # np.linalg.norm of a 1-D array, less overhead
+                try:  # a correctly rounded sum, the same under any BLAS
+                    gnorm = math.sqrt(math.fsum(gj * gj for gj in grad))
+                except OverflowError:  # the squares are finite, their sum is not
+                    gnorm = math.inf
                 if not gnorm > 1e-10 * max(1.0, abs(val)):
                     break
-                d = [-gj / gnorm for gj in grad.tolist()]
+                d = [-float(gj) / gnorm for gj in grad]  # a sin or exp partial is np.float64
                 t = step
-                improved = False
+                stalled = True
                 for _ in range(40):
                     cand = [xj + t * dj for xj, dj in zip(x, d)]
-                    if value_pass(cand, rho) <= val - ARMIJO * t * gnorm:
+                    trial = value_pass(cand, rho)
+                    if trial <= val - ARMIJO * t * gnorm:
                         x = cand
                         step = min(t * 1.5, STEP0)
-                        improved = True
+                        stalled = trial >= val - STALL_TOL * max(1.0, abs(val))
                         break
                     t *= 0.5
-                if not improved:
+                if stalled:
                     break
             xa = np.array(x)
             eq = inst.eq_residual(xa)

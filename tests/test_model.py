@@ -601,6 +601,15 @@ class TestModuliBatch:
         assert np.array_equal(got.r_est, r_want)
 
 
+def _dot(d, g):
+    """d @ g for a (samples, n) matrix, summed coordinate by coordinate in
+    ascending order, as estimate_moduli sums it."""
+    acc = d[:, 0] * g[0]
+    for j in range(1, len(g)):
+        acc += d[:, j] * g[j]
+    return acc
+
+
 def row_by_row_moduli(inst, x, etas=(0.2, 0.1, 0.05, 0.02, 0.01), samples_per_eta=200,
                       seed=0):
     """The reference loop: one eval_value call per (eta, sampled row), drawing
@@ -644,7 +653,7 @@ def row_by_row_moduli(inst, x, etas=(0.2, 0.1, 0.05, 0.02, 0.01), samples_per_et
                 continue
             diffs = pts - x
             norms = np.linalg.norm(diffs, axis=1)
-            s_run = max(s_run, float(np.max(np.abs(vals - v0 - diffs @ g0) / norms)))
+            s_run = max(s_run, float(np.max(np.abs(vals - v0 - _dot(diffs, g0)) / norms)))
             half = samples_per_eta // 2
             pa, pb = pts[:half], pts[half : 2 * half]
             va, vb = vals[:half], vals[half : 2 * half]
@@ -652,7 +661,7 @@ def row_by_row_moduli(inst, x, etas=(0.2, 0.1, 0.05, 0.02, 0.01), samples_per_et
             n2 = np.linalg.norm(d2, axis=1)
             keep = n2 > 1e-12
             if np.any(keep):
-                quot_r = np.abs(va[keep] - vb[keep] - d2[keep] @ g0) / n2[keep]
+                quot_r = np.abs(va[keep] - vb[keep] - _dot(d2[keep], g0)) / n2[keep]
                 r_run = max(r_run, float(np.max(quot_r)))
             r_run = max(r_run, s_run)
         s_est[k], r_est[k] = s_run, r_run

@@ -202,6 +202,17 @@ class TestSolve:
                     best = min(best, x1 * x1 + x2 * x2)
         assert inst.cost_value(x) <= best + 1e-4
 
+    def test_converged_candidate_is_the_minimizer_on_every_seed(self):
+        # a descent run to MAX_INNER in every stage leaves nine of these seeds
+        # (35, 40, 63, ...) converged at feasible points 7e-5 to 1.7e-4 away (max norm)
+        inst = load_instance(INSTANCES / "convex_toy.sip")
+        off = []
+        for seed in range(200):
+            x, trace = solve(inst, SolverConfig(seed=seed))
+            if trace.status == "converged" and np.max(np.abs(x + 0.5)) > 1e-6:
+                off.append(seed)
+        assert off == []
+
     def test_ramp_instance_reports_honestly(self):
         # the family gradient vanishes like x2^2 near the minimizer, so the
         # penalty floor keeps the candidate ~1e-4 violated; the solver must
@@ -215,6 +226,34 @@ class TestSolve:
             assert trace.status == "iteration_limit"
             assert res.max_violation <= 1e-3
         np.testing.assert_allclose(x[0], -1.0, atol=1e-3)
+
+
+def _watch_gradient_pass(monkeypatch, watch):
+    """Calls ``watch(xs)`` before every gradient pass of the penalty pairs that solve() builds."""
+    pair_of = solver._penalty_pair
+
+    def watched_pair(inst, working):
+        value_pass, grad_pass = pair_of(inst, working)
+
+        def watched(xs, rho):
+            watch(xs)
+            return grad_pass(xs, rho)
+
+        return value_pass, watched
+
+    monkeypatch.setattr(solver, "_penalty_pair", watched_pair)
+
+
+# gradient passes of one solve under perfbench's solve-exchange configuration; the
+# stall stop makes 1,221 / 1,540 / 2,636 / 7,593, and running every stage of every
+# start to MAX_INNER would make 5,760 / 5,760 / 8,565 / 20,160
+@pytest.mark.parametrize("name, cap", [("convex_toy", 2000), ("parabola_band", 2000),
+                                       ("countable_cubic", 3500), ("interval_ramp", 9000)])
+def test_gradient_passes_per_solve_are_capped(monkeypatch, name, cap):
+    passes = []
+    _watch_gradient_pass(monkeypatch, passes.append)
+    solve(load_instance(INSTANCES / f"{name}.sip"), SolverConfig(multistart=4, max_outer=6, seed=1))
+    assert 0 < len(passes) <= cap
 
 
 def two_families(second: str) -> str:
@@ -466,6 +505,25 @@ def test_descent_from_a_rejected_start_returns_it_bit_for_bit():
     x0 = np.array([0.1234567, -1.9876543])
     x = solver._penalty_descent(inst, working, pair, x0)
     assert x.tobytes() == x0.tobytes() and x is not x0
+
+
+def test_descent_whose_gradient_norm_overflows_returns_its_start():
+    # each partial squares to 1e308 and their sum overflows, on which math.fsum
+    # raises; the norm reads inf, so no step is accepted, as when numpy summed it
+    inst = loads_instance(finite_family("x1 - 9", "0").replace("x1^2 + x2", "1e154*(x1 + x2)"))
+    pair = solver._penalty_pair(inst, [])
+    x0 = np.array([0.25, -0.5])
+    assert 1e154**2 * 2 == math.inf
+    x = solver._penalty_descent(inst, [], pair, x0)
+    assert x.tobytes() == x0.tobytes()
+
+
+def test_descent_iterates_on_python_floats(monkeypatch):
+    # sin's partials are numpy scalars, which must not leak into the iterate
+    seen = set()
+    _watch_gradient_pass(monkeypatch, lambda xs: seen.update(map(type, xs)))
+    solve(loads_instance(MAX_COST), SolverConfig(max_outer=2, multistart=1, seed=0))
+    assert seen == {float}
 
 
 # interval_ramp with an equality and names unlike anything the code generator
