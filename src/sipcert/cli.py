@@ -143,8 +143,9 @@ def _stationarity_section(report) -> dict:
     }
 
 
-def _normal_cone_section(rep, dirs) -> dict:
-    probes = [{"direction": _vec(v), "member": rep.member(v, tol=1e-6)} for v in dirs]
+def _normal_cone_section(rep, dirs, separators: list) -> dict:
+    members = rep.members(dirs, tol=1e-6, separators=separators)
+    probes = [{"direction": _vec(v), "member": m} for v, m in zip(dirs, members)]
     return {
         "variant": rep.variant,
         "valid": rep.valid,
@@ -201,7 +202,8 @@ def build_report(
             )
             for variant in dict.fromkeys(("perturbed", "unperturbed", *args.variants))
         }
-        cones = [_normal_cone_section(reps[variant], dirs) for variant in args.variants]
+        separators: list = []  # shared by the variants; each cone checks them again
+        cones = [_normal_cone_section(reps[variant], dirs, separators) for variant in args.variants]
         kkt = verify_kkt(inst, x, rep=reps["unperturbed"])
         reports = [kkt, verify_perturbed_stationarity(inst, x, rep=reps["perturbed"])]
         if inst.convex:

@@ -7,7 +7,8 @@ at a time, so a family open at both ends gets up to two rays, each with the
 value limit of its own ladder. Membership, separation, and the
 closedness diagnostic all work on the finite surrogate cone(generators
 [+ rays]) + span(lineality), so every verdict is backed by a certificate a
-test can re-check.
+test can re-check. Probes carry the separators of their refutations from
+cone to cone, and one that checks again refutes a probe without an LP.
 """
 
 from __future__ import annotations
@@ -75,12 +76,40 @@ class GeneratedCone:
         return self.labels[j] if j < m else self.limit_rays[j - m].label
 
 
-def membership(cone: GeneratedCone, v, tol: float = 1e-9):
-    """Certificate or separating functional for v against the cone."""
+def _probe(cone: GeneratedCone, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (cone.dim,):
         raise ValueError(f"probe vector must have dimension {cone.dim}")
-    return linsolve.cone_feasibility(cone.columns(), cone.lineality, v, tol)
+    return v
+
+
+def membership(cone: GeneratedCone, v, tol: float = 1e-9):
+    """Certificate or separating functional for v against the cone."""
+    return linsolve.cone_feasibility(cone.columns(), cone.lineality, _probe(cone, v), tol)
+
+
+def memberships(cone: GeneratedCone, vectors, tol: float = 1e-9, separators=None) -> list:
+    """`membership` of each vector, with the LP skipped where a separator
+    already refutes it. ``separators`` holds the separators of earlier
+    refutations, possibly against other cones, and gains this call's new
+    ones. A separator a (|a|_inf = 1) is used here only when it checks again
+    against this cone, in floating point with no tolerance: a @ columns <= 0
+    and a @ lineality == 0. A probe v with a @ v > tol is then refuted
+    without an LP, since by weak duality the LP's misfit is at least a @ v,
+    up to the rounding of those dot products, as the LP's own decision is."""
+    separators = [] if separators is None else separators
+    G, H = cone.columns(), cone.lineality
+    out, live, seen = [], [], 0
+    for v in vectors:
+        v = _probe(cone, v)
+        live += [a for a in separators[seen:] if np.all(a @ G <= 0) and np.all(a @ H == 0)]
+        seen = len(separators)
+        a = next((a for a in live if a @ v > tol), None)
+        res = membership(cone, v, tol) if a is None else ConeRefutation(a, float(a @ v))
+        if a is None and isinstance(res, ConeRefutation):
+            separators.append(res.separator)
+        out.append(res)
+    return out
 
 
 def reduce_support(G, H, lam, y):

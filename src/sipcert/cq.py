@@ -219,6 +219,8 @@ def check_pmfcq(
     """Margin of the best direction against the eps-active gradients, traced
     over the eps schedule and the grid refinement levels.
 
+    Masks repeat across eps and levels; each distinct mask runs its LP once.
+
     Holds needs one eps whose margins stay above margin_tol across all
     levels without decaying. Fails needs every eps to be degenerate, to decay
     across at least three consecutive refinement levels, or to be censored
@@ -234,6 +236,7 @@ def check_pmfcq(
     n_levels = scan.n_levels
     traces: list[EpsTrace] = []
     best_eps, best_margin, best_witness = None, None, None
+    solved: dict[bytes, linsolve.MarginResult] = {}  # an LP is a function of its mask
     for eps in eps_schedule:
         if any(_family_censored(scan, fam, eps) for fam in scan.families):
             traces.append(EpsTrace(eps, [], "censored"))
@@ -241,7 +244,11 @@ def check_pmfcq(
         margins = []
         witness = None
         for level in range(n_levels):
-            res = linsolve.max_margin_direction(scan.grad[scan.active(eps, level=level)].T, H)
+            mask = scan.active(eps, level=level)
+            key = mask.tobytes()
+            if key not in solved:
+                solved[key] = linsolve.max_margin_direction(scan.grad[mask].T, H)
+            res = solved[key]
             margins.append(res.margin)
             witness = res.direction
         status = _classify_trace(margins, margin_tol)
@@ -284,7 +291,7 @@ def check_nfmcq(
         fam_rays, ok = family_rays(scan, fam, tail_lift, range(len(fam.tails)), cols.T)
         rays.extend(fam_rays)
         # a truncated family without tail ladders has nothing to extrapolate
-        extrap_ok = extrap_ok and ok and (fam.complete or bool(fam.tails))
+        extrap_ok = extrap_ok and ok and (fam.complete or fam.compact or bool(fam.tails))
     complete = all(f.complete for f in scan.families)
     verdict = closedness_diagnostic(cols, rays, complete=complete, extrapolation_ok=extrap_ok)
     mapping = {

@@ -235,6 +235,7 @@ class FamilyScan:
     tails: list[FamilyTail]  # tails[k] summarizes the rows with ladder == k
     complete: bool
     declared_ray: tuple[float, ...] | None = None  # as declared; cones.declared_rays normalizes
+    compact: bool = False  # a closed interval: the index set is compact, nothing to extrapolate
 
 
 class RowLabels(Sequence):
@@ -537,6 +538,8 @@ def scan_constraints(
                     tails=[summary for *_, summary in ladders],
                     complete=isinstance(desc, FiniteIndexSet),
                     declared_ray=getattr(desc, "limit_ray", None),
+                    compact=isinstance(desc, IntervalGridIndexSet)
+                    and desc.include_lower and desc.include_upper,
                 )
             )
     n = sum(seg[3] for seg in segments)

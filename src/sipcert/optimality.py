@@ -10,7 +10,8 @@ that reads them. The perturbed stationarity trace is decided there first:
 a certificate on the smallest-eps cone marks every scheduled eps, and only
 without one are the cones tried from the largest eps down to the first that
 fails. This is a semidecision and is reported as such whenever the
-qualification hypotheses behind a representation do not hold.
+qualification hypotheses behind a representation do not hold. The probes
+of a report share their separators across its cones (`cones.memberships`).
 
 Stationarity is normal-cone membership of the negated cost subdifferential,
 so the stationarity checks read the cones a report has already built: KKT
@@ -30,13 +31,11 @@ import numpy as np
 from . import expr as ex
 from . import linsolve
 from .cones import (GeneratedCone, Ray, declared_rays, family_rays, membership,
-                    reduce_support)
+                    memberships, reduce_support)
 from .cq import EPS_SCHEDULE, CqReport, Verdict, cq_summary, validate_schedule
 from .linsolve import FeasibilityCertificate, HullFeasibility, LpFailure
 from .model import (
     ConstraintScan,
-    FiniteIndexSet,
-    IntervalGridIndexSet,
     RowLabels,
     SipInstance,
     SmoothCost,
@@ -81,11 +80,19 @@ class NormalConeRep:
         _, mask, _ = self.per_eps[-1]
         return bool(np.isfinite(self.lineality).all()) and not np.any(mask & ~self.scan.grad_finite)
 
-    def member(self, v, tol: float = 1e-6) -> bool:
-        """Membership in `cone`. For the perturbed and normalized variants
-        the scheduled cones are nested, so the smallest-eps cone is their
+    def members(self, dirs, tol: float = 1e-6, separators=None) -> list[bool]:
+        """Membership of each of dirs in `cone`, with ``separators`` shared as
+        in `memberships`. For the perturbed and normalized variants the
+        scheduled cones are nested, so the smallest-eps cone is their
         intersection and no other eps can change the answer. A cone with a
         column that is not finite runs no LP and answers False."""
+        if not self.finite:
+            return [False] * len(dirs)
+        return [isinstance(out, FeasibilityCertificate)
+                for out in memberships(self.cone, dirs, tol, separators)]
+
+    def member(self, v, tol: float = 1e-6) -> bool:
+        """`members` of one vector, with no separators to share: one LP."""
         return self.finite and isinstance(membership(self.cone, v, tol), FeasibilityCertificate)
 
 
@@ -182,11 +189,7 @@ def normal_cone(
         regular = bool(moduli.r_est[0] <= max(1e-2, 0.05 * moduli.r_est[-1]))
 
     if variant == "unperturbed":
-        compact_t = all(
-            isinstance(d, FiniteIndexSet)
-            or (isinstance(d, IntervalGridIndexSet) and d.include_lower and d.include_upper)
-            for _, d in inst.families
-        )
+        compact_t = all(f.complete or f.compact for f in scan.families)
         closed = cq.nfmcq.verdict == Verdict.HOLDS or compact_t
         if not (closed and cq.pmfcq.verdict == Verdict.HOLDS):
             valid = False

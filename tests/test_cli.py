@@ -244,6 +244,41 @@ def test_report_builds_each_normal_cone_once(name, variants, cones, monkeypatch,
         assert calls.count("hull_plus_cone_feasibility") == 2
 
 
+def test_closed_interval_nfmcq_holds(tmp_path, capsys):
+    # a closed interval is compact, so there is no tail to extrapolate and
+    # the hull-gap LP decides NFMCQ
+    path = tmp_path / "closed.sip"
+    path.write_text(
+        "[problem]\nvars = x1 x2\nminimize = x1^2 + x2^2\nconvex = true\nbox = -2 2 ; -2 2\n\n"
+        "[index t]\nkind = interval\na = 0\nb = 1\nresolution = 257\nrefinements = 4\n\n"
+        "[constraints]\ng(t) = x1 - 1 + t\n"
+    )
+    code, out, _ = run_cli(["analyze", str(path), "--point=0,0"], capsys)
+    assert code == EXIT_OK
+    assert "NFMCQ: holds" in out
+    assert "origin-hull gap 1.000e+00" in out
+
+
+def test_convex_toy_solves_each_pmfcq_mask_once(lp_counts, capsys):
+    # every eps of the schedule has the same active mask at every level:
+    # one margin LP for EMFCQ and one for PMFCQ
+    code, _, _ = run_cli(
+        ["analyze", str(INSTANCES / "convex_toy.sip"), "--point=-0.5,-0.5"], capsys
+    )
+    assert code == EXIT_OK
+    assert lp_counts["margin"] <= 2
+
+
+def test_probes_reuse_separators_across_variants(lp_counts, capsys):
+    # the 16 probes of each variant: a separator checked again refutes a
+    # probe without an LP
+    code, _, _ = run_cli(
+        ["analyze", str(INSTANCES / "countable_cubic.sip"), "--point=-1,0"], capsys
+    )
+    assert code == EXIT_OK
+    assert lp_counts["cone feasibility"] <= 14
+
+
 class TestJsonReport:
     def test_schema_validates(self, tmp_path, capsys):
         import jsonschema

@@ -15,6 +15,7 @@ from sipcert.cones import (
     declared_rays,
     family_rays,
     membership,
+    memberships,
 )
 from sipcert.linsolve import ConeRefutation, FeasibilityCertificate
 from sipcert.model import FamilyScan, scan_constraints, unit_vectors
@@ -85,6 +86,81 @@ class TestMembership:
                 assert out.separator @ v > 1e-9
                 G = cone.columns()
                 assert np.all(G.T @ out.separator <= 1e-9)
+
+
+def random_cone(rng, d, m):
+    """A cone of m random columns in dimension d, some of them rounded to
+    small integers so that probes land on its faces, with a lineality
+    column one time in four."""
+    G = rng.normal(size=(d, m))
+    if rng.random() < 0.5:
+        G = np.round(G)
+    H = np.round(rng.normal(size=(d, 1))) if rng.random() < 0.25 else np.zeros((d, 0))
+    return GeneratedCone(d, [f"c{i}" for i in range(m)], G, H)
+
+
+def random_probes(rng, cone, count=5):
+    """Probes on the cone's faces (sums of one or two columns), on integer
+    points and at random."""
+    G, d = cone.columns(), cone.dim
+    probes = []
+    for _ in range(count):
+        kind = rng.integers(3)
+        if kind == 0 and G.shape[1]:
+            probes.append(G[:, rng.choice(G.shape[1], size=min(2, G.shape[1]), replace=False)]
+                          .sum(axis=1))
+        elif kind == 1:
+            probes.append(rng.integers(-1, 2, size=d).astype(float))
+        else:
+            probes.append(rng.normal(size=d))
+    return probes
+
+
+def members(outs):
+    return [isinstance(out, FeasibilityCertificate) for out in outs]
+
+
+class TestMemberships:
+    def test_screen_agrees_with_one_lp_per_probe(self):
+        rng = np.random.default_rng(27)
+        screened = 0
+        for _ in range(1000):
+            d, m = int(rng.integers(2, 4)), int(rng.integers(0, 6))
+            cone = random_cone(rng, d, m)
+            probes = random_probes(rng, cone)
+            separators = []
+            expected = members(membership(cone, v, 1e-6) for v in probes)
+            assert members(memberships(cone, probes, 1e-6, separators)) == expected
+            # a column subset of the cone reuses its separators, checked again
+            keep = rng.random(m) < 0.5
+            sub = GeneratedCone(d, [c for c, k in zip(cone.labels, keep) if k],
+                                cone.generators[:, keep], cone.lineality)
+            before = len(separators)
+            expected = members(membership(sub, v, 1e-6) for v in probes)
+            assert members(memberships(sub, probes, 1e-6, separators)) == expected
+            screened += len(probes) - sum(expected) - (len(separators) - before)
+        assert screened > 1000  # the reuse did refute probes without an LP
+
+    def test_separator_that_fails_the_check_again_is_not_used(self, lp_counts):
+        # a separates (0, 1) from the ray (1, 0), but the quadrant holds (0, 1)
+        a = np.array([0.0, 1.0])
+        cone = GeneratedCone(2, ["e1", "e2"], np.eye(2), np.zeros((2, 0)))
+        separators = [a]
+        assert members(memberships(cone, [[0.0, 1.0]], 1e-6, separators)) == [True]
+        assert lp_counts["cone feasibility"] == 1
+        # a @ (1, 1e-17) is 1e-17 > 0: the check again is exact, so a is not used
+        tilted = GeneratedCone(2, ["t"], np.array([[1.0], [1e-17]]), np.zeros((2, 0)))
+        assert members(memberships(tilted, [[0.0, 1.0]], 1e-6, separators)) == [False]
+        assert lp_counts["cone feasibility"] == 2
+        # nor is it used against a lineality it does not annihilate
+        line = GeneratedCone(2, ["e1"], np.array([[1.0], [0.0]]), np.array([[1.0], [1e-12]]))
+        assert members(memberships(line, [[0.0, 1.0]], 1e-6, [a])) == [False]
+        assert lp_counts["cone feasibility"] == 3
+        # and where it checks, it refutes without an LP
+        ray = GeneratedCone(2, ["e1"], np.array([[1.0], [0.0]]), np.zeros((2, 0)))
+        out = memberships(ray, [[0.0, 1.0]], 1e-6, [a])[0]
+        assert isinstance(out, ConeRefutation) and out.value == 1.0
+        assert lp_counts["cone feasibility"] == 3
 
 
 class TestCaratheodory:
