@@ -32,6 +32,7 @@ from .model import (
     feasibility_check,
     gradient_bound_check,
     load_instance,
+    row_norms,
     scan_constraints,
 )
 from .optimality import (
@@ -81,7 +82,7 @@ def probe_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     while len(dirs) < count:
         u = rng.normal(size=dim)
-        dirs.append(u / np.linalg.norm(u))
+        dirs.append(u / row_norms(u))
     return dirs[:count]
 
 
@@ -205,7 +206,7 @@ def build_report(
         separators: list = []  # shared by the variants; each cone checks them again
         cones = [_normal_cone_section(reps[variant], dirs, separators) for variant in args.variants]
         kkt = verify_kkt(inst, x, rep=reps["unperturbed"])
-        reports = [kkt, verify_perturbed_stationarity(inst, x, rep=reps["perturbed"])]
+        reports = [kkt, verify_perturbed_stationarity(inst, x, rep=reps["perturbed"], kkt=kkt)]
         if inst.convex:
             reports.append(convex_global_check(inst, x, scan=scan, cq=cq, kkt=kkt))
         stationarity = [_stationarity_section(r) for r in reports]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linsolve
 from .linsolve import ConeRefutation
-from .model import ConstraintScan, FamilyScan, unit_vectors
+from .model import ConstraintScan, FamilyScan, row_dot, row_norms, unit_vectors
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def _unit_rows(v) -> np.ndarray:
 
 def _attained(ref: np.ndarray, direction) -> bool:
     """A unit direction within chord distance ATTAIN_TOL of a row of ref."""
-    return bool(np.any(np.linalg.norm(ref - direction, axis=1) <= ATTAIN_TOL))
+    return bool(np.any(row_norms(ref - direction) <= ATTAIN_TOL))
 
 
 def accumulation_rays(params, vectors, *, attained_dirs):
@@ -254,7 +254,7 @@ def augmented_generators(scan: ConstraintScan):
     the tail-ladder rows for `family_rays`). A gradient that is not finite
     lifts to a column that is not finite, with no RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        lift = np.hstack([scan.grad, (scan.grad @ scan.x - scan.value)[:, None]])
+        lift = np.hstack([scan.grad, (row_dot(scan.grad, scan.x) - scan.value)[:, None]])
     return np.ascontiguousarray(lift[scan.grid(level=0)].T), lift[scan.tail]
 
 
@@ -303,7 +303,7 @@ def closedness_diagnostic(
             Closedness.UNKNOWN, "tail extrapolation inconclusive; compactness not certifiable"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is inf
-        norms = np.linalg.norm(G, axis=0)
+        norms = row_norms(G.T)
         spread = np.max(norms) / max(np.min(norms), 1e-300)  # NaN when every norm is inf
     if np.min(norms) < NORM_FLOOR or not spread <= NORM_RATIO_CAP:
         return ClosednessVerdict(

@@ -26,7 +26,7 @@ from .cones import (
     family_rays,
 )
 from .model import (ACT_TOL, ConstraintScan, FamilyScan, InstanceError, SipInstance,
-                    scan_constraints)
+                    row_norms, scan_constraints)
 
 EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
 MARGIN_TOL = 1e-6
@@ -398,7 +398,7 @@ def check_ssc(
                 best = (sup, xk.copy())
             if sup < -1e-6:
                 break
-            norm = np.linalg.norm(g)
+            norm = row_norms(g)
             if not 1e-14 <= norm < math.inf:  # a NaN or inf gradient gives no step either
                 break
             xk = project(xk - (step0 / math.sqrt(k + 1.0)) * g / norm)

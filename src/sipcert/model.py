@@ -295,8 +295,7 @@ class ConstraintScan:
     @cached_property
     def grad_norms(self) -> np.ndarray:
         """Row 2-norms of `grad`; one that overflows is inf, with no RuntimeWarning."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.linalg.norm(self.grad, axis=1)
+        return row_norms(self.grad)
 
     @cached_property
     def grad_finite(self) -> np.ndarray:
@@ -350,10 +349,12 @@ def unit_vectors(v) -> np.ndarray:
     """Unit vectors along the last axis of v, robust to entries near the
     underflow floor. Zero or non-finite vectors come back as NaN."""
     v = np.asarray(v, dtype=float)
-    peak = np.max(np.abs(v), axis=-1, keepdims=True, initial=0.0)
+    peak = np.abs(v[..., :1])
+    for j in range(1, v.shape[-1]):
+        np.maximum(peak, np.abs(v[..., j : j + 1]), out=peak)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = v / peak
-        u = scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
+        u = v / peak
+        u /= row_norms(u)[..., None]
     return np.where((peak == 0.0) | ~np.isfinite(peak), np.nan, u)
 
 
@@ -679,12 +680,23 @@ class UniformityModuli:
 _MODULI_PER_FAMILY = 48
 
 
-def _row_dot(d: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """d[i, k] . g[i], summed coordinate by coordinate so that no BLAS kernel rounds it."""
-    acc = d[..., 0] * g[:, None, 0]
-    for j in range(1, d.shape[-1]):
-        acc += d[..., j] * g[:, None, j]
+def row_dot(a, b) -> np.ndarray:
+    """Dot products over the last axis of a and b (broadcast), summed
+    coordinate by coordinate in ascending order so that no BLAS kernel rounds them."""
+    acc = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        acc += a[..., j] * b[..., j]
     return acc
+
+
+def row_norms(v) -> np.ndarray:
+    """2-norms over the last axis of v, its squares summed as `row_dot` sums
+    them. That is numpy's own reduce order for fewer than 8 coordinates, so
+    the bits are those of `np.linalg.norm(v, axis=-1)`. A norm that overflows
+    is inf, with no RuntimeWarning."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.sqrt(row_dot(v, v))
 
 
 def estimate_moduli(
@@ -739,7 +751,7 @@ def estimate_moduli(
         body = fam_obj.body if fam_obj else inst.fixed[b][1]
         bodies.append((sel, body, fam_obj and fam_obj.index_name, scan.t[rows[sel]]))
     v0 = scan.value[rows][:, None]
-    g0 = scan.grad[rows]
+    g0 = scan.grad[rows][:, None]
     half = samples_per_eta // 2
     u = np.empty((len(rows), samples_per_eta, n))
     radii = np.empty((len(rows), samples_per_eta, 1))
@@ -748,23 +760,26 @@ def estimate_moduli(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k, eta in enumerate(etas_sorted):
             for j in range(len(rows)):
-                u[j] = rng.normal(size=(samples_per_eta, n))
-                radii[j] = rng.uniform(0.05, 1.0, size=(samples_per_eta, 1))
-            u /= np.linalg.norm(u, axis=-1, keepdims=True)
+                rng.standard_normal(out=u[j])
+                rng.random(out=radii[j])
+            # rng.uniform(0.05, 1.0) maps its draw r to 0.05 + (1.0 - 0.05) * r
+            radii *= 1.0 - 0.05
+            radii += 0.05
+            u /= row_norms(u)[..., None]
             pts = x + eta * radii ** (1.0 / n) * u
             vals = np.empty((len(rows), samples_per_eta))
             for sel, body, name, ts in bodies:
                 vals[sel] = ex.eval_value(body, pts[sel], name and {name: ts[:, None]}, masked=True)
             diffs = pts - x
-            quot_s = np.abs(vals - v0 - _row_dot(diffs, g0)) / np.linalg.norm(diffs, axis=-1)
+            quot_s = np.abs(vals - v0 - row_dot(diffs, g0)) / row_norms(diffs)
             # fmax passes over a row whose maximum is NaN: that row adds nothing
             s_run = float(np.fmax.reduce(np.max(quot_s, axis=1), initial=s_run))
             if half:
                 # pairs for the two-point modulus, plus the base-point pairs
                 d2 = pts[:, :half] - pts[:, half : 2 * half]
-                n2 = np.linalg.norm(d2, axis=-1)
+                n2 = row_norms(d2)
                 keep = n2 > 1e-12
-                num = np.abs(vals[:, :half] - vals[:, half : 2 * half] - _row_dot(d2, g0))
+                num = np.abs(vals[:, :half] - vals[:, half : 2 * half] - row_dot(d2, g0))
                 quot_r = np.where(keep, num / np.where(keep, n2, 1.0), -math.inf)
                 r_run = float(np.fmax.reduce(np.max(quot_r, axis=1), initial=r_run))
             r_run = max(r_run, s_run)

@@ -311,11 +311,15 @@ def verify_perturbed_stationarity(
     scan: ConstraintScan | None = None,
     cq: CqReport | None = None,
     rep: NormalConeRep | None = None,
+    kkt: StationarityReport | None = None,
 ) -> StationarityReport:
     """Stationarity against the eps-active cones for every scheduled eps,
     limit rays included (the finite proxy for the intersection over eps).
     ``rep`` is the perturbed normal cone at x when the caller has built it;
-    its cones, and so its schedule, are the ones decided.
+    its cones, and so its schedule, are the ones decided. ``kkt`` is the
+    `verify_kkt` report on the same scan when the caller has it: a smallest
+    cone of the exactly active rows and no limit ray is the KKT cone, so a
+    copy of ``kkt`` decides it with no LP, and ``kkt`` is left as it was.
 
     The cones are nested, so a certificate on the smallest-eps cone, extended
     by zeros, certifies every larger one: one LP then decides the whole
@@ -327,10 +331,14 @@ def verify_perturbed_stationarity(
     if rep.variant != "perturbed":
         raise ValueError(f"perturbed stationarity needs the perturbed cone, not {rep.variant!r}")
     condition = "perturbed-stationarity"
-    smallest = _stationarity(inst, x, rep.cone, condition)
+    _, last_mask, last_rays = rep.per_eps[-1]
+    if kkt is not None and not last_rays and np.array_equal(last_mask, rep.scan.active()):
+        smallest = replace(kkt, condition=condition, notes=list(kkt.notes))
+    else:
+        smallest = _stationarity(inst, x, rep.cone, condition)
     # nested: a certificate on the smallest cone certifies every larger one,
     # and a cone with as many columns as the smallest one is that cone
-    width = rep.cone.generators.shape[1], len(rep.cone.limit_rays)
+    width = np.count_nonzero(last_mask), len(last_rays)
     trace = []
     for eps, mask, rays in rep.per_eps:
         same = smallest.outcome == "certificate" or (np.count_nonzero(mask), len(rays)) == width

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr as ex
-from .model import IndexId, SipInstance, SmoothCost, scan_constraints
+from .model import IndexId, SipInstance, SmoothCost, row_norms, scan_constraints
 
 INITIAL_WORKING = 8
 VIOLATION_TOL = 1e-8
@@ -231,7 +231,7 @@ def _polish(inst: SipInstance, working, x):
     n, m, xs = len(x), len(inst.equalities), x.tolist()
     cost = _bind("cost", inst.cost.body, n, {})
     eqs = [_bind("h", c, n, {}) for c in inst.equalities.components]
-    tol = 1e-4 * max(1.0, float(np.linalg.norm(x)))
+    tol = 1e-4 * max(1.0, float(row_norms(x)))
     near = [wc for wc in working if abs(wc.value(xs)) <= tol][: max(0, n - m)]
     k = len(near)
 

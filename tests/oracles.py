@@ -11,7 +11,9 @@ points. Here are
 * ``empirical_normal_cone_probe``: a sampling oracle for membership in the
   regular normal cone that never looks at the cone construction;
 * ``membership_residual_trace``: the distance of a vector from the
-  eps-active cone as the countable truncation grows.
+  eps-active cone as the countable truncation grows;
+* ``unit_vectors_reference``: ``model.unit_vectors`` with numpy's own
+  reduces, the formula the package's coordinate passes must match bit for bit.
 """
 
 from __future__ import annotations
@@ -261,3 +263,14 @@ def membership_residual_trace(
         else:
             out.append((int(N), float(res.value)))
     return out
+
+
+def unit_vectors_reference(v) -> np.ndarray:
+    """Unit vectors along the last axis of v: the row peak by ``np.max`` and
+    the norm by ``np.linalg.norm``, each one reduce over that axis."""
+    v = np.asarray(v, dtype=float)
+    peak = np.max(np.abs(v), axis=-1, keepdims=True, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = v / peak
+        u = scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
+    return np.where((peak == 0.0) | ~np.isfinite(peak), np.nan, u)

@@ -240,8 +240,8 @@ def test_report_builds_each_normal_cone_once(name, variants, cones, monkeypatch,
     assert calls.count("normal_cone") == cones
     # the normalized cone is copied once, for its probes
     assert calls.count("GeneratedCone") == COLUMN_COPIES[name] + variants.count("normalized")
-    if name == "convex_toy":  # KKT and perturbed stationarity; the convex check reuses KKT
-        assert calls.count("hull_plus_cone_feasibility") == 2
+    if name == "convex_toy":  # KKT; perturbed stationarity and the convex check reuse it
+        assert calls.count("hull_plus_cone_feasibility") == 1
 
 
 def test_closed_interval_nfmcq_holds(tmp_path, capsys):
@@ -277,6 +277,31 @@ def test_probes_reuse_separators_across_variants(lp_counts, capsys):
     )
     assert code == EXIT_OK
     assert lp_counts["cone feasibility"] <= 14
+
+
+def test_perturbed_stationarity_reuses_the_kkt_lp(lp_counts, monkeypatch, tmp_path, capsys):
+    # the smallest-eps cone holds only the active row t = 1 and no limit ray,
+    # so it is the KKT cone: one hull LP fewer, and the same report
+    path = tmp_path / "closed.sip"
+    path.write_text(
+        "[problem]\nvars = x1 x2\nminimize = (x1 - 1)^2 + x2^2\nconvex = true\n"
+        "box = -2 2 ; -2 2\n\n[index t]\nkind = interval\na = 0\nb = 1\n"
+        "resolution = 257\nrefinements = 4\n\n[constraints]\ng(t) = x1 - 1 + t\n"
+    )
+    argv = ["analyze", str(path), "--point=0,0", "--deterministic", "--report=json"]
+    code, reused, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    hull_lps = lp_counts["hull feasibility"]
+    lp_counts.clear()
+    verify = cli.verify_perturbed_stationarity
+    monkeypatch.setattr(cli, "verify_perturbed_stationarity",
+                        lambda *args, kkt=None, **kwargs: verify(*args, **kwargs))
+    code, solved, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    assert lp_counts["hull feasibility"] == hull_lps + 1
+    assert reused == solved
+    doc = json.loads(reused)
+    assert [s["outcome"] for s in doc["stationarity"]] == ["certificate"] * 3
 
 
 class TestJsonReport:

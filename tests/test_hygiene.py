@@ -9,7 +9,9 @@ be listed in ``__all__``, and what only the tests read lives in
 ``tests/oracles.py``. Annotated class fields are checked by name over
 ``src/sipcert``: each must be read as an attribute somewhere in the package,
 unless allowlisted. An expression error is caught only at the allowlisted
-places of ``src/sipcert``, so that a rejected constraint row has one rule.
+places of ``src/sipcert``, so that a rejected constraint row has one rule,
+and ``np.linalg.norm`` is read only at the allowlisted places, so that a norm
+is summed coordinate by coordinate and no BLAS build rounds it.
 """
 
 import ast
@@ -165,3 +167,43 @@ def test_scan_flags_an_expression_error_handler():
         "try:\n    f()\nexcept ParseError:\n    pass\n"
     )
     assert expr_error_catches({"m": source}) == ["m.<module>", "m.by_attribute", "m.in_tuple"]
+
+
+# the definitions that read np.linalg.norm, and why each does; every other
+# norm is `model.row_norms`
+LINALG_NORM_ALLOWED = {
+    "linsolve.rank_nullspace": "it scales a null-space vector, a scale that the support "
+                               "elimination divides out again (theta * alpha)",
+}
+
+
+def linalg_norm_reads(sources: dict[str, str]) -> list[str]:
+    """``module.definition`` for each top-level definition of the given
+    modules that reads ``linalg.norm`` or ``<name>.linalg.norm``, called or not."""
+    found = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "norm" and "linalg" in (
+                        getattr(node.value, "attr", None), getattr(node.value, "id", None)):
+                    found.add(f"{module}.{getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_linalg_norm_is_read_only_where_allowed():
+    reads = linalg_norm_reads({p.stem: p.read_text() for p in SOURCES})
+    assert reads == sorted(LINALG_NORM_ALLOWED)
+
+
+def test_scan_flags_a_linalg_norm_read():
+    source = (
+        "import numpy\nimport numpy as np\nfrom numpy import linalg\n"
+        "def direct(v):\n    return np.linalg.norm(v)\n"
+        "def full_name(v):\n    return numpy.linalg.norm(v, axis=1)\n"
+        "def from_module(v):\n    return linalg.norm(v)\n"
+        "class Holder:\n    def method(self):\n        self.f = np.linalg.norm\n"
+        "def other(v):\n    return np.linalg.solve(v, v) + norm(v)\n"
+        "x = np.linalg.norm([1.0])\n"
+    )
+    assert linalg_norm_reads({"m": source}) == [
+        "m.<module>", "m.Holder", "m.direct", "m.from_module", "m.full_name"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,13 @@ from sipcert.model import (
     gradient_bound_check,
     load_instance,
     loads_instance,
+    row_norms,
     scan_constraints,
+    unit_vectors,
 )
 from sipcert.solver import most_violated_index
+
+from oracles import unit_vectors_reference
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 GOLDEN_POINTS = {
@@ -666,3 +671,59 @@ def row_by_row_moduli(inst, x, etas=(0.2, 0.1, 0.05, 0.02, 0.01), samples_per_et
             r_run = max(r_run, s_run)
         s_est[k], r_est[k] = s_run, r_run
     return s_est, r_est
+
+
+SPECIAL_ENTRIES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e-300, -1e300]
+
+
+def special_rows(d, seed=0):
+    """410 seeded rows of d coordinates: normals, each row scaled by a power
+    of ten from 1e-300 to 1e300, a quarter of the entries replaced by a
+    special entry, then one row of each special entry alone."""
+    rng = np.random.default_rng([seed, d])
+    v = rng.standard_normal((400, d)) * 10.0 ** rng.integers(-300, 301, (400, 1))
+    special = rng.random((400, d)) < 0.25
+    v[special] = rng.choice(SPECIAL_ENTRIES, np.count_nonzero(special))
+    alone = np.repeat(np.array(SPECIAL_ENTRIES + [1.0])[:, None], d, axis=1)
+    return np.vstack([v, alone])
+
+
+def layouts(v):
+    """v as C-ordered rows, as the transposed view of a (d, m) array, and as
+    an (R, S, d) stack."""
+    return {"rows": v, "transposed": np.ascontiguousarray(v.T).T,
+            "stacked": v.reshape(-1, 10, v.shape[1])}
+
+
+def same_bits(a, b):
+    """Bit equality, with every NaN read as the same NaN."""
+    a, b = (np.where(np.isnan(z), np.nan, z) for z in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestRowNorms:
+    """The coordinate passes against numpy's reduces over the last axis, bit
+    for bit, with no RuntimeWarning under the default errstate."""
+
+    @pytest.mark.parametrize("layout", ["rows", "transposed", "stacked"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_row_norms_equal_linalg_norm(self, d, layout):
+        v = layouts(special_rows(d))[layout]
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(v, axis=-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = row_norms(v)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("layout", ["rows", "transposed", "stacked"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_unit_vectors_equal_the_reference(self, d, layout):
+        v = layouts(special_rows(d))[layout]
+        want = unit_vectors_reference(v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = unit_vectors(v)
+            single = [unit_vectors(row) for row in v.reshape(-1, d)[::7]]
+        assert same_bits(got, want)
+        assert all(same_bits(u, w) for u, w in zip(single, want.reshape(-1, d)[::7]))

@@ -382,6 +382,15 @@ class TestConvexGlobal:
         assert report.condition == "convex-global" and report.global_optimal is not None
         assert (kkt.condition, kkt.notes, kkt.global_optimal) == before
 
+    @pytest.mark.parametrize("point", [(-0.5, -0.5), (-1.0, 0.0)])
+    def test_perturbed_check_leaves_the_given_kkt_report_unchanged(self, point):
+        inst, x = convex_toy(), np.array(point)
+        kkt = verify_kkt(inst, x)
+        before = (kkt.condition, list(kkt.notes), list(kkt.eps_trace))
+        report = verify_perturbed_stationarity(inst, x, kkt=kkt)
+        assert report.condition == "perturbed-stationarity" and report.eps_trace
+        assert (kkt.condition, kkt.notes, kkt.eps_trace) == before
+
 
 class TestPrebuiltCones:
     @pytest.mark.parametrize("name", sorted(GOLDEN_POINTS))
