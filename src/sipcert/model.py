@@ -354,7 +354,7 @@ def unit_vectors(v) -> np.ndarray:
         np.maximum(peak, np.abs(v[..., j : j + 1]), out=peak)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = v / peak
-        u /= row_norms(u)[..., None]
+        u /= np.expand_dims(row_norms(u), -1)  # a float for one vector
     return np.where((peak == 0.0) | ~np.isfinite(peak), np.nan, u)
 
 
@@ -689,12 +689,19 @@ def row_dot(a, b) -> np.ndarray:
     return acc
 
 
-def row_norms(v) -> np.ndarray:
+def row_norms(v) -> np.ndarray | float:
     """2-norms over the last axis of v, its squares summed as `row_dot` sums
     them. That is numpy's own reduce order for fewer than 8 coordinates, so
     the bits are those of `np.linalg.norm(v, axis=-1)`. A norm that overflows
-    is inf, with no RuntimeWarning."""
+    is inf, with no RuntimeWarning. The norm of one vector is a Python float,
+    summed on Python floats in the same order, where numpy's 0-d arithmetic
+    would cost several times more."""
     v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        acc = 0.0  # + 0.0 keeps every sum of squares, none of which is -0.0
+        for vj in v.tolist():
+            acc += vj * vj  # Python floats overflow to inf, silently
+        return math.sqrt(acc)
     with np.errstate(over="ignore"):
         return np.sqrt(row_dot(v, v))
 

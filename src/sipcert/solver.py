@@ -5,8 +5,12 @@ the most violated materialized index until the full materialization (tail
 ladders included) is satisfied. The finite subproblem runs multistart
 penalized gradient descent with Armijo backtracking, each penalty stage ending
 when a step stalls; for smooth costs a square Newton polish on the working-set
-stationarity system sharpens the candidate to tight tolerances. Everything is
-seeded and deterministic, and the descent's gradient norm is a ``math.fsum``.
+stationarity system sharpens the candidate to tight tolerances. The polish
+damps a Newton step no further than ``2**-(POLISH_TRIALS - 1)``: a step that
+needs more damping is read as a failed polish, as damped-Newton codes read a
+damping factor below their floor (Deuflhard, *Newton Methods for Nonlinear
+Problems*, ch. 3). Everything is seeded and deterministic, and the descent's
+gradient norm is a ``math.fsum``.
 The penalty of each working set runs as one generated function per pass,
 compiled when the working set changes and dropped with it. Every reading
 is masked: a point the expression rejects reads NaN, never an error. The
@@ -34,6 +38,7 @@ PENALTY_STAGES = 18
 MAX_INNER = 80
 STALL_TOL = 1e-9
 POLISH_ITERS = 40
+POLISH_TRIALS = 7  # the polish's damping floor: t = 1, 1/2, ..., 1/64
 
 
 @dataclass
@@ -225,7 +230,13 @@ def _polish(inst: SipInstance, working, x):
     """Square Newton solve of the working-set stationarity system (gradients
     of the Lagrangian, near-active working constraints, equalities). The
     Hessian block comes from central differences of the analytic gradients.
-    The iterate and the residual are lists of Python floats."""
+    The iterate and the residual are lists of Python floats. Each step tries
+    t = 1, 1/2, ..., down to the damping floor 2**-(POLISH_TRIALS - 1), and
+    takes the first t that lowers the residual's peak. When none does, the
+    polish ends there and returns None unless it has already converged: on the
+    bundled instances a polish that converges takes only steps with t >= 1/4,
+    while one that needs smaller steps would, without the floor, run all
+    ``POLISH_ITERS`` steps and fail anyway."""
     if not isinstance(inst.cost, SmoothCost):
         return None
     n, m, xs = len(x), len(inst.equalities), x.tolist()
@@ -281,7 +292,7 @@ def _polish(inst: SipInstance, working, x):
         except np.linalg.LinAlgError:
             return None
         t = 1.0
-        for _ in range(25):
+        for _ in range(POLISH_TRIALS):
             cand = [zj + t * dj for zj, dj in zip(z, delta)]
             fc = residual(cand)
             if _peak(fc) < norm0:

@@ -716,6 +716,20 @@ class TestRowNorms:
             got = row_norms(v)
         assert same_bits(got, want)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_one_vector_is_a_float_with_the_bits_of_linalg_norm(self, d):
+        # Python floats for one vector: 0, -0, +-inf, NaN, subnormals and
+        # 1e+-300 in every coordinate, alone and mixed into scaled normals
+        rows = special_rows(d)
+        rows = np.vstack([rows, -rows[-len(SPECIAL_ENTRIES) - 1 :], np.full((1, d), 1e300)])
+        with np.errstate(over="ignore"):
+            want = [np.linalg.norm(row, axis=-1) for row in rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [row_norms(row) for row in rows]
+        assert all(type(g) is float for g in got)
+        assert same_bits(np.array(got), np.array(want))
+
     @pytest.mark.parametrize("layout", ["rows", "transposed", "stacked"])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_unit_vectors_equal_the_reference(self, d, layout):

@@ -586,9 +586,11 @@ def test_penalty_pair_lives_for_one_working_set_and_holds_no_names(monkeypatch):
                 assert GENERATED_NAME.match(tok.string), tok.string
 
 
-def _reference_polish(inst, working, x):
+def _reference_polish(inst, working, x, trials=7):
     """The numpy Newton polish that ``solver._polish`` must repeat bit for bit:
-    arrays throughout, each near value from its own value kernel call."""
+    arrays throughout, each near value from its own value kernel call. Each
+    step tries ``trials`` damping factors t = 1, 1/2, ...; the polish stops
+    when none of them lowers the residual's peak."""
     if not isinstance(inst.cost, SmoothCost):
         return None
     n, m, xs = len(x), len(inst.equalities), x.tolist()
@@ -646,7 +648,7 @@ def _reference_polish(inst, working, x):
         except np.linalg.LinAlgError:
             return None
         t = 1.0
-        for _ in range(25):
+        for _ in range(trials):
             cand = z + t * delta
             fc = residual(cand)
             if float(np.max(np.abs(fc))) < norm0:
@@ -731,3 +733,19 @@ def test_polish_is_bit_identical_to_the_numpy_reference():
         outcomes.append(want is not None)
     assert len(calls) > 60 and 0 < sum(outcomes) < len(outcomes)
 
+
+def test_polish_stops_at_the_damping_floor(polish_steps):
+    # interval_ramp's failing polishes need steps damped to 1/32 and below;
+    # without a floor they run all POLISH_ITERS = 40 steps before failing
+    inst = load_instance(INSTANCES / "interval_ramp.sip")
+    for seed in range(5):
+        solve(inst, SolverConfig(multistart=4, max_outer=6, seed=seed))
+    assert len(polish_steps) > 60 and max(p.steps for p in polish_steps) <= 8
+    converged = 0
+    for p in polish_steps:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as inside solve()
+            halvings25 = _reference_polish(*p.inputs, trials=25)
+        if halvings25 is not None:  # what converged with 25 halvings converges alike
+            assert p.result is not None and p.result.tobytes() == halvings25.tobytes()
+            converged += 1
+    assert 0 < converged < len(polish_steps)
