@@ -223,7 +223,7 @@ def family_rays(scan: ConstraintScan, fam: FamilyScan, vectors, ladders, attaine
         found, ladder_ok = accumulation_rays(scan.param[rows], vectors[rows[scan.tail]],
                                              attained_dirs=ref)
         ok = ok and ladder_ok
-        vlimit = fam.tails[k].value_limit
+        vlimit, _ = scan.tail_limit(fam.ladders[k])
         for ray in found:
             j = next((j for j, r in enumerate(rays)
                       if _angle(r.direction, ray.direction) <= THETA_TOL), len(rays))

@@ -181,8 +181,9 @@ def _family_censored(scan: ConstraintScan, fam: FamilyScan, eps: float) -> bool:
     m_star = float(np.max(vals)) if len(vals) else -math.inf
     has_member = m_star >= -(eps + ACT_TOL)
     if not has_member:
-        for tl in fam.tails:
-            if tl.ok and tl.value_limit is not None and tl.value_limit >= -(eps + 1e-12):
+        for rows in fam.ladders:
+            vlimit, ok = scan.tail_limit(rows)
+            if ok and vlimit >= -(eps + 1e-12):
                 return True
     delta = _value_resolution(vals)
     near_slice = m_star + delta >= -(eps + 1e-12)
@@ -288,10 +289,10 @@ def check_nfmcq(
     rays = []
     extrap_ok = True
     for fam in scan.families:
-        fam_rays, ok = family_rays(scan, fam, tail_lift, range(len(fam.tails)), cols.T)
+        fam_rays, ok = family_rays(scan, fam, tail_lift, range(len(fam.ladders)), cols.T)
         rays.extend(fam_rays)
         # a truncated family without tail ladders has nothing to extrapolate
-        extrap_ok = extrap_ok and ok and (fam.complete or fam.compact or bool(fam.tails))
+        extrap_ok = extrap_ok and ok and (fam.complete or fam.compact or bool(fam.ladders))
     complete = all(f.complete for f in scan.families)
     verdict = closedness_diagnostic(cols, rays, complete=complete, extrapolation_ok=extrap_ok)
     mapping = {

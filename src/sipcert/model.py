@@ -221,18 +221,10 @@ def _index_label(family: str, t: float) -> str:
 
 
 @dataclass
-class FamilyTail:
-    """Limits read off one tail ladder; the ladder's rows are in the scan table."""
-
-    value_limit: float | None
-    ok: bool
-
-
-@dataclass
 class FamilyScan:
     name: str
     block: int
-    tails: list[FamilyTail]  # tails[k] summarizes the rows with ladder == k
+    ladders: list[slice]  # ladders[k]: the table rows with ladder == k
     complete: bool
     declared_ray: tuple[float, ...] | None = None  # as declared; cones.declared_rays normalizes
     compact: bool = False  # a closed interval: the index set is compact, nothing to extrapolate
@@ -270,21 +262,20 @@ class ConstraintScan:
     ladder: np.ndarray  # tail ladder of the family, -1 off the ladders
     param: np.ndarray  # ladder parameter s -> 0 on tail rows
     value: np.ndarray
-    # one per fixed constraint, family grid or tail ladder: (body, index name or
-    # None, rows, the ladder's gradients or None)
-    segments: list[tuple[ex.ExprAst, str | None, slice, np.ndarray | None]]
+    # one per fixed constraint, family grid or tail ladder: (body, index name or None, rows)
+    segments: list[tuple[ex.ExprAst, str | None, slice]]
 
     @cached_property
     def grad(self) -> np.ndarray:
         """(rows, dim) x-gradients, made on first read by one masked gradient
-        kernel call per segment, its index values bound as a view of `t`; a
-        tail ladder keeps the gradients its rows were chosen by. A row whose
-        gradient alone is rejected (sqrt at 0) keeps its value and has a NaN
-        gradient. Every row has the bits it has when evaluated alone."""
+        kernel call per segment, grid or tail ladder alike, its index values
+        bound as a view of `t`; the scan makes gradients nowhere else. A row
+        whose gradient alone is rejected (sqrt at 0) keeps its value and has a
+        NaN gradient. Every row has the bits it has when evaluated alone."""
         grad = np.empty((len(self.value), len(self.x)))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for body, name, rows, known in self.segments:
-                grad[rows] = known if known is not None else ex.eval_grad(
+            for body, name, rows in self.segments:
+                grad[rows] = ex.eval_grad(
                     body, self.x, name and {name: self.t[rows]}, masked=True)[1]
         return grad
 
@@ -311,6 +302,17 @@ class ConstraintScan:
         if block is not None:
             mask &= self.block == block
         return mask
+
+    def tail_limit(self, rows: slice) -> tuple[float | None, bool]:
+        """(value limit, ok) of the tail ladder on `rows`, read off its last two
+        rows whose gradient is finite: the later one's value, and whether their
+        values and gradients agree to 1e-6. (None, False) with fewer than two."""
+        last = rows.start + np.flatnonzero(self.grad_finite[rows])[-2:]
+        if len(last) < 2:
+            return None, False
+        (v0, v1), (g0, g1) = self.value[last].tolist(), self.grad[last].tolist()
+        step = max(abs(b - a) for a, b in zip(g0, g1))  # Python floats overflow to inf, silently
+        return v1, abs(v1 - v0) <= 1e-6 and step <= 1e-6
 
     def active(
         self, eps: float = 0.0, *, level: int | None = None, normalized: bool = False
@@ -381,9 +383,9 @@ def _rows(body: ex.ExprAst, name: str, x, ts: np.ndarray) -> np.ndarray:
 
 def _tail_ladders(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
     """Evaluate toward the unattained ends of the index set. One
-    (params, index values, values, gradients, summary) per ladder, ordered
-    so the parameter decreases to 0, from one masked gradient-kernel call:
-    a ladder keeps only the rows whose value and gradient are finite."""
+    (params, index values, values) per ladder, ordered so the parameter
+    decreases to 0, from one masked value-kernel call (`_rows`): a ladder
+    keeps every row whose value is finite, and drops only the others."""
     ladders: list[tuple[np.ndarray, np.ndarray]] = []  # (params s -> 0, index values)
     if isinstance(desc, CountableIndexSet):
         e0 = int(math.floor(math.log10(max(desc.truncation, 1)))) + 1
@@ -399,16 +401,9 @@ def _tail_ladders(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
             ladders.append((ss, desc.upper - width * ss))
     out = []
     for params, ts in ladders:
-        vals, grads = ex.eval_grad(fam.body, x, {fam.index_name: ts}, masked=True)
-        vals, grads = np.broadcast_to(vals, ts.shape), np.broadcast_to(grads, ts.shape + x.shape)
-        finite = np.isfinite(vals) & np.all(np.isfinite(grads), axis=1)
-        params, ts, vals, grads = params[finite], ts[finite], vals[finite], grads[finite]
-        summary = FamilyTail(None, False)
-        if len(vals) >= 2:
-            ok = (abs(float(vals[-1] - vals[-2])) <= 1e-6
-                  and np.max(np.abs(grads[-1] - grads[-2])) <= 1e-6)
-            summary = FamilyTail(float(vals[-1]), ok)
-        out.append((params, ts, vals, grads, summary))
+        vals = _rows(fam.body, fam.index_name, x, ts)
+        finite = np.isfinite(vals)
+        out.append((params[finite], ts[finite], vals[finite]))
     return out
 
 
@@ -506,19 +501,26 @@ def scan_constraints(
     """Evaluate every constraint at x: fixed constraints, family grids with
     refinement levels (interval grids refine around local maximizers of the
     constraint value), and tail ladders for truncated descriptors. Each index
-    is evaluated once: a grid row by its masked value kernel, with its
-    gradient made on the first read of `ConstraintScan.grad`, and a ladder
-    row with its gradient, as both choose the ladder's rows. Overflow and NaN
-    raise no RuntimeWarning: a non-finite value counts as a violation."""
+    is evaluated once, grid and ladder rows alike, by its masked value
+    kernel; gradients are made on the first read of `ConstraintScan.grad`.
+    Overflow and NaN raise no RuntimeWarning: a non-finite value counts as a
+    violation, and a ladder drops it."""
     x = _checked_point(inst, x)
-    # one segment of table rows per fixed constraint, family grid or ladder: (body, index name,
-    # gradients if known, row count, then the columns block, t, level, ladder, param, value)
+    # one segment of table rows per fixed constraint, family grid or ladder: (body, index
+    # name, rows, then its entries of the columns block, t, level, ladder, param, value)
     segments = []
     families = []
     n_levels = 1
+    n = 0
+
+    def span(m: int) -> slice:
+        nonlocal n
+        n += m
+        return slice(n - m, n)
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, (_, body) in enumerate(inst.fixed):
-            segments.append((body, None, None, 1, i, 0.0, 0, -1, 0.0,
+            segments.append((body, None, span(1), i, 0.0, 0, -1, 0.0,
                              ex.eval_value(body, x, masked=True)))
         for pos, (fam, desc0) in enumerate(inst.families):
             desc = _apply_overrides(desc0, truncation, resolution, refinements)
@@ -526,31 +528,28 @@ def scan_constraints(
             ts, level, vals = _family_grid(fam, desc, x)
             if isinstance(desc, IntervalGridIndexSet):
                 n_levels = max(n_levels, desc.refinements + 1)
-            segments.append((fam.body, fam.index_name, None, len(ts), block, ts, level, -1, 0.0,
+            segments.append((fam.body, fam.index_name, span(len(ts)), block, ts, level, -1, 0.0,
                              vals))
-            ladders = _tail_ladders(fam, desc, x) if tail else []
-            for k, (params, lts, lvals, lgrads, _) in enumerate(ladders):
-                segments.append((fam.body, fam.index_name, lgrads, len(lts), block, lts, 0, k,
-                                 params, lvals))
+            ladders = [(fam.body, fam.index_name, span(len(lts)), block, lts, 0, k, params, lvals)
+                       for k, (params, lts, lvals) in
+                       enumerate(_tail_ladders(fam, desc, x) if tail else [])]
+            segments.extend(ladders)
             families.append(
                 FamilyScan(
                     name=fam.name,
                     block=block,
-                    tails=[summary for *_, summary in ladders],
+                    ladders=[rows for _, _, rows, *_ in ladders],
                     complete=isinstance(desc, FiniteIndexSet),
                     declared_ray=getattr(desc, "limit_ray", None),
                     compact=isinstance(desc, IntervalGridIndexSet)
                     and desc.include_lower and desc.include_upper,
                 )
             )
-    n = sum(seg[3] for seg in segments)
     columns = [np.empty(n, dtype) for dtype in (int, float, int, int, float, float)]
-    lo = 0
-    for j, (body, name, known, m, *values) in enumerate(segments):
+    for j, (body, name, rows, *values) in enumerate(segments):
         for column, v in zip(columns, values):
-            column[lo : lo + m] = v
-        segments[j] = (body, name, slice(lo, lo + m), known)
-        lo += m
+            column[rows] = v
+        segments[j] = (body, name, rows)
     block, t, level, ladder, param, value = columns
     return ConstraintScan(
         x=x,
@@ -722,12 +721,12 @@ def estimate_moduli(
     Estimates are running suprema, so both are nondecreasing in eta and in
     the sample count. The sampled rows are every fixed constraint, up to 48
     evenly spaced points of each finest family grid, and the last three
-    points of each tail ladder. The RNG draws go eta-major (ascending), then
-    row by row in that order: `samples_per_eta` unit directions, then as
-    many radii. Each body is evaluated once per eta, by its masked value
-    kernel, on the samples of all its rows. As in the scan, a sample the
-    expression rejects is NaN and overflow raises no RuntimeWarning; a row
-    with a NaN quotient adds nothing."""
+    points of each tail ladder whose gradient is finite. The RNG draws go
+    eta-major (ascending), then row by row in that order: `samples_per_eta`
+    unit directions, then as many radii. Each body is evaluated once per
+    eta, by its masked value kernel, on the samples of all its rows. As in
+    the scan, a sample the expression rejects is NaN and overflow raises no
+    RuntimeWarning; a row with a NaN quotient adds nothing."""
     x = np.asarray(x, dtype=float)
     n = inst.dim
     rng = np.random.default_rng(seed)
@@ -740,10 +739,8 @@ def estimate_moduli(
             take = np.linspace(0, len(grid) - 1, _MODULI_PER_FAMILY).astype(int)
             grid = grid[np.unique(take)]
         pool.append(grid)
-        pool.extend(
-            np.flatnonzero((scan.block == fam.block) & (scan.ladder == k))[-3:]
-            for k in range(len(fam.tails))
-        )
+        pool.extend(rows.start + np.flatnonzero(scan.grad_finite[rows])[-3:]
+                    for rows in fam.ladders)
     rows = np.concatenate(pool)
     etas_sorted = np.array(sorted(etas))
     s_est = np.zeros(len(etas_sorted))

@@ -132,9 +132,10 @@ def _family_rays(scan: ConstraintScan, attained_dirs) -> list[Ray]:
     stands for them and takes their largest value limit (0 without one)."""
     out: list[Ray] = []
     for fam in scan.families:
-        good = [k for k, tl in enumerate(fam.tails) if tl.ok]
+        limits = [scan.tail_limit(rows) for rows in fam.ladders]
+        good = [k for k, (_, ok) in enumerate(limits) if ok]
         if fam.declared_ray is not None:
-            vlimit = max((fam.tails[k].value_limit for k in good), default=0.0)
+            vlimit = max((limits[k][0] for k in good), default=0.0)
             out.extend(declared_rays(fam, vlimit, attained_dirs))
             continue
         rays, ok = family_rays(scan, fam, scan.grad[scan.tail], good, attained_dirs)

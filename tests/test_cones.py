@@ -324,7 +324,8 @@ class TestFamilyRays:
         inst = open_interval("-t*x2 - t")
         scan = scan_constraints(inst, np.zeros(2))
         fam = scan.families[0]
-        assert [tl.value_limit for tl in fam.tails] == pytest.approx([0.0, -1.0], abs=1e-12)
+        limits = [scan.tail_limit(rows)[0] for rows in fam.ladders]
+        assert limits == pytest.approx([0.0, -1.0], abs=1e-12)
         for order in ([0, 1], [1, 0]):
             rays, ok = family_rays(scan, fam, scan.grad[scan.tail], order, scan.grad[scan.grid()])
             assert ok and len(rays) == 1
@@ -385,7 +386,7 @@ class TestClosedness:
         all_rays = []
         ok_all = True
         for fam in scan.families:
-            rays, ok = family_rays(scan, fam, lift, range(len(fam.tails)), cols.T)
+            rays, ok = family_rays(scan, fam, lift, range(len(fam.ladders)), cols.T)
             all_rays.extend(rays)
             ok_all = ok_all and ok
         complete = all(f.complete for f in scan.families)

@@ -42,6 +42,9 @@ LOG_FAMILY = instance_text("log(t - 0.5)*x1 - x2 - 1", CLOSED_01)
 # only t = 2..5 are rejected, of 10^4 indices
 FEW_REJECTED = instance_text("log(t - 5)*x1/t - x2 - 1",
                              "kind = countable\nstart = 2\ntruncation = 10000\n")
+# at (1, 0) the ladder row t = 1000 reads 1, and its gradient (sqrt at 0) is rejected
+REJECTED_LADDER_GRADIENT = instance_text("1 - sqrt((x1*t - 1000)^2) - x2",
+                                         "kind = countable\nstart = 1\ntruncation = 100\n")
 
 
 class TestScan:
@@ -71,7 +74,7 @@ class TestScan:
 
         monkeypatch.setattr(ex, "kernel", counting)
         scan = scan_constraints(inst, np.zeros(2))
-        assert len(calls) == 1 + len(scan.families[0].tails)  # the grid and its ladder
+        assert len(calls) == 1 + len(scan.families[0].ladders)  # the grid and its ladder
         rejected = np.isnan(scan.value)
         assert scan.t[rejected].tolist() == [2.0, 3.0, 4.0, 5.0]
         assert np.isnan(scan.grad[rejected]).all() and np.isfinite(scan.grad[~rejected]).all()
@@ -97,7 +100,7 @@ class TestScan:
             "t/(4/exp(t)) - x2 - 1", "kind = countable\nstart = 0\ntruncation = 50\n"))
         scan = scan_constraints(inst, np.zeros(2))
         assert scan.t[scan.tail].tolist() == [100.0]
-        assert scan.families[0].tails[0].value_limit is None
+        assert scan.tail_limit(scan.families[0].ladders[0]) == (None, False)
 
 
 class TestSolver:
@@ -155,13 +158,15 @@ def solve_json(tmp_path, text):
 
 
 class TestCli:
-    @pytest.mark.parametrize("text, worst", [(LOG_FAMILY, "g(0)"),
-                                             (instance_text("1/x1 - x2"), "g1")],
-                             ids=["family", "fixed"])
-    def test_rejected_row_is_an_infeasible_point(self, tmp_path, text, worst):
-        code, doc, err = analyze_json(tmp_path, text, "0,0")
+    @pytest.mark.parametrize("text, point, worst", [
+        (LOG_FAMILY, "0,0", "inf at g(0)"),
+        (instance_text("1/x1 - x2"), "0,0", "inf at g1"),
+        (REJECTED_LADDER_GRADIENT, "1,0", "1.000000e+00 at g(1000)"),
+    ], ids=["family", "fixed", "ladder-gradient"])
+    def test_rejected_row_is_an_infeasible_point(self, tmp_path, text, point, worst):
+        code, doc, err = analyze_json(tmp_path, text, point)
         assert code == EXIT_INFEASIBLE and doc is None
-        assert f"max violation inf at {worst}," in err
+        assert f"max violation {worst}," in err
 
     @pytest.mark.parametrize("cost, message", [
         ("minimize = 1/x1 + x2", "division by zero in '1/x1'"),

@@ -10,8 +10,10 @@ be listed in ``__all__``, and what only the tests read lives in
 ``src/sipcert``: each must be read as an attribute somewhere in the package,
 unless allowlisted. An expression error is caught only at the allowlisted
 places of ``src/sipcert``, so that a rejected constraint row has one rule,
-and ``np.linalg.norm`` is read only at the allowlisted places, so that a norm
-is summed coordinate by coordinate and no BLAS build rounds it.
+``np.linalg.norm`` is read only at the allowlisted places, so that a norm
+is summed coordinate by coordinate and no BLAS build rounds it, and
+``eval_grad`` is read only at the allowlisted places, so that a scan makes
+its gradients in one place.
 """
 
 import ast
@@ -207,3 +209,43 @@ def test_scan_flags_a_linalg_norm_read():
     )
     assert linalg_norm_reads({"m": source}) == [
         "m.<module>", "m.Holder", "m.direct", "m.from_module", "m.full_name"]
+
+
+# the definitions that read eval_grad, and why each does; every other
+# gradient of a constraint row is a row of `ConstraintScan.grad`
+EVAL_GRAD_ALLOWED = {
+    "model.SipInstance": "the equality Jacobian, which no scan holds",
+    "model.ConstraintScan": "the scan's one gradient path: one masked call per segment, "
+                            "grid or tail ladder, on the first read of `grad`",
+    "optimality._cost_hull": "the cost's gradient, or its active pieces' gradients",
+}
+
+
+def eval_grad_reads(sources: dict[str, str]) -> list[str]:
+    """``module.definition`` for each top-level definition of the given
+    modules that reads ``eval_grad`` as a name or an attribute, called or not."""
+    found = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if "eval_grad" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                    found.add(f"{module}.{getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_eval_grad_is_read_only_where_allowed():
+    reads = eval_grad_reads({p.stem: p.read_text() for p in SOURCES})
+    assert reads == sorted(EVAL_GRAD_ALLOWED)
+
+
+def test_scan_flags_an_eval_grad_read():
+    source = (
+        "from .expr import eval_grad\nfrom . import expr as ex\n__all__ = ['eval_grad']\n"
+        "def by_attribute(b, x):\n    return ex.eval_grad(b, x)[1]\n"
+        "def by_name(b, x):\n    return eval_grad(b, x)\n"
+        "class Holder:\n    def method(self):\n        self.f = ex.eval_grad\n"
+        "def eval_grad_free(b, x):\n    return ex.eval_value(b, x)  # 'eval_grad' in a string\n"
+        "g = ex.eval_grad\n"
+    )
+    assert eval_grad_reads({"m": source}) == ["m.<module>", "m.Holder", "m.by_attribute",
+                                              "m.by_name"]

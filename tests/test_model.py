@@ -305,7 +305,7 @@ class TestScan:
                             lambda *a, **k: calls.append(a) or original(*a, **k))
         x = np.array([-2.0, 0.0])
         scan = scan_constraints(inst, x)
-        segments = 1 + len(scan.families[0].tails)  # the grid and its one ladder
+        segments = 1 + len(scan.families[0].ladders)  # the grid and its one ladder
         assert len(calls) <= 2 * segments
         # the table a row-by-row evaluation gives: every grid row NaN, and the
         # ladder rows dropped as not finite
@@ -339,26 +339,59 @@ class TestScan:
         assert scan.grad.shape == (len(scan.value), 2)
         assert runs == [True] * len(scan.segments) == [True] * 3
         assert scan.grad is scan.grad and len(runs) == 3
-        # a tail ladder's rows are chosen by their gradients, which it keeps
+        # a tail ladder's rows are chosen by their values; its gradients wait for a read
         runs.clear()
-        scan = scan_constraints(countable_cubic(), np.array([-1.0, 0.0]))
-        assert runs == [False, False, True]  # g1, the grid, then its one ladder
+        inst, x = countable_cubic(), np.array([-1.0, 0.0])
+        scan = scan_constraints(inst, x)
+        assert runs == [False, False, False]  # g1, the grid, then its one ladder
         scan.grad
-        assert runs == [False, False, True, True, True]
+        assert runs == [False, False, False, True, True, True]
+        runs.clear()
+        most_violated_index(inst, x)
+        cq._sup_inequalities(inst, x)
+        assert runs and not any(runs)
 
     def test_tail_limits_countable(self):
         inst = countable_cubic()
         scan = scan_constraints(inst, np.array([-1.0, 0.0]))
-        tail = scan.families[0].tails[0]
-        assert tail.ok
-        assert tail.value_limit == pytest.approx(0.0, abs=1e-12)
+        value_limit, ok = scan.tail_limit(scan.families[0].ladders[0])
+        assert ok
+        assert value_limit == pytest.approx(0.0, abs=1e-12)
 
     def test_tail_limits_interval_open_endpoint(self):
         inst = interval_ramp()
         scan = scan_constraints(inst, np.array([-1.0, 0.0]))
-        tail = scan.families[0].tails[0]
-        assert tail.ok
-        assert tail.value_limit == pytest.approx(0.0, abs=1e-12)
+        value_limit, ok = scan.tail_limit(scan.families[0].ladders[0])
+        assert ok
+        assert value_limit == pytest.approx(0.0, abs=1e-12)
+
+    def test_tail_limits_skip_a_rejected_gradient_row(self):
+        # at x1 = 1 the ladder's last finite row, n = 1e120, has a rejected
+        # gradient (sqrt at 0); the rows beyond it overflow and are dropped
+        inst = loads_instance(
+            "[problem]\nvars = x1 x2\nminimize = x1\n[index n]\nkind = countable\n"
+            "start = 1\ntruncation = 100\n[constraints]\n"
+            "g(n) = 1e-240*sqrt((x1*n - 1e120)^2) - x2 - 1000/n\n")
+        x = np.array([1.0, 0.0])
+        scan = scan_constraints(inst, x)
+        rows = scan.families[0].ladders[0]
+        last = rows.stop - 1
+        # the row stays in the table with its value, and its gradient is NaN
+        assert scan.t[last] == 1e120 and np.isfinite(scan.value[last])
+        assert np.isnan(scan.grad[last]).all() and scan.grad_finite[rows.start : last].all()
+        # the reference: row by row, the last two rows whose value and gradient are finite
+        body, kept = inst.families[0][0].body, []
+        for t in scan.t[rows]:
+            try:
+                value, grad = ex.eval_grad(body, x, {"n": np.array([t])})
+            except ex.DomainError:
+                continue
+            if np.isfinite(value).all() and np.isfinite(grad).all():
+                kept.append((float(value[0]), grad[0]))
+        (v0, g0), (v1, g1) = kept[-2:]
+        ok = abs(v1 - v0) <= 1e-6 and np.max(np.abs(g1 - g0)) <= 1e-6
+        assert scan.tail_limit(rows) == (v1, ok)
+        assert ok and v1 == scan.value[last - 1]
 
     def test_refinement_halves_smallest_grid_point(self):
         inst = interval_ramp(refinements=3)
@@ -631,8 +664,8 @@ def row_by_row_moduli(inst, x, etas=(0.2, 0.1, 0.05, 0.02, 0.01), samples_per_et
             grid = grid[np.unique(np.linspace(0, len(grid) - 1, 48).astype(int))]
         pool.append(grid)
         pool.extend(
-            np.flatnonzero((scan.block == fam.block) & (scan.ladder == k))[-3:]
-            for k in range(len(fam.tails))
+            np.flatnonzero((scan.block == fam.block) & (scan.ladder == k) & scan.grad_finite)[-3:]
+            for k in range(len(fam.ladders))
         )
     base = []
     for i in np.concatenate(pool):
