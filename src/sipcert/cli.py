@@ -34,6 +34,7 @@ from .model import (
     load_instance,
     row_norms,
     scan_constraints,
+    with_grid,
 )
 from .optimality import (
     convex_global_check,
@@ -144,14 +145,14 @@ def _stationarity_section(report) -> dict:
     }
 
 
-def _normal_cone_section(rep, dirs, separators: list) -> dict:
+def _normal_cone_section(rep, dirs, separators: list, regular: bool | None) -> dict:
     members = rep.members(dirs, tol=1e-6, separators=separators)
     probes = [{"direction": _vec(v), "member": m} for v, m in zip(dirs, members)]
     return {
         "variant": rep.variant,
         "valid": rep.valid,
         "warnings": list(rep.warnings),
-        "regular": rep.regular,
+        "regular": regular,
         "generator_count": rep.cone.generators.shape[1],
         "ray_count": len(rep.cone.limit_rays),
         "rays": [
@@ -178,13 +179,14 @@ def build_report(
     analyze: bool = True,
     scan: ConstraintScan | None = None,
 ) -> dict:
-    """The report document. ``scan`` is the scan of ``x`` with the CLI
-    overrides; it is built here when not given. Each normal-cone variant is
-    built once, and the stationarity section reads those cones: KKT the
-    unperturbed one, perturbed stationarity the perturbed one, and the
-    convex global check the KKT report."""
+    """The report document. ``scan`` is the scan of ``x`` on ``inst``, which
+    carries the run's grids (``args.truncation`` is only reported); it is
+    built here when not given. Each normal-cone variant is built once, and
+    the stationarity section reads those cones: KKT the unperturbed one,
+    perturbed stationarity the perturbed one, and the convex global check
+    the KKT report."""
     if scan is None:
-        scan = scan_constraints(inst, x, truncation=args.truncation)
+        scan = scan_constraints(inst, x)
     feas = feasibility_check(inst, x, scan=scan)
     analyze = analyze and feas.feasible
     if analyze:
@@ -198,13 +200,12 @@ def build_report(
         )
         dirs = probe_directions(inst.dim, args.probe_dirs, args.seed)
         reps = {
-            variant: normal_cone(
-                inst, x, args.eps_schedule, variant, scan=scan, cq=cq, moduli=moduli
-            )
+            variant: normal_cone(inst, x, args.eps_schedule, variant, scan=scan, cq=cq)
             for variant in dict.fromkeys(("perturbed", "unperturbed", *args.variants))
         }
         separators: list = []  # shared by the variants; each cone checks them again
-        cones = [_normal_cone_section(reps[variant], dirs, separators) for variant in args.variants]
+        regular = moduli.regular
+        cones = [_normal_cone_section(reps[v], dirs, separators, regular) for v in args.variants]
         kkt = verify_kkt(inst, x, rep=reps["unperturbed"])
         reports = [kkt, verify_perturbed_stationarity(inst, x, rep=reps["perturbed"], kkt=kkt)]
         if inst.convex:
@@ -384,7 +385,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="comma list of eps values (default 1e-1..1e-8)")
         p.add_argument("--margin-tol", type=float, default=MARGIN_TOL)
         p.add_argument("--truncation", type=int, default=None,
-                       help="override countable truncation")
+                       help="countable truncation of the whole run, the solver included")
         p.add_argument("--variant", default="perturbed,unperturbed",
                        help="comma list: perturbed|unperturbed|normalized")
         p.add_argument("--probe-dirs", type=int, default=16)
@@ -431,18 +432,20 @@ def main(argv=None) -> int:
                 raise InstanceError(f"unknown variant {v!r}")
         path = Path(args.instance)
         instance_text = path.read_text(encoding="utf-8")
-        inst = load_instance(path)
+        # the run's one materialization: every scan and the solver read it
+        inst = with_grid(load_instance(path), truncation=args.truncation)
     except (OSError, InstanceError, ex.ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 
     solver_result = None
     scan = None
+    limit = False
     try:
         if args.command == "analyze":
             x = _parse_point(args.point, inst.dim)
             # the gate and the report read one scan, so they cannot disagree
-            scan = scan_constraints(inst, x, truncation=args.truncation)
+            scan = scan_constraints(inst, x)
             feas = feasibility_check(inst, x, scan=scan)
             if not feas.feasible:
                 print(
@@ -459,17 +462,10 @@ def main(argv=None) -> int:
             candidate, trace = solve(inst, config)
             solver_result = (candidate, trace)
             x = np.asarray(candidate, dtype=float)
-            if trace.status == "iteration_limit":
-                doc = build_report(
-                    inst, x, instance_path=str(path), instance_text=instance_text,
-                    args=args, solver_result=solver_result, analyze=False,
-                )
-                _emit(doc, args)
-                print("error: solver hit its iteration limit", file=sys.stderr)
-                return EXIT_SOLVER_LIMIT
+            limit = trace.status == "iteration_limit"
         doc = build_report(
             inst, x, instance_path=str(path), instance_text=instance_text,
-            args=args, solver_result=solver_result, scan=scan,
+            args=args, solver_result=solver_result, analyze=not limit, scan=scan,
         )
     except InstanceError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -491,6 +487,9 @@ def main(argv=None) -> int:
         print(f"error: {what} is not defined at the point: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     _emit(doc, args)
+    if limit:
+        print("error: solver hit its iteration limit", file=sys.stderr)
+        return EXIT_SOLVER_LIMIT
     return EXIT_OK
 
 

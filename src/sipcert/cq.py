@@ -26,7 +26,7 @@ from .cones import (
     family_rays,
 )
 from .model import (ACT_TOL, ConstraintScan, FamilyScan, InstanceError, SipInstance,
-                    row_norms, scan_constraints)
+                    row_norms, scan_constraints, with_grid)
 
 EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
 MARGIN_TOL = 1e-6
@@ -325,13 +325,13 @@ def _sup_inequalities(inst: SipInstance, x) -> float:
     return best + slack
 
 
-def _coarse_sup_and_gradient(inst: SipInstance, x):
-    """Constraint supremum and a worst-index gradient on a thinned grid
-    (truncation 512, resolution 65, 2 refinements, no tail ladders): the
+def _coarse_sup_and_gradient(coarse: SipInstance, x):
+    """Constraint supremum and a worst-index gradient on the grids of
+    `coarse`, `check_ssc`'s thinned instance, without tail ladders: the
     scan's values, then its gradients, at the first worst row."""
-    scan = scan_constraints(inst, x, truncation=512, resolution=65, refinements=2, tail=False)
+    scan = scan_constraints(coarse, x, tail=False)
     best, row = scan.argmax()
-    return (0.0, np.zeros(inst.dim)) if row is None else (best, scan.grad[row])
+    return (0.0, np.zeros(coarse.dim)) if row is None else (best, scan.grad[row])
 
 
 def _affine_projector(inst: SipInstance):
@@ -361,12 +361,13 @@ def check_ssc(
 
     A supplied candidate is verified directly. Otherwise a multistart
     projected subgradient search tries to drive the constraint supremum
-    strictly negative along the gradient of a worst row of a thinned grid;
+    strictly negative along the gradient of a worst row of a thinned grid
+    (truncation 512, resolution 65, 2 refinements), made once per search;
     a start ends where that row is rejected (+inf with a NaN gradient) or its
     gradient is not finite. Each start's best point, in ascending order of
-    coarse supremum, is then checked against the full scan, and the first
-    that passes is the Slater point. Search failure
-    alone never yields Fails. Fails comes only from the equivalence with the
+    coarse supremum, is then checked against the full scan of `inst`, and
+    the first that passes is the Slater point. Search failure alone never
+    yields Fails. Fails comes only from the equivalence with the
     perturbed margin criterion on convex instances.
     """
     if not inst.convex:
@@ -382,6 +383,7 @@ def check_ssc(
             return SscResult(Verdict.HOLDS, x_hat, sup)
         notes.append("supplied point is not strongly feasible")
 
+    coarse = with_grid(inst, truncation=512, resolution=65, refinements=2)
     project = _affine_projector(inst)
     rng = np.random.default_rng(seed)
     lo, hi = inst.box_bounds()
@@ -394,7 +396,7 @@ def check_ssc(
         step0 = float(np.max(hi - lo)) / 2.0
         best = (math.inf, None)
         for k in range(_SSC_ITERS):
-            sup, g = _coarse_sup_and_gradient(inst, xk)
+            sup, g = _coarse_sup_and_gradient(coarse, xk)
             if sup < best[0]:
                 best = (sup, xk.copy())
             if sup < -1e-6:

@@ -395,10 +395,18 @@ def _tail_ladders(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
         width = desc.upper - desc.lower
         k0 = int(math.ceil(math.log10(desc.resolution))) + 1
         ss = np.array([10.0 ** (-k) for k in _ladder_exponents(k0)])
-        if not desc.include_lower:
-            ladders.append((ss, desc.lower + width * ss))
-        if not desc.include_upper:
-            ladders.append((ss, desc.upper - width * ss))
+        inside = np.nextafter(desc.lower, desc.upper), np.nextafter(desc.upper, desc.lower)
+        for end, sign, included in ((desc.lower, 1.0, desc.include_lower),
+                                    (desc.upper, -1.0, desc.include_upper)):
+            if included:
+                continue
+            # a row within half an ulp of the excluded end would land on it: it
+            # moves to the nearest float inside, and of equal rows the first stays
+            ts = end + sign * width * ss
+            clipped = np.clip(ts, *inside)
+            params = np.where(clipped != ts, np.abs(end - clipped) / width, ss)
+            first = np.concatenate([[True], clipped[1:] != clipped[:-1]])
+            ladders.append((params[first], clipped[first]))
     out = []
     for params, ts in ladders:
         vals = _rows(fam.body, fam.index_name, x, ts)
@@ -451,15 +459,23 @@ def _refine_once(desc: IntervalGridIndexSet, ts: np.ndarray, vals: np.ndarray) -
     return new[ts[pos] != new]
 
 
-def _apply_overrides(desc, truncation, resolution, refinements):
-    if isinstance(desc, CountableIndexSet) and truncation is not None:
-        desc = replace(desc, truncation=max(truncation, desc.start))
-    if isinstance(desc, IntervalGridIndexSet):
-        given = {k: v for k, v in (("resolution", resolution), ("refinements", refinements))
-                 if v is not None}
-        if given:
+def with_grid(inst: SipInstance, *, truncation: int | None = None,
+              resolution: int | None = None, refinements: int | None = None) -> SipInstance:
+    """The instance with every countable truncation (never below the set's
+    start), interval resolution or refinement count that is given; the
+    instance itself when none is. Every scan of the result reads its grids."""
+    given = {k: v for k, v in (("resolution", resolution), ("refinements", refinements))
+             if v is not None}
+    if truncation is None and not given:
+        return inst
+    families = []
+    for fam, desc in inst.families:
+        if isinstance(desc, CountableIndexSet) and truncation is not None:
+            desc = replace(desc, truncation=max(truncation, desc.start))
+        elif isinstance(desc, IntervalGridIndexSet) and given:
             desc = replace(desc, **given)
-    return desc
+        families.append((fam, desc))
+    return replace(inst, families=tuple(families))
 
 
 def _family_grid(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
@@ -489,19 +505,12 @@ def _checked_point(inst: SipInstance, x) -> np.ndarray:
     return x
 
 
-def scan_constraints(
-    inst: SipInstance,
-    x,
-    *,
-    truncation: int | None = None,
-    resolution: int | None = None,
-    refinements: int | None = None,
-    tail: bool = True,
-) -> ConstraintScan:
+def scan_constraints(inst: SipInstance, x, *, tail: bool = True) -> ConstraintScan:
     """Evaluate every constraint at x: fixed constraints, family grids with
     refinement levels (interval grids refine around local maximizers of the
-    constraint value), and tail ladders for truncated descriptors. Each index
-    is evaluated once, grid and ladder rows alike, by its masked value
+    constraint value), and, unless `tail` is False, tail ladders for truncated
+    descriptors, all on the instance's grids (`with_grid` sets them). Each
+    index is evaluated once, grid and ladder rows alike, by its masked value
     kernel; gradients are made on the first read of `ConstraintScan.grad`.
     Overflow and NaN raise no RuntimeWarning: a non-finite value counts as a
     violation, and a ladder drops it."""
@@ -522,8 +531,7 @@ def scan_constraints(
         for i, (_, body) in enumerate(inst.fixed):
             segments.append((body, None, span(1), i, 0.0, 0, -1, 0.0,
                              ex.eval_value(body, x, masked=True)))
-        for pos, (fam, desc0) in enumerate(inst.families):
-            desc = _apply_overrides(desc0, truncation, resolution, refinements)
+        for pos, (fam, desc) in enumerate(inst.families):
             block = len(inst.fixed) + pos
             ts, level, vals = _family_grid(fam, desc, x)
             if isinstance(desc, IntervalGridIndexSet):
@@ -674,6 +682,12 @@ class UniformityModuli:
     s_est: np.ndarray
     r_est: np.ndarray
     samples_per_eta: int
+
+    @property
+    def regular(self) -> bool | None:
+        """Whether the modulus at the first eta is small against the one at the
+        last (at most max(1e-2, 0.05 times it)); None without etas."""
+        return bool(self.r_est[0] <= max(1e-2, 0.05 * self.r_est[-1])) if len(self.r_est) else None
 
 
 _MODULI_PER_FAMILY = 48

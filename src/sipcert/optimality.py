@@ -39,7 +39,6 @@ from .model import (
     RowLabels,
     SipInstance,
     SmoothCost,
-    UniformityModuli,
     feasibility_check,
     scan_constraints,
 )
@@ -61,7 +60,6 @@ class NormalConeRep:
     per_eps: list[tuple[float, np.ndarray, list[Ray]]]
     valid: bool
     warnings: list[str] = field(default_factory=list)
-    regular: bool | None = None
 
     def __post_init__(self):
         if not self.finite:
@@ -165,7 +163,6 @@ def normal_cone(
     *,
     scan: ConstraintScan | None = None,
     cq: CqReport | None = None,
-    moduli: UniformityModuli | None = None,
 ) -> NormalConeRep:
     """Finite representation of the normal cone to the feasible set at x.
 
@@ -185,10 +182,6 @@ def normal_cone(
     warnings: list[str] = []
     valid = True
 
-    regular = None
-    if moduli is not None and len(moduli.r_est):
-        regular = bool(moduli.r_est[0] <= max(1e-2, 0.05 * moduli.r_est[-1]))
-
     if variant == "unperturbed":
         compact_t = all(f.complete or f.compact for f in scan.families)
         closed = cq.nfmcq.verdict == Verdict.HOLDS or compact_t
@@ -200,7 +193,7 @@ def normal_cone(
                 "margin criterion"
             )
         per_eps = [(0.0, scan.active(), [])]
-        return NormalConeRep(variant, scan, lineality, per_eps, valid, warnings, regular)
+        return NormalConeRep(variant, scan, lineality, per_eps, valid, warnings)
 
     grid = scan.grid()
     rays = _family_rays(scan, scan.grad[grid])
@@ -216,7 +209,7 @@ def normal_cone(
         )
     if variant == "normalized" and np.any(scan.grad_norms[grid] < 1e-12):
         warnings.append("some gradients vanish; normalized activity is ill-scaled for them")
-    return NormalConeRep(variant, scan, lineality, per_eps, valid, warnings, regular)
+    return NormalConeRep(variant, scan, lineality, per_eps, valid, warnings)
 
 
 def _cost_hull(inst: SipInstance, x):

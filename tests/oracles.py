@@ -27,7 +27,7 @@ import numpy as np
 from sipcert import expr as ex
 from sipcert.cones import GeneratedCone, membership, reduce_support
 from sipcert.linsolve import FeasibilityCertificate, LpStatus, _simplex_standard
-from sipcert.model import ConstraintScan, SipInstance, scan_constraints
+from sipcert.model import ConstraintScan, SipInstance, scan_constraints, with_grid
 from sipcert.optimality import _cone, _require_feasible
 
 
@@ -256,7 +256,7 @@ def membership_residual_trace(
     v = np.asarray(v, dtype=float)
     out = []
     for N in truncations:
-        scan = scan_constraints(inst, x, truncation=int(N))
+        scan = scan_constraints(with_grid(inst, truncation=int(N)), x)
         res = membership(_cone(scan, scan.active(eps), inst.eq_jacobian(x).T), v, tol=1e-9)
         if isinstance(res, FeasibilityCertificate):
             out.append((int(N), res.residual))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -92,13 +93,14 @@ class TestAnalyze:
 
     @pytest.fixture
     def scan_calls(self, monkeypatch):
-        """Truncation of every scan_constraints call, wherever it is bound."""
+        """Truncation of the instance of every scan_constraints call, wherever
+        it is bound."""
         calls = []
         original = model.scan_constraints
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("truncation"))
-            return original(*args, **kwargs)
+        def counting(inst, *args, **kwargs):
+            calls.append(inst.families[0][1].truncation)
+            return original(inst, *args, **kwargs)
 
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] != "sipcert":
@@ -112,7 +114,7 @@ class TestAnalyze:
             ["analyze", str(INSTANCES / "countable_cubic.sip"), "--point=-1,0"], capsys
         )
         assert code == EXIT_OK
-        assert scan_calls == [None]
+        assert scan_calls == [10000]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_truncation_reaches_feasibility_gate(self, scan_calls, tmp_path, capsys):
@@ -132,7 +134,48 @@ class TestAnalyze:
         )
         assert code == EXIT_OK
         assert json.loads(out)["feasibility"]["feasible"] is True
-        assert scan_calls == [None, 50]
+        assert scan_calls == [10000, 50]
+
+
+# convex, with g(20000) > 0 wherever 10*x2 < x1 - 11: a Slater point must be
+# checked on every index up to the run's truncation
+SPIKE = """[problem]
+vars = x1 x2
+minimize = x1^2 + x2^2
+convex = true
+box = -2 2 ; -2 2
+
+[index n]
+kind = countable
+start = 1
+truncation = 10000
+
+[constraints]
+g(n) = x1 - 1 + 10*exp(-(n - 20000)^2)*(-x2 - 1)
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+@pytest.mark.parametrize("name,n", [("spike", 30_000), ("countable_cubic", 50),
+                                    ("countable_cubic", 10**5)])
+def test_truncation_option_equals_truncated_file(command, name, n, tmp_path, capsys):
+    """`--truncation=N` reports what the same file with `truncation = N`
+    reports, in every section and in the solver, but for the file's path and
+    hash and the option itself."""
+    text = SPIKE if name == "spike" else (INSTANCES / f"{name}.sip").read_text()
+    given, written = tmp_path / "given.sip", tmp_path / "written.sip"
+    given.write_text(text)
+    written.write_text(re.sub(r"(?m)^truncation = \d+$", f"truncation = {n}", text))
+    args = (["--point=-1,0"] if command == "analyze"
+            else ["--max-iters", "6", "--multistart", "4", "--seed", "0"])
+    runs = []
+    for path, option in ((given, [f"--truncation={n}"]), (written, [])):
+        code, out, _ = run_cli(
+            [command, str(path), *args, *option, "--deterministic", "--report=json"], capsys)
+        doc = json.loads(out)
+        del doc["instance"]["path"], doc["instance"]["sha256"], doc["parameters"]["truncation"]
+        runs.append((code, json.dumps(doc, sort_keys=True)))
+    assert runs[0] == runs[1]
 
 
 BAD_OPTIONS = [

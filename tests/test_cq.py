@@ -32,6 +32,7 @@ from sipcert.model import (
     SmoothCost,
     load_instance,
     scan_constraints,
+    with_grid,
 )
 
 from test_model import GOLDEN_POINTS, countable_cubic, interval_ramp, open_interval
@@ -315,7 +316,7 @@ class TestSsc:
         name, original = "scan_constraints", model.scan_constraints
 
         def counting(*args, **kwargs):
-            calls["coarse" if kwargs.get("truncation") == 512 else "full"] += 1
+            calls["coarse" if kwargs.get("tail") is False else "full"] += 1
             return original(*args, **kwargs)
 
         for modname, mod in list(sys.modules.items()):
@@ -417,20 +418,24 @@ COARSE_CASES = {
 }
 
 
+def thinned(inst):
+    """The instance on `check_ssc`'s thinned grid."""
+    return with_grid(inst, truncation=512, resolution=65, refinements=2)
+
+
 class TestCoarseStep:
     """The coarse step's scan and gradient against lone rows."""
 
     @pytest.mark.parametrize("case", sorted(COARSE_CASES))
     def test_bit_equal_to_scan(self, case):
         build, points = COARSE_CASES[case]
-        inst = build()
+        inst = thinned(build())
         lo, hi = inst.box_bounds()
         rng = np.random.default_rng(sorted(COARSE_CASES).index(case))
         points = [np.array(p, dtype=float) for p in points]
         points += [rng.uniform(1.5 * lo, 1.5 * hi) for _ in range(20)]
         for x in points:
-            scan = scan_constraints(inst, x, truncation=512, resolution=65, refinements=2,
-                                    tail=False)
+            scan = scan_constraints(inst, x, tail=False)
             lone = [lone_row(inst, scan, row) for row in range(len(scan.value))]
             values = np.array([v for v, _ in lone])
             assert_same_bits(scan.value, values)
@@ -448,20 +453,20 @@ class TestCoarseStep:
         # every row is NaN (inf - inf), so the first, t = 0, is the worst: its
         # x1 partial is NaN too, and its x2 partial is t, exactly +0.0
         build, points = COARSE_CASES["nan_body"]
-        v, g = _coarse_sup_and_gradient(build(), np.array(points[0]))
+        v, g = _coarse_sup_and_gradient(thinned(build()), np.array(points[0]))
         assert v == math.inf and math.isnan(g[0])
         assert g[1] == 0.0 and not np.signbit(g[1])
         norm = np.linalg.norm(g)  # not finite, so check_ssc's step ends there
         assert not 1e-14 <= norm < math.inf and math.isnan(norm)
         build, points = COARSE_CASES["fixed_ties_family"]
-        v, g = _coarse_sup_and_gradient(build(), np.array(points[1]))
+        v, g = _coarse_sup_and_gradient(thinned(build()), np.array(points[1]))
         assert v == 0.0 and g.tolist() == [1.0, 0.0]
         build, points = COARSE_CASES["fixed_ties_fixed"]
-        v, g = _coarse_sup_and_gradient(build(), np.array(points[1]))
+        v, g = _coarse_sup_and_gradient(thinned(build()), np.array(points[1]))
         assert v == 0.5 and g.tolist() == [1.0, 0.0]
         for case in ("fixed_rejected", "family_partly_rejected"):
             build, points = COARSE_CASES[case]
-            v, g = _coarse_sup_and_gradient(build(), np.array(points[0]))
+            v, g = _coarse_sup_and_gradient(thinned(build()), np.array(points[0]))
             assert v == math.inf and np.all(np.isnan(g))
 
     def test_a_start_at_a_rejected_row_ends_and_the_others_search_on(self):

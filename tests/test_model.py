@@ -28,6 +28,7 @@ from sipcert.model import (
     row_norms,
     scan_constraints,
     unit_vectors,
+    with_grid,
 )
 from sipcert.solver import most_violated_index
 
@@ -293,7 +294,46 @@ class TestActiveSets:
         assert not trigger
 
 
+def test_with_grid_sets_each_family_grid():
+    both = loads_instance(
+        "[problem]\nvars = x1 x2\nminimize = x2\n\n[index n]\nkind = countable\nstart = 2\n"
+        "limit_ray = 0 -1\n\n[index t]\nkind = interval\na = 0\nb = 1\ninclude_a = false\n\n"
+        "[constraints]\ng(n) = x1/n - x2\nh(t) = t*x1 - x2\n")
+    assert with_grid(both) is both
+    grid = with_grid(both, truncation=1, resolution=9, refinements=0)
+    countable, interval = (desc for _, desc in grid.families)
+    assert countable.truncation == 2  # never below the set's start
+    assert (interval.resolution, interval.refinements) == (9, 0)
+    assert interval.include_lower is False and countable.limit_ray == (0.0, -1.0)
+    assert len(scan_constraints(grid, np.zeros(2), tail=False).t) == 1 + 8  # n = 2, t = 1/8 .. 1
+
+
+OPEN_END_CASES = {
+    # (interval lines, body, point, excluded end, direction of the set from it)
+    "upper": ("a = 0\nb = 1\ninclude_a = false\ninclude_b = false\nresolution = 17\n",
+              "t*x1 + x2 - 1", (1.0, 0.0), 1.0, 0.0),
+    "lower": ("a = 1\nb = 2\ninclude_a = false\n", "-t*x1 + x2 + 1", (2.0, 0.0), 1.0, 2.0),
+}
+
+
 class TestScan:
+    @pytest.mark.parametrize("case", sorted(OPEN_END_CASES))
+    def test_open_end_ladder_stays_inside(self, case):
+        # the ladder's rows end + width*s with s down to 1e-300 round onto the
+        # excluded end once width*s is below half an ulp of it
+        lines, body, x, end, toward = OPEN_END_CASES[case]
+        inst = loads_instance("[problem]\nvars = x1 x2\nminimize = x2\n\n[index t]\n"
+                              f"kind = interval\n{lines}\n[constraints]\ng(t) = {body}\n")
+        scan = scan_constraints(inst, np.array(x))
+        rows = scan.families[0].ladders[-1]  # the ladder toward this end
+        ts, params = scan.t[rows], scan.param[rows]
+        nearest = np.nextafter(end, toward)
+        assert end not in ts and ts[-1] == nearest and len(set(ts.tolist())) == len(ts)
+        assert np.all(np.diff(params) < 0) and params[-1] > 0.0
+        # the supremum is approached at the excluded end, never attained
+        worst = feasibility_check(inst, x, scan=scan).worst
+        assert worst.value == nearest
+
     def test_index_free_rejection_fills_every_row_at_once(self, monkeypatch):
         # log(x1 + 1.5) is rejected at x1 = -2 whatever n is: one call per segment
         inst = loads_instance(
