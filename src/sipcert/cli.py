@@ -117,6 +117,11 @@ def _cq_section(rep) -> dict:
             "slater_point": _vec(rep.ssc.slater_point),
             "sup_value": _finite(rep.ssc.sup_value),
             "reason": rep.ssc.reason,
+            **({} if rep.ssc.cuts is None else {
+                "lower_bound": rep.ssc.lower_bound,
+                "cuts": [{"point": _vec(c.point), "label": c.index.label, "weight": c.weight}
+                         for c in rep.ssc.cuts],
+            }),
         },
         "surjective": rep.surjective,
         "diagnostics": list(rep.diagnostics),
@@ -304,7 +309,9 @@ def render_text(doc: dict) -> str:
             res, reason = cq[name], cq[name]["reason"] and f"  ({cq[name]['reason']})"
             lines.append(f"  {name.upper()}: {res['verdict']}  {shown}={res[shown]}{reason}")
         lines.append(f"  NFMCQ: {cq['nfmcq']['verdict']}  ({cq['nfmcq']['reason']})")
-        lines.append(f"  SSC:   {cq['ssc']['verdict']}  ({cq['ssc']['reason']})")
+        ssc = cq["ssc"]
+        cuts = f"  lower_bound={ssc['lower_bound']:.3e} cuts={len(ssc['cuts'])}" if "cuts" in ssc else ""
+        lines.append(f"  SSC:   {ssc['verdict']}{cuts}  ({ssc['reason']})")
         for diag in cq["diagnostics"]:
             lines.append(f"  ! {diag}")
     for cone in doc.get("normal_cones", []):

@@ -11,7 +11,7 @@ Unknown rather than guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from numbers import Real
 
@@ -25,8 +25,8 @@ from .cones import (
     closedness_diagnostic,
     family_rays,
 )
-from .model import (ACT_TOL, ConstraintScan, FamilyScan, InstanceError, SipInstance,
-                    row_norms, scan_constraints, with_grid)
+from .model import (ACT_TOL, FEAS_TOL, ConstraintScan, CountableIndexSet, FamilyScan, IndexId,
+                    InstanceError, SipInstance, row_norms, scan_constraints, with_grid)
 
 EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
 MARGIN_TOL = 1e-6
@@ -37,6 +37,8 @@ _DECAY_STEPS = 3
 
 _SSC_STARTS = 6
 _SSC_ITERS = 80
+_SSC_CUTS = 24
+_CUT_TOL = 1e-12  # largest total of the box multipliers with which a cut bound certifies
 
 
 def validate_schedule(schedule) -> tuple[float, ...]:
@@ -91,11 +93,24 @@ class NfmcqResult:
 
 
 @dataclass
+class SlaterCut:
+    """g(point, index) + grad g(point, index).(y - point), and its weight in
+    the certificate: convex weights whose cuts sum to a function of y that is
+    constant on the equality set and at least `SscResult.lower_bound` there."""
+
+    point: np.ndarray
+    index: IndexId
+    weight: float
+
+
+@dataclass
 class SscResult:
     verdict: Verdict
     slater_point: np.ndarray | None
     sup_value: float | None
     reason: str = ""
+    lower_bound: float | None = None
+    cuts: list[SlaterCut] | None = None
 
 
 @dataclass
@@ -308,13 +323,13 @@ def check_nfmcq(
     )
 
 
-def _sup_inequalities(inst: SipInstance, x) -> float:
+def _sup_inequalities(inst: SipInstance, x, scan: ConstraintScan | None = None) -> float:
     """Upper estimate of sup_t g_t(x): the materialized maximum plus the
     between-grid-points slack bounded by local curvature at each family's
     maximizer. Keeps a grid from hiding a positive peak between its points.
     0 when that maximum is not finite; a row the expression rejects is NaN,
-    which counts as +inf."""
-    scan = scan_constraints(inst, np.asarray(x, dtype=float))
+    which counts as +inf. `scan` is the full scan at x, made when not given."""
+    scan = scan or scan_constraints(inst, np.asarray(x, dtype=float))
     best, _ = scan.argmax()
     if not math.isfinite(best):
         return 0.0
@@ -323,6 +338,15 @@ def _sup_inequalities(inst: SipInstance, x) -> float:
         default=0.0,
     )
     return best + slack
+
+
+def _thinned(inst: SipInstance) -> SipInstance:
+    """`check_ssc`'s coarse instance: interval grids of resolution 65 with 2
+    refinements, each countable family cut to min(512, its truncation)."""
+    inst = with_grid(inst, resolution=65, refinements=2)
+    return replace(inst, families=tuple(
+        (fam, replace(desc, truncation=max(min(desc.truncation, 512), desc.start))
+         if isinstance(desc, CountableIndexSet) else desc) for fam, desc in inst.families))
 
 
 def _coarse_sup_and_gradient(coarse: SipInstance, x):
@@ -350,6 +374,48 @@ def _affine_projector(inst: SipInstance):
     return project
 
 
+def _slater_cuts(inst: SipInstance, project) -> SscResult | None:
+    """Fails with a cut certificate, or None. Kelley's cutting plane (J. SIAM
+    8, 1960) on min sup_t g(y, t) over the box and the equality set: from the
+    projected origin, each iterate adds the cut at the worst row of its full
+    scan, and the LP over the cuts gives a lower bound and the next iterate.
+    On a convex instance every cut under-estimates its g(., t), so with box
+    multipliers of total at most _CUT_TOL (the bound then holds beyond the
+    box) a bound >= -FEAS_TOL shows that no point beats the threshold a
+    Slater point must beat.
+    None after _SSC_CUTS cuts, at a non-finite worst row or gradient, at an
+    iterate that passes `_sup_inequalities`, or when the LP fails."""
+    lo, hi = inst.box_bounds()
+    center, radius = project(0.5 * (lo + hi)), 0.5 * (hi - lo)
+    H = (inst.eq_jacobian(center) * radius).T  # y = center + radius * z keeps J y fixed iff H^T z = 0
+    x = project(np.zeros(inst.dim))
+    points, ids, grads, offsets = [], [], [], []
+    for _ in range(_SSC_CUTS):
+        scan = scan_constraints(inst, x)
+        best, row = scan.argmax()
+        if row is None or _sup_inequalities(inst, x, scan) < -FEAS_TOL:
+            return None
+        points.append(x)
+        ids.append(scan.index_id(row))
+        grads.append(scan.grad[row])
+        offsets.append(best + grads[-1] @ (center - x))  # the cut at z = 0
+        if not math.isfinite(offsets[-1]):  # a non-finite worst row or gradient
+            return None
+        F = (np.array(grads) * radius).T
+        try:
+            w, _, mu, obj, a = linsolve._elastic_fit(F, np.zeros((inst.dim, 0)), H,
+                                                     np.zeros(inst.dim), "slater cut",
+                                                     cost=-np.array(offsets))
+        except linsolve.LpFailure:
+            return None
+        if -obj >= -FEAS_TOL and np.abs(F @ w + H @ mu).sum() <= _CUT_TOL:
+            cuts = [SlaterCut(p, i, max(float(wk), 0.0)) for p, i, wk in zip(points, ids, w)]
+            return SscResult(Verdict.FAILS, None, None,
+                             "cutting planes bound the constraint supremum below", 0.0 - obj, cuts)
+        x = center + radius * a[: inst.dim]
+    return None
+
+
 def check_ssc(
     inst: SipInstance,
     x_hat=None,
@@ -359,16 +425,18 @@ def check_ssc(
 ) -> SscResult:
     """Strong Slater condition for declared-convex instances.
 
-    A supplied candidate is verified directly. Otherwise a multistart
-    projected subgradient search tries to drive the constraint supremum
-    strictly negative along the gradient of a worst row of a thinned grid
-    (truncation 512, resolution 65, 2 refinements), made once per search;
-    a start ends where that row is rejected (+inf with a NaN gradient) or its
-    gradient is not finite. Each start's best point, in ascending order of
-    coarse supremum, is then checked against the full scan of `inst`, and
-    the first that passes is the Slater point. Search failure alone never
-    yields Fails. Fails comes only from the equivalence with the
-    perturbed margin criterion on convex instances.
+    A supplied candidate is verified directly. When `pmfcq` fails, Kelley
+    cuts (`_slater_cuts`) may then certify Fails, with the cuts and their
+    weights as witness, before any search. Otherwise a multistart projected
+    subgradient search tries to drive the constraint supremum strictly
+    negative along the gradient of a worst row of a thinned grid
+    (`_thinned`), made once per search; a start ends where that row is
+    rejected (+inf with a NaN gradient) or its gradient is not finite. Each
+    start's best point, in ascending order of coarse supremum, is then
+    checked against the full scan of `inst`, and the first that passes is
+    the Slater point. Search failure alone never yields Fails: without a
+    cut certificate, Fails comes from the equivalence with the perturbed
+    margin criterion on convex instances, with no witness.
     """
     if not inst.convex:
         return SscResult(Verdict.UNKNOWN, None, None, "instance not declared convex")
@@ -383,8 +451,12 @@ def check_ssc(
             return SscResult(Verdict.HOLDS, x_hat, sup)
         notes.append("supplied point is not strongly feasible")
 
-    coarse = with_grid(inst, truncation=512, resolution=65, refinements=2)
     project = _affine_projector(inst)
+    if pmfcq is not None and pmfcq.verdict == Verdict.FAILS:
+        certified = _slater_cuts(inst, project)
+        if certified is not None:
+            return certified
+    coarse = _thinned(inst)
     rng = np.random.default_rng(seed)
     lo, hi = inst.box_bounds()
     start_pts = [project(np.zeros(inst.dim))]

@@ -220,16 +220,20 @@ def _as_columns(M, d):
     return M
 
 
-def _elastic_fit(F, G, H, v, what: str):
+def _elastic_fit(F, G, H, v, what: str, cost=None):
     """The one elastic 1-norm LP behind every cone query:
 
-        min 1.(mu+ + mu-)  s.t.  F w + G lam + H (y+ - y-) + mu+ - mu- = v,
-                                 1.w = 1 (only when F has columns),
-                                 w, lam, y+, y-, mu+, mu- >= 0.
+        min cost.w + 1.(mu+ + mu-)  s.t.  F w + G lam + H (y+ - y-) + mu+ - mu- = v,
+                                         1.w = 1 (only when F has columns),
+                                         w, lam, y+, y-, mu+, mu- >= 0.
 
-    F, G, H hold columns of length d = len(v). Returns (w, lam, y, objective,
-    duals); duals[:d] is the functional on the fit rows and, with a hull
-    part, duals[d] the multiplier of the convexity row.
+    F, G, H hold columns of length d = len(v), and cost (0 by default) has
+    one entry per F column. Returns (w, lam, y, objective, duals); duals[:d]
+    is the functional on the fit rows and, with a hull part, duals[d] the
+    multiplier of the convexity row. With v = 0 the duals solve
+    max s s.t. s <= cost_i - <f_i, a>, H^T a = 0, G^T a <= 0, |a|_inf <= 1,
+    whose value is the objective: the elastic parts mu+- are the multipliers
+    of the box |a|_inf <= 1.
     """
     d = v.shape[0]
     mf, mg, mh = F.shape[1], G.shape[1], H.shape[1]
@@ -241,6 +245,8 @@ def _elastic_fit(F, G, H, v, what: str):
     b = np.ones(rows)
     b[:d] = v
     c = np.concatenate([np.zeros(mf + mg + 2 * mh), np.ones(2 * d)])
+    if cost is not None:
+        c[:mf] = cost
     status, z, obj, duals = _simplex_standard(c, A, b)
     if status != LpStatus.OPTIMAL:
         raise LpFailure(f"{what} LP ended with status {status.value}")

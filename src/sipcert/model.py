@@ -429,20 +429,27 @@ def _base_grid(desc: IndexSetDescriptor) -> np.ndarray:
 
 
 _REFINE_SITES = 12
+_PARABOLA_STEPS = 8
+
+
+def _sites(vals: np.ndarray) -> np.ndarray:
+    """Rows of the `_REFINE_SITES` highest local maximizers of a value profile,
+    highest first, ties in row order."""
+    m = len(vals)
+    is_max = np.ones(m, dtype=bool)
+    if m > 1:
+        is_max[1:] &= vals[1:] >= vals[:-1]
+        is_max[:-1] &= vals[:-1] >= vals[1:]
+    order = np.argsort(-vals, kind="stable")
+    return order[is_max[order]][:_REFINE_SITES]
 
 
 def _refine_once(desc: IntervalGridIndexSet, ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Bisection points around local maximizers of the value profile on the
     sorted grid ts: the new points only, sorted, inside the index set."""
     m = len(ts)
-    is_max = np.ones(m, dtype=bool)
-    if m > 1:
-        is_max[1:] &= vals[1:] >= vals[:-1]
-        is_max[:-1] &= vals[:-1] >= vals[1:]
-    order = np.argsort(-vals, kind="stable")
-    sites = order[is_max[order]][:_REFINE_SITES]
     new_pts = []
-    for i in sites:
+    for i in _sites(vals):
         if i > 0:
             new_pts.append(0.5 * (ts[i - 1] + ts[i]))
         elif not desc.include_lower:
@@ -457,6 +464,45 @@ def _refine_once(desc: IntervalGridIndexSet, ts: np.ndarray, vals: np.ndarray) -
     new = new[lo_ok & up_ok]
     pos = np.minimum(np.searchsorted(ts, new), m - 1)
     return new[ts[pos] != new]
+
+
+def _parabola_vertices(fam: ConstraintFamily, x, ts: np.ndarray, vals: np.ndarray):
+    """(index values, values) of the maxima inside the strict brackets among
+    the sites of the sorted grid ts: three consecutive rows with finite
+    values, the middle strictly highest. Successive parabolic interpolation
+    (Brent 1973) steps every bracket at once, one `_rows` call per step. A
+    vertex is clipped to the floats strictly inside its bracket, so it stays
+    inside the index set (the ladders' clip rule); a higher vertex becomes
+    the middle, with the nearer old points as its neighbours. A site stops at
+    a vertex within 4 ulps of its middle or no higher than it, or after
+    `_PARABOLA_STEPS` steps. Only middles that moved off the grid return."""
+    sites = []
+    for i in _sites(vals).tolist():
+        if 0 < i < len(ts) - 1:
+            fa, fb, fc = vals[i - 1 : i + 2].tolist()
+            if fa < fb > fc and all(map(math.isfinite, (fa, fb, fc))):
+                sites.append([*ts[i - 1 : i + 2].tolist(), fa, fb, fc])
+    start, live = [site[1] for site in sites], sites
+    for _ in range(_PARABOLA_STEPS):
+        steps = []
+        for site in live:
+            a, b, c, fa, fb, fc = site
+            p, q = (b - a) * (fb - fc), (b - c) * (fb - fa)  # p > 0 > q on a strict bracket
+            u = b - 0.5 * ((b - a) * p - (b - c) * q) / (p - q) if p > q else b
+            u = min(max(u, math.nextafter(a, c)), math.nextafter(c, a))  # a NaN vertex stays NaN
+            if abs(u - b) > 4.0 * math.ulp(b):
+                steps.append((site, u))
+        if not steps:
+            break
+        live = []
+        for (site, u), fu in zip(steps, _rows(fam.body, fam.index_name, x,
+                                              np.array([u for _, u in steps])).tolist()):
+            if fu > site[4]:  # False on NaN
+                a, b, c, fa, fb, fc = site
+                site[:] = [a, u, b, fa, fu, fb] if u < b else [b, u, c, fb, fu, fc]
+                live.append(site)
+    moved = [(site[1], site[4]) for site, t0 in zip(sites, start) if site[1] != t0]
+    return np.array([t for t, _ in moved]), np.array([v for _, v in moved])
 
 
 def with_grid(inst: SipInstance, *, truncation: int | None = None,
@@ -478,21 +524,26 @@ def with_grid(inst: SipInstance, *, truncation: int | None = None,
     return replace(inst, families=tuple(families))
 
 
-def _family_grid(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
+def _family_grid(fam: ConstraintFamily, desc: IndexSetDescriptor, x, peaks: bool):
     """(ts, level, values) of one family's grid at x, by ascending ts: the
-    base grid, on an interval refined around maximizers of the values."""
+    base grid, on an interval refined around maximizers of the values and,
+    with `peaks`, joined by the parabolic vertices at the finest level."""
     ts = _base_grid(desc)
     if len(ts) == 0:
         raise InstanceError(f"family '{fam.name}' materializes to an empty index set")
     vals = _rows(fam.body, fam.index_name, x, ts)
     level = np.zeros(len(ts), dtype=int)
     if isinstance(desc, IntervalGridIndexSet):
-        for k in range(1, desc.refinements + 1):
-            new = _refine_once(desc, ts, vals)
+        for k in range(1, desc.refinements + 1 + peaks):
+            if k <= desc.refinements:
+                new = _refine_once(desc, ts, vals)
+                new_vals = _rows(fam.body, fam.index_name, x, new)
+            else:
+                new, new_vals = _parabola_vertices(fam, x, ts, vals)
             order = np.argsort(np.concatenate([ts, new]), kind="stable")
             ts = np.concatenate([ts, new])[order]
-            vals = np.concatenate([vals, _rows(fam.body, fam.index_name, x, new)])[order]
-            level = np.concatenate([level, np.full(len(new), k)])[order]
+            vals = np.concatenate([vals, new_vals])[order]
+            level = np.concatenate([level, np.full(len(new), min(k, desc.refinements))])[order]
     return ts, level, vals
 
 
@@ -508,8 +559,10 @@ def _checked_point(inst: SipInstance, x) -> np.ndarray:
 def scan_constraints(inst: SipInstance, x, *, tail: bool = True) -> ConstraintScan:
     """Evaluate every constraint at x: fixed constraints, family grids with
     refinement levels (interval grids refine around local maximizers of the
-    constraint value), and, unless `tail` is False, tail ladders for truncated
-    descriptors, all on the instance's grids (`with_grid` sets them). Each
+    constraint value), and, unless `tail` is False, the parabolic vertices
+    of interval grids (`_parabola_vertices`, rows of the finest level) and
+    tail ladders for truncated descriptors, all on the instance's grids
+    (`with_grid` sets them). Each
     index is evaluated once, grid and ladder rows alike, by its masked value
     kernel; gradients are made on the first read of `ConstraintScan.grad`.
     Overflow and NaN raise no RuntimeWarning: a non-finite value counts as a
@@ -533,7 +586,7 @@ def scan_constraints(inst: SipInstance, x, *, tail: bool = True) -> ConstraintSc
                              ex.eval_value(body, x, masked=True)))
         for pos, (fam, desc) in enumerate(inst.families):
             block = len(inst.fixed) + pos
-            ts, level, vals = _family_grid(fam, desc, x)
+            ts, level, vals = _family_grid(fam, desc, x, tail)
             if isinstance(desc, IntervalGridIndexSet):
                 n_levels = max(n_levels, desc.refinements + 1)
             segments.append((fam.body, fam.index_name, span(len(ts)), block, ts, level, -1, 0.0,

@@ -12,14 +12,14 @@ from sipcert import linsolve, solver
 @pytest.fixture
 def lp_counts(monkeypatch):
     """Calls of `linsolve._elastic_fit`, the one LP behind every cone query,
-    counted by their ``what`` label: "cone feasibility", "hull feasibility"
-    or "margin"."""
+    counted by their ``what`` label: "cone feasibility", "hull feasibility",
+    "margin" or "slater cut"."""
     counts = collections.Counter()
     fit = linsolve._elastic_fit
 
-    def counting(F, G, H, v, what):
+    def counting(F, G, H, v, what, cost=None):
         counts[what] += 1
-        return fit(F, G, H, v, what)
+        return fit(F, G, H, v, what, cost)
 
     monkeypatch.setattr(linsolve, "_elastic_fit", counting)
     return counts

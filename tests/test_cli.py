@@ -33,6 +33,24 @@ h = 1e200*x1 - 1e199
 """
 
 
+VANISHING_GRADIENT = """[problem]
+vars = x1 x2
+minimize = x1
+convex = true
+box = -2 2 ; -2 2
+
+[index t]
+kind = interval
+a = 0
+b = 1
+resolution = 65
+refinements = 3
+
+[constraints]
+g(t) = (0.43 + 0.21*t)^2*(x1^2 + x2^2) + 0.8*(t - 0.52)*x1 - 0.6*(t - 0.52)*x2 - 1.1*(t - 0.52)^2
+"""
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
@@ -369,6 +387,28 @@ class TestJsonReport:
         jsonschema.validate(doc, schema)
         assert doc["cq"]["pmfcq"]["verdict"] == "holds"
         assert doc["cq"]["nfmcq"]["verdict"] == "fails"
+
+    def test_ssc_cut_certificate_is_reported(self, tmp_path, capsys):
+        # the vanishing-gradient family of the small analyze batch: SSC fails
+        # with a cut certificate, and only such a report carries its keys
+        import jsonschema
+
+        path, out_path = tmp_path / "vanishing.sip", tmp_path / "report.json"
+        path.write_text(VANISHING_GRADIENT)
+        code, out, _ = run_cli(["analyze", str(path), "--point=0,0", "--deterministic",
+                                "--report=text", f"--json-out={out_path}"], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out_path.read_text())
+        jsonschema.validate(doc, json.loads(SCHEMA.read_text()))
+        ssc = doc["cq"]["ssc"]
+        assert ssc["verdict"] == "fails" and ssc["lower_bound"] >= -1e-9
+        assert [sorted(c) for c in ssc["cuts"]] == [["label", "point", "weight"]]
+        assert ssc["cuts"][0]["label"] == "g(0.52)" and ssc["cuts"][0]["weight"] == 1.0
+        assert f"SSC:   fails  lower_bound={ssc['lower_bound']:.3e} cuts=1  (" in out
+        assert doc["cq"]["emfcq"]["verdict"] == "fails"
+        code, out, _ = run_cli(["analyze", str(INSTANCES / "convex_toy.sip"),
+                                "--point=-0.5,-0.5", "--deterministic", "--report=json"], capsys)
+        assert "cuts" not in json.loads(out)["cq"]["ssc"]
 
     def test_text_and_json_verdicts_agree(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 from pathlib import Path
@@ -22,7 +23,9 @@ from sipcert.cq import (
     check_ssc,
     cq_summary,
 )
+from sipcert import linsolve
 from sipcert.model import (
+    FEAS_TOL,
     ConstraintFamily,
     CountableIndexSet,
     EqualityBlock,
@@ -179,6 +182,202 @@ class TestNfmcq:
         assert res.inequality_part_only
 
 
+def equivalence_instance():
+    """Convex, with no Slater point: at the origin every index is active and
+    the gradients (t - 0.5, 0) vanish toward t = 0.5."""
+    return SipInstance(
+        dim=2,
+        cost=SmoothCost(ex.parse("x1")),
+        convex=True,
+        families=(
+            (
+                ConstraintFamily("g", "t", ex.parse("(t - 0.5)*x1 + 0.1*(x1^2 + x2^2)")),
+                IntervalGridIndexSet(0.0, 1.0, resolution=65, refinements=4),
+            ),
+        ),
+    )
+
+
+def count_scans(monkeypatch):
+    """Count `scan_constraints` calls, as "coarse" (tail=False) or "full", and
+    keep each coarse scan's family row counts."""
+    calls = {"coarse": 0, "full": 0, "rows": []}
+    name, original = "scan_constraints", model.scan_constraints
+
+    def counting(*args, **kwargs):
+        coarse = kwargs.get("tail") is False
+        calls["coarse" if coarse else "full"] += 1
+        scan = original(*args, **kwargs)
+        if coarse:
+            calls["rows"] += [int(np.sum(scan.grid(block=f.block))) for f in scan.families]
+        return scan
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "sipcert" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def recheck_cuts(inst, ssc, tol=1e-12):
+    """Problems with a cut witness, re-checked with numpy from the instance:
+    each cut's value and gradient at its point and index by the lone masked
+    kernels, convex weights, a weighted gradient sum in the row space of the
+    equality Jacobian, and the bound the weights give on the equality set."""
+    problems = []
+    w = np.array([cut.weight for cut in ssc.cuts])
+    points = np.array([cut.point for cut in ssc.cuts])
+    vals, grads = [], []
+    for cut in ssc.cuts:
+        if cut.index.family is None:
+            body, env = inst.fixed[cut.index.block][1], None
+        else:
+            fam = next(f for f, _ in inst.families if f.name == cut.index.family)
+            body, env = fam.body, {fam.index_name: np.array([cut.index.value])}
+        vals.append(np.reshape(ex.eval_value(body, cut.point, env, masked=True), -1)[0])
+        grads.append(np.reshape(ex.eval_grad(body, cut.point, env, masked=True)[1], -1))
+    vals, grads = np.array(vals), np.array(grads)
+    if np.any(w < 0) or abs(w.sum() - 1.0) > tol:
+        problems.append(f"weights {w.tolist()} are not convex")
+    total = w @ grads
+    J, c0 = inst.eq_jacobian(np.zeros(inst.dim)), inst.eq_values(np.zeros(inst.dim))
+    mu = np.linalg.lstsq(J.T, -total, rcond=None)[0] if len(J) else np.zeros(0)
+    residual = np.abs(total + J.T @ mu).sum()
+    if residual > tol:
+        problems.append(f"weighted gradients leave a residual {residual:.3e}")
+    bound = w @ (vals - np.sum(grads * points, axis=1)) + mu @ c0
+    if bound < -FEAS_TOL:
+        problems.append(f"the cuts bound the supremum by {bound:.3e} only")
+    if abs(bound - ssc.lower_bound) > tol:
+        problems.append(f"bound {bound!r} differs from the reported {ssc.lower_bound!r}")
+    return problems
+
+
+def vanishing_gradient_instance():
+    """The small batch's convex interval family with a vanishing active
+    gradient: active at the origin only at t = 0.52, where the gradient is 0."""
+    return _family_instance(
+        "(0.43 + 0.21*t)^2*(x1^2 + x2^2) + 0.8*(t - 0.52)*x1 - 0.6*(t - 0.52)*x2"
+        " - 1.1*(t - 0.52)^2", "t", IntervalGridIndexSet(0.0, 1.0, resolution=65, refinements=3))
+
+
+CUT_CASES = {
+    "equivalence": equivalence_instance,
+    "vanishing_gradient": vanishing_gradient_instance,
+}
+
+
+class TestSlaterCuts:
+    @pytest.mark.parametrize("case", sorted(CUT_CASES))
+    def test_certified_fails_rechecks_without_coarse_scans(self, case, monkeypatch):
+        inst = CUT_CASES[case]()
+        pm = check_pmfcq(inst, np.zeros(2))
+        assert pm.verdict == Verdict.FAILS
+        calls = count_scans(monkeypatch)
+        res = check_ssc(inst, pmfcq=pm)
+        assert res.verdict == Verdict.FAILS and res.cuts
+        assert recheck_cuts(inst, res) == []
+        assert calls["coarse"] == 0 and calls["full"] == len(res.cuts)
+        assert res.lower_bound >= -FEAS_TOL
+
+    def test_bound_above_zero(self):
+        # no point is within 0.1 of every t: min over x of sup_t is 0.24, at
+        # x1 = 0.5 inside the box; the cuts stop at the first bound >= -FEAS_TOL
+        inst = _family_instance("(x1 - t)^2 + x2^2 - 0.01", "t",
+                                IntervalGridIndexSet(0.0, 1.0, resolution=65, refinements=3))
+        res = check_ssc(inst, pmfcq=PmfcqResult(Verdict.FAILS, [], None, None, None, 0, 0))
+        assert res.verdict == Verdict.FAILS and recheck_cuts(inst, res) == []
+        assert 0.0 < res.lower_bound <= 0.24
+
+    @pytest.mark.parametrize("case", sorted(CUT_CASES))
+    def test_a_changed_weight_fails_the_recheck(self, case):
+        inst = CUT_CASES[case]()
+        res = check_ssc(inst, pmfcq=check_pmfcq(inst, np.zeros(2)))
+        for k in range(len(res.cuts)):
+            changed = copy.deepcopy(res)
+            changed.cuts[k].weight += 0.25
+            assert recheck_cuts(inst, changed) != []
+
+    @pytest.mark.parametrize("end", ["budget", "lp_failure"])
+    def test_no_certificate_runs_the_search(self, end, monkeypatch):
+        # the equivalence instance needs more than one cut: with a budget of
+        # one, or when the cut LP fails, the search runs as before and Fails
+        # comes from the equivalence
+        inst = equivalence_instance()
+        pm = check_pmfcq(inst, np.zeros(2))
+        if end == "budget":
+            monkeypatch.setattr(cq_module, "_SSC_CUTS", 1)
+        else:
+            def failing(*args, **kwargs):
+                raise linsolve.LpFailure("slater cut LP ended with status iteration_limit")
+            monkeypatch.setattr(linsolve, "_elastic_fit", failing)
+        calls = count_scans(monkeypatch)
+        res = check_ssc(inst, pmfcq=pm)
+        assert res.verdict == Verdict.FAILS and res.cuts is None
+        assert "perturbed margin" in res.reason
+        assert calls["coarse"] == 480
+
+    @pytest.mark.parametrize("fixed", ["1/x1 - 3", "x1^2 + x2^2 - 1"])
+    def test_no_cut_gives_the_search_result(self, fixed):
+        # 1/x1 is rejected at the origin (a non-finite worst row); the ball's
+        # origin passes `_sup_inequalities`: both end the cuts at once
+        inst = SipInstance(dim=2, cost=SmoothCost(ex.parse("x1")), convex=True,
+                           box=((-2.0, 2.0), (-2.0, 2.0)), fixed=(("a", ex.parse(fixed)),))
+        failing = PmfcqResult(Verdict.FAILS, [], None, None, None, 0, 0)
+        got, want = check_ssc(inst, pmfcq=failing), check_ssc(inst)
+        assert got.verdict == want.verdict == Verdict.HOLDS and got.cuts is None
+        assert got.slater_point.tolist() == want.slater_point.tolist()
+
+    def test_cut_bound_agrees_with_highs(self):
+        # min s s.t. <f_k, z> + b_k <= s, |z|_inf <= 1, H^T z = 0, against HiGHS
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            d, k = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            m = int(rng.integers(0, d))
+            F, b, H = rng.normal(size=(d, k)), rng.normal(size=k), rng.normal(size=(d, m))
+            if rng.random() < 0.25:
+                F[:, : k // 2] = 0.0
+            *_, obj, a = linsolve._elastic_fit(F, np.zeros((d, 0)), H, np.zeros(d), "slater cut",
+                                               cost=-b)
+            res = linprog(np.r_[np.zeros(d), 1.0], A_ub=np.c_[F.T, -np.ones(k)], b_ub=-b,
+                          A_eq=np.c_[H.T, np.zeros(m)] if m else None,
+                          b_eq=np.zeros(m) if m else None,
+                          bounds=[(-1.0, 1.0)] * d + [(None, None)], method="highs")
+            assert res.status == 0
+            assert abs(-obj - res.fun) <= 1e-9
+            z = a[:d]
+            assert np.max(np.abs(z)) <= 1.0 + 1e-9 and np.max(F.T @ z + b) <= -obj + 1e-9
+
+
+class TestThinnedTruncation:
+    """The coarse search reads the run's countable index set, cut to at most
+    512 indices, never more indices than the set has."""
+
+    @staticmethod
+    def _countable(body, truncation):
+        return _family_instance(body, "n", CountableIndexSet(start=1, truncation=truncation))
+
+    def test_coarse_scans_read_at_most_the_truncation(self, monkeypatch):
+        # no point is within 0.1 of 1/n for every n <= 50, so every iterate runs
+        inst = with_grid(self._countable("(x1 - 1/n)^2 + x2^2 - 0.01", 10_000), truncation=50)
+        calls = count_scans(monkeypatch)
+        res = check_ssc(inst)
+        assert res.verdict == Verdict.UNKNOWN
+        assert calls["coarse"] == 480 and max(calls["rows"]) == 50
+
+    def test_an_index_beyond_the_truncation_does_not_steer_the_search(self):
+        # the only violation is at n = 300, where every point of the box is
+        # violated; outside the run's set n <= 50 it reads 0 (exp underflows),
+        # so the search runs as on the same set without it
+        inst = self._countable("x1 - 1 + 10*exp(-(n - 300)^2)*(3 - x2)", 10_000)
+        plain = self._countable("x1 - 1 + 0*n", 10_000)
+        got, want = (check_ssc(with_grid(i, truncation=50)) for i in (inst, plain))
+        assert got.verdict == want.verdict == Verdict.HOLDS
+        assert got.slater_point.tolist() == want.slater_point.tolist()
+        assert got.sup_value == want.sup_value
+        assert cq_module._thinned(inst).families[0][1].truncation == 512
+
+
 class TestSsc:
     def test_parabola_band_with_candidate(self):
         res = check_ssc(parabola_band(), x_hat=[0.0, 1.0])
@@ -198,17 +397,7 @@ class TestSsc:
     def test_fails_via_pmfcq_equivalence(self):
         # convex instance that fails the perturbed margin criterion:
         # active gradients vanish toward the active index
-        inst = SipInstance(
-            dim=2,
-            cost=SmoothCost(ex.parse("x1")),
-            convex=True,
-            families=(
-                (
-                    ConstraintFamily("g", "t", ex.parse("(t - 0.5)*x1 + 0.1*(x1^2 + x2^2)")),
-                    IntervalGridIndexSet(0.0, 1.0, resolution=65, refinements=4),
-                ),
-            ),
-        )
+        inst = equivalence_instance()
         pm = check_pmfcq(inst, np.zeros(2))
         assert pm.verdict == Verdict.FAILS
         res = check_ssc(inst, pmfcq=pm)
@@ -312,16 +501,7 @@ class TestSsc:
                 ),
             ),
         )
-        calls = {"coarse": 0, "full": 0}
-        name, original = "scan_constraints", model.scan_constraints
-
-        def counting(*args, **kwargs):
-            calls["coarse" if kwargs.get("tail") is False else "full"] += 1
-            return original(*args, **kwargs)
-
-        for modname, mod in list(sys.modules.items()):
-            if modname.split(".")[0] == "sipcert" and getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counting)
+        calls = count_scans(monkeypatch)
         res = check_ssc(inst)
         assert res.verdict == Verdict.UNKNOWN
         assert calls["coarse"] == 480
@@ -420,7 +600,7 @@ COARSE_CASES = {
 
 def thinned(inst):
     """The instance on `check_ssc`'s thinned grid."""
-    return with_grid(inst, truncation=512, resolution=65, refinements=2)
+    return cq_module._thinned(inst)
 
 
 class TestCoarseStep:
