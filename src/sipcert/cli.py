@@ -195,9 +195,7 @@ def build_report(
     feas = feasibility_check(inst, x, scan=scan)
     analyze = analyze and feas.feasible
     if analyze:
-        cq = cq_summary(
-            inst, x, args.eps_schedule, margin_tol=args.margin_tol, seed=args.seed, scan=scan
-        )
+        cq = cq_summary(inst, x, args.eps_schedule, margin_tol=args.margin_tol, scan=scan)
         asr = active_set(inst, x, eps=args.eps_schedule[0], scan=scan)
         bound, bound_ok, norm_trigger = gradient_bound_check(asr)
         moduli = estimate_moduli(

@@ -25,8 +25,8 @@ from .cones import (
     closedness_diagnostic,
     family_rays,
 )
-from .model import (ACT_TOL, FEAS_TOL, ConstraintScan, CountableIndexSet, FamilyScan, IndexId,
-                    InstanceError, SipInstance, row_norms, scan_constraints, with_grid)
+from .model import (ACT_TOL, FEAS_TOL, ConstraintScan, FamilyScan, IndexId, InstanceError,
+                    SipInstance, scan_constraints)
 
 EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 9))
 MARGIN_TOL = 1e-6
@@ -35,8 +35,6 @@ _DECAY_RATIO = 0.9
 _STABLE_RATIO = 0.75
 _DECAY_STEPS = 3
 
-_SSC_STARTS = 6
-_SSC_ITERS = 80
 _SSC_CUTS = 24
 _CUT_TOL = 1e-12  # largest total of the box multipliers with which a cut bound certifies
 
@@ -340,22 +338,14 @@ def _sup_inequalities(inst: SipInstance, x, scan: ConstraintScan | None = None) 
     return best + slack
 
 
-def _thinned(inst: SipInstance) -> SipInstance:
-    """`check_ssc`'s coarse instance: interval grids of resolution 65 with 2
-    refinements, each countable family cut to min(512, its truncation)."""
-    inst = with_grid(inst, resolution=65, refinements=2)
-    return replace(inst, families=tuple(
-        (fam, replace(desc, truncation=max(min(desc.truncation, 512), desc.start))
-         if isinstance(desc, CountableIndexSet) else desc) for fam, desc in inst.families))
-
-
-def _coarse_sup_and_gradient(coarse: SipInstance, x):
-    """Constraint supremum and a worst-index gradient on the grids of
-    `coarse`, `check_ssc`'s thinned instance, without tail ladders: the
-    scan's values, then its gradients, at the first worst row."""
-    scan = scan_constraints(coarse, x, tail=False)
-    best, row = scan.argmax()
-    return (0.0, np.zeros(coarse.dim)) if row is None else (best, scan.grad[row])
+def _strong_slater(inst: SipInstance, x, scan: ConstraintScan | None = None) -> SscResult | None:
+    """Holds at x when x is a strong Slater point: an equality residual of
+    at most 1e-9 and `_sup_inequalities` below -1e-9 on its full scan."""
+    eq = inst.eq_residual(x)
+    sup = _sup_inequalities(inst, x, scan)
+    if eq <= 1e-9 and sup < -1e-9:
+        return SscResult(Verdict.HOLDS, x, sup)
+    return None
 
 
 def _affine_projector(inst: SipInstance):
@@ -374,69 +364,83 @@ def _affine_projector(inst: SipInstance):
     return project
 
 
-def _slater_cuts(inst: SipInstance, project) -> SscResult | None:
-    """Fails with a cut certificate, or None. Kelley's cutting plane (J. SIAM
-    8, 1960) on min sup_t g(y, t) over the box and the equality set: from the
-    projected origin, each iterate adds the cut at the worst row of its full
-    scan, and the LP over the cuts gives a lower bound and the next iterate.
-    On a convex instance every cut under-estimates its g(., t), so with box
+def _slater_cuts(inst: SipInstance) -> SscResult:
+    """Kelley's cutting plane (J. SIAM 8, 1960) on min sup_t g(y, t) over the
+    equality set. From the projected origin, each iterate that is not a
+    strong Slater point (`_strong_slater`) adds the cut at the worst row of
+    its full scan, and an LP over the cuts gives a lower bound and the next
+    iterate, projected onto the equality set. On a convex instance every cut
+    under-estimates its g(., t), so a bound >= -FEAS_TOL with box
     multipliers of total at most _CUT_TOL (the bound then holds beyond the
-    box) a bound >= -FEAS_TOL shows that no point beats the threshold a
-    Slater point must beat.
-    None after _SSC_CUTS cuts, at a non-finite worst row or gradient, at an
-    iterate that passes `_sup_inequalities`, or when the LP fails."""
+    box) certifies Fails. When the box alone keeps the bound that high, it
+    doubles about its center. An iterate whose worst row or gradient is not
+    finite adds no cut, and the next iterate is the midpoint between it and
+    the last iterate that added one. A cut, a growth and a backtrack each
+    spend one of _SSC_CUTS steps. Unknown, with the reason, when the budget
+    is spent, the projected origin gives no cut, or the LP fails."""
+    project = _affine_projector(inst)
     lo, hi = inst.box_bounds()
     center, radius = project(0.5 * (lo + hi)), 0.5 * (hi - lo)
-    H = (inst.eq_jacobian(center) * radius).T  # y = center + radius * z keeps J y fixed iff H^T z = 0
-    x = project(np.zeros(inst.dim))
+    J = inst.eq_jacobian(center)
+    x, anchor, grow = project(np.zeros(inst.dim)), None, False
     points, ids, grads, offsets = [], [], [], []
     for _ in range(_SSC_CUTS):
-        scan = scan_constraints(inst, x)
-        best, row = scan.argmax()
-        if row is None or _sup_inequalities(inst, x, scan) < -FEAS_TOL:
-            return None
-        points.append(x)
-        ids.append(scan.index_id(row))
-        grads.append(scan.grad[row])
-        offsets.append(best + grads[-1] @ (center - x))  # the cut at z = 0
-        if not math.isfinite(offsets[-1]):  # a non-finite worst row or gradient
-            return None
-        F = (np.array(grads) * radius).T
+        if grow:
+            radius = 2.0 * radius
+        else:
+            scan = scan_constraints(inst, x)
+            verified = _strong_slater(inst, x, scan)
+            if verified is not None:
+                return verified
+            best, row = scan.argmax()
+            offset = math.nan if row is None else best + scan.grad[row] @ (center - x)
+            if not math.isfinite(offset):  # a non-finite worst row or gradient: no cut
+                if anchor is None:
+                    label = "none" if row is None else scan.label(row)
+                    return SscResult(Verdict.UNKNOWN, None, None, "the projected origin is "
+                                     f"rejected: no finite cut at its worst row ({label})")
+                x = project(0.5 * (x + anchor))
+                continue
+            anchor = x
+            points.append(x)
+            ids.append(scan.index_id(row))
+            grads.append(scan.grad[row])
+            offsets.append(offset)  # the cut at z = 0
+        # y = center + radius * z keeps J y fixed iff H^T z = 0
+        F, H = (np.array(grads) * radius).T, (J * radius).T
         try:
             w, _, mu, obj, a = linsolve._elastic_fit(F, np.zeros((inst.dim, 0)), H,
                                                      np.zeros(inst.dim), "slater cut",
                                                      cost=-np.array(offsets))
-        except linsolve.LpFailure:
-            return None
-        if -obj >= -FEAS_TOL and np.abs(F @ w + H @ mu).sum() <= _CUT_TOL:
+        except linsolve.LpFailure as err:
+            return SscResult(Verdict.UNKNOWN, None, None, str(err))
+        grow = -obj >= -FEAS_TOL
+        if grow and np.abs(F @ w + H @ mu).sum() <= _CUT_TOL:
             cuts = [SlaterCut(p, i, max(float(wk), 0.0)) for p, i, wk in zip(points, ids, w)]
             return SscResult(Verdict.FAILS, None, None,
                              "cutting planes bound the constraint supremum below", 0.0 - obj, cuts)
-        x = center + radius * a[: inst.dim]
-    return None
+        if not grow:
+            x = project(center + radius * a[: inst.dim])
+    return SscResult(Verdict.UNKNOWN, None, None,
+                     f"no verdict within the budget of {_SSC_CUTS} cut steps")
 
 
 def check_ssc(
     inst: SipInstance,
     x_hat=None,
     *,
-    seed: int = 0,
     pmfcq: PmfcqResult | None = None,
 ) -> SscResult:
     """Strong Slater condition for declared-convex instances.
 
-    A supplied candidate is verified directly. When `pmfcq` fails, Kelley
-    cuts (`_slater_cuts`) may then certify Fails, with the cuts and their
-    weights as witness, before any search. Otherwise a multistart projected
-    subgradient search tries to drive the constraint supremum strictly
-    negative along the gradient of a worst row of a thinned grid
-    (`_thinned`), made once per search; a start ends where that row is
-    rejected (+inf with a NaN gradient) or its gradient is not finite. Each
-    start's best point, in ascending order of coarse supremum, is then
-    checked against the full scan of `inst`, and the first that passes is
-    the Slater point. Search failure alone never yields Fails: without a
-    cut certificate, Fails comes from the equivalence with the perturbed
-    margin criterion on convex instances, with no witness.
+    A supplied candidate is verified directly; otherwise, or when it fails,
+    Kelley's cutting plane (`_slater_cuts`) searches: Holds at the first
+    iterate that passes the same verification, with the point and its
+    supremum, or Fails with the cuts and their weights as witness. When the
+    cuts give no verdict, Fails comes from the equivalence with the
+    perturbed margin criterion on convex instances, with no witness, when
+    `pmfcq` fails, and the result is Unknown, with the reason the search
+    ended, when it does not.
     """
     if not inst.convex:
         return SscResult(Verdict.UNKNOWN, None, None, "instance not declared convex")
@@ -444,52 +448,17 @@ def check_ssc(
         return SscResult(Verdict.UNKNOWN, None, None, "equality block not declared affine")
     notes = []
     if x_hat is not None:
-        x_hat = np.asarray(x_hat, dtype=float)
-        eq = inst.eq_residual(x_hat)
-        sup = _sup_inequalities(inst, x_hat)
-        if eq <= 1e-9 and sup < -1e-9:
-            return SscResult(Verdict.HOLDS, x_hat, sup)
+        verified = _strong_slater(inst, np.asarray(x_hat, dtype=float))
+        if verified is not None:
+            return verified
         notes.append("supplied point is not strongly feasible")
-
-    project = _affine_projector(inst)
-    if pmfcq is not None and pmfcq.verdict == Verdict.FAILS:
-        certified = _slater_cuts(inst, project)
-        if certified is not None:
-            return certified
-    coarse = _thinned(inst)
-    rng = np.random.default_rng(seed)
-    lo, hi = inst.box_bounds()
-    start_pts = [project(np.zeros(inst.dim))]
-    for _ in range(_SSC_STARTS - 1):
-        start_pts.append(project(rng.uniform(lo, hi)))
-    bests = []  # (coarse sup, point): each start's best point
-    for pt in start_pts:
-        xk = pt.copy()
-        step0 = float(np.max(hi - lo)) / 2.0
-        best = (math.inf, None)
-        for k in range(_SSC_ITERS):
-            sup, g = _coarse_sup_and_gradient(coarse, xk)
-            if sup < best[0]:
-                best = (sup, xk.copy())
-            if sup < -1e-6:
-                break
-            norm = row_norms(g)
-            if not 1e-14 <= norm < math.inf:  # a NaN or inf gradient gives no step either
-                break
-            xk = project(xk - (step0 / math.sqrt(k + 1.0)) * g / norm)
-        if best[0] < -1e-8:
-            bests.append(best)
-    for _, point in sorted(bests, key=lambda b: b[0]):  # stable: earlier starts first on ties
-        sup_full = _sup_inequalities(inst, point)
-        if sup_full < -1e-9:
-            return SscResult(Verdict.HOLDS, point, sup_full)
-    if bests:
-        notes.append(f"{len(bests)} coarse search point(s) failed full verification")
+    res = _slater_cuts(inst)
+    if res.verdict != Verdict.UNKNOWN:
+        return res
     if pmfcq is not None and pmfcq.verdict == Verdict.FAILS:
         return SscResult(Verdict.FAILS, None, None,
                          "perturbed margin criterion fails on a convex instance")
-    notes.append("search found no strongly feasible point")
-    return SscResult(Verdict.UNKNOWN, None, None, "; ".join(notes))
+    return replace(res, reason="; ".join(notes + [res.reason]))
 
 
 def cq_summary(
@@ -498,16 +467,17 @@ def cq_summary(
     eps_schedule=EPS_SCHEDULE,
     *,
     margin_tol: float = MARGIN_TOL,
-    seed: int = 0,
     scan: ConstraintScan | None = None,
 ) -> CqReport:
-    """All four checks plus cross-implication consistency enforcement."""
+    """All four checks at x on one scan, plus cross-implication consistency
+    enforcement. The strong Slater search starts at the projected origin and
+    draws nothing at random, so `ssc` depends on no seed."""
     x = np.asarray(x, dtype=float)
     scan = scan or scan_constraints(inst, x)
     emfcq = check_emfcq(inst, x, margin_tol=margin_tol, scan=scan)
     pmfcq = check_pmfcq(inst, x, eps_schedule, margin_tol=margin_tol, scan=scan)
     nfmcq = check_nfmcq(inst, x, scan=scan)
-    ssc = check_ssc(inst, seed=seed, pmfcq=pmfcq)
+    ssc = check_ssc(inst, pmfcq=pmfcq)
     diagnostics: list[str] = []
     if pmfcq.verdict == Verdict.HOLDS and emfcq.verdict != Verdict.HOLDS:
         diagnostics.append(

@@ -217,7 +217,7 @@ class IndexId:
 def _index_label(family: str, t: float) -> str:
     if float(t).is_integer() and abs(t) < 1e15:
         return f"{family}({int(t)})"
-    return f"{family}({t:.12g})"
+    return f"{family}({t!r})"
 
 
 @dataclass
@@ -505,36 +505,28 @@ def _parabola_vertices(fam: ConstraintFamily, x, ts: np.ndarray, vals: np.ndarra
     return np.array([t for t, _ in moved]), np.array([v for _, v in moved])
 
 
-def with_grid(inst: SipInstance, *, truncation: int | None = None,
-              resolution: int | None = None, refinements: int | None = None) -> SipInstance:
-    """The instance with every countable truncation (never below the set's
-    start), interval resolution or refinement count that is given; the
-    instance itself when none is. Every scan of the result reads its grids."""
-    given = {k: v for k, v in (("resolution", resolution), ("refinements", refinements))
-             if v is not None}
-    if truncation is None and not given:
+def with_grid(inst: SipInstance, *, truncation: int | None = None) -> SipInstance:
+    """The instance with every countable truncation set to `truncation`,
+    never below the set's start; the instance itself when it is None. Every
+    scan of the result reads its grids."""
+    if truncation is None:
         return inst
-    families = []
-    for fam, desc in inst.families:
-        if isinstance(desc, CountableIndexSet) and truncation is not None:
-            desc = replace(desc, truncation=max(truncation, desc.start))
-        elif isinstance(desc, IntervalGridIndexSet) and given:
-            desc = replace(desc, **given)
-        families.append((fam, desc))
-    return replace(inst, families=tuple(families))
+    return replace(inst, families=tuple(
+        (fam, replace(desc, truncation=max(truncation, desc.start))
+         if isinstance(desc, CountableIndexSet) else desc) for fam, desc in inst.families))
 
 
-def _family_grid(fam: ConstraintFamily, desc: IndexSetDescriptor, x, peaks: bool):
+def _family_grid(fam: ConstraintFamily, desc: IndexSetDescriptor, x):
     """(ts, level, values) of one family's grid at x, by ascending ts: the
-    base grid, on an interval refined around maximizers of the values and,
-    with `peaks`, joined by the parabolic vertices at the finest level."""
+    base grid, on an interval refined around maximizers of the values and
+    joined by the parabolic vertices at the finest level."""
     ts = _base_grid(desc)
     if len(ts) == 0:
         raise InstanceError(f"family '{fam.name}' materializes to an empty index set")
     vals = _rows(fam.body, fam.index_name, x, ts)
     level = np.zeros(len(ts), dtype=int)
     if isinstance(desc, IntervalGridIndexSet):
-        for k in range(1, desc.refinements + 1 + peaks):
+        for k in range(1, desc.refinements + 2):
             if k <= desc.refinements:
                 new = _refine_once(desc, ts, vals)
                 new_vals = _rows(fam.body, fam.index_name, x, new)
@@ -556,17 +548,17 @@ def _checked_point(inst: SipInstance, x) -> np.ndarray:
     return x
 
 
-def scan_constraints(inst: SipInstance, x, *, tail: bool = True) -> ConstraintScan:
+def scan_constraints(inst: SipInstance, x) -> ConstraintScan:
     """Evaluate every constraint at x: fixed constraints, family grids with
     refinement levels (interval grids refine around local maximizers of the
-    constraint value), and, unless `tail` is False, the parabolic vertices
-    of interval grids (`_parabola_vertices`, rows of the finest level) and
-    tail ladders for truncated descriptors, all on the instance's grids
-    (`with_grid` sets them). Each
-    index is evaluated once, grid and ladder rows alike, by its masked value
-    kernel; gradients are made on the first read of `ConstraintScan.grad`.
-    Overflow and NaN raise no RuntimeWarning: a non-finite value counts as a
-    violation, and a ladder drops it."""
+    constraint value), the parabolic vertices of interval grids
+    (`_parabola_vertices`, rows of the finest level) and tail ladders for
+    truncated descriptors, all on the instance's grids (`with_grid` sets a
+    run's countable truncation); `ConstraintScan.grid()` masks the grid rows
+    alone. Each index is evaluated once, grid and ladder rows alike, by its
+    masked value kernel; gradients are made on the first read of
+    `ConstraintScan.grad`. Overflow and NaN raise no RuntimeWarning: a
+    non-finite value counts as a violation, and a ladder drops it."""
     x = _checked_point(inst, x)
     # one segment of table rows per fixed constraint, family grid or ladder: (body, index
     # name, rows, then its entries of the columns block, t, level, ladder, param, value)
@@ -586,14 +578,14 @@ def scan_constraints(inst: SipInstance, x, *, tail: bool = True) -> ConstraintSc
                              ex.eval_value(body, x, masked=True)))
         for pos, (fam, desc) in enumerate(inst.families):
             block = len(inst.fixed) + pos
-            ts, level, vals = _family_grid(fam, desc, x, tail)
+            ts, level, vals = _family_grid(fam, desc, x)
             if isinstance(desc, IntervalGridIndexSet):
                 n_levels = max(n_levels, desc.refinements + 1)
             segments.append((fam.body, fam.index_name, span(len(ts)), block, ts, level, -1, 0.0,
                              vals))
             ladders = [(fam.body, fam.index_name, span(len(lts)), block, lts, 0, k, params, lvals)
                        for k, (params, lts, lvals) in
-                       enumerate(_tail_ladders(fam, desc, x) if tail else [])]
+                       enumerate(_tail_ladders(fam, desc, x))]
             segments.extend(ladders)
             families.append(
                 FamilyScan(

@@ -254,7 +254,7 @@ def test_criterion_05_slater_margin_equivalence_suite(random_family_margins):
         disagreements = []
         decided = 0
         for seed, (inst, pm, _) in enumerate(random_family_margins):
-            ssc = check_ssc(inst, seed=seed, pmfcq=pm)
+            ssc = check_ssc(inst, pmfcq=pm)
             # search success must never coincide with a failing margin criterion
             if ssc.slater_point is not None:
                 assert pm.verdict != Verdict.FAILS, f"seed {seed}"

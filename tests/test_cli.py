@@ -222,8 +222,8 @@ def test_bad_numeric_option_is_validation_error(command, option, capsys):
 
 
 def test_slater_search_domain_error_is_not_a_crash(tmp_path, capsys):
-    # every Slater search start is the origin or a point in the box, where
-    # sqrt(x1^2 + t) has no gradient at t = 0; analyze must still report
+    # the Slater search starts at the origin, where sqrt(x1^2 + t) has no
+    # gradient at t = 0; analyze must still report
     import jsonschema
 
     path = tmp_path / "sqrt.sip"
@@ -239,10 +239,23 @@ def test_slater_search_domain_error_is_not_a_crash(tmp_path, capsys):
     doc = json.loads(out)
     jsonschema.validate(doc, json.loads(SCHEMA.read_text()))
     ssc = doc["cq"]["ssc"]
-    # the origin's full scan rejects a row, and a later start's point verifies
+    # the origin's row t = 0 has a NaN gradient, but its worst row, t = 1,
+    # reads -1: the origin is the Slater point
     assert ssc["verdict"] == "holds"
     point = np.array(ssc["slater_point"], dtype=float)
     assert model.scan_constraints(model.load_instance(path), point).argmax()[0] < 0.0
+
+
+def test_seed_leaves_the_slater_search_alone(capsys):
+    # --seed moves the moduli samples and probe directions, not cq.ssc
+    docs = []
+    for seed in ("0", "7"):
+        code, out, _ = run_cli(["analyze", str(INSTANCES / "convex_toy.sip"), "--point=-0.5,-0.5",
+                                f"--seed={seed}", "--report=json", "--deterministic"], capsys)
+        assert code == EXIT_OK
+        docs.append(json.loads(out))
+    assert docs[0]["cq"]["ssc"] == docs[1]["cq"]["ssc"]
+    assert docs[0]["cq"]["ssc"]["verdict"] == "holds"
 
 
 def test_text_report_gives_the_emfcq_and_pmfcq_reasons(tmp_path, capsys):

@@ -16,7 +16,6 @@ from sipcert.cq import (
     PmfcqResult,
     SscResult,
     Verdict,
-    _coarse_sup_and_gradient,
     check_emfcq,
     check_nfmcq,
     check_pmfcq,
@@ -199,23 +198,26 @@ def equivalence_instance():
 
 
 def count_scans(monkeypatch):
-    """Count `scan_constraints` calls, as "coarse" (tail=False) or "full", and
-    keep each coarse scan's family row counts."""
-    calls = {"coarse": 0, "full": 0, "rows": []}
+    """Count the `scan_constraints` calls made through any sipcert module."""
+    calls = {"scans": 0}
     name, original = "scan_constraints", model.scan_constraints
 
     def counting(*args, **kwargs):
-        coarse = kwargs.get("tail") is False
-        calls["coarse" if coarse else "full"] += 1
-        scan = original(*args, **kwargs)
-        if coarse:
-            calls["rows"] += [int(np.sum(scan.grid(block=f.block))) for f in scan.families]
-        return scan
+        calls["scans"] += 1
+        return original(*args, **kwargs)
 
     for modname, mod in list(sys.modules.items()):
         if modname.split(".")[0] == "sipcert" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+ORIGIN_REJECTED = "the projected origin is rejected: no finite cut at its worst row ({})"
+LP_FAILURE = "slater cut LP ended with status iteration_limit"
+
+
+def failing_lp(*args, **kwargs):
+    raise linsolve.LpFailure(LP_FAILURE)
 
 
 def recheck_cuts(inst, ssc, tol=1e-12):
@@ -276,7 +278,7 @@ class TestSlaterCuts:
         res = check_ssc(inst, pmfcq=pm)
         assert res.verdict == Verdict.FAILS and res.cuts
         assert recheck_cuts(inst, res) == []
-        assert calls["coarse"] == 0 and calls["full"] == len(res.cuts)
+        assert calls["scans"] == len(res.cuts)
         assert res.lower_bound >= -FEAS_TOL
 
     def test_bound_above_zero(self):
@@ -300,32 +302,36 @@ class TestSlaterCuts:
     @pytest.mark.parametrize("end", ["budget", "lp_failure"])
     def test_no_certificate_runs_the_search(self, end, monkeypatch):
         # the equivalence instance needs more than one cut: with a budget of
-        # one, or when the cut LP fails, the search runs as before and Fails
-        # comes from the equivalence
+        # one, or when the cut LP fails, the search ends without a verdict,
+        # and Fails comes from the equivalence, with no witness
         inst = equivalence_instance()
         pm = check_pmfcq(inst, np.zeros(2))
         if end == "budget":
             monkeypatch.setattr(cq_module, "_SSC_CUTS", 1)
         else:
-            def failing(*args, **kwargs):
-                raise linsolve.LpFailure("slater cut LP ended with status iteration_limit")
-            monkeypatch.setattr(linsolve, "_elastic_fit", failing)
+            monkeypatch.setattr(linsolve, "_elastic_fit", failing_lp)
         calls = count_scans(monkeypatch)
         res = check_ssc(inst, pmfcq=pm)
         assert res.verdict == Verdict.FAILS and res.cuts is None
         assert "perturbed margin" in res.reason
-        assert calls["coarse"] == 480
+        assert calls["scans"] == 1
 
     @pytest.mark.parametrize("fixed", ["1/x1 - 3", "x1^2 + x2^2 - 1"])
     def test_no_cut_gives_the_search_result(self, fixed):
-        # 1/x1 is rejected at the origin (a non-finite worst row); the ball's
-        # origin passes `_sup_inequalities`: both end the cuts at once
+        # 1/x1 is rejected at the origin, which then gives no cut and ends the
+        # search: Fails from the equivalence when PMFCQ fails, Unknown naming
+        # the row when it does not. The ball's origin is a Slater point.
         inst = SipInstance(dim=2, cost=SmoothCost(ex.parse("x1")), convex=True,
                            box=((-2.0, 2.0), (-2.0, 2.0)), fixed=(("a", ex.parse(fixed)),))
         failing = PmfcqResult(Verdict.FAILS, [], None, None, None, 0, 0)
         got, want = check_ssc(inst, pmfcq=failing), check_ssc(inst)
-        assert got.verdict == want.verdict == Verdict.HOLDS and got.cuts is None
-        assert got.slater_point.tolist() == want.slater_point.tolist()
+        assert got.cuts is None and want.cuts is None
+        if fixed == "1/x1 - 3":
+            assert got.verdict == Verdict.FAILS and "perturbed margin" in got.reason
+            assert want.verdict == Verdict.UNKNOWN and want.reason == ORIGIN_REJECTED.format("a")
+        else:
+            assert got.verdict == want.verdict == Verdict.HOLDS
+            assert got.slater_point.tolist() == want.slater_point.tolist() == [0.0, 0.0]
 
     def test_cut_bound_agrees_with_highs(self):
         # min s s.t. <f_k, z> + b_k <= s, |z|_inf <= 1, H^T z = 0, against HiGHS
@@ -349,33 +355,8 @@ class TestSlaterCuts:
             assert np.max(np.abs(z)) <= 1.0 + 1e-9 and np.max(F.T @ z + b) <= -obj + 1e-9
 
 
-class TestThinnedTruncation:
-    """The coarse search reads the run's countable index set, cut to at most
-    512 indices, never more indices than the set has."""
-
-    @staticmethod
-    def _countable(body, truncation):
-        return _family_instance(body, "n", CountableIndexSet(start=1, truncation=truncation))
-
-    def test_coarse_scans_read_at_most_the_truncation(self, monkeypatch):
-        # no point is within 0.1 of 1/n for every n <= 50, so every iterate runs
-        inst = with_grid(self._countable("(x1 - 1/n)^2 + x2^2 - 0.01", 10_000), truncation=50)
-        calls = count_scans(monkeypatch)
-        res = check_ssc(inst)
-        assert res.verdict == Verdict.UNKNOWN
-        assert calls["coarse"] == 480 and max(calls["rows"]) == 50
-
-    def test_an_index_beyond_the_truncation_does_not_steer_the_search(self):
-        # the only violation is at n = 300, where every point of the box is
-        # violated; outside the run's set n <= 50 it reads 0 (exp underflows),
-        # so the search runs as on the same set without it
-        inst = self._countable("x1 - 1 + 10*exp(-(n - 300)^2)*(3 - x2)", 10_000)
-        plain = self._countable("x1 - 1 + 0*n", 10_000)
-        got, want = (check_ssc(with_grid(i, truncation=50)) for i in (inst, plain))
-        assert got.verdict == want.verdict == Verdict.HOLDS
-        assert got.slater_point.tolist() == want.slater_point.tolist()
-        assert got.sup_value == want.sup_value
-        assert cq_module._thinned(inst).families[0][1].truncation == 512
+def _countable_instance(body, truncation):
+    return _family_instance(body, "n", CountableIndexSet(start=1, truncation=truncation))
 
 
 class TestSsc:
@@ -403,7 +384,9 @@ class TestSsc:
         res = check_ssc(inst, pmfcq=pm)
         assert res.verdict == Verdict.FAILS
 
-    def test_search_failure_alone_is_unknown(self):
+    def test_search_failure_alone_is_unknown(self, monkeypatch):
+        # x1^2 + x2^2 has no Slater point: the cut at the origin, the constant
+        # 0, certifies Fails; without a certificate the search ends Unknown
         inst = SipInstance(
             dim=2,
             cost=SmoothCost(ex.parse("x1")),
@@ -411,8 +394,60 @@ class TestSsc:
             fixed=(("a", ex.parse("x1^2 + x2^2")),),
         )
         res = check_ssc(inst)
-        assert res.verdict == Verdict.UNKNOWN
+        assert res.verdict == Verdict.FAILS and recheck_cuts(inst, res) == []
+        assert res.lower_bound == 0.0 and len(res.cuts) == 1
+        monkeypatch.setattr(linsolve, "_elastic_fit", failing_lp)
+        res = check_ssc(inst)
+        assert res.verdict == Verdict.UNKNOWN and res.cuts is None
 
+    @pytest.mark.parametrize("end", ["budget", "origin", "lp_failure"])
+    def test_unknown_says_why_the_search_ended(self, end, monkeypatch):
+        inst = equivalence_instance()
+        want = {
+            "budget": "no verdict within the budget of 3 cut steps",
+            "origin": ORIGIN_REJECTED.format("g(0)"),
+            "lp_failure": LP_FAILURE,
+        }[end]
+        if end == "budget":
+            monkeypatch.setattr(cq_module, "_SSC_CUTS", 3)
+        elif end == "origin":  # t = 0 is the worst row, and log(t) is rejected there
+            inst = _family_instance("(t - 0.5)*x1 + 0.1*(x1^2 + x2^2) + 0*log(t)", "t",
+                                    IntervalGridIndexSet(0.0, 1.0, resolution=65, refinements=4))
+        else:
+            monkeypatch.setattr(linsolve, "_elastic_fit", failing_lp)
+        res = check_ssc(inst)
+        assert res.verdict == Verdict.UNKNOWN and res.reason == want
+        res = check_ssc(inst, x_hat=[1.0, 1.0])
+        assert res.reason == "supplied point is not strongly feasible; " + want
+
+    def test_slater_point_beyond_the_box(self):
+        # 2 - x1 < 0 only for x1 > 2, outside the default box [-1, 1]^2: the
+        # box pins the cut model's minimum, so it doubles until it holds one
+        inst = SipInstance(dim=2, cost=SmoothCost(ex.parse("x1")), convex=True,
+                           fixed=(("a", ex.parse("2 - x1")),))
+        res = check_ssc(inst)
+        assert res.verdict == Verdict.HOLDS and res.slater_point[0] > 2.0
+        assert res.sup_value == 2.0 - res.slater_point[0]
+
+    def test_truncated_countable_family_fails_with_cuts(self):
+        # no point is within 0.1 of 1/n for every n: the cuts at n = 1 and at
+        # the tail ladder's far rows (1/n -> 0) bound the supremum above 0
+        inst = with_grid(_countable_instance("(x1 - 1/n)^2 + x2^2 - 0.01", 10_000), truncation=50)
+        res = check_ssc(inst)
+        assert res.verdict == Verdict.FAILS and recheck_cuts(inst, res) == []
+        assert res.lower_bound > 0.0
+
+    def test_an_index_beyond_the_truncation_does_not_steer_the_search(self):
+        # the only violation is at n = 300, where every point of the box is
+        # violated; outside the run's set n <= 50 it reads 0 (exp underflows),
+        # so the search runs as on the same set without it
+        inst = _countable_instance("x1 - 1 + 10*exp(-(n - 300)^2)*(3 - x2)", 10_000)
+        plain = _countable_instance("x1 - 1 + 0*n", 10_000)
+        got, want = (check_ssc(with_grid(i, truncation=50)) for i in (inst, plain))
+        assert got.verdict == want.verdict == Verdict.HOLDS
+        assert got.slater_point.tolist() == want.slater_point.tolist()
+        assert got.sup_value == want.sup_value
+        assert cq_module._sup_inequalities(inst, got.slater_point) > 0.0  # n = 300
 
     @staticmethod
     def _sqrt_instance(**kw):
@@ -434,7 +469,7 @@ class TestSsc:
 
     def test_search_iterate_domain_error_ends_the_start(self):
         # the origin's rows read sqrt(t) - 2, at most -1, though t = 0 has a
-        # NaN gradient; the zero start is strongly feasible at once and ends
+        # NaN gradient; the projected origin is strongly feasible at once
         inst = self._sqrt_instance()
         scan = scan_constraints(inst, np.zeros(2))
         assert scan.argmax() == (-1.0, len(scan.value) - 1)
@@ -444,9 +479,9 @@ class TestSsc:
         assert res.slater_point.tolist() == [0.0, 0.0] and res.sup_value == -1.0
 
     def test_no_start_point_verified_is_unknown(self):
-        # the equality x1 = 0 projects every start onto the line where t = 0
+        # the equality x1 = 0 projects every iterate onto the line where t = 0
         # has a NaN gradient; its value, -2, is defined, so the rows read
-        # sqrt(t) - 2 <= -1 there, and the zero start is a Slater point
+        # sqrt(t) - 2 <= -1 there, and the projected origin is a Slater point
         inst = self._sqrt_instance(
             equalities=EqualityBlock((ex.parse("x1"),), affine=True)
         )
@@ -455,8 +490,8 @@ class TestSsc:
         assert res.slater_point.tolist() == [0.0, 0.0] and res.sup_value == -1.0
 
     def test_search_iterate_domain_error_skips_the_start(self):
-        # every random start has x1 < -1.5, where the log is undefined; the
-        # start at the origin alone is evaluated, and holds
+        # the whole box has x1 < -1.5, where the log is undefined; the search
+        # starts at the origin, outside the box, and holds there
         inst = SipInstance(
             dim=2,
             cost=SmoothCost(ex.parse("x1")),
@@ -475,7 +510,8 @@ class TestSsc:
 
     def test_non_finite_gradient_ends_the_start(self):
         # exp(800*x1) overflows for x1 > 0.89: the value is inf - inf = NaN
-        # (counted as +inf) and so is the gradient, which gives no step
+        # (counted as +inf) and so is the gradient, which gives no cut; the
+        # search backs off toward the origin, whose cut it has
         inst = SipInstance(
             dim=2,
             cost=SmoothCost(ex.parse("x1")),
@@ -483,13 +519,14 @@ class TestSsc:
             box=((0.9, 2.0), (-2.0, 2.0)),
             fixed=(("a", ex.parse("exp(800*x1) - exp(800*x1) + x2")),),
         )
-        assert _coarse_sup_and_gradient(inst, np.array([1.0, 0.0]))[0] == math.inf
+        assert scan_constraints(inst, np.array([1.0, 0.0])).argmax()[0] == math.inf
         res = check_ssc(inst)
         assert res.verdict == Verdict.HOLDS
         assert scan_constraints(inst, res.slater_point).argmax()[0] < 0.0
 
     def test_search_scans_only_to_verify(self, monkeypatch):
-        # no point is strongly feasible, so all 6 x 80 iterates run
+        # no point is strongly feasible: each full scan verifies an iterate
+        # and gives its cut, and the cuts certify Fails
         inst = SipInstance(
             dim=2,
             cost=SmoothCost(ex.parse("x1")),
@@ -503,9 +540,8 @@ class TestSsc:
         )
         calls = count_scans(monkeypatch)
         res = check_ssc(inst)
-        assert res.verdict == Verdict.UNKNOWN
-        assert calls["coarse"] == 480
-        assert calls["full"] <= 1
+        assert res.verdict == Verdict.FAILS and recheck_cuts(inst, res) == []
+        assert calls["scans"] == len(res.cuts)
 
 
 def lone_row(inst, scan, row):
@@ -598,80 +634,85 @@ COARSE_CASES = {
 }
 
 
-def thinned(inst):
-    """The instance on `check_ssc`'s thinned grid."""
-    return cq_module._thinned(inst)
+def worst_row(case, k):
+    """(value, gradient) at the worst row of the full scan at a case's k-th point."""
+    build, points = COARSE_CASES[case]
+    scan = scan_constraints(build(), np.array(points[k], dtype=float))
+    best, row = scan.argmax()
+    return best, scan.grad[row]
 
 
 class TestCoarseStep:
-    """The coarse step's scan and gradient against lone rows."""
+    """What a cut reads of a full scan, `argmax` and the gradient at its row,
+    against lone rows."""
 
     @pytest.mark.parametrize("case", sorted(COARSE_CASES))
     def test_bit_equal_to_scan(self, case):
         build, points = COARSE_CASES[case]
-        inst = thinned(build())
+        # each countable family cut to 512 indices (never below its start),
+        # so that evaluating every row alone stays cheap
+        inst = with_grid(build(), truncation=512)
         lo, hi = inst.box_bounds()
         rng = np.random.default_rng(sorted(COARSE_CASES).index(case))
         points = [np.array(p, dtype=float) for p in points]
         points += [rng.uniform(1.5 * lo, 1.5 * hi) for _ in range(20)]
         for x in points:
-            scan = scan_constraints(inst, x, tail=False)
+            scan = scan_constraints(inst, x)
             lone = [lone_row(inst, scan, row) for row in range(len(scan.value))]
             values = np.array([v for v, _ in lone])
             assert_same_bits(scan.value, values)
             assert_same_bits(scan.grad, np.array([g for _, g in lone]).reshape(-1, inst.dim))
-            got_v, got_g = _coarse_sup_and_gradient(inst, x)
             worst = np.where(np.isnan(values), math.inf, values)
             if not len(worst) or worst.max() == -math.inf:
-                assert got_v == 0.0 and got_g.tolist() == [0.0] * inst.dim
+                assert scan.argmax() == (-math.inf, None)
                 continue
             row = int(np.argmax(worst))
-            assert got_v == worst[row]
-            assert_same_bits(got_g, lone[row][1])
+            assert scan.argmax() == (worst[row], row)
+            assert_same_bits(scan.grad[row], lone[row][1])
 
     def test_cases_reach_nan_and_ties(self):
         # every row is NaN (inf - inf), so the first, t = 0, is the worst: its
         # x1 partial is NaN too, and its x2 partial is t, exactly +0.0
-        build, points = COARSE_CASES["nan_body"]
-        v, g = _coarse_sup_and_gradient(thinned(build()), np.array(points[0]))
+        v, g = worst_row("nan_body", 0)
         assert v == math.inf and math.isnan(g[0])
         assert g[1] == 0.0 and not np.signbit(g[1])
-        norm = np.linalg.norm(g)  # not finite, so check_ssc's step ends there
-        assert not 1e-14 <= norm < math.inf and math.isnan(norm)
-        build, points = COARSE_CASES["fixed_ties_family"]
-        v, g = _coarse_sup_and_gradient(thinned(build()), np.array(points[1]))
+        v, g = worst_row("fixed_ties_family", 1)
         assert v == 0.0 and g.tolist() == [1.0, 0.0]
-        build, points = COARSE_CASES["fixed_ties_fixed"]
-        v, g = _coarse_sup_and_gradient(thinned(build()), np.array(points[1]))
+        v, g = worst_row("fixed_ties_fixed", 1)
         assert v == 0.5 and g.tolist() == [1.0, 0.0]
         for case in ("fixed_rejected", "family_partly_rejected"):
-            build, points = COARSE_CASES[case]
-            v, g = _coarse_sup_and_gradient(thinned(build()), np.array(points[0]))
+            v, g = worst_row(case, 0)
             assert v == math.inf and np.all(np.isnan(g))
 
-    def test_a_start_at_a_rejected_row_ends_and_the_others_search_on(self):
-        # sqrt's gradient is rejected at x1 = 0, its value is not: the origin
-        # reads -1 with a NaN gradient, so the zero start is strongly feasible
-        # at once and ends; sqrt(x1) is rejected wherever x1 < 0, and starts
-        # with x1 > 0 step down to a lower coarse supremum, verified first
+    def test_a_start_at_a_rejected_row_ends_and_the_others_search_on(self, monkeypatch):
+        # sqrt(x1 + 1.5) is rejected for x1 < -1.5. The origin's cut 1 + y1
+        # puts the next iterate at x1 = -2, which gives no cut, so the search
+        # goes on from the midpoint with the origin, x1 = -1, whose cut sends
+        # it back to -2; the midpoint with -1, x1 = -1.5, reads -0.5 and holds
         inst = SipInstance(
             dim=2,
             cost=SmoothCost(ex.parse("x1")),
             convex=True,
             box=((-2.0, 2.0), (-2.0, 2.0)),
-            fixed=(("a", ex.parse("x1 + x2 - 1 + 0*sqrt(x1)")),),
+            fixed=(("a", ex.parse("x1 + 1 + 0*sqrt(x1 + 1.5)")),),
         )
-        v, g = _coarse_sup_and_gradient(inst, np.zeros(2))
-        assert v == -1.0 and np.all(np.isnan(g))
-        assert cq_module._sup_inequalities(inst, np.zeros(2)) == -1.0
+        seen = []
+        original = model.scan_constraints
+
+        def recording(inst, x):
+            seen.append(float(x[0]))
+            return original(inst, x)
+
+        monkeypatch.setattr(cq_module, "scan_constraints", recording)
         res = check_ssc(inst)
-        assert res.verdict == Verdict.HOLDS and res.slater_point[0] > 0.0
-        assert res.sup_value < -1.0
+        assert seen == [0.0, -2.0, -1.0, -2.0, -1.5]
+        assert res.verdict == Verdict.HOLDS and res.slater_point[0] == -1.5
+        assert res.sup_value == -0.5
 
     @pytest.mark.parametrize("x", [np.zeros(3), np.array([0.0, math.nan])])
     def test_point_checks(self, x):
         with pytest.raises(model.InstanceError):
-            _coarse_sup_and_gradient(COARSE_CASES["finite"][0](), x)
+            check_ssc(COARSE_CASES["finite"][0](), x_hat=x)
 
 
 def _stub_checks(monkeypatch, emfcq, pmfcq, nfmcq, ssc):

@@ -120,14 +120,3 @@ def test_active_index_at_q2_is_found(seed):
             assert rep.ssc.verdict == Verdict.FAILS and rep.ssc.cuts
             assert recheck_cuts(inst, rep.ssc) == []
             assert rep.ssc.lower_bound >= -FEAS_TOL
-
-
-def test_coarse_scans_keep_the_grid():
-    # the Slater search's scans (tail=False) add no parabolic vertex
-    inst, _, _ = convex_interval(0, 1)
-    coarse = scan_constraints(inst, np.zeros(2), tail=False)
-    full = scan_constraints(inst, np.zeros(2))
-    assert len(full.t) == len(coarse.t) + 1
-    assert np.isin(coarse.t, full.t).all()
-    new = ~np.isin(full.t, coarse.t)
-    assert full.level[new].tolist() == [3] and full.n_levels == coarse.n_levels == 4

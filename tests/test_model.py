@@ -11,9 +11,11 @@ from sipcert import cq
 from sipcert import expr as ex
 from sipcert.model import (
     _REFINE_SITES,
+    FEAS_TOL,
     ConstraintFamily,
     CountableIndexSet,
     EqualityBlock,
+    FiniteIndexSet,
     InstanceError,
     IntervalGridIndexSet,
     SipInstance,
@@ -164,10 +166,9 @@ class TestFeasibility:
         # feasible; the tail ladder rejects it
         inst = countable_cubic()
         x = np.array([-1.0, -1e-5])
-        res_no_tail = feasibility_check(inst, x, scan=scan_constraints(inst, x, tail=False))
-        res_tail = feasibility_check(inst, x)
-        assert res_no_tail.feasible
-        assert not res_tail.feasible
+        scan = scan_constraints(inst, x)
+        assert np.max(scan.value[scan.grid()]) <= FEAS_TOL
+        assert not feasibility_check(inst, x, scan=scan).feasible
 
     def test_equalities_enter_residual(self):
         inst = SipInstance(
@@ -297,15 +298,17 @@ class TestActiveSets:
 def test_with_grid_sets_each_family_grid():
     both = loads_instance(
         "[problem]\nvars = x1 x2\nminimize = x2\n\n[index n]\nkind = countable\nstart = 2\n"
-        "limit_ray = 0 -1\n\n[index t]\nkind = interval\na = 0\nb = 1\ninclude_a = false\n\n"
+        "limit_ray = 0 -1\n\n[index t]\nkind = interval\na = 0\nb = 1\ninclude_a = false\n"
+        "resolution = 9\nrefinements = 0\n\n"
         "[constraints]\ng(n) = x1/n - x2\nh(t) = t*x1 - x2\n")
     assert with_grid(both) is both
-    grid = with_grid(both, truncation=1, resolution=9, refinements=0)
+    grid = with_grid(both, truncation=1)
     countable, interval = (desc for _, desc in grid.families)
     assert countable.truncation == 2  # never below the set's start
-    assert (interval.resolution, interval.refinements) == (9, 0)
-    assert interval.include_lower is False and countable.limit_ray == (0.0, -1.0)
-    assert len(scan_constraints(grid, np.zeros(2), tail=False).t) == 1 + 8  # n = 2, t = 1/8 .. 1
+    assert interval is both.families[1][1]
+    assert countable.limit_ray == (0.0, -1.0)
+    scan = scan_constraints(grid, np.zeros(2))
+    assert scan.grid().sum() == 1 + 8  # n = 2, t = 1/8 .. 1
 
 
 OPEN_END_CASES = {
@@ -333,6 +336,28 @@ class TestScan:
         # the supremum is approached at the excluded end, never attained
         worst = feasibility_check(inst, x, scan=scan).worst
         assert worst.value == nearest
+
+    @pytest.mark.parametrize("case", sorted(OPEN_END_CASES))
+    def test_open_end_row_label_is_not_the_end(self, case):
+        # the worst row is the float next to the excluded end, and its label
+        # reads back as that float, not as the end
+        lines, body, x, end, toward = OPEN_END_CASES[case]
+        inst = loads_instance("[problem]\nvars = x1 x2\nminimize = x2\n\n[index t]\n"
+                              f"kind = interval\n{lines}\n[constraints]\ng(t) = {body}\n")
+        worst = feasibility_check(inst, x).worst
+        assert worst.label == {"upper": "g(0.9999999999999999)",
+                               "lower": "g(1.0000000000000002)"}[case]
+        assert float(worst.label[2:-1]) == worst.value == np.nextafter(end, toward)
+
+    def test_rows_one_ulp_apart_have_distinct_labels(self):
+        t = 0.3
+        inst = SipInstance(dim=1, cost=SmoothCost(ex.parse("x1")), families=(
+            (ConstraintFamily("g", "t", ex.parse("t*x1")),
+             FiniteIndexSet((t, float(np.nextafter(t, 1.0))))),))
+        scan = scan_constraints(inst, np.zeros(1))
+        labels = [scan.label(row) for row in range(len(scan.t))]
+        assert labels == ["g(0.3)", "g(0.30000000000000004)"]
+        assert [float(label[2:-1]) for label in labels] == scan.t.tolist()
 
     def test_index_free_rejection_fills_every_row_at_once(self, monkeypatch):
         # log(x1 + 1.5) is rejected at x1 = -2 whatever n is: one call per segment
