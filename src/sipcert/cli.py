@@ -31,6 +31,7 @@ from .model import (
     estimate_moduli,
     feasibility_check,
     gradient_bound_check,
+    kronecker,
     load_instance,
     row_norms,
     scan_constraints,
@@ -68,22 +69,19 @@ def _finite(x: float | None):
 
 
 def probe_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
-    """Fixed probe set: compass directions in the plane, axis pairs plus
-    seeded unit vectors in higher dimensions."""
+    """Fixed probe set: compass directions in the plane; in higher dimensions,
+    axis pairs, then the normalized 2q - 1 of the rows q of
+    `kronecker(count - 2 dim, dim, seed)`."""
     if dim == 2:
         return [
             np.array([math.cos(2 * math.pi * k / count), math.sin(2 * math.pi * k / count)])
             for k in range(count)
         ]
     dirs = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        dirs.extend([e.copy(), -e])
-    rng = np.random.default_rng(seed)
-    while len(dirs) < count:
-        u = rng.normal(size=dim)
-        dirs.append(u / row_norms(u))
+    for e in np.eye(dim):
+        dirs.extend([e, -e])
+    u = 2.0 * kronecker(count - len(dirs), dim, seed) - 1.0
+    dirs.extend(u / row_norms(u)[:, None])
     return dirs[:count]
 
 

@@ -1,10 +1,10 @@
 """Dense linear algebra and LP kernel.
 
-Every cone query is one elastic 1-norm LP, read three ways. Over a hull
-matrix F, a generator matrix G and a lineality matrix H (columns are
-vectors), ``_elastic_fit`` minimizes the 1-norm misfit of
-F w + G lam + H y to a right-hand side, with convex weights w, lam >= 0 and
-free y:
+Every cone query, and each Kelley cut step of the Slater search, is one
+elastic 1-norm LP, read four ways. Over a hull matrix F, a generator matrix
+G and a lineality matrix H (columns are vectors), ``_elastic_fit``
+minimizes the 1-norm misfit of F w + G lam + H y to a right-hand side, with
+convex weights w, lam >= 0 and free y:
 
 * ``cone_feasibility``: no hull part, right-hand side v. Zero misfit is a
   certificate that v is in cone(G) + span(H); otherwise the optimal duals
@@ -16,6 +16,11 @@ free y:
   generators inside the kernel of H^T, and its duals are that direction, so
   the row count stays at ambient-dimension scale even with 10^4 generators
   (Goberna & Lopez, Linear Semi-Infinite Optimization, 1998).
+* ``cq._slater_cuts``: the hull fit with a cost on the hull block, F the
+  scaled cut gradients, H the scaled equality Jacobian and right-hand side
+  0. Its value is minus the Kelley lower bound on min sup_t g(y, t) over
+  the box, its duals are the next iterate, and its elastic parts are the
+  box multipliers.
 
 The simplex is a two-phase revised simplex that keeps only the basis
 inverse, whose size is the row count, and reads the wide constraint matrix

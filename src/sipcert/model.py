@@ -731,11 +731,27 @@ class UniformityModuli:
     @property
     def regular(self) -> bool | None:
         """Whether the modulus at the first eta is small against the one at the
-        last (at most max(1e-2, 0.05 times it)); None without etas."""
-        return bool(self.r_est[0] <= max(1e-2, 0.05 * self.r_est[-1])) if len(self.r_est) else None
+        last: at most max(1e-2, sqrt(eta_first / eta_last) times it). On a log
+        scale that ratio lies halfway between r proportional to eta, as for
+        any C^2 body, and a constant r. None for fewer than two etas."""
+        r, e = self.r_est, self.etas
+        return bool(r[0] <= max(1e-2, math.sqrt(e[0] / e[-1]) * r[-1])) if len(r) > 1 else None
 
 
 _MODULI_PER_FAMILY = 48
+# the first primes, one per coordinate of a Kronecker point: MAX_DIM + 1 of them
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+
+
+def kronecker(count: int, dim: int, seed: int) -> np.ndarray:
+    """The points k a + seed a[::-1] (mod 1) for k = 1..count, a (count, dim)
+    array in [0, 1), with a_j = sqrt(p_j) mod 1 over the first `dim` primes: a
+    Kronecker sequence that the seed shifts. Only correctly rounded operations
+    build it, so its bits are the same on every platform. The shift rounds
+    the points to steps of up to seed * 2^-53: seeds past 2^40 coarsen them,
+    and from 2^56 on every point is 0."""
+    a = np.sqrt(np.array(_PRIMES[:dim], dtype=float)) % 1.0
+    return (np.arange(1.0, count + 1.0)[:, None] * a + float(seed) * a[::-1]) % 1.0
 
 
 def row_dot(a, b) -> np.ndarray:
@@ -773,22 +789,23 @@ def estimate_moduli(
     *,
     scan: ConstraintScan | None = None,
 ) -> UniformityModuli:
-    """Monte-Carlo lower estimates of the uniform linearization moduli.
+    """Lower estimates of the uniform linearization moduli on sample points.
 
     s(eta) takes quotients against the base point only; r(eta) additionally
-    uses independent point pairs in the eta-ball and always dominates s.
-    Estimates are running suprema, so both are nondecreasing in eta and in
-    the sample count. The sampled rows are every fixed constraint, up to 48
-    evenly spaced points of each finest family grid, and the last three
-    points of each tail ladder whose gradient is finite. The RNG draws go
-    eta-major (ascending), then row by row in that order: `samples_per_eta`
-    unit directions, then as many radii. Each body is evaluated once per
-    eta, by its masked value kernel, on the samples of all its rows. As in
-    the scan, a sample the expression rejects is NaN and overflow raises no
+    uses point pairs in the eta-ball and always dominates s. Estimates are
+    running suprema over the samples, nondecreasing in eta. The sampled rows
+    are every fixed constraint, up to 48 evenly spaced points of each finest
+    family grid, and the last three points of each tail ladder whose gradient
+    is finite. Row j takes the points j S + 1 .. (j + 1) S of
+    `kronecker(rows S, n + 1, seed)`, S = `samples_per_eta`: the normalized
+    2q - 1 of the first n coordinates is a direction, and
+    (0.05 + 0.95 q_last)^(1/n) its radius in the unit ball. The one ball
+    serves every eta as x + eta * ball. Each body is evaluated once per eta,
+    by its masked value kernel, on the samples of all its rows. As in the
+    scan, a sample the expression rejects is NaN and overflow raises no
     RuntimeWarning; a row with a NaN quotient adds nothing."""
     x = np.asarray(x, dtype=float)
     n = inst.dim
-    rng = np.random.default_rng(seed)
     scan = scan or scan_constraints(inst, x)
     nf = len(scan.fixed_names)
     pool = [np.arange(nf)]
@@ -816,20 +833,15 @@ def estimate_moduli(
     v0 = scan.value[rows][:, None]
     g0 = scan.grad[rows][:, None]
     half = samples_per_eta // 2
-    u = np.empty((len(rows), samples_per_eta, n))
-    radii = np.empty((len(rows), samples_per_eta, 1))
+    q = kronecker(len(rows) * samples_per_eta, n + 1, seed)
+    q = q.reshape(len(rows), samples_per_eta, n + 1)
 
     s_run, r_run = 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = 2.0 * q[..., :n] - 1.0
+        ball = (0.05 + 0.95 * q[..., n:]) ** (1.0 / n) * (u / row_norms(u)[..., None])
         for k, eta in enumerate(etas_sorted):
-            for j in range(len(rows)):
-                rng.standard_normal(out=u[j])
-                rng.random(out=radii[j])
-            # rng.uniform(0.05, 1.0) maps its draw r to 0.05 + (1.0 - 0.05) * r
-            radii *= 1.0 - 0.05
-            radii += 0.05
-            u /= row_norms(u)[..., None]
-            pts = x + eta * radii ** (1.0 / n) * u
+            pts = x + eta * ball
             vals = np.empty((len(rows), samples_per_eta))
             for sel, body, name, ts in bodies:
                 vals[sel] = ex.eval_value(body, pts[sel], name and {name: ts[:, None]}, masked=True)

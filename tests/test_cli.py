@@ -258,6 +258,60 @@ def test_seed_leaves_the_slater_search_alone(capsys):
     assert docs[0]["cq"]["ssc"]["verdict"] == "holds"
 
 
+# three variables, so the probes past the axis pairs come from the sequence
+AFFINE_3D = """[problem]
+vars = x1 x2 x3
+minimize = x1^2 + x2^2 + x3^2
+convex = true
+box = -2 2 ; -2 2 ; -2 2
+
+[index t]
+kind = interval
+a = 0
+b = 1
+resolution = 33
+refinements = 1
+
+[constraints]
+g(t) = t*x1^2 + (1 - t)*x2^2 - x3 - 1
+
+[equalities]
+h = x1 + x2 + x3 + 1
+affine = true
+"""
+
+
+def _analyze_without_rng(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze drew from numpy's random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    code, out, _ = run_cli(["analyze", *argv, "--report=json", "--deterministic"], capsys)
+    assert code == EXIT_OK
+    return json.loads(out)
+
+
+def test_analyze_reads_no_random_generator(tmp_path, monkeypatch, capsys):
+    _analyze_without_rng([str(INSTANCES / "parabola_band.sip"), "--point=0,1"],
+                         monkeypatch, capsys)
+    path = tmp_path / "affine_3d.sip"
+    path.write_text(AFFINE_3D)
+    docs = [_analyze_without_rng([str(path), "--point=0,0,-1", f"--seed={seed}"],
+                                 monkeypatch, capsys) for seed in (0, 7)]
+    assert [doc["parameters"]["probe_dirs"] for doc in docs] == [16, 16]
+    # the seed moves the moduli and the probe directions past the 6 axis pairs, and
+    # nothing else
+    moved = []
+    for doc in docs:
+        moved.append((doc["parameters"].pop("seed"), doc.pop("moduli"),
+                      [cone.pop("probes") for cone in doc["normal_cones"]]))
+    assert docs[0] == docs[1]
+    assert moved[0][1] != moved[1][1]
+    probes = [[p["direction"] for p in cones[0]] for _, _, cones in moved]
+    assert probes[0][:6] == probes[1][:6]
+    assert all(a != b for a, b in zip(probes[0][6:], probes[1][6:]))
+
+
 def test_text_report_gives_the_emfcq_and_pmfcq_reasons(tmp_path, capsys):
     # h's x1 partial is inf at the origin, so both read unknown, and say why
     path = tmp_path / "infinite_jacobian.sip"

@@ -13,7 +13,10 @@ CHANGES.md. From the repo root:
   its iteration limit) and still prints its report;
 - `PYTHONPATH=src python tests/test_golden.py <name>...` rewrites the
   entries of the named instances in `tests/golden/solve_seeds.json` (the
-  seed 1-5 digests below) and leaves the other entries as they are.
+  seed 1-5 digests below) and leaves the other entries as they are;
+- `PYTHONPATH=src python tests/test_golden.py --all` runs the commands
+  above for every case: it rewrites each analyze and solve golden and every
+  seed digest, and on an unchanged tree leaves every file as it was.
 """
 
 import contextlib
@@ -54,22 +57,33 @@ SOLVE_EXIT = {
 }
 
 
+def _report(argv):
+    """(exit code, JSON report) of a `sipcert` command run in the repo root."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main([*argv, "--deterministic", "--report", "json"])
+    return code, out.getvalue()
+
+
+def _analyze_golden(name):
+    return _report(["analyze", *CASES[name]])
+
+
+def _solve_golden(name):
+    return _report(["solve", f"instances/{name}.sip", *SOLVE_ARGS])
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden(name, monkeypatch, capsys):
+def test_report_matches_golden(name, monkeypatch):
     monkeypatch.chdir(ROOT)
-    code = main(["analyze", *CASES[name], "--deterministic", "--report", "json"])
-    out = capsys.readouterr().out
+    code, out = _analyze_golden(name)
     assert code == EXIT_OK
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_EXIT))
-def test_solve_report_matches_golden(name, monkeypatch, capsys):
+def test_solve_report_matches_golden(name, monkeypatch):
     monkeypatch.chdir(ROOT)
-    code = main(
-        ["solve", f"instances/{name}.sip", *SOLVE_ARGS, "--deterministic", "--report", "json"]
-    )
-    out = capsys.readouterr().out
+    code, out = _solve_golden(name)
     assert code == SOLVE_EXIT[name]
     assert out == (GOLDEN / f"solve_{name}.json").read_text(encoding="utf-8")
 
@@ -85,10 +99,8 @@ SEEDS = (1, 2, 3, 4, 5)
 
 def _solve_digest(name, seed):
     args = ["--max-iters", "6", "--multistart", "4", "--seed", str(seed)]
-    argv = ["solve", f"instances/{name}.sip", *args, "--deterministic", "--report", "json"]
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = main(argv)
-    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()}
+    code, out = _report(["solve", f"instances/{name}.sip", *args])
+    return {"exit": code, "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
 
 
 def _seed_digests(name):
@@ -102,11 +114,24 @@ def test_solve_seed_digests(name, monkeypatch):
     assert _seed_digests(name) == expected
 
 
+def _write_golden(path, code, out, expected_code):
+    if code != expected_code:
+        sys.exit(f"{path.name}: exit {code}, the golden records exit {expected_code}")
+    path.write_text(out, encoding="utf-8")
+
+
 if __name__ == "__main__":
-    unknown = sorted(set(sys.argv[1:]) - set(SEED_INSTANCES))
+    os.chdir(ROOT)
+    names = sys.argv[1:]
+    if names == ["--all"]:
+        for name in CASES:
+            _write_golden(GOLDEN / f"{name}.json", *_analyze_golden(name), EXIT_OK)
+        for name, expected_code in SOLVE_EXIT.items():
+            _write_golden(GOLDEN / f"solve_{name}.json", *_solve_golden(name), expected_code)
+        names = list(SEED_INSTANCES)
+    unknown = sorted(set(names) - set(SEED_INSTANCES))
     if unknown:
         sys.exit(f"not a seed instance: {' '.join(unknown)}")
-    os.chdir(ROOT)
     digests = json.loads(SEED_DIGESTS.read_text(encoding="utf-8"))
-    digests.update({name: _seed_digests(name) for name in sys.argv[1:]})
+    digests.update({name: _seed_digests(name) for name in names})
     SEED_DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")

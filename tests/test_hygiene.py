@@ -13,7 +13,9 @@ places of ``src/sipcert``, so that a rejected constraint row has one rule,
 ``np.linalg.norm`` is read only at the allowlisted places, so that a norm
 is summed coordinate by coordinate and no BLAS build rounds it, and
 ``eval_grad`` is read only at the allowlisted places, so that a scan makes
-its gradients in one place.
+its gradients in one place, and ``default_rng`` is read only at the
+allowlisted places, so that no report but a solve's depends on numpy's
+random streams.
 """
 
 import ast
@@ -221,20 +223,20 @@ EVAL_GRAD_ALLOWED = {
 }
 
 
-def eval_grad_reads(sources: dict[str, str]) -> list[str]:
+def name_reads(sources: dict[str, str], name: str) -> list[str]:
     """``module.definition`` for each top-level definition of the given
-    modules that reads ``eval_grad`` as a name or an attribute, called or not."""
+    modules that reads ``name`` as a name or an attribute, called or not."""
     found = set()
     for module, source in sources.items():
         for top in ast.parse(source).body:
             for node in ast.walk(top):
-                if "eval_grad" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                if name in (getattr(node, "attr", None), getattr(node, "id", None)):
                     found.add(f"{module}.{getattr(top, 'name', '<module>')}")
     return sorted(found)
 
 
 def test_eval_grad_is_read_only_where_allowed():
-    reads = eval_grad_reads({p.stem: p.read_text() for p in SOURCES})
+    reads = name_reads({p.stem: p.read_text() for p in SOURCES}, "eval_grad")
     assert reads == sorted(EVAL_GRAD_ALLOWED)
 
 
@@ -247,5 +249,17 @@ def test_scan_flags_an_eval_grad_read():
         "def eval_grad_free(b, x):\n    return ex.eval_value(b, x)  # 'eval_grad' in a string\n"
         "g = ex.eval_grad\n"
     )
-    assert eval_grad_reads({"m": source}) == ["m.<module>", "m.Holder", "m.by_attribute",
-                                              "m.by_name"]
+    assert name_reads({"m": source}, "eval_grad") == [
+        "m.<module>", "m.Holder", "m.by_attribute", "m.by_name"]
+
+
+# the definitions that read numpy's default_rng, and why each does; an
+# analyze report's samples and probe directions come from `model.kronecker`
+DEFAULT_RNG_ALLOWED = {
+    "solver.solve": "the seeded multistart starts of the exchange solver",
+}
+
+
+def test_default_rng_is_read_only_where_allowed():
+    reads = name_reads({p.stem: p.read_text() for p in SOURCES}, "default_rng")
+    assert reads == sorted(DEFAULT_RNG_ALLOWED)

@@ -25,6 +25,7 @@ from sipcert.model import (
     estimate_moduli,
     feasibility_check,
     gradient_bound_check,
+    kronecker,
     load_instance,
     loads_instance,
     row_norms,
@@ -620,6 +621,59 @@ class TestModuli:
         mod = estimate_moduli(inst, [0.0, 0.0], samples_per_eta=10)
         assert np.all(mod.s_est == 0.0) and np.all(mod.r_est == 0.0)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_quadratic_body_is_regular(self, seed):
+        # one ball serves every eta, so r(0.01) / r(0.2) of a quadratic body is
+        # 0.05 up to rounding: the threshold must not sit at that ratio
+        inst = load_instance(INSTANCES / "parabola_band.sip")
+        assert estimate_moduli(inst, [0.0, 1.0], samples_per_eta=120, seed=seed).regular
+
+    def test_kink_at_the_open_end_is_not_regular(self):
+        # sqrt(t^2 + x1^2) tends to |x1| as t -> 0, so r is 1 at every eta
+        inst = SipInstance(
+            dim=2,
+            cost=SmoothCost(ex.parse("x1")),
+            families=(
+                (
+                    ConstraintFamily("g", "t", ex.parse("sqrt(t^2 + x1^2) - 2 + x2")),
+                    IntervalGridIndexSet(0.0, 1.0, include_lower=False),
+                ),
+            ),
+        )
+        mod = estimate_moduli(inst, [0.0, 0.0])
+        assert np.allclose(mod.r_est, 1.0, rtol=0.0, atol=1e-4)
+        assert mod.regular is False
+
+    def test_one_eta_has_no_regularity(self):
+        inst = load_instance(INSTANCES / "parabola_band.sip")
+        assert estimate_moduli(inst, [0.0, 1.0], etas=(0.1,)).regular is None
+
+
+class TestKronecker:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("dim", [1, 3, 17])
+    def test_equals_the_points_on_python_floats(self, dim, seed):
+        got = kronecker(300, dim, seed)
+        assert got.shape == (300, dim)
+        assert got.tolist() == kronecker_on_floats(1, 300, dim, seed)
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 299])
+    def test_a_shorter_call_is_a_prefix(self, m):
+        assert np.array_equal(kronecker(m, 4, 3), kronecker(300, 4, 3)[:m])
+
+    def test_a_second_call_has_the_same_bits(self):
+        first = kronecker(1000, 17, 5)
+        assert first.tobytes() == kronecker(1000, 17, 5).tobytes()
+
+    def test_points_lie_in_the_unit_cube(self):
+        for seed in (0, 1, 2**31):
+            q = kronecker(5000, 17, seed)
+            assert np.all((q >= 0.0) & (q < 1.0))
+
+    def test_seeds_shift_the_points(self):
+        a, b = kronecker(100, 3, 0), kronecker(100, 3, 1)
+        assert np.all(a != b)
+
 
 def _interval_family(dim, body):
     return SipInstance(
@@ -713,13 +767,23 @@ def _dot(d, g):
     return acc
 
 
+def kronecker_on_floats(first, count, dim, seed):
+    """The points k a + seed a[::-1] (mod 1), k = first .. first + count - 1,
+    on Python floats, with a_j = sqrt(p_j) mod 1 over the first dim primes."""
+    a = [math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                                      53, 59)[:dim]]
+    return [[(k * a[j] + seed * a[dim - 1 - j]) % 1.0 for j in range(dim)]
+            for k in range(first, first + count)]
+
+
 def row_by_row_moduli(inst, x, etas=(0.2, 0.1, 0.05, 0.02, 0.01), samples_per_eta=200,
                       seed=0):
-    """The reference loop: one eval_value call per (eta, sampled row), drawing
-    each row's directions and radii just before its call."""
+    """The reference loop: one eval_value call per (eta, sampled row), on the
+    row's slice of the Kronecker sequence rebuilt on Python floats. Only the
+    radius's n-th root is taken by numpy, whose power may take a SIMD path
+    whose last bit differs from libm's."""
     x = np.asarray(x, dtype=float)
     n = inst.dim
-    rng = np.random.default_rng(seed)
     scan = scan_constraints(inst, x)
     nf = len(scan.fixed_names)
     pool = [np.arange(nf)]
@@ -733,23 +797,29 @@ def row_by_row_moduli(inst, x, etas=(0.2, 0.1, 0.05, 0.02, 0.01), samples_per_et
             for k in range(len(fam.ladders))
         )
     base = []
-    for i in np.concatenate(pool):
+    for j, i in enumerate(np.concatenate(pool)):
         b = int(scan.block[i])
         if b < nf:
             body, env = inst.fixed[b][1], None
         else:
             fam = inst.families[b - nf][0]
             body, env = fam.body, {fam.index_name: float(scan.t[i])}
-        base.append((body, env, float(scan.value[i]), scan.grad[i]))
+        qs = kronecker_on_floats(j * samples_per_eta + 1, samples_per_eta, n + 1, seed)
+        radii = (np.array([0.05 + 0.95 * q[n] for q in qs]) ** (1.0 / n)).tolist()
+        ball = []
+        for q, radius in zip(qs, radii):
+            u = [2.0 * qj - 1.0 for qj in q[:n]]
+            sq = 0.0
+            for uj in u:
+                sq += uj * uj
+            ball.append([radius * (uj / math.sqrt(sq)) for uj in u])
+        base.append((body, env, float(scan.value[i]), scan.grad[i], np.array(ball)))
     etas_sorted = sorted(etas)
     s_est, r_est = np.zeros(len(etas_sorted)), np.zeros(len(etas_sorted))
     s_run, r_run = 0.0, 0.0
     for k, eta in enumerate(etas_sorted):
-        for body, env, v0, g0 in base:
-            u = rng.normal(size=(samples_per_eta, n))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            radii = eta * rng.uniform(0.05, 1.0, size=(samples_per_eta, 1)) ** (1.0 / n)
-            pts = x + radii * u
+        for body, env, v0, g0, ball in base:
+            pts = x + eta * ball
             try:
                 vals = np.asarray(ex.eval_value(body, pts, env), dtype=float)
             except ex.ExprError:
