@@ -112,43 +112,6 @@ def memberships(cone: GeneratedCone, vectors, tol: float = 1e-9, separators=None
     return out
 
 
-def reduce_support(G, H, lam, y):
-    """Null-vector elimination on the support of lam."""
-    G = np.asarray(G, dtype=float)
-    H = np.asarray(H, dtype=float)
-    d = G.shape[0]
-    lam = np.asarray(lam, dtype=float).copy()
-    y = np.asarray(y, dtype=float).copy()
-    scale = float(np.max(lam)) if lam.size else 0.0
-    while True:
-        support = np.flatnonzero(lam > max(1e-14 * max(scale, 1.0), 0.0))
-        if len(support) + H.shape[1] <= d:
-            break
-        M = np.hstack([G[:, support], H]) if H.size else G[:, support]
-        _, kernel = linsolve.rank_nullspace(M, 1e-12)
-        direction = None
-        for k in kernel:
-            if np.max(np.abs(k[: len(support)])) > 1e-9:
-                direction = k
-                break
-        if direction is None:
-            break
-        alpha = direction[: len(support)]
-        beta = direction[len(support) :]
-        if np.max(alpha) <= 0:
-            alpha, beta = -alpha, -beta
-        pos = alpha > 1e-15
-        theta = np.min(lam[support][pos] / alpha[pos])
-        lam[support] = lam[support] - theta * alpha
-        if beta.size:
-            y = y - theta * beta
-        lam[support] = np.maximum(lam[support], 0.0)
-        zeroed = np.argmin(np.abs(lam[support]))
-        lam[support[zeroed]] = 0.0
-    lam[lam < 0] = 0.0
-    return lam, y
-
-
 THETA_TOL = 1e-3
 K_TAIL = 16
 RESIDUAL_TOL = 1e-6

@@ -140,7 +140,7 @@ def _margin_screen(inst: SipInstance, x, scan: ConstraintScan, eps: float):
     m = J.shape[0]
     if not np.isfinite(J).all():
         return J, 0, m, Verdict.UNKNOWN, NONFINITE_EQUALITY
-    rank = linsolve.rank_nullspace(J, 1e-9)[0] if m else 0
+    rank = linsolve.rank(J, 1e-9)
     if rank < m:
         return J, rank, m, Verdict.FAILS, "equality Jacobian is not surjective"
     if _nonfinite_active(scan, eps):

@@ -22,6 +22,9 @@ convex weights w, lam >= 0 and free y:
   the box, its duals are the next iterate, and its elastic parts are the
   box multipliers.
 
+A certificate is the LP's basic optimal solution as the simplex returns it,
+so its positive columns are linearly independent and at most the row count.
+
 The simplex is a two-phase revised simplex that keeps only the basis
 inverse, whose size is the row count, and reads the wide constraint matrix
 in place. Pivoting uses the steepest reduced cost with a permanent switch to
@@ -72,20 +75,15 @@ class MarginResult:
     margin: float
 
 
-def rank_nullspace(M: np.ndarray, tol: float = 1e-9):
-    """Rank and an orthonormal-ish kernel basis by Gaussian elimination.
-
-    Pivots with magnitude > tol * max|M| count toward the rank; the returned
-    basis vectors each satisfy |M v|_inf <= 10 * tol * |M|_inf.
-    """
+def rank(M: np.ndarray, tol: float = 1e-9) -> int:
+    """Rank by Gaussian elimination with partial pivoting: pivots with
+    magnitude > tol * max(max|M|, 1) count toward it."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     m, n = M.shape
     if m == 0 or n == 0 or not np.any(M):
-        return 0, [e for e in np.eye(n)]
-    scale = np.max(np.abs(M))
-    cut = tol * max(scale, 1.0)
+        return 0
+    cut = tol * max(np.max(np.abs(M)), 1.0)
     R = M.copy()
-    pivot_cols: list[int] = []
     row = 0
     for col in range(n):
         if row >= m:
@@ -98,18 +96,8 @@ def rank_nullspace(M: np.ndarray, tol: float = 1e-9):
         for r in range(m):
             if r != row and R[r, col] != 0.0:
                 R[r] -= R[r, col] * R[row]
-        pivot_cols.append(col)
         row += 1
-    rank = len(pivot_cols)
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = np.zeros(n)
-        v[fc] = 1.0
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = -R[i, fc]
-        basis.append(v / np.linalg.norm(v))
-    return rank, basis
+    return row
 
 
 _RC_TOL = 1e-10

@@ -14,6 +14,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import Union
@@ -744,14 +745,16 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 
 def kronecker(count: int, dim: int, seed: int) -> np.ndarray:
-    """The points k a + seed a[::-1] (mod 1) for k = 1..count, a (count, dim)
-    array in [0, 1), with a_j = sqrt(p_j) mod 1 over the first `dim` primes: a
-    Kronecker sequence that the seed shifts. Only correctly rounded operations
-    build it, so its bits are the same on every platform. The shift rounds
-    the points to steps of up to seed * 2^-53: seeds past 2^40 coarsen them,
-    and from 2^56 on every point is 0."""
+    """The points k a + s (mod 1) for k = 1..count, a (count, dim) array in
+    [0, 1), with a_j = sqrt(p_j) mod 1 over the first `dim` primes and the
+    shift s = seed a[::-1] mod 1: a Kronecker sequence that the seed shifts.
+    The shift is reduced exactly, in rationals, before it is rounded, so a
+    large seed rounds the points no coarser than seed 0 does. Only correctly
+    rounded operations build them, so their bits are the same on every
+    platform."""
     a = np.sqrt(np.array(_PRIMES[:dim], dtype=float)) % 1.0
-    return (np.arange(1.0, count + 1.0)[:, None] * a + float(seed) * a[::-1]) % 1.0
+    shift = np.array([float(seed * Fraction(aj) % 1) for aj in a[::-1].tolist()])
+    return (np.arange(1.0, count + 1.0)[:, None] * a + shift) % 1.0
 
 
 def row_dot(a, b) -> np.ndarray:

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import expr as ex
 from . import linsolve
-from .cones import (GeneratedCone, Ray, declared_rays, family_rays, membership,
-                    memberships, reduce_support)
+from .cones import GeneratedCone, Ray, declared_rays, family_rays, membership, memberships
 from .cq import EPS_SCHEDULE, CqReport, Verdict, cq_summary, validate_schedule
 from .linsolve import FeasibilityCertificate, HullFeasibility, LpFailure
 from .model import (
@@ -224,17 +223,13 @@ def _cost_hull(inst: SipInstance, x):
     return np.column_stack([ex.eval_grad(inst.cost.pieces[i], x)[1] for i in active])
 
 
-def _certificate_from_hull(out: HullFeasibility, cone: GeneratedCone, G, F) -> KktCertificate:
-    H = cone.lineality
-    lam, y = reduce_support(G, H, out.lam, out.y)
-    support_idx = np.flatnonzero(lam > 1e-12)
-    support = [cone.label(i) for i in support_idx]
-    recon = F @ out.weights + (G @ lam if G.size else 0.0) + (H @ y if H.size else 0.0)
+def _certificate_from_hull(out: HullFeasibility, cone: GeneratedCone) -> KktCertificate:
+    support_idx = np.flatnonzero(out.lam > 1e-12)
     return KktCertificate(
-        support=support,
-        lam=lam[support_idx],
-        y=y,
-        residual=float(np.max(np.abs(recon))),
+        support=[cone.label(i) for i in support_idx],
+        lam=out.lam[support_idx],
+        y=out.y,
+        residual=out.residual,
         cost_weights=out.weights if len(out.weights) > 1 else None,
         uses_limit_rays=bool(np.any(support_idx >= cone.generators.shape[1])),
     )
@@ -253,7 +248,7 @@ def _stationarity(inst, x, cone: GeneratedCone, condition) -> StationarityReport
     except LpFailure as err:
         return StationarityReport(condition, "inconclusive", notes=[str(err)])
     if isinstance(out, HullFeasibility):
-        cert = _certificate_from_hull(out, cone, G, F)
+        cert = _certificate_from_hull(out, cone)
         if not math.isfinite(cert.residual):
             return StationarityReport(condition, "inconclusive",
                                       notes=["certificate residual is not finite"])
@@ -282,7 +277,11 @@ def verify_kkt(
     """Multiplier certificate for stationarity over the exactly-active
     gradients, or a separating functional refuting it.
 
-    The certificate support is Caratheodory-reduced. The separator a
+    The certificate is the hull fit's basic optimal solution as the simplex
+    returns it. Its positive columns are linearly independent and one is a
+    cost weight, so the support gradients and the equality columns where
+    y != 0 are linearly independent and number at most dim (Goberna & Lopez,
+    Linear Semi-Infinite Optimization, 1998). The separator a
     satisfies <a, s> <= -gap < 0 for every cost subgradient s, <a, grad> <= 0
     for every active gradient, and <a, h-row> = 0. ``rep``, the unperturbed
     normal cone at x when the caller has built it, is the cone decided.

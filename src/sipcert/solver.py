@@ -26,10 +26,9 @@ from typing import Callable
 import numpy as np
 
 from . import expr as ex
-from .model import IndexId, SipInstance, SmoothCost, row_norms, scan_constraints
+from .model import FEAS_TOL, IndexId, SipInstance, SmoothCost, row_norms, scan_constraints
 
 INITIAL_WORKING = 8
-VIOLATION_TOL = 1e-8
 PENALTY0 = 10.0
 PENALTY_GROWTH = 2.0
 ARMIJO = 1e-4
@@ -215,7 +214,7 @@ def _penalty_descent(inst: SipInstance, working, pair, x0):
                     break
             xa = np.array(x)
             eq = inst.eq_residual(xa)
-            if max(_max_violation(working, xa), eq) <= VIOLATION_TOL and rho > 1e4:
+            if max(_max_violation(working, xa), eq) <= FEAS_TOL and rho > 1e4:
                 break
             rho *= PENALTY_GROWTH
     return np.array(x)
@@ -317,11 +316,11 @@ def _solve_subproblem(inst: SipInstance, working, pair, config, rng, warm):
         xv = _max_violation(working, x)
         if polished is not None:
             pv = _max_violation(working, polished)
-            if pv <= max(xv, VIOLATION_TOL):
+            if pv <= max(xv, FEAS_TOL):
                 x, xv = polished, pv
         viol = max(xv, inst.eq_residual(x))
         candidates.append((viol, inst.cost_value(x), tuple(x), x))
-    feasible = [c for c in candidates if c[0] <= VIOLATION_TOL]
+    feasible = [c for c in candidates if c[0] <= FEAS_TOL]
     pool = feasible or candidates
     pool.sort(key=lambda c: (c[1], c[2]) if feasible else (c[0], c[1], c[2]))
     return pool[0][3]
@@ -374,7 +373,7 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
                     accepted=accepted,
                 )
             )
-            if total_viol <= VIOLATION_TOL:
+            if total_viol <= FEAS_TOL:
                 trace.status = "converged"
                 return x, trace
             if idx is not None and idx not in working_ids:

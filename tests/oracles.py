@@ -6,8 +6,6 @@ points. Here are
 
 * ``simplex_solve``: a bounded-variable LP front end over the package's
   simplex kernel, which the LP tests compare with vertex enumeration;
-* ``caratheodory_reduce``: a conic certificate shrunk to at most dim + 1
-  supporting generators;
 * ``empirical_normal_cone_probe``: a sampling oracle for membership in the
   regular normal cone that never looks at the cone construction;
 * ``membership_residual_trace``: the distance of a vector from the
@@ -25,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from sipcert import expr as ex
-from sipcert.cones import GeneratedCone, membership, reduce_support
+from sipcert.cones import membership
 from sipcert.linsolve import FeasibilityCertificate, LpStatus, _simplex_standard
 from sipcert.model import ConstraintScan, SipInstance, scan_constraints, with_grid
 from sipcert.optimality import _cone, _require_feasible
@@ -122,21 +120,6 @@ def simplex_solve(p: LpProblem) -> LpSolution:
         return LpSolution(status=status, dual=dual)
     x = shift + P @ z[:k]
     return LpSolution(status=LpStatus.OPTIMAL, x=x, objective=float(p.c @ x), dual=y[:m])
-
-
-def caratheodory_reduce(
-    cert: FeasibilityCertificate, cone: GeneratedCone, v
-) -> FeasibilityCertificate:
-    """Shrink a conic certificate to at most dim + 1 supporting generators by
-    eliminating null vectors of the supported columns. Never increases the
-    reconstruction residual beyond roundoff."""
-    v = np.asarray(v, dtype=float)
-    G = cone.columns()
-    lam, y = reduce_support(G, cone.lineality, cert.lam.copy(), cert.y.copy())
-    H = cone.lineality
-    recon = (G @ lam if G.size else 0.0) + (H @ y if H.size else 0.0)
-    residual = float(np.max(np.abs(recon - v))) if cone.dim else 0.0
-    return FeasibilityCertificate(lam=lam, y=y, residual=residual)
 
 
 _PROBE_LEVELS = 3  # sampling balls, each half the radius of the last

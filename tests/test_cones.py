@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from sipcert.linsolve import ConeRefutation, FeasibilityCertificate
 from sipcert.model import FamilyScan, scan_constraints, unit_vectors
 from sipcert.optimality import _family_rays
 
-from oracles import caratheodory_reduce
 from test_model import countable_cubic, interval_ramp, open_interval
 
 
@@ -161,62 +159,6 @@ class TestMemberships:
         out = memberships(ray, [[0.0, 1.0]], 1e-6, [a])[0]
         assert isinstance(out, ConeRefutation) and out.value == 1.0
         assert lp_counts["cone feasibility"] == 3
-
-
-class TestCaratheodory:
-    def test_small_support_fixed_point(self):
-        cone = GeneratedCone(
-            dim=2,
-            labels=["a", "b"],
-            generators=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            lineality=np.zeros((2, 0)),
-        )
-        cert = membership(cone, [1.0, 1.0])
-        red = caratheodory_reduce(cert, cone, [1.0, 1.0])
-        np.testing.assert_allclose(red.lam, cert.lam, atol=1e-12)
-
-    def test_dense_combination_reduces(self):
-        G = np.array([[1.0, 2.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0]])
-        cone = GeneratedCone(dim=2, labels=list("abcd"), generators=G, lineality=np.zeros((2, 0)))
-        lam = np.array([0.5, 0.5, 0.5, 0.5])
-        v = G @ lam
-        cert = FeasibilityCertificate(lam=lam, y=np.zeros(0), residual=0.0)
-        red = caratheodory_reduce(cert, cone, v)
-        support = np.flatnonzero(red.lam > 1e-12)
-        assert len(support) <= 3
-        assert red.residual <= 1e-9
-        # brute-force: some support of size <= 3 reproduces v
-        found = False
-        for size in (1, 2, 3):
-            for idx in itertools.combinations(range(4), size):
-                sub = G[:, idx]
-                sol, res, *_ = np.linalg.lstsq(sub, v, rcond=None)
-                if np.all(sol >= -1e-9) and np.max(np.abs(sub @ sol - v)) < 1e-9:
-                    found = True
-        assert found
-
-    def test_zero_vector_empty_support(self):
-        cone = quadrant_like_cone(n_tail=10)
-        cert = membership(cone, [0.0, 0.0])
-        red = caratheodory_reduce(cert, cone, [0.0, 0.0])
-        assert np.max(red.lam) <= 1e-12
-
-    def test_never_increases_residual_random(self):
-        rng = np.random.default_rng(12)
-        for _ in range(30):
-            d = int(rng.integers(2, 5))
-            m = int(rng.integers(d + 2, d + 7))
-            G = rng.normal(size=(d, m))
-            lam = rng.uniform(0.1, 1.0, size=m)
-            v = G @ lam
-            cone = GeneratedCone(
-                dim=d, labels=[str(i) for i in range(m)], generators=G, lineality=np.zeros((d, 0))
-            )
-            cert = FeasibilityCertificate(lam=lam, y=np.zeros(0), residual=0.0)
-            red = caratheodory_reduce(cert, cone, v)
-            assert np.sum(red.lam > 1e-10) <= d + 1
-            assert red.residual <= 1e-8
-            assert np.all(red.lam >= 0)
 
 
 def tail_rays(samples):

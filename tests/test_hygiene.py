@@ -10,8 +10,8 @@ be listed in ``__all__``, and what only the tests read lives in
 ``src/sipcert``: each must be read as an attribute somewhere in the package,
 unless allowlisted. An expression error is caught only at the allowlisted
 places of ``src/sipcert``, so that a rejected constraint row has one rule,
-``np.linalg.norm`` is read only at the allowlisted places, so that a norm
-is summed coordinate by coordinate and no BLAS build rounds it, and
+``np.linalg`` is read only at the allowlisted places, so that a norm is
+summed coordinate by coordinate and LAPACK rounds a report nowhere else, and
 ``eval_grad`` is read only at the allowlisted places, so that a scan makes
 its gradients in one place, and ``default_rng`` is read only at the
 allowlisted places, so that no report but a solve's depends on numpy's
@@ -173,30 +173,36 @@ def test_scan_flags_an_expression_error_handler():
     assert expr_error_catches({"m": source}) == ["m.<module>", "m.by_attribute", "m.in_tuple"]
 
 
-# the definitions that read np.linalg.norm, and why each does; every other
-# norm is `model.row_norms`
-LINALG_NORM_ALLOWED = {
-    "linsolve.rank_nullspace": "it scales a null-space vector, a scale that the support "
-                               "elimination divides out again (theta * alpha)",
+# the definitions that read np.linalg, what each reads and why: these are the
+# places where LAPACK rounding can reach a report. Every norm is
+# `model.row_norms`, every rank `linsolve.rank` and every LP `linsolve`'s simplex
+LINALG_ALLOWED = {
+    "cq._affine_projector": (["lstsq"], "the least-squares projection onto the affine "
+                                        "equality set, which moves the Slater search's iterates"),
+    "solver._polish": (["LinAlgError", "lstsq", "solve"],
+                       "the Newton polish's least-squares multipliers and its square "
+                       "Newton steps, which a singular system ends"),
 }
 
 
-def linalg_norm_reads(sources: dict[str, str]) -> list[str]:
-    """``module.definition`` for each top-level definition of the given
-    modules that reads ``linalg.norm`` or ``<name>.linalg.norm``, called or not."""
-    found = set()
+def linalg_reads(sources: dict[str, str]) -> dict[str, list[str]]:
+    """The attributes that each top-level definition of the given modules
+    reads from ``linalg`` or ``<name>.linalg``, called or not, by
+    ``module.definition``."""
+    found: dict[str, set[str]] = {}
     for module, source in sources.items():
         for top in ast.parse(source).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr == "norm" and "linalg" in (
+                if isinstance(node, ast.Attribute) and "linalg" in (
                         getattr(node.value, "attr", None), getattr(node.value, "id", None)):
-                    found.add(f"{module}.{getattr(top, 'name', '<module>')}")
-    return sorted(found)
+                    found.setdefault(f"{module}.{getattr(top, 'name', '<module>')}",
+                                     set()).add(node.attr)
+    return {name: sorted(attrs) for name, attrs in sorted(found.items())}
 
 
 def test_linalg_norm_is_read_only_where_allowed():
-    reads = linalg_norm_reads({p.stem: p.read_text() for p in SOURCES})
-    assert reads == sorted(LINALG_NORM_ALLOWED)
+    reads = linalg_reads({p.stem: p.read_text() for p in SOURCES})
+    assert reads == {name: attrs for name, (attrs, _) in LINALG_ALLOWED.items()}
 
 
 def test_scan_flags_a_linalg_norm_read():
@@ -206,11 +212,14 @@ def test_scan_flags_a_linalg_norm_read():
         "def full_name(v):\n    return numpy.linalg.norm(v, axis=1)\n"
         "def from_module(v):\n    return linalg.norm(v)\n"
         "class Holder:\n    def method(self):\n        self.f = np.linalg.norm\n"
-        "def other(v):\n    return np.linalg.solve(v, v) + norm(v)\n"
-        "x = np.linalg.norm([1.0])\n"
+        "def two(v):\n    try:\n        return np.linalg.solve(v, v) + norm(v)\n"
+        "    except np.linalg.LinAlgError:\n        pass\n"
+        "def other(v):\n    return np.sqrt(v) + norm(v)\n"
+        "x = np.linalg.lstsq([[1.0]], [1.0])\n"
     )
-    assert linalg_norm_reads({"m": source}) == [
-        "m.<module>", "m.Holder", "m.direct", "m.from_module", "m.full_name"]
+    assert linalg_reads({"m": source}) == {
+        "m.<module>": ["lstsq"], "m.Holder": ["norm"], "m.direct": ["norm"],
+        "m.from_module": ["norm"], "m.full_name": ["norm"], "m.two": ["LinAlgError", "solve"]}
 
 
 # the definitions that read eval_grad, and why each does; every other

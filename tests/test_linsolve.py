@@ -14,37 +14,32 @@ from sipcert.linsolve import (
     cone_feasibility,
     hull_plus_cone_feasibility,
     max_margin_direction,
-    rank_nullspace,
+    rank,
 )
 
 from oracles import LpProblem, simplex_solve
 
 
-class TestRankNullspace:
+class TestRank:
     def test_single_row(self):
-        rank, basis = rank_nullspace(np.array([[1.0, 1.0]]), 1e-9)
-        assert rank == 1
-        assert len(basis) == 1
-        v = basis[0]
-        # spans {(1,-1)}/sqrt(2) up to sign
-        assert abs(abs(v @ np.array([1.0, -1.0]) / math.sqrt(2)) - 1.0) < 1e-12
+        assert rank(np.array([[1.0, 1.0]]), 1e-9) == 1
 
     def test_identity(self):
-        rank, basis = rank_nullspace(np.eye(2), 1e-9)
-        assert rank == 2 and basis == []
+        assert rank(np.eye(2), 1e-9) == 2
 
     def test_zero_matrix(self):
-        rank, basis = rank_nullspace(np.zeros((1, 3)), 1e-9)
-        assert rank == 0 and len(basis) == 3
+        assert rank(np.zeros((1, 3)), 1e-9) == 0
 
-    def test_kernel_residual_bound(self):
+    def test_empty_matrix(self):
+        assert rank(np.zeros((0, 3)), 1e-9) == 0
+
+    def test_random_products_of_known_rank(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            M = rng.normal(size=(rng.integers(1, 5), rng.integers(1, 6)))
-            rank, basis = rank_nullspace(M, 1e-9)
-            bound = 10 * 1e-9 * max(1.0, np.max(np.abs(M)))
-            for v in basis:
-                assert np.max(np.abs(M @ v)) <= bound
+            m, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            r = int(rng.integers(0, min(m, n) + 1))
+            M = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+            assert rank(M, 1e-9) == r
 
 
 class TestSimplex:
@@ -331,6 +326,33 @@ class TestHullPlusCone:
             check_hull_answer(out, F, G, H)
             kinds.add(type(out))
         assert kinds == {HullFeasibility, HullRefutation}
+
+
+class TestBasicCertificates:
+    """A certificate is the LP's basic solution as the simplex returns it, so
+    its positive lam, positive weights and nonzero y number at most the row
+    count: d, or d + 1 with a hull part."""
+
+    def test_random_feasible_problems_with_lineality(self):
+        rng = np.random.default_rng(35)
+        for trial in range(3000):
+            d = int(rng.integers(1, 6))
+            G = rng.normal(size=(d, int(rng.integers(0, 3 * d + 3))))
+            H = rng.normal(size=(d, int(rng.integers(1, d + 1))))
+            combo = G @ rng.uniform(0, 2, G.shape[1]) + H @ rng.normal(size=H.shape[1])
+            if trial % 2:
+                out = cone_feasibility(G, H, combo)
+                assert isinstance(out, FeasibilityCertificate)
+                used, rows = 0, d
+            else:
+                # the first hull column closes the combination to 0
+                F = np.column_stack([-combo, rng.normal(size=(d, int(rng.integers(0, 3))))])
+                out = hull_plus_cone_feasibility(F, G, H)
+                assert isinstance(out, HullFeasibility)
+                used, rows = int(np.sum(out.weights > 0)), d + 1
+            used += int(np.sum(out.lam > 0)) + int(np.sum(out.y != 0))
+            assert used <= rows, f"trial {trial}: {used} columns carry weight, {rows} rows"
+            assert np.all(out.lam >= 0)
 
 
 @pytest.fixture(scope="module")

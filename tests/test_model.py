@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -650,7 +651,7 @@ class TestModuli:
 
 
 class TestKronecker:
-    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**53 + 3])
     @pytest.mark.parametrize("dim", [1, 3, 17])
     def test_equals_the_points_on_python_floats(self, dim, seed):
         got = kronecker(300, dim, seed)
@@ -673,6 +674,18 @@ class TestKronecker:
     def test_seeds_shift_the_points(self):
         a, b = kronecker(100, 3, 0), kronecker(100, 3, 1)
         assert np.all(a != b)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_small_seeds_keep_the_unreduced_shift(self, seed):
+        # seed a[::-1] is below 1 here, so reducing it first changes no bit
+        a = kronecker(1, 17, 0)[0].tolist()
+        want = [[(k * a[j] + float(seed) * a[16 - j]) % 1.0 for j in range(17)]
+                for k in range(1, 1001)]
+        assert kronecker(1000, 17, seed).tolist() == want
+
+    def test_a_huge_seed_keeps_every_point(self):
+        q = kronecker(1000, 17, 2**56)
+        assert all(len(np.unique(q[:, j])) == 1000 for j in range(17))
 
 
 def _interval_family(dim, body):
@@ -768,11 +781,13 @@ def _dot(d, g):
 
 
 def kronecker_on_floats(first, count, dim, seed):
-    """The points k a + seed a[::-1] (mod 1), k = first .. first + count - 1,
-    on Python floats, with a_j = sqrt(p_j) mod 1 over the first dim primes."""
+    """The points k a + s (mod 1), k = first .. first + count - 1, on Python
+    floats, with a_j = sqrt(p_j) mod 1 over the first dim primes and the
+    shift s = seed a[::-1] mod 1 reduced in rationals."""
     a = [math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                                       53, 59)[:dim]]
-    return [[(k * a[j] + seed * a[dim - 1 - j]) % 1.0 for j in range(dim)]
+    shift = [float(seed * Fraction(a[dim - 1 - j]) % 1) for j in range(dim)]
+    return [[(k * a[j] + shift[j]) % 1.0 for j in range(dim)]
             for k in range(first, first + count)]
 
 

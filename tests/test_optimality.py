@@ -17,7 +17,7 @@ from sipcert.model import (
     load_instance,
     loads_instance,
 )
-from sipcert import linsolve
+from sipcert import linsolve, optimality
 from sipcert.optimality import (
     _cone,
     _family_rays,
@@ -407,6 +407,40 @@ class TestPrebuiltCones:
             verify_kkt(inst, XBAR, rep=normal_cone(inst, XBAR, variant="perturbed"))
         with pytest.raises(ValueError):
             verify_perturbed_stationarity(inst, XBAR, rep=normal_cone(inst, XBAR, variant="normalized"))
+
+
+def test_certificates_are_basic(monkeypatch):
+    """Every certificate at the golden points, of the two fixtures, at a
+    convex_toy point certified at eps = 0.1 only and of an instance with an
+    equality: its support gradients and the equality columns where y != 0
+    are linearly independent."""
+    seen = []  # (cone, certificate) for each certificate made
+    original = optimality._certificate_from_hull
+
+    def recording(out, cone):
+        seen.append((cone, original(out, cone)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(optimality, "_certificate_from_hull", recording)
+    cases = [(load_instance(INSTANCES / f"{name}.sip"), point)
+             for name, point in [*GOLDEN_POINTS.items(), ("convex_toy", (-0.525, -0.525))]]
+    # -(1, 2) = 0.75 (-2, -2) + 0.5 (1, -1): a multiplier on the equality too
+    with_equality = loads_instance(
+        "[problem]\nvars = x1 x2\nminimize = x1 + 2*x2\n\n"
+        "[constraints]\ng = x1^2 + x2^2 - 2\n\n[equalities]\nh = x1 - x2\n")
+    for inst, x in [*cases, (countable_cubic(), XBAR), (interval_ramp(), XBAR),
+                    (with_equality, (-1.0, -1.0))]:
+        verify_kkt(inst, np.array(x))
+        verify_perturbed_stationarity(inst, np.array(x))
+    assert len(seen) == 7 and sum(np.any(cert.y != 0) for _, cert in seen) == 2
+    for cone, cert in seen:
+        columns = cone.columns()
+        index = {cone.label(j): j for j in range(columns.shape[1])}
+        assert len(index) == columns.shape[1]
+        M = np.hstack([columns[:, [index[s] for s in cert.support]],
+                       cone.lineality[:, cert.y != 0]])
+        assert M.shape[1] <= cone.dim
+        assert np.linalg.matrix_rank(M) == M.shape[1]
 
 
 class TestResidualTrace:

@@ -191,6 +191,17 @@ class TestSolve:
         assert all(r.max_violation == math.inf for r in trace.records)
         assert not feasibility_check(inst, x).feasible
 
+    def test_converged_means_feasible_with_an_equality(self):
+        # the Newton polish skips max-type costs, so the penalty alone sets the
+        # equality residual; it once stopped at 5.3e-9, above the feasibility gate
+        inst = loads_instance(
+            "[problem]\nvars = x1 x2 x3\nminimize_max = x1 + x2 ; x2 - x3 ; x1^2\n"
+            "convex = true\n\n[constraints]\ng1 = x1^2 + x2^2 + x3^2 - 1\n\n"
+            "[equalities]\nh1 = x1 + x2 + x3\naffine = true\n")
+        x, trace = solve(inst, SolverConfig(max_outer=3, multistart=2))
+        assert trace.status == "converged"
+        assert feasibility_check(inst, x).feasible
+
     def test_convex_grid_search_oracle(self):
         inst = load_instance(INSTANCES / "convex_toy.sip")
         x, trace = solve(inst, SolverConfig(seed=4))
