@@ -21,7 +21,8 @@ scanned in one pass. A masked kernel raises no domain error: the value and
 each partial are NaN at the entries a check rejects, and the other entries
 keep their bits. Kernels live on the root node of the AST. The same lowering
 writes several roots, with their index bindings folded in, into one masked
-function owned by its caller: the solver's penalty. Raising kernels serve
+function owned by its caller: the solver's penalty stage, whose gradient and
+trial bodies each gather their own rejections. Raising kernels serve
 where an error message is needed, as in the analysis at a user's point.
 """
 
@@ -422,13 +423,13 @@ class _Lowering:
     one. An operand is a local name or a float known when compiling;
     operations on known floats are folded with the same arithmetic, a
     repeated operation reuses its first result, and a repeated check is not
-    made again, unless the first was emitted under a ``branch`` that has
+    made again, unless the first was emitted under a ``block`` that has
     ended. A root lowered with ``fixed`` bindings runs on one point with its
     index values known floats; only a masked lowering takes one, so only a
     kernel's own root raises. A ``masked`` lowering gathers what its checks
-    reject in ``bad`` (bound first thing when its first check is under a
-    branch) and runs on, so it divides by a local through ``_div``, and its
-    function returns NaN where ``bad`` holds. The source holds only
+    reject in ``bad`` (bound first thing in its body when its first check is
+    under an ``if``) and runs on, so it divides by a local through ``_div``,
+    and its function returns NaN where ``bad`` holds. The source holds only
     generated names, float reprs, integers and names and messages from fixed
     tables: index names reach the kernel through ``_names``, never as text.
     """
@@ -444,6 +445,8 @@ class _Lowering:
         self.consts: dict[str, str] = {}  # repr of a non-finite constant -> its global
         self.index: dict[str, str] = {}  # index name -> local holding its value
         self.columns: set[int] = set()
+        self.start, self.base = 0, ""  # where the body's ``bad`` is bound, and its indent
+        self.at = "x"  # the decision variables are the locals at1 .. atn
 
     def root(self, ast: ExprAst, grad: bool, fixed: Mapping[str, float] | None = None):
         """(value, partials) of ``ast``: n partials with ``grad``, else none.
@@ -477,15 +480,23 @@ class _Lowering:
         self.lines.append(self.indent + text)
 
     @contextlib.contextmanager
-    def branch(self, cond: str):
-        """Lines emitted inside run only where ``cond`` holds, and what they
-        compute or check is reused only inside."""
-        self.line(f"if {cond}:")
-        saved = dict(self.results), dict(self.index)
+    def block(self, head: str, body: bool = False):
+        """Lines emitted inside run under ``head``, an ``if`` or a loop, and
+        what they compute or check is reused only inside. A ``body`` gathers
+        its own rejections: its ``bad`` holds only what its checks reject,
+        nothing computed or checked before it is reused, and ``checked``
+        tells, until it ends, whether one of its checks can fail."""
+        self.line(head)
+        saved = dict(self.results), dict(self.index), self.checked, self.start, self.base
         self.indent += "    "
+        if body:
+            self.results, self.checked = {}, False
+            self.start, self.base = len(self.lines), self.indent
         yield
         self.indent = self.indent[:-4]
-        self.results, self.index = saved
+        self.results, self.index = saved[:2]
+        if body:
+            self.checked, self.start, self.base = saved[2:]
 
     def text(self, a) -> str:
         if a is None:  # a structurally zero partial
@@ -555,8 +566,8 @@ class _Lowering:
         if not self.masked:
             fail = f"raise _domain_error(root, {self.pos[id(node)]}, {message!r})"
             self.line(f"if _any{test}: {fail}")
-        elif self.indent and not self.checked:  # the first check, under a branch that may not run
-            self.lines.insert(0, "bad = False")
+        elif self.indent != self.base and not self.checked:  # the body's first, under an if
+            self.lines.insert(self.start, self.base + "bad = False")
             self.line(f"bad = bad | {test}")
         else:
             self.line(f"bad = bad | {test}" if self.checked else f"bad = {test}")
@@ -574,7 +585,7 @@ class _Lowering:
                 self.line(f"raise ExprError({message!r})")
             else:
                 self.columns.add(p)
-            return f"x{p}", [1.0 if j == p - 1 else None for j in range(self.width)]
+            return f"{self.at}{p}", [1.0 if j == p - 1 else None for j in range(self.width)]
         if isinstance(node, IndexVar):
             if self.fixed is not None and node.name in self.fixed:
                 return float(self.fixed[node.name]), zeros

@@ -11,10 +11,11 @@ needs more damping is read as a failed polish, as damped-Newton codes read a
 damping factor below their floor (Deuflhard, *Newton Methods for Nonlinear
 Problems*, ch. 3). Everything is seeded and deterministic, and the descent's
 gradient norm is a ``math.fsum``.
-The penalty of each working set runs as one generated function per pass,
-compiled when the working set changes and dropped with it. Every reading
-is masked: a point the expression rejects reads NaN, never an error. The
-Newton polish runs on Python floats and reads such a point as ``_bind`` does.
+A penalty stage runs as one generated function, one per working set,
+compiled on first use and kept on the instance, so repeated solves of one
+instance compile each working set once. Every reading is masked: a point the
+expression rejects reads NaN, never an error. The Newton polish runs on
+Python floats and reads such a point as ``_bind`` does.
 """
 
 from __future__ import annotations
@@ -119,56 +120,96 @@ def _square(v: float) -> float:
         return math.inf
 
 
-def _penalty_pair(inst: SipInstance, working) -> tuple:
-    """The value pass and the gradient pass (value, tuple of partials) of the cost
-    plus rho * v^2 for each violated working constraint and each equality
-    residual, each one generated function ``f(xs, rho)`` with the working
-    bindings folded in. Both are masked: where the expression rejects a term
-    they read, the value and every partial are NaN."""
-    return tuple(_penalty_function(inst, working, grad) for grad in (False, True))
-
-
-def _penalty_function(inst: SipInstance, working, grad: bool):
-    lw = ex._Lowering(inst.dim, masked=True)
-    t, line, gs = lw.text, lw.line, [f"g{j}" for j in range(inst.dim)]
+def _penalty(lw, inst: SipInstance, working, grad: bool, at: str, val: str) -> None:
+    """Lines that leave in ``val`` the cost plus rho * v^2 for each violated
+    working constraint and each equality residual at the coordinates ``at``,
+    with the working bindings folded in, and with ``grad`` its gradient in
+    g0, g1, ...; ``bad`` gathers what the expressions reject."""
+    t, line, root, gs = lw.text, lw.line, lw.root, [f"g{j}" for j in range(inst.dim)]
+    lw.at = at
 
     def add_grad(v, partials):  # g_j + 2.0 * rho * v * p_j, with 2.0 * rho * v once
-        line(f"s = r2 * {v}")
+        s = lw.arith("*", "r2", v)
         for gj, pj in zip(gs, partials):
             if pj is not None:  # a structurally zero partial adds nothing
-                line(f"{gj} = {gj} + s * {t(pj)}")
+                line(f"{gj} = {gj} + {t(lw.arith('*', s, pj))}")
 
     if isinstance(inst.cost, SmoothCost):
-        v, partials = lw.root(inst.cost.body, grad, {})
-        line(f"val = {t(v)}")
+        v, partials = root(inst.cost.body, grad, {})
+        line(f"{val} = {t(v)}")
         for gj, pj in zip(gs, partials):
             line(f"{gj} = {t(pj)}")
     else:
-        vals = ", ".join(t(lw.root(p, False, {})[0]) for p in inst.cost.pieces)
-        line(f"val = _max([{vals}])" if len(inst.cost.pieces) > 1 else f"val = {vals}")
+        vals = ", ".join(t(root(p, False, {})[0]) for p in inst.cost.pieces)
+        line(f"{val} = _max([{vals}])" if len(inst.cost.pieces) > 1 else f"{val} = {vals}")
         if grad:  # the gradient of the first piece attaining the maximum
             line(f"k = _argmax([{vals}])")
             for i, p in enumerate(inst.cost.pieces):
-                with lw.branch(f"k == {i}"):
-                    for gj, pj in zip(gs, lw.root(p, True, {})[1]):
+                with lw.block(f"if k == {i}:"):
+                    for gj, pj in zip(gs, root(p, True, {})[1]):
                         line(f"{gj} = {t(pj)}")
-    if grad:
-        line("r2 = 2.0 * rho")
     for wc in working:
-        v = t(lw.root(wc.body, False, wc.env)[0])
-        with lw.branch(f"{v} > 0"):
-            line(f"val = val + rho * {v} * {v}")
+        v = root(wc.body, False, wc.env)[0]
+        with lw.block(f"if {t(v)} > 0:"):
+            line(f"{val} = {val} + rho * {t(v)} * {t(v)}")
             if grad:
-                add_grad(v, lw.root(wc.body, True, wc.env)[1])
+                add_grad(v, root(wc.body, True, wc.env)[1])
     for h in inst.equalities.components:
-        v, partials = lw.root(h, grad, {})
-        v = t(v)
-        # the passes round rho * v^2 differently; one form for both would change solver outputs
-        line(f"val = val + rho * _square({v})" if grad else f"val = val + rho * {v} * {v}")
+        v, partials = root(h, grad, {})
+        # the two bodies round rho * v^2 differently; one form for both would change solver outputs
+        line(f"{val} = {val} + rho * " + (f"_square({t(v)})" if grad else f"{t(v)} * {t(v)}"))
         if grad:
             add_grad(v, partials)
-    return lw.function("xs, rho", "val", gs if grad else (),
-                       _max=max, _argmax=np.argmax, _square=_square)
+
+
+def _penalty_stage(inst: SipInstance, working):
+    """``stage(xs, rho, step) -> (xs, step, gradient passes)``: up to ``MAX_INNER``
+    Armijo steps down the penalty of ``working`` from the coordinate list ``xs``,
+    ending at a step that lowers it by at most ``STALL_TOL * max(1, |val|)`` or
+    where the gradient norm, a ``math.fsum``, is at most ``1e-10 * max(1, |val|)``
+    or the gradient body rejects the point; no rejected trial point is accepted.
+    Compiled once per working set and kept in ``inst.__dict__``, keyed by the
+    working labels; it holds no reference to the instance or to ``working``."""
+    stages = inst.__dict__.setdefault("_stages", {})
+    key = tuple(wc.label for wc in working)
+    if key in stages:
+        return stages[key]
+    n = inst.dim
+    lw = ex._Lowering(n, masked=True)
+    line, xs, cs = lw.line, [f"x{j}" for j in range(1, n + 1)], [f"c{j}" for j in range(1, n + 1)]
+    lw.columns.update(range(1, n + 1))
+    line("r2, passes = 2.0 * rho, 0")
+    with lw.block(f"for _ in _range({MAX_INNER}):", body=True):
+        line("passes = passes + 1")
+        _penalty(lw, inst, working, True, "x", "val")
+        if lw.checked:
+            line("if bad: break")
+        # a correctly rounded sum, the same under any BLAS; inf where it overflows
+        line("try:")
+        line(f"    gnorm = _sqrt(_fsum(({''.join(f'g{j} * g{j}, ' for j in range(n))})))")
+        line("except _OverflowError:")
+        line(f"    gnorm = {lw.text(math.inf)}")
+        line("if not gnorm > 1e-10 * _max(1.0, _abs(val)): break")
+        for j in range(n):  # a sin or exp partial is np.float64
+            line(f"d{j + 1} = -_float(g{j}) / gnorm")
+        line("t, stalled = step, True")
+        with lw.block("for _ in _range(40):", body=True):
+            for j, (xj, cj) in enumerate(zip(xs, cs), 1):
+                line(f"{cj} = {xj} + t * d{j}")
+            _penalty(lw, inst, working, False, "c", "trial")
+            armijo = f"trial <= val - {ARMIJO!r} * t * gnorm"
+            with lw.block(f"if not bad and {armijo}:" if lw.checked else f"if {armijo}:"):
+                line(f"{', '.join(xs)} = {', '.join(cs)}")
+                line(f"step = _min(t * 1.5, {STEP0!r})")
+                line(f"stalled = trial >= val - {STALL_TOL!r} * _max(1.0, _abs(val))")
+                line("break")
+            line("t = t * 0.5")
+        line("if stalled: break")
+    stages[key] = lw.function("xs, rho, step", f"[{', '.join(xs)}], step, passes", _range=range,
+                              _fsum=math.fsum, _sqrt=math.sqrt, _OverflowError=OverflowError,
+                              _max=max, _min=min, _abs=abs, _float=float, _argmax=np.argmax,
+                              _square=_square)
+    return stages[key]
 
 
 def _max_violation(working, x) -> float:
@@ -176,42 +217,15 @@ def _max_violation(working, x) -> float:
     return max((wc.value(xs) for wc in working), default=0.0)
 
 
-def _penalty_descent(inst: SipInstance, working, pair, x0):
-    """Penalty stages from x0 on coordinate lists; arrays only between stages.
-    ``pair`` is ``_penalty_pair(inst, working)``. A stage ends at ``MAX_INNER``
-    steps or at an accepted step that lowers the penalty by at most ``STALL_TOL *
-    max(1, |val|)``; the gradient norm is a ``math.fsum``. A gradient that is not a
-    number, as at a point the gradient pass rejects, ends the stage's descent,
-    and a trial point the value pass rejects is NaN, which no line search
-    accepts. The masked passes run past a rejection, so numpy's warnings are off."""
-    value_pass, grad_pass = pair
-    x = x0.tolist()
-    rho = PENALTY0
-    step = STEP0
+def _penalty_descent(inst: SipInstance, working, x0):
+    """Penalty stages from x0, each one call of the working set's stage, on
+    coordinate lists; arrays only between stages. The masked stage runs past
+    a rejection, so numpy's warnings are off."""
+    stage = _penalty_stage(inst, working)
+    x, rho, step = x0.tolist(), PENALTY0, STEP0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in solve()
         for _ in range(PENALTY_STAGES):
-            for _ in range(MAX_INNER):
-                val, grad = grad_pass(x, rho)
-                try:  # a correctly rounded sum, the same under any BLAS
-                    gnorm = math.sqrt(math.fsum(gj * gj for gj in grad))
-                except OverflowError:  # the squares are finite, their sum is not
-                    gnorm = math.inf
-                if not gnorm > 1e-10 * max(1.0, abs(val)):
-                    break
-                d = [-float(gj) / gnorm for gj in grad]  # a sin or exp partial is np.float64
-                t = step
-                stalled = True
-                for _ in range(40):
-                    cand = [xj + t * dj for xj, dj in zip(x, d)]
-                    trial = value_pass(cand, rho)
-                    if trial <= val - ARMIJO * t * gnorm:
-                        x = cand
-                        step = min(t * 1.5, STEP0)
-                        stalled = trial >= val - STALL_TOL * max(1.0, abs(val))
-                        break
-                    t *= 0.5
-                if stalled:
-                    break
+            x, step, _ = stage(x, rho, step)
             xa = np.array(x)
             eq = inst.eq_residual(xa)
             if max(_max_violation(working, xa), eq) <= FEAS_TOL and rho > 1e4:
@@ -305,13 +319,13 @@ def _polish(inst: SipInstance, working, x):
     return np.array(z[:n])
 
 
-def _solve_subproblem(inst: SipInstance, working, pair, config, rng, warm):
+def _solve_subproblem(inst: SipInstance, working, config, rng, warm):
     lo, hi = inst.box_bounds()
     starts = [] if warm is None else [warm.copy()]
     starts += [rng.uniform(lo, hi) for _ in range(config.multistart if warm is None else 1)]
     candidates = []
     for s in starts:
-        x = _penalty_descent(inst, working, pair, s)
+        x = _penalty_descent(inst, working, s)
         polished = _polish(inst, working, x)
         xv = _max_violation(working, x)
         if polished is not None:
@@ -353,10 +367,9 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
         trace = SolverTrace()
         best_x = None
         best_viol = math.inf
-        warm = pair = None
+        warm = None
         for outer in range(config.max_outer):
-            pair = pair or _penalty_pair(inst, working)  # once per working set
-            x = _solve_subproblem(inst, working, pair, config, rng, warm)
+            x = _solve_subproblem(inst, working, config, rng, warm)
             warm = x
             idx, viol = most_violated_index(inst, x)
             eq = inst.eq_residual(x)
@@ -379,7 +392,6 @@ def solve(inst: SipInstance, config: SolverConfig | None = None):
             if idx is not None and idx not in working_ids:
                 working_ids.append(idx)
                 working.append(_constraint_for(inst, idx))
-                pair = None
             else:
                 # the worst index is already in the working set: warm-start from the
                 # best candidate. The penalty restarts at PENALTY0 on the same schedule,

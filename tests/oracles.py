@@ -11,7 +11,10 @@ points. Here are
 * ``membership_residual_trace``: the distance of a vector from the
   eps-active cone as the countable truncation grows;
 * ``unit_vectors_reference``: ``model.unit_vectors`` with numpy's own
-  reduces, the formula the package's coordinate passes must match bit for bit.
+  reduces, the formula the package's coordinate passes must match bit for bit;
+* ``penalty_stage_reference``: one penalty stage of the solver as a Python
+  loop over any value and gradient, which the generated stage must repeat bit
+  for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from sipcert.cones import membership
 from sipcert.linsolve import FeasibilityCertificate, LpStatus, _simplex_standard
 from sipcert.model import ConstraintScan, SipInstance, scan_constraints, with_grid
 from sipcert.optimality import _cone, _require_feasible
+from sipcert.solver import ARMIJO, MAX_INNER, STALL_TOL, STEP0
 
 
 @dataclass
@@ -257,3 +261,35 @@ def unit_vectors_reference(v) -> np.ndarray:
         scaled = v / peak
         u = scaled / np.linalg.norm(scaled, axis=-1, keepdims=True)
     return np.where((peak == 0.0) | ~np.isfinite(peak), np.nan, u)
+
+
+def penalty_stage_reference(value, gradient, x: list, rho: float, step: float):
+    """One penalty stage from the coordinate list ``x``, as ``solver._penalty_stage``
+    must run it: ``value(x, rho)`` is the penalty and ``gradient(x, rho)`` the
+    pair (penalty, gradient), each read as a NaN or +inf where a term is
+    rejected. Returns (x, step, gradient passes)."""
+    passes = 0
+    for _ in range(MAX_INNER):
+        passes += 1
+        val, grad = gradient(x, rho)
+        try:
+            gnorm = math.sqrt(math.fsum(gj * gj for gj in grad))
+        except OverflowError:
+            gnorm = math.inf
+        if not gnorm > 1e-10 * max(1.0, abs(val)):
+            break
+        d = [-float(gj) / gnorm for gj in grad]
+        t = step
+        stalled = True
+        for _ in range(40):
+            cand = [xj + t * dj for xj, dj in zip(x, d)]
+            trial = value(cand, rho)
+            if trial <= val - ARMIJO * t * gnorm:
+                x = cand
+                step = min(t * 1.5, STEP0)
+                stalled = trial >= val - STALL_TOL * max(1.0, abs(val))
+                break
+            t *= 0.5
+        if stalled:
+            break
+    return x, step, passes

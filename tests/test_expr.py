@@ -537,9 +537,9 @@ class TestKernel:
         ast = parse("log(x1 + 3) - x2")
         lowering = expr._Lowering(2, masked=True)
         v = lowering.root(ast, False, {})[0]
-        with lowering.branch(f"{v} > 0"):
+        with lowering.block(f"if {v} > 0:"):
             lowering.root(ast, True, {})
-        with lowering.branch(f"{v} < -10"):
+        with lowering.block(f"if {v} < -10:"):
             lowering.root(parse("log(x2)"), False, {})
         lowering.root(parse("log(x2)"), False, {})
         assert [line for line in lowering.lines if "<= 0.0" in line] == [
@@ -632,11 +632,29 @@ class TestKernel:
         # the one check sits under a branch, which x1 = -2 does not take
         lowering = expr._Lowering(1, masked=True)
         lowering.line("val = 0.0")
-        with lowering.branch("x1 > -1.0"):
+        with lowering.block("if x1 > -1.0:"):
             lowering.line(f"val = val + {lowering.root(parse('log(x1)'), False, {})[0]}")
         run = lowering.function("xs", "val")
         with np.errstate(invalid="ignore"):  # log(-0.5) runs on, and is masked
             assert [run([x]) for x in (-2.0, 1.0)] == [0.0, 0.0] and math.isnan(run([-0.5]))
+
+    def test_a_body_gathers_its_own_rejections(self):
+        # a check made before a body is made again inside it, into a ``bad``
+        # of the body's own; one first made under an if binds it at the body's
+        # start. After the body, ``checked`` is the enclosing function's again
+        lowering = expr._Lowering(1, masked=True)
+        lowering.root(parse("log(x1)"), False, {})
+        with lowering.block("for _ in _range(2):", body=True):
+            lowering.root(parse("log(x1)"), False, {})
+            assert lowering.checked
+        with lowering.block("for _ in _range(2):", body=True):
+            assert not lowering.checked
+            with lowering.block("if x1 > 1.0:"):
+                lowering.root(parse("log(x1 - 1)"), False, {})
+        assert lowering.checked
+        assert [line for line in lowering.lines if "bad" in line] == [
+            "bad = (x1 <= 0.0)", "    bad = (x1 <= 0.0)",
+            "    bad = False", "        bad = bad | (v7 <= 0.0)"]
 
 
 @pytest.fixture(scope="module")

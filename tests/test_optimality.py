@@ -18,6 +18,7 @@ from sipcert.model import (
     loads_instance,
 )
 from sipcert import linsolve, optimality
+from sipcert.cq import Verdict, check_ssc
 from sipcert.optimality import (
     _cone,
     _family_rays,
@@ -344,6 +345,23 @@ def every_eps_stationarity(inst, x):
 
 
 class TestConvexGlobal:
+    def test_equality_block_not_declared_affine_gives_no_verdict(self):
+        # h is affine, but only a declared-affine block makes the convex
+        # theory apply; neither check reads the instance further
+        inst = loads_instance(
+            "[problem]\nvars = x1 x2\nminimize = x1^2 + x2^2\nconvex = true\n"
+            "box = -2 2 ; -2 2\n[constraints]\ng1 = x1^2 - 1\n"
+            "[equalities]\nh = x1 + x2 - 1\n"
+        )
+        assert inst.convex and not inst.equalities.affine
+        ssc = check_ssc(inst, np.array([0.5, 0.5]))
+        assert (ssc.verdict, ssc.reason) == (Verdict.UNKNOWN, "equality block not declared affine")
+        assert ssc.slater_point is None and ssc.cuts is None
+        report = convex_global_check(inst, np.array([0.5, 0.5]))
+        assert report.outcome == "inconclusive"
+        assert report.notes == ["equality block not declared affine"]
+        assert report.certificate is None and report.global_optimal is None
+
     def test_toy_global_at_minimizer(self):
         report = convex_global_check(convex_toy(), np.array([-0.5, -0.5]))
         assert report.outcome == "certificate"

@@ -28,6 +28,7 @@ from sipcert.model import (
 from sipcert.optimality import verify_kkt
 from sipcert.solver import SolverConfig, most_violated_index, solve
 
+from oracles import penalty_stage_reference
 from test_model import countable_cubic, interval_ramp
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -239,20 +240,21 @@ class TestSolve:
         np.testing.assert_allclose(x[0], -1.0, atol=1e-3)
 
 
-def _watch_gradient_pass(monkeypatch, watch):
-    """Calls ``watch(xs)`` before every gradient pass of the penalty pairs that solve() builds."""
-    pair_of = solver._penalty_pair
+def _watch_stages(monkeypatch, watch):
+    """Calls ``watch(xs, step, passes)`` with what every penalty stage that solve() runs returns."""
+    stage_of = solver._penalty_stage
 
-    def watched_pair(inst, working):
-        value_pass, grad_pass = pair_of(inst, working)
+    def watched_stage(inst, working):
+        stage = stage_of(inst, working)
 
-        def watched(xs, rho):
-            watch(xs)
-            return grad_pass(xs, rho)
+        def watched(xs, rho, step):
+            out = stage(xs, rho, step)
+            watch(*out)
+            return out
 
-        return value_pass, watched
+        return watched
 
-    monkeypatch.setattr(solver, "_penalty_pair", watched_pair)
+    monkeypatch.setattr(solver, "_penalty_stage", watched_stage)
 
 
 # gradient passes of one solve under perfbench's solve-exchange configuration; the
@@ -262,9 +264,9 @@ def _watch_gradient_pass(monkeypatch, watch):
                                        ("countable_cubic", 3500), ("interval_ramp", 9000)])
 def test_gradient_passes_per_solve_are_capped(monkeypatch, name, cap):
     passes = []
-    _watch_gradient_pass(monkeypatch, passes.append)
+    _watch_stages(monkeypatch, lambda xs, step, n: passes.append(n))
     solve(load_instance(INSTANCES / f"{name}.sip"), SolverConfig(multistart=4, max_outer=6, seed=1))
-    assert 0 < len(passes) <= cap
+    assert 0 < sum(passes) <= cap
 
 
 def two_families(second: str) -> str:
@@ -372,6 +374,13 @@ PENALTY_CASES = {
     "index_exponent": lambda: loads_instance(finite_family("x1^t - x2", "1 2 3", "0.25 2; -2 2")),
     # at t = 0.3 the folded binding makes log(t - 0.5) raise at every x
     "rejected_everywhere": lambda: loads_instance(finite_family("log(t - 0.5)*x1 - x2", "0.3 1")),
+    # at t = 0.3 the zero base of (t - 0.3)^-2 is rejected at every x, though
+    # the body runs on to the number -inf, which the penalty would not count
+    "rejected_to_a_number": lambda: loads_instance(finite_family("x2 - (t - 0.3)^-2", "0.3 1")),
+    # log(x1) rejects the starts with x1 <= 0, where the cost alone reads a
+    # number; a trial step may still leave the rejected region
+    "partly_rejected": lambda: loads_instance(finite_family("log(x1 + t) - x2 - 2", "0 0.5")),
+    "named": lambda: loads_instance(NAMED),
 }
 
 
@@ -381,6 +390,19 @@ def test_square_is_the_float_power_until_it_overflows():
     for v in [0.0, -3.0, 1.1e154, -1.34e154, *draws]:
         assert solver._square(float(v)) == float(v) ** 2
     assert solver._square(1.35e154) == solver._square(-1e200) == math.inf
+
+
+def _penalty_bodies(inst, working):
+    """The stage's two bodies, each as a function f(xs, rho) that reads NaN
+    where it rejects a term: the value, and the value with the gradient."""
+    def body(grad):
+        lw = ex._Lowering(inst.dim, masked=True)
+        lw.line("r2 = 2.0 * rho")
+        solver._penalty(lw, inst, working, grad, "x", "val")
+        return lw.function("xs, rho", "val", [f"g{j}" for j in range(inst.dim)] if grad else (),
+                           _max=max, _argmax=np.argmax, _square=solver._square)
+
+    return body(False), body(True)
 
 
 @pytest.mark.parametrize("name", sorted(PENALTY_CASES))
@@ -398,68 +420,100 @@ def test_bound_penalty_is_bit_identical_to_eval_path(name):
         else:
             fam = next(f for f, _ in inst.families if f.name == idx.family)
             terms.append((fam.body, {fam.index_name: idx.value}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        value_pass, grad_pass = solver._penalty_pair(inst, working)
+    stage = solver._penalty_stage(inst, working)
+    value_body, grad_body = _penalty_bodies(inst, working)
+
+    def value(x, rho):
+        return _reference_penalty(inst, terms, np.array(x), rho)[0]
+
+    def gradient(x, rho):
+        return _reference_penalty(inst, terms, np.array(x), rho)[1:]
+
     rng = np.random.default_rng(7)
-    violated = 0
+    violated = rejected = 0
     for x in rng.uniform(lo, hi, size=(20, inst.dim)):
         for rho in (10.0, 2.5e4):
-            with np.errstate(over="ignore", invalid="ignore"):  # as inside solve()
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as inside solve()
                 val, gval, grad = _reference_penalty(inst, terms, x, rho)
-                got_val = value_pass(x.tolist(), rho)
-                got_gval, got_grad = grad_pass(x.tolist(), rho)
-            if name == "rejected_everywhere":  # a rejected term: the value and every partial NaN
+                got_val = value_body(x.tolist(), rho)
+                got_gval, got_grad = grad_body(x.tolist(), rho)
+                got = stage(x.tolist(), rho, solver.STEP0)
+                want = penalty_stage_reference(value, gradient, x.tolist(), rho, solver.STEP0)
+            assert [_bits(a) for a in got] == [_bits(a) for a in want]  # iterate, step, passes
+            if val == gval == math.inf and np.isnan(grad).all():  # a rejected term: the value
+                rejected += 1  # and every partial NaN, and the stage takes no step
                 assert math.isnan(got_val) and math.isnan(got_gval)
                 assert len(got_grad) == inst.dim and all(map(math.isnan, got_grad))
+                assert _bits(got[0]) == _bits(x) and got[1:] == (solver.STEP0, 1)
             else:
                 assert _bits(got_val) == _bits(val)
                 assert _bits(got_gval) == _bits(gval)
                 assert _bits(got_grad) == _bits(grad)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values = [float(_ruled(ex.eval_value, b, x, env)) for b, env in terms]
         violated += any(v > 0 for v in values)
     assert violated > 0
-    if name == "rejected_everywhere":
-        # read term by term, the rejected term is +inf with NaN partials; the
-        # passes read NaN, and no line search accepts either
-        assert (val, gval) == (math.inf, math.inf) and np.isnan(grad).all()
+    # read term by term, a rejected term is +inf with NaN partials; the bodies
+    # read NaN, and either way the stage ends where it starts
+    assert rejected == {"rejected_everywhere": 40, "rejected_to_a_number": 40,
+                        "partly_rejected": 20}.get(name, 0)
     if name == "nan_constraint":
         # g is NaN and never penalized (NaN > 0 is False); f = -x2 - 1 is
-        # violated only for x2 < -1
+        # violated only for x2 < -1, so from x2 = 0.5 the stage descends in x2
+        # alone until f holds it near -1 - 1/(2 rho)
         assert math.isnan(values[0])
         x = np.array([850.0, 0.5])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert value_pass(x.tolist(), 10.0) == 0.5
-            assert grad_pass(x.tolist(), 10.0)[0] == 0.5
+            assert value_body(x.tolist(), 10.0) == 0.5
+            assert grad_body(x.tolist(), 10.0)[0] == 0.5
+            (x1, x2), _, passes = stage(x.tolist(), 10.0, solver.STEP0)
+        assert x1 == 850.0 and -1.06 < x2 < -1.04 and passes > 1
 
 
 def test_penalty_gradient_pass_skips_satisfied_constraints():
-    # sqrt(x1) has no gradient at x1 = 0; the pass takes a working
-    # constraint's gradient only where it is violated
+    # sqrt(x1) has no gradient at x1 = 0; the gradient body takes a working
+    # constraint's gradient only where it is violated, so the stage steps down
+    # x2 from where it holds and stops at once where it is violated
     for body, xs, violated in (("sqrt(x1) - 5", [0.0, 0.0], False),
                                ("sqrt(x1) + x2", [0.0, 1.0], True)):
         inst = loads_instance(f"[problem]\nvars = x1 x2\nminimize = x1^2 + x2\n"
                               f"[constraints]\ng1 = {body}\n")
         working = [solver._constraint_for(inst, IndexId(0, 0.0, "g1"))]
-        _, grad_pass = solver._penalty_pair(inst, working)
+        stage = solver._penalty_stage(inst, working)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as inside solve()
-            val, grad = grad_pass(xs, 10.0)
+            got = stage(xs, 10.0, solver.STEP0)
         if violated:  # the sqrt gradient at zero rejects the point
-            assert math.isnan(val) and len(grad) == 2 and all(map(math.isnan, grad))
-        else:
-            assert (val, grad) == (0.0, (0.0, 1.0))
+            assert got == (xs, solver.STEP0, 1)
+        else:  # the gradient is (0, 1) all the way: a unit step each pass
+            assert got == ([0.0, -80.0], solver.STEP0, solver.MAX_INNER)
 
 
 ZERO_TANGENT = re.compile(r"\b0\.0 \*|[-+*] 0\.0\b")
 
 
-def test_no_generated_line_operates_on_a_zero_tangent(monkeypatch):
-    # a structurally zero partial drops out of every sum and product, so no
-    # kernel of a bundled body and no penalty pass multiplies or adds +0.0
+def _generated_sources(monkeypatch) -> list:
+    """The source of every function lowered from now on, in order."""
     sources, source_of = [], ex._Lowering.source
     monkeypatch.setattr(ex._Lowering, "source",
                         lambda lowering, *args: sources.append(source_of(lowering, *args))
                         or sources[-1])
+    return sources
+
+
+def _stages_of(insts):
+    """The penalty stage of each instance on 7 constraints spread over its scan."""
+    for inst in insts:
+        lo, hi = inst.box_bounds()
+        scan = scan_constraints(inst, 0.5 * (lo + hi))
+        rows = np.unique(np.linspace(0, len(scan.value) - 1, 7).astype(int))
+        solver._penalty_stage(inst, [solver._constraint_for(inst, scan.index_id(int(r)))
+                                     for r in rows])
+
+
+def test_no_generated_line_operates_on_a_zero_tangent(monkeypatch):
+    # a structurally zero partial drops out of every sum and product, so no
+    # kernel of a bundled body and no penalty stage multiplies or adds +0.0
+    sources = _generated_sources(monkeypatch)
     for path in sorted(INSTANCES.glob("*.sip")):
         inst = load_instance(path)
         bodies = [inst.cost.body, *(b for _, b in inst.fixed),
@@ -468,14 +522,24 @@ def test_no_generated_line_operates_on_a_zero_tangent(monkeypatch):
             for grad in (False, True):
                 for masked in (False, True):
                     ex._compile(body, inst.dim, grad, masked)
-        lo, hi = inst.box_bounds()
-        scan = scan_constraints(inst, 0.5 * (lo + hi))
-        rows = np.unique(np.linspace(0, len(scan.value) - 1, 7).astype(int))
-        solver._penalty_pair(inst, [solver._constraint_for(inst, scan.index_id(int(r)))
-                                    for r in rows])
-    assert sum(text.startswith("def kernel(xs, rho)") for text in sources) == 4 * 2
+    _stages_of(map(load_instance, sorted(INSTANCES.glob("*.sip"))))
+    assert sum(text.startswith("def kernel(xs, rho, step)") for text in sources) == 4
     for text in sources:
         assert not ZERO_TANGENT.search(text), text
+
+
+ONE_FACTOR = re.compile(r"\* 1\.0(?![\d.e])|(?<![-\w.])1\.0 \*")
+
+
+def test_no_generated_stage_line_multiplies_by_one(monkeypatch):
+    # a partial of 1.0 scales the penalty's 2 * rho * v as it is: v * 1.0 == v exactly
+    sources = _generated_sources(monkeypatch)
+    _stages_of([*map(load_instance, sorted(INSTANCES.glob("*.sip"))),
+                *map(loads_instance, (MAX_COST, NAMED))])
+    stages = [text for text in sources if text.startswith("def kernel(xs, rho, step)")]
+    assert len(stages) == 6
+    for text in stages:
+        assert not ONE_FACTOR.search(text), text
 
 
 def test_working_constraint_reads_a_nan_value_as_inf():
@@ -512,9 +576,8 @@ def test_descent_from_a_rejected_start_returns_it_bit_for_bit():
     # at t = 0.3 log(t - 0.5) raises at every x, so every stage stops at the start
     inst = loads_instance(finite_family("log(t - 0.5)*x1 - x2", "0.3"))
     working = [solver._constraint_for(inst, IndexId(0, 0.3, "g(0.3)", "g"))]
-    pair = solver._penalty_pair(inst, working)
     x0 = np.array([0.1234567, -1.9876543])
-    x = solver._penalty_descent(inst, working, pair, x0)
+    x = solver._penalty_descent(inst, working, x0)
     assert x.tobytes() == x0.tobytes() and x is not x0
 
 
@@ -522,17 +585,16 @@ def test_descent_whose_gradient_norm_overflows_returns_its_start():
     # each partial squares to 1e308 and their sum overflows, on which math.fsum
     # raises; the norm reads inf, so no step is accepted, as when numpy summed it
     inst = loads_instance(finite_family("x1 - 9", "0").replace("x1^2 + x2", "1e154*(x1 + x2)"))
-    pair = solver._penalty_pair(inst, [])
     x0 = np.array([0.25, -0.5])
     assert 1e154**2 * 2 == math.inf
-    x = solver._penalty_descent(inst, [], pair, x0)
+    x = solver._penalty_descent(inst, [], x0)
     assert x.tobytes() == x0.tobytes()
 
 
 def test_descent_iterates_on_python_floats(monkeypatch):
     # sin's partials are numpy scalars, which must not leak into the iterate
     seen = set()
-    _watch_gradient_pass(monkeypatch, lambda xs: seen.update(map(type, xs)))
+    _watch_stages(monkeypatch, lambda xs, step, n: seen.update(map(type, xs)))
     solve(loads_instance(MAX_COST), SolverConfig(max_outer=2, multistart=1, seed=0))
     assert seen == {float}
 
@@ -560,36 +622,46 @@ ceiling_band(tau) = sqrt(tau + 1)*tau*x1 - x2^3
 balance_eq = x1 - 2*x2 + 1
 """
 
-GENERATED_NAME = re.compile(r"(def|if|return|kernel|xs|rho|val|s|r2|k|bad|False|np|sin|cos|exp"
-                            r"|log|sqrt|[xvg]\d+|_\w+)$")
+GENERATED_NAME = re.compile(r"(def|if|not|and|for|in|break|try|except|return|True|False|kernel"
+                            r"|xs|rho|step|passes|val|trial|gnorm|t|stalled|r2|k|bad|np|sin|cos"
+                            r"|exp|log|sqrt|[xvgcd]\d+|_\w*)$")
 
 
-def test_penalty_pair_lives_for_one_working_set_and_holds_no_names(monkeypatch):
-    built, sources = [], []
-    pair_of, source_of = solver._penalty_pair, ex._Lowering.source
+def test_penalty_stage_lives_with_the_instance_and_holds_no_names(monkeypatch):
+    # a stage is kept on its instance, so a second solve compiles no working
+    # set again; it holds neither the instance nor a working constraint
+    stages, compiled, refs = [], [], []
+    stage_of, function_of = solver._penalty_stage, ex._Lowering.function
+    sources = _generated_sources(monkeypatch)
 
-    def recording_pair(inst, working):
-        pair = pair_of(inst, working)
+    def recording_stage(inst, working):
+        stage = stage_of(inst, working)
         kernels = [f for wc in working for f in (wc.value, wc.grad)]
-        built.append([weakref.ref(obj) for obj in (*pair, *working, *kernels)])
-        return pair
+        stages.append(weakref.ref(stage))
+        refs.extend(weakref.ref(obj) for obj in (*working, *kernels))
+        return stage
 
-    def recording_source(lowering, params, out):
-        text = source_of(lowering, params, out)
-        if params == "xs, rho":
-            sources.append(text)
-        return text
+    def recording_function(lowering, params, *args, **extra):
+        compiled.append(params)
+        return function_of(lowering, params, *args, **extra)
 
-    monkeypatch.setattr(solver, "_penalty_pair", recording_pair)
-    monkeypatch.setattr(ex._Lowering, "source", recording_source)
-    _, trace = solve(loads_instance(NAMED), SolverConfig(max_outer=6, multistart=2, seed=0))
-    # one pair per distinct working set, though some outer iterations repeat one
-    distinct = {tuple(r.working) for r in trace.records}
-    assert len(built) == len(distinct) >= 2 and len(trace.records) > len(distinct)
-    assert len(sources) == 2 * len(built)
+    monkeypatch.setattr(solver, "_penalty_stage", recording_stage)
+    monkeypatch.setattr(ex._Lowering, "function", recording_function)
+    inst = loads_instance(NAMED)
+    records = [r for seed in (0, 1)
+               for r in solve(inst, SolverConfig(max_outer=6, multistart=2, seed=seed))[1].records]
+    distinct = {tuple(r.working) for r in records}
+    assert compiled.count("xs, rho, step") == len(distinct) >= 2 and len(records) > len(distinct)
+    assert sorted(vars(inst)["_stages"]) == sorted(distinct)
     gc.collect()
-    assert [ref() for refs in built for ref in refs] == [None] * sum(map(len, built))
-    for text in sources:
+    assert [ref() for ref in refs] == [None] * len(refs)  # gone with the solves
+    assert None not in [ref() for ref in stages]
+    owner = weakref.ref(inst)
+    del inst  # no cycle holds it: the stages refer to no instance
+    assert owner() is None and [ref() for ref in stages] == [None] * len(stages)
+    texts = [text for text in sources if text.startswith("def kernel(xs, rho, step)")]
+    assert len(texts) == len(distinct)
+    for text in texts:
         assert not any(name in text for name in ("floor_guard", "ceiling_band", "tau",
                                                  "balance_eq"))
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
