@@ -113,7 +113,6 @@ def memberships(cone: GeneratedCone, vectors, tol: float = 1e-9, separators=None
 
 
 THETA_TOL = 1e-3
-K_TAIL = 16
 RESIDUAL_TOL = 1e-6
 ATTAIN_TOL = 1e-9
 
@@ -129,72 +128,59 @@ def _attained(ref: np.ndarray, direction) -> bool:
     return bool(np.any(row_norms(ref - direction) <= ATTAIN_TOL))
 
 
-def accumulation_rays(params, vectors, *, attained_dirs):
-    """Limit directions of one tail ladder.
+def accumulation_rays(params, vectors, *, attained_dirs) -> Ray | None:
+    """The limit direction of one tail ladder, or None.
 
-    ``params`` fall strictly to 0, one per row of ``vectors``. The last K_TAIL
-    normalized rows are Richardson-extrapolated pairwise and the estimates
-    clustered at angular tolerance THETA_TOL; only clusters whose tail
-    estimates agree to RESIDUAL_TOL survive. A ray is attained when it lies
-    within chord distance ATTAIN_TOL of a row of ``attained_dirs``, the unit
-    directions the materialized generators realize. Returns (rays, ok); an
-    inconclusive extrapolation gives ([], False)."""
+    ``params`` fall strictly to 0, one per row of ``vectors``. The last four
+    rows with a direction are Richardson-extrapolated pairwise, and the
+    normalized mean of the (up to three) estimates is the limit when
+    consecutive estimates agree to RESIDUAL_TOL; a lone estimate must agree
+    with the last row instead. A sequence has one limit, and only its tail
+    decides it: two finite unit rows at distinct parameters give a finite
+    nonzero estimate, so more rows would not change the last three. The ray
+    is attained when it lies within chord distance ATTAIN_TOL of a row of
+    ``attained_dirs``, the unit directions the materialized generators
+    realize."""
     units = unit_vectors(vectors)
     keep = ~np.isnan(units[:, 0])
-    s, u = np.asarray(params, dtype=float)[keep][-K_TAIL:], units[keep][-K_TAIL:]
+    s, u = np.asarray(params, dtype=float)[keep][-4:], units[keep][-4:]
     s1, s2 = s[:-1, None], s[1:, None]
-    estimates = _unit_rows((s1 * u[1:] - s2 * u[:-1]) / (s1 - s2))
-    clusters: list[list[np.ndarray]] = []
-    for est in estimates:
-        for cl in clusters:
-            if _angle(est, cl[0]) <= THETA_TOL:
-                cl.append(est)
-                break
-        else:
-            clusters.append([est])
-    rays: list[Ray] = []
-    for cl in clusters:
-        # the cluster sits within THETA_TOL of cl[0], so its mean is not 0
-        rep = unit_vectors(np.mean(cl[-3:], axis=0))
-        if len(cl) >= 2:
-            # the tail estimates of a convergent cluster must agree
-            tail = cl[-3:]
-            resid = max(_angle(a, b) for a, b in zip(tail, tail[1:]))
-        else:
-            # an uncorroborated single estimate only counts if the raw tail
-            # already sits on it
-            resid = _angle(cl[0], u[-1])
-        if resid <= RESIDUAL_TOL:
-            rays.append(Ray(rep, "extrapolated", _attained(attained_dirs, rep)))
-    return rays, bool(rays)
+    est = _unit_rows((s1 * u[1:] - s2 * u[:-1]) / (s1 - s2))
+    if not len(est):
+        return None
+    pairs = zip(est, est[1:]) if len(est) > 1 else [(est[0], u[-1])]
+    if max(_angle(a, b) for a, b in pairs) > RESIDUAL_TOL:
+        return None
+    # the estimates agree, so their mean is not 0
+    ray = unit_vectors(np.mean(est, axis=0))
+    return Ray(ray, "extrapolated", _attained(attained_dirs, ray))
 
 
 def family_rays(scan: ConstraintScan, fam: FamilyScan, vectors, ladders, attained_dirs):
     """The limit rays of one family, one tail ladder at a time: each ladder k
-    in ``ladders`` is extrapolated from its own rows of ``vectors`` (the
-    gradients or their lift, one row per tail row of the scan, in scan order),
-    whose parameter falls to 0. A family open at both ends thus gets up to two
-    rays, each with its own ladder's value limit; a ray within THETA_TOL of an
-    earlier one merges into it and keeps the larger value limit.
-    ``attained_dirs`` is normalized here, once. Returns (rays, ok), where ok
-    says every ladder extrapolated."""
+    in ``ladders`` is extrapolated from its slice ``fam.ladders[k]`` of
+    ``vectors`` (the gradients or their lift, one row per scan row), whose
+    parameter falls to 0. Each ladder has one limit, so a family open at both
+    ends gets up to two rays, each with its own ladder's value limit; a ray
+    within THETA_TOL of an earlier one merges into it and keeps the larger
+    value limit. ``attained_dirs`` is normalized here, once. Returns (rays,
+    ok), where ok says every ladder extrapolated."""
     ref = _unit_rows(attained_dirs)
     rays: list[Ray] = []
     ok = True
     for k in ladders:
-        rows = (scan.block == fam.block) & (scan.ladder == k)
-        found, ladder_ok = accumulation_rays(scan.param[rows], vectors[rows[scan.tail]],
-                                             attained_dirs=ref)
-        ok = ok and ladder_ok
-        vlimit, _ = scan.tail_limit(fam.ladders[k])
-        for ray in found:
-            j = next((j for j, r in enumerate(rays)
-                      if _angle(r.direction, ray.direction) <= THETA_TOL), len(rays))
-            if j < len(rays):
-                rays[j] = replace(rays[j], value_limit=max(rays[j].value_limit, vlimit))
-            else:
-                label = f"{fam.name}:limit-ray-{j}"
-                rays.append(replace(ray, label=label, value_limit=vlimit))
+        rows = fam.ladders[k]
+        ray = accumulation_rays(scan.param[rows], vectors[rows], attained_dirs=ref)
+        if ray is None:
+            ok = False
+            continue
+        vlimit, _ = scan.tail_limit(rows)
+        j = next((j for j, r in enumerate(rays)
+                  if _angle(r.direction, ray.direction) <= THETA_TOL), len(rays))
+        if j < len(rays):
+            rays[j] = replace(rays[j], value_limit=max(rays[j].value_limit, vlimit))
+        else:
+            rays.append(replace(ray, label=f"{fam.name}:limit-ray-{j}", value_limit=vlimit))
     return rays, ok
 
 
@@ -213,12 +199,12 @@ def _angle(u: np.ndarray, v: np.ndarray) -> float:
 
 def augmented_generators(scan: ConstraintScan):
     """Value-augmented coefficient vectors (grad, <grad, x> - g(x)) at the
-    scan's point: (columns (d+1, m) over the base materialization, the lift of
-    the tail-ladder rows for `family_rays`). A gradient that is not finite
+    scan's point: (columns (d+1, m) over the base materialization, the lift
+    of every scan row for `family_rays`). A gradient that is not finite
     lifts to a column that is not finite, with no RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
         lift = np.hstack([scan.grad, (row_dot(scan.grad, scan.x) - scan.value)[:, None]])
-    return np.ascontiguousarray(lift[scan.grid(level=0)].T), lift[scan.tail]
+    return np.ascontiguousarray(lift[scan.grid(level=0)].T), lift
 
 
 NORM_RATIO_CAP = 1e3

@@ -292,7 +292,7 @@ def check_nfmcq(
     or not, so any generator that is not finite gives Unknown before an LP.
     """
     scan = scan or scan_constraints(inst, x)
-    cols, tail_lift = augmented_generators(scan)
+    cols, lift = augmented_generators(scan)
     reason = NONFINITE_ACTIVE if _nonfinite_active(scan) else None
     if reason is None and not np.isfinite(cols).all():
         reason = NONFINITE_GENERATOR
@@ -302,7 +302,7 @@ def check_nfmcq(
     rays = []
     extrap_ok = True
     for fam in scan.families:
-        fam_rays, ok = family_rays(scan, fam, tail_lift, range(len(fam.ladders)), cols.T)
+        fam_rays, ok = family_rays(scan, fam, lift, range(len(fam.ladders)), cols.T)
         rays.extend(fam_rays)
         # a truncated family without tail ladders has nothing to extrapolate
         extrap_ok = extrap_ok and ok and (fam.complete or fam.compact or bool(fam.ladders))
@@ -348,13 +348,10 @@ def _strong_slater(inst: SipInstance, x, scan: ConstraintScan | None = None) -> 
     return None
 
 
-def _affine_projector(inst: SipInstance):
-    """Projection onto the affine equality set, or identity when empty."""
-    if not len(inst.equalities):
+def _affine_projector(J: np.ndarray, c: np.ndarray):
+    """Projection onto {y : J y + c = 0}, or identity without equalities."""
+    if not len(c):
         return lambda x: x
-    n = inst.dim
-    J = inst.eq_jacobian(np.zeros(n))
-    c = inst.eq_values(np.zeros(n))
 
     def project(x):
         resid = J @ x + c
@@ -362,6 +359,15 @@ def _affine_projector(inst: SipInstance):
         return x - corr
 
     return project
+
+
+def _rejected_equality(rows: np.ndarray, where: str) -> SscResult | None:
+    """Unknown when a row of ``rows``, the masked equality reads at ``where``,
+    is not finite, as where an equality's expression rejects the point."""
+    if np.isfinite(rows).all():
+        return None
+    return SscResult(Verdict.UNKNOWN, None, None, f"an equality is rejected or not finite at "
+                     f"{where}, so the Slater search cannot project onto the equality set")
 
 
 def _slater_cuts(inst: SipInstance) -> SscResult:
@@ -376,13 +382,25 @@ def _slater_cuts(inst: SipInstance) -> SscResult:
     doubles about its center. An iterate whose worst row or gradient is not
     finite adds no cut, and the next iterate is the midpoint between it and
     the last iterate that added one. A cut, a growth and a backtrack each
-    spend one of _SSC_CUTS steps. Unknown, with the reason, when the budget
-    is spent, the projected origin gives no cut, or the LP fails."""
-    project = _affine_projector(inst)
+    spend one of _SSC_CUTS steps. Unknown, with the reason, when an equality
+    is rejected at the origin or at the projected box center (the equality
+    set is projected onto with the Jacobian and values read there), the
+    budget is spent, the projected origin gives no cut, or the LP fails."""
+    zero = np.zeros(inst.dim)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        J0, c0 = inst.eq_jacobian(zero, masked=True), inst.eq_values(zero, masked=True)
+    rejected = _rejected_equality(np.column_stack([J0, c0]), "the origin")
+    if rejected is not None:
+        return rejected
+    project = _affine_projector(J0, c0)
     lo, hi = inst.box_bounds()
     center, radius = project(0.5 * (lo + hi)), 0.5 * (hi - lo)
-    J = inst.eq_jacobian(center)
-    x, anchor, grow = project(np.zeros(inst.dim)), None, False
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        J = inst.eq_jacobian(center, masked=True)
+    rejected = _rejected_equality(J, "the projected box center")
+    if rejected is not None:
+        return rejected
+    x, anchor, grow = project(zero), None, False
     points, ids, grads, offsets = [], [], [], []
     for _ in range(_SSC_CUTS):
         if grow:

@@ -171,12 +171,13 @@ class SipInstance:
                 if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                     raise InstanceError("box range needs finite lower < upper")
 
-    # equality block helpers
-    def eq_values(self, x) -> np.ndarray:
-        return np.array([float(ex.eval_value(c, x)) for c in self.equalities.components])
+    # equality block helpers; with ``masked`` an entry the expression rejects is NaN
+    def eq_values(self, x, *, masked: bool = False) -> np.ndarray:
+        return np.array([float(ex.eval_value(c, x, masked=masked))
+                         for c in self.equalities.components])
 
-    def eq_jacobian(self, x) -> np.ndarray:
-        rows = [ex.eval_grad(c, x)[1] for c in self.equalities.components]
+    def eq_jacobian(self, x, *, masked: bool = False) -> np.ndarray:
+        rows = [ex.eval_grad(c, x, masked=masked)[1] for c in self.equalities.components]
         return np.array(rows, dtype=float).reshape(len(rows), self.dim)
 
     def _read(self, bodies, x) -> list[float]:
@@ -279,10 +280,6 @@ class ConstraintScan:
                 grad[rows] = ex.eval_grad(
                     body, self.x, name and {name: self.t[rows]}, masked=True)[1]
         return grad
-
-    @property
-    def tail(self) -> np.ndarray:
-        return self.ladder >= 0
 
     @cached_property
     def grad_norms(self) -> np.ndarray:

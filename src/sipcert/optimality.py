@@ -42,6 +42,7 @@ from .model import (
     scan_constraints,
 )
 
+__all__ = ["membership"]  # perfbench's tracer test reads this binding of cones.membership
 
 STATIONARITY_TOL = 1e-9
 NONFINITE_COLUMN = "a normal-cone column is not finite"
@@ -88,10 +89,6 @@ class NormalConeRep:
         return [isinstance(out, FeasibilityCertificate)
                 for out in memberships(self.cone, dirs, tol, separators)]
 
-    def member(self, v, tol: float = 1e-6) -> bool:
-        """`members` of one vector, with no separators to share: one LP."""
-        return self.finite and isinstance(membership(self.cone, v, tol), FeasibilityCertificate)
-
 
 @dataclass
 class KktCertificate:
@@ -135,7 +132,7 @@ def _family_rays(scan: ConstraintScan, attained_dirs) -> list[Ray]:
             vlimit = max((limits[k][0] for k in good), default=0.0)
             out.extend(declared_rays(fam, vlimit, attained_dirs))
             continue
-        rays, ok = family_rays(scan, fam, scan.grad[scan.tail], good, attained_dirs)
+        rays, ok = family_rays(scan, fam, scan.grad, good, attained_dirs)
         if ok:
             out.extend(rays)
     return out

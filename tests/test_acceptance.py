@@ -88,7 +88,7 @@ def stabilized_cone():
     inst = countable_cubic()
     cq = cq_summary(inst, XBAR)
     pert = normal_cone(inst, XBAR, variant="perturbed", cq=cq)
-    in_cone = [pert.member(v, tol=1e-6) for v in COMPASS]
+    in_cone = [pert.members([v], 1e-6)[0] for v in COMPASS]
     return inst, cq, pert, in_cone
 
 
@@ -153,7 +153,7 @@ def test_criterion_02_interval_ramp_pipeline(ramp_cq):
                                             radius=1e-3, seed=2)
         assert probe.status == "ok"
         assert probe.quotient <= 1e-3
-        assert not rep.member(down, tol=1e-6)
+        assert not rep.members([down], 1e-6)[0]
 
         assert elapsed < 5.0, f"pipeline took {elapsed:.2f}s"
 
@@ -168,13 +168,13 @@ def test_criterion_03_cone_equality_probes(stabilized_cone):
             in_quadrant = v[0] >= -tol and v[1] <= tol
             assert got == in_quadrant, f"perturbed disagrees at {v}"
             on_halfline = v[0] >= -tol and abs(v[1]) <= tol
-            assert unpert.member(v, tol=tol) == on_halfline, (
+            assert unpert.members([v], tol)[0] == on_halfline, (
                 f"unperturbed disagrees at {v}"
             )
         for v in ([1.0, -1.0], [0.0, -1.0]):
             v = np.asarray(v)
-            assert pert.member(v, tol=tol)
-            assert not unpert.member(v, tol=tol)
+            assert pert.members([v], tol)[0]
+            assert not unpert.members([v], tol)[0]
 
 
 def test_criterion_04_parabola_band(parabola_cq):

@@ -246,6 +246,29 @@ def test_slater_search_domain_error_is_not_a_crash(tmp_path, capsys):
     assert model.scan_constraints(model.load_instance(path), point).argmax()[0] < 0.0
 
 
+def test_equality_rejected_at_the_origin_is_not_blamed_on_the_point(tmp_path, capsys):
+    # h and its gradient are defined at (0.5, 0.5), but sqrt(x1) has no
+    # gradient at the origin, where the Slater search projects from
+    import jsonschema
+
+    path = tmp_path / "sqrt_eq.sip"
+    path.write_text(
+        "[problem]\nvars = x1 x2\nminimize = x1^2 + x2^2\nconvex = true\nbox = -2 2 ; -2 2\n\n"
+        "[constraints]\ng1 = x1 - 1.5\n\n"
+        "[equalities]\naffine = true\nh = x1 + x2 - 1 + 0*sqrt(x1)\n"
+    )
+    code, out, err = run_cli(
+        ["analyze", str(path), "--point=0.5,0.5", "--report=json", "--deterministic"], capsys
+    )
+    assert code == EXIT_OK and err == ""
+    doc = json.loads(out)
+    jsonschema.validate(doc, json.loads(SCHEMA.read_text()))
+    ssc = doc["cq"]["ssc"]
+    assert ssc["verdict"] == "unknown"
+    assert ssc["reason"].startswith("an equality is rejected or not finite at the origin")
+    assert doc["cq"]["pmfcq"]["verdict"] == "holds"
+
+
 def test_seed_leaves_the_slater_search_alone(capsys):
     # --seed moves the moduli samples and probe directions, not cq.ssc
     docs = []

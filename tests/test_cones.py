@@ -17,7 +17,7 @@ from sipcert.cones import (
     memberships,
 )
 from sipcert.linsolve import ConeRefutation, FeasibilityCertificate
-from sipcert.model import FamilyScan, scan_constraints, unit_vectors
+from sipcert.model import FamilyScan, _ladder_exponents, scan_constraints, unit_vectors
 from sipcert.optimality import _family_rays
 
 from test_model import countable_cubic, interval_ramp, open_interval
@@ -173,26 +173,37 @@ def tail_rays(samples):
 class TestAccumulationRays:
     def test_reciprocal_tail(self):
         samples = [(1.0 / n, np.array([1.0 / n, -1.0])) for n in range(2, 200)]
-        rays, ok = tail_rays(samples)
-        assert ok and len(rays) == 1
-        np.testing.assert_allclose(rays[0].direction, [0.0, -1.0], atol=1e-6)
-        assert not rays[0].attained
-        assert rays[0].provenance == "extrapolated"
+        ray = tail_rays(samples)
+        assert ray is not None
+        np.testing.assert_allclose(ray.direction, [0.0, -1.0], atol=1e-6)
+        assert not ray.attained
+        assert ray.provenance == "extrapolated"
 
     def test_constant_sequence_attained(self):
         samples = [(1.0 / n, np.array([1.0, 0.0])) for n in range(2, 40)]
-        rays, ok = tail_rays(samples)
-        assert ok and len(rays) == 1
-        np.testing.assert_allclose(rays[0].direction, [1.0, 0.0], atol=1e-9)
-        assert rays[0].attained
+        ray = tail_rays(samples)
+        assert ray is not None
+        np.testing.assert_allclose(ray.direction, [1.0, 0.0], atol=1e-9)
+        assert ray.attained
 
     def test_scaling_family_attained_direction(self):
         ts = np.linspace(1e-3, 1.0, 60)[::-1]
         samples = [(t, np.array([t, 0.0])) for t in ts]
-        rays, ok = tail_rays(samples)
-        assert ok and len(rays) == 1
-        np.testing.assert_allclose(rays[0].direction, [1.0, 0.0], atol=1e-9)
-        assert rays[0].attained
+        ray = tail_rays(samples)
+        assert ray is not None
+        np.testing.assert_allclose(ray.direction, [1.0, 0.0], atol=1e-9)
+        assert ray.attained
+
+    def test_an_early_plateau_is_not_a_limit(self):
+        # a ladder on (1, 0) that turns to (1, 1) for good has the one limit
+        # (1, 1)/sqrt(2); the plateau its early rows sit on is no second ray
+        ks = _ladder_exponents(5)
+        samples = [(10.0 ** -k, [1.0, 0.0] if k <= 9 else [1.0, 1.0]) for k in ks]
+        assert ks[0] <= 9 < ks[-4]
+        ray = tail_rays(samples)
+        assert isinstance(ray, Ray)
+        np.testing.assert_allclose(ray.direction, [math.sqrt(0.5)] * 2, atol=1e-15)
+        assert ray.attained
 
     @pytest.mark.parametrize(
         "v", [[0.2941325, 0.02842224, 0.54671299], [0.21327155, 0.45899312, 0.08724998]]
@@ -229,22 +240,20 @@ class TestAccumulationRays:
         samples = [
             (1.0 / n, np.array([math.cos(n * 2.0), math.sin(n * 2.0)])) for n in range(2, 60)
         ]
-        rays, ok = tail_rays(samples)
-        assert rays == [] and not ok
+        assert tail_rays(samples) is None
 
     def test_too_few_samples(self):
-        rays, ok = tail_rays([(0.5, np.array([1.0, 0.0]))])
-        assert rays == [] and not ok
+        assert tail_rays([(0.5, np.array([1.0, 0.0]))]) is None
 
     def test_two_estimates_must_agree(self):
         # the two Richardson estimates sit about 5e-4 rad apart, far above
-        # residual_tol, so the cluster is not corroborated
+        # RESIDUAL_TOL, so they give no limit
         turn = [math.cos(2.5e-4), math.sin(2.5e-4)]
         samples = [(1.0, [1.0, 0.0]), (0.5, [1.0, 0.0]), (0.25, turn)]
-        assert tail_rays(samples) == ([], False)
-        rays, ok = tail_rays([(1.0, [1.0, 0.0]), (0.5, [1.0, 0.0]), (0.25, [1.0, 0.0])])
-        assert ok and len(rays) == 1
-        np.testing.assert_allclose(rays[0].direction, [1.0, 0.0])
+        assert tail_rays(samples) is None
+        ray = tail_rays([(1.0, [1.0, 0.0]), (0.5, [1.0, 0.0]), (0.25, [1.0, 0.0])])
+        assert ray is not None
+        np.testing.assert_allclose(ray.direction, [1.0, 0.0])
 
 
 class TestFamilyRays:
@@ -253,7 +262,7 @@ class TestFamilyRays:
         inst = open_interval("t*x1 + (1-t)*x2 - (1-t)^2")
         scan = scan_constraints(inst, np.zeros(2))
         fam = scan.families[0]
-        rays, ok = family_rays(scan, fam, scan.grad[scan.tail], [0, 1], scan.grad[scan.grid()])
+        rays, ok = family_rays(scan, fam, scan.grad, [0, 1], scan.grad[scan.grid()])
         assert ok and len(rays) == 2
         np.testing.assert_allclose(rays[0].direction, [0.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(rays[1].direction, [1.0, 0.0], atol=1e-12)
@@ -269,7 +278,7 @@ class TestFamilyRays:
         limits = [scan.tail_limit(rows)[0] for rows in fam.ladders]
         assert limits == pytest.approx([0.0, -1.0], abs=1e-12)
         for order in ([0, 1], [1, 0]):
-            rays, ok = family_rays(scan, fam, scan.grad[scan.tail], order, scan.grad[scan.grid()])
+            rays, ok = family_rays(scan, fam, scan.grad, order, scan.grad[scan.grid()])
             assert ok and len(rays) == 1
             np.testing.assert_allclose(rays[0].direction, [0.0, -1.0], atol=1e-12)
             assert rays[0].value_limit == pytest.approx(0.0, abs=1e-12)
@@ -279,7 +288,7 @@ class TestFamilyRays:
         scan = scan_constraints(inst, np.zeros(2))
         fam = scan.families[0]
         scan.grad[(scan.block == fam.block) & (scan.ladder == 1)] = 0.0
-        rays, ok = family_rays(scan, fam, scan.grad[scan.tail], [0, 1], scan.grad[scan.grid()])
+        rays, ok = family_rays(scan, fam, scan.grad, [0, 1], scan.grad[scan.grid()])
         assert not ok and len(rays) == 1
         np.testing.assert_allclose(rays[0].direction, [0.0, 1.0], atol=1e-12)
 
@@ -295,10 +304,13 @@ class TestAugmentedGenerators:
         for j in range(1, cols.shape[1]):
             t = cols[0, j]
             np.testing.assert_allclose(cols[:, j], [t, 0.0, 0.0], atol=1e-12)
-        # the tail-ladder rows' lift, (t, 0, 0) with t -> 0
-        assert lift.shape == (np.count_nonzero(scan.tail), 3) and len(lift)
-        np.testing.assert_array_equal(lift[:, 0], scan.t[scan.tail])
-        np.testing.assert_allclose(lift[:, 1:], 0.0, atol=1e-12)
+        # the lift has one row per scan row; the tail-ladder rows' lift is
+        # (t, 0, 0) with t -> 0
+        assert lift.shape == (len(scan.t), 3)
+        tail = lift[scan.ladder >= 0]
+        assert tail.shape == (np.count_nonzero(scan.ladder >= 0), 3) and len(tail)
+        np.testing.assert_array_equal(tail[:, 0], scan.t[scan.ladder >= 0])
+        np.testing.assert_allclose(tail[:, 1:], 0.0, atol=1e-12)
 
     def test_countable_cubic_lift(self):
         inst = countable_cubic(truncation=10)

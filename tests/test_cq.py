@@ -36,6 +36,7 @@ from sipcert.model import (
     scan_constraints,
     with_grid,
 )
+from sipcert.optimality import normal_cone
 
 from test_model import GOLDEN_POINTS, countable_cubic, interval_ramp, open_interval
 
@@ -114,6 +115,46 @@ class TestPmfcq:
         assert censored
         assert min(t.eps for t in censored) <= 1e-7
 
+    def test_member_censor_at_an_unresolved_peak(self):
+        # the grid holds the peak t = 0.5 of x1 - (t - 0.5)^2, an active member
+        # at every eps, but its second difference leaves a value resolution
+        # delta of about 1e-6: an eps of at most 10 delta is censored there
+        inst = _family_instance("x1 - (t - 0.5)^2", "t",
+                                IntervalGridIndexSet(0.0, 1.0, resolution=65, refinements=3))
+        scan = scan_constraints(inst, np.zeros(2))
+        res = check_pmfcq(inst, np.zeros(2), scan=scan)
+        vals = scan.value[scan.grid(block=scan.families[0].block)]
+        delta = cq_module._value_resolution(vals)
+        assert np.max(vals) == 0.0 and 1e-6 < delta < 1e-5
+        for tr in res.traces:
+            assert tr.status == ("censored" if tr.eps <= 10.0 * delta else "stable")
+            assert tr.margins == ([] if tr.status == "censored" else [1.0] * 4)
+        assert [t.status for t in res.traces].count("censored") == 4
+        assert res.verdict == Verdict.HOLDS and res.stabilized_eps == 0.1
+
+    @pytest.mark.parametrize("case", ["ambiguous", "beyond_truncation"])
+    def test_inconclusive_traces_give_unknown(self, case):
+        if case == "ambiguous":
+            # the gradient turns by 2 rad in a bump of width 1e-4 about the
+            # peak, which only the finest level's parabolic vertex reaches: the
+            # margin drops there from 1 to about 0.64, a single step that
+            # neither holds steady nor decays over three levels
+            th = "2*exp(-((t - 0.4137)/0.0001)^2)"
+            inst = _family_instance(f"x1*cos({th}) + x2*sin({th}) - (t - 0.4137)^2", "t",
+                                    IntervalGridIndexSet(0.0, 1.0, resolution=65, refinements=3))
+            want = ["ambiguous"] * 5 + ["censored"] * 3
+        else:
+            # -10/n stays below -1 on the grid and tends to 0 on the ladder
+            inst = _countable_instance("x1 - 10/n", 10)
+            want = ["censored"] * 8
+        res = check_pmfcq(inst, np.zeros(2))
+        assert [t.status for t in res.traces] == want
+        for tr in res.traces[:want.count("ambiguous")]:
+            assert tr.margins[1:3] == pytest.approx([1.0, 1.0], abs=1e-5)
+            assert 0.6 < tr.margins[3] < 0.7
+        assert res.verdict == Verdict.UNKNOWN and res.witness is None
+        assert res.reason == "margin traces are not conclusive within the refinement budget"
+
     def test_single_constraint_margin_one(self):
         inst = SipInstance(dim=2, cost=SmoothCost(ex.parse("x1")), fixed=(("a", ex.parse("x1")),))
         res = check_pmfcq(inst, np.zeros(2))
@@ -169,6 +210,23 @@ class TestNfmcq:
         np.testing.assert_allclose(rays[1].direction, [1.0, 0.0, 0.0], atol=1e-12)
         assert not any(r.attained for r in rays)
         assert res.verdict == Verdict.FAILS
+
+    def test_an_early_plateau_is_no_limit_ray(self):
+        # the gradient (1, b(t)) has b(1) = 0 and b -> 0 as t -> 0, with a
+        # plateau b = 1 only near t = 1e-8 to 1e-5, between the grid and the
+        # ladder's last rows; the lift's limit (1, 0, 1) is attained at t = 1,
+        # so the plateau must not read as an unattained limit direction
+        inst = model.loads_instance(
+            "[problem]\nvars = x1 x2\nminimize = x1^2 + x2^2\nbox = -2 2 ; -2 2\n\n"
+            "[index t]\nkind = interval\na = 0\nb = 1\ninclude_a = false\n\n"
+            "[constraints]\n"
+            "g(t) = x1 + x2*(1 - t)/((1 + (10000*t)^20)*(1 + (0.0000000001/t)^20)) - 1\n"
+        )
+        res = check_nfmcq(inst, np.zeros(2))
+        assert res.verdict == Verdict.HOLDS
+        assert res.closedness.witness_separator is None
+        assert res.reason.startswith("normalized generators are compact")
+        assert normal_cone(inst, np.zeros(2), variant="unperturbed").valid
 
     def test_equality_block_labelled(self):
         inst = SipInstance(
@@ -332,6 +390,24 @@ class TestSlaterCuts:
         else:
             assert got.verdict == want.verdict == Verdict.HOLDS
             assert got.slater_point.tolist() == want.slater_point.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("term, where", [("sqrt(x1)", "the origin"),
+                                             ("log(0.4 - x1)", "the projected box center")])
+    def test_equality_rejected_where_the_search_projects(self, term, where):
+        # h is defined at the feasible point (0.3, 0.7), but its gradient
+        # (sqrt) or its value (log) is rejected where the search reads it:
+        # Unknown naming the place, or Fails from the equivalence
+        inst = SipInstance(dim=2, cost=SmoothCost(ex.parse("x1^2 + x2^2")), convex=True,
+                           box=((-2.0, 2.0), (-2.0, 2.0)), fixed=(("g1", ex.parse("x1 - 1.5")),),
+                           equalities=EqualityBlock((ex.parse(f"x1 + x2 - 1 + 0*{term}"),),
+                                                    affine=True, names=("h",)))
+        res = check_ssc(inst)
+        assert res.verdict == Verdict.UNKNOWN and res.slater_point is None
+        assert res.reason == (f"an equality is rejected or not finite at {where}, so the "
+                              "Slater search cannot project onto the equality set")
+        failing = PmfcqResult(Verdict.FAILS, [], None, None, None, 0, 0)
+        assert check_ssc(inst, pmfcq=failing).verdict == Verdict.FAILS
+        assert cq_summary(inst, np.array([0.3, 0.7])).pmfcq.verdict == Verdict.HOLDS
 
     def test_cut_bound_agrees_with_highs(self):
         # min s s.t. <f_k, z> + b_k <= s, |z|_inf <= 1, H^T z = 0, against HiGHS

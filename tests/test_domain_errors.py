@@ -99,7 +99,7 @@ class TestScan:
         inst = loads_instance(instance_text(
             "t/(4/exp(t)) - x2 - 1", "kind = countable\nstart = 0\ntruncation = 50\n"))
         scan = scan_constraints(inst, np.zeros(2))
-        assert scan.t[scan.tail].tolist() == [100.0]
+        assert scan.t[scan.ladder >= 0].tolist() == [100.0]
         assert scan.tail_limit(scan.families[0].ladders[0]) == (None, False)
 
 

@@ -1,14 +1,14 @@
 """Source hygiene: no module imports a name it never uses, and no public
-function, class or class field of the package goes unread.
+function, class, method or class field of the package goes unread.
 
 Stdlib ``ast`` scans. Imports are checked over ``src/sipcert`` and
 ``tests``: a name bound by an import counts as used when the module reads it
-anywhere or lists it in ``__all__``. Public top-level definitions are
-checked over ``src/sipcert``: each must be read somewhere in the package or
-be listed in ``__all__``, and what only the tests read lives in
-``tests/oracles.py``. Annotated class fields are checked by name over
-``src/sipcert``: each must be read as an attribute somewhere in the package,
-unless allowlisted. An expression error is caught only at the allowlisted
+anywhere or lists it in ``__all__``. Public top-level definitions, and the
+public methods of top-level classes, are checked over ``src/sipcert``: each
+must be read somewhere in the package or be listed in ``__all__``, and what
+only the tests read lives in ``tests/oracles.py``. Annotated class fields
+are checked by name over ``src/sipcert``: each must be read as an attribute
+somewhere in the package, unless allowlisted. An expression error is caught only at the allowlisted
 places of ``src/sipcert``, so that a rejected constraint row has one rule,
 ``np.linalg`` is read only at the allowlisted places, so that a norm is
 summed coordinate by coordinate and LAPACK rounds a report nowhere else, and
@@ -64,8 +64,10 @@ def test_scan_flags_an_unused_import():
 
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:
-    """Public top-level functions and classes of the given modules that no
-    module reads (as a name or an attribute) and no ``__all__`` lists."""
+    """Public top-level functions and classes of the given modules, and
+    public methods of their top-level classes, that no module reads (as a
+    name or an attribute) and no ``__all__`` lists. A method is matched by
+    name only, so it shares the reads of every name and attribute it equals."""
     defined: dict[str, str] = {}
     read: set[str] = set()
     for module, source in sources.items():
@@ -73,13 +75,17 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined[node.name] = f"{module}:{node.lineno}"
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    defined[f"{node.name}.{item.name}"] = f"{module}:{item.lineno}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             read.update(_all_names(node))
-    return [f"{where}: {name}" for name, where in defined.items() if name not in read]
+    return [f"{where}: {name}" for name, where in defined.items()
+            if name.rsplit(".", 1)[-1] not in read]
 
 
 def test_every_public_definition_is_read():
@@ -93,6 +99,18 @@ def test_scan_flags_an_unread_definition():
         "b.py": "from a import used\nimport a\nused()\nprint(a.ByAttribute)\n",
     }
     assert unread_definitions(sources) == ["a.py:2: unused"]
+
+
+def test_scan_flags_a_method_only_the_tests_read():
+    package = {
+        "a.py": "class A:\n    def used(self): pass\n    def tested(self): pass\n"
+                "    def _private(self): pass\n    @property\n    def shape(self): pass\n"
+                "    def __len__(self): return 0\n",
+        "b.py": "from a import A\nA().used()\nprint(A().shape)\n",
+    }
+    assert unread_definitions(package) == ["a.py:3: A.tested"]
+    # a read in any module given clears it, so the scan is given the package alone
+    assert unread_definitions({**package, "test_a.py": "A().tested()\n"}) == []
 
 
 # annotated class fields that the package itself never reads, and why they stay

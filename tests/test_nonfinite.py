@@ -257,7 +257,7 @@ def test_cone_with_an_infinite_column_answers_no_probe(variant):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = normal_cone(inst, x, variant=variant)
-        answers = [rep.member(v) for v in ([0.0, -1.0], [1.0, 0.0], [0.0, 0.0])]
+        answers = [rep.members([v])[0] for v in ([0.0, -1.0], [1.0, 0.0], [0.0, 0.0])]
         kkt = verify_kkt(inst, x)
     assert answers == [False, False, False]
     assert f"{NONFINITE_COLUMN}; every probe reads as outside the cone" in rep.warnings

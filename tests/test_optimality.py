@@ -73,7 +73,7 @@ class TestNormalCone:
         rep = normal_cone(inst, XBAR, variant="perturbed")
         assert rep.valid
         for v in COMPASS:
-            assert rep.member(v, tol=1e-6) == in_quadrant(v)
+            assert rep.members([v], 1e-6)[0] == in_quadrant(v)
 
     def test_cubic_unperturbed_is_halfline(self):
         inst = countable_cubic()
@@ -81,15 +81,15 @@ class TestNormalCone:
         assert not rep.valid  # closedness qualification fails here
         for v in COMPASS:
             expected = v[0] >= -1e-6 and abs(v[1]) <= 1e-6
-            assert rep.member(v, tol=1e-6) == expected
+            assert rep.members([v], 1e-6)[0] == expected
 
     def test_variants_disagree_on_two_probes(self):
         inst = countable_cubic()
         pert = normal_cone(inst, XBAR, variant="perturbed")
         unpert = normal_cone(inst, XBAR, variant="unperturbed")
         for v in ([1.0, -1.0], [0.0, -1.0]):
-            assert pert.member(np.array(v))
-            assert not unpert.member(np.array(v))
+            assert pert.members([np.array(v)])[0]
+            assert not unpert.members([np.array(v)])[0]
 
     def test_ramp_perturbed_carries_warning_and_misses_normal(self):
         inst = interval_ramp()
@@ -97,7 +97,7 @@ class TestNormalCone:
         assert not rep.valid
         assert rep.warnings
         # (0,-1) is a true normal but the emitted cone refuses it
-        assert not rep.member(np.array([0.0, -1.0]), tol=1e-6)
+        assert not rep.members([np.array([0.0, -1.0])], 1e-6)[0]
 
     @nested_cases
     def test_generator_sets_nested_in_eps(self, name, variant):
@@ -131,7 +131,7 @@ class TestNormalCone:
                            FeasibilityCertificate)
                 for _, mask, rays in rep.per_eps
             )
-            assert rep.member(v, tol=1e-6) == every_eps
+            assert rep.members([v], 1e-6)[0] == every_eps
 
     def test_regular_flag_from_moduli(self):
         inst = countable_cubic(truncation=200)
@@ -142,7 +142,7 @@ class TestNormalCone:
     def test_normalized_variant_runs(self):
         inst = countable_cubic()
         rep = normal_cone(inst, XBAR, variant="normalized")
-        assert rep.member(np.array([1.0, -1.0]))
+        assert rep.members([np.array([1.0, -1.0])])[0]
 
     def test_infeasible_point_raises(self):
         with pytest.raises(ValueError):
@@ -161,8 +161,8 @@ class TestOpenIntervalRays:
         np.testing.assert_allclose(rays[0].direction, [0.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(rays[1].direction, [1.0, 0.0], atol=1e-12)
         assert [r.value_limit for r in rays] == pytest.approx([0.0, 0.0], abs=1e-12)
-        assert rep.member(np.array([1.0, 0.0])) is True
-        assert rep.member(np.array([0.0, 1.0])) is True
+        assert rep.members([np.array([1.0, 0.0])])[0] is True
+        assert rep.members([np.array([0.0, 1.0])])[0] is True
 
     def test_inactive_end_ray_keeps_its_value_limit(self):
         # (0, 1) is the limit at the end t -> 0 where g -> -1, so it is not
@@ -176,8 +176,8 @@ class TestOpenIntervalRays:
         assert rays[0].value_limit == pytest.approx(-1.0)
         assert rays[1].value_limit == pytest.approx(0.0, abs=1e-12)
         assert [r.label for r in rep.cone.limit_rays] == [rays[1].label]
-        assert rep.member(np.array([1.0, 0.0])) is True
-        assert rep.member(np.array([0.0, 1.0])) is False
+        assert rep.members([np.array([1.0, 0.0])])[0] is True
+        assert rep.members([np.array([0.0, 1.0])])[0] is False
 
 
 class TestProbe:
