@@ -117,7 +117,7 @@ class CqReport:
     pmfcq: PmfcqResult
     nfmcq: NfmcqResult
     ssc: SscResult
-    surjective: bool
+    surjective: bool | None  # None: the Jacobian is not finite, so no rank test ran
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -529,6 +529,6 @@ def cq_summary(
         pmfcq=pmfcq,
         nfmcq=nfmcq,
         ssc=ssc,
-        surjective=emfcq.rank == emfcq.eq_count,
+        surjective=None if emfcq.reason == NONFINITE_EQUALITY else emfcq.rank == emfcq.eq_count,
         diagnostics=diagnostics,
     )

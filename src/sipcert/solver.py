@@ -11,11 +11,11 @@ needs more damping is read as a failed polish, as damped-Newton codes read a
 damping factor below their floor (Deuflhard, *Newton Methods for Nonlinear
 Problems*, ch. 3). Everything is seeded and deterministic, and the descent's
 gradient norm is a ``math.fsum``.
-A penalty stage runs as one generated function, one per working set,
-compiled on first use and kept on the instance, so repeated solves of one
-instance compile each working set once. Every reading is masked: a point the
-expression rejects reads NaN, never an error. The Newton polish runs on
-Python floats and reads such a point as ``_bind`` does.
+The whole penalty descent, stage-end test included, is one generated function
+per working set, compiled on first use and kept on the instance, so repeated
+solves of one instance compile each working set once. Every reading is masked:
+a point the expression rejects reads NaN, never an error. The Newton polish
+runs on Python floats and reads such a point as ``_bind`` does.
 """
 
 from __future__ import annotations
@@ -112,14 +112,6 @@ def _constraint_for(inst: SipInstance, idx: IndexId) -> WorkingConstraint:
     return _bind(idx.label, fam.body, inst.dim, {fam.index_name: float(idx.value)})
 
 
-def _square(v: float) -> float:
-    """v ** 2 as a Python float, or inf where that power overflows (it raises, unlike *)."""
-    try:
-        return float(v) ** 2
-    except OverflowError:
-        return math.inf
-
-
 def _penalty(lw, inst: SipInstance, working, grad: bool, at: str, val: str) -> None:
     """Lines that leave in ``val`` the cost plus rho * v^2 for each violated
     working constraint and each equality residual at the coordinates ``at``,
@@ -156,82 +148,78 @@ def _penalty(lw, inst: SipInstance, working, grad: bool, at: str, val: str) -> N
                 add_grad(v, root(wc.body, True, wc.env)[1])
     for h in inst.equalities.components:
         v, partials = root(h, grad, {})
-        # the two bodies round rho * v^2 differently; one form for both would change solver outputs
-        line(f"{val} = {val} + rho * " + (f"_square({t(v)})" if grad else f"{t(v)} * {t(v)}"))
+        line(f"{val} = {val} + rho * {t(v)} * {t(v)}")
         if grad:
             add_grad(v, partials)
 
 
-def _penalty_stage(inst: SipInstance, working):
-    """``stage(xs, rho, step) -> (xs, step, gradient passes)``: up to ``MAX_INNER``
-    Armijo steps down the penalty of ``working`` from the coordinate list ``xs``,
-    ending at a step that lowers it by at most ``STALL_TOL * max(1, |val|)`` or
-    where the gradient norm, a ``math.fsum``, is at most ``1e-10 * max(1, |val|)``
-    or the gradient body rejects the point; no rejected trial point is accepted.
-    Compiled once per working set and kept in ``inst.__dict__``, keyed by the
-    working labels; it holds no reference to the instance or to ``working``."""
-    stages = inst.__dict__.setdefault("_stages", {})
+def _penalty_descent(inst: SipInstance, working):
+    """``descent(xs) -> (xs, gradient passes)``: ``PENALTY_STAGES`` penalty stages
+    of ``working`` from the coordinate list ``xs``, rho starting at ``PENALTY0`` and
+    growing by ``PENALTY_GROWTH`` after each. A stage takes up to ``MAX_INNER``
+    Armijo steps, ending at a step that lowers the penalty by at most
+    ``STALL_TOL * max(1, |val|)`` or where the gradient norm, a ``math.fsum``, is at
+    most ``1e-10 * max(1, |val|)`` or the gradient body rejects the point; no
+    rejected trial point is accepted. Once rho > 1e4, the descent ends after a
+    stage where no working value exceeds ``FEAS_TOL``, no equality residual does
+    in absolute value and nothing is rejected (NaN fails each test). Compiled
+    once per working set and kept in ``inst.__dict__``, keyed by the working
+    labels; it holds no reference to the instance or to ``working``."""
+    descents = inst.__dict__.setdefault("_descents", {})
     key = tuple(wc.label for wc in working)
-    if key in stages:
-        return stages[key]
+    if key in descents:
+        return descents[key]
     n = inst.dim
     lw = ex._Lowering(n, masked=True)
     line, xs, cs = lw.line, [f"x{j}" for j in range(1, n + 1)], [f"c{j}" for j in range(1, n + 1)]
     lw.columns.update(range(1, n + 1))
-    line("r2, passes = 2.0 * rho, 0")
-    with lw.block(f"for _ in _range({MAX_INNER}):", body=True):
-        line("passes = passes + 1")
-        _penalty(lw, inst, working, True, "x", "val")
-        if lw.checked:
-            line("if bad: break")
-        # a correctly rounded sum, the same under any BLAS; inf where it overflows
-        line("try:")
-        line(f"    gnorm = _sqrt(_fsum(({''.join(f'g{j} * g{j}, ' for j in range(n))})))")
-        line("except _OverflowError:")
-        line(f"    gnorm = {lw.text(math.inf)}")
-        line("if not gnorm > 1e-10 * _max(1.0, _abs(val)): break")
-        for j in range(n):  # a sin or exp partial is np.float64
-            line(f"d{j + 1} = -_float(g{j}) / gnorm")
-        line("t, stalled = step, True")
-        with lw.block("for _ in _range(40):", body=True):
-            for j, (xj, cj) in enumerate(zip(xs, cs), 1):
-                line(f"{cj} = {xj} + t * d{j}")
-            _penalty(lw, inst, working, False, "c", "trial")
-            armijo = f"trial <= val - {ARMIJO!r} * t * gnorm"
-            with lw.block(f"if not bad and {armijo}:" if lw.checked else f"if {armijo}:"):
-                line(f"{', '.join(xs)} = {', '.join(cs)}")
-                line(f"step = _min(t * 1.5, {STEP0!r})")
-                line(f"stalled = trial >= val - {STALL_TOL!r} * _max(1.0, _abs(val))")
-                line("break")
-            line("t = t * 0.5")
-        line("if stalled: break")
-    stages[key] = lw.function("xs, rho, step", f"[{', '.join(xs)}], step, passes", _range=range,
-                              _fsum=math.fsum, _sqrt=math.sqrt, _OverflowError=OverflowError,
-                              _max=max, _min=min, _abs=abs, _float=float, _argmax=np.argmax,
-                              _square=_square)
-    return stages[key]
+    line(f"rho, step, passes = {PENALTY0!r}, {STEP0!r}, 0")
+    with lw.block(f"for _ in _range({PENALTY_STAGES}):"):
+        line("r2 = 2.0 * rho")
+        with lw.block(f"for _ in _range({MAX_INNER}):", body=True):
+            line("passes = passes + 1")
+            _penalty(lw, inst, working, True, "x", "val")
+            if lw.checked:
+                line("if bad: break")
+            # a correctly rounded sum, the same under any BLAS; inf where it overflows
+            line("try:")
+            line(f"    gnorm = _sqrt(_fsum(({''.join(f'g{j} * g{j}, ' for j in range(n))})))")
+            line("except _OverflowError:")
+            line(f"    gnorm = {lw.text(math.inf)}")
+            line("if not gnorm > 1e-10 * _max(1.0, _abs(val)): break")
+            for j in range(n):  # a sin or exp partial is np.float64
+                line(f"d{j + 1} = -_float(g{j}) / gnorm")
+            line("t, stalled = step, True")
+            with lw.block("for _ in _range(40):", body=True):
+                for j, (xj, cj) in enumerate(zip(xs, cs), 1):
+                    line(f"{cj} = {xj} + t * d{j}")
+                _penalty(lw, inst, working, False, "c", "trial")
+                armijo = f"trial <= val - {ARMIJO!r} * t * gnorm"
+                with lw.block(f"if not bad and {armijo}:" if lw.checked else f"if {armijo}:"):
+                    line(f"{', '.join(xs)} = {', '.join(cs)}")
+                    line(f"step = _min(t * 1.5, {STEP0!r})")
+                    line(f"stalled = trial >= val - {STALL_TOL!r} * _max(1.0, _abs(val))")
+                    line("break")
+                line("t = t * 0.5")
+            line("if stalled: break")
+        with lw.block("if rho > 1e4:", body=True):
+            lw.at = "x"  # the trial body left it at the candidate locals
+            tests = [f"{lw.text(lw.root(wc.body, False, wc.env)[0])} <= {FEAS_TOL!r}"
+                     for wc in working]
+            tests += [f"_abs({lw.text(lw.root(h, False, {})[0])}) <= {FEAS_TOL!r}"
+                      for h in inst.equalities.components]
+            rejected = "not bad and " if lw.checked else ""
+            line(f"if {rejected}{' and '.join(tests) or 'True'}: break")
+        line(f"rho = rho * {PENALTY_GROWTH!r}")
+    descents[key] = lw.function("xs", f"[{', '.join(xs)}], passes", _range=range,
+                                _fsum=math.fsum, _sqrt=math.sqrt, _OverflowError=OverflowError,
+                                _max=max, _min=min, _abs=abs, _float=float, _argmax=np.argmax)
+    return descents[key]
 
 
 def _max_violation(working, x) -> float:
     xs = x.tolist()
     return max((wc.value(xs) for wc in working), default=0.0)
-
-
-def _penalty_descent(inst: SipInstance, working, x0):
-    """Penalty stages from x0, each one call of the working set's stage, on
-    coordinate lists; arrays only between stages. The masked stage runs past
-    a rejection, so numpy's warnings are off."""
-    stage = _penalty_stage(inst, working)
-    x, rho, step = x0.tolist(), PENALTY0, STEP0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in solve()
-        for _ in range(PENALTY_STAGES):
-            x, step, _ = stage(x, rho, step)
-            xa = np.array(x)
-            eq = inst.eq_residual(xa)
-            if max(_max_violation(working, xa), eq) <= FEAS_TOL and rho > 1e4:
-                break
-            rho *= PENALTY_GROWTH
-    return np.array(x)
 
 
 def _peak(v) -> float:
@@ -323,9 +311,9 @@ def _solve_subproblem(inst: SipInstance, working, config, rng, warm):
     lo, hi = inst.box_bounds()
     starts = [] if warm is None else [warm.copy()]
     starts += [rng.uniform(lo, hi) for _ in range(config.multistart if warm is None else 1)]
-    candidates = []
+    descent, candidates = _penalty_descent(inst, working), []
     for s in starts:
-        x = _penalty_descent(inst, working, s)
+        x = np.array(descent(s.tolist())[0])
         polished = _polish(inst, working, x)
         xv = _max_violation(working, x)
         if polished is not None:

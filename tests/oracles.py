@@ -13,8 +13,11 @@ points. Here are
 * ``unit_vectors_reference``: ``model.unit_vectors`` with numpy's own
   reduces, the formula the package's coordinate passes must match bit for bit;
 * ``penalty_stage_reference``: one penalty stage of the solver as a Python
-  loop over any value and gradient, which the generated stage must repeat bit
-  for bit.
+  loop over any value and gradient;
+* ``penalty_descent_reference``: the solver's penalty descent as a Python loop
+  of such stages, with the stage-end test read through each working
+  constraint's own kernel and ``SipInstance.eq_residual``, which the generated
+  descent must repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ import numpy as np
 from sipcert import expr as ex
 from sipcert.cones import membership
 from sipcert.linsolve import FeasibilityCertificate, LpStatus, _simplex_standard
-from sipcert.model import ConstraintScan, SipInstance, scan_constraints, with_grid
+from sipcert.model import FEAS_TOL, ConstraintScan, SipInstance, scan_constraints, with_grid
 from sipcert.optimality import _cone, _require_feasible
-from sipcert.solver import ARMIJO, MAX_INNER, STALL_TOL, STEP0
+from sipcert.solver import (ARMIJO, MAX_INNER, PENALTY0, PENALTY_GROWTH, PENALTY_STAGES,
+                            STALL_TOL, STEP0)
 
 
 @dataclass
@@ -264,8 +268,8 @@ def unit_vectors_reference(v) -> np.ndarray:
 
 
 def penalty_stage_reference(value, gradient, x: list, rho: float, step: float):
-    """One penalty stage from the coordinate list ``x``, as ``solver._penalty_stage``
-    must run it: ``value(x, rho)`` is the penalty and ``gradient(x, rho)`` the
+    """One penalty stage from the coordinate list ``x``, as ``solver._penalty_descent``
+    must run each of its stages: ``value(x, rho)`` is the penalty and ``gradient(x, rho)`` the
     pair (penalty, gradient), each read as a NaN or +inf where a term is
     rejected. Returns (x, step, gradient passes)."""
     passes = 0
@@ -293,3 +297,21 @@ def penalty_stage_reference(value, gradient, x: list, rho: float, step: float):
         if stalled:
             break
     return x, step, passes
+
+
+def penalty_descent_reference(inst: SipInstance, working, value, gradient, x: list):
+    """The penalty descent from the coordinate list ``x``, as ``solver._penalty_descent``
+    must run it: ``penalty_stage_reference`` once per stage over ``value`` and
+    ``gradient``, rho growing after each, ending once rho > 1e4 after a stage at
+    whose end the largest working value (each from its own kernel, NaN read as
+    +inf) and ``inst.eq_residual`` are within ``FEAS_TOL``. Returns (x, gradient
+    passes)."""
+    rho, step, total = PENALTY0, STEP0, 0
+    for _ in range(PENALTY_STAGES):
+        x, step, passes = penalty_stage_reference(value, gradient, x, rho, step)
+        total += passes
+        viol = max((wc.value(x) for wc in working), default=0.0)
+        if max(viol, inst.eq_residual(np.array(x))) <= FEAS_TOL and rho > 1e4:
+            break
+        rho *= PENALTY_GROWTH
+    return x, total

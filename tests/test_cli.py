@@ -246,6 +246,27 @@ def test_slater_search_domain_error_is_not_a_crash(tmp_path, capsys):
     assert model.scan_constraints(model.load_instance(path), point).argmax()[0] < 0.0
 
 
+def test_surjectivity_is_unknown_where_no_rank_test_ran(tmp_path, capsys):
+    # h's x1 partial is 1e308 * 10 = inf, so the margin checks stop before the
+    # rank test: the report says neither surjective nor not
+    import jsonschema
+
+    path = tmp_path / "inf_eq.sip"
+    path.write_text(
+        "[problem]\nvars = x1 x2\nminimize = x1^2 + x2^2\nbox = -2 2 ; -2 2\n\n"
+        "[constraints]\ng1 = x1 - 1.5\n\n[equalities]\nh = x1*1e308*10 - x2\n"
+    )
+    code, out, err = run_cli(
+        ["analyze", str(path), "--point=0,0", "--report=json", "--deterministic"], capsys
+    )
+    assert code == EXIT_OK and err == ""
+    doc = json.loads(out)
+    jsonschema.validate(doc, json.loads(SCHEMA.read_text()))
+    cq = doc["cq"]
+    assert cq["emfcq"]["reason"] == cq["pmfcq"]["reason"] == "an equality Jacobian entry is not finite"
+    assert cq["surjective"] is None
+
+
 def test_equality_rejected_at_the_origin_is_not_blamed_on_the_point(tmp_path, capsys):
     # h and its gradient are defined at (0.5, 0.5), but sqrt(x1) has no
     # gradient at the origin, where the Slater search projects from

@@ -132,6 +132,36 @@ class TestPmfcq:
         assert [t.status for t in res.traces].count("censored") == 4
         assert res.verdict == Verdict.HOLDS and res.stabilized_eps == 0.1
 
+    def test_tail_censor_beyond_the_truncation(self):
+        # x1 - 1/n over n <= 10 peaks at -0.1 on the grid, an eps-active member
+        # only at eps = 0.1; below that only the tail ladders' limit 0 is
+        # eps-active, and no value resolution reaches it (the argmax is the
+        # last row), so each smaller eps is censored by the ladders alone
+        inst = _countable_instance("x1 - 1/n", 10)
+        scan = scan_constraints(inst, np.zeros(2))
+        fam = scan.families[0]
+        vals = scan.value[scan.grid(block=fam.block)]
+        assert np.max(vals) == -0.1 and cq_module._value_resolution(vals) == 0.0
+        limits = [scan.tail_limit(rows) for rows in fam.ladders]
+        assert limits and all(ok and abs(v) < 1e-9 for v, ok in limits)
+        for eps in cq_module.EPS_SCHEDULE:
+            assert cq_module._family_censored(scan, fam, eps) == (eps < 0.1)
+        res = check_pmfcq(inst, np.zeros(2), scan=scan)
+        assert [t.status for t in res.traces] == ["stable"] + ["censored"] * 7
+        assert res.traces[0].margins == [1.0]
+        assert res.verdict == Verdict.HOLDS and res.stabilized_eps == 0.1
+
+    def test_two_value_family_has_no_value_resolution_gap(self):
+        # with fewer than three grid rows there is no second difference: the
+        # grid reads the family exactly, and no eps is censored
+        inst = _family_instance("x1 - t", "t", FiniteIndexSet((0.0, 1.0)))
+        scan = scan_constraints(inst, np.zeros(2))
+        vals = scan.value[scan.grid(block=scan.families[0].block)]
+        assert vals.tolist() == [0.0, -1.0] and cq_module._value_resolution(vals) == 0.0
+        res = check_pmfcq(inst, np.zeros(2), scan=scan)
+        assert [t.status for t in res.traces] == ["stable"] * len(cq_module.EPS_SCHEDULE)
+        assert res.verdict == Verdict.HOLDS and res.stabilized_eps == 0.1 and res.margin == 1.0
+
     @pytest.mark.parametrize("case", ["ambiguous", "beyond_truncation"])
     def test_inconclusive_traces_give_unknown(self, case):
         if case == "ambiguous":
@@ -191,6 +221,12 @@ class TestNfmcq:
     def test_parabola_band_holds(self):
         res = check_nfmcq(parabola_band(), np.zeros(2))
         assert res.verdict == Verdict.HOLDS
+
+    def test_no_constraints_generate_the_trivial_cone(self):
+        inst = SipInstance(dim=2, cost=SmoothCost(ex.parse("x1^2 + x2^2")))
+        res = check_nfmcq(inst, np.zeros(2))
+        assert res.verdict == Verdict.HOLDS and res.closedness.status == Closedness.CLOSED
+        assert res.reason == res.closedness.reason == "no generators; trivial cone"
 
     def test_open_interval_gives_a_ray_per_end(self, monkeypatch):
         # lifts (t, 1-t, 0) over t in (0, 1): the ladders toward 0 and 1 end

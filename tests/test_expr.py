@@ -56,6 +56,17 @@ class TestParse:
             parse("x1 + @")
         assert err.value.column == 6
 
+    def test_error_position_counts_lines(self):
+        # the column restarts after the last newline of a whitespace run
+        with pytest.raises(ParseError) as err:
+            parse("x1 +\n  \n   @")
+        assert (err.value.line, err.value.column) == (3, 4)
+
+    def test_missing_close_names_the_end_of_input(self):
+        with pytest.raises(ParseError) as err:
+            parse("(x1 + x2")
+        assert str(err.value) == "expected ')', found 'end of input' (line 1, column 9)"
+
     def test_unknown_call_arity(self):
         with pytest.raises(ParseError):
             parse("sin()")

@@ -322,6 +322,15 @@ OPEN_END_CASES = {
 
 
 class TestScan:
+    def test_scan_of_minus_inf_values_has_no_worst_row(self):
+        # -exp(800) overflows to -inf: no row exceeds -inf, so none is the worst
+        inst = loads_instance("[problem]\nvars = x1 x2\nminimize = x1^2 + x2^2\n"
+                              "box = 799 801; -1 1\n\n[constraints]\ng1 = -exp(x1)\n")
+        x = np.array([800.0, 0.0])
+        scan = scan_constraints(inst, x)
+        assert scan.value.tolist() == [-math.inf] and scan.argmax() == (-math.inf, None)
+        assert most_violated_index(inst, x) == (None, 0.0)
+
     @pytest.mark.parametrize("case", sorted(OPEN_END_CASES))
     def test_open_end_ladder_stays_inside(self, case):
         # the ladder's rows end + width*s with s down to 1e-300 round onto the

@@ -28,7 +28,7 @@ from sipcert.model import (
 from sipcert.optimality import verify_kkt
 from sipcert.solver import SolverConfig, most_violated_index, solve
 
-from oracles import penalty_stage_reference
+from oracles import penalty_descent_reference
 from test_model import countable_cubic, interval_ramp
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -240,21 +240,21 @@ class TestSolve:
         np.testing.assert_allclose(x[0], -1.0, atol=1e-3)
 
 
-def _watch_stages(monkeypatch, watch):
-    """Calls ``watch(xs, step, passes)`` with what every penalty stage that solve() runs returns."""
-    stage_of = solver._penalty_stage
+def _watch_descents(monkeypatch, watch):
+    """Calls ``watch(xs, passes)`` with what every penalty descent that solve() runs returns."""
+    descent_of = solver._penalty_descent
 
-    def watched_stage(inst, working):
-        stage = stage_of(inst, working)
+    def watched_descent(inst, working):
+        descent = descent_of(inst, working)
 
-        def watched(xs, rho, step):
-            out = stage(xs, rho, step)
+        def watched(xs):
+            out = descent(xs)
             watch(*out)
             return out
 
         return watched
 
-    monkeypatch.setattr(solver, "_penalty_stage", watched_stage)
+    monkeypatch.setattr(solver, "_penalty_descent", watched_descent)
 
 
 # gradient passes of one solve under perfbench's solve-exchange configuration; the
@@ -264,7 +264,7 @@ def _watch_stages(monkeypatch, watch):
                                        ("countable_cubic", 3500), ("interval_ramp", 9000)])
 def test_gradient_passes_per_solve_are_capped(monkeypatch, name, cap):
     passes = []
-    _watch_stages(monkeypatch, lambda xs, step, n: passes.append(n))
+    _watch_descents(monkeypatch, lambda xs, n: passes.append(n))
     solve(load_instance(INSTANCES / f"{name}.sip"), SolverConfig(multistart=4, max_outer=6, seed=1))
     assert 0 < sum(passes) <= cap
 
@@ -355,8 +355,9 @@ def _reference_penalty(inst, terms, x, rho):
             grad += 2.0 * rho * v * g
     for comp in inst.equalities.components:
         v, g = ex.eval_grad(comp, x)
-        gval += rho * float(v) ** 2
-        grad += 2.0 * rho * float(v) * g
+        v = float(v)
+        gval += rho * v * v
+        grad += 2.0 * rho * v * g
     return val, gval, grad
 
 
@@ -384,23 +385,15 @@ PENALTY_CASES = {
 }
 
 
-def test_square_is_the_float_power_until_it_overflows():
-    rng = np.random.default_rng(0)
-    draws = rng.normal(size=50) * 10.0 ** rng.integers(-160, 150, 50)
-    for v in [0.0, -3.0, 1.1e154, -1.34e154, *draws]:
-        assert solver._square(float(v)) == float(v) ** 2
-    assert solver._square(1.35e154) == solver._square(-1e200) == math.inf
-
-
 def _penalty_bodies(inst, working):
-    """The stage's two bodies, each as a function f(xs, rho) that reads NaN
+    """The descent's two bodies, each as a function f(xs, rho) that reads NaN
     where it rejects a term: the value, and the value with the gradient."""
     def body(grad):
         lw = ex._Lowering(inst.dim, masked=True)
         lw.line("r2 = 2.0 * rho")
         solver._penalty(lw, inst, working, grad, "x", "val")
         return lw.function("xs, rho", "val", [f"g{j}" for j in range(inst.dim)] if grad else (),
-                           _max=max, _argmax=np.argmax, _square=solver._square)
+                           _max=max, _argmax=np.argmax)
 
     return body(False), body(True)
 
@@ -420,72 +413,143 @@ def test_bound_penalty_is_bit_identical_to_eval_path(name):
         else:
             fam = next(f for f, _ in inst.families if f.name == idx.family)
             terms.append((fam.body, {fam.index_name: idx.value}))
-    stage = solver._penalty_stage(inst, working)
+    descent = solver._penalty_descent(inst, working)
     value_body, grad_body = _penalty_bodies(inst, working)
+    value, gradient = _reference_pair(inst, terms)
 
+    rng = np.random.default_rng(7)
+    violated = rejected = 0
+    for i, x in enumerate(rng.uniform(lo, hi, size=(20, inst.dim))):
+        for rho in (10.0, 2.5e4):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as inside solve()
+                val, gval, grad = _reference_penalty(inst, terms, x, rho)
+                got_val = value_body(x.tolist(), rho)
+                got_gval, got_grad = grad_body(x.tolist(), rho)
+            start_rejected = val == gval == math.inf and np.isnan(grad).all()
+            if start_rejected:  # a rejected term: the value and every partial NaN
+                rejected += 1
+                assert math.isnan(got_val) and math.isnan(got_gval)
+                assert len(got_grad) == inst.dim and all(map(math.isnan, got_grad))
+            else:
+                assert _bits(got_val) == _bits(val)
+                assert _bits(got_gval) == _bits(gval)
+                assert _bits(got_grad) == _bits(grad)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if i < 8:  # the whole descent, on the eval path's 18 stages a slow reference
+                got = descent(x.tolist())
+                want = penalty_descent_reference(inst, working, value, gradient, x.tolist())
+                assert [_bits(a) for a in got] == [_bits(a) for a in want]  # iterate, passes
+                if start_rejected:  # every stage ends where it starts, and none is the last
+                    assert _bits(got[0]) == _bits(x) and got[1] == solver.PENALTY_STAGES
+            values = [float(_ruled(ex.eval_value, b, x, env)) for b, env in terms]
+        violated += any(v > 0 for v in values)
+    assert violated > 0
+    # read term by term, a rejected term is +inf with NaN partials; the bodies
+    # read NaN, and either way the descent ends where it starts
+    assert rejected == {"rejected_everywhere": 40, "rejected_to_a_number": 40,
+                        "partly_rejected": 20}.get(name, 0)
+    if name == "nan_constraint":
+        # g is NaN and never penalized (NaN > 0 is False); f = -x2 - 1 is
+        # violated only for x2 < -1, so from x2 = 0.5 the descent moves x2
+        # alone until f holds it near -1 - 1/(2 rho); g's NaN fails every
+        # stage-end test, so all the stages run
+        assert math.isnan(values[0])
+        x = np.array([850.0, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert value_body(x.tolist(), 10.0) == 0.5
+            assert grad_body(x.tolist(), 10.0)[0] == 0.5
+            (x1, x2), passes = descent(x.tolist())
+            rhos = _reference_with_stages(inst, working, value, gradient, x.tolist())[1]
+        assert x1 == 850.0 and -1.0001 < x2 < -1.0 and passes > solver.PENALTY_STAGES
+        assert rhos[-1] == solver.PENALTY0 * solver.PENALTY_GROWTH ** (solver.PENALTY_STAGES - 1)
+
+
+def _reference_pair(inst, terms):
+    """``value(x, rho)`` and ``gradient(x, rho)`` of ``_reference_penalty``, as the
+    reference descent reads them."""
     def value(x, rho):
         return _reference_penalty(inst, terms, np.array(x), rho)[0]
 
     def gradient(x, rho):
         return _reference_penalty(inst, terms, np.array(x), rho)[1:]
 
-    rng = np.random.default_rng(7)
-    violated = rejected = 0
-    for x in rng.uniform(lo, hi, size=(20, inst.dim)):
-        for rho in (10.0, 2.5e4):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as inside solve()
-                val, gval, grad = _reference_penalty(inst, terms, x, rho)
-                got_val = value_body(x.tolist(), rho)
-                got_gval, got_grad = grad_body(x.tolist(), rho)
-                got = stage(x.tolist(), rho, solver.STEP0)
-                want = penalty_stage_reference(value, gradient, x.tolist(), rho, solver.STEP0)
-            assert [_bits(a) for a in got] == [_bits(a) for a in want]  # iterate, step, passes
-            if val == gval == math.inf and np.isnan(grad).all():  # a rejected term: the value
-                rejected += 1  # and every partial NaN, and the stage takes no step
-                assert math.isnan(got_val) and math.isnan(got_gval)
-                assert len(got_grad) == inst.dim and all(map(math.isnan, got_grad))
-                assert _bits(got[0]) == _bits(x) and got[1:] == (solver.STEP0, 1)
-            else:
-                assert _bits(got_val) == _bits(val)
-                assert _bits(got_gval) == _bits(gval)
-                assert _bits(got_grad) == _bits(grad)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values = [float(_ruled(ex.eval_value, b, x, env)) for b, env in terms]
-        violated += any(v > 0 for v in values)
-    assert violated > 0
-    # read term by term, a rejected term is +inf with NaN partials; the bodies
-    # read NaN, and either way the stage ends where it starts
-    assert rejected == {"rejected_everywhere": 40, "rejected_to_a_number": 40,
-                        "partly_rejected": 20}.get(name, 0)
-    if name == "nan_constraint":
-        # g is NaN and never penalized (NaN > 0 is False); f = -x2 - 1 is
-        # violated only for x2 < -1, so from x2 = 0.5 the stage descends in x2
-        # alone until f holds it near -1 - 1/(2 rho)
-        assert math.isnan(values[0])
-        x = np.array([850.0, 0.5])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert value_body(x.tolist(), 10.0) == 0.5
-            assert grad_body(x.tolist(), 10.0)[0] == 0.5
-            (x1, x2), _, passes = stage(x.tolist(), 10.0, solver.STEP0)
-        assert x1 == 850.0 and -1.06 < x2 < -1.04 and passes > 1
+    return value, gradient
+
+
+def _reference_with_stages(inst, working, value, gradient, x):
+    """``penalty_descent_reference`` from ``x``, and the rho of each stage it ran."""
+    rhos = []
+
+    def watched(x, rho):
+        if rho not in rhos:
+            rhos.append(rho)
+        return gradient(x, rho)
+
+    return penalty_descent_reference(inst, working, value, watched, x), rhos
+
+
+# the descent's early exit once rho > 1e4, through each kind of stage-end test
+EARLY_EXIT = {
+    # g never binds, so the exit fires after the first stage with rho > 1e4
+    "inactive": """[problem]
+vars = x1 x2
+minimize = (x1 - 0.5)^2 + (x2 + 0.25)^2
+
+[constraints]
+g = x1 + x2 - 3
+""",
+    # the cost's minimizer lies on h = 0, so |h| falls within FEAS_TOL
+    "equality": """[problem]
+vars = x1 x2
+minimize = (x1 - 1)^2 + (x2 - 1)^2
+
+[constraints]
+g = x1 - 4
+
+[equalities]
+h = x1 - x2
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EARLY_EXIT))
+def test_descent_early_exit_is_bit_identical_to_reference(name):
+    inst = loads_instance(EARLY_EXIT[name])
+    working = [solver._constraint_for(inst, IndexId(i, 0.0, label))
+               for i, (label, _) in enumerate(inst.fixed)]
+    terms = [(body, None) for _, body in inst.fixed]
+    descent = solver._penalty_descent(inst, working)
+    value, gradient = _reference_pair(inst, terms)
+    last = solver.PENALTY0 * solver.PENALTY_GROWTH ** (solver.PENALTY_STAGES - 1)
+    exits = 0
+    for x in np.random.default_rng(3).uniform(-2.0, 2.0, size=(8, 2)):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as inside solve()
+            got = descent(x.tolist())
+            want, rhos = _reference_with_stages(inst, working, value, gradient, x.tolist())
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]  # iterate, passes
+        assert rhos[-1] > 1e4 and rhos == rhos[:1] + [2.0 * r for r in rhos[:-1]]
+        exits += rhos[-1] < last
+    assert exits > 0
 
 
 def test_penalty_gradient_pass_skips_satisfied_constraints():
     # sqrt(x1) has no gradient at x1 = 0; the gradient body takes a working
-    # constraint's gradient only where it is violated, so the stage steps down
-    # x2 from where it holds and stops at once where it is violated
+    # constraint's gradient only where it is violated, so the descent steps down
+    # x2 from where it holds, a unit step each pass, and ends after the first
+    # stage with rho > 1e4 (the eleventh); where it is violated every stage stops
+    # at once and none ends the descent
     for body, xs, violated in (("sqrt(x1) - 5", [0.0, 0.0], False),
                                ("sqrt(x1) + x2", [0.0, 1.0], True)):
         inst = loads_instance(f"[problem]\nvars = x1 x2\nminimize = x1^2 + x2\n"
                               f"[constraints]\ng1 = {body}\n")
         working = [solver._constraint_for(inst, IndexId(0, 0.0, "g1"))]
-        stage = solver._penalty_stage(inst, working)
+        descent = solver._penalty_descent(inst, working)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as inside solve()
-            got = stage(xs, 10.0, solver.STEP0)
+            got = descent(xs)
         if violated:  # the sqrt gradient at zero rejects the point
-            assert got == (xs, solver.STEP0, 1)
-        else:  # the gradient is (0, 1) all the way: a unit step each pass
-            assert got == ([0.0, -80.0], solver.STEP0, solver.MAX_INNER)
+            assert got == (xs, solver.PENALTY_STAGES)
+        else:  # the gradient is (0, 1) all the way
+            assert got == ([0.0, -880.0], 11 * solver.MAX_INNER)
 
 
 ZERO_TANGENT = re.compile(r"\b0\.0 \*|[-+*] 0\.0\b")
@@ -500,19 +564,19 @@ def _generated_sources(monkeypatch) -> list:
     return sources
 
 
-def _stages_of(insts):
-    """The penalty stage of each instance on 7 constraints spread over its scan."""
+def _descents_of(insts):
+    """The penalty descent of each instance on 7 constraints spread over its scan."""
     for inst in insts:
         lo, hi = inst.box_bounds()
         scan = scan_constraints(inst, 0.5 * (lo + hi))
         rows = np.unique(np.linspace(0, len(scan.value) - 1, 7).astype(int))
-        solver._penalty_stage(inst, [solver._constraint_for(inst, scan.index_id(int(r)))
-                                     for r in rows])
+        solver._penalty_descent(inst, [solver._constraint_for(inst, scan.index_id(int(r)))
+                                       for r in rows])
 
 
 def test_no_generated_line_operates_on_a_zero_tangent(monkeypatch):
     # a structurally zero partial drops out of every sum and product, so no
-    # kernel of a bundled body and no penalty stage multiplies or adds +0.0
+    # kernel of a bundled body and no penalty descent multiplies or adds +0.0
     sources = _generated_sources(monkeypatch)
     for path in sorted(INSTANCES.glob("*.sip")):
         inst = load_instance(path)
@@ -522,8 +586,8 @@ def test_no_generated_line_operates_on_a_zero_tangent(monkeypatch):
             for grad in (False, True):
                 for masked in (False, True):
                     ex._compile(body, inst.dim, grad, masked)
-    _stages_of(map(load_instance, sorted(INSTANCES.glob("*.sip"))))
-    assert sum(text.startswith("def kernel(xs, rho, step)") for text in sources) == 4
+    _descents_of(map(load_instance, sorted(INSTANCES.glob("*.sip"))))
+    assert sum(text.startswith("def kernel(xs):") for text in sources) == 4
     for text in sources:
         assert not ZERO_TANGENT.search(text), text
 
@@ -534,11 +598,11 @@ ONE_FACTOR = re.compile(r"\* 1\.0(?![\d.e])|(?<![-\w.])1\.0 \*")
 def test_no_generated_stage_line_multiplies_by_one(monkeypatch):
     # a partial of 1.0 scales the penalty's 2 * rho * v as it is: v * 1.0 == v exactly
     sources = _generated_sources(monkeypatch)
-    _stages_of([*map(load_instance, sorted(INSTANCES.glob("*.sip"))),
-                *map(loads_instance, (MAX_COST, NAMED))])
-    stages = [text for text in sources if text.startswith("def kernel(xs, rho, step)")]
-    assert len(stages) == 6
-    for text in stages:
+    _descents_of([*map(load_instance, sorted(INSTANCES.glob("*.sip"))),
+                  *map(loads_instance, (MAX_COST, NAMED))])
+    descents = [text for text in sources if text.startswith("def kernel(xs):")]
+    assert len(descents) == 6
+    for text in descents:
         assert not ONE_FACTOR.search(text), text
 
 
@@ -576,25 +640,27 @@ def test_descent_from_a_rejected_start_returns_it_bit_for_bit():
     # at t = 0.3 log(t - 0.5) raises at every x, so every stage stops at the start
     inst = loads_instance(finite_family("log(t - 0.5)*x1 - x2", "0.3"))
     working = [solver._constraint_for(inst, IndexId(0, 0.3, "g(0.3)", "g"))]
-    x0 = np.array([0.1234567, -1.9876543])
-    x = solver._penalty_descent(inst, working, x0)
-    assert x.tobytes() == x0.tobytes() and x is not x0
+    x0 = [0.1234567, -1.9876543]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as inside solve()
+        x, passes = solver._penalty_descent(inst, working)(x0)
+    assert _bits(x) == _bits(x0) and x is not x0 and passes == solver.PENALTY_STAGES
 
 
 def test_descent_whose_gradient_norm_overflows_returns_its_start():
     # each partial squares to 1e308 and their sum overflows, on which math.fsum
     # raises; the norm reads inf, so no step is accepted, as when numpy summed it
     inst = loads_instance(finite_family("x1 - 9", "0").replace("x1^2 + x2", "1e154*(x1 + x2)"))
-    x0 = np.array([0.25, -0.5])
+    x0 = [0.25, -0.5]
     assert 1e154**2 * 2 == math.inf
-    x = solver._penalty_descent(inst, [], x0)
-    assert x.tobytes() == x0.tobytes()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as inside solve()
+        x, passes = solver._penalty_descent(inst, [])(x0)
+    assert x == x0 and passes == 11  # with nothing to hold, the eleventh stage ends it
 
 
 def test_descent_iterates_on_python_floats(monkeypatch):
     # sin's partials are numpy scalars, which must not leak into the iterate
     seen = set()
-    _watch_stages(monkeypatch, lambda xs, step, n: seen.update(map(type, xs)))
+    _watch_descents(monkeypatch, lambda xs, n: seen.update(map(type, xs)))
     solve(loads_instance(MAX_COST), SolverConfig(max_outer=2, multistart=1, seed=0))
     assert seen == {float}
 
@@ -627,39 +693,39 @@ GENERATED_NAME = re.compile(r"(def|if|not|and|for|in|break|try|except|return|Tru
                             r"|exp|log|sqrt|[xvgcd]\d+|_\w*)$")
 
 
-def test_penalty_stage_lives_with_the_instance_and_holds_no_names(monkeypatch):
-    # a stage is kept on its instance, so a second solve compiles no working
+def test_penalty_descent_lives_with_the_instance_and_holds_no_names(monkeypatch):
+    # a descent is kept on its instance, so a second solve compiles no working
     # set again; it holds neither the instance nor a working constraint
-    stages, compiled, refs = [], [], []
-    stage_of, function_of = solver._penalty_stage, ex._Lowering.function
+    descents, compiled, refs = [], [], []
+    descent_of, function_of = solver._penalty_descent, ex._Lowering.function
     sources = _generated_sources(monkeypatch)
 
-    def recording_stage(inst, working):
-        stage = stage_of(inst, working)
+    def recording_descent(inst, working):
+        descent = descent_of(inst, working)
         kernels = [f for wc in working for f in (wc.value, wc.grad)]
-        stages.append(weakref.ref(stage))
+        descents.append(weakref.ref(descent))
         refs.extend(weakref.ref(obj) for obj in (*working, *kernels))
-        return stage
+        return descent
 
     def recording_function(lowering, params, *args, **extra):
         compiled.append(params)
         return function_of(lowering, params, *args, **extra)
 
-    monkeypatch.setattr(solver, "_penalty_stage", recording_stage)
+    monkeypatch.setattr(solver, "_penalty_descent", recording_descent)
     monkeypatch.setattr(ex._Lowering, "function", recording_function)
     inst = loads_instance(NAMED)
     records = [r for seed in (0, 1)
                for r in solve(inst, SolverConfig(max_outer=6, multistart=2, seed=seed))[1].records]
     distinct = {tuple(r.working) for r in records}
-    assert compiled.count("xs, rho, step") == len(distinct) >= 2 and len(records) > len(distinct)
-    assert sorted(vars(inst)["_stages"]) == sorted(distinct)
+    assert compiled.count("xs") == len(distinct) >= 2 and len(records) > len(distinct)
+    assert sorted(vars(inst)["_descents"]) == sorted(distinct)
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)  # gone with the solves
-    assert None not in [ref() for ref in stages]
+    assert None not in [ref() for ref in descents]
     owner = weakref.ref(inst)
-    del inst  # no cycle holds it: the stages refer to no instance
-    assert owner() is None and [ref() for ref in stages] == [None] * len(stages)
-    texts = [text for text in sources if text.startswith("def kernel(xs, rho, step)")]
+    del inst  # no cycle holds it: the descents refer to no instance
+    assert owner() is None and [ref() for ref in descents] == [None] * len(descents)
+    texts = [text for text in sources if text.startswith("def kernel(xs):")]
     assert len(texts) == len(distinct)
     for text in texts:
         assert not any(name in text for name in ("floor_guard", "ceiling_band", "tau",
